@@ -14,8 +14,8 @@ import sys
 
 from .maps import map_H, map_H_inv, map_J
 from .orbits import DEFAULT_SEED, dump_orbit, parse_orbit_spec
+from .rng import DEFAULT_RMAX
 from .suites import (
-    DEFAULT_RMAX,
     DEFAULT_SAMPLES,
     ConfigError,
     SuiteConfig,
@@ -127,7 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N")
     v.add_argument("--rmax", type=float, default=DEFAULT_RMAX, metavar="X")
     v.add_argument("--tol", action="append", default=[], metavar="NAME=X", help="per-suite tolerance override; repeatable")
-    v.add_argument("--workers", type=int, default=1, metavar="N")
+    v.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="accepted for compatibility and validated (N >= 1), but without effect: suites run serially",
+    )
     v.add_argument("--report", default=None, metavar="PATH", help="write the JSON report here instead of stdout")
     v.set_defaults(func=_cmd_verify)
 

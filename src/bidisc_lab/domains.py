@@ -17,6 +17,11 @@ point; equality constraints are tested against a scale-aware slack, so
 a point's distance-from-quadric is judged relative to the size of its
 coordinates.  Points within ~1e-9 of a boundary are inherently
 ambiguous and are reported, never asserted on.
+
+minkowski_form, quadric_residual and im_condition work elementwise on
+complex arrays as well.  The ``*_array`` twins of the level conversions
+and of the quadric-st margins serve the batched suites; they skip the
+argument checks, which their callers apply themselves.
 """
 
 from __future__ import annotations
@@ -78,6 +83,23 @@ def eta_level(alpha: float) -> float:
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     return math.sqrt(0.5 * (alpha + 1.0))
+
+
+def alpha_from_a_array(a: np.ndarray) -> np.ndarray:
+    """Array twin of alpha_from_a."""
+    inv2 = 1.0 / (a * a)
+    return 8.0 * inv2 * inv2 - 8.0 * inv2 + 1.0
+
+
+def a_from_alpha_array(alpha: np.ndarray) -> np.ndarray:
+    """Array twin of a_from_alpha."""
+    x = 0.5 * (1.0 + np.sqrt(0.5 * (alpha + 1.0)))
+    return 1.0 / np.sqrt(x)
+
+
+def eta_level_array(alpha: np.ndarray) -> np.ndarray:
+    """Array twin of eta_level."""
+    return np.sqrt(0.5 * (alpha + 1.0))
 
 
 class ProjectivePoint:
@@ -249,6 +271,14 @@ def _affine_quadric_margins(z1, z2, z3, s, t) -> list[float]:
     if math.isfinite(t):
         margins.append(t - m)
     return margins
+
+
+def quadric_st_margin_array(z1, z2, z3, s, t) -> np.ndarray:
+    """Array twin of the quadric-st membership margin; t may be inf."""
+    m = minkowski_form(z1, z2, z3)
+    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(z1), np.abs(z2)), np.abs(z3)) ** 2)
+    worst = np.minimum(m - s, QUADRIC_EQ_TOL * scale - np.abs(quadric_residual(z1, z2, z3)))
+    return np.minimum(np.minimum(worst, im_condition(z1, z2, z3)), t - m)
 
 
 def contains(spec: DomainSpec, p) -> tuple[bool, float]:

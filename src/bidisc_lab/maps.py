@@ -24,6 +24,11 @@ linearizes it: the induced map on C^3 is multiplication by a real
 matrix preserving diag(1,1,-1).  conjugate_fit recovers that matrix
 numerically by least squares from sampled pairs and reports how well
 held-out samples and the group relations are satisfied.
+
+The ``*_array`` twins evaluate J, H, H^-1 and sym elementwise on complex
+arrays for the batched suites.  They skip the argument checks;
+``mobius.outside_disc`` and ``near_diagonal`` are the array forms of the
+disc check and of the affine chart guard.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .domains import (
     quadric_residual,
 )
 from .groups import o21_residual
-from .mobius import MobiusMap, mobius_apply_pair, _require_disc
+from .mobius import MobiusMap, mobius_apply_pair, outside_disc, _require_disc
 from .rng import DEFAULT_RMAX, RngStream, sample_disc
 
 EPS_DIAG = 1e-6
@@ -77,6 +82,54 @@ def map_H(z: complex, w: complex) -> Triple:
     return ((1.0 - zw) / d, 1j * (1.0 + zw) / d, -1j * (z + w) / d)
 
 
+def near_diagonal(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mask of the pairs that map_H's affine chart guard rejects."""
+    return np.abs(z - w) < EPS_DIAG
+
+
+def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    # (ar + i ai) / (br + i bi) for denominators of modulus >= EPS_DIAG, where the
+    # textbook formula neither overflows nor underflows
+    den = br * br + bi * bi
+    out = np.empty(np.shape(den), dtype=complex)
+    out.real = (ar * br + ai * bi) / den
+    out.imag = (ai * br - ar * bi) / den
+    return out
+
+
+def map_H_array(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array twin of map_H, without its checks.
+
+    Computed on real and imaginary parts: float products commute
+    exactly, so map_H_array(w, z) == -map_H_array(z, w) bit for bit, as
+    with Python complex numbers.  numpy's complex multiply may use fused
+    multiply-adds, and then z * w and w * z differ in the last bits.
+    """
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    dr, di = zr - wr, zi - wi
+    pr = zr * wr - zi * wi  # zw
+    pi = zr * wi + zi * wr
+    return (
+        _cdiv(1.0 - pr, -pi, dr, di),
+        _cdiv(-pi, 1.0 + pr, dr, di),
+        _cdiv(zi + wi, -(zr + wr), dr, di),
+    )
+
+
+def map_J_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Array twin of map_J's homogeneous coordinates, shape (4, n)."""
+    zw = z * w
+    return np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
+
+
+def sym_array(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of sym, exactly symmetric like the scalar form (see map_H_array)."""
+    zw = np.empty(np.shape(z), dtype=complex)
+    zw.real = z.real * w.real - z.imag * w.imag
+    zw.imag = z.real * w.imag + z.imag * w.real
+    return z + w, zw
+
+
 def map_H_inv(h1: complex, h2: complex, h3: complex) -> Pair:
     """Invert the affine quadric embedding.
 
@@ -100,6 +153,26 @@ def map_H_inv(h1: complex, h2: complex, h3: complex) -> Pair:
         if err <= _ROUNDTRIP_TOL * scale:
             return cand
     raise ValueError("input does not lie on the embedded bidisc within tolerance")
+
+
+def map_H_inv_array(
+    h1: np.ndarray, h2: np.ndarray, h3: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array twin of map_H_inv: (z, w, ok), where ok is False on the rows it rejects."""
+    den = h1 - 1j * h2
+    scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
+    d = 2.0 / den
+    s = 1j * h3 * d
+    z, w = 0.5 * (s + d), 0.5 * (s - d)
+
+    def reproduces(a, b):
+        back = map_H_array(a, b)
+        err = np.maximum(np.maximum(np.abs(back[0] - h1), np.abs(back[1] - h2)), np.abs(back[2] - h3))
+        return ~(outside_disc(a) | outside_disc(b) | near_diagonal(a, b)) & (err <= _ROUNDTRIP_TOL * scale)
+
+    first = reproduces(z, w)
+    ok = ~(np.abs(den) < 1e-12 * scale) & (first | reproduces(w, z))
+    return np.where(first, z, w), np.where(first, w, z), ok
 
 
 def scale_g_t(t: float, p: Pair) -> Pair:

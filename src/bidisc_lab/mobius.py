@@ -13,6 +13,11 @@ invariant there is the pseudo-hyperbolic modulus
 Composition and inversion are carried out in closed form on the
 (theta, a) parameters, so group elements never degrade into raw
 fractional-linear coefficient soup.
+
+The ``*_array`` twins evaluate the same formulas elementwise on complex
+arrays for the batched suites.  They skip the argument checks;
+``outside_disc`` is the array form of the disc check, and callers apply
+it themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .rng import DEFAULT_RMAX, RngStream, sample_disc
 
@@ -35,6 +42,11 @@ def _require_disc(z: complex, name: str) -> None:
     _require_finite(z, name)
     if abs(z) >= 1.0 - TOL_BOUNDARY:
         raise ValueError(f"{name} must lie strictly inside the unit disc, got |{name}| = {abs(z)}")
+
+
+def outside_disc(z: np.ndarray) -> np.ndarray:
+    """Mask of the entries that the scalar disc check rejects (non-finite ones included)."""
+    return ~(np.abs(z) < 1.0 - TOL_BOUNDARY)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,11 @@ def mobius_apply(m: MobiusMap, z: complex) -> complex:
     """Evaluate the automorphism at a disc point."""
     _require_disc(z, "z")
     return cmath.exp(1j * m.theta) * (z - m.a) / (1.0 - m.a.conjugate() * z)
+
+
+def mobius_apply_array(theta: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Array twin of mobius_apply, one automorphism (theta, a) per entry."""
+    return np.exp(1j * theta) * (z - a) / (1.0 - a.conjugate() * z)
 
 
 def mobius_apply_pair(m: MobiusMap, p: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -90,6 +107,11 @@ def pseudo_hyperbolic(z: complex, w: complex) -> float:
     _require_disc(z, "z")
     _require_disc(w, "w")
     return abs(z - w) / abs(1.0 - z.conjugate() * w)
+
+
+def pseudo_hyperbolic_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Array twin of pseudo_hyperbolic."""
+    return np.abs(z - w) / np.abs(1.0 - z.conjugate() * w)
 
 
 def random_mobius(rng: RngStream, rmax: float = DEFAULT_RMAX) -> MobiusMap:

@@ -10,14 +10,26 @@ draw, so golden values recorded in the test suite are portable
 (SeedSequence hashing and PCG64 are stable, documented algorithms in
 numpy >= 1.17).
 
-Disc, bidisc and ball draws are uniform for the area (resp. volume)
-measure, implemented by rejection from the bounding square (resp.
-4-cube).  The rejection loop consumes a variable number of uniforms,
-which is fine: determinism is per (seed, stream_id), not per call
-count.
+Two ways of drawing share that keying:
+
+* The scalar samplers (``sample_disc`` and friends) draw one point at a
+  time, uniform for the area (resp. volume) measure, by rejection from
+  the bounding square (resp. 4-cube).  The rejection loop consumes a
+  variable number of uniforms, which is fine: determinism is per
+  (seed, stream_id), not per call count.
+* Block draws (``uniform_block``) give sample i of a batched run a fixed
+  budget of k uniforms, the stream's outputs [i k, (i + 1) k).  Each
+  double consumes one 64-bit PCG64 output, so ``PCG64.advance(lo k)``
+  jumps straight to row lo: any block, a single row included, is drawn
+  in O(block) time and memory without drawing the rows before it.
+  ``disc_from_uniforms`` turns two uniform columns into area-uniform
+  disc points by inverse transform, r = rmax sqrt(u) and a uniform
+  angle, so every row uses all of its budget and no draw is rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,6 +56,28 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the stream (seed, stream_id), ``draws`` uniforms in [0, 1) per row.
+
+    Row i holds the stream's outputs [i draws, (i + 1) draws), whatever
+    block it is drawn in.
+    """
+    rng = RngStream(seed, stream_id)
+    rng.gen.bit_generator.advance(lo * draws)
+    return rng.gen.random((hi - lo, draws))
+
+
+def disc_from_uniforms(u_radius: np.ndarray, u_angle: np.ndarray, rmax: float = DEFAULT_RMAX) -> np.ndarray:
+    """Map uniforms in [0, 1) to area-uniform points of the open disc of radius rmax."""
+    _check_rmax(rmax)
+    r = rmax * np.sqrt(u_radius)
+    angle = math.tau * u_angle
+    z = np.empty(np.shape(r), dtype=complex)
+    z.real = r * np.cos(angle)
+    z.imag = r * np.sin(angle)
+    return z
 
 
 def _check_rmax(rmax: float) -> None:

@@ -1,16 +1,34 @@
 """Seeded property suites and the verification report machinery.
 
 Each suite certifies one computable claim by evaluating a residual on
-many independently seeded samples.  Sample i of suite s draws from the
-stream id ((ordinal(s) + 1) << 32) | i, so results depend only on
-(seed, samples), never on worker count or evaluation order.
+many seeded samples.  The runner walks a suite's sample indices in
+blocks of BLOCK rows, and every row depends only on (seed, suite,
+index), so results never depend on the block size, the worker count or
+the evaluation order.  The suite with registry ordinal o owns the
+stream id base = (o + 1) << 32, and its samples draw in one of two ways:
+
+* Batched suites (the ten pointwise claims) draw from the single stream
+  (seed, base) with a fixed budget of k uniforms per sample: sample i
+  owns the stream's draws [i k, (i + 1) k).  A block is one
+  ``rng.uniform_block`` call, so replaying sample i takes
+  ``advance(i k)`` and k draws.  Their kernels evaluate the claim on a
+  whole block of rows as numpy arrays.  A pair that must lie off the
+  diagonal (|z - w| >= eps_diag), and for the dual-route level checks
+  also have rho >= 0.05, comes from masked resampling inside the
+  budget: PAIR_ROUNDS candidate pairs of 4 uniforms each, of which the
+  row takes the first admissible one.  A row with none is a hard
+  failure.
+* Per-sample suites draw sample i from its own stream (seed, base | i)
+  and evaluate it in scalar Python.
 
 Residual conventions: equality claims report the absolute defect;
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
-report 0 or 1 and run with tolerance 0.5.  A sample that raises is a
-hard failure: it is recorded with its inputs and fails the suite
-regardless of tolerance.
+report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
+not below the tolerance (NaN included) is a failure.  A sample that
+raises is a hard failure and fails the suite regardless of tolerance;
+batched kernels apply each check of the scalar code per row and record
+the same ``Type: message`` text, together with the row's inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +37,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,13 +46,17 @@ from .domains import (
     DomainSpec,
     OrbitSpec,
     a_from_alpha,
+    a_from_alpha_array,
     alpha_from_a,
+    alpha_from_a_array,
     contains,
     eta_level,
+    eta_level_array,
     im_condition,
     minkowski_form,
     on_orbit_residual,
     quadric_residual,
+    quadric_st_margin_array,
 )
 from .groups import (
     ball_action,
@@ -46,23 +67,55 @@ from .groups import (
     su11_orbit_invariant,
 )
 from .levi import DefiningFunction, levi_restricted, totally_real_check
-from .maps import EPS_DIAG, conjugate_fit, map_H, map_H_inv, map_J, scale_g_t, swap_pair, sym
-from .mobius import mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .maps import (
+    _FIT_DIAG_MARGIN,
+    EPS_DIAG,
+    conjugate_fit,
+    map_H,
+    map_H_array,
+    map_H_inv,
+    map_H_inv_array,
+    map_J,
+    map_J_array,
+    near_diagonal,
+    scale_g_t,
+    swap_pair,
+    sym_array,
+)
+from .mobius import (
+    MobiusMap,
+    _require_disc,
+    mobius_apply_array,
+    mobius_apply_pair,
+    outside_disc,
+    pseudo_hyperbolic,
+    pseudo_hyperbolic_array,
+    random_mobius,
+)
 from .orbits import (
     ellipsoid_orbit_point,
     minkowski_orbit_point,
     rho_orbit_point,
     sphere_point,
 )
-from .rng import RngStream, sample_ball, sample_bidisc, sample_disc, sample_real_pair
+from .rng import (
+    DEFAULT_RMAX,
+    RngStream,
+    disc_from_uniforms,
+    sample_ball,
+    sample_bidisc,
+    sample_disc,
+    sample_real_pair,
+    uniform_block,
+)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
-DEFAULT_RMAX = 0.95
-DEFAULT_EPS_DIAG = 1e-6
-CHUNK = 256
+BLOCK = 1024  # rows per block; bounds the memory of a run, never changes a result
 MAX_FAILURES = 10
+PAIR_ROUNDS = 32  # candidate pairs in an off-diagonal draw's budget
+PAIR_DRAWS = 4 * PAIR_ROUNDS
 
 LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex families
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
@@ -80,10 +133,10 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
     rmax: float = DEFAULT_RMAX
-    eps_diag: float = DEFAULT_EPS_DIAG
+    eps_diag: float = EPS_DIAG
     tolerances: dict[str, float] = field(default_factory=dict)
     suites: tuple[str, ...] = ()
-    workers: int = 1
+    workers: int = 1  # validated but without effect: suites run serially
 
 
 @dataclass(frozen=True)
@@ -114,11 +167,22 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class _Suite:
+    """A registered claim.
+
+    With ``draws`` set, ``fn`` is a batched kernel ``(cfg, U, idx) ->
+    (residual, error, inputs)`` over the rows idx, whose uniforms U have
+    shape (len(idx), draws); otherwise ``fn(cfg, rng, i) -> (residual,
+    inputs)`` evaluates sample i on its own stream.  ``why_empty(cfg)``
+    says why no sample can be drawn under cfg, or returns None.
+    """
+
     name: str
     claim: str
     weight: float
     tolerance: float
-    fn: Callable[[SuiteConfig, RngStream, int], tuple[float, list[float]]]
+    fn: Callable
+    draws: int | None = None
+    why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
 def _flat(*vals) -> list[float]:
@@ -131,83 +195,229 @@ def _flat(*vals) -> list[float]:
     return out
 
 
-def _offdiag_pair(cfg: SuiteConfig, rng: RngStream) -> tuple[complex, complex]:
-    floor = max(cfg.eps_diag, EPS_DIAG)
-    while True:
-        z, w = sample_bidisc(rng, cfg.rmax)
-        if abs(z - w) >= floor:
-            return z, w
-
-
-def _conditioned_pair(cfg: SuiteConfig, rng: RngStream) -> tuple[complex, complex]:
-    # comparing two O(2/rho^2) quantities to 1e-10 absolute needs the
-    # level itself bounded; rho >= 0.05 keeps it below ~800
-    while True:
-        z, w = _offdiag_pair(cfg, rng)
-        if pseudo_hyperbolic(z, w) >= RHO_COND_FLOOR:
-            return z, w
+def _fit_why_empty(cfg: SuiteConfig) -> str | None:
+    if 2.0 * cfg.rmax <= _FIT_DIAG_MARGIN:
+        return (
+            f"conjugate_fit needs pairs with |z - w| >= {_FIT_DIAG_MARGIN:g}, "
+            f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
-# sample functions, one per suite
+# batched kernels: one block of rows at a time
 
 
-def _s_rho_invariance(cfg, rng, i):
-    z, w = sample_bidisc(rng, cfg.rmax)
-    phi = random_mobius(rng, cfg.rmax)
-    z2, w2 = mobius_apply_pair(phi, (z, w))
-    res = abs(pseudo_hyperbolic(z2, w2) - pseudo_hyperbolic(z, w))
-    return res, _flat(z, w, phi.theta, phi.a)
+class _Rows:
+    """Hard failures of one block; a row keeps the first check it fails, in the scalar code's order."""
+
+    def __init__(self, n: int):
+        self.ok = np.ones(n, dtype=bool)
+        self.error = np.full(n, None, dtype=object)
+
+    def fail(self, rows: np.ndarray, text: str) -> None:
+        rows = rows[self.ok[rows]]
+        self.ok[rows] = False
+        self.error[rows] = text
+
+    def check(self, bad: np.ndarray, fn: Callable, *args) -> None:
+        """Fail the rows flagged by ``bad``, the array form of the checks that ``fn`` makes.
+
+        The scalar ``fn``, called on the row's arguments (array arguments
+        indexed by row, others passed as they are), has the last word and
+        supplies the error text.
+        """
+        for r in np.flatnonzero(bad & self.ok):
+            try:
+                fn(*(a[r].item() if isinstance(a, np.ndarray) else a for a in args))
+            except ValueError as exc:
+                self.ok[r] = False
+                self.error[r] = f"{type(exc).__name__}: {exc}"
+
+    def result(self, residual: np.ndarray, inputs: np.ndarray):
+        return np.where(self.ok, residual, math.inf), self.error, inputs
 
 
-def _s_h_quadric(cfg, rng, i):
-    z, w = _conditioned_pair(cfg, rng)
-    res = abs(quadric_residual(*map_H(z, w)))
-    return res, _flat(z, w)
+def _columns(*vals) -> np.ndarray:
+    """Per-row inputs as an (n, m) float array; a complex column splits into (re, im)."""
+    cols: list[np.ndarray] = []
+    for v in vals:
+        cols += (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return np.column_stack(cols)
 
 
-def _s_h_im_condition(cfg, rng, i):
-    z, w = _offdiag_pair(cfg, rng)
-    val = im_condition(*map_H(z, w))
-    return max(0.0, -val), _flat(z, w)
+def _disc_pair(u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bidisc pairs from 4 uniform columns: (radius, angle) of z, then of w."""
+    return disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
 
 
-def _s_h_sigma_negation(cfg, rng, i):
-    z, w = _offdiag_pair(cfg, rng)
-    h = map_H(z, w)
-    hs = map_H(w, z)
-    res = max(abs(hs[k] + h[k]) for k in range(3))
-    return res, _flat(z, w)
+@dataclass(frozen=True)
+class _PairDraw:
+    """Off-diagonal bidisc pairs by masked resampling inside a budget of PAIR_DRAWS uniforms.
+
+    Round k proposes the pair drawn from columns 4k..4k+3 and is
+    evaluated only on the rows still open; a row keeps its first
+    admissible proposal.  A row never loops and never reads past its
+    budget: one with no admissible proposal is a hard failure.
+    """
+
+    rho_floor: float = 0.0
+
+    def why_empty(self, cfg: SuiteConfig) -> str | None:
+        if cfg.eps_diag >= 2.0 * cfg.rmax:
+            return (
+                f"eps_diag = {cfg.eps_diag!r} is at least 2 rmax, "
+                f"so no pair of rmax = {cfg.rmax!r} disc points is off-diagonal enough"
+            )
+        sup_rho = 2.0 * cfg.rmax / (1.0 + cfg.rmax * cfg.rmax)
+        if sup_rho <= self.rho_floor:
+            return (
+                f"rmax = {cfg.rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
+                f"so no pair reaches rho >= {self.rho_floor:g}"
+            )
+        return None
+
+    def __call__(self, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+        n = len(u)
+        z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        todo = np.arange(n)
+        for k in range(PAIR_ROUNDS):
+            zk, wk = _disc_pair(u[todo, 4 * k : 4 * k + 4], cfg.rmax)
+            z[todo], w[todo] = zk, wk
+            keep = np.abs(zk - wk) >= cfg.eps_diag
+            if self.rho_floor:
+                keep &= pseudo_hyperbolic_array(zk, wk) >= self.rho_floor
+            todo = todo[~keep]
+            if not todo.size:
+                break
+        wanted = f"|z - w| >= {cfg.eps_diag:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
+        rows.fail(todo, f"ValueError: none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
+        if self.rho_floor:  # the admission test took rho, which checks its arguments
+            rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
+        return z, w
 
 
-def _s_h_roundtrip(cfg, rng, i):
-    z, w = _offdiag_pair(cfg, rng)
-    z2, w2 = map_H_inv(*map_H(z, w))
-    return max(abs(z2 - z), abs(w2 - w)), _flat(z, w)
+_OFFDIAG = _PairDraw()
+_CONDITIONED = _PairDraw(RHO_COND_FLOOR)
 
 
-def _s_orbit_levels(cfg, rng, i):
-    z, w = _conditioned_pair(cfg, rng)
-    rho = pseudo_hyperbolic(z, w)
-    m = minkowski_form(*map_H(z, w))
-    res = max(abs(m - (2.0 / (rho * rho) - 1.0)), abs(m - eta_level(alpha_from_a(rho))))
-    return res, _flat(z, w)
+def _checked_map_H(rows: _Rows, z: np.ndarray, w: np.ndarray):
+    rows.check(outside_disc(z) | outside_disc(w) | near_diagonal(z, w), map_H, z, w)
+    return map_H_array(z, w)
 
 
-_PREIMAGE_BANDS = ((1.0, 3.0), (2.0, 5.0), (1.0, math.inf))
+def _k_rho_invariance(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _disc_pair(u, cfg.rmax)
+    theta = math.tau * u[:, 4]
+    a = disc_from_uniforms(u[:, 5], u[:, 6], cfg.rmax)
+    rows.check(outside_disc(a), MobiusMap, theta, a)
+    rows.check(outside_disc(z), _require_disc, z, "z")
+    rows.check(outside_disc(w), _require_disc, w, "z")  # mobius_apply names its point z
+    z2, w2 = mobius_apply_array(theta, a, z), mobius_apply_array(theta, a, w)
+    rows.check(outside_disc(z2) | outside_disc(w2), pseudo_hyperbolic, z2, w2)
+    res = np.abs(pseudo_hyperbolic_array(z2, w2) - pseudo_hyperbolic_array(z, w))
+    return rows.result(res, _columns(z, w, theta, a))
 
 
-def _s_preimage_formula(cfg, rng, i):
-    s, t = _PREIMAGE_BANDS[i % 3]
-    z, w = _offdiag_pair(cfg, rng)
-    rho = pseudo_hyperbolic(z, w)
-    hi = math.sqrt(2.0 / (s + 1.0))
-    lo = math.sqrt(2.0 / (t + 1.0)) if math.isfinite(t) else 0.0
-    if min(abs(rho - hi), abs(rho - lo)) < PREIMAGE_MARGIN:
-        return 0.0, _flat(z, w)  # boundary-ambiguous, excluded
-    member, _ = contains(DomainSpec.quadric_st(s, t), map_H(z, w))
-    predicted = lo < rho < hi
-    return (0.0 if member == predicted else 1.0), _flat(z, w, s, t)
+def _k_h_quadric(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _CONDITIONED(cfg, u, rows)
+    h = _checked_map_H(rows, z, w)
+    return rows.result(np.abs(quadric_residual(*h)), _columns(z, w))
+
+
+def _k_h_im_condition(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _OFFDIAG(cfg, u, rows)
+    h = _checked_map_H(rows, z, w)
+    return rows.result(np.maximum(0.0, -im_condition(*h)), _columns(z, w))
+
+
+def _k_h_sigma_negation(cfg, u, idx):
+    # exact claim: map_H_array works on real and imaginary parts, whose products commute
+    rows = _Rows(len(u))
+    z, w = _OFFDIAG(cfg, u, rows)
+    h = np.stack(_checked_map_H(rows, z, w))
+    hs = np.stack(_checked_map_H(rows, w, z))
+    return rows.result(np.abs(hs + h).max(axis=0), _columns(z, w))
+
+
+def _k_h_roundtrip(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _OFFDIAG(cfg, u, rows)
+    h = _checked_map_H(rows, z, w)
+    z2, w2, ok = map_H_inv_array(*h)
+    rows.check(~ok, map_H_inv, *h)
+    return rows.result(np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w))
+
+
+def _k_orbit_levels(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _CONDITIONED(cfg, u, rows)
+    rho = pseudo_hyperbolic_array(z, w)
+    m = minkowski_form(*_checked_map_H(rows, z, w))
+    rows.check(~((0.0 < rho) & (rho < 1.0)), alpha_from_a, rho)
+    alpha = alpha_from_a_array(rho)
+    rows.check(alpha < 1.0, eta_level, alpha)
+    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - eta_level_array(alpha)))
+    return rows.result(res, _columns(z, w))
+
+
+_PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
+
+
+def _k_preimage_formula(cfg, u, idx):
+    rows = _Rows(len(u))
+    s, t = _PREIMAGE_BANDS[idx % 3].T
+    z, w = _OFFDIAG(cfg, u, rows)
+    rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
+    rho = pseudo_hyperbolic_array(z, w)
+    hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
+    # boundary-ambiguous samples are excluded: residual 0, and map_H is not evaluated
+    ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
+    rows.check(~ambiguous & near_diagonal(z, w), map_H, z, w)
+    member = quadric_st_margin_array(*map_H_array(z, w), s, t) > 0.0
+    predicted = (lo < rho) & (rho < hi)
+    res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
+    return rows.result(res, _columns(z, w, s, t))
+
+
+def _k_sym_equivariance(cfg, u, idx):
+    # exact claim: sym_array works on real and imaginary parts, whose products commute
+    rows = _Rows(len(u))
+    z, w = _disc_pair(u, cfg.rmax)
+    (s1, p1), (s2, p2) = sym_array(z, w), sym_array(w, z)
+    return rows.result(np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w))
+
+
+_MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+def _k_j_h_compat(cfg, u, idx):
+    rows = _Rows(len(u))
+    z, w = _OFFDIAG(cfg, u, rows)
+    p = map_J_array(z, w)
+    pmax = np.abs(p).max(axis=0)
+    rows.check(
+        outside_disc(z) | outside_disc(w) | ~np.isfinite(p).all(axis=0) | (pmax == 0.0), map_J, z, w
+    )
+    q = np.stack([np.ones_like(z), *_checked_map_H(rows, z, w)])
+    worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
+    return rows.result(worst / (pmax * np.abs(q).max(axis=0)), _columns(z, w))
+
+
+def _k_alpha_roundtrip(cfg, u, idx):
+    rows = _Rows(len(u))
+    a = 0.05 + 0.9 * u[:, 0]
+    rows.check(~((0.0 < a) & (a < 1.0)), alpha_from_a, a)
+    alpha = alpha_from_a_array(a)
+    rows.check(~(alpha > 1.0), a_from_alpha, alpha)
+    return rows.result(np.abs(a_from_alpha_array(alpha) - a), _columns(a))
+
+
+# ---------------------------------------------------------------------------
+# per-sample functions: sample i on its own stream
 
 
 def _s_conjugation_so21(cfg, rng, i):
@@ -334,32 +544,6 @@ def _s_levi_sphere(cfg, rng, i):
     return abs(val - 1.0), _flat(*p)
 
 
-def _s_sym_equivariance(cfg, rng, i):
-    z, w = sample_bidisc(rng, cfg.rmax)
-    s1 = sym(z, w)
-    s2 = sym(w, z)
-    res = max(abs(s1[0] - s2[0]), abs(s1[1] - s2[1]))
-    return res, _flat(z, w)
-
-
-def _s_j_h_compat(cfg, rng, i):
-    z, w = _offdiag_pair(cfg, rng)
-    p = map_J(z, w).coords
-    q = np.array([1.0 + 0j, *map_H(z, w)])
-    scale = float(np.max(np.abs(p))) * float(np.max(np.abs(q)))
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            worst = max(worst, abs(p[a] * q[b] - p[b] * q[a]))
-    return worst / scale, _flat(z, w)
-
-
-def _s_alpha_roundtrip(cfg, rng, i):
-    a = 0.05 + 0.9 * float(rng.gen.random())
-    res = abs(a_from_alpha(alpha_from_a(a)) - a)
-    return res, [a]
-
-
 _REGISTRY: tuple[_Suite, ...] = (
     _Suite(
         "rho-invariance",
@@ -367,49 +551,62 @@ _REGISTRY: tuple[_Suite, ...] = (
         "for every disc automorphism phi",
         1.0,
         1e-10,
-        _s_rho_invariance,
+        _k_rho_invariance,
+        draws=7,
     ),
     _Suite(
         "H-quadric",
         "the embedded image satisfies h1^2 + h2^2 - h3^2 = 1",
         1.0,
         1e-10,
-        _s_h_quadric,
+        _k_h_quadric,
+        draws=PAIR_DRAWS,
+        why_empty=_CONDITIONED.why_empty,
     ),
     _Suite(
         "H-im-condition",
         "Im(h2 (conj(h1) + conj(h3))) > 0 on the embedded image",
         1.0,
         1e-12,
-        _s_h_im_condition,
+        _k_h_im_condition,
+        draws=PAIR_DRAWS,
+        why_empty=_OFFDIAG.why_empty,
     ),
     _Suite(
         "H-sigma-negation",
         "swapping the arguments negates the embedding exactly: map_H(w, z) = -map_H(z, w)",
         1.0,
         1e-15,
-        _s_h_sigma_negation,
+        _k_h_sigma_negation,
+        draws=PAIR_DRAWS,
+        why_empty=_OFFDIAG.why_empty,
     ),
     _Suite(
         "H-roundtrip",
         "map_H_inv recovers the argument pair of map_H",
         1.0,
         1e-9,
-        _s_h_roundtrip,
+        _k_h_roundtrip,
+        draws=PAIR_DRAWS,
+        why_empty=_OFFDIAG.why_empty,
     ),
     _Suite(
         "orbit-levels",
         "minkowski_form(map_H(z, w)) = 2/rho^2 - 1 = eta_level(alpha_from_a(rho))",
         1.0,
         1e-10,
-        _s_orbit_levels,
+        _k_orbit_levels,
+        draws=PAIR_DRAWS,
+        why_empty=_CONDITIONED.why_empty,
     ),
     _Suite(
         "preimage-formula",
         "map_H lands in the (s, t) level band iff sqrt(2/(t+1)) < rho < sqrt(2/(s+1))",
         1.0,
         0.5,
-        _s_preimage_formula,
+        _k_preimage_formula,
+        draws=PAIR_DRAWS,
+        why_empty=_OFFDIAG.why_empty,
     ),
     _Suite(
         "conjugation-so21",
@@ -418,6 +615,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-7,
         _s_conjugation_so21,
+        why_empty=_fit_why_empty,
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -425,6 +623,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-9,
         _s_swap_minus_identity,
+        why_empty=_fit_why_empty,
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -504,21 +703,25 @@ _REGISTRY: tuple[_Suite, ...] = (
         "sym(z, w) = sym(w, z) exactly",
         1.0,
         1e-15,
-        _s_sym_equivariance,
+        _k_sym_equivariance,
+        draws=4,
     ),
     _Suite(
         "J-H-compat",
         "map_J agrees projectively with (1 : map_H), both scaled by z - w",
         1.0,
         1e-12,
-        _s_j_h_compat,
+        _k_j_h_compat,
+        draws=PAIR_DRAWS,
+        why_empty=_OFFDIAG.why_empty,
     ),
     _Suite(
         "alpha-roundtrip",
         "a_from_alpha inverts alpha_from_a",
         1.0,
         1e-12,
-        _s_alpha_roundtrip,
+        _k_alpha_roundtrip,
+        draws=1,
     ),
 )
 
@@ -530,6 +733,17 @@ def all_suite_names() -> tuple[str, ...]:
     return tuple(s.name for s in _REGISTRY)
 
 
+def _stream_id(name: str) -> int:
+    return (_ORDINAL[name] + 1) << 32
+
+
+def _check_admissible(cfg: SuiteConfig, name: str) -> None:
+    why = _BY_NAME[name].why_empty
+    reason = why(cfg) if why is not None else None
+    if reason is not None:
+        raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
+
+
 def validate_config(cfg: SuiteConfig) -> None:
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
@@ -537,8 +751,10 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
     if not 0.0 < cfg.rmax < 1.0:
         raise ConfigError(f"rmax must lie in (0, 1), got {cfg.rmax!r}")
-    if not cfg.eps_diag > 0.0:
-        raise ConfigError(f"eps_diag must be positive, got {cfg.eps_diag!r}")
+    if not cfg.eps_diag >= EPS_DIAG:
+        raise ConfigError(
+            f"eps_diag must be at least {EPS_DIAG:g}, the affine chart guard of map_H, got {cfg.eps_diag!r}"
+        )
     if not isinstance(cfg.workers, int) or cfg.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {cfg.workers!r}")
     unknown = [s for s in cfg.suites if s not in _BY_NAME]
@@ -549,19 +765,43 @@ def validate_config(cfg: SuiteConfig) -> None:
             raise ConfigError(f"tolerance override for unknown suite {name!r}")
         if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
             raise ConfigError(f"tolerance for {name!r} must be finite and positive, got {tol!r}")
+    for name in cfg.suites:
+        _check_admissible(cfg, name)
 
 
 def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
     return max(1, int(round(cfg.samples * suite.weight)))
 
 
-def _eval_one(suite: _Suite, cfg: SuiteConfig, base: int, i: int):
-    rng = RngStream(cfg.seed, base | i)
-    try:
-        res, inputs = suite.fn(cfg, rng, i)
-        return i, float(res), inputs, None
-    except Exception as exc:  # recorded as a hard failure, never raised
-        return i, math.inf, [], f"{type(exc).__name__}: {exc}"
+def _per_sample_rows(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
+    base = _stream_id(suite.name)
+    residual = np.empty(hi - lo)
+    error = np.full(hi - lo, None, dtype=object)
+    inputs = []
+    for r, i in enumerate(range(lo, hi)):
+        rng = RngStream(cfg.seed, base | i)
+        try:
+            res, row = suite.fn(cfg, rng, i)
+            residual[r] = float(res)
+        except Exception as exc:  # recorded as a hard failure, never raised
+            residual[r], error[r], row = math.inf, f"{type(exc).__name__}: {exc}", []
+        inputs.append(row)
+    return residual, error, inputs
+
+
+def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
+    """Samples lo..hi-1 of a suite as (residual, error, inputs).
+
+    ``error[r]`` is None unless row r failed hard; ``inputs[r]`` is the
+    row's recorded inputs.  A batched suite's rows are drawn by jumping
+    its stream to row lo, so this one helper serves both a run and the
+    replay of any single index.
+    """
+    if suite.draws is None:
+        return _per_sample_rows(suite, cfg, lo, hi)
+    u = uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi)
+    with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
+        return suite.fn(cfg, u, np.arange(lo, hi))
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
@@ -569,6 +809,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     validate_config(cfg)
     if name not in _BY_NAME:
         raise ConfigError(f"unknown suite id {name!r}")
+    _check_admissible(cfg, name)
     return _run_suite_validated(name, cfg)
 
 
@@ -576,40 +817,33 @@ def _run_suite_validated(name: str, cfg: SuiteConfig) -> SuiteReport:
     suite = _BY_NAME[name]
     tol = cfg.tolerances.get(name, suite.tolerance)
     count = _sample_count(cfg, suite)
-    base = (_ORDINAL[name] + 1) << 32
     start = time.perf_counter()
-
-    def eval_chunk(lo: int):
-        return [_eval_one(suite, cfg, base, i) for i in range(lo, min(lo + CHUNK, count))]
-
-    starts = range(0, count, CHUNK)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(eval_chunk, starts))
-    else:
-        chunks = [eval_chunk(lo) for lo in starts]
-
     max_res = 0.0
     have_res = False
     failures: list[dict] = []
-    hard = 0
-    for chunk in chunks:  # ordered reduce by sample index
-        for i, res, inputs, err in chunk:
-            if err is not None:
-                hard += 1
-                if len(failures) < MAX_FAILURES:
-                    failures.append({"index": i, "error": err, "inputs": inputs})
-                continue
+    hard = flagged_total = 0
+    for lo in range(0, count, BLOCK):
+        residual, error, inputs = _block(suite, cfg, lo, min(lo + BLOCK, count))
+        failed = error.astype(bool)
+        scored = residual[~failed]
+        hard += int(failed.sum())
+        if scored.size:
             have_res = True
-            if res > max_res:
-                max_res = res
-            if res >= tol and len(failures) < MAX_FAILURES:
-                failures.append({"index": i, "residual": res, "inputs": inputs})
-    passed = hard == 0 and max_res < tol
+            block_max = float(np.fmax.reduce(scored))  # NaN rows are flagged below, not maxed
+            if block_max > max_res:
+                max_res = block_max
+        flagged = np.flatnonzero(failed | ~(residual < tol))
+        flagged_total += flagged.size
+        for r in flagged[: MAX_FAILURES - len(failures)].tolist():
+            row = inputs[r].tolist() if isinstance(inputs, np.ndarray) else inputs[r]
+            if failed[r]:
+                failures.append({"index": lo + r, "error": error[r], "inputs": row})
+            else:
+                failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": row})
     return SuiteReport(
         suite=name,
         claim=suite.claim,
-        passed=passed,
+        passed=flagged_total == 0,
         max_residual=max_res if have_res else None,
         tolerance=tol,
         samples=count,
@@ -635,6 +869,14 @@ def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
             "eps_diag": cfg.eps_diag,
             "tolerances": dict(sorted(cfg.tolerances.items())),
             "suites": list(cfg.suites),
+        },
+        "rng": {
+            "bit_generator": "PCG64",
+            "seeding": "SeedSequence([seed, stream_id])",
+            "suites": {
+                r.suite: {"stream_id": _stream_id(r.suite), "draws_per_sample": _BY_NAME[r.suite].draws}
+                for r in reports
+            },
         },
         "passed": all(r.passed for r in reports),
         "suites": [r.to_dict() for r in reports],

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bidisc_lab
 from bidisc_lab.cli import ENV_SEED, main
 
 
@@ -22,7 +27,7 @@ def test_verify_subset_prints_report_and_passes(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["passed"] is True
     assert [s["suite"] for s in doc["suites"]] == ["alpha-roundtrip"]
     assert "[PASS] alpha-roundtrip" in err
@@ -93,6 +98,47 @@ def test_bad_environment_seed_exits_two(monkeypatch, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# configs whose admissible draws are empty or nearly so, once endless loops;
+# run in a child process, so that a regression times out instead of hanging
+
+
+def _run(args, timeout=30):
+    env = dict(os.environ, PYTHONPATH=str(Path(bidisc_lab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_empty_rho_band_is_rejected_not_looped():
+    proc = _run(["-m", "bidisc_lab.cli", "verify", "--rmax", "0.01", "--suite", "H-quadric"])
+    assert proc.returncode == 2
+    assert "nothing to sample" in proc.stderr
+
+
+def test_unreachable_eps_diag_is_rejected_not_looped():
+    code = (
+        "from bidisc_lab.suites import ConfigError, SuiteConfig, run_suite\n"
+        "try:\n"
+        "    run_suite('H-quadric', SuiteConfig(eps_diag=5.0))\n"
+        "except ConfigError as exc:\n"
+        "    raise SystemExit(f'error: {exc}')\n"
+    )
+    proc = _run(["-c", code])
+    assert proc.returncode == 1
+    assert "nothing to sample" in proc.stderr
+
+
+def test_nearly_empty_config_finishes_with_counted_hard_failures():
+    proc = _run(
+        ["-m", "bidisc_lab.cli", "verify", "--rmax", "0.026", "--suite", "H-quadric", "--samples", "300"]
+    )
+    assert proc.returncode == 1
+    rep = json.loads(proc.stdout)["suites"][0]
+    assert 0 < rep["hard_failures"] < rep["samples"]
+    assert "candidate pairs" in rep["failures"][0]["error"]
 
 
 # ---------------------------------------------------------------------------

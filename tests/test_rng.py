@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bidisc_lab.rng import (
     RngStream,
+    disc_from_uniforms,
     sample_ball,
     sample_bidisc,
     sample_disc,
@@ -75,6 +76,15 @@ def test_real_pair_annulus():
         z, w = sample_real_pair(rng, 0.9, rmin=0.2)
         r = (z * z + w * w) ** 0.5
         assert 0.2 <= r < 0.9
+
+
+def test_inverse_transform_disc_is_area_uniform():
+    u = np.random.default_rng(0).random((2, 100_000))
+    z = disc_from_uniforms(u[0], u[1], 0.3)
+    assert np.abs(z).max() < 0.3
+    # area-uniform: |z|^2 / rmax^2 is uniform on [0, 1), mean 1/2, and the angle is uniform
+    assert np.mean(np.abs(z) ** 2) / 0.09 == pytest.approx(0.5, abs=0.005)
+    assert abs(np.mean(z)) < 0.003
 
 
 @pytest.mark.parametrize("rmax", [0.0, 1.0, 1.5, -0.2])

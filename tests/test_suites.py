@@ -103,6 +103,10 @@ def test_unknown_suite_is_a_config_error():
         SuiteConfig(workers=0),
         SuiteConfig(seed=-1),
         SuiteConfig(eps_diag=0.0),
+        SuiteConfig(eps_diag=1e-7),  # below map_H's chart guard; no longer clamped silently
+        SuiteConfig(eps_diag=5.0, suites=("H-im-condition",)),  # no pair is 5 apart
+        SuiteConfig(rmax=0.01, suites=("orbit-levels",)),  # rho < 2 rmax / (1 + rmax^2) < 0.05
+        SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # fit pairs need |z - w| >= 0.05
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
     ],
@@ -148,7 +152,7 @@ def test_verify_all_writes_the_report(tmp_path):
     code, doc = verify_all(cfg, report_path=str(path))
     assert code == 0
     on_disk = json.loads(path.read_text())
-    assert on_disk["schema"] == 1
+    assert on_disk["schema"] == 2
     assert on_disk["passed"] is True
     assert [s["suite"] for s in on_disk["suites"]] == ["gt-sphere", "alpha-roundtrip"]
     # wall times aside, the in-memory document is what was serialized
