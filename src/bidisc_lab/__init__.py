@@ -42,6 +42,7 @@ from .groups import (
 from .levi import (
     DefiningFunction,
     LeviReport,
+    RowErrors,
     complex_hessian,
     complex_tangent,
     levi_report,
@@ -111,6 +112,7 @@ __all__ = [
     "su21_residual",
     "DefiningFunction",
     "LeviReport",
+    "RowErrors",
     "complex_hessian",
     "complex_tangent",
     "levi_report",

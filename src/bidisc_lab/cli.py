@@ -82,7 +82,7 @@ def _cmd_dump_orbit(args: argparse.Namespace) -> int:
     spec = parse_orbit_spec(args.spec)
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
-    dump_orbit(spec, args.n, args.out, seed=_resolve_seed(None))
+    dump_orbit(spec, args.n, args.out, seed=_resolve_seed(args.seed))
     return 0
 
 
@@ -138,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--spec", required=True, metavar="SPEC", help="Fa:A | Eta:L | Ellipsoid:T | RealSlice | ComplexCurve")
     d.add_argument("--n", type=int, required=True, metavar="N")
     d.add_argument("--out", required=True, metavar="PATH")
+    d.add_argument("--seed", type=int, default=None, metavar="N")
     d.set_defaults(func=_cmd_dump_orbit)
 
     m = sub.add_parser("map", help="evaluate one of the explicit maps at a point")

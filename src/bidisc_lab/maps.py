@@ -223,6 +223,7 @@ class ConjugationFit:
 _COND_GUARD = 1e8
 _FIT_DIAG_MARGIN = 0.05
 _MAX_ATTEMPTS = 32
+_PAIR_CANDIDATES = 64  # candidate pairs per fit point; bounds the draw loop
 
 
 def _apply_auto(phi: MobiusMap | None, swap: bool, p: Pair) -> Pair:
@@ -234,10 +235,11 @@ def _apply_auto(phi: MobiusMap | None, swap: bool, p: Pair) -> Pair:
 
 
 def _offdiag_sample(rng: RngStream, rmax: float) -> Pair:
-    while True:
+    for _ in range(_PAIR_CANDIDATES):
         z, w = sample_disc(rng, rmax), sample_disc(rng, rmax)
         if abs(z - w) >= _FIT_DIAG_MARGIN:
             return z, w
+    raise ValueError(f"none of {_PAIR_CANDIDATES} candidate pairs has |z - w| >= {_FIT_DIAG_MARGIN:g}")
 
 
 def conjugate_fit(
@@ -253,11 +255,12 @@ def conjugate_fit(
 
     Phi applies the swap first (when requested), then the diagonal
     automorphism phi.  Fit points are drawn off-diagonal from the
-    caller's stream; each gives 3 complex = 6 real equations, solved
-    row-wise by normal equations.  Configurations whose design matrix
-    has condition number above 1e8 are redrawn; the returned
-    fit_residual is the worst reproduction error on n_holdout held-out
-    samples.
+    caller's stream, each from at most 64 candidate pairs (ValueError
+    when none has |z - w| >= 0.05); each gives 3 complex = 6 real
+    equations, solved row-wise by normal equations.  Configurations
+    whose design matrix has condition number above 1e8 are redrawn; the
+    returned fit_residual is the worst reproduction error on n_holdout
+    held-out samples.
     """
     if phi is None and not swap:
         raise ValueError("specify an automorphism: a MobiusMap, swap=True, or both")

@@ -69,15 +69,18 @@ def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np
     return rng.gen.random((hi - lo, draws))
 
 
-def disc_from_uniforms(u_radius: np.ndarray, u_angle: np.ndarray, rmax: float = DEFAULT_RMAX) -> np.ndarray:
-    """Map uniforms in [0, 1) to area-uniform points of the open disc of radius rmax."""
-    _check_rmax(rmax)
-    r = rmax * np.sqrt(u_radius)
-    angle = math.tau * u_angle
-    z = np.empty(np.shape(r), dtype=complex)
+def polar(r, angle: np.ndarray) -> np.ndarray:
+    """r e^{i angle} elementwise, as r cos(angle) + i r sin(angle)."""
+    z = np.empty(np.broadcast_shapes(np.shape(r), np.shape(angle)), dtype=complex)
     z.real = r * np.cos(angle)
     z.imag = r * np.sin(angle)
     return z
+
+
+def disc_from_uniforms(u_radius: np.ndarray, u_angle: np.ndarray, rmax: float = DEFAULT_RMAX) -> np.ndarray:
+    """Map uniforms in [0, 1) to area-uniform points of the open disc of radius rmax."""
+    _check_rmax(rmax)
+    return polar(rmax * np.sqrt(u_radius), math.tau * u_angle)
 
 
 def _check_rmax(rmax: float) -> None:

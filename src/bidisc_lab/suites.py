@@ -7,19 +7,24 @@ index), so results never depend on the block size, the worker count or
 the evaluation order.  The suite with registry ordinal o owns the
 stream id base = (o + 1) << 32, and its samples draw in one of two ways:
 
-* Batched suites (the ten pointwise claims) draw from the single stream
-  (seed, base) with a fixed budget of k uniforms per sample: sample i
-  owns the stream's draws [i k, (i + 1) k).  A block is one
-  ``rng.uniform_block`` call, so replaying sample i takes
-  ``advance(i k)`` and k draws.  Their kernels evaluate the claim on a
-  whole block of rows as numpy arrays.  A pair that must lie off the
-  diagonal (|z - w| >= eps_diag), and for the dual-route level checks
-  also have rho >= 0.05, comes from masked resampling inside the
-  budget: PAIR_ROUNDS candidate pairs of 4 uniforms each, of which the
-  row takes the first admissible one.  A row with none is a hard
-  failure.
-* Per-sample suites draw sample i from its own stream (seed, base | i)
-  and evaluate it in scalar Python.
+* Batched suites (fourteen: the ten pointwise claims and the four Levi
+  certifications) draw from the single stream (seed, base) with a
+  fixed budget of k uniforms per sample: sample i owns the stream's
+  draws [i k, (i + 1) k).  A block is one ``rng.uniform_block`` call,
+  so replaying sample i takes ``advance(i k)`` and k draws.  Their
+  kernels evaluate the claim on a whole block of rows as numpy arrays.
+  A pair that must lie off the diagonal (|z - w| >= eps_diag), and for
+  the dual-route level checks also have rho >= 0.05, comes from masked
+  resampling inside the budget: PAIR_ROUNDS candidate pairs of 4
+  uniforms each, of which the row takes the first admissible one.  A
+  row with none is a hard failure.  The Levi suites take k = 3: an
+  angle and an inverse-transform disc point (the automorphism that
+  carries a base pair onto the orbit, or the control surface's
+  coordinates), or |u|^2 and two angles for a point of the sphere.
+  Each block's rows of one defining function are one batch of
+  ``levi.levi_restricted``.
+* Per-sample suites (the other eight) draw sample i from its own stream
+  (seed, base | i) and evaluate it in scalar Python.
 
 Residual conventions: equality claims report the absolute defect;
 threshold claims (the Levi certifications) report the shortfall below
@@ -66,7 +71,7 @@ from .groups import (
     su11_embed,
     su11_orbit_invariant,
 )
-from .levi import DefiningFunction, levi_restricted, totally_real_check
+from .levi import DefiningFunction, RowErrors, levi_restricted, totally_real_check
 from .maps import (
     _FIT_DIAG_MARGIN,
     EPS_DIAG,
@@ -92,19 +97,14 @@ from .mobius import (
     pseudo_hyperbolic_array,
     random_mobius,
 )
-from .orbits import (
-    ellipsoid_orbit_point,
-    minkowski_orbit_point,
-    rho_orbit_point,
-    sphere_point,
-)
+from .orbits import ellipsoid_orbit_point
 from .rng import (
     DEFAULT_RMAX,
     RngStream,
     disc_from_uniforms,
+    polar,
     sample_ball,
     sample_bidisc,
-    sample_disc,
     sample_real_pair,
     uniform_block,
 )
@@ -233,6 +233,11 @@ class _Rows:
             except ValueError as exc:
                 self.ok[r] = False
                 self.error[r] = f"{type(exc).__name__}: {exc}"
+
+    def take(self, sel: np.ndarray, errors: RowErrors) -> None:
+        """Fail row sel[r] for each row r of a levi batch that failed one of its checks."""
+        for r in np.flatnonzero(~errors.ok):
+            self.fail(sel[r : r + 1], f"ValueError: {errors.message[r]}")
 
     def result(self, residual: np.ndarray, inputs: np.ndarray):
         return np.where(self.ok, residual, math.inf), self.error, inputs
@@ -416,6 +421,69 @@ def _k_alpha_roundtrip(cfg, u, idx):
     return rows.result(np.abs(a_from_alpha_array(alpha) - a), _columns(a))
 
 
+# Levi kernels: 3 uniforms per sample; each parameter's rows are one levi batch
+
+_FA_FUNCTIONS = tuple(DefiningFunction.rho_level(a) for a in (0.2, 0.5, 0.8))
+_ETA_FUNCTIONS = tuple(DefiningFunction.minkowski_level(lvl) for lvl in (1.5, 2.125, 4.0))
+_FLAT_CONTROL = (DefiningFunction.flat_control(0.5),)
+_SPHERE = (DefiningFunction.sphere(),)
+
+
+def _orbit_pair(rows: _Rows, u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi(a), phi(0)): phi has angle tau u0 and centre the LEVI_PATCH_RMAX disc point of (u1, u2)."""
+    theta = math.tau * u[:, 0]
+    c = disc_from_uniforms(u[:, 1], u[:, 2], LEVI_PATCH_RMAX)
+    rows.check(outside_disc(c), MobiusMap, theta, c)
+    return mobius_apply_array(theta, c, a), mobius_apply_array(theta, c, np.zeros_like(c))
+
+
+def _levi(rows: _Rows, functions, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Restricted Levi values; row r lies on functions[idx[r] % len(functions)]."""
+    val = np.empty(len(p))
+    for k, f in enumerate(functions):
+        sel = np.flatnonzero(idx % len(functions) == k)
+        if sel.size:
+            errors = RowErrors(sel.size)
+            val[sel] = levi_restricted(f, p[sel], errors=errors)
+            rows.take(sel, errors)
+    return val
+
+
+def _k_levi_fa(cfg, u, idx):
+    rows = _Rows(len(u))
+    a = np.array([f.param for f in _FA_FUNCTIONS])[idx % 3]
+    z, w = _orbit_pair(rows, u, a)
+    val = _levi(rows, _FA_FUNCTIONS, idx, np.column_stack([z, w]))
+    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(z, w, a))
+
+
+def _k_levi_eta(cfg, u, idx):
+    rows = _Rows(len(u))
+    level = np.array([f.param for f in _ETA_FUNCTIONS])[idx % 3]
+    z, w = _orbit_pair(rows, u, np.sqrt(2.0 / (level + 1.0)))  # rho = a gives level 2/a^2 - 1
+    p = np.column_stack(_checked_map_H(rows, z, w))
+    val = _levi(rows, _ETA_FUNCTIONS, idx, p)
+    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level))
+
+
+def _k_levi_flat_control(cfg, u, idx):
+    rows = _Rows(len(u))
+    z1 = polar(0.5, math.tau * u[:, 0])
+    z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
+    val = _levi(rows, _FLAT_CONTROL, idx, np.column_stack([z1, z2]))
+    return rows.result(np.abs(val), _columns(z1, z2))
+
+
+def _k_levi_sphere(cfg, u, idx):
+    # |z1|^2 of a uniform point (z1, z2) of the unit sphere in C^2 is uniform on [0, 1]
+    rows = _Rows(len(u))
+    p = np.column_stack(
+        [polar(np.sqrt(u[:, 0]), math.tau * u[:, 1]), polar(np.sqrt(1.0 - u[:, 0]), math.tau * u[:, 2])]
+    )
+    val = _levi(rows, _SPHERE, idx, p)
+    return rows.result(np.abs(val - 1.0), _columns(*p.T))
+
+
 # ---------------------------------------------------------------------------
 # per-sample functions: sample i on its own stream
 
@@ -478,8 +546,17 @@ def _s_gt_sphere(cfg, rng, i):
     return res, _flat(u, v, t)
 
 
+O21_RMIN = 0.05  # inner radius of the o21-matrix-B draws
+
+
+def _o21_why_empty(cfg: SuiteConfig) -> str | None:
+    if cfg.rmax <= O21_RMIN:
+        return f"its real pairs need rmin = {O21_RMIN:g} < rmax, got rmax = {cfg.rmax!r}"
+    return None
+
+
 def _s_o21_matrix_b(cfg, rng, i):
-    z, w = sample_real_pair(rng, cfg.rmax, rmin=0.05)
+    z, w = sample_real_pair(rng, cfg.rmax, rmin=O21_RMIN)
     B = o21_point_matrix(z, w)
     img = ball_action(B, (0j, 0j))
     res = max(o21_residual(B), abs(img[0] - z), abs(img[1] - w))
@@ -508,40 +585,6 @@ def _s_o21_totally_real(cfg, rng, i):
     got = totally_real_check(basis)
     res = 0.0 if got == expected else 1.0
     return res, _flat(*basis[0], *basis[1])
-
-
-_FA_PARAMS = (0.2, 0.5, 0.8)
-
-
-def _s_levi_fa(cfg, rng, i):
-    a = _FA_PARAMS[i % 3]
-    p = rho_orbit_point(rng, a, LEVI_PATCH_RMAX)
-    val = levi_restricted(DefiningFunction.rho_level(a), p)
-    return max(0.0, LEVI_FLOOR - val), _flat(*p, a)
-
-
-_ETA_PARAMS = (1.5, 2.125, 4.0)
-
-
-def _s_levi_eta(cfg, rng, i):
-    lvl = _ETA_PARAMS[i % 3]
-    p = minkowski_orbit_point(rng, lvl, LEVI_PATCH_RMAX)
-    val = levi_restricted(DefiningFunction.minkowski_level(lvl), p)
-    return max(0.0, LEVI_FLOOR - val), _flat(*p, lvl)
-
-
-def _s_levi_flat_control(cfg, rng, i):
-    theta = 2.0 * math.pi * float(rng.gen.random())
-    z1 = 0.5 * complex(math.cos(theta), math.sin(theta))
-    z2 = sample_disc(rng, 0.9)
-    val = levi_restricted(DefiningFunction.flat_control(0.5), (z1, z2))
-    return abs(val), _flat(z1, z2)
-
-
-def _s_levi_sphere(cfg, rng, i):
-    p = sphere_point(rng)
-    val = levi_restricted(DefiningFunction.sphere(), p)
-    return abs(val - 1.0), _flat(*p)
 
 
 _REGISTRY: tuple[_Suite, ...] = (
@@ -659,6 +702,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.1,
         1e-12,
         _s_o21_matrix_b,
+        why_empty=_o21_why_empty,
     ),
     _Suite(
         "o21-totally-real",
@@ -674,7 +718,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         "value above 1e-3",
         0.06,
         1e-12,
-        _s_levi_fa,
+        _k_levi_fa,
+        draws=3,
     ),
     _Suite(
         "levi-eta",
@@ -682,21 +727,24 @@ _REGISTRY: tuple[_Suite, ...] = (
         "pseudoconvex: restricted Levi value above 1e-3",
         0.06,
         1e-12,
-        _s_levi_eta,
+        _k_levi_eta,
+        draws=3,
     ),
     _Suite(
         "levi-flat-control",
         "the circle-times-disc control surface has vanishing Levi form",
         0.02,
         1e-4,
-        _s_levi_flat_control,
+        _k_levi_flat_control,
+        draws=3,
     ),
     _Suite(
         "levi-sphere",
         "the unit sphere has restricted Levi value 1",
         0.02,
         1e-6,
-        _s_levi_sphere,
+        _k_levi_sphere,
+        draws=3,
     ),
     _Suite(
         "sym-equivariance",

@@ -21,6 +21,7 @@ from bidisc_lab.domains import (
     quadric_residual,
     quadric_st_margin_array,
 )
+from bidisc_lab.levi import DefiningFunction, levi_restricted
 from bidisc_lab.maps import (
     map_H,
     map_H_array,
@@ -43,7 +44,9 @@ from bidisc_lab.rng import disc_from_uniforms
 from bidisc_lab.suites import SuiteConfig, all_suite_names, run_suite, verify_all
 
 BATCHED = tuple(s.name for s in suites._REGISTRY if s.draws is not None)
+LEVI = ("levi-Fa", "levi-eta", "levi-flat-control", "levi-sphere")
 ROWS = 500
+LEVI_ROWS = 90  # the scalar Levi calls are the batch kernel's batch of one, so these agree exactly
 RTOL = 64 * np.finfo(float).eps
 
 
@@ -56,7 +59,7 @@ def _close(array_value, scalar_value, scale=1.0):
     return abs(complex(array_value) - complex(scalar_value)) <= RTOL * max(scale, abs(scalar_value))
 
 
-def test_the_ten_pointwise_suites_are_batched():
+def test_the_pointwise_and_levi_suites_are_batched():
     assert BATCHED == (
         "rho-invariance",
         "H-quadric",
@@ -65,10 +68,16 @@ def test_the_ten_pointwise_suites_are_batched():
         "H-roundtrip",
         "orbit-levels",
         "preimage-formula",
+        *LEVI,
         "sym-equivariance",
         "J-H-compat",
         "alpha-roundtrip",
     )
+
+
+def test_the_report_gives_every_levi_suite_a_draw_budget():
+    _, doc = verify_all(SuiteConfig(samples=100, suites=LEVI))
+    assert [doc["rng"]["suites"][name]["draws_per_sample"] for name in LEVI] == [3, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +168,18 @@ def _j_h_compat(row):
     return worst / (float(np.max(np.abs(p))) * float(np.max(np.abs(q))))
 
 
+def _levi_floor_shortfall(function):
+    def body(row):
+        *coords, param = row
+        return max(0.0, suites.LEVI_FLOOR - levi_restricted(function(param), _complex(coords)))
+
+    return body
+
+
+def _complex(coords):
+    return [complex(x, y) for x, y in zip(coords[0::2], coords[1::2])]
+
+
 SCALAR_BODIES = {
     "rho-invariance": lambda r: abs(
         pseudo_hyperbolic(*mobius_apply_pair(MobiusMap(r[4], complex(r[5], r[6])), _pair(r)))
@@ -175,6 +196,10 @@ SCALAR_BODIES = {
     "sym-equivariance": lambda r: max(abs(a - b) for a, b in zip(sym(*_pair(r)), sym(*_pair(r)[::-1]))),
     "J-H-compat": _j_h_compat,
     "alpha-roundtrip": lambda r: abs(a_from_alpha(alpha_from_a(r[0])) - r[0]),
+    "levi-Fa": _levi_floor_shortfall(DefiningFunction.rho_level),
+    "levi-eta": _levi_floor_shortfall(DefiningFunction.minkowski_level),
+    "levi-flat-control": lambda r: abs(levi_restricted(DefiningFunction.flat_control(0.5), _complex(r))),
+    "levi-sphere": lambda r: abs(levi_restricted(DefiningFunction.sphere(), _complex(r)) - 1.0),
 }
 
 
@@ -185,10 +210,11 @@ def test_kernel_agrees_with_its_scalar_body(name):
     For the exact claims and the boolean one that means equality.
     """
     suite = suites._BY_NAME[name]
-    residual, error, inputs = suites._block(suite, SuiteConfig(), 0, ROWS)
+    rows = LEVI_ROWS if name in LEVI else ROWS
+    residual, error, inputs = suites._block(suite, SuiteConfig(), 0, rows)
     assert not error.astype(bool).any()
-    assert inputs.shape[0] == ROWS
-    for r in range(ROWS):
+    assert inputs.shape[0] == rows
+    for r in range(rows):
         assert abs(residual[r] - SCALAR_BODIES[name](inputs[r])) <= 0.01 * suite.tolerance, r
 
 
@@ -229,6 +255,18 @@ def test_disc_violation_is_a_hard_failure_with_the_scalar_text(monkeypatch, name
         assert "strictly inside the unit disc" in failure["error"]
 
 
+def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
+    """|u|^2 = 1 - 1e-15 puts the sphere point's first coordinate on the unit circle."""
+    _pushed_to_the_rim(monkeypatch, 0)
+    rep = run_suite("levi-sphere", SuiteConfig(samples=1000))
+    assert rep.hard_failures == rep.samples == 20
+    for failure in rep.failures:
+        with pytest.raises(ValueError) as info:
+            levi_restricted(DefiningFunction.sphere(), _complex(failure["inputs"]))
+        assert failure["error"] == f"ValueError: {info.value}"
+        assert "touches the unit circle" in failure["error"]
+
+
 # ---------------------------------------------------------------------------
 # determinism: block size and index replay
 
@@ -239,7 +277,10 @@ def _report_without_timings(path):
 
 
 def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
-    cfg = SuiteConfig(samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22})
+    # the levi suites draw 12, 12, 4 and 4 samples: blocks of 7 split their parameter groups
+    cfg = SuiteConfig(
+        samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22, "levi-sphere": 1e-12}
+    )
     texts = []
     for block in (suites.BLOCK, 7):
         monkeypatch.setattr(suites, "BLOCK", block)
@@ -270,6 +311,7 @@ def _replay(doc, name, index):
         ("rho-invariance", SuiteConfig(samples=10_000, tolerances={"rho-invariance": 5e-15})),
         ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 2e-13})),
         ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
+        ("levi-sphere", SuiteConfig(samples=100_000, tolerances={"levi-sphere": 1.5e-8})),  # 2,000 rows
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):

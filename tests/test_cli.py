@@ -74,6 +74,7 @@ def test_verify_impossible_tolerance_fails(capsys):
         ["verify", "--tol", "nope=1e-9"],
         ["verify", "--samples", "0"],
         ["verify", "--rmax", "1.5"],
+        ["verify", "--rmax", "0.04", "--suite", "o21-matrix-B"],  # no real pair reaches rmin = 0.05
     ],
 )
 def test_verify_configuration_errors_exit_two(argv, capsys):
@@ -139,6 +140,19 @@ def test_nearly_empty_config_finishes_with_counted_hard_failures():
     rep = json.loads(proc.stdout)["suites"][0]
     assert 0 < rep["hard_failures"] < rep["samples"]
     assert "candidate pairs" in rep["failures"][0]["error"]
+
+
+def test_fit_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures():
+    # pairs 0.05 apart exist in a 0.0251 disc, but almost no draw finds one
+    proc = _run(
+        ["-m", "bidisc_lab.cli", "verify", "--rmax", "0.0251", "--suite", "swap-is-minus-identity",
+         "--suite", "conjugation-so21", "--samples", "100"],
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    for rep in json.loads(proc.stdout)["suites"]:
+        assert rep["hard_failures"] == rep["samples"] == 1
+        assert "candidate pairs" in rep["failures"][0]["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +232,25 @@ def test_dump_orbit_honors_the_environment_seed(monkeypatch, tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_dump_orbit_seed_flag_beats_the_environment(monkeypatch, tmp_path, capsys):
+    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    monkeypatch.setenv(ENV_SEED, "6")
+    main(["dump-orbit", "--spec", "Fa:0.8", "--n", "4", "--out", str(a), "--seed", "5"])
+    main(["dump-orbit", "--spec", "Fa:0.8", "--n", "4", "--out", str(c)])
+    monkeypatch.setenv(ENV_SEED, "5")
+    main(["dump-orbit", "--spec", "Fa:0.8", "--n", "4", "--out", str(b)])
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() != c.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["dump-orbit", "--spec", "Nope:1", "--n", "3", "--out", "unused.csv"],
         ["dump-orbit", "--spec", "Fa:1.5", "--n", "3", "--out", "unused.csv"],
         ["dump-orbit", "--spec", "Fa:0.8", "--n", "0", "--out", "unused.csv"],
+        ["dump-orbit", "--spec", "Fa:0.8", "--n", "3", "--out", "unused.csv", "--seed", "-1"],
     ],
 )
 def test_dump_orbit_errors_exit_two(argv, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from bidisc_lab.levi import (
     DefiningFunction,
+    RowErrors,
     closed_complex_hessian,
     closed_wirtinger_gradient,
     complex_hessian,
@@ -17,6 +18,7 @@ from bidisc_lab.levi import (
     value,
     wirtinger_gradient,
 )
+from bidisc_lab.maps import map_H_array
 from bidisc_lab.rng import RngStream, sample_ball, sample_bidisc
 
 # frozen at first build from the default stencil; a drift means the FD
@@ -198,6 +200,154 @@ def test_levi_report_classifications():
     degen = levi_report(DefiningFunction.rho_level(0.5), (0.0, 0.0))
     assert degen.classification == "degenerate-gradient"
     assert math.isnan(degen.levi_value)
+
+
+# ---------------------------------------------------------------------------
+# batches: one kernel, the single point as its batch of one
+
+
+def _surface_points(f, n, seed=61):
+    """n points of {r = 0} away from the ambient boundary, from the kind's own parameterization."""
+    u = np.random.default_rng(seed).random((n, 3))
+    t1, t2 = 2 * math.pi * u[:, 1], 2 * math.pi * u[:, 2]
+    if f.kind in ("rho-level", "minkowski-level"):
+        # (phi(a), phi(0)) for phi(z) = e^{i t1} (z - c) / (1 - conj(c) z), |c| <= 0.6
+        a = f.param if f.kind == "rho-level" else math.sqrt(2.0 / (f.param + 1.0))
+        c = 0.6 * np.sqrt(u[:, 0]) * np.exp(1j * t2)
+        z, w = np.exp(1j * t1) * (a - c) / (1.0 - c.conjugate() * a), -np.exp(1j * t1) * c
+        if f.kind == "rho-level":
+            return np.column_stack([z, w])
+        return np.column_stack(map_H_array(z, w))
+    s = 0.05 + 0.9 * u[:, 0]
+    if f.kind == "flat-control":
+        return np.column_stack([f.param * np.exp(1j * t1), 0.9 * np.sqrt(s) * np.exp(1j * t2)])
+    t = f.param if f.kind == "ellipsoid" else 1.0
+    return np.column_stack([t * np.sqrt(s) * np.exp(1j * t1), np.sqrt(1.0 - s) * np.exp(1j * t2)])
+
+
+@pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind)
+def test_batch_matches_the_oracles_and_the_single_point_calls(f):
+    P = _surface_points(f, 40)
+    np.testing.assert_allclose(value(f, P), 0.0, atol=1e-14)
+    G = wirtinger_gradient(f, P)
+    H = complex_hessian(f, P)
+    V = complex_tangent(f, P)
+    L = levi_restricted(f, P)
+    assert G.shape == V.shape == P.shape and H.shape == (len(P), f.dim, f.dim) and L.shape == (len(P),)
+    np.testing.assert_allclose(G, closed_wirtinger_gradient(f, P), atol=1e-7)
+    np.testing.assert_allclose(H, closed_complex_hessian(f, P), atol=1e-6)
+    closed = np.einsum("nj,njk,nk->n", V.conj(), closed_complex_hessian(f, P), V).real
+    np.testing.assert_allclose(L, closed, atol=1e-6)
+    for r, p in enumerate(P):
+        assert value(f, p) == value(f, P)[r]
+        np.testing.assert_array_equal(wirtinger_gradient(f, p), G[r])
+        np.testing.assert_array_equal(closed_wirtinger_gradient(f, p), closed_wirtinger_gradient(f, P)[r])
+        np.testing.assert_array_equal(complex_hessian(f, p), H[r])
+        np.testing.assert_array_equal(complex_tangent(f, p), V[r])
+        assert levi_restricted(f, p) == L[r]
+
+
+def _reference_value(f, p):
+    """r at one point in Python complex arithmetic: the stencil's point-at-a-time reference."""
+    a2 = [z.real * z.real + z.imag * z.imag for z in p]
+    if f.kind == "rho-level":
+        z1, z2 = p
+        d, c = z1 - z2, 1.0 - z1.conjugate() * z2
+        a = f.param
+        return (d.real * d.real + d.imag * d.imag) - a * a * (c.real * c.real + c.imag * c.imag)
+    if f.kind == "minkowski-level":
+        return f.param - (a2[0] + a2[1] - a2[2])
+    if f.kind == "sphere":
+        return a2[0] + a2[1] - 1.0
+    if f.kind == "ellipsoid":
+        return a2[0] + f.param * f.param * a2[1] - f.param * f.param
+    return a2[0] - f.param * f.param
+
+
+def _reference_derivatives(f, p, grad_step=1e-5, hess_step=1e-4):
+    """FD Wirtinger gradient and symmetrized complex Hessian at one point, one value per offset."""
+    p = [complex(z) for z in p]
+    n, m = len(p), 2 * len(p)
+    size = max(1.0, float(np.max(np.abs(p))))
+
+    def at(*moves):
+        q = list(p)
+        for c, d in moves:
+            q[c // 2] += d if c % 2 == 0 else 1j * d
+        return _reference_value(f, q)
+
+    s = grad_step * size
+    g = []
+    for j in range(n):
+        dx = (at((2 * j, s)) - at((2 * j, -s))) / (2.0 * s)
+        dy = (at((2 * j + 1, s)) - at((2 * j + 1, -s))) / (2.0 * s)
+        g.append(0.5 * (dx - 1j * dy))
+    s = hess_step * size
+    R = np.empty((m, m))
+    for a in range(m):
+        R[a, a] = (at((a, s)) - 2.0 * at() + at((a, -s))) / (s * s)
+        for b in range(a + 1, m):
+            pp, pm = at((a, s), (b, s)), at((a, s), (b, -s))
+            mp, mm = at((a, -s), (b, s)), at((a, -s), (b, -s))
+            R[a, b] = R[b, a] = (pp - pm - mp + mm) / (4.0 * s * s)
+    H = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            re = R[2 * j, 2 * k] + R[2 * j + 1, 2 * k + 1]
+            H[j, k] = 0.25 * (re + 1j * (R[2 * j, 2 * k + 1] - R[2 * j + 1, 2 * k]))
+    return np.array(g), 0.5 * (H + H.conj().T)
+
+
+@pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind)
+def test_batched_stencil_reproduces_the_point_at_a_time_reference_exactly(f):
+    rng = RngStream(53, 0)
+    P = np.array([_ambient_point(f, rng) for _ in range(25)], dtype=complex)
+    values, G, H = value(f, P), wirtinger_gradient(f, P), complex_hessian(f, P)
+    for r, p in enumerate(P):
+        g, h = _reference_derivatives(f, p)
+        assert values[r] == _reference_value(f, [complex(z) for z in p])
+        np.testing.assert_array_equal(G[r], g)
+        np.testing.assert_array_equal(H[r], h)
+
+
+_SPHERE = DefiningFunction.sphere()
+_SPHERE_ON = [(0.6, 0.8), (0.8j, -0.6)]
+_SPHERE_OFF = [(0.3, 0.4), (0.1j, 0.5)]
+_QUADRIC = DefiningFunction.minkowski_level(2.125)
+_QUADRIC_ON = [(1.25, 0.75j, 0.0), (0.75j, 1.25, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "fn, f, good, bad, message",
+    [
+        (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
+        (wirtinger_gradient, DefiningFunction.rho_level(0.7), _SPHERE_OFF, (0.9995, 0.0), "ambient boundary"),
+        (complex_hessian, _SPHERE, _SPHERE_OFF, (1.0, 0.0), "touches the unit circle"),
+        (levi_restricted, _SPHERE, _SPHERE_ON, (0.3, 0.4), "does not lie on the hypersurface"),
+        (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),
+        (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.0, 0.5, 0.3), "degenerate"),
+    ],
+    ids=["finite", "ambient-margin", "unit-circle", "on-surface", "gradient-floor", "degenerate-rows"],
+)
+def test_a_failed_check_fails_only_its_row_with_the_scalar_message(fn, f, good, bad, message):
+    with pytest.raises(ValueError, match=message) as info:
+        fn(f, bad)
+    batch = np.array([good[0], bad, good[1]], dtype=complex)
+    errors = RowErrors(3)
+    out = fn(f, batch, errors=errors)
+    assert errors.ok.tolist() == [True, False, True]
+    assert errors.message[1] == str(info.value)
+    for r in (0, 2):
+        np.testing.assert_array_equal(out[r], fn(f, batch[r]))
+    with pytest.raises(ValueError, match=message):
+        fn(f, batch)  # without a collector, the first failing row raises
+
+
+def test_a_batch_of_the_wrong_shape_is_rejected_whole():
+    with pytest.raises(ValueError, match="expects a point of C"):
+        levi_restricted(DefiningFunction.sphere(), np.zeros((4, 3)), errors=RowErrors(4))
+    with pytest.raises(ValueError, match="expects a point of C"):
+        value(DefiningFunction.sphere(), np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

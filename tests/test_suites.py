@@ -107,6 +107,7 @@ def test_unknown_suite_is_a_config_error():
         SuiteConfig(eps_diag=5.0, suites=("H-im-condition",)),  # no pair is 5 apart
         SuiteConfig(rmax=0.01, suites=("orbit-levels",)),  # rho < 2 rmax / (1 + rmax^2) < 0.05
         SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # fit pairs need |z - w| >= 0.05
+        SuiteConfig(rmax=0.04, suites=("o21-matrix-B",)),  # its real pairs need 0.05 <= |(z, w)| < rmax
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
     ],
