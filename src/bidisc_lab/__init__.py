@@ -52,12 +52,10 @@ from .levi import (
 )
 from .maps import (
     ConjugationFit,
-    MapReport,
     conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
-    map_h_report,
     scale_g_t,
     swap_pair,
     sym,
@@ -73,7 +71,6 @@ from .mobius import (
     random_mobius,
 )
 from .orbits import dump_orbit, orbit_point, parse_orbit_spec
-from .rng import RngStream, sample_ball, sample_bidisc, sample_disc
 from .suites import (
     ConfigError,
     SuiteConfig,
@@ -120,12 +117,10 @@ __all__ = [
     "totally_real_check",
     "wirtinger_gradient",
     "ConjugationFit",
-    "MapReport",
     "conjugate_fit",
     "map_H",
     "map_H_inv",
     "map_J",
-    "map_h_report",
     "scale_g_t",
     "swap_pair",
     "sym",
@@ -140,10 +135,6 @@ __all__ = [
     "dump_orbit",
     "orbit_point",
     "parse_orbit_spec",
-    "RngStream",
-    "sample_ball",
-    "sample_bidisc",
-    "sample_disc",
     "ConfigError",
     "SuiteConfig",
     "SuiteReport",

@@ -13,8 +13,8 @@ import os
 import sys
 
 from .maps import map_H, map_H_inv, map_J
-from .orbits import DEFAULT_SEED, dump_orbit, parse_orbit_spec
-from .rng import DEFAULT_RMAX
+from .orbits import dump_orbit, parse_orbit_spec
+from .rng import DEFAULT_RMAX, DEFAULT_SEED
 from .suites import (
     DEFAULT_SAMPLES,
     ConfigError,

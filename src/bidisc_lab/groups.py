@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .domains import ProjectivePoint, _abs2
-from .rng import RngStream
 
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
@@ -106,14 +105,15 @@ def su11_orbit_invariant(u: complex, v: complex) -> float:
     return abs(u) / math.sqrt(1.0 - _abs2(v))
 
 
-def random_su11(rng: RngStream, xi_max: float = 3.0) -> tuple[complex, complex]:
-    """Draw (alpha, beta) with |alpha|^2 - |beta|^2 = 1.
+def random_su11(u, xi_max: float = 3.0) -> tuple[complex, complex]:
+    """(alpha, beta) with |alpha|^2 - |beta|^2 = 1, from 3 uniforms.
 
-    Hyperbolic part from a truncated exponential capped at xi_max,
-    phases uniform: alpha = cosh(xi) e^{i p1}, beta = sinh(xi) e^{i p2}.
+    Hyperbolic part xi from a truncated exponential capped at xi_max
+    (u0), phases p1 = tau u1 and p2 = tau u2: alpha = cosh(xi) e^{i p1},
+    beta = sinh(xi) e^{i p2}.
     """
-    xi = _truncated_exponential(rng, xi_max)
-    p1, p2 = rng.gen.uniform(0.0, math.tau, size=2)
+    xi = _truncated_exponential(float(u[0]), xi_max)
+    p1, p2 = math.tau * float(u[1]), math.tau * float(u[2])
     alpha = math.cosh(xi) * complex(math.cos(p1), math.sin(p1))
     beta = math.sinh(xi) * complex(math.cos(p2), math.sin(p2))
     return alpha, beta
@@ -131,21 +131,19 @@ def so21_boost(xi: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, ch, sh], [0.0, sh, ch]])
 
 
-def _truncated_exponential(rng: RngStream, cap: float) -> float:
+def _truncated_exponential(u: float, cap: float) -> float:
     # inverse CDF of Exp(1) conditioned on [0, cap]
-    u = float(rng.gen.uniform())
     return -math.log1p(-u * (1.0 - math.exp(-cap)))
 
 
-def so21_sample(rng: RngStream, xi_max: float = 3.0) -> np.ndarray:
-    """Draw from SO+(2,1) by the rotation-boost-rotation decomposition.
+def so21_sample(u, xi_max: float = 3.0) -> np.ndarray:
+    """An SO+(2,1) element from 3 uniforms, by the rotation-boost-rotation decomposition.
 
-    Angles uniform on [0, 2pi); boost parameter from a truncated
-    exponential capped at xi_max so matrix entries stay moderate.
+    Angles tau u0 and tau u1; boost parameter from a truncated
+    exponential capped at xi_max (u2), so matrix entries stay moderate.
     """
-    t1, t2 = rng.gen.uniform(0.0, math.tau, size=2)
-    xi = _truncated_exponential(rng, xi_max)
-    return so21_rotation(float(t1)) @ so21_boost(xi) @ so21_rotation(float(t2))
+    xi = _truncated_exponential(float(u[2]), xi_max)
+    return so21_rotation(math.tau * float(u[0])) @ so21_boost(xi) @ so21_rotation(math.tau * float(u[1]))
 
 
 def _require_so_plus(A) -> np.ndarray:

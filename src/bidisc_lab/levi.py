@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import _abs2
+from .mobius import TOL_BOUNDARY
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -61,7 +62,6 @@ DEAD_BAND = 1e-4  # |levi| below this is classified flat
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
 _AMBIENT_MARGIN = 1e-3  # clearance a bounded ambient must leave the stencil
-_TOL_BOUNDARY = 1e-9
 
 _KINDS = frozenset({"rho-level", "minkowski-level", "sphere", "ellipsoid", "flat-control"})
 
@@ -261,7 +261,7 @@ def _check_ambient(f: DefiningFunction, P: np.ndarray, rows: RowErrors) -> None:
         )
     elif f.kind in ("sphere", "ellipsoid"):
         rows.flag(
-            np.abs(P).max(axis=1) >= 1.0 - _TOL_BOUNDARY,
+            np.abs(P).max(axis=1) >= 1.0 - TOL_BOUNDARY,
             "a coordinate touches the unit circle; ambient check failed",
         )
     # minkowski-level: ambient is all of C^3
@@ -281,16 +281,12 @@ def _shift(P: np.ndarray, *moves) -> np.ndarray:
 
 
 def wirtinger_gradient(
-    f: DefiningFunction, p, h: float = GRAD_STEP, richardson: bool = False, *, errors: RowErrors | None = None
+    f: DefiningFunction, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """FD Wirtinger gradient (central differences, step scaled by the point size)."""
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
-    s = _scaled_step(P, h)
-    G = _fd_gradient(f, P, s, rows)
-    if richardson:
-        G = (4.0 * _fd_gradient(f, P, 0.5 * s, rows) - G) / 3.0
-    return _done(G, single, rows, errors)
+    return _done(_fd_gradient(f, P, _scaled_step(P, h), rows), single, rows, errors)
 
 
 def _fd_gradient(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
@@ -307,15 +303,12 @@ def _fd_gradient(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows: RowErr
 
 
 def complex_hessian(
-    f: DefiningFunction, p, h: float = HESS_STEP, richardson: bool = False, *, errors: RowErrors | None = None
+    f: DefiningFunction, p, h: float = HESS_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """FD complex Hessian, Hermitian-symmetrized."""
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
-    s = _scaled_step(P, h)
-    H = _fd_complex_hessian(f, P, s, rows)
-    if richardson:
-        H = (4.0 * _fd_complex_hessian(f, P, 0.5 * s, rows) - H) / 3.0
+    H = _fd_complex_hessian(f, P, _scaled_step(P, h), rows)
     return _done(0.5 * (H + H.conj().swapaxes(1, 2)), single, rows, errors)
 
 
@@ -344,8 +337,8 @@ def _fd_complex_hessian(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows:
     return H
 
 
-def _constraint_rows(f: DefiningFunction, P: np.ndarray, h: float, richardson: bool, rows: RowErrors):
-    G = wirtinger_gradient(f, P, h, richardson, errors=rows)
+def _constraint_rows(f: DefiningFunction, P: np.ndarray, h: float, rows: RowErrors):
+    G = wirtinger_gradient(f, P, h, errors=rows)
     if f.kind != "minkowski-level":
         return G[:, None, :]
     # stay tangent to the holomorphic quadric z1^2 + z2^2 - z3^2 = 1
@@ -355,7 +348,7 @@ def _constraint_rows(f: DefiningFunction, P: np.ndarray, h: float, richardson: b
 
 
 def complex_tangent(
-    f: DefiningFunction, p, h: float = GRAD_STEP, richardson: bool = False, *, errors: RowErrors | None = None
+    f: DefiningFunction, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """Unit complex tangent vector at a regular point of {r = 0}.
 
@@ -366,7 +359,7 @@ def complex_tangent(
     """
     P, single, rows = _batch(f, p, errors)
     n = len(P)
-    C = _constraint_rows(f, P, h, richardson, rows)
+    C = _constraint_rows(f, P, h, rows)
     rows.flag(np.linalg.norm(C[:, 0], axis=1) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
     live = rows.ok & np.isfinite(C.real).all(axis=(1, 2)) & np.isfinite(C.imag).all(axis=(1, 2))
     rows.flag(~live, "SVD did not converge")  # what np.linalg.svd raises on a non-finite row
@@ -400,17 +393,15 @@ def _levi_form(v: np.ndarray, H: np.ndarray) -> np.ndarray:
     return out
 
 
-def levi_restricted(
-    f: DefiningFunction, p, h: float = HESS_STEP, richardson: bool = False, *, errors: RowErrors | None = None
-):
+def levi_restricted(f: DefiningFunction, p, h: float = HESS_STEP, *, errors: RowErrors | None = None):
     """Levi form evaluated on the unit complex tangent at an on-surface point."""
     P, single, rows = _batch(f, p, errors)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
     rows.flag(
         np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface"
     )
-    v = complex_tangent(f, P, richardson=richardson, errors=rows)
-    H = complex_hessian(f, P, h, richardson, errors=rows)
+    v = complex_tangent(f, P, errors=rows)
+    H = complex_hessian(f, P, h, errors=rows)
     return _done(_levi_form(v, H), single, rows, errors)
 
 
@@ -453,13 +444,11 @@ def levi_report(
     )
 
 
-def totally_real_check(basis, p=None) -> tuple[bool, int]:
+def totally_real_check(basis) -> tuple[bool, int]:
     """Decide whether span_R(basis) meets i * span_R(basis) only at 0.
 
     basis: real-tangent vectors given in complex coordinates.  Returns
-    (totally_real, dim_R of the intersection).  The point argument is
-    accepted for signature symmetry with the other checks and unused
-    for constant bases.
+    (totally_real, dim_R of the intersection).
     """
     vecs = [np.asarray(v, dtype=complex) for v in basis]
     if not vecs:

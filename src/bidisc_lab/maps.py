@@ -25,6 +25,9 @@ matrix preserving diag(1,1,-1).  conjugate_fit recovers that matrix
 numerically by least squares from sampled pairs and reports how well
 held-out samples and the group relations are satisfied.
 
+Off-diagonal pairs, for the fit and for the batched suites alike, come
+from ``PairDraw``: masked resampling inside a fixed budget of uniforms.
+
 The ``*_array`` twins evaluate J, H, H^-1 and sym elementwise on complex
 arrays for the batched suites.  They skip the argument checks;
 ``mobius.outside_disc`` and ``near_diagonal`` are the array forms of the
@@ -37,15 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (
-    ProjectivePoint,
-    im_condition,
-    minkowski_form,
-    quadric_residual,
-)
+from .domains import ProjectivePoint
 from .groups import o21_residual
-from .mobius import MobiusMap, mobius_apply_pair, outside_disc, _require_disc
-from .rng import DEFAULT_RMAX, RngStream, sample_disc
+from .mobius import MobiusMap, mobius_apply_pair, outside_disc, _require_disc, pseudo_hyperbolic_array
+from .rng import DEFAULT_RMAX, disc_from_uniforms
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
@@ -182,26 +180,62 @@ def scale_g_t(t: float, p: Pair) -> Pair:
     return p[0] / t, p[1]
 
 
+# ---------------------------------------------------------------------------
+# off-diagonal pairs
+
+PAIR_ROUNDS = 32  # candidate pairs in an off-diagonal draw's budget
+PAIR_DRAWS = 4 * PAIR_ROUNDS
+
+
 @dataclass(frozen=True)
-class MapReport:
-    """Residuals of one affine quadric image."""
+class PairDraw:
+    """Off-diagonal bidisc pairs by masked resampling inside a budget of PAIR_DRAWS uniforms.
 
-    point: Pair
-    image: Triple
-    quadric: float
-    im_value: float
-    level: float
+    A pair is admissible when |z - w| >= margin and, with rho_floor set,
+    rho(z, w) >= rho_floor.  Round k proposes, for each row of u still
+    open, the pair of area-uniform rmax-disc points drawn from columns
+    4k..4k+3 (radius and angle of z, then of w); a row keeps its first
+    admissible proposal.  A row never loops and never reads past its
+    budget: one with no admissible proposal keeps its last proposal and
+    is reported as missing.
+    """
 
+    rho_floor: float = 0.0
 
-def map_h_report(z: complex, w: complex) -> MapReport:
-    img = map_H(z, w)
-    return MapReport(
-        point=(z, w),
-        image=img,
-        quadric=abs(quadric_residual(*img)),
-        im_value=im_condition(*img),
-        level=minkowski_form(*img),
-    )
+    def wanted(self, margin: float) -> str:
+        return f"|z - w| >= {margin:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
+
+    def why_empty(self, rmax: float, margin: float) -> str | None:
+        """Why no pair of rmax-disc points is admissible, or None."""
+        if margin >= 2.0 * rmax:
+            return (
+                f"pairs need |z - w| >= {margin:g}, "
+                f"but no two points of the rmax = {rmax!r} disc are that far apart"
+            )
+        sup_rho = 2.0 * rmax / (1.0 + rmax * rmax)
+        if sup_rho <= self.rho_floor:
+            return (
+                f"rmax = {rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
+                f"so no pair reaches rho >= {self.rho_floor:g}"
+            )
+        return None
+
+    def __call__(self, u: np.ndarray, rmax: float, margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, w, missing) for the rows of u; missing holds the indices of the rows without an admissible pair."""
+        n = len(u)
+        z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        todo = np.arange(n)
+        for k in range(PAIR_ROUNDS):
+            c = u[todo, 4 * k : 4 * k + 4]
+            zk, wk = disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)
+            z[todo], w[todo] = zk, wk
+            keep = np.abs(zk - wk) >= margin
+            if self.rho_floor:
+                keep &= pseudo_hyperbolic_array(zk, wk) >= self.rho_floor
+            todo = todo[~keep]
+            if not todo.size:
+                break
+        return z, w, todo
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +255,9 @@ class ConjugationFit:
 
 
 _COND_GUARD = 1e8
-_FIT_DIAG_MARGIN = 0.05
-_MAX_ATTEMPTS = 32
-_PAIR_CANDIDATES = 64  # candidate pairs per fit point; bounds the draw loop
+FIT_DIAG_MARGIN = 0.05
+FIT_PAIRS = PairDraw()
+FIT_DRAWS = 10 * PAIR_DRAWS  # uniforms of a fit at the default 6 + 4 points
 
 
 def _apply_auto(phi: MobiusMap | None, swap: bool, p: Pair) -> Pair:
@@ -234,17 +268,9 @@ def _apply_auto(phi: MobiusMap | None, swap: bool, p: Pair) -> Pair:
     return p
 
 
-def _offdiag_sample(rng: RngStream, rmax: float) -> Pair:
-    for _ in range(_PAIR_CANDIDATES):
-        z, w = sample_disc(rng, rmax), sample_disc(rng, rmax)
-        if abs(z - w) >= _FIT_DIAG_MARGIN:
-            return z, w
-    raise ValueError(f"none of {_PAIR_CANDIDATES} candidate pairs has |z - w| >= {_FIT_DIAG_MARGIN:g}")
-
-
 def conjugate_fit(
     phi: MobiusMap | None,
-    rng: RngStream,
+    u: np.ndarray,
     *,
     swap: bool = False,
     rmax: float = DEFAULT_RMAX,
@@ -254,41 +280,48 @@ def conjugate_fit(
     """Fit the real 3x3 matrix M with M H(p) = H(Phi(p)).
 
     Phi applies the swap first (when requested), then the diagonal
-    automorphism phi.  Fit points are drawn off-diagonal from the
-    caller's stream, each from at most 64 candidate pairs (ValueError
-    when none has |z - w| >= 0.05); each gives 3 complex = 6 real
-    equations, solved row-wise by normal equations.  Configurations
-    whose design matrix has condition number above 1e8 are redrawn; the
-    returned fit_residual is the worst reproduction error on n_holdout
-    held-out samples.
+    automorphism phi.  The n_fit + n_holdout points are FIT_PAIRS draws
+    with |z - w| >= 0.05, PAIR_DRAWS uniforms of u each (ValueError when
+    one has no admissible candidate).  Each fit point gives 3 complex =
+    6 real equations, solved row-wise by normal equations; a design
+    matrix with condition number above 1e8 is a ValueError.  The
+    returned fit_residual is the worst reproduction error on the
+    held-out points.
     """
     if phi is None and not swap:
         raise ValueError("specify an automorphism: a MobiusMap, swap=True, or both")
     if n_fit < 4:
         raise ValueError("need at least 4 fit samples for a determined system")
-    for _ in range(_MAX_ATTEMPTS):
-        pts = [_offdiag_sample(rng, rmax) for _ in range(n_fit + n_holdout)]
-        fit_pts, hold_pts = pts[:n_fit], pts[n_fit:]
-        src = np.array([map_H(*p) for p in fit_pts])  # (n_fit, 3) complex
-        dst = np.array([map_H(*_apply_auto(phi, swap, p)) for p in fit_pts])
-        A = np.vstack([src.real, src.imag])  # (2 n_fit, 3) real
-        if np.linalg.cond(A) > _COND_GUARD:
-            continue
-        B = np.vstack([dst.real, dst.imag])  # (2 n_fit, 3), column j = target row j
-        G = A.T @ A
-        M = np.linalg.solve(G, A.T @ B).T  # rows of M solve the row-wise systems
-        worst = 0.0
-        for p in hold_pts:
-            lhs = M @ np.asarray(map_H(*p))
-            rhs = np.asarray(map_H(*_apply_auto(phi, swap, p)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return ConjugationFit(
-            phi=phi,
-            swap=swap,
-            matrix=M,
-            fit_residual=worst,
-            membership_residual=o21_residual(M),
-            det=float(np.linalg.det(M)),
-            a33=float(M[2, 2]),
-        )
-    raise RuntimeError("could not draw a well-conditioned sample configuration")
+    n = n_fit + n_holdout
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n * PAIR_DRAWS,):
+        raise ValueError(f"a fit of {n} points takes {n * PAIR_DRAWS} uniforms, got shape {u.shape}")
+    z, w, missing = FIT_PAIRS(u.reshape(n, PAIR_DRAWS), rmax, FIT_DIAG_MARGIN)
+    if missing.size:
+        wanted = FIT_PAIRS.wanted(FIT_DIAG_MARGIN)
+        raise ValueError(f"none of fit point {missing[0]}'s {PAIR_ROUNDS} candidate pairs has {wanted}")
+    pts = list(zip(z.tolist(), w.tolist()))
+    fit_pts, hold_pts = pts[:n_fit], pts[n_fit:]
+    src = np.array([map_H(*p) for p in fit_pts])  # (n_fit, 3) complex
+    dst = np.array([map_H(*_apply_auto(phi, swap, p)) for p in fit_pts])
+    A = np.vstack([src.real, src.imag])  # (2 n_fit, 3) real
+    cond = np.linalg.cond(A)
+    if cond > _COND_GUARD:
+        raise ValueError(f"design matrix condition number {cond:.3g} exceeds {_COND_GUARD:g}")
+    B = np.vstack([dst.real, dst.imag])  # (2 n_fit, 3), column j = target row j
+    G = A.T @ A
+    M = np.linalg.solve(G, A.T @ B).T  # rows of M solve the row-wise systems
+    worst = 0.0
+    for p in hold_pts:
+        lhs = M @ np.asarray(map_H(*p))
+        rhs = np.asarray(map_H(*_apply_auto(phi, swap, p)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return ConjugationFit(
+        phi=phi,
+        swap=swap,
+        matrix=M,
+        fit_residual=worst,
+        membership_residual=o21_residual(M),
+        det=float(np.linalg.det(M)),
+        a33=float(M[2, 2]),
+    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DEFAULT_RMAX, RngStream, sample_disc
+from .rng import DEFAULT_RMAX, disc_from_uniforms
 
 TOL_BOUNDARY = 1e-9
 
@@ -114,7 +114,9 @@ def pseudo_hyperbolic_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(z - w) / np.abs(1.0 - z.conjugate() * w)
 
 
-def random_mobius(rng: RngStream, rmax: float = DEFAULT_RMAX) -> MobiusMap:
-    """Draw an automorphism: angle uniform on [0, 2pi), centre uniform on the rmax disc."""
-    theta = float(rng.gen.uniform(0.0, math.tau))
-    return MobiusMap(theta, sample_disc(rng, rmax))
+MOBIUS_DRAWS = 3
+
+
+def random_mobius(u, rmax: float = DEFAULT_RMAX) -> MobiusMap:
+    """The automorphism of 3 uniforms: angle tau u0, centre the area-uniform rmax-disc point of (u1, u2)."""
+    return MobiusMap(math.tau * float(u[0]), complex(disc_from_uniforms(u[1], u[2], rmax)))

@@ -10,21 +10,21 @@ draw, so golden values recorded in the test suite are portable
 (SeedSequence hashing and PCG64 are stable, documented algorithms in
 numpy >= 1.17).
 
-Two ways of drawing share that keying:
+Every draw of the package is a row of ``uniform_block``: sample i of a
+run with a budget of k uniforms per sample owns the stream's outputs
+[i k, (i + 1) k).  Each double consumes one 64-bit PCG64 output, so
+``PCG64.advance(lo k)`` jumps straight to row lo: any block, a single
+row included, is drawn in O(block) time and memory without drawing the
+rows before it.  The ``*_from_uniforms`` transforms turn uniform
+columns into points by inverse transform, so every row uses all of its
+budget and no draw is rejected:
 
-* The scalar samplers (``sample_disc`` and friends) draw one point at a
-  time, uniform for the area (resp. volume) measure, by rejection from
-  the bounding square (resp. 4-cube).  The rejection loop consumes a
-  variable number of uniforms, which is fine: determinism is per
-  (seed, stream_id), not per call count.
-* Block draws (``uniform_block``) give sample i of a batched run a fixed
-  budget of k uniforms, the stream's outputs [i k, (i + 1) k).  Each
-  double consumes one 64-bit PCG64 output, so ``PCG64.advance(lo k)``
-  jumps straight to row lo: any block, a single row included, is drawn
-  in O(block) time and memory without drawing the rows before it.
-  ``disc_from_uniforms`` turns two uniform columns into area-uniform
-  disc points by inverse transform, r = rmax sqrt(u) and a uniform
-  angle, so every row uses all of its budget and no draw is rejected.
+* disc, area-uniform: r = rmax sqrt(s) and a uniform angle;
+* ball in C^2, volume-uniform: radius rmax s^(1/4), a share q of the
+  squared radius in the first coordinate (uniform on the sphere), and
+  one uniform angle per coordinate;
+* planar annulus rmin <= r < rmax, area-uniform:
+  r = sqrt(rmin^2 + s (rmax^2 - rmin^2)) and a uniform angle.
 """
 
 from __future__ import annotations
@@ -33,13 +33,17 @@ import math
 
 import numpy as np
 
+DEFAULT_SEED = 42
 DEFAULT_RMAX = 0.95
 
 _U64 = 1 << 64
 
 
 class RngStream:
-    """A replayable draw stream keyed by (seed, stream_id)."""
+    """The generator keyed by (seed, stream_id) that ``uniform_block`` draws from.
+
+    ``bench/spans.py`` counts the streams a run opens through this class.
+    """
 
     __slots__ = ("seed", "stream_id", "gen")
 
@@ -53,9 +57,6 @@ class RngStream:
         self.gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np.ndarray:
@@ -83,46 +84,28 @@ def disc_from_uniforms(u_radius: np.ndarray, u_angle: np.ndarray, rmax: float = 
     return polar(rmax * np.sqrt(u_radius), math.tau * u_angle)
 
 
-def _check_rmax(rmax: float) -> None:
-    if not 0.0 < rmax < 1.0:
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
+def ball_from_uniforms(u: np.ndarray, rmax: float = DEFAULT_RMAX) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-uniform points (u, v) of the ball |u|^2 + |v|^2 < rmax^2 from 4 uniform columns.
 
-
-def sample_disc(rng: RngStream, rmax: float = DEFAULT_RMAX) -> complex:
-    """Draw one point, uniform w.r.t. area, from the open disc of radius rmax."""
+    Columns: radius, the share of the squared radius in u, the angle of
+    u, the angle of v.
+    """
     _check_rmax(rmax)
-    r2 = rmax * rmax
-    while True:
-        x, y = rng.gen.uniform(-rmax, rmax, size=2)
-        if x * x + y * y <= r2:
-            return complex(x, y)
+    r = rmax * np.sqrt(np.sqrt(u[..., 0]))
+    q = u[..., 1]
+    return polar(r * np.sqrt(q), math.tau * u[..., 2]), polar(r * np.sqrt(1.0 - q), math.tau * u[..., 3])
 
 
-def sample_bidisc(rng: RngStream, rmax: float = DEFAULT_RMAX) -> tuple[complex, complex]:
-    """Draw an independent pair of disc points (product measure)."""
-    return sample_disc(rng, rmax), sample_disc(rng, rmax)
-
-
-def sample_ball(rng: RngStream, rmax: float = DEFAULT_RMAX) -> tuple[complex, complex]:
-    """Draw one point, uniform w.r.t. volume, from the ball |u|^2+|v|^2 < rmax^2 in C^2."""
-    _check_rmax(rmax)
-    r2 = rmax * rmax
-    while True:
-        x = rng.gen.uniform(-rmax, rmax, size=4)
-        if x @ x <= r2:
-            return complex(x[0], x[1]), complex(x[2], x[3])
-
-
-def sample_real_pair(
-    rng: RngStream, rmax: float = DEFAULT_RMAX, rmin: float = 0.0
-) -> tuple[float, float]:
-    """Draw a real pair, uniform w.r.t. area, with rmin^2 <= x^2+y^2 <= rmax^2."""
+def annulus_from_uniforms(
+    u_radius: np.ndarray, u_angle: np.ndarray, rmin: float, rmax: float = DEFAULT_RMAX
+) -> np.ndarray:
+    """Area-uniform points x + iy of the planar annulus rmin <= |x + iy| < rmax."""
     _check_rmax(rmax)
     if not 0.0 <= rmin < rmax:
         raise ValueError("need 0 <= rmin < rmax")
-    lo, hi = rmin * rmin, rmax * rmax
-    while True:
-        x, y = rng.gen.uniform(-rmax, rmax, size=2)
-        s = x * x + y * y
-        if lo <= s <= hi:
-            return float(x), float(y)
+    return polar(np.sqrt(rmin * rmin + u_radius * (rmax * rmax - rmin * rmin)), math.tau * u_angle)
+
+
+def _check_rmax(rmax: float) -> None:
+    if not 0.0 < rmax < 1.0:
+        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")

@@ -4,27 +4,34 @@ Each suite certifies one computable claim by evaluating a residual on
 many seeded samples.  The runner walks a suite's sample indices in
 blocks of BLOCK rows, and every row depends only on (seed, suite,
 index), so results never depend on the block size, the worker count or
-the evaluation order.  The suite with registry ordinal o owns the
-stream id base = (o + 1) << 32, and its samples draw in one of two ways:
+the evaluation order.  The suite with registry ordinal o draws from the
+single stream (seed, (o + 1) << 32) with a fixed budget of k uniforms
+per sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
+is one ``rng.uniform_block`` call, so replaying sample i takes
+``advance(i k)`` and k draws.  Every kernel takes the same arguments,
+(cfg, U, idx): the block's uniforms U, shape (len(idx), k), and the
+sample indices idx.
 
-* Batched suites (fourteen: the ten pointwise claims and the four Levi
-  certifications) draw from the single stream (seed, base) with a
-  fixed budget of k uniforms per sample: sample i owns the stream's
-  draws [i k, (i + 1) k).  A block is one ``rng.uniform_block`` call,
-  so replaying sample i takes ``advance(i k)`` and k draws.  Their
-  kernels evaluate the claim on a whole block of rows as numpy arrays.
+* Array kernels (fourteen: the ten pointwise claims and the four Levi
+  certifications) evaluate the claim on a whole block as numpy arrays.
   A pair that must lie off the diagonal (|z - w| >= eps_diag), and for
-  the dual-route level checks also have rho >= 0.05, comes from masked
-  resampling inside the budget: PAIR_ROUNDS candidate pairs of 4
-  uniforms each, of which the row takes the first admissible one.  A
-  row with none is a hard failure.  The Levi suites take k = 3: an
-  angle and an inverse-transform disc point (the automorphism that
-  carries a base pair onto the orbit, or the control surface's
-  coordinates), or |u|^2 and two angles for a point of the sphere.
-  Each block's rows of one defining function are one batch of
+  the dual-route level checks also have rho >= 0.05, comes from
+  ``maps.PairDraw``: PAIR_ROUNDS candidate pairs of 4 uniforms each, of
+  which the row takes the first admissible one.  A row with none is a
+  hard failure.  The Levi suites take k = 3: an angle and an
+  inverse-transform disc point (the automorphism that
+  ``orbits.rho_orbit_point`` applies to a base pair, or the control
+  surface's coordinates), or ``orbits.sphere_point``'s |u|^2 and two
+  angles.  Each block's rows of one defining function are one batch of
   ``levi.levi_restricted``.
-* Per-sample suites (the other eight) draw sample i from its own stream
-  (seed, base | i) and evaluate it in scalar Python.
+* Per-row claims (the other eight) keep scalar bodies behind
+  ``_per_row``, which evaluates them one row of uniforms at a time.  A
+  body records what it draws as it goes, so a row that raises records
+  what it drew before the failing step.  Their budgets: a conjugation
+  fit takes ten PairDraw pairs (FIT_DRAWS) plus 3 uniforms for the
+  automorphism; ``aut-preserves-subdomains`` 8, ``su11-orbit-invariant``
+  7, ``su11-orbit-ellipsoid`` and ``gt-sphere`` 4, ``o21-matrix-B`` 2,
+  and ``o21-totally-real`` TOTALLY_REAL_ROUNDS candidate matrices of 4.
 
 Residual conventions: equality claims report the absolute defect;
 threshold claims (the Levi certifications) report the shortfall below
@@ -32,7 +39,7 @@ the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
 not below the tolerance (NaN included) is a failure.  A sample that
 raises is a hard failure and fails the suite regardless of tolerance;
-batched kernels apply each check of the scalar code per row and record
+array kernels apply each check of the scalar code per row and record
 the same ``Type: message`` text, together with the row's inputs.
 """
 
@@ -73,8 +80,13 @@ from .groups import (
 )
 from .levi import DefiningFunction, RowErrors, levi_restricted, totally_real_check
 from .maps import (
-    _FIT_DIAG_MARGIN,
     EPS_DIAG,
+    FIT_DIAG_MARGIN,
+    FIT_DRAWS,
+    FIT_PAIRS,
+    PAIR_DRAWS,
+    PAIR_ROUNDS,
+    PairDraw,
     conjugate_fit,
     map_H,
     map_H_array,
@@ -88,6 +100,7 @@ from .maps import (
     sym_array,
 )
 from .mobius import (
+    MOBIUS_DRAWS,
     MobiusMap,
     _require_disc,
     mobius_apply_array,
@@ -97,25 +110,21 @@ from .mobius import (
     pseudo_hyperbolic_array,
     random_mobius,
 )
-from .orbits import ellipsoid_orbit_point
+from .orbits import ellipsoid_orbit_point, rho_orbit_point, sphere_point
 from .rng import (
     DEFAULT_RMAX,
-    RngStream,
+    DEFAULT_SEED,
+    annulus_from_uniforms,
+    ball_from_uniforms,
     disc_from_uniforms,
     polar,
-    sample_ball,
-    sample_bidisc,
-    sample_real_pair,
     uniform_block,
 )
 
 SCHEMA_VERSION = 2
-DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
 BLOCK = 1024  # rows per block; bounds the memory of a run, never changes a result
 MAX_FAILURES = 10
-PAIR_ROUNDS = 32  # candidate pairs in an off-diagonal draw's budget
-PAIR_DRAWS = 4 * PAIR_ROUNDS
 
 LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex families
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
@@ -169,11 +178,10 @@ class SuiteReport:
 class _Suite:
     """A registered claim.
 
-    With ``draws`` set, ``fn`` is a batched kernel ``(cfg, U, idx) ->
-    (residual, error, inputs)`` over the rows idx, whose uniforms U have
-    shape (len(idx), draws); otherwise ``fn(cfg, rng, i) -> (residual,
-    inputs)`` evaluates sample i on its own stream.  ``why_empty(cfg)``
-    says why no sample can be drawn under cfg, or returns None.
+    ``fn`` is a kernel ``(cfg, U, idx) -> (residual, error, inputs)``
+    over the rows idx, whose uniforms U have shape (len(idx), draws).
+    ``why_empty(cfg)`` says why no sample can be drawn under cfg, or
+    returns None.
     """
 
     name: str
@@ -181,7 +189,7 @@ class _Suite:
     weight: float
     tolerance: float
     fn: Callable
-    draws: int | None = None
+    draws: int
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
@@ -195,17 +203,8 @@ def _flat(*vals) -> list[float]:
     return out
 
 
-def _fit_why_empty(cfg: SuiteConfig) -> str | None:
-    if 2.0 * cfg.rmax <= _FIT_DIAG_MARGIN:
-        return (
-            f"conjugate_fit needs pairs with |z - w| >= {_FIT_DIAG_MARGIN:g}, "
-            f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
-# batched kernels: one block of rows at a time
+# array kernels: one block of rows at a time
 
 
 class _Rows:
@@ -256,54 +255,22 @@ def _disc_pair(u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
     return disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
 
 
-@dataclass(frozen=True)
-class _PairDraw:
-    """Off-diagonal bidisc pairs by masked resampling inside a budget of PAIR_DRAWS uniforms.
-
-    Round k proposes the pair drawn from columns 4k..4k+3 and is
-    evaluated only on the rows still open; a row keeps its first
-    admissible proposal.  A row never loops and never reads past its
-    budget: one with no admissible proposal is a hard failure.
-    """
-
-    rho_floor: float = 0.0
-
-    def why_empty(self, cfg: SuiteConfig) -> str | None:
-        if cfg.eps_diag >= 2.0 * cfg.rmax:
-            return (
-                f"eps_diag = {cfg.eps_diag!r} is at least 2 rmax, "
-                f"so no pair of rmax = {cfg.rmax!r} disc points is off-diagonal enough"
-            )
-        sup_rho = 2.0 * cfg.rmax / (1.0 + cfg.rmax * cfg.rmax)
-        if sup_rho <= self.rho_floor:
-            return (
-                f"rmax = {cfg.rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
-                f"so no pair reaches rho >= {self.rho_floor:g}"
-            )
-        return None
-
-    def __call__(self, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-        n = len(u)
-        z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        todo = np.arange(n)
-        for k in range(PAIR_ROUNDS):
-            zk, wk = _disc_pair(u[todo, 4 * k : 4 * k + 4], cfg.rmax)
-            z[todo], w[todo] = zk, wk
-            keep = np.abs(zk - wk) >= cfg.eps_diag
-            if self.rho_floor:
-                keep &= pseudo_hyperbolic_array(zk, wk) >= self.rho_floor
-            todo = todo[~keep]
-            if not todo.size:
-                break
-        wanted = f"|z - w| >= {cfg.eps_diag:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
-        rows.fail(todo, f"ValueError: none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
-        if self.rho_floor:  # the admission test took rho, which checks its arguments
-            rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
-        return z, w
+_OFFDIAG = PairDraw()
+_CONDITIONED = PairDraw(RHO_COND_FLOOR)
 
 
-_OFFDIAG = _PairDraw()
-_CONDITIONED = _PairDraw(RHO_COND_FLOOR)
+def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal pairs (|z - w| >= eps_diag) of a PairDraw; a row without one is a hard failure."""
+    z, w, missing = draw(u, cfg.rmax, cfg.eps_diag)
+    wanted = draw.wanted(cfg.eps_diag)
+    rows.fail(missing, f"ValueError: none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
+    if draw.rho_floor:  # the admission test took rho, which checks its arguments
+        rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
+    return z, w
+
+
+def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
+    return lambda cfg: draw.why_empty(cfg.rmax, cfg.eps_diag)
 
 
 def _checked_map_H(rows: _Rows, z: np.ndarray, w: np.ndarray):
@@ -327,14 +294,14 @@ def _k_rho_invariance(cfg, u, idx):
 
 def _k_h_quadric(cfg, u, idx):
     rows = _Rows(len(u))
-    z, w = _CONDITIONED(cfg, u, rows)
+    z, w = _pairs(_CONDITIONED, cfg, u, rows)
     h = _checked_map_H(rows, z, w)
     return rows.result(np.abs(quadric_residual(*h)), _columns(z, w))
 
 
 def _k_h_im_condition(cfg, u, idx):
     rows = _Rows(len(u))
-    z, w = _OFFDIAG(cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, rows)
     h = _checked_map_H(rows, z, w)
     return rows.result(np.maximum(0.0, -im_condition(*h)), _columns(z, w))
 
@@ -342,7 +309,7 @@ def _k_h_im_condition(cfg, u, idx):
 def _k_h_sigma_negation(cfg, u, idx):
     # exact claim: map_H_array works on real and imaginary parts, whose products commute
     rows = _Rows(len(u))
-    z, w = _OFFDIAG(cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, rows)
     h = np.stack(_checked_map_H(rows, z, w))
     hs = np.stack(_checked_map_H(rows, w, z))
     return rows.result(np.abs(hs + h).max(axis=0), _columns(z, w))
@@ -350,7 +317,7 @@ def _k_h_sigma_negation(cfg, u, idx):
 
 def _k_h_roundtrip(cfg, u, idx):
     rows = _Rows(len(u))
-    z, w = _OFFDIAG(cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, rows)
     h = _checked_map_H(rows, z, w)
     z2, w2, ok = map_H_inv_array(*h)
     rows.check(~ok, map_H_inv, *h)
@@ -359,7 +326,7 @@ def _k_h_roundtrip(cfg, u, idx):
 
 def _k_orbit_levels(cfg, u, idx):
     rows = _Rows(len(u))
-    z, w = _CONDITIONED(cfg, u, rows)
+    z, w = _pairs(_CONDITIONED, cfg, u, rows)
     rho = pseudo_hyperbolic_array(z, w)
     m = minkowski_form(*_checked_map_H(rows, z, w))
     rows.check(~((0.0 < rho) & (rho < 1.0)), alpha_from_a, rho)
@@ -375,7 +342,7 @@ _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 def _k_preimage_formula(cfg, u, idx):
     rows = _Rows(len(u))
     s, t = _PREIMAGE_BANDS[idx % 3].T
-    z, w = _OFFDIAG(cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, rows)
     rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
     rho = pseudo_hyperbolic_array(z, w)
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
@@ -401,7 +368,7 @@ _MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 
 def _k_j_h_compat(cfg, u, idx):
     rows = _Rows(len(u))
-    z, w = _OFFDIAG(cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, rows)
     p = map_J_array(z, w)
     pmax = np.abs(p).max(axis=0)
     rows.check(
@@ -429,14 +396,6 @@ _FLAT_CONTROL = (DefiningFunction.flat_control(0.5),)
 _SPHERE = (DefiningFunction.sphere(),)
 
 
-def _orbit_pair(rows: _Rows, u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi(a), phi(0)): phi has angle tau u0 and centre the LEVI_PATCH_RMAX disc point of (u1, u2)."""
-    theta = math.tau * u[:, 0]
-    c = disc_from_uniforms(u[:, 1], u[:, 2], LEVI_PATCH_RMAX)
-    rows.check(outside_disc(c), MobiusMap, theta, c)
-    return mobius_apply_array(theta, c, a), mobius_apply_array(theta, c, np.zeros_like(c))
-
-
 def _levi(rows: _Rows, functions, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Restricted Levi values; row r lies on functions[idx[r] % len(functions)]."""
     val = np.empty(len(p))
@@ -452,7 +411,7 @@ def _levi(rows: _Rows, functions, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _k_levi_fa(cfg, u, idx):
     rows = _Rows(len(u))
     a = np.array([f.param for f in _FA_FUNCTIONS])[idx % 3]
-    z, w = _orbit_pair(rows, u, a)
+    z, w = rho_orbit_point(u, a, LEVI_PATCH_RMAX)
     val = _levi(rows, _FA_FUNCTIONS, idx, np.column_stack([z, w]))
     return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(z, w, a))
 
@@ -460,7 +419,7 @@ def _k_levi_fa(cfg, u, idx):
 def _k_levi_eta(cfg, u, idx):
     rows = _Rows(len(u))
     level = np.array([f.param for f in _ETA_FUNCTIONS])[idx % 3]
-    z, w = _orbit_pair(rows, u, np.sqrt(2.0 / (level + 1.0)))  # rho = a gives level 2/a^2 - 1
+    z, w = rho_orbit_point(u, np.sqrt(2.0 / (level + 1.0)), LEVI_PATCH_RMAX)  # rho = a gives level 2/a^2 - 1
     p = np.column_stack(_checked_map_H(rows, z, w))
     val = _levi(rows, _ETA_FUNCTIONS, idx, p)
     return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level))
@@ -475,75 +434,104 @@ def _k_levi_flat_control(cfg, u, idx):
 
 
 def _k_levi_sphere(cfg, u, idx):
-    # |z1|^2 of a uniform point (z1, z2) of the unit sphere in C^2 is uniform on [0, 1]
     rows = _Rows(len(u))
-    p = np.column_stack(
-        [polar(np.sqrt(u[:, 0]), math.tau * u[:, 1]), polar(np.sqrt(1.0 - u[:, 0]), math.tau * u[:, 2])]
-    )
+    p = np.column_stack(sphere_point(u))
     val = _levi(rows, _SPHERE, idx, p)
     return rows.result(np.abs(val - 1.0), _columns(*p.T))
 
 
 # ---------------------------------------------------------------------------
-# per-sample functions: sample i on its own stream
+# per-row claims: a scalar body evaluates one row of uniforms at a time
 
 
-def _s_conjugation_so21(cfg, rng, i):
-    phi = random_mobius(rng, cfg.rmax)
-    fit = conjugate_fit(phi, rng, rmax=cfg.rmax)
+def _per_row(body: Callable) -> Callable:
+    """The kernel of a scalar claim ``body(cfg, u, i, inputs) -> residual`` over one row u.
+
+    The body appends what it draws to ``inputs`` as it goes, so a row
+    that raises (a hard failure) records what it drew before the
+    failing step.
+    """
+
+    def kernel(cfg, U, idx):
+        residual = np.empty(len(U))
+        error = np.full(len(U), None, dtype=object)
+        inputs = []
+        for r, i in enumerate(idx.tolist()):
+            inputs.append([])
+            try:
+                residual[r] = float(body(cfg, U[r], i, inputs[r]))
+            except Exception as exc:  # recorded as a hard failure, never raised
+                residual[r], error[r] = math.inf, f"{type(exc).__name__}: {exc}"
+        return residual, error, inputs
+
+    return kernel
+
+
+def _s_conjugation_so21(cfg, u, i, inputs):
+    phi = random_mobius(u[:MOBIUS_DRAWS], cfg.rmax)
+    inputs += _flat(phi.theta, phi.a)
+    fit = conjugate_fit(phi, u[MOBIUS_DRAWS:], rmax=cfg.rmax)
     if fit.a33 <= 0.0:
         raise ValueError(f"fitted matrix has nonpositive corner {fit.a33}")
     if abs(fit.det - 1.0) > 1e-9:
         raise ValueError(f"fitted matrix determinant {fit.det!r} is not 1 within 1e-9")
-    res = max(fit.membership_residual, fit.fit_residual)
-    return res, _flat(phi.theta, phi.a)
+    return max(fit.membership_residual, fit.fit_residual)
 
 
-def _s_swap_minus_identity(cfg, rng, i):
-    fit = conjugate_fit(None, rng, swap=True, rmax=cfg.rmax)
-    res = float(np.max(np.abs(fit.matrix + np.eye(3))))
-    return res, []
+def _s_swap_minus_identity(cfg, u, i, inputs):
+    fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax)
+    return float(np.max(np.abs(fit.matrix + np.eye(3))))
+
+
+def _fit_why_empty(cfg: SuiteConfig) -> str | None:
+    return FIT_PAIRS.why_empty(cfg.rmax, FIT_DIAG_MARGIN)
 
 
 _AUT_DOMAINS = (DomainSpec.bidisc_r(0.7), DomainSpec.bidisc_st(0.3, 0.8))
 
 
-def _s_aut_preserves_subdomains(cfg, rng, i):
-    phi = random_mobius(rng, cfg.rmax)
-    use_swap = bool(rng.gen.integers(0, 2))
-    p = sample_bidisc(rng, cfg.rmax)
-    q = swap_pair(p) if use_swap else p
-    q = mobius_apply_pair(phi, q)
+def _s_aut_preserves_subdomains(cfg, u, i, inputs):
+    # uniforms: phi (3), the swap coin, the pair (4)
+    phi = random_mobius(u[:3], cfg.rmax)
+    use_swap = bool(u[3] < 0.5)
+    p = tuple(disc_from_uniforms(u[[4, 6]], u[[5, 7]], cfg.rmax).tolist())
+    inputs += _flat(*p, phi.theta, phi.a, float(use_swap))
+    q = mobius_apply_pair(phi, swap_pair(p) if use_swap else p)
     for dom in _AUT_DOMAINS:
         m1, g1 = contains(dom, p)
         m2, g2 = contains(dom, q)
         if min(abs(g1), abs(g2)) < MEMBERSHIP_MARGIN:
             continue  # too close to a boundary to assert
         if m1 != m2:
-            return 1.0, _flat(*p, phi.theta, phi.a, float(use_swap))
-    return 0.0, _flat(*p, phi.theta, phi.a, float(use_swap))
+            return 1.0
+    return 0.0
 
 
-def _s_su11_orbit_invariant(cfg, rng, i):
-    u, v = sample_ball(rng, cfg.rmax)
-    g = su11_embed(*random_su11(rng))
-    u2, v2 = ball_action(g, (u, v))
-    res = abs(su11_orbit_invariant(u2, v2) - su11_orbit_invariant(u, v))
-    return res, _flat(u, v)
+def _s_su11_orbit_invariant(cfg, u, i, inputs):
+    # uniforms: the ball point (4), the SU(1,1) element (3)
+    b, v = (complex(c) for c in ball_from_uniforms(u[:4], cfg.rmax))
+    inputs += _flat(b, v)
+    b2, v2 = ball_action(su11_embed(*random_su11(u[4:7])), (b, v))
+    return abs(su11_orbit_invariant(b2, v2) - su11_orbit_invariant(b, v))
 
 
-def _s_su11_orbit_ellipsoid(cfg, rng, i):
-    t = 0.1 + 0.8 * float(rng.gen.random())
-    p = ellipsoid_orbit_point(rng, t)
-    res = on_orbit_residual(OrbitSpec.ball_ellipsoid(t), p)
-    return res, _flat(*p, t)
+def _ellipsoid_draw(u, inputs):
+    # uniforms: t (1), the orbit point (3)
+    t = 0.1 + 0.8 * float(u[0])
+    p = ellipsoid_orbit_point(u[1:4], t)
+    inputs += _flat(*p, t)
+    return t, p
 
 
-def _s_gt_sphere(cfg, rng, i):
-    t = 0.1 + 0.8 * float(rng.gen.random())
-    u, v = scale_g_t(t, ellipsoid_orbit_point(rng, t))
-    res = abs(u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag - 1.0)
-    return res, _flat(u, v, t)
+def _s_su11_orbit_ellipsoid(cfg, u, i, inputs):
+    t, p = _ellipsoid_draw(u, inputs)
+    return on_orbit_residual(OrbitSpec.ball_ellipsoid(t), p)
+
+
+def _s_gt_sphere(cfg, u, i, inputs):
+    t, p = _ellipsoid_draw(u, inputs)
+    a, b = scale_g_t(t, p)
+    return abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
 
 
 O21_RMIN = 0.05  # inner radius of the o21-matrix-B draws
@@ -555,36 +543,35 @@ def _o21_why_empty(cfg: SuiteConfig) -> str | None:
     return None
 
 
-def _s_o21_matrix_b(cfg, rng, i):
-    z, w = sample_real_pair(rng, cfg.rmax, rmin=O21_RMIN)
+def _s_o21_matrix_b(cfg, u, i, inputs):
+    c = complex(annulus_from_uniforms(u[0], u[1], O21_RMIN, cfg.rmax))
+    z, w = c.real, c.imag
+    inputs += [z, w]
     B = o21_point_matrix(z, w)
     img = ball_action(B, (0j, 0j))
-    res = max(o21_residual(B), abs(img[0] - z), abs(img[1] - w))
-    return res, [z, w]
+    return max(o21_residual(B), abs(img[0] - z), abs(img[1] - w))
 
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
 _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
+TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
 
 
-def _s_o21_totally_real(cfg, rng, i):
+def _s_o21_totally_real(cfg, u, i, inputs):
     k = i % 3
     if k == 0:
-        while True:
-            M = rng.gen.uniform(-1.0, 1.0, (2, 2))
+        for M in (2.0 * u.reshape(TOTALLY_REAL_ROUNDS, 2, 2) - 1.0):
             if abs(np.linalg.det(M)) >= 0.1:
                 break
+        else:
+            raise ValueError(f"none of the sample's {TOTALLY_REAL_ROUNDS} candidate matrices has |det| >= 0.1")
         basis = [M[0].astype(complex), M[1].astype(complex)]
         expected = (True, 0)
-    elif k == 1:
-        basis = [np.array(b) for b in _CURVE_BASIS]
-        expected = (False, 2)
     else:
-        basis = [np.array(b) for b in _MIXED_BASIS]
+        basis = [np.array(b) for b in (_CURVE_BASIS if k == 1 else _MIXED_BASIS)]
         expected = (False, 2)
-    got = totally_real_check(basis)
-    res = 0.0 if got == expected else 1.0
-    return res, _flat(*basis[0], *basis[1])
+    inputs += _flat(*basis[0], *basis[1])
+    return 0.0 if totally_real_check(basis) == expected else 1.0
 
 
 _REGISTRY: tuple[_Suite, ...] = (
@@ -604,7 +591,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_h_quadric,
         draws=PAIR_DRAWS,
-        why_empty=_CONDITIONED.why_empty,
+        why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
         "H-im-condition",
@@ -613,7 +600,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_h_im_condition,
         draws=PAIR_DRAWS,
-        why_empty=_OFFDIAG.why_empty,
+        why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
         "H-sigma-negation",
@@ -622,7 +609,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-15,
         _k_h_sigma_negation,
         draws=PAIR_DRAWS,
-        why_empty=_OFFDIAG.why_empty,
+        why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
         "H-roundtrip",
@@ -631,7 +618,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_h_roundtrip,
         draws=PAIR_DRAWS,
-        why_empty=_OFFDIAG.why_empty,
+        why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
         "orbit-levels",
@@ -640,7 +627,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_orbit_levels,
         draws=PAIR_DRAWS,
-        why_empty=_CONDITIONED.why_empty,
+        why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
         "preimage-formula",
@@ -649,7 +636,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.5,
         _k_preimage_formula,
         draws=PAIR_DRAWS,
-        why_empty=_OFFDIAG.why_empty,
+        why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
         "conjugation-so21",
@@ -657,7 +644,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         "matrix with det 1 and positive corner entry",
         0.01,
         1e-7,
-        _s_conjugation_so21,
+        _per_row(_s_conjugation_so21),
+        draws=MOBIUS_DRAWS + FIT_DRAWS,
         why_empty=_fit_why_empty,
     ),
     _Suite(
@@ -665,7 +653,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         "conjugating the coordinate swap by the embedding gives -I",
         0.01,
         1e-9,
-        _s_swap_minus_identity,
+        _per_row(_s_swap_minus_identity),
+        draws=FIT_DRAWS,
         why_empty=_fit_why_empty,
     ),
     _Suite(
@@ -673,35 +662,40 @@ _REGISTRY: tuple[_Suite, ...] = (
         "diagonal automorphisms and the swap preserve the rho sublevel and band domains",
         0.1,
         0.5,
-        _s_aut_preserves_subdomains,
+        _per_row(_s_aut_preserves_subdomains),
+        draws=8,
     ),
     _Suite(
         "su11-orbit-invariant",
         "|u| / sqrt(1 - |v|^2) is constant along embedded SU(1,1) ball actions",
         0.1,
         1e-10,
-        _s_su11_orbit_invariant,
+        _per_row(_s_su11_orbit_invariant),
+        draws=7,
     ),
     _Suite(
         "su11-orbit-ellipsoid",
         "SU(1,1) orbit points satisfy |u|^2 + t^2 |v|^2 = t^2",
         0.1,
         1e-10,
-        _s_su11_orbit_ellipsoid,
+        _per_row(_s_su11_orbit_ellipsoid),
+        draws=4,
     ),
     _Suite(
         "gt-sphere",
         "(u, v) -> (u/t, v) carries the ellipsoid orbit onto the unit sphere",
         0.1,
         1e-12,
-        _s_gt_sphere,
+        _per_row(_s_gt_sphere),
+        draws=4,
     ),
     _Suite(
         "o21-matrix-B",
         "the explicit Lorentz matrix B(z, w) preserves the form and maps the origin to (z, w)",
         0.1,
         1e-12,
-        _s_o21_matrix_b,
+        _per_row(_s_o21_matrix_b),
+        draws=2,
         why_empty=_o21_why_empty,
     ),
     _Suite(
@@ -710,7 +704,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         "directions do not",
         0.1,
         0.5,
-        _s_o21_totally_real,
+        _per_row(_s_o21_totally_real),
+        draws=4 * TOTALLY_REAL_ROUNDS,
     ),
     _Suite(
         "levi-Fa",
@@ -761,7 +756,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_j_h_compat,
         draws=PAIR_DRAWS,
-        why_empty=_OFFDIAG.why_empty,
+        why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
         "alpha-roundtrip",
@@ -821,32 +816,14 @@ def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
     return max(1, int(round(cfg.samples * suite.weight)))
 
 
-def _per_sample_rows(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
-    base = _stream_id(suite.name)
-    residual = np.empty(hi - lo)
-    error = np.full(hi - lo, None, dtype=object)
-    inputs = []
-    for r, i in enumerate(range(lo, hi)):
-        rng = RngStream(cfg.seed, base | i)
-        try:
-            res, row = suite.fn(cfg, rng, i)
-            residual[r] = float(res)
-        except Exception as exc:  # recorded as a hard failure, never raised
-            residual[r], error[r], row = math.inf, f"{type(exc).__name__}: {exc}", []
-        inputs.append(row)
-    return residual, error, inputs
-
-
 def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
     """Samples lo..hi-1 of a suite as (residual, error, inputs).
 
     ``error[r]`` is None unless row r failed hard; ``inputs[r]`` is the
-    row's recorded inputs.  A batched suite's rows are drawn by jumping
-    its stream to row lo, so this one helper serves both a run and the
+    row's recorded inputs.  The rows are drawn by jumping the suite's
+    stream to row lo, so this one helper serves both a run and the
     replay of any single index.
     """
-    if suite.draws is None:
-        return _per_sample_rows(suite, cfg, lo, hi)
     u = uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi)
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
         return suite.fn(cfg, u, np.arange(lo, hi))

@@ -1,12 +1,13 @@
-"""Batched suites: array twins, per-row checks, block independence and index replay."""
+"""Suite kernels: array twins, per-row checks, one sampling path, block independence and index replay."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from bidisc_lab import suites
+from bidisc_lab import orbits, rng, suites
 from bidisc_lab.domains import (
     DomainSpec,
     a_from_alpha,
@@ -43,7 +44,7 @@ from bidisc_lab.mobius import (
 from bidisc_lab.rng import disc_from_uniforms
 from bidisc_lab.suites import SuiteConfig, all_suite_names, run_suite, verify_all
 
-BATCHED = tuple(s.name for s in suites._REGISTRY if s.draws is not None)
+BATCHED = tuple(s.name for s in suites._REGISTRY if s.fn.__name__.startswith("_k_"))  # array kernels
 LEVI = ("levi-Fa", "levi-eta", "levi-flat-control", "levi-sphere")
 ROWS = 500
 LEVI_ROWS = 90  # the scalar Levi calls are the batch kernel's batch of one, so these agree exactly
@@ -78,6 +79,49 @@ def test_the_pointwise_and_levi_suites_are_batched():
 def test_the_report_gives_every_levi_suite_a_draw_budget():
     _, doc = verify_all(SuiteConfig(samples=100, suites=LEVI))
     assert [doc["rng"]["suites"][name]["draws_per_sample"] for name in LEVI] == [3, 3, 3, 3]
+
+
+def test_the_report_gives_every_suite_an_integer_draw_budget():
+    _, doc = verify_all(SuiteConfig(samples=100, suites=all_suite_names()))
+    budgets = {name: entry["draws_per_sample"] for name, entry in doc["rng"]["suites"].items()}
+    assert list(budgets) == list(all_suite_names())
+    assert all(type(k) is int and k > 0 for k in budgets.values())
+    assert budgets["conjugation-so21"] == 3 + 10 * suites.PAIR_DRAWS
+    assert budgets["swap-is-minus-identity"] == 10 * suites.PAIR_DRAWS
+    assert budgets["aut-preserves-subdomains"] == 8 and budgets["o21-matrix-B"] == 2
+
+
+def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
+    """No generator is built anywhere but in rng.uniform_block: all 22 suites and one dump per orbit."""
+    real_generator, real_default_rng = np.random.Generator, np.random.default_rng
+    built = []
+
+    def inside_uniform_block():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code is rng.uniform_block.__code__:
+                return True
+            frame = frame.f_back
+        return False
+
+    def guarded(real):
+        def build(*args, **kwargs):
+            if not inside_uniform_block():
+                raise AssertionError("a generator was built outside rng.uniform_block")
+            built.append(1)
+            return real(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(np.random, "Generator", guarded(real_generator))
+    monkeypatch.setattr(np.random, "default_rng", guarded(real_default_rng))
+    _, doc = verify_all(SuiteConfig(samples=300, suites=all_suite_names()))
+    assert doc["passed"]
+    for text in ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve"):
+        orbits.dump_orbit(orbits.parse_orbit_spec(text), 50, str(tmp_path / "orbit.csv"))
+    assert len(built) == 22 + 5  # one block per suite and per dump at these sizes
+    with pytest.raises(AssertionError):
+        np.random.default_rng(0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +335,10 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 
 
 def _replay(doc, name, index):
-    """Recompute one row from the report alone: its stream key, budget and index."""
+    """Recompute one row from the report alone: its stream key, budget and index.
+
+    The generator is built from the report's "rng" field, as any reader of the report could.
+    """
     stream = doc["rng"]["suites"][name]
     gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([doc["config"]["seed"], stream["stream_id"]]))
@@ -301,7 +348,7 @@ def _replay(doc, name, index):
     cfg = SuiteConfig(seed=doc["config"]["seed"], rmax=doc["config"]["rmax"], eps_diag=doc["config"]["eps_diag"])
     with np.errstate(all="ignore"):
         residual, error, inputs = suites._BY_NAME[name].fn(cfg, gen.random((1, k)), np.array([index]))
-    return float(residual[0]), error[0], inputs[0].tolist()
+    return float(residual[0]), error[0], np.asarray(inputs[0], dtype=float).tolist()
 
 
 @pytest.mark.parametrize(
@@ -312,6 +359,8 @@ def _replay(doc, name, index):
         ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 2e-13})),
         ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=100_000, tolerances={"levi-sphere": 1.5e-8})),  # 2,000 rows
+        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
+        ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no fit finds its pairs
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
@@ -324,6 +373,7 @@ def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
     for failure in failures:
         residual, error, inputs = _replay(doc, name, failure["index"])
         assert inputs == failure["inputs"]
+        assert inputs  # a hard failure records what its row drew before the failing step
         if "error" in failure:
             assert error == failure["error"]
         else:
@@ -332,10 +382,11 @@ def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
 
 def test_block_helper_replays_any_row_of_a_run():
     cfg = SuiteConfig()
-    for name in BATCHED:
+    for name in all_suite_names():
         suite = suites._BY_NAME[name]
-        residual, _, inputs = suites._block(suite, cfg, 0, 2 * suites.BLOCK + 5)
-        for i in (0, 1, suites.BLOCK - 1, suites.BLOCK, 2 * suites.BLOCK + 4):
+        n = 2 * suites.BLOCK + 5 if name in BATCHED else 40  # scalar rows are evaluated one by one anyway
+        residual, _, inputs = suites._block(suite, cfg, 0, n)
+        for i in (0, 1, n // 2, n - 1):
             one, _, row = suites._block(suite, cfg, i, i + 1)
             assert one[0] == residual[i]
             np.testing.assert_array_equal(row[0], inputs[i])

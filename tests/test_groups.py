@@ -32,7 +32,7 @@ from bidisc_lab.groups import (
     su21_residual,
 )
 from bidisc_lab.maps import map_H
-from bidisc_lab.rng import RngStream, sample_ball, sample_bidisc, sample_real_pair
+from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
 
 
 def test_signature_matrix_is_frozen():
@@ -71,9 +71,8 @@ def test_is_so_plus_spots():
 
 
 def test_su11_embed_lands_in_the_group():
-    rng = RngStream(31, 0)
-    for _ in range(50):
-        alpha, beta = random_su11(rng)
+    for u in uniform_block(31, 0, 3, 0, 50):
+        alpha, beta = random_su11(u)
         form, det = su21_residual(su11_embed(alpha, beta))
         assert form < 1e-12
         assert det < 1e-12
@@ -85,14 +84,13 @@ def test_su11_embed_rejects_unnormalized_pairs():
 
 
 def test_random_su11_satisfies_the_relation():
-    rng = RngStream(32, 0)
-    for _ in range(100):
-        alpha, beta = random_su11(rng)
+    for u in uniform_block(32, 0, 3, 0, 100):
+        alpha, beta = random_su11(u)
         assert abs(alpha) ** 2 - abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_su11_is_reproducible():
-    assert random_su11(RngStream(33, 0)) == random_su11(RngStream(33, 0))
+    assert random_su11(uniform_block(33, 0, 3, 0, 1)[0]) == random_su11(uniform_block(33, 0, 3, 0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +99,16 @@ def test_random_su11_is_reproducible():
 
 def test_ball_action_returns_plain_complex_and_preserves_ball():
     ball = DomainSpec.ball()
-    rng = RngStream(34, 0)
-    for _ in range(100):
-        A = su11_embed(*random_su11(rng))
-        p = sample_ball(rng, 0.95)
+    for u in uniform_block(34, 0, 7, 0, 100):
+        A = su11_embed(*random_su11(u[:3]))
+        p = tuple(complex(c) for c in ball_from_uniforms(u[3:], 0.95))
         q = ball_action(A, p)
         assert type(q[0]) is complex and type(q[1]) is complex
         assert contains(ball, q)[0]
 
 
 def test_ball_action_accepts_real_form_matrices():
-    q = ball_action(so21_sample(RngStream(7, 0)), (0.1, 0.2))
+    q = ball_action(so21_sample(uniform_block(7, 0, 3, 0, 1)[0]), (0.1, 0.2))
     assert contains(DomainSpec.ball(), q)[0]
 
 
@@ -124,11 +121,10 @@ def test_ball_action_rejects_garbage():
 
 def test_orbit_invariant_spot_and_invariance():
     assert su11_orbit_invariant(0.3, 0.8) == pytest.approx(0.5, abs=1e-15)
-    rng = RngStream(35, 0)
-    for _ in range(100):
-        p = sample_ball(rng, 0.9)
+    for u in uniform_block(35, 0, 7, 0, 100):
+        p = tuple(complex(c) for c in ball_from_uniforms(u[:4], 0.9))
         t = su11_orbit_invariant(*p)
-        q = ball_action(su11_embed(*random_su11(rng)), p)
+        q = ball_action(su11_embed(*random_su11(u[4:])), p)
         assert su11_orbit_invariant(*q) == pytest.approx(t, abs=1e-10)
 
 
@@ -143,24 +139,22 @@ def test_orbit_invariant_rejects_outside_ball():
 
 def test_so21_sample_is_reproducible_and_in_group():
     np.testing.assert_array_equal(
-        so21_sample(RngStream(36, 0)), so21_sample(RngStream(36, 0))
+        so21_sample(uniform_block(36, 0, 3, 0, 1)[0]), so21_sample(uniform_block(36, 0, 3, 0, 1)[0])
     )
-    rng = RngStream(37, 0)
-    for _ in range(100):
-        A = so21_sample(rng)
+    for u in uniform_block(37, 0, 3, 0, 100):
+        A = so21_sample(u)
         assert o21_residual(A) < 1e-12
         assert is_so_plus(A, tol=1e-12)
 
 
 def test_c3_action_preserves_quadric_and_level():
-    rng = RngStream(38, 0)
-    for _ in range(100):
-        z, w = sample_bidisc(rng, 0.9)
+    for u in uniform_block(38, 0, 7, 0, 100):
+        z, w = disc_from_uniforms(u[[0, 2]], u[[1, 3]], 0.9).tolist()
         if abs(z - w) < 1e-3:
             continue
         p = map_H(z, w)
         level = minkowski_form(*p)
-        q = c3_action(so21_sample(rng), p)
+        q = c3_action(so21_sample(u[4:]), p)
         scale = max(1.0, max(abs(c) for c in q) ** 2)
         assert abs(quadric_residual(*q)) < 1e-11 * scale
         assert on_orbit_residual(OrbitSpec.eta(level), q) < 1e-10 * scale
@@ -174,8 +168,7 @@ def test_c3_action_rejects_outside_identity_component():
 
 
 def test_cp3_action_fixes_the_chart_split():
-    rng = RngStream(39, 0)
-    A = so21_sample(rng)
+    A = so21_sample(uniform_block(39, 0, 3, 0, 1)[0])
     p = (1.25, 0.75j, 0)
     lifted = cp3_action(A, ProjectivePoint([1.0, *p]))
     assert projective_equal(lifted, ProjectivePoint([1.0, *c3_action(A, p)]))
@@ -185,13 +178,12 @@ def test_cp3_action_fixes_the_chart_split():
 
 
 def test_cp3_action_preserves_projective_quadric():
-    rng = RngStream(40, 0)
     dom = DomainSpec.quadric_proj(1.0)
-    for _ in range(50):
-        z, w = sample_bidisc(rng, 0.9)
+    for u in uniform_block(40, 0, 7, 0, 50):
+        z, w = disc_from_uniforms(u[[0, 2]], u[[1, 3]], 0.9).tolist()
         if abs(z - w) < 1e-3:
             continue
-        q = cp3_action(so21_sample(rng), ProjectivePoint([1.0, *map_H(z, w)]))
+        q = cp3_action(so21_sample(u[4:]), ProjectivePoint([1.0, *map_H(z, w)]))
         assert contains(dom, q)[0]
 
 
@@ -207,9 +199,9 @@ def test_point_matrix_spot():
 
 
 def test_point_matrix_membership_and_reproduction():
-    rng = RngStream(41, 0)
-    for _ in range(100):
-        z, w = sample_real_pair(rng, 0.95, rmin=0.05)
+    for u in uniform_block(41, 0, 2, 0, 100):
+        c = complex(annulus_from_uniforms(u[0], u[1], 0.05, 0.95))
+        z, w = c.real, c.imag
         B = o21_point_matrix(z, w)
         assert o21_residual(B) < 1e-12
         assert np.linalg.det(B) == pytest.approx(-1.0, abs=1e-12)

@@ -6,33 +6,44 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bidisc_lab.domains import DomainSpec, ProjectivePoint, contains, projective_equal
+from bidisc_lab.domains import (
+    DomainSpec,
+    ProjectivePoint,
+    contains,
+    im_condition,
+    minkowski_form,
+    projective_equal,
+    quadric_residual,
+)
 from bidisc_lab.groups import is_so_plus, so21_rotation
 from bidisc_lab.maps import (
     EPS_DIAG,
+    FIT_DRAWS,
     conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
-    map_h_report,
     scale_g_t,
     swap_pair,
     sym,
 )
-from bidisc_lab.mobius import IDENTITY, MobiusMap, random_mobius
-from bidisc_lab.rng import RngStream, sample_bidisc
+from bidisc_lab.mobius import IDENTITY, MOBIUS_DRAWS, MobiusMap, random_mobius
+from bidisc_lab.rng import disc_from_uniforms, uniform_block
 
 DISC = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 
 
 def _offdiag_pairs(seed, n, rmax=0.9):
-    rng = RngStream(seed, 0)
-    out = []
-    while len(out) < n:
-        z, w = sample_bidisc(rng, rmax)
-        if abs(z - w) >= 1e-3:
-            out.append((z, w))
+    """The first n pairs with |z - w| >= 1e-3 among 2n bidisc pairs."""
+    u = uniform_block(seed, 0, 4, 0, 2 * n)
+    z, w = disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
+    out = [(a, b) for a, b in zip(z.tolist(), w.tolist()) if abs(a - b) >= 1e-3][:n]
+    assert len(out) == n
     return out
+
+
+def _fit_uniforms(seed):
+    return uniform_block(seed, 0, FIT_DRAWS, 0, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +55,9 @@ def test_map_h_spot():
     assert h[0] == pytest.approx(1.25, abs=1e-15)
     assert h[1] == pytest.approx(0.75j, abs=1e-15)
     assert abs(h[2]) == 0.0
+    assert minkowski_form(*h) == pytest.approx(2.125, abs=1e-12)
+    assert im_condition(*h) == pytest.approx(0.9375, abs=1e-12)
+    assert abs(quadric_residual(*h)) < 1e-14
 
 
 def test_map_j_matches_map_h_affinely():
@@ -61,9 +75,8 @@ def test_map_h_image_lies_on_quadric_band():
 
 def test_map_j_sends_diagonal_to_infinity_curve():
     curve = DomainSpec.infinity_curve()
-    rng = RngStream(3, 0)
-    for _ in range(50):
-        z = 0.95 * (rng.gen.uniform(-1, 1) + 1j * rng.gen.uniform(-1, 1)) / math.sqrt(2)
+    for x, y in 2.0 * uniform_block(3, 0, 2, 0, 50) - 1.0:
+        z = 0.95 * complex(x, y) / math.sqrt(2)
         assert contains(curve, map_J(z, z))[0]
         assert contains(DomainSpec.quadric_proj(1.0), map_J(z, z))[0]
 
@@ -145,20 +158,12 @@ def test_scale_g_t_rejects_bad_parameter(t):
         scale_g_t(t, (0.1, 0.2))
 
 
-def test_map_h_report_fields():
-    rep = map_h_report(0.5, -0.5)
-    assert rep.point == (0.5, -0.5)
-    assert rep.level == pytest.approx(2.125, abs=1e-12)
-    assert rep.im_value == pytest.approx(0.9375, abs=1e-12)
-    assert rep.quadric < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # conjugation fits
 
 
 def test_identity_fits_identity_matrix():
-    fit = conjugate_fit(IDENTITY, RngStream(5, 0))
+    fit = conjugate_fit(IDENTITY, _fit_uniforms(5))
     np.testing.assert_allclose(fit.matrix, np.eye(3), atol=1e-9)
     assert fit.fit_residual < 1e-9
     assert fit.membership_residual < 1e-9
@@ -168,27 +173,26 @@ def test_identity_fits_identity_matrix():
 def test_rotation_fits_rotation_block():
     """A diagonal rotation automorphism acts as a plane rotation downstairs."""
     theta = 0.7
-    fit = conjugate_fit(MobiusMap(theta, 0j), RngStream(6, 0))
+    fit = conjugate_fit(MobiusMap(theta, 0j), _fit_uniforms(6))
     np.testing.assert_allclose(fit.matrix, so21_rotation(theta), atol=1e-9)
     assert fit.a33 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_negation_fits_half_turn():
-    fit = conjugate_fit(MobiusMap(math.pi, 0j), RngStream(8, 0))
+    fit = conjugate_fit(MobiusMap(math.pi, 0j), _fit_uniforms(8))
     np.testing.assert_allclose(fit.matrix, np.diag([-1.0, -1.0, 1.0]), atol=1e-9)
 
 
 def test_swap_fits_minus_identity():
-    fit = conjugate_fit(None, RngStream(9, 0), swap=True)
+    fit = conjugate_fit(None, _fit_uniforms(9), swap=True)
     np.testing.assert_allclose(fit.matrix, -np.eye(3), atol=1e-9)
     assert fit.det == pytest.approx(-1.0, abs=1e-9)
     assert not is_so_plus(fit.matrix)
 
 
 def test_random_automorphisms_fit_inside_the_group():
-    rng = RngStream(10, 0)
-    for _ in range(10):
-        fit = conjugate_fit(random_mobius(rng, 0.9), rng)
+    for u in uniform_block(10, 0, MOBIUS_DRAWS + FIT_DRAWS, 0, 10):
+        fit = conjugate_fit(random_mobius(u[:MOBIUS_DRAWS], 0.9), u[MOBIUS_DRAWS:])
         assert fit.fit_residual < 1e-8
         assert fit.membership_residual < 1e-7
         assert fit.det == pytest.approx(1.0, abs=1e-9)
@@ -198,6 +202,8 @@ def test_random_automorphisms_fit_inside_the_group():
 
 def test_conjugate_fit_argument_validation():
     with pytest.raises(ValueError):
-        conjugate_fit(None, RngStream(1, 0))
+        conjugate_fit(None, _fit_uniforms(1))
     with pytest.raises(ValueError):
-        conjugate_fit(IDENTITY, RngStream(1, 0), n_fit=3)
+        conjugate_fit(IDENTITY, _fit_uniforms(1), n_fit=3)
+    with pytest.raises(ValueError, match="uniforms"):
+        conjugate_fit(IDENTITY, _fit_uniforms(1)[:-1])

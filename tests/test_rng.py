@@ -8,12 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bidisc_lab.rng import (
-    RngStream,
+    annulus_from_uniforms,
+    ball_from_uniforms,
     disc_from_uniforms,
-    sample_ball,
-    sample_bidisc,
-    sample_disc,
-    sample_real_pair,
+    uniform_block,
 )
 
 # Frozen at first build: PCG64 seeded with SeedSequence([42, 0]).  The
@@ -21,61 +19,60 @@ from bidisc_lab.rng import (
 GOLDEN_FIRST_UNIFORM = 0.7739560485559633
 
 
+def _row(seed, stream, k):
+    return uniform_block(seed, stream, k, 0, 1)[0]
+
+
 def test_golden_first_draw():
-    assert RngStream(42, 0).gen.random() == GOLDEN_FIRST_UNIFORM
+    assert _row(42, 0, 1)[0] == GOLDEN_FIRST_UNIFORM
 
 
 def test_same_stream_reproduces():
-    a = RngStream(42, 5).gen.random(10)
-    b = RngStream(42, 5).gen.random(10)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(_row(42, 5, 10), _row(42, 5, 10))
 
 
 def test_distinct_streams_differ():
-    a = RngStream(42, 1).gen.random(4)
-    b = RngStream(42, 2).gen.random(4)
-    assert not np.array_equal(a, b)
+    assert not np.array_equal(_row(42, 1, 4), _row(42, 2, 4))
 
 
 def test_distinct_seeds_differ():
-    a = RngStream(1, 0).gen.random(4)
-    b = RngStream(2, 0).gen.random(4)
-    assert not np.array_equal(a, b)
+    assert not np.array_equal(_row(1, 0, 4), _row(2, 0, 4))
 
 
 @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1))
 def test_any_stream_is_reproducible(seed: int, stream: int):
-    assert RngStream(seed, stream).gen.random() == RngStream(seed, stream).gen.random()
+    assert _row(seed, stream, 1)[0] == _row(seed, stream, 1)[0]
 
 
 @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
 def test_stream_ids_must_be_uint64(seed, stream):
     with pytest.raises(ValueError):
-        RngStream(seed, stream)
+        uniform_block(seed, stream, 1, 0, 1)
+
+
+def test_a_block_row_is_the_stream_jumped_to_that_row():
+    block = uniform_block(42, 7, 5, 0, 20)
+    np.testing.assert_array_equal(uniform_block(42, 7, 5, 13, 20), block[13:])
+    np.testing.assert_array_equal(uniform_block(42, 7, 1, 0, 100).reshape(20, 5), block)
 
 
 def test_disc_sampler_respects_radius():
-    rng = RngStream(42, 0)
-    pts = [sample_disc(rng, 0.3) for _ in range(500)]
-    assert max(abs(z) for z in pts) < 0.3
+    u = uniform_block(42, 0, 2, 0, 500)
+    assert np.abs(disc_from_uniforms(u[:, 0], u[:, 1], 0.3)).max() < 0.3
 
 
 def test_bidisc_and_ball_samplers():
-    rng = RngStream(42, 0)
-    for _ in range(200):
-        z, w = sample_bidisc(rng, 0.95)
-        assert abs(z) < 0.95 and abs(w) < 0.95
-    for _ in range(200):
-        u, v = sample_ball(rng, 0.95)
-        assert abs(u) ** 2 + abs(v) ** 2 < 0.95**2
+    u = uniform_block(42, 0, 4, 0, 200)
+    z, w = disc_from_uniforms(u[:, 0], u[:, 1], 0.95), disc_from_uniforms(u[:, 2], u[:, 3], 0.95)
+    assert np.abs(z).max() < 0.95 and np.abs(w).max() < 0.95
+    a, b = ball_from_uniforms(u, 0.95)
+    assert (np.abs(a) ** 2 + np.abs(b) ** 2).max() < 0.95**2
 
 
 def test_real_pair_annulus():
-    rng = RngStream(42, 3)
-    for _ in range(300):
-        z, w = sample_real_pair(rng, 0.9, rmin=0.2)
-        r = (z * z + w * w) ** 0.5
-        assert 0.2 <= r < 0.9
+    u = uniform_block(42, 3, 2, 0, 300)
+    r = np.abs(annulus_from_uniforms(u[:, 0], u[:, 1], 0.2, 0.9))
+    assert r.min() >= 0.2 and r.max() < 0.9
 
 
 def test_inverse_transform_disc_is_area_uniform():
@@ -87,7 +84,33 @@ def test_inverse_transform_disc_is_area_uniform():
     assert abs(np.mean(z)) < 0.003
 
 
+def test_inverse_transform_ball_is_volume_uniform():
+    a, b = ball_from_uniforms(np.random.default_rng(1).random((100_000, 4)), 0.5)
+    r2 = (np.abs(a) ** 2 + np.abs(b) ** 2) / 0.25
+    # volume-uniform in R^4: (|p| / rmax)^4 is uniform on [0, 1); on each sphere |a|^2 / |p|^2 is too
+    assert np.mean(r2 * r2) == pytest.approx(0.5, abs=0.005)
+    assert np.mean(np.abs(a) ** 2 / 0.25 / r2) == pytest.approx(0.5, abs=0.005)
+    assert abs(np.mean(a)) < 0.003 and abs(np.mean(b)) < 0.003
+
+
+def test_inverse_transform_annulus_is_area_uniform():
+    c = annulus_from_uniforms(*np.random.default_rng(2).random((2, 100_000)), 0.2, 0.6)
+    share = (np.abs(c) ** 2 - 0.04) / (0.36 - 0.04)  # the area inside |c|, as a share of the annulus
+    assert share.min() >= 0.0 and share.max() < 1.0
+    assert np.mean(share) == pytest.approx(0.5, abs=0.005)
+    assert abs(np.mean(c)) < 0.003
+
+
 @pytest.mark.parametrize("rmax", [0.0, 1.0, 1.5, -0.2])
 def test_bad_radius_rejected(rmax):
     with pytest.raises(ValueError):
-        sample_disc(RngStream(0, 0), rmax)
+        disc_from_uniforms(0.5, 0.5, rmax)
+    with pytest.raises(ValueError):
+        ball_from_uniforms(np.full(4, 0.5), rmax)
+    with pytest.raises(ValueError):
+        annulus_from_uniforms(0.5, 0.5, 0.0, rmax)
+
+
+def test_annulus_needs_rmin_below_rmax():
+    with pytest.raises(ValueError):
+        annulus_from_uniforms(0.5, 0.5, 0.6, 0.5)
