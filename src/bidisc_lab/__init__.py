@@ -14,7 +14,6 @@ them all with ``bidisc-lab verify`` or :func:`bidisc_lab.verify_all`.
 
 from .domains import (
     DomainSpec,
-    OrbitSpec,
     ProjectivePoint,
     a_from_alpha,
     alpha_from_a,
@@ -22,15 +21,11 @@ from .domains import (
     eta_level,
     im_condition,
     minkowski_form,
-    on_orbit_residual,
-    projective_equal,
     quadric_residual,
 )
 from .groups import (
     I21,
     ball_action,
-    c3_action,
-    cp3_action,
     is_so_plus,
     o21_point_matrix,
     o21_residual,
@@ -40,12 +35,8 @@ from .groups import (
     su21_residual,
 )
 from .levi import (
-    DefiningFunction,
-    LeviReport,
-    RowErrors,
     complex_hessian,
     complex_tangent,
-    levi_report,
     levi_restricted,
     totally_real_check,
     wirtinger_gradient,
@@ -65,12 +56,10 @@ from .mobius import (
     MobiusMap,
     mobius_apply,
     mobius_apply_pair,
-    mobius_compose,
-    mobius_inverse,
     pseudo_hyperbolic,
     random_mobius,
 )
-from .orbits import dump_orbit, orbit_point, parse_orbit_spec
+from .orbits import FAMILIES, Family, RowErrors, dump_orbit, on_orbit_residual, orbit_point, parse_orbit_spec
 from .suites import (
     ConfigError,
     SuiteConfig,
@@ -85,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainSpec",
-    "OrbitSpec",
     "ProjectivePoint",
     "a_from_alpha",
     "alpha_from_a",
@@ -93,13 +81,9 @@ __all__ = [
     "eta_level",
     "im_condition",
     "minkowski_form",
-    "on_orbit_residual",
-    "projective_equal",
     "quadric_residual",
     "I21",
     "ball_action",
-    "c3_action",
-    "cp3_action",
     "is_so_plus",
     "o21_point_matrix",
     "o21_residual",
@@ -107,12 +91,8 @@ __all__ = [
     "su11_embed",
     "su11_orbit_invariant",
     "su21_residual",
-    "DefiningFunction",
-    "LeviReport",
-    "RowErrors",
     "complex_hessian",
     "complex_tangent",
-    "levi_report",
     "levi_restricted",
     "totally_real_check",
     "wirtinger_gradient",
@@ -128,11 +108,13 @@ __all__ = [
     "MobiusMap",
     "mobius_apply",
     "mobius_apply_pair",
-    "mobius_compose",
-    "mobius_inverse",
     "pseudo_hyperbolic",
     "random_mobius",
+    "FAMILIES",
+    "Family",
+    "RowErrors",
     "dump_orbit",
+    "on_orbit_residual",
     "orbit_point",
     "parse_orbit_spec",
     "ConfigError",

@@ -1,4 +1,4 @@
-"""Model domains, orbit families, and the level conversions between them.
+"""Model domains, their membership predicates, and the level conversions between them.
 
 Three ambient pictures occur:
 
@@ -9,6 +9,10 @@ Three ambient pictures occur:
   condition Im(z2 (conj(z1) + conj(z3))) > 0,
 * its projective closure in CP^3, where the part at infinity
   (first homogeneous coordinate zero) is a complex curve.
+
+A ``DomainSpec`` names a domain: a union of orbits, or the projective
+closure.  The orbit families themselves are the records of
+``orbits.FAMILIES``.
 
 Membership predicates return (bool, margin): the margin is the signed
 distance of the worst constraint from satisfaction, positive when the
@@ -122,19 +126,8 @@ class ProjectivePoint:
         return f"ProjectivePoint({list(self.coords)})"
 
 
-def projective_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-10) -> bool:
-    """Equality in CP^3: all 2x2 minors of [p; q] vanish, relative to the coordinate scales."""
-    a, b = p.coords, q.coords
-    scale = np.max(np.abs(a)) * np.max(np.abs(b))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(a[i] * b[j] - a[j] * b[i]) > tol * scale:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# domain and orbit descriptions
+# domain descriptions
 
 _DOMAIN_TAGS = frozenset(
     {
@@ -200,49 +193,6 @@ class DomainSpec:
     @classmethod
     def infinity_curve(cls):
         return cls("infinity-curve")
-
-
-_ORBIT_TAGS = frozenset(
-    {"fa", "eta-level", "ball-ellipsoid", "ball-complex-curve", "ball-real-slice"}
-)
-
-
-@dataclass(frozen=True)
-class OrbitSpec:
-    """Tagged description of one orbit family."""
-
-    tag: str
-    params: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.tag not in _ORBIT_TAGS:
-            raise ValueError(f"unknown orbit tag {self.tag!r}")
-
-    @classmethod
-    def fa(cls, a: float):
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"need 0 < a < 1, got {a}")
-        return cls("fa", (a,))
-
-    @classmethod
-    def eta(cls, level: float):
-        if not level > 1.0:
-            raise ValueError(f"need level > 1, got {level}")
-        return cls("eta-level", (level,))
-
-    @classmethod
-    def ball_ellipsoid(cls, t: float):
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"need 0 < t < 1, got {t}")
-        return cls("ball-ellipsoid", (t,))
-
-    @classmethod
-    def ball_complex_curve(cls):
-        return cls("ball-complex-curve")
-
-    @classmethod
-    def ball_real_slice(cls):
-        return cls("ball-real-slice")
 
 
 # ---------------------------------------------------------------------------
@@ -345,30 +295,3 @@ def _infinity_margins(h) -> list[float]:
         QUADRIC_EQ_TOL * hmax * hmax - abs(q_hom),
         im_condition(z1, z2, z3),
     ]
-
-
-def on_orbit_residual(spec: OrbitSpec, p) -> float:
-    """Distance of a point from an orbit's defining equations (0 when on it)."""
-    tag = spec.tag
-    if tag == "fa":
-        z1, z2 = _pair(p)
-        return abs(pseudo_hyperbolic(z1, z2) - spec.params[0])
-    if tag == "eta-level":
-        z1, z2, z3 = _triple(p)
-        level = spec.params[0]
-        if im_condition(z1, z2, z3) <= 0.0:
-            return math.inf
-        return max(
-            abs(quadric_residual(z1, z2, z3)), abs(minkowski_form(z1, z2, z3) - level)
-        )
-    if tag == "ball-ellipsoid":
-        u, v = _pair(p)
-        t = spec.params[0]
-        return abs(_abs2(u) + t * t * _abs2(v) - t * t)
-    if tag == "ball-complex-curve":
-        u, v = _pair(p)
-        return abs(u)
-    if tag == "ball-real-slice":
-        u, v = _pair(p)
-        return max(abs(u.imag), abs(v.imag))
-    raise ValueError(f"unknown orbit tag {tag!r}")

@@ -6,8 +6,9 @@ Three related actions appear:
   reading a 3x3 matrix row-wise as the numerators/denominator,
 * SU(1,1) embeds into SU(2,1) fixing the first coordinate, which
   restricts to Mobius maps in the second ball coordinate,
-* SO+(2,1), the identity component of the real form-preserving group,
-  acts linearly on C^3 and (block-extended) on CP^3.
+* real form-preserving matrices, such as the SO+(2,1) samples and the
+  O(2,1) transitivity matrices, act through the same fractional-linear
+  action on the real slice of the ball.
 
 The hyperbolic invariant classifying the embedded SU(1,1) orbits of the
 ball is t = |u| / sqrt(1 - |v|^2): the orbit through (t, 0) is the
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .domains import ProjectivePoint, _abs2
+from .domains import _abs2
 
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
@@ -144,34 +145,6 @@ def so21_sample(u, xi_max: float = 3.0) -> np.ndarray:
     """
     xi = _truncated_exponential(float(u[2]), xi_max)
     return so21_rotation(math.tau * float(u[0])) @ so21_boost(xi) @ so21_rotation(math.tau * float(u[1]))
-
-
-def _require_so_plus(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if not is_so_plus(A):
-        raise ValueError("matrix must lie in SO+(2,1)")
-    return A
-
-
-def c3_action(A, p: tuple[complex, complex, complex]) -> tuple[complex, complex, complex]:
-    """Linear action of an SO+(2,1) matrix on a C^3 point.
-
-    Real form-preserving matrices preserve both the holomorphic quadric
-    z1^2 + z2^2 - z3^2 and the Minkowski form |z1|^2 + |z2|^2 - |z3|^2.
-    """
-    A = _require_so_plus(A)
-    z = np.asarray([complex(c) for c in p], dtype=complex)
-    w = A @ z
-    return complex(w[0]), complex(w[1]), complex(w[2])
-
-
-def cp3_action(A, p: ProjectivePoint) -> ProjectivePoint:
-    """Block action diag(1, A) on homogeneous coordinates; fixes the chart split."""
-    A = _require_so_plus(A)
-    B = np.zeros((4, 4), dtype=complex)
-    B[0, 0] = 1.0
-    B[1:, 1:] = A
-    return ProjectivePoint(B @ p.coords)
 
 
 def o21_point_matrix(z: float, w: float) -> np.ndarray:

@@ -11,10 +11,13 @@ real coordinates and assembled into Wirtinger form,
     dr/dz_j           = (d/dx_j - i d/dy_j) r / 2,
     d^2 r/dz_j dcz_k  = (R_xx + R_yy + i (R_xy - R_yx))_{jk} / 4,
 
-with the Hessian Hermitian-symmetrized afterwards.  Closed-form
-gradients and Hessians are registered for every built-in defining
-function and serve as an independent cross-check; the finite-difference
-path is always the one exercised by callers.
+with the Hessian Hermitian-symmetrized afterwards.  The defining
+functions are the records of ``orbits.FAMILIES`` that have one, taken
+with their parameter as an ``orbits.Family``: each record supplies the
+value, the ambient check and, on the quadric, the holomorphic
+constraint row the complex tangent must also annihilate.  Its
+closed-form gradient and Hessian serve as an independent cross-check;
+the finite-difference path is always the one exercised by callers.
 
 Steps scale with max(1, |p|_inf): the second-difference rounding floor
 is then ~eps/h^2 regardless of how large the point's coordinates are.
@@ -23,7 +26,7 @@ step default 1e-5 puts the first-difference floor near 2e-11.  All
 registered functions except the rho-level family are quadratic in the
 real coordinates, so the larger Hessian step costs no truncation error
 there, and on the rho-level family the h^2 truncation (~1e-8) is far
-below any classification threshold in use.
+below any certification floor in use.
 
 Batched evaluation: every function of a point also takes an (n, dim)
 batch of points and then returns one result per row; a single point is
@@ -48,108 +51,32 @@ curve sits at level infinity; hence r = level - form there.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import _abs2
-from .mobius import TOL_BOUNDARY
+from .orbits import Family, RowErrors
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
-DEAD_BAND = 1e-4  # |levi| below this is classified flat
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
-_AMBIENT_MARGIN = 1e-3  # clearance a bounded ambient must leave the stencil
-
-_KINDS = frozenset({"rho-level", "minkowski-level", "sphere", "ellipsoid", "flat-control"})
 
 
-@dataclass(frozen=True)
-class DefiningFunction:
-    """One registered real-valued defining function."""
-
-    kind: str
-    param: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown defining function kind {self.kind!r}")
-
-    @classmethod
-    def rho_level(cls, a: float):
-        """r = |z1-z2|^2 - a^2 |1 - conj(z1) z2|^2 on the bidisc; zero set rho = a."""
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"need 0 < a < 1, got {a}")
-        return cls("rho-level", a)
-
-    @classmethod
-    def minkowski_level(cls, level: float):
-        """r = level - (|z1|^2+|z2|^2-|z3|^2), restricted to the affine quadric slice."""
-        if not level > 1.0:
-            raise ValueError(f"need level > 1, got {level}")
-        return cls("minkowski-level", level)
-
-    @classmethod
-    def sphere(cls):
-        """r = |u|^2 + |v|^2 - 1."""
-        return cls("sphere")
-
-    @classmethod
-    def ellipsoid(cls, t: float):
-        """r = |u|^2 + t^2 |v|^2 - t^2."""
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"need 0 < t < 1, got {t}")
-        return cls("ellipsoid", t)
-
-    @classmethod
-    def flat_control(cls, c: float):
-        """r = |z1|^2 - c^2; a Levi-flat circle bundle used to calibrate FD noise."""
-        if not c > 0.0:
-            raise ValueError(f"need c > 0, got {c}")
-        return cls("flat-control", c)
-
-    @property
-    def dim(self) -> int:
-        return 3 if self.kind == "minkowski-level" else 2
-
-
-class RowErrors:
-    """The first failed check of each row of a batch.
-
-    ``ok[r]`` turns False when row r fails a check, and ``message[r]``
-    then holds that check's ValueError message; later checks never
-    overwrite it.
-    """
-
-    def __init__(self, n: int):
-        self.ok = np.ones(n, dtype=bool)
-        self.message = np.full(n, None, dtype=object)
-
-    def flag(self, bad: np.ndarray, message: str) -> None:
-        bad = bad & self.ok
-        self.ok[bad] = False
-        self.message[bad] = message
-
-    def raise_first(self) -> None:
-        failed = np.flatnonzero(~self.ok)
-        if failed.size:
-            raise ValueError(self.message[failed[0]])
-
-
-def _batch(f: DefiningFunction, p, errors: RowErrors | None):
+def _batch(f: Family, p, errors: RowErrors | None):
     """p as an (n, dim) batch, whether it was a single point, and the collector of its checks.
 
     Non-finite rows are flagged and replaced by the origin, so that the
     arithmetic on them stays quiet.
     """
+    record = f.record
+    if record.value is None:
+        raise ValueError(f"{record.name} has no defining function")
     P = np.asarray(p, dtype=complex)
     single = P.ndim == 1
     if single:
         P = P[None, :]
-    if P.ndim != 2 or P.shape[1] != f.dim:
-        raise ValueError(f"{f.kind} expects a point of C^{f.dim}")
+    if P.ndim != 2 or P.shape[1] != record.dim:
+        raise ValueError(f"{record.name} expects a point of C^{record.dim}")
     rows = RowErrors(len(P)) if errors is None else errors
     finite = np.isfinite(P).all(axis=1)
     if not finite.all():
@@ -164,107 +91,28 @@ def _done(out: np.ndarray, single: bool, rows: RowErrors, errors: RowErrors | No
     return out[0] if single else out
 
 
-def _point(f: DefiningFunction, p) -> np.ndarray:
-    P, single, rows = _batch(f, p, None)
-    if not single:
-        raise ValueError(f"{f.kind} expects a point of C^{f.dim}")
-    rows.raise_first()
-    return P[0]
-
-
-def _conj_times(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """conj(z) w from separately rounded float products.
-
-    numpy's complex multiply may fuse them, and then the last bits of a
-    stencil value, which the second differences amplify by 1/h^2, would
-    depend on the build rather than on the formula.
-    """
-    out = np.empty(np.shape(z), dtype=complex)
-    out.real = z.real * w.real + z.imag * w.imag
-    out.imag = z.real * w.imag - z.imag * w.real
-    return out
-
-
-def _value(f: DefiningFunction, P: np.ndarray) -> np.ndarray:
-    if f.kind == "rho-level":
-        z1, z2 = P[:, 0], P[:, 1]
-        a = f.param
-        return _abs2(z1 - z2) - a * a * _abs2(1.0 - _conj_times(z1, z2))
-    if f.kind == "minkowski-level":
-        return f.param - (_abs2(P[:, 0]) + _abs2(P[:, 1]) - _abs2(P[:, 2]))
-    if f.kind == "sphere":
-        return _abs2(P[:, 0]) + _abs2(P[:, 1]) - 1.0
-    if f.kind == "ellipsoid":
-        t2 = f.param * f.param
-        return _abs2(P[:, 0]) + t2 * _abs2(P[:, 1]) - t2
-    # flat-control
-    return _abs2(P[:, 0]) - f.param * f.param
-
-
-def value(f: DefiningFunction, p, *, errors: RowErrors | None = None):
+def value(f: Family, p, *, errors: RowErrors | None = None):
     """Evaluate the defining function at a point, or at each row of a batch."""
     P, single, rows = _batch(f, p, errors)
-    return _done(_value(f, P), single, rows, errors)
+    return _done(f.record.value(P, f.param), single, rows, errors)
 
 
-def closed_wirtinger_gradient(f: DefiningFunction, p) -> np.ndarray:
+def closed_wirtinger_gradient(f: Family, p) -> np.ndarray:
     """Exact Wirtinger gradient; the oracle the FD path is checked against."""
     P, single, rows = _batch(f, p, None)
-    z = P.T
-    if f.kind == "rho-level":
-        a2 = f.param * f.param
-        g = (
-            (z[0] - z[1]).conjugate() + a2 * z[1].conjugate() * (1.0 - z[0].conjugate() * z[1]),
-            -(z[0] - z[1]).conjugate() + a2 * z[0].conjugate() * (1.0 - z[0] * z[1].conjugate()),
-        )
-    elif f.kind == "minkowski-level":
-        g = (-z[0].conjugate(), -z[1].conjugate(), z[2].conjugate())
-    elif f.kind == "sphere":
-        g = (z[0].conjugate(), z[1].conjugate())
-    elif f.kind == "ellipsoid":
-        g = (z[0].conjugate(), f.param * f.param * z[1].conjugate())
-    else:
-        g = (z[0].conjugate(), np.zeros_like(z[0]))
-    return _done(np.stack(g, axis=1), single, rows, None)
+    return _done(np.stack(f.record.gradient(P.T, f.param), axis=1), single, rows, None)
 
 
-def closed_complex_hessian(f: DefiningFunction, p) -> np.ndarray:
+def closed_complex_hessian(f: Family, p) -> np.ndarray:
     """Exact complex Hessian (d^2 r / dz_j dconj(z_k))."""
     P, single, rows = _batch(f, p, None)
-    if f.kind == "rho-level":
-        z1, z2 = P[:, 0], P[:, 1]
-        a2 = f.param * f.param
-        h12 = -1.0 + a2 * (1.0 - z1.conjugate() * z2)
-        H = np.empty((len(P), 2, 2), dtype=complex)
-        H[:, 0, 0] = 1.0 - a2 * _abs2(z2)
-        H[:, 0, 1] = h12
-        H[:, 1, 0] = h12.conjugate()
-        H[:, 1, 1] = 1.0 - a2 * _abs2(z1)
-    else:
-        diagonal = {
-            "minkowski-level": (-1.0, -1.0, 1.0),
-            "sphere": (1.0, 1.0),
-            "ellipsoid": (1.0, f.param * f.param),
-            "flat-control": (1.0, 0.0),
-        }[f.kind]
-        H = np.broadcast_to(np.diag(diagonal).astype(complex), (len(P), f.dim, f.dim)).copy()
-    return _done(H, single, rows, None)
+    return _done(f.record.hessian(P, f.param), single, rows, None)
 
 
-def _check_ambient(f: DefiningFunction, P: np.ndarray, rows: RowErrors) -> None:
-    # bidisc-like ambients must leave the stencil room; coordinate-bounded
-    # ambients reject points whose coordinates already touch the unit circle
-    if f.kind in ("rho-level", "flat-control"):
-        rows.flag(
-            np.abs(P).max(axis=1) >= 1.0 - _AMBIENT_MARGIN,
-            "point too close to the ambient boundary for the FD stencil",
-        )
-    elif f.kind in ("sphere", "ellipsoid"):
-        rows.flag(
-            np.abs(P).max(axis=1) >= 1.0 - TOL_BOUNDARY,
-            "a coordinate touches the unit circle; ambient check failed",
-        )
-    # minkowski-level: ambient is all of C^3
+def _check_ambient(f: Family, P: np.ndarray, rows: RowErrors) -> None:
+    if f.record.ambient is not None:  # None: the ambient is all of C^dim
+        bound, message = f.record.ambient
+        rows.flag(np.abs(P).max(axis=1) >= bound, message)
 
 
 def _scaled_step(P: np.ndarray, h: float) -> np.ndarray:
@@ -281,7 +129,7 @@ def _shift(P: np.ndarray, *moves) -> np.ndarray:
 
 
 def wirtinger_gradient(
-    f: DefiningFunction, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
+    f: Family, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """FD Wirtinger gradient (central differences, step scaled by the point size)."""
     P, single, rows = _batch(f, p, errors)
@@ -289,7 +137,7 @@ def wirtinger_gradient(
     return _done(_fd_gradient(f, P, _scaled_step(P, h), rows), single, rows, errors)
 
 
-def _fd_gradient(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
+def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
     G = np.empty(P.shape, dtype=complex)
     two_s = 2.0 * s
     for j in range(P.shape[1]):
@@ -303,7 +151,7 @@ def _fd_gradient(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows: RowErr
 
 
 def complex_hessian(
-    f: DefiningFunction, p, h: float = HESS_STEP, *, errors: RowErrors | None = None
+    f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """FD complex Hessian, Hermitian-symmetrized."""
     P, single, rows = _batch(f, p, errors)
@@ -312,7 +160,7 @@ def complex_hessian(
     return _done(0.5 * (H + H.conj().swapaxes(1, 2)), single, rows, errors)
 
 
-def _fd_complex_hessian(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
+def _fd_complex_hessian(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
     n, dim = P.shape
     # real Hessian on interleaved coordinates (x1, y1, x2, y2, ...), one (n,) entry per pair
     m = 2 * dim
@@ -337,18 +185,15 @@ def _fd_complex_hessian(f: DefiningFunction, P: np.ndarray, s: np.ndarray, rows:
     return H
 
 
-def _constraint_rows(f: DefiningFunction, P: np.ndarray, h: float, rows: RowErrors):
+def _constraint_rows(f: Family, P: np.ndarray, h: float, rows: RowErrors):
     G = wirtinger_gradient(f, P, h, errors=rows)
-    if f.kind != "minkowski-level":
+    if f.record.constraint is None:
         return G[:, None, :]
-    # stay tangent to the holomorphic quadric z1^2 + z2^2 - z3^2 = 1
-    Q = 2.0 * P
-    Q[:, 2] = -Q[:, 2]
-    return np.stack([G, Q], axis=1)
+    return np.stack([G, f.record.constraint(P)], axis=1)
 
 
 def complex_tangent(
-    f: DefiningFunction, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
+    f: Family, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
 ) -> np.ndarray:
     """Unit complex tangent vector at a regular point of {r = 0}.
 
@@ -376,7 +221,7 @@ def complex_tangent(
         np.abs(C @ v[:, :, None]).max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(1, 2))),
         "no tangent direction meets the orthogonality tolerance",
     )
-    v = v / np.sqrt(sum(_abs2(v[:, k]) for k in range(f.dim)))[:, None]
+    v = v / np.sqrt(sum(_abs2(v[:, k]) for k in range(P.shape[1])))[:, None]
     big = np.abs(v) > 1e-12
     lead = v[np.arange(n), np.argmax(big, axis=1)]
     v = v * np.where(big.any(axis=1), lead.conjugate() / np.abs(lead), 1.0)[:, None]
@@ -393,7 +238,7 @@ def _levi_form(v: np.ndarray, H: np.ndarray) -> np.ndarray:
     return out
 
 
-def levi_restricted(f: DefiningFunction, p, h: float = HESS_STEP, *, errors: RowErrors | None = None):
+def levi_restricted(f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | None = None):
     """Levi form evaluated on the unit complex tangent at an on-surface point."""
     P, single, rows = _batch(f, p, errors)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
@@ -403,45 +248,6 @@ def levi_restricted(f: DefiningFunction, p, h: float = HESS_STEP, *, errors: Row
     v = complex_tangent(f, P, errors=rows)
     H = complex_hessian(f, P, h, errors=rows)
     return _done(_levi_form(v, H), single, rows, errors)
-
-
-@dataclass(frozen=True)
-class LeviReport:
-    """Gradient, Hessian, tangent and classified Levi value at one point."""
-
-    point: tuple[complex, ...]
-    gradient: np.ndarray
-    hessian: np.ndarray
-    tangent: np.ndarray
-    levi_value: float
-    classification: str
-
-
-def levi_report(
-    f: DefiningFunction, p, h: float = HESS_STEP, dead_band: float = DEAD_BAND
-) -> LeviReport:
-    p = _point(f, p)
-    g = wirtinger_gradient(f, p)
-    if np.linalg.norm(g) < GRADIENT_FLOOR:
-        cls = "degenerate-gradient"
-        return LeviReport(tuple(p), g, np.zeros((f.dim, f.dim), complex), np.zeros(f.dim, complex), math.nan, cls)
-    val = float(levi_restricted(f, p, h))
-    if abs(val) <= dead_band:
-        cls = "levi-flat"
-    elif val > dead_band:
-        cls = "strongly-pseudoconvex"
-    else:
-        # negative-definite against the fixed orientation: not convex from
-        # the inside, lumped with the mixed-sign case
-        cls = "indefinite"
-    return LeviReport(
-        tuple(p),
-        g,
-        complex_hessian(f, p, h),
-        complex_tangent(f, p),
-        val,
-        cls,
-    )
 
 
 def totally_real_check(basis) -> tuple[bool, int]:

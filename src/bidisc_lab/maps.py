@@ -85,6 +85,12 @@ def near_diagonal(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(z - w) < EPS_DIAG
 
 
+def map_H_checked(rows, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """map_H_array, with each pair that map_H rejects flagged by ``rows.check`` (see orbits.RowErrors)."""
+    rows.check(outside_disc(z) | outside_disc(w) | near_diagonal(z, w), map_H, z, w)
+    return map_H_array(z, w)
+
+
 def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
     # (ar + i ai) / (br + i bi) for denominators of modulus >= EPS_DIAG, where the
     # textbook formula neither overflows nor underflows

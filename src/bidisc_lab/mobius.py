@@ -10,10 +10,6 @@ invariant there is the pseudo-hyperbolic modulus
 
     rho(z, w) = |z - w| / |1 - conj(z) w|.
 
-Composition and inversion are carried out in closed form on the
-(theta, a) parameters, so group elements never degrade into raw
-fractional-linear coefficient soup.
-
 The ``*_array`` twins evaluate the same formulas elementwise on complex
 arrays for the batched suites.  They skip the argument checks;
 ``outside_disc`` is the array form of the disc check, and callers apply
@@ -80,26 +76,6 @@ def mobius_apply_array(theta: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.nd
 def mobius_apply_pair(m: MobiusMap, p: tuple[complex, complex]) -> tuple[complex, complex]:
     """Apply the same automorphism to both bidisc coordinates."""
     return mobius_apply(m, p[0]), mobius_apply(m, p[1])
-
-
-def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    """Composite m1 o m2 in (theta, a) form.
-
-    With u = e^{i theta2} + a1 conj(a2) and v = a1 + a2 e^{i theta2},
-    the composite has centre v/u and angle theta1 - theta2 + 2 arg(u);
-    |v| < |u| always, since |u|^2 - |v|^2 = (1-|a1|^2)(1-|a2|^2).
-    """
-    e2 = cmath.exp(1j * m2.theta)
-    u = e2 + m1.a * m2.a.conjugate()
-    v = m1.a + m2.a * e2
-    theta = math.remainder(m1.theta - m2.theta + 2.0 * cmath.phase(u), math.tau)
-    return MobiusMap(theta, v / u)
-
-
-def mobius_inverse(m: MobiusMap) -> MobiusMap:
-    """Inverse automorphism: (theta, a) -> (-theta, -a e^{i theta})."""
-    theta = math.remainder(-m.theta, math.tau)
-    return MobiusMap(theta, -m.a * cmath.exp(1j * m.theta))
 
 
 def pseudo_hyperbolic(z: complex, w: complex) -> float:

@@ -18,11 +18,11 @@ sample indices idx.
   the dual-route level checks also have rho >= 0.05, comes from
   ``maps.PairDraw``: PAIR_ROUNDS candidate pairs of 4 uniforms each, of
   which the row takes the first admissible one.  A row with none is a
-  hard failure.  The Levi suites take k = 3: an angle and an
-  inverse-transform disc point (the automorphism that
-  ``orbits.rho_orbit_point`` applies to a base pair, or the control
-  surface's coordinates), or ``orbits.sphere_point``'s |u|^2 and two
-  angles.  Each block's rows of one defining function are one batch of
+  hard failure.  The Levi suites take k = 3: the levi-Fa, levi-eta and
+  levi-sphere rows are drawn by their family's sampler
+  (``orbits.orbit_points``), which also applies its checks, and the
+  control surface's rows are an angle and an inverse-transform disc
+  point.  Each block's rows of one family spec are one batch of
   ``levi.levi_restricted``.
 * Per-row claims (the other eight) keep scalar bodies behind
   ``_per_row``, which evaluates them one row of uniforms at a time.  A
@@ -56,7 +56,6 @@ import numpy as np
 
 from .domains import (
     DomainSpec,
-    OrbitSpec,
     a_from_alpha,
     a_from_alpha_array,
     alpha_from_a,
@@ -66,7 +65,6 @@ from .domains import (
     eta_level_array,
     im_condition,
     minkowski_form,
-    on_orbit_residual,
     quadric_residual,
     quadric_st_margin_array,
 )
@@ -78,7 +76,7 @@ from .groups import (
     su11_embed,
     su11_orbit_invariant,
 )
-from .levi import DefiningFunction, RowErrors, levi_restricted, totally_real_check
+from .levi import levi_restricted, totally_real_check
 from .maps import (
     EPS_DIAG,
     FIT_DIAG_MARGIN,
@@ -90,6 +88,7 @@ from .maps import (
     conjugate_fit,
     map_H,
     map_H_array,
+    map_H_checked,
     map_H_inv,
     map_H_inv_array,
     map_J,
@@ -110,7 +109,18 @@ from .mobius import (
     pseudo_hyperbolic_array,
     random_mobius,
 )
-from .orbits import ellipsoid_orbit_point, rho_orbit_point, sphere_point
+from .orbits import (
+    ELLIPSOID,
+    FLAT_CONTROL,
+    MINKOWSKI_LEVEL,
+    RHO_LEVEL,
+    SPHERE,
+    Family,
+    RowErrors,
+    ellipsoid_orbit_point,
+    on_orbit_residual,
+    orbit_points,
+)
 from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
@@ -207,39 +217,22 @@ def _flat(*vals) -> list[float]:
 # array kernels: one block of rows at a time
 
 
-class _Rows:
-    """Hard failures of one block; a row keeps the first check it fails, in the scalar code's order."""
+class _Rows(RowErrors):
+    """Hard failures of one block; a row keeps the first check it fails, in the scalar code's order.
 
-    def __init__(self, n: int):
-        self.ok = np.ones(n, dtype=bool)
-        self.error = np.full(n, None, dtype=object)
-
-    def fail(self, rows: np.ndarray, text: str) -> None:
-        rows = rows[self.ok[rows]]
-        self.ok[rows] = False
-        self.error[rows] = text
-
-    def check(self, bad: np.ndarray, fn: Callable, *args) -> None:
-        """Fail the rows flagged by ``bad``, the array form of the checks that ``fn`` makes.
-
-        The scalar ``fn``, called on the row's arguments (array arguments
-        indexed by row, others passed as they are), has the last word and
-        supplies the error text.
-        """
-        for r in np.flatnonzero(bad & self.ok):
-            try:
-                fn(*(a[r].item() if isinstance(a, np.ndarray) else a for a in args))
-            except ValueError as exc:
-                self.ok[r] = False
-                self.error[r] = f"{type(exc).__name__}: {exc}"
+    Every check raises ValueError, so the report's text for a row is
+    ``ValueError: `` and the check's message.
+    """
 
     def take(self, sel: np.ndarray, errors: RowErrors) -> None:
         """Fail row sel[r] for each row r of a levi batch that failed one of its checks."""
         for r in np.flatnonzero(~errors.ok):
-            self.fail(sel[r : r + 1], f"ValueError: {errors.message[r]}")
+            self.flag(np.arange(len(self.ok)) == sel[r], errors.message[r])
 
     def result(self, residual: np.ndarray, inputs: np.ndarray):
-        return np.where(self.ok, residual, math.inf), self.error, inputs
+        error = self.message.copy()
+        error[~self.ok] = "ValueError: " + error[~self.ok]
+        return np.where(self.ok, residual, math.inf), error, inputs
 
 
 def _columns(*vals) -> np.ndarray:
@@ -263,7 +256,7 @@ def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tupl
     """Off-diagonal pairs (|z - w| >= eps_diag) of a PairDraw; a row without one is a hard failure."""
     z, w, missing = draw(u, cfg.rmax, cfg.eps_diag)
     wanted = draw.wanted(cfg.eps_diag)
-    rows.fail(missing, f"ValueError: none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
+    rows.flag(np.isin(np.arange(len(u)), missing), f"none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
     if draw.rho_floor:  # the admission test took rho, which checks its arguments
         rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
     return z, w
@@ -271,11 +264,6 @@ def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tupl
 
 def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
     return lambda cfg: draw.why_empty(cfg.rmax, cfg.eps_diag)
-
-
-def _checked_map_H(rows: _Rows, z: np.ndarray, w: np.ndarray):
-    rows.check(outside_disc(z) | outside_disc(w) | near_diagonal(z, w), map_H, z, w)
-    return map_H_array(z, w)
 
 
 def _k_rho_invariance(cfg, u, idx):
@@ -295,14 +283,14 @@ def _k_rho_invariance(cfg, u, idx):
 def _k_h_quadric(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
-    h = _checked_map_H(rows, z, w)
+    h = map_H_checked(rows, z, w)
     return rows.result(np.abs(quadric_residual(*h)), _columns(z, w))
 
 
 def _k_h_im_condition(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = _checked_map_H(rows, z, w)
+    h = map_H_checked(rows, z, w)
     return rows.result(np.maximum(0.0, -im_condition(*h)), _columns(z, w))
 
 
@@ -310,15 +298,15 @@ def _k_h_sigma_negation(cfg, u, idx):
     # exact claim: map_H_array works on real and imaginary parts, whose products commute
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = np.stack(_checked_map_H(rows, z, w))
-    hs = np.stack(_checked_map_H(rows, w, z))
+    h = np.stack(map_H_checked(rows, z, w))
+    hs = np.stack(map_H_checked(rows, w, z))
     return rows.result(np.abs(hs + h).max(axis=0), _columns(z, w))
 
 
 def _k_h_roundtrip(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = _checked_map_H(rows, z, w)
+    h = map_H_checked(rows, z, w)
     z2, w2, ok = map_H_inv_array(*h)
     rows.check(~ok, map_H_inv, *h)
     return rows.result(np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w))
@@ -328,7 +316,7 @@ def _k_orbit_levels(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
     rho = pseudo_hyperbolic_array(z, w)
-    m = minkowski_form(*_checked_map_H(rows, z, w))
+    m = minkowski_form(*map_H_checked(rows, z, w))
     rows.check(~((0.0 < rho) & (rho < 1.0)), alpha_from_a, rho)
     alpha = alpha_from_a_array(rho)
     rows.check(alpha < 1.0, eta_level, alpha)
@@ -374,7 +362,7 @@ def _k_j_h_compat(cfg, u, idx):
     rows.check(
         outside_disc(z) | outside_disc(w) | ~np.isfinite(p).all(axis=0) | (pmax == 0.0), map_J, z, w
     )
-    q = np.stack([np.ones_like(z), *_checked_map_H(rows, z, w)])
+    q = np.stack([np.ones_like(z), *map_H_checked(rows, z, w)])
     worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
     return rows.result(worst / (pmax * np.abs(q).max(axis=0)), _columns(z, w))
 
@@ -388,40 +376,45 @@ def _k_alpha_roundtrip(cfg, u, idx):
     return rows.result(np.abs(a_from_alpha_array(alpha) - a), _columns(a))
 
 
-# Levi kernels: 3 uniforms per sample; each parameter's rows are one levi batch
+# Levi kernels: 3 uniforms per sample; each spec's rows are one levi batch
 
-_FA_FUNCTIONS = tuple(DefiningFunction.rho_level(a) for a in (0.2, 0.5, 0.8))
-_ETA_FUNCTIONS = tuple(DefiningFunction.minkowski_level(lvl) for lvl in (1.5, 2.125, 4.0))
-_FLAT_CONTROL = (DefiningFunction.flat_control(0.5),)
-_SPHERE = (DefiningFunction.sphere(),)
+_FA = tuple(Family(RHO_LEVEL, a) for a in (0.2, 0.5, 0.8))
+_ETA = tuple(Family(MINKOWSKI_LEVEL, lvl) for lvl in (1.5, 2.125, 4.0))
+_FLAT = (Family(FLAT_CONTROL, 0.5),)
+_SPHERE = (Family(SPHERE),)
 
 
-def _levi(rows: _Rows, functions, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Restricted Levi values; row r lies on functions[idx[r] % len(functions)]."""
-    val = np.empty(len(p))
-    for k, f in enumerate(functions):
-        sel = np.flatnonzero(idx % len(functions) == k)
+def _levi(rows: _Rows, specs, idx: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None):
+    """Points and their restricted Levi values; row r lies on specs[idx[r] % len(specs)].
+
+    The points are p, or else each spec's sampler draws them from its
+    rows of u, with automorphism centres on the LEVI_PATCH_RMAX disc.
+    """
+    if p is None:
+        p = np.empty((len(idx), specs[0].record.dim), dtype=complex)
+    val = np.empty(len(idx))
+    for k, f in enumerate(specs):
+        sel = np.flatnonzero(idx % len(specs) == k)
         if sel.size:
             errors = RowErrors(sel.size)
+            if u is not None:
+                p[sel] = np.column_stack(orbit_points(f, u[sel], LEVI_PATCH_RMAX, errors))
             val[sel] = levi_restricted(f, p[sel], errors=errors)
             rows.take(sel, errors)
-    return val
+    return p, val
 
 
 def _k_levi_fa(cfg, u, idx):
     rows = _Rows(len(u))
-    a = np.array([f.param for f in _FA_FUNCTIONS])[idx % 3]
-    z, w = rho_orbit_point(u, a, LEVI_PATCH_RMAX)
-    val = _levi(rows, _FA_FUNCTIONS, idx, np.column_stack([z, w]))
-    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(z, w, a))
+    p, val = _levi(rows, _FA, idx, u)
+    a = np.array([f.param for f in _FA])[idx % 3]
+    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a))
 
 
 def _k_levi_eta(cfg, u, idx):
     rows = _Rows(len(u))
-    level = np.array([f.param for f in _ETA_FUNCTIONS])[idx % 3]
-    z, w = rho_orbit_point(u, np.sqrt(2.0 / (level + 1.0)), LEVI_PATCH_RMAX)  # rho = a gives level 2/a^2 - 1
-    p = np.column_stack(_checked_map_H(rows, z, w))
-    val = _levi(rows, _ETA_FUNCTIONS, idx, p)
+    p, val = _levi(rows, _ETA, idx, u)
+    level = np.array([f.param for f in _ETA])[idx % 3]
     return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level))
 
 
@@ -429,14 +422,13 @@ def _k_levi_flat_control(cfg, u, idx):
     rows = _Rows(len(u))
     z1 = polar(0.5, math.tau * u[:, 0])
     z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
-    val = _levi(rows, _FLAT_CONTROL, idx, np.column_stack([z1, z2]))
+    _, val = _levi(rows, _FLAT, idx, p=np.column_stack([z1, z2]))
     return rows.result(np.abs(val), _columns(z1, z2))
 
 
 def _k_levi_sphere(cfg, u, idx):
     rows = _Rows(len(u))
-    p = np.column_stack(sphere_point(u))
-    val = _levi(rows, _SPHERE, idx, p)
+    p, val = _levi(rows, _SPHERE, idx, u)
     return rows.result(np.abs(val - 1.0), _columns(*p.T))
 
 
@@ -479,6 +471,9 @@ def _s_conjugation_so21(cfg, u, i, inputs):
 
 
 def _s_swap_minus_identity(cfg, u, i, inputs):
+    # the fit's ten pairs, a point without an admissible pair by its last candidate
+    z, w, _ = FIT_PAIRS(u.reshape(-1, PAIR_DRAWS), cfg.rmax, FIT_DIAG_MARGIN)
+    inputs += _flat(*(c for pair in zip(z.tolist(), w.tolist()) for c in pair))
     fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax)
     return float(np.max(np.abs(fit.matrix + np.eye(3))))
 
@@ -525,7 +520,7 @@ def _ellipsoid_draw(u, inputs):
 
 def _s_su11_orbit_ellipsoid(cfg, u, i, inputs):
     t, p = _ellipsoid_draw(u, inputs)
-    return on_orbit_residual(OrbitSpec.ball_ellipsoid(t), p)
+    return on_orbit_residual(Family(ELLIPSOID, t), p)
 
 
 def _s_gt_sphere(cfg, u, i, inputs):

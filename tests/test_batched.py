@@ -22,7 +22,7 @@ from bidisc_lab.domains import (
     quadric_residual,
     quadric_st_margin_array,
 )
-from bidisc_lab.levi import DefiningFunction, levi_restricted
+from bidisc_lab.levi import levi_restricted
 from bidisc_lab.maps import (
     map_H,
     map_H_array,
@@ -41,6 +41,7 @@ from bidisc_lab.mobius import (
     pseudo_hyperbolic,
     pseudo_hyperbolic_array,
 )
+from bidisc_lab.orbits import FLAT_CONTROL, MINKOWSKI_LEVEL, RHO_LEVEL, SPHERE, Family
 from bidisc_lab.rng import disc_from_uniforms
 from bidisc_lab.suites import SuiteConfig, all_suite_names, run_suite, verify_all
 
@@ -212,10 +213,10 @@ def _j_h_compat(row):
     return worst / (float(np.max(np.abs(p))) * float(np.max(np.abs(q))))
 
 
-def _levi_floor_shortfall(function):
+def _levi_floor_shortfall(record):
     def body(row):
         *coords, param = row
-        return max(0.0, suites.LEVI_FLOOR - levi_restricted(function(param), _complex(coords)))
+        return max(0.0, suites.LEVI_FLOOR - levi_restricted(Family(record, param), _complex(coords)))
 
     return body
 
@@ -240,10 +241,10 @@ SCALAR_BODIES = {
     "sym-equivariance": lambda r: max(abs(a - b) for a, b in zip(sym(*_pair(r)), sym(*_pair(r)[::-1]))),
     "J-H-compat": _j_h_compat,
     "alpha-roundtrip": lambda r: abs(a_from_alpha(alpha_from_a(r[0])) - r[0]),
-    "levi-Fa": _levi_floor_shortfall(DefiningFunction.rho_level),
-    "levi-eta": _levi_floor_shortfall(DefiningFunction.minkowski_level),
-    "levi-flat-control": lambda r: abs(levi_restricted(DefiningFunction.flat_control(0.5), _complex(r))),
-    "levi-sphere": lambda r: abs(levi_restricted(DefiningFunction.sphere(), _complex(r)) - 1.0),
+    "levi-Fa": _levi_floor_shortfall(RHO_LEVEL),
+    "levi-eta": _levi_floor_shortfall(MINKOWSKI_LEVEL),
+    "levi-flat-control": lambda r: abs(levi_restricted(Family(FLAT_CONTROL, 0.5), _complex(r))),
+    "levi-sphere": lambda r: abs(levi_restricted(Family(SPHERE), _complex(r)) - 1.0),
 }
 
 
@@ -306,9 +307,18 @@ def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
     assert rep.hard_failures == rep.samples == 20
     for failure in rep.failures:
         with pytest.raises(ValueError) as info:
-            levi_restricted(DefiningFunction.sphere(), _complex(failure["inputs"]))
+            levi_restricted(Family(SPHERE), _complex(failure["inputs"]))
         assert failure["error"] == f"ValueError: {info.value}"
         assert "touches the unit circle" in failure["error"]
+
+
+def test_a_row_the_eta_sampler_rejects_is_a_hard_failure_with_the_map_h_text(monkeypatch):
+    """At a huge level the sampled pairs crowd the diagonal, and map_H's check fails those rows."""
+    monkeypatch.setattr(suites, "_ETA", (Family(MINKOWSKI_LEVEL, 1e12),) * 3)
+    rep = run_suite("levi-eta", SuiteConfig(samples=1000))
+    assert 0 < rep.hard_failures < rep.samples
+    errors = [failure["error"] for failure in rep.failures if "error" in failure]
+    assert errors and set(errors) == {"ValueError: point too close to the diagonal for the affine chart"}
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +371,7 @@ def _replay(doc, name, index):
         ("levi-sphere", SuiteConfig(samples=100_000, tolerances={"levi-sphere": 1.5e-8})),  # 2,000 rows
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
         ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no fit finds its pairs
+        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records the fit's ten pairs
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):

@@ -258,3 +258,20 @@ def test_dump_orbit_errors_exit_two(argv, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("Eta:1e12", "of the Eta dump: point too close to the diagonal for the affine chart"),
+        ("Eta:1e308", "of the Eta dump: point too close to the diagonal for the affine chart"),
+        ("Eta:inf", "parameter must be finite, got inf"),
+    ],
+)
+def test_dump_orbit_refuses_eta_rows_that_map_h_rejects(tmp_path, spec, message):
+    """A large level crowds the pairs onto the diagonal: the dump exits 2 instead of writing such rows."""
+    out = tmp_path / "eta.csv"
+    proc = _run(["-W", "error", "-m", "bidisc_lab.cli", "dump-orbit", "--spec", spec, "--n", "2000", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert proc.stdout == "" and not out.exists()

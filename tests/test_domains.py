@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from bidisc_lab.domains import (
     DomainSpec,
-    OrbitSpec,
     ProjectivePoint,
     a_from_alpha,
     alpha_from_a,
@@ -15,13 +14,11 @@ from bidisc_lab.domains import (
     eta_level,
     im_condition,
     minkowski_form,
-    on_orbit_residual,
-    projective_equal,
     quadric_residual,
 )
+from bidisc_lab.orbits import COMPLEX_CURVE, ELLIPSOID, MINKOWSKI_LEVEL, REAL_SLICE, RHO_LEVEL, Family, on_orbit_residual
 
 RADII = st.floats(min_value=0.01, max_value=0.99)
-SMALL_COMPLEX = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +108,6 @@ def test_projective_point_is_frozen():
     p = ProjectivePoint([1, 2, 3, 4])
     with pytest.raises(ValueError):
         p.coords[0] = 5.0
-
-
-def test_projective_equal_spots():
-    p = ProjectivePoint([1, 1.25, 0.75j, 0])
-    assert projective_equal(p, ProjectivePoint([2j, 2.5j, -1.5, 0]))
-    assert not projective_equal(
-        ProjectivePoint([1, 0, 0, 0]), ProjectivePoint([0, 1, 0, 0])
-    )
-
-
-@given(
-    coords=st.lists(SMALL_COMPLEX, min_size=4, max_size=4),
-    scale=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-)
-def test_projective_equal_ignores_scaling(coords, scale):
-    if max(abs(c) for c in coords) < 1e-6:
-        coords[0] = 1.0
-    p = ProjectivePoint(coords)
-    q = ProjectivePoint([scale * c for c in coords])
-    assert projective_equal(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +212,34 @@ def test_domain_spec_validation(build):
 
 
 def test_orbit_residuals_by_tag():
-    assert on_orbit_residual(OrbitSpec.fa(0.8), (0.5, -0.5)) == pytest.approx(0.0, abs=1e-15)
-    assert on_orbit_residual(OrbitSpec.eta(2.125), (1.25, 0.75j, 0)) == pytest.approx(
+    assert on_orbit_residual(Family(RHO_LEVEL, 0.8), (0.5, -0.5)) == pytest.approx(0.0, abs=1e-15)
+    assert on_orbit_residual(Family(MINKOWSKI_LEVEL, 2.125), (1.25, 0.75j, 0)) == pytest.approx(
         0.0, abs=1e-15
     )
-    assert on_orbit_residual(OrbitSpec.ball_ellipsoid(0.4), (0.4, 0.0)) == 0.0
-    assert on_orbit_residual(OrbitSpec.ball_ellipsoid(0.4), (0.0, 0.0)) == pytest.approx(0.16)
-    assert on_orbit_residual(OrbitSpec.ball_complex_curve(), (0.0, 0.3j)) == 0.0
-    assert on_orbit_residual(OrbitSpec.ball_complex_curve(), (0.3, 0.1)) == pytest.approx(0.3)
-    assert on_orbit_residual(OrbitSpec.ball_real_slice(), (0.3, -0.7)) == 0.0
-    assert on_orbit_residual(OrbitSpec.ball_real_slice(), (0.3 + 0.1j, 0.5)) == pytest.approx(0.1)
+    assert on_orbit_residual(Family(ELLIPSOID, 0.4), (0.4, 0.0)) == 0.0
+    assert on_orbit_residual(Family(ELLIPSOID, 0.4), (0.0, 0.0)) == pytest.approx(0.16)
+    assert on_orbit_residual(Family(COMPLEX_CURVE), (0.0, 0.3j)) == 0.0
+    assert on_orbit_residual(Family(COMPLEX_CURVE), (0.3, 0.1)) == pytest.approx(0.3)
+    assert on_orbit_residual(Family(REAL_SLICE), (0.3, -0.7)) == 0.0
+    assert on_orbit_residual(Family(REAL_SLICE), (0.3 + 0.1j, 0.5)) == pytest.approx(0.1)
 
 
 def test_eta_residual_infinite_on_wrong_component():
     """Points violating the orientation condition are infinitely far from the orbit."""
-    assert on_orbit_residual(OrbitSpec.eta(2.125), (1.25, -0.75j, 0)) == math.inf
+    assert on_orbit_residual(Family(MINKOWSKI_LEVEL, 2.125), (1.25, -0.75j, 0)) == math.inf
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: OrbitSpec("junk"),
-        lambda: OrbitSpec.fa(1.2),
-        lambda: OrbitSpec.eta(1.0),
-        lambda: OrbitSpec.ball_ellipsoid(0.0),
-        lambda: OrbitSpec.ball_ellipsoid(1.0),
+        lambda: Family(RHO_LEVEL),
+        lambda: Family(RHO_LEVEL, 1.2),
+        lambda: Family(MINKOWSKI_LEVEL, 1.0),
+        lambda: Family(ELLIPSOID, 0.0),
+        lambda: Family(ELLIPSOID, 1.0),
+        lambda: Family(RHO_LEVEL, math.nan),
+        lambda: Family(MINKOWSKI_LEVEL, math.inf),
+        lambda: Family(REAL_SLICE, 0.5),
     ],
 )
 def test_orbit_spec_validation(build):

@@ -1,25 +1,12 @@
-"""Form-preserving matrix groups and their three actions."""
-
-import math
+"""Form-preserving matrix groups and their ball action."""
 
 import numpy as np
 import pytest
 
-from bidisc_lab.domains import (
-    DomainSpec,
-    OrbitSpec,
-    ProjectivePoint,
-    contains,
-    minkowski_form,
-    on_orbit_residual,
-    projective_equal,
-    quadric_residual,
-)
+from bidisc_lab.domains import DomainSpec, contains
 from bidisc_lab.groups import (
     I21,
     ball_action,
-    c3_action,
-    cp3_action,
     is_so_plus,
     o21_point_matrix,
     o21_residual,
@@ -31,8 +18,7 @@ from bidisc_lab.groups import (
     su11_orbit_invariant,
     su21_residual,
 )
-from bidisc_lab.maps import map_H
-from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
+from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, uniform_block
 
 
 def test_signature_matrix_is_frozen():
@@ -145,46 +131,6 @@ def test_so21_sample_is_reproducible_and_in_group():
         A = so21_sample(u)
         assert o21_residual(A) < 1e-12
         assert is_so_plus(A, tol=1e-12)
-
-
-def test_c3_action_preserves_quadric_and_level():
-    for u in uniform_block(38, 0, 7, 0, 100):
-        z, w = disc_from_uniforms(u[[0, 2]], u[[1, 3]], 0.9).tolist()
-        if abs(z - w) < 1e-3:
-            continue
-        p = map_H(z, w)
-        level = minkowski_form(*p)
-        q = c3_action(so21_sample(u[4:]), p)
-        scale = max(1.0, max(abs(c) for c in q) ** 2)
-        assert abs(quadric_residual(*q)) < 1e-11 * scale
-        assert on_orbit_residual(OrbitSpec.eta(level), q) < 1e-10 * scale
-
-
-def test_c3_action_rejects_outside_identity_component():
-    p = (1.25, 0.75j, 0)
-    for A in (np.diag([1.0, 1.0, -1.0]), -np.eye(3), 2.0 * np.eye(3)):
-        with pytest.raises(ValueError):
-            c3_action(A, p)
-
-
-def test_cp3_action_fixes_the_chart_split():
-    A = so21_sample(uniform_block(39, 0, 3, 0, 1)[0])
-    p = (1.25, 0.75j, 0)
-    lifted = cp3_action(A, ProjectivePoint([1.0, *p]))
-    assert projective_equal(lifted, ProjectivePoint([1.0, *c3_action(A, p)]))
-    # scale-invariant in, scale-invariant out
-    doubled = cp3_action(A, ProjectivePoint([2.0, *(2 * c for c in p)]))
-    assert projective_equal(lifted, doubled)
-
-
-def test_cp3_action_preserves_projective_quadric():
-    dom = DomainSpec.quadric_proj(1.0)
-    for u in uniform_block(40, 0, 7, 0, 50):
-        z, w = disc_from_uniforms(u[[0, 2]], u[[1, 3]], 0.9).tolist()
-        if abs(z - w) < 1e-3:
-            continue
-        q = cp3_action(so21_sample(u[4:]), ProjectivePoint([1.0, *map_H(z, w)]))
-        assert contains(dom, q)[0]
 
 
 # ---------------------------------------------------------------------------

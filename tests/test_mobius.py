@@ -6,7 +6,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bidisc_lab.mobius import (
@@ -14,8 +14,6 @@ from bidisc_lab.mobius import (
     MobiusMap,
     mobius_apply,
     mobius_apply_pair,
-    mobius_compose,
-    mobius_inverse,
     pseudo_hyperbolic,
     random_mobius,
 )
@@ -40,27 +38,6 @@ def test_apply_stays_in_disc(m: MobiusMap, z: complex):
     assert abs(mobius_apply(m, z)) < 1.0
 
 
-@given(m1=MAPS, m2=MAPS, z=DISC)
-def test_compose_matches_pointwise(m1, m2, z):
-    """Closed-form composition equals applying the factors in sequence."""
-    lhs = mobius_apply(mobius_compose(m1, m2), z)
-    rhs = mobius_apply(m1, mobius_apply(m2, z))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-@given(m=MAPS, z=DISC)
-def test_inverse_round_trips_points(m, z):
-    back = mobius_apply(mobius_inverse(m), mobius_apply(m, z))
-    assert back == pytest.approx(z, abs=1e-12)
-
-
-@given(m=MAPS)
-def test_inverse_composes_to_identity(m):
-    e = mobius_compose(m, mobius_inverse(m))
-    assert abs(e.a) < 1e-12
-    assert math.remainder(e.theta, math.tau) == pytest.approx(0.0, abs=1e-12)
-
-
 @given(m=MAPS, z=DISC, w=DISC)
 def test_rho_is_invariant(m, z, w):
     """The quantity |z-w| / |1 - conj(z) w| is a disc-automorphism invariant."""
@@ -83,12 +60,6 @@ def test_rho_vanishes_on_diagonal(z):
     assert pseudo_hyperbolic(z, z) == 0.0
 
 
-def test_theta_is_normalized():
-    m = MobiusMap(7 * math.pi, 0.1 + 0j)
-    n = mobius_compose(m, IDENTITY)
-    assert -math.pi <= n.theta <= math.pi
-
-
 def test_boundary_points_rejected():
     with pytest.raises(ValueError):
         mobius_apply(IDENTITY, 1.0 + 0j)
@@ -103,14 +74,6 @@ def test_non_finite_rejected():
         mobius_apply(IDENTITY, complex("nan"))
     with pytest.raises(ValueError):
         MobiusMap(math.nan, 0j)
-
-
-@settings(max_examples=25)
-@given(m2=MAPS, m1=MAPS)
-def test_compose_preserves_group_normalization(m1, m2):
-    c = mobius_compose(m1, m2)
-    assert abs(c.a) < 1.0
-    assert -math.pi <= c.theta <= math.pi
 
 
 def test_random_mobius_is_seeded_and_bounded():
