@@ -26,7 +26,6 @@ from .domains import (
 from .groups import (
     I21,
     ball_action,
-    is_so_plus,
     o21_point_matrix,
     o21_residual,
     so21_sample,
@@ -59,14 +58,13 @@ from .mobius import (
     pseudo_hyperbolic,
     random_mobius,
 )
-from .orbits import FAMILIES, Family, RowErrors, dump_orbit, on_orbit_residual, orbit_point, parse_orbit_spec
+from .orbits import FAMILIES, Family, dump_orbit, on_orbit_residual, orbit_point, parse_orbit_spec
+from .rng import RowErrors
 from .suites import (
     ConfigError,
     SuiteConfig,
     SuiteReport,
     all_suite_names,
-    run_suite,
-    run_suites,
     verify_all,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "quadric_residual",
     "I21",
     "ball_action",
-    "is_so_plus",
     "o21_point_matrix",
     "o21_residual",
     "so21_sample",
@@ -121,8 +118,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport",
     "all_suite_names",
-    "run_suite",
-    "run_suites",
     "verify_all",
     "__version__",
 ]

@@ -22,10 +22,10 @@ a point's distance-from-quadric is judged relative to the size of its
 coordinates.  Points within ~1e-9 of a boundary are inherently
 ambiguous and are reported, never asserted on.
 
-minkowski_form, quadric_residual and im_condition work elementwise on
-complex arrays as well.  The ``*_array`` twins of the level conversions
-and of the quadric-st margins serve the batched suites; they skip the
-argument checks, which their callers apply themselves.
+Every function of a point here also takes a batch of rows (see
+``rng``): minkowski_form, quadric_residual and im_condition work
+elementwise as they are; the level conversions and ``contains`` (for the
+domains of C^2 and C^3) check each row.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mobius import pseudo_hyperbolic
+from .rng import RowErrors, _batch, _collector, _unbatch
 
 # equality-constraint slack, scaled by max(1, |z|_inf^2)
 QUADRIC_EQ_TOL = 1e-9
@@ -62,48 +63,37 @@ def im_condition(z1: complex, z2: complex, z3: complex) -> float:
     return (z2 * (z1.conjugate() + z3.conjugate())).imag
 
 
-def alpha_from_a(a: float) -> float:
+def alpha_from_a(a, *, errors: RowErrors | None = None):
     """Level parameter of the rho = a hypersurface: 8/a^4 - 8/a^2 + 1."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must lie in (0, 1), got {a}")
+    (a,), rows, single = _batch(errors, a, dtype=float)
+    rows.flag(~((0.0 < a) & (a < 1.0)), lambda r: f"a must lie in (0, 1), got {a[r]}")
     inv2 = 1.0 / (a * a)
-    return 8.0 * inv2 * inv2 - 8.0 * inv2 + 1.0
+    return _unbatch(8.0 * inv2 * inv2 - 8.0 * inv2 + 1.0, single)
 
 
-def a_from_alpha(alpha: float) -> float:
+def a_from_alpha(alpha, *, errors: RowErrors | None = None):
     """Inverse of alpha_from_a on (0, 1).
 
     Solves 8 x^2 - 8 x + (1 - alpha) = 0 for x = 1/a^2; the root
     x = (1 + sqrt((alpha+1)/2)) / 2 is the one with x > 1.
     """
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    x = 0.5 * (1.0 + math.sqrt(0.5 * (alpha + 1.0)))
-    return 1.0 / math.sqrt(x)
-
-
-def eta_level(alpha: float) -> float:
-    """Minkowski level sqrt((alpha + 1) / 2) of the hypersurface indexed by alpha."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return math.sqrt(0.5 * (alpha + 1.0))
-
-
-def alpha_from_a_array(a: np.ndarray) -> np.ndarray:
-    """Array twin of alpha_from_a."""
-    inv2 = 1.0 / (a * a)
-    return 8.0 * inv2 * inv2 - 8.0 * inv2 + 1.0
-
-
-def a_from_alpha_array(alpha: np.ndarray) -> np.ndarray:
-    """Array twin of a_from_alpha."""
+    (alpha,), rows, single = _batch(errors, alpha, dtype=float)
+    rows.flag(~(alpha > 1.0), lambda r: f"alpha must exceed 1, got {alpha[r]}")
     x = 0.5 * (1.0 + np.sqrt(0.5 * (alpha + 1.0)))
-    return 1.0 / np.sqrt(x)
+    return _unbatch(1.0 / np.sqrt(x), single)
 
 
-def eta_level_array(alpha: np.ndarray) -> np.ndarray:
-    """Array twin of eta_level."""
-    return np.sqrt(0.5 * (alpha + 1.0))
+def eta_level(alpha, *, errors: RowErrors | None = None):
+    """Minkowski level sqrt((alpha + 1) / 2) of the hypersurface indexed by alpha."""
+    (alpha,), rows, single = _batch(errors, alpha, dtype=float)
+    rows.flag(alpha < 1.0, lambda r: f"alpha must be >= 1, got {alpha[r]}")
+    return _unbatch(np.sqrt(0.5 * (alpha + 1.0)), single)
+
+
+def _check_projective(rows: RowErrors, c: np.ndarray) -> None:
+    """Flag the rows of homogeneous coordinates c, shape (n, 4), that name no point of CP^3."""
+    rows.flag(~np.isfinite(c).all(axis=1), "homogeneous coordinates must be finite")
+    rows.flag(np.abs(c).max(axis=1) == 0.0, "homogeneous coordinates must not all vanish")
 
 
 class ProjectivePoint:
@@ -115,10 +105,7 @@ class ProjectivePoint:
         c = np.asarray(coords, dtype=complex)
         if c.shape != (4,):
             raise ValueError("a projective point needs exactly 4 homogeneous coordinates")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("homogeneous coordinates must be finite")
-        if np.max(np.abs(c)) == 0.0:
-            raise ValueError("homogeneous coordinates must not all vanish")
+        _check_projective(_collector(None, 1), c[None])
         self.coords = c
         self.coords.setflags(write=False)
 
@@ -198,92 +185,59 @@ class DomainSpec:
 # ---------------------------------------------------------------------------
 # membership
 
-def _pair(p) -> tuple[complex, complex]:
-    if isinstance(p, ProjectivePoint) or len(p) != 2:
-        raise ValueError("this domain lives in C^2; pass a pair (z1, z2)")
-    return complex(p[0]), complex(p[1])
+def _coords(p, dim: int):
+    if isinstance(p, ProjectivePoint) or len(p) != dim:
+        what = "a pair (z1, z2)" if dim == 2 else "a triple (z1, z2, z3)"
+        raise ValueError(f"this domain lives in C^{dim}; pass {what}")
+    return p
 
 
-def _triple(p) -> tuple[complex, complex, complex]:
-    if isinstance(p, ProjectivePoint) or len(p) != 3:
-        raise ValueError("this domain lives in C^3; pass a triple (z1, z2, z3)")
-    return complex(p[0]), complex(p[1]), complex(p[2])
-
-
-def _affine_quadric_margins(z1, z2, z3, s, t) -> list[float]:
-    m = minkowski_form(z1, z2, z3)
-    scale = max(1.0, max(abs(z1), abs(z2), abs(z3)) ** 2)
-    margins = [
-        m - s,
-        QUADRIC_EQ_TOL * scale - abs(quadric_residual(z1, z2, z3)),
-        im_condition(z1, z2, z3),
-    ]
-    if math.isfinite(t):
-        margins.append(t - m)
-    return margins
-
-
-def quadric_st_margin_array(z1, z2, z3, s, t) -> np.ndarray:
-    """Array twin of the quadric-st membership margin; t may be inf."""
+def _quadric_margin(z1, z2, z3, s, t):
+    """The affine quadric-st margin; t may be inf."""
     m = minkowski_form(z1, z2, z3)
     scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(z1), np.abs(z2)), np.abs(z3)) ** 2)
     worst = np.minimum(m - s, QUADRIC_EQ_TOL * scale - np.abs(quadric_residual(z1, z2, z3)))
     return np.minimum(np.minimum(worst, im_condition(z1, z2, z3)), t - m)
 
 
-def contains(spec: DomainSpec, p) -> tuple[bool, float]:
+def contains(spec: DomainSpec, p, *, errors: RowErrors | None = None):
     """Membership with margin.
 
     Returns (inside, margin) where margin is the minimum over the
     domain's constraints of their signed satisfaction distance; the
-    point is inside iff every constraint is strictly satisfied.
+    point is inside iff every constraint is strictly satisfied.  The
+    domains of C^2 and C^3 also take a batch: p's coordinates one per
+    row.  The projective ones take a ProjectivePoint.
     """
     tag = spec.tag
-    if tag == "bidisc":
-        z1, z2 = _pair(p)
-        margins = [1.0 - abs(z1), 1.0 - abs(z2)]
-    elif tag == "bidisc-r":
-        z1, z2 = _pair(p)
-        (r,) = spec.params
-        margins = [1.0 - abs(z1), 1.0 - abs(z2)]
-        if min(margins) > 0.0:
-            margins.append(r - pseudo_hyperbolic(z1, z2))
-    elif tag == "bidisc-st":
-        z1, z2 = _pair(p)
-        s, t = spec.params
-        margins = [1.0 - abs(z1), 1.0 - abs(z2)]
-        if min(margins) > 0.0:
-            rho = pseudo_hyperbolic(z1, z2)
-            margins += [rho - s, t - rho]
-    elif tag == "ball":
-        u, v = _pair(p)
-        margins = [1.0 - (_abs2(u) + _abs2(v))]
-    elif tag == "quadric-st":
-        z1, z2, z3 = _triple(p)
-        s, t = spec.params
-        margins = _affine_quadric_margins(z1, z2, z3, s, t)
-    elif tag == "quadric-proj":
+    if tag in ("quadric-proj", "infinity-curve"):
         if not isinstance(p, ProjectivePoint):
-            raise ValueError("quadric-proj membership needs a ProjectivePoint")
-        (s,) = spec.params
+            raise ValueError(f"{tag} membership needs a ProjectivePoint")
         h = p.coords
-        hmax = float(np.max(np.abs(h)))
-        if abs(h[0]) <= CHART_TOL * hmax:
-            margins = _infinity_margins(h)
+        if tag == "quadric-proj" and abs(h[0]) > CHART_TOL * float(np.max(np.abs(h))):
+            worst = float(_quadric_margin(h[1] / h[0], h[2] / h[0], h[3] / h[0], spec.params[0], math.inf))
         else:
-            z1, z2, z3 = h[1] / h[0], h[2] / h[0], h[3] / h[0]
-            margins = _affine_quadric_margins(z1, z2, z3, s, math.inf)
-    elif tag == "diagonal-curve":
-        z1, z2 = _pair(p)
-        margins = [1.0 - abs(z1), 1.0 - abs(z2), QUADRIC_EQ_TOL - abs(z1 - z2)]
-    elif tag == "infinity-curve":
-        if not isinstance(p, ProjectivePoint):
-            raise ValueError("infinity-curve membership needs a ProjectivePoint")
-        margins = _infinity_margins(p.coords)
-    else:  # unreachable; tags validated at construction
-        raise ValueError(f"unknown domain tag {tag!r}")
-    worst = float(min(margins))
-    return worst > 0.0, worst
+            worst = float(min(_infinity_margins(h)))
+        return worst > 0.0, worst
+    z, rows, single = _batch(errors, *_coords(p, 3 if tag == "quadric-st" else 2))
+    if tag == "ball":
+        worst = 1.0 - (_abs2(z[0]) + _abs2(z[1]))
+    elif tag == "quadric-st":
+        worst = _quadric_margin(*z, *spec.params)
+    else:
+        worst = np.minimum(1.0 - np.abs(z[0]), 1.0 - np.abs(z[1]))
+    if tag == "diagonal-curve":
+        worst = np.minimum(worst, QUADRIC_EQ_TOL - np.abs(z[0] - z[1]))
+    elif tag in ("bidisc-r", "bidisc-st"):
+        # rho is taken on the rows inside the bidisc only: pseudo_hyperbolic rejects the others
+        inside = worst > 0.0
+        rho = pseudo_hyperbolic(np.where(inside, z[0], 0.0), np.where(inside, z[1], 0.0), errors=rows)
+        if tag == "bidisc-r":
+            rho_margin = spec.params[0] - rho
+        else:
+            rho_margin = np.minimum(rho - spec.params[0], spec.params[1] - rho)
+        worst = np.where(inside, np.minimum(worst, rho_margin), worst)
+    return _unbatch((worst > 0.0, worst), single)
 
 
 def _infinity_margins(h) -> list[float]:

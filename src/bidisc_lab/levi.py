@@ -54,7 +54,8 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import _abs2
-from .orbits import Family, RowErrors
+from .orbits import Family
+from .rng import RowErrors, _collector, _unbatch
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -77,36 +78,30 @@ def _batch(f: Family, p, errors: RowErrors | None):
         P = P[None, :]
     if P.ndim != 2 or P.shape[1] != record.dim:
         raise ValueError(f"{record.name} expects a point of C^{record.dim}")
-    rows = RowErrors(len(P)) if errors is None else errors
-    finite = np.isfinite(P).all(axis=1)
-    if not finite.all():
+    rows = _collector(errors, len(P))
+    if not np.isfinite(P).all():
+        finite = np.isfinite(P).all(axis=1)
         rows.flag(~finite, "point must have finite components")
         P = np.where(finite[:, None], P, 0j)
     return P, single, rows
 
 
-def _done(out: np.ndarray, single: bool, rows: RowErrors, errors: RowErrors | None):
-    if errors is None:
-        rows.raise_first()
-    return out[0] if single else out
-
-
 def value(f: Family, p, *, errors: RowErrors | None = None):
     """Evaluate the defining function at a point, or at each row of a batch."""
     P, single, rows = _batch(f, p, errors)
-    return _done(f.record.value(P, f.param), single, rows, errors)
+    return _unbatch(f.record.value(P, f.param), single)
 
 
 def closed_wirtinger_gradient(f: Family, p) -> np.ndarray:
     """Exact Wirtinger gradient; the oracle the FD path is checked against."""
     P, single, rows = _batch(f, p, None)
-    return _done(np.stack(f.record.gradient(P.T, f.param), axis=1), single, rows, None)
+    return _unbatch(np.stack(f.record.gradient(P.T, f.param), axis=1), single)
 
 
 def closed_complex_hessian(f: Family, p) -> np.ndarray:
     """Exact complex Hessian (d^2 r / dz_j dconj(z_k))."""
     P, single, rows = _batch(f, p, None)
-    return _done(f.record.hessian(P, f.param), single, rows, None)
+    return _unbatch(f.record.hessian(P, f.param), single)
 
 
 def _check_ambient(f: Family, P: np.ndarray, rows: RowErrors) -> None:
@@ -134,7 +129,7 @@ def wirtinger_gradient(
     """FD Wirtinger gradient (central differences, step scaled by the point size)."""
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
-    return _done(_fd_gradient(f, P, _scaled_step(P, h), rows), single, rows, errors)
+    return _unbatch(_fd_gradient(f, P, _scaled_step(P, h), rows), single)
 
 
 def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
@@ -157,7 +152,7 @@ def complex_hessian(
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
     H = _fd_complex_hessian(f, P, _scaled_step(P, h), rows)
-    return _done(0.5 * (H + H.conj().swapaxes(1, 2)), single, rows, errors)
+    return _unbatch(0.5 * (H + H.conj().swapaxes(1, 2)), single)
 
 
 def _fd_complex_hessian(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
@@ -225,7 +220,7 @@ def complex_tangent(
     big = np.abs(v) > 1e-12
     lead = v[np.arange(n), np.argmax(big, axis=1)]
     v = v * np.where(big.any(axis=1), lead.conjugate() / np.abs(lead), 1.0)[:, None]
-    return _done(v, single, rows, errors)
+    return _unbatch(v, single)
 
 
 def _levi_form(v: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -247,33 +242,37 @@ def levi_restricted(f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | N
     )
     v = complex_tangent(f, P, errors=rows)
     H = complex_hessian(f, P, h, errors=rows)
-    return _done(_levi_form(v, H), single, rows, errors)
+    return _unbatch(_levi_form(v, H), single)
 
 
-def totally_real_check(basis) -> tuple[bool, int]:
+def totally_real_check(basis, *, errors: RowErrors | None = None):
     """Decide whether span_R(basis) meets i * span_R(basis) only at 0.
 
-    basis: real-tangent vectors given in complex coordinates.  Returns
-    (totally_real, dim_R of the intersection).
+    basis: real-tangent vectors given in complex coordinates, or a batch
+    of such bases, shape (n, k, dim).  Returns (totally_real, dim_R of
+    the intersection), one of each per row for a batch.
     """
-    vecs = [np.asarray(v, dtype=complex) for v in basis]
-    if not vecs:
+    try:
+        V = np.asarray(basis, dtype=complex)
+    except ValueError:
+        raise ValueError("basis vectors must share one ambient dimension") from None
+    if V.size == 0:
         raise ValueError("basis must be nonempty")
-    n = vecs[0].shape[0]
-    if any(v.shape != (n,) for v in vecs):
+    if V.ndim not in (2, 3):
         raise ValueError("basis vectors must share one ambient dimension")
-    B = np.column_stack([_realify(v) for v in vecs])
-    JB = np.column_stack([_realify(1j * v) for v in vecs])
+    single = V.ndim == 2
+    V = V.reshape((-1,) + V.shape[-2:])
+    rows = _collector(errors, len(V))
+    B, JB = _realify(V), _realify(1j * V)
     k = np.linalg.matrix_rank(B)
-    if k != len(vecs):
-        raise ValueError("basis vectors are linearly dependent over R")
-    dim_sum = np.linalg.matrix_rank(np.hstack([B, JB]))
-    dim_meet = 2 * k - int(dim_sum)
-    return dim_meet == 0, dim_meet
+    rows.flag(k != V.shape[1], "basis vectors are linearly dependent over R")
+    dim_meet = 2 * k - np.linalg.matrix_rank(np.concatenate([B, JB], axis=2))
+    return _unbatch((dim_meet == 0, dim_meet), single)
 
 
-def _realify(v: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * v.shape[0])
-    out[0::2] = v.real
-    out[1::2] = v.imag
+def _realify(V: np.ndarray) -> np.ndarray:
+    """The (n, k, dim) complex vectors as the columns of (n, 2 dim, k) real matrices, (re, im) interleaved."""
+    out = np.empty((len(V), 2 * V.shape[2], V.shape[1]))
+    out[:, 0::2] = V.real.swapaxes(1, 2)
+    out[:, 1::2] = V.imag.swapaxes(1, 2)
     return out

@@ -28,10 +28,8 @@ held-out samples and the group relations are satisfied.
 Off-diagonal pairs, for the fit and for the batched suites alike, come
 from ``PairDraw``: masked resampling inside a fixed budget of uniforms.
 
-The ``*_array`` twins evaluate J, H, H^-1 and sym elementwise on complex
-arrays for the batched suites.  They skip the argument checks;
-``mobius.outside_disc`` and ``near_diagonal`` are the array forms of the
-disc check and of the affine chart guard.
+Every map takes a point or a batch of rows (see ``rng``) and checks each
+row; conjugate_fit fits one automorphism, or one per row.
 """
 
 from __future__ import annotations
@@ -40,150 +38,118 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ProjectivePoint
+from .domains import ProjectivePoint, _check_projective
 from .groups import o21_residual
-from .mobius import MobiusMap, mobius_apply_pair, outside_disc, _require_disc, pseudo_hyperbolic_array
-from .rng import DEFAULT_RMAX, disc_from_uniforms
+from .mobius import MobiusMap, _check_disc, _rho, mobius_apply_pair
+from .rng import DEFAULT_RMAX, RowErrors, _batch, _collector, _unbatch, disc_from_uniforms
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
 
 Pair = tuple[complex, complex]
-Triple = tuple[complex, complex, complex]
 
 
 def swap_pair(p: Pair) -> Pair:
     return p[1], p[0]
 
 
-def sym(z1: complex, z2: complex) -> Pair:
-    """Symmetrization (z1 + z2, z1 z2); invariant under the coordinate swap."""
-    return z1 + z2, z1 * z2
+def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of z w from separately rounded float products, so that w z == z w bit for bit.
+
+    numpy's complex multiply may use fused multiply-adds, and then z * w
+    and w * z differ in the last bits, which depend on the build rather
+    than on the formula (a Levi stencil's second differences amplify
+    them by 1/h^2).
+    """
+    return z.real * w.real - z.imag * w.imag, z.real * w.imag + z.imag * w.real
 
 
-def map_J(z: complex, w: complex) -> ProjectivePoint:
-    """Homogeneous quadric embedding; defined on the whole bidisc."""
-    _require_disc(z, "z")
-    _require_disc(w, "w")
+def sym(z1, z2):
+    """Symmetrization (z1 + z2, z1 z2); invariant under the coordinate swap, exactly."""
+    (z1, z2), rows, single = _batch(None, z1, z2)
+    zw = np.empty(z1.shape, dtype=complex)
+    zw.real, zw.imag = _times(z1, z2)
+    return _unbatch((z1 + z2, zw), single)
+
+
+def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> None:
+    _check_disc(rows, z, "z")
+    _check_disc(rows, w, "w")
+
+
+def map_J(z, w, *, errors: RowErrors | None = None):
+    """Homogeneous quadric embedding; defined on the whole bidisc.
+
+    A ProjectivePoint for a point; the homogeneous coordinates, shape
+    (4, n), for a batch.
+    """
+    (z, w), rows, single = _batch(errors, z, w)
+    _check_pair(rows, z, w)
     zw = z * w
-    return ProjectivePoint([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
+    c = np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
+    _check_projective(rows, c.T)
+    return ProjectivePoint(c[:, 0]) if single else c
 
 
-def map_H(z: complex, w: complex) -> Triple:
-    """Affine quadric embedding; needs |z - w| >= 1e-6 to stay well conditioned."""
-    _require_disc(z, "z")
-    _require_disc(w, "w")
-    d = z - w
-    if abs(d) < EPS_DIAG:
-        raise ValueError("point too close to the diagonal for the affine chart")
-    zw = z * w
-    return ((1.0 - zw) / d, 1j * (1.0 + zw) / d, -1j * (z + w) / d)
-
-
-def near_diagonal(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Mask of the pairs that map_H's affine chart guard rejects."""
-    return np.abs(z - w) < EPS_DIAG
-
-
-def map_H_checked(rows, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """map_H_array, with each pair that map_H rejects flagged by ``rows.check`` (see orbits.RowErrors)."""
-    rows.check(outside_disc(z) | outside_disc(w) | near_diagonal(z, w), map_H, z, w)
-    return map_H_array(z, w)
-
-
-def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
-    # (ar + i ai) / (br + i bi) for denominators of modulus >= EPS_DIAG, where the
-    # textbook formula neither overflows nor underflows
-    den = br * br + bi * bi
+def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # (ar + i ai) / (br + i bi), den = br^2 + bi^2, for denominators of modulus >= EPS_DIAG,
+    # where the textbook formula neither overflows nor underflows
     out = np.empty(np.shape(den), dtype=complex)
     out.real = (ar * br + ai * bi) / den
     out.imag = (ai * br - ar * bi) / den
     return out
 
 
-def map_H_array(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array twin of map_H, without its checks.
+def map_H(z, w, *, errors: RowErrors | None = None):
+    """Affine quadric embedding; needs |z - w| >= 1e-6 to stay well conditioned.
 
     Computed on real and imaginary parts: float products commute
-    exactly, so map_H_array(w, z) == -map_H_array(z, w) bit for bit, as
-    with Python complex numbers.  numpy's complex multiply may use fused
-    multiply-adds, and then z * w and w * z differ in the last bits.
+    exactly, so map_H(w, z) == -map_H(z, w) bit for bit (see _times).
     """
+    (z, w), rows, single = _batch(errors, z, w)
+    _check_pair(rows, z, w)
+    rows.flag(np.abs(z - w) < EPS_DIAG, "point too close to the diagonal for the affine chart")
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
     dr, di = zr - wr, zi - wi
-    pr = zr * wr - zi * wi  # zw
-    pi = zr * wi + zi * wr
-    return (
-        _cdiv(1.0 - pr, -pi, dr, di),
-        _cdiv(-pi, 1.0 + pr, dr, di),
-        _cdiv(zi + wi, -(zr + wr), dr, di),
-    )
+    pr, pi = _times(z, w)  # zw
+    # 1 - zw, i (1 + zw) and -i (z + w) over z - w; 0 - pi keeps the signed zeros of complex arithmetic
+    numerators = ((1.0 - pr, 0.0 - pi), (-pi, 1.0 + pr), (zi + wi, -(zr + wr)))
+    den = dr * dr + di * di
+    return _unbatch(tuple(_cdiv(ar, ai, dr, di, den) for ar, ai in numerators), single)
 
 
-def map_J_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Array twin of map_J's homogeneous coordinates, shape (4, n)."""
-    zw = z * w
-    return np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
-
-
-def sym_array(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of sym, exactly symmetric like the scalar form (see map_H_array)."""
-    zw = np.empty(np.shape(z), dtype=complex)
-    zw.real = z.real * w.real - z.imag * w.imag
-    zw.imag = z.real * w.imag + z.imag * w.real
-    return z + w, zw
-
-
-def map_H_inv(h1: complex, h2: complex, h3: complex) -> Pair:
+def map_H_inv(h1, h2, h3, *, errors: RowErrors | None = None):
     """Invert the affine quadric embedding.
 
-    Raises if the input does not reproduce under the forward map (it
-    then lies off the image, e.g. off the quadric or with roots on the
-    unit circle).
+    A row fails if its input does not reproduce under the forward map
+    (it then lies off the image, e.g. off the quadric or with roots on
+    the unit circle).
     """
+    (h1, h2, h3), rows, single = _batch(errors, h1, h2, h3)
     den = h1 - 1j * h2
-    scale = max(1.0, abs(h1), abs(h2), abs(h3))
-    if abs(den) < 1e-12 * scale:
-        raise ValueError("h1 - i h2 vanishes; the pair difference is not recoverable")
+    scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
+    rows.flag(np.abs(den) < 1e-12 * scale, "h1 - i h2 vanishes; the pair difference is not recoverable")
     d = 2.0 / den  # z - w
     s = 1j * h3 * d  # z + w
     z, w = 0.5 * (s + d), 0.5 * (s - d)
-    for cand in ((z, w), (w, z)):
-        try:
-            back = map_H(*cand)
-        except ValueError:
-            continue
-        err = max(abs(back[0] - h1), abs(back[1] - h2), abs(back[2] - h3))
-        if err <= _ROUNDTRIP_TOL * scale:
-            return cand
-    raise ValueError("input does not lie on the embedded bidisc within tolerance")
-
-
-def map_H_inv_array(
-    h1: np.ndarray, h2: np.ndarray, h3: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array twin of map_H_inv: (z, w, ok), where ok is False on the rows it rejects."""
-    den = h1 - 1j * h2
-    scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
-    d = 2.0 / den
-    s = 1j * h3 * d
-    z, w = 0.5 * (s + d), 0.5 * (s - d)
 
     def reproduces(a, b):
-        back = map_H_array(a, b)
+        trial = RowErrors(len(a))
+        back = map_H(a, b, errors=trial)
         err = np.maximum(np.maximum(np.abs(back[0] - h1), np.abs(back[1] - h2)), np.abs(back[2] - h3))
-        return ~(outside_disc(a) | outside_disc(b) | near_diagonal(a, b)) & (err <= _ROUNDTRIP_TOL * scale)
+        return trial.ok & (err <= _ROUNDTRIP_TOL * scale)
 
     first = reproduces(z, w)
-    ok = ~(np.abs(den) < 1e-12 * scale) & (first | reproduces(w, z))
-    return np.where(first, z, w), np.where(first, w, z), ok
+    rows.flag(~(first | reproduces(w, z)), "input does not lie on the embedded bidisc within tolerance")
+    return _unbatch((np.where(first, z, w), np.where(first, w, z)), single)
 
 
-def scale_g_t(t: float, p: Pair) -> Pair:
+def scale_g_t(t, p, *, errors: RowErrors | None = None):
     """(u, v) -> (u/t, v); carries the ellipsoid |u|^2 + t^2 |v|^2 = t^2 onto the sphere."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"need 0 < t < 1, got {t}")
-    return p[0] / t, p[1]
+    (t, u, v), rows, single = _batch(errors, t, p[0], p[1])
+    t = t.real
+    rows.flag(~((0.0 < t) & (t < 1.0)), lambda r: f"need 0 < t < 1, got {t[r]}")
+    return _unbatch((u / t, v), single)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +203,7 @@ class PairDraw:
             z[todo], w[todo] = zk, wk
             keep = np.abs(zk - wk) >= margin
             if self.rho_floor:
-                keep &= pseudo_hyperbolic_array(zk, wk) >= self.rho_floor
+                keep &= _rho(zk, wk) >= self.rho_floor
             todo = todo[~keep]
             if not todo.size:
                 break
@@ -249,7 +215,7 @@ class PairDraw:
 
 @dataclass(frozen=True)
 class ConjugationFit:
-    """Real 3x3 matrix intertwining a bidisc automorphism with the quadric picture."""
+    """Real 3x3 matrix intertwining a bidisc automorphism with the quadric picture; one per row for a batch."""
 
     phi: MobiusMap | None
     swap: bool
@@ -266,14 +232,6 @@ FIT_PAIRS = PairDraw()
 FIT_DRAWS = 10 * PAIR_DRAWS  # uniforms of a fit at the default 6 + 4 points
 
 
-def _apply_auto(phi: MobiusMap | None, swap: bool, p: Pair) -> Pair:
-    if swap:
-        p = swap_pair(p)
-    if phi is not None:
-        p = mobius_apply_pair(phi, p)
-    return p
-
-
 def conjugate_fit(
     phi: MobiusMap | None,
     u: np.ndarray,
@@ -282,52 +240,53 @@ def conjugate_fit(
     rmax: float = DEFAULT_RMAX,
     n_fit: int = 6,
     n_holdout: int = 4,
+    errors: RowErrors | None = None,
 ) -> ConjugationFit:
-    """Fit the real 3x3 matrix M with M H(p) = H(Phi(p)).
+    """Fit the real 3x3 matrix M with M H(p) = H(Phi(p)), from one row of uniforms or each row of a block.
 
     Phi applies the swap first (when requested), then the diagonal
-    automorphism phi.  The n_fit + n_holdout points are FIT_PAIRS draws
-    with |z - w| >= 0.05, PAIR_DRAWS uniforms of u each (ValueError when
-    one has no admissible candidate).  Each fit point gives 3 complex =
-    6 real equations, solved row-wise by normal equations; a design
-    matrix with condition number above 1e8 is a ValueError.  The
-    returned fit_residual is the worst reproduction error on the
-    held-out points.
+    automorphism phi (one map, or one per row).  The n_fit + n_holdout
+    points are FIT_PAIRS draws with |z - w| >= 0.05, PAIR_DRAWS uniforms
+    of the row each; a row with a point without an admissible candidate
+    fails.  Each fit point gives 3 complex = 6 real equations, so a row's
+    design is (2 n_fit, 3): the rows of M solve its normal equations,
+    and a design with condition number above 1e8 fails its row.  The
+    fit_residual is the worst reproduction error on the held-out points.
     """
     if phi is None and not swap:
         raise ValueError("specify an automorphism: a MobiusMap, swap=True, or both")
     if n_fit < 4:
         raise ValueError("need at least 4 fit samples for a determined system")
-    n = n_fit + n_holdout
+    k = n_fit + n_holdout
     u = np.asarray(u, dtype=float)
-    if u.shape != (n * PAIR_DRAWS,):
-        raise ValueError(f"a fit of {n} points takes {n * PAIR_DRAWS} uniforms, got shape {u.shape}")
-    z, w, missing = FIT_PAIRS(u.reshape(n, PAIR_DRAWS), rmax, FIT_DIAG_MARGIN)
-    if missing.size:
-        wanted = FIT_PAIRS.wanted(FIT_DIAG_MARGIN)
-        raise ValueError(f"none of fit point {missing[0]}'s {PAIR_ROUNDS} candidate pairs has {wanted}")
-    pts = list(zip(z.tolist(), w.tolist()))
-    fit_pts, hold_pts = pts[:n_fit], pts[n_fit:]
-    src = np.array([map_H(*p) for p in fit_pts])  # (n_fit, 3) complex
-    dst = np.array([map_H(*_apply_auto(phi, swap, p)) for p in fit_pts])
-    A = np.vstack([src.real, src.imag])  # (2 n_fit, 3) real
-    cond = np.linalg.cond(A)
-    if cond > _COND_GUARD:
-        raise ValueError(f"design matrix condition number {cond:.3g} exceeds {_COND_GUARD:g}")
-    B = np.vstack([dst.real, dst.imag])  # (2 n_fit, 3), column j = target row j
-    G = A.T @ A
-    M = np.linalg.solve(G, A.T @ B).T  # rows of M solve the row-wise systems
-    worst = 0.0
-    for p in hold_pts:
-        lhs = M @ np.asarray(map_H(*p))
-        rhs = np.asarray(map_H(*_apply_auto(phi, swap, p)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return ConjugationFit(
-        phi=phi,
-        swap=swap,
-        matrix=M,
-        fit_residual=worst,
-        membership_residual=o21_residual(M),
-        det=float(np.linalg.det(M)),
-        a33=float(M[2, 2]),
-    )
+    if u.ndim not in (1, 2) or u.shape[-1] != k * PAIR_DRAWS:
+        raise ValueError(f"a fit of {k} points takes {k * PAIR_DRAWS} uniforms, got shape {u.shape}")
+    n = len(u) if u.ndim == 2 else 1
+    rows = _collector(errors, n)
+    z, w, missing = FIT_PAIRS(u.reshape(n * k, PAIR_DRAWS), rmax, FIT_DIAG_MARGIN)
+    lost = np.isin(np.arange(n * k), missing).reshape(n, k)
+    wanted = f"{PAIR_ROUNDS} candidate pairs has {FIT_PAIRS.wanted(FIT_DIAG_MARGIN)}"
+    rows.flag(lost.any(axis=1), lambda r: f"none of fit point {np.argmax(lost[r])}'s {wanted}")
+    points = RowErrors(n * k)
+    src = np.stack(map_H(z, w, errors=points), axis=-1).reshape(n, k, 3)
+    image = swap_pair((z, w)) if swap else (z, w)
+    if phi is not None:
+        theta, a = (np.repeat(np.broadcast_to(x, n), k) for x in (phi.theta, phi.a))
+        image = mobius_apply_pair(MobiusMap(theta, a, errors=points), image, errors=points)
+    dst = np.stack(map_H(*image, errors=points), axis=-1).reshape(n, k, 3)
+    rows.take(points, np.repeat(np.arange(n), k))
+
+    def design(H):  # the failed rows get a well-conditioned stand-in
+        D = np.concatenate([H[:, :n_fit].real, H[:, :n_fit].imag], axis=1)  # (n, 2 n_fit, 3)
+        return np.where(rows.ok[:, None, None], D, np.eye(2 * n_fit, 3))
+
+    cond = np.linalg.cond(design(src))
+    rows.flag(cond > _COND_GUARD, lambda r: f"design matrix condition number {cond[r]:.3g} exceeds {_COND_GUARD:g}")
+    A = design(src)
+    At = A.swapaxes(1, 2)
+    M = np.linalg.solve(At @ A, At @ design(dst)).swapaxes(1, 2)  # column j of the right side = target row j
+    worst = np.abs(src[:, n_fit:] @ M.swapaxes(1, 2) - dst[:, n_fit:]).max(axis=(1, 2))
+    fit = (M, worst, o21_residual(M), np.linalg.det(M), M[:, 2, 2])
+    if u.ndim == 1:
+        fit = (M[0], *(float(v[0]) for v in fit[1:]))
+    return ConjugationFit(phi, swap, *fit)

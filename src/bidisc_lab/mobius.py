@@ -10,89 +10,95 @@ invariant there is the pseudo-hyperbolic modulus
 
     rho(z, w) = |z - w| / |1 - conj(z) w|.
 
-The ``*_array`` twins evaluate the same formulas elementwise on complex
-arrays for the batched suites.  They skip the argument checks;
-``outside_disc`` is the array form of the disc check, and callers apply
-it themselves.
+Every function takes a point or a batch of rows (see ``rng``), and
+applies its checks to each row.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .rng import DEFAULT_RMAX, disc_from_uniforms
+from .rng import DEFAULT_RMAX, RowErrors, _batch, _unbatch, disc_from_uniforms
 
 TOL_BOUNDARY = 1e-9
 
 
-def _require_finite(z: complex, name: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must have finite components, got {z!r}")
-
-
-def _require_disc(z: complex, name: str) -> None:
-    _require_finite(z, name)
-    if abs(z) >= 1.0 - TOL_BOUNDARY:
-        raise ValueError(f"{name} must lie strictly inside the unit disc, got |{name}| = {abs(z)}")
-
-
-def outside_disc(z: np.ndarray) -> np.ndarray:
-    """Mask of the entries that the scalar disc check rejects (non-finite ones included)."""
-    return ~(np.abs(z) < 1.0 - TOL_BOUNDARY)
+def _check_disc(rows: RowErrors, z: np.ndarray, name: str) -> None:
+    """Flag the rows whose z is not finite or not strictly inside the unit disc."""
+    size = np.abs(z)
+    bad = ~(size < 1.0 - TOL_BOUNDARY)  # non-finite entries included
+    if bad.any():
+        rows.flag(bad & ~np.isfinite(z), lambda r: f"{name} must have finite components, got {z[r].item()!r}")
+        rows.flag(bad, lambda r: f"{name} must lie strictly inside the unit disc, got |{name}| = {size[r]}")
 
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """Disc automorphism z -> e^{i theta} (z - a) / (1 - conj(a) z)."""
+    """Disc automorphism z -> e^{i theta} (z - a) / (1 - conj(a) z); theta and a are numbers, or one per row."""
 
     theta: float
     a: complex = 0j
+    _: KW_ONLY
+    errors: InitVar[RowErrors | None] = None
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "a", complex(self.a))
-        _require_disc(self.a, "a")
+    def __post_init__(self, errors):
+        (theta, a), rows, single = _batch(errors, self.theta, self.a)
+        rows.flag(~np.isfinite(theta.real), "theta must be finite")
+        _check_disc(rows, a, "a")
+        theta, a = _unbatch((theta.real, a), single)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "a", a)
 
 
 IDENTITY = MobiusMap(0.0, 0j)
 
 
-def mobius_apply(m: MobiusMap, z: complex) -> complex:
-    """Evaluate the automorphism at a disc point."""
-    _require_disc(z, "z")
-    return cmath.exp(1j * m.theta) * (z - m.a) / (1.0 - m.a.conjugate() * z)
+def mobius_apply(m: MobiusMap, z, *, errors: RowErrors | None = None):
+    """Evaluate the automorphism at a disc point, or at each row (one map for all, or one per row)."""
+    (z, a), rows, single = _batch(errors, z, m.a)  # theta and a share one shape
+    _check_disc(rows, z, "z")
+    return _unbatch(np.exp(1j * np.asarray(m.theta)) * (z - a) / (1.0 - a.conjugate() * z), single)
 
 
-def mobius_apply_array(theta: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Array twin of mobius_apply, one automorphism (theta, a) per entry."""
-    return np.exp(1j * theta) * (z - a) / (1.0 - a.conjugate() * z)
-
-
-def mobius_apply_pair(m: MobiusMap, p: tuple[complex, complex]) -> tuple[complex, complex]:
+def mobius_apply_pair(m: MobiusMap, p, *, errors: RowErrors | None = None):
     """Apply the same automorphism to both bidisc coordinates."""
-    return mobius_apply(m, p[0]), mobius_apply(m, p[1])
+    return mobius_apply(m, p[0], errors=errors), mobius_apply(m, p[1], errors=errors)
 
 
-def pseudo_hyperbolic(z: complex, w: complex) -> float:
-    """rho(z, w) = |z - w| / |1 - conj(z) w|, in [0, 1) on the bidisc."""
-    _require_disc(z, "z")
-    _require_disc(w, "w")
-    return abs(z - w) / abs(1.0 - z.conjugate() * w)
+def pseudo_hyperbolic(z, w, *, errors: RowErrors | None = None):
+    """rho(z, w) = |z - w| / |1 - conj(z) w|, in [0, 1) on the bidisc.
+
+    numpy's complex multiply may use fused multiply-adds, and then
+    conj(z) w and conj(w) z are not exact conjugates; each row forms the
+    product in one order of the pair (lexicographic), so that
+    rho(w, z) == rho(z, w) bit for bit.
+    """
+    (z, w), rows, single = _batch(errors, z, w)
+    _check_disc(rows, z, "z")
+    _check_disc(rows, w, "w")
+    return _unbatch(_rho(z, w), single)
 
 
-def pseudo_hyperbolic_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Array twin of pseudo_hyperbolic."""
+def _rho(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """pseudo_hyperbolic without its checks."""
+    flip = z.real > w.real
+    tie = z.real == w.real
+    if tie.any():
+        flip |= tie & (z.imag > w.imag)
+    z, w = np.where(flip, w, z), np.where(flip, z, w)
     return np.abs(z - w) / np.abs(1.0 - z.conjugate() * w)
 
 
 MOBIUS_DRAWS = 3
 
 
-def random_mobius(u, rmax: float = DEFAULT_RMAX) -> MobiusMap:
-    """The automorphism of 3 uniforms: angle tau u0, centre the area-uniform rmax-disc point of (u1, u2)."""
-    return MobiusMap(math.tau * float(u[0]), complex(disc_from_uniforms(u[1], u[2], rmax)))
+def random_mobius(u, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None) -> MobiusMap:
+    """The automorphism of 3 uniforms, or one per row of an (n, 3) block.
+
+    Angle tau u0, centre the area-uniform rmax-disc point of (u1, u2).
+    """
+    u = np.asarray(u, dtype=float)
+    return MobiusMap(math.tau * u[..., 0], disc_from_uniforms(u[..., 1], u[..., 2], rmax), errors=errors)

@@ -12,17 +12,28 @@ Every sampler produces points lying on its orbit by construction: a
 base point with the orbit equation satisfied exactly is pushed around
 by a group element drawn from the sample's uniforms, so the dumped
 residual column records only floating-point drift.  The drift is
-relative to the point's size: a small multiple of eps * max(1, |p|^2),
-with |p| the Euclidean norm of the point and eps = 2.2e-16.  On the rho
-orbits it carries a further factor 1 / (1 - max_k |z_k|^2), since rho
-loses digits near the unit circle.  Measured over 40,000 points of each
-CLI orbit (Fa:0.8, Eta:2.125, Ellipsoid:0.5, RealSlice, ComplexCurve)
-at the default rmax and seeds 1 to 5, the largest multiple was 5.15,
-on Eta:2.125 (Fa:0.8 0.94 with its further factor, Ellipsoid:0.5 1.5,
-the other two 0).  The quadric orbits reach |p|^2 ~ 10^3, so their
-absolute residuals approach 1e-12 and can exceed it (12 of those
-200,000 Eta rows did).  The Minkowski level sampler applies map_H's
-checks to each row: at a large level the pairs crowd the diagonal.
+relative to the point's size, a multiple of eps * max(1, |p|^2) with |p|
+the Euclidean norm of the point and eps = 2.2e-16:
+
+* On the Minkowski levels the multiple grows with the level, as map_H
+  divides by z - w of size about sqrt(2 / (level + 1)): it stays below
+  5 + sqrt(level + 1).  Measured over 20,000 rows at each of seeds 1 to
+  5 and 42, the largest multiples were 4.6 at level 1.5, 5.2 at 2.125
+  (40,000 rows, seeds 1 to 5), 9.2 at 100, 74 at 10^4, 690 at 10^6 and
+  22,500 at 10^9.  These orbits reach |p|^2 ~ 10^3 at level 2.125, so
+  their absolute residuals approach 1e-12 and can exceed it (11 of
+  those 200,000 rows did).
+* On the rho orbits it carries a further factor 1 / (1 - max_k
+  |z_k|^2), since rho loses digits near the unit circle; the other
+  families need none.  Over the same 40,000 rows of Fa:0.8,
+  Ellipsoid:0.5, RealSlice and ComplexCurve the largest multiples were
+  1.4, 1.25, 0 and 0.
+
+The samplers apply their checks to each row.  The Minkowski level
+sampler applies map_H's: at a large level the pairs crowd the diagonal.
+The rho level sampler fails a row whose pair does not resolve the
+level, |rho - a| not below a: below about eps times the automorphism
+centre's modulus, phi(a) rounds onto phi(0).
 
 A dump draws row i from the uniforms [i k, (i + 1) k) of the stream
 (seed, 0), with k = ``spec.record.draws``, in blocks of BLOCK rows, so
@@ -40,60 +51,37 @@ import numpy as np
 
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, random_su11, so21_sample, su11_embed
-from .maps import Pair, map_H_checked
-from .mobius import TOL_BOUNDARY, mobius_apply_array, pseudo_hyperbolic
-from .rng import DEFAULT_RMAX, DEFAULT_SEED, disc_from_uniforms, polar, uniform_block
+from .maps import map_H
+from .mobius import TOL_BOUNDARY, mobius_apply, pseudo_hyperbolic, random_mobius
+from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
 
 BLOCK = 1024  # rows per block of a dump; never changes a byte of it
-
-
-class RowErrors:
-    """The first failed check of each row of a batch.
-
-    ``ok[r]`` turns False when row r fails a check, and ``message[r]``
-    then holds that check's ValueError message; later checks never
-    overwrite it.
-    """
-
-    def __init__(self, n: int):
-        self.ok = np.ones(n, dtype=bool)
-        self.message = np.full(n, None, dtype=object)
-
-    def flag(self, bad: np.ndarray, message: str) -> None:
-        bad = bad & self.ok
-        self.ok[bad] = False
-        self.message[bad] = message
-
-    def check(self, bad: np.ndarray, fn: Callable, *args) -> None:
-        """Flag the rows in ``bad`` that the scalar ``fn``, called on the row's arguments, rejects with its message."""
-        for r in np.flatnonzero(bad & self.ok):  # array arguments are indexed by row
-            try:
-                fn(*(a[r].item() if isinstance(a, np.ndarray) else a for a in args))
-            except ValueError as exc:
-                self.ok[r] = False
-                self.message[r] = str(exc)
-
-    def raise_first(self) -> None:
-        failed = np.flatnonzero(~self.ok)
-        if failed.size:
-            raise ValueError(self.message[failed[0]])
 
 
 # ---------------------------------------------------------------------------
 # samplers; the parameter checks live in the records below
 
 
-def rho_orbit_point(u: np.ndarray, a, rmax: float = DEFAULT_RMAX):
+def rho_orbit_point(u: np.ndarray, a, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
     """Bidisc pairs (phi(a), phi(0)) at pseudo-hyperbolic distance a, one per row of u.
 
-    phi has angle tau u0 and centre the area-uniform rmax-disc point of
-    (u1, u2).  The diagonal automorphism group acts transitively on the
-    level set, so these images of the base pair (a, 0) cover it.  u is
-    an (n, 3) block; a is a number or one per row.
+    phi is the automorphism ``random_mobius`` makes of the row: angle
+    tau u0, centre the area-uniform rmax-disc point of (u1, u2).  The
+    diagonal automorphism group acts transitively on the level set, so
+    these images of the base pair (a, 0) cover it.  u is an (n, 3) block;
+    a is a number or one per row.
     """
-    theta = math.tau * u[:, 0]
-    c = disc_from_uniforms(u[:, 1], u[:, 2], rmax)
-    return mobius_apply_array(theta, c, a), mobius_apply_array(theta, c, np.zeros_like(c))
+    phi = random_mobius(u, rmax, errors=errors)
+    return mobius_apply(phi, a, errors=errors), mobius_apply(phi, 0j, errors=errors)
+
+
+def _resolved_rho_orbit_point(u: np.ndarray, a: float, rmax: float, errors: RowErrors):
+    """rho_orbit_point, with each row whose pair does not resolve the level (|rho - a| >= a) flagged."""
+    z, w = rho_orbit_point(u, a, rmax, errors=errors)
+    gap = np.abs(pseudo_hyperbolic(z, w, errors=errors) - a)
+    rounds = "its pair rounds onto the diagonal: |rho - a| = "
+    errors.flag(~(gap < a), lambda r: f"{rounds}{gap[r]:.3g} is not below a = {a:g}")
+    return z, w
 
 
 def minkowski_orbit_point(u: np.ndarray, level: float, rmax: float, errors: RowErrors):
@@ -104,15 +92,16 @@ def minkowski_orbit_point(u: np.ndarray, level: float, rmax: float, errors: RowE
     row whose pair map_H rejects is flagged in ``errors`` with map_H's
     message.
     """
-    z, w = rho_orbit_point(u, math.sqrt(2.0 / (level + 1.0)), rmax)
-    with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
-        return map_H_checked(errors, z, w)
+    return map_H(*rho_orbit_point(u, math.sqrt(2.0 / (level + 1.0)), rmax, errors=errors), errors=errors)
 
 
-def ellipsoid_orbit_point(u, t: float) -> Pair:
-    """The point of the ellipsoid |u|^2 + t^2 |v|^2 = t^2 that 3 uniforms give (see random_su11)."""
-    g = su11_embed(*random_su11(u))
-    return ball_action(g, (complex(t), 0j))
+def ellipsoid_orbit_point(u, t, *, errors: RowErrors | None = None):
+    """The point of the ellipsoid |u|^2 + t^2 |v|^2 = t^2 that 3 uniforms give, or one per row of a block.
+
+    The SU(1,1) element of random_su11 moves the base point (t, 0); t is
+    a number or one per row.
+    """
+    return ball_action(su11_embed(*random_su11(u), errors=errors), (t, 0j), errors=errors)
 
 
 def sphere_point(u: np.ndarray):
@@ -125,9 +114,12 @@ def sphere_point(u: np.ndarray):
     return polar(np.sqrt(s), math.tau * u[:, 1]), polar(np.sqrt(1.0 - s), math.tau * u[:, 2])
 
 
-def real_slice_point(u) -> Pair:
-    """The point of the totally real slice that a Lorentz action (see so21_sample) carries (0, 0) to."""
-    return ball_action(so21_sample(u), (0j, 0j))
+def real_slice_point(u, *, errors: RowErrors | None = None):
+    """The point of the totally real slice that 3 uniforms give, or one per row of a block.
+
+    The Lorentz matrix of so21_sample carries the origin there.
+    """
+    return ball_action(so21_sample(u), (0j, 0j), errors=errors)
 
 
 def complex_curve_point(u: np.ndarray, rmax: float = DEFAULT_RMAX):
@@ -136,22 +128,12 @@ def complex_curve_point(u: np.ndarray, rmax: float = DEFAULT_RMAX):
     return np.zeros_like(v), v
 
 
-def _row_by_row(point: Callable) -> Callable:
-    """The block sampler that calls the scalar ``point(row, param)`` on one row of u at a time."""
-    return lambda u, param, rmax, errors: tuple(np.array([point(row, param) for row in u], dtype=complex).T)
-
-
 # ---------------------------------------------------------------------------
 # defining-function pieces too long for a record
 
 
 def _conj_times(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """conj(z) w from separately rounded float products.
-
-    numpy's complex multiply may fuse them, and then the last bits of a
-    stencil value, which the second differences amplify by 1/h^2, would
-    depend on the build rather than on the formula.
-    """
+    """conj(z) w from separately rounded float products (see maps._times)."""
     out = np.empty(np.shape(z), dtype=complex)
     out.real = z.real * w.real + z.imag * w.imag
     out.imag = z.real * w.imag - z.imag * w.real
@@ -207,8 +189,9 @@ class FamilyRecord:
     ``value(P, param)``, ``gradient(P.T, param)`` and ``hessian(P, param)``
     take an (n, dim) batch P.  ``ambient`` is (bound, message): a row with
     a coordinate of modulus >= bound fails the stencil's ambient check.
-    ``residual(p, param)`` takes one point as a tuple of complex numbers,
-    ``sampler(u, param, rmax, errors)`` an (n, draws) block of uniforms.
+    ``residual(p, param, errors)`` takes a point's coordinates (numbers,
+    or arrays with one entry per row), ``sampler(u, param, rmax, errors)``
+    an (n, draws) block of uniforms.
     """
 
     name: str
@@ -231,8 +214,8 @@ RHO_LEVEL = FamilyRecord(
     # r = |z1 - z2|^2 - a^2 |1 - conj(z1) z2|^2 on the bidisc; zero set rho = a
     value=lambda P, a: _abs2(P[:, 0] - P[:, 1]) - a * a * _abs2(1.0 - _conj_times(P[:, 0], P[:, 1])),
     gradient=_rho_gradient, hessian=_rho_hessian, ambient=_BIDISC_AMBIENT,
-    residual=lambda p, a: abs(pseudo_hyperbolic(*p) - a),
-    sampler=lambda u, a, rmax, errors: rho_orbit_point(u, a, rmax), draws=3,
+    residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
+    sampler=_resolved_rho_orbit_point, draws=3,
 )
 MINKOWSKI_LEVEL = FamilyRecord(
     "minkowski-level", 3, cli="Eta", need="need level > 1", admits=lambda level: level > 1.0,
@@ -240,10 +223,10 @@ MINKOWSKI_LEVEL = FamilyRecord(
     value=lambda P, level: level - (_abs2(P[:, 0]) + _abs2(P[:, 1]) - _abs2(P[:, 2])),
     gradient=lambda z, level: (-z[0].conjugate(), -z[1].conjugate(), z[2].conjugate()),
     hessian=lambda P, level: _diagonal_hessian(P, -1.0, -1.0, 1.0), constraint=_quadric_row,
-    residual=lambda p, level: (
-        math.inf if im_condition(*p) <= 0.0 else max(abs(quadric_residual(*p)), abs(minkowski_form(*p) - level))
+    residual=lambda p, level, errors: np.where(
+        im_condition(*p) <= 0.0, math.inf, np.maximum(np.abs(quadric_residual(*p)), np.abs(minkowski_form(*p) - level))
     ),
-    sampler=lambda u, level, rmax, errors: minkowski_orbit_point(u, level, rmax, errors), draws=3,
+    sampler=minkowski_orbit_point, draws=3,
 )
 ELLIPSOID = FamilyRecord(
     "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: 0.0 < t < 1.0,
@@ -251,8 +234,8 @@ ELLIPSOID = FamilyRecord(
     value=lambda P, t: _abs2(P[:, 0]) + t * t * _abs2(P[:, 1]) - t * t,
     gradient=lambda z, t: (z[0].conjugate(), t * t * z[1].conjugate()),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
-    residual=lambda p, t: abs(_abs2(p[0]) + t * t * _abs2(p[1]) - t * t),
-    sampler=_row_by_row(lambda row, t: ellipsoid_orbit_point(row, t)), draws=3,
+    residual=lambda p, t, errors: np.abs(_abs2(p[0]) + t * t * _abs2(p[1]) - t * t),
+    sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, errors=errors), draws=3,
 )
 SPHERE = FamilyRecord(
     "sphere", 2,
@@ -270,12 +253,12 @@ FLAT_CONTROL = FamilyRecord(
 )
 REAL_SLICE = FamilyRecord(
     "real-slice", 2, cli="RealSlice",
-    residual=lambda p, _: max(abs(p[0].imag), abs(p[1].imag)),
-    sampler=_row_by_row(lambda row, _: real_slice_point(row)), draws=3,
+    residual=lambda p, _, errors: np.maximum(np.abs(p[0].imag), np.abs(p[1].imag)),
+    sampler=lambda u, _, rmax, errors: real_slice_point(u, errors=errors), draws=3,
 )
 COMPLEX_CURVE = FamilyRecord(
     "complex-curve", 2, cli="ComplexCurve",
-    residual=lambda p, _: abs(p[0]),
+    residual=lambda p, _, errors: np.abs(p[0]),
     sampler=lambda u, _, rmax, errors: complex_curve_point(u, rmax), draws=2,
 )
 
@@ -308,7 +291,7 @@ def on_orbit_residual(spec: Family, p) -> float:
     p = tuple(complex(c) for c in p)
     if spec.record.residual is None or len(p) != spec.record.dim:
         raise ValueError(f"no {spec.record.name} orbit residual for a point of C^{len(p)}")
-    return spec.record.residual(p, spec.param)
+    return float(spec.record.residual(p, spec.param, None))
 
 
 def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):
@@ -318,14 +301,13 @@ def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):
     """
     if spec.record.sampler is None:
         raise ValueError(f"{spec.record.name} has no sampler")
-    return spec.record.sampler(u, spec.param, rmax, errors)
+    with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
+        return spec.record.sampler(u, spec.param, rmax, errors)
 
 
 def orbit_point(spec: Family, u: np.ndarray, rmax: float = DEFAULT_RMAX):
     """The point of the orbit described by spec that one row of spec.record.draws uniforms gives."""
-    errors = RowErrors(1)
-    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], rmax, errors)
-    errors.raise_first()
+    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], rmax, _collector(None, 1))
     return tuple(c[0].item() for c in coords)
 
 
@@ -360,8 +342,8 @@ def dump_orbit(
 
     Columns are the real and imaginary parts of each coordinate followed
     by the orbit-equation residual, all at 17 significant digits.  A row
-    that fails one of its sampler's checks is a ValueError that names
-    the row, and nothing is written.
+    that fails one of the checks of its sampler or its residual is a
+    ValueError that names the row, and nothing is written.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -373,13 +355,14 @@ def dump_orbit(
         hi = min(lo + BLOCK, n)
         errors = RowErrors(hi - lo)
         coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), rmax, errors)
+        with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
+            residual = record.residual(coords, spec.param, errors)
         failed = np.flatnonzero(~errors.ok)
         if failed.size:
-            raise ValueError(f"row {lo + failed[0]} of the {record.cli or record.name} dump: {errors.message[failed[0]]}")
-        for p in zip(*(c.tolist() for c in coords)):
-            flat = [x for z in p for x in (z.real, z.imag)]
-            flat.append(record.residual(p, spec.param))
-            lines.append(",".join(f"{x:.17g}" for x in flat))
-    header = ",".join(f"x{j},y{j}" for j in range(1, len(p) + 1)) + ",residual"
+            r = failed[0]
+            raise ValueError(f"row {lo + r} of the {record.cli or record.name} dump: {errors.message[r]}")
+        table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
+        lines += [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
+    header = ",".join(f"x{j},y{j}" for j in range(1, len(coords) + 1)) + ",residual"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n" + "\n".join(lines) + "\n")

@@ -25,6 +25,16 @@ budget and no draw is rejected:
   one uniform angle per coordinate;
 * planar annulus rmin <= r < rmax, area-uniform:
   r = sqrt(rmin^2 + s (rmax^2 - rmin^2)) and a uniform angle.
+
+Rows are also the unit of checking.  Every function of the package that
+takes a keyword-only ``errors`` takes a point or a batch of rows (for
+numbers, 1-d arrays with one entry per row); a point is the batch of
+one, evaluated by the same arithmetic.  A row that fails one of the function's checks is
+flagged in the ``RowErrors`` collector passed as ``errors``, with the
+check's ValueError message, and its results are then meaningless (numpy
+may warn while computing them, so the suites and the dumps compute under
+``np.errstate(all="ignore")``); without a collector, the first row that
+fails a check raises its ValueError.
 """
 
 from __future__ import annotations
@@ -57,6 +67,74 @@ class RngStream:
         self.gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )
+
+
+class RowErrors:
+    """The first failed check of each row of a batch.
+
+    ``ok[r]`` turns False when row r fails a check, and ``message[r]``
+    then holds that check's ValueError message; later checks never
+    overwrite it.
+    """
+
+    def __init__(self, n: int):
+        self.ok = np.ones(n, dtype=bool)
+        self.message = np.empty(n, dtype=object)  # all None
+
+    def flag(self, bad: np.ndarray, message) -> None:
+        """Fail the rows in ``bad`` that have not failed yet, with one message or ``message(r)`` for row r."""
+        if bad.any() and (bad := bad & self.ok).any():
+            self.ok[bad] = False
+            self.message[bad] = [message(r) for r in np.flatnonzero(bad)] if callable(message) else message
+
+    def take(self, errors: RowErrors, owner: np.ndarray) -> None:
+        """Fail row owner[r] for each failed row r of ``errors``, with the message of its first failed row."""
+        failed = np.flatnonzero(~errors.ok)
+        if not failed.size:
+            return
+        target, first = np.unique(owner[failed], return_index=True)
+        text = dict(zip(target.tolist(), errors.message[failed[first]]))
+        self.flag(np.isin(np.arange(len(self.ok)), target), text.__getitem__)
+
+
+class _FirstRaises(RowErrors):
+    """The collector of a call that was passed none: the first row that fails a check raises at once."""
+
+    def __init__(self, n: int):
+        self.ok = np.ones(n, dtype=bool)  # stays all True: no row fails without raising
+
+    def flag(self, bad: np.ndarray, message) -> None:
+        if bad.any():  # no row has failed before: it would have raised
+            r = int(np.argmax(bad))
+            raise ValueError(message(r) if callable(message) else message)
+
+
+def _batch(errors: RowErrors | None, *values, dtype=complex):
+    """The values as 1-d arrays of one length, the collector of their checks, and whether they were one point."""
+    arrays = [np.asarray(v, dtype=dtype) for v in values]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    n = math.prod(shape)
+    flat = [(a if a.shape == shape else np.broadcast_to(a, shape)).reshape(n) for a in arrays]
+    return flat, _collector(errors, n), shape == ()
+
+
+def _collector(errors: RowErrors | None, n: int) -> RowErrors:
+    """errors, or for a call passed none, the collector whose first failing row raises."""
+    return _FirstRaises(n) if errors is None else errors
+
+
+def _unbatch(out, single: bool):
+    """out, with a point's entries as Python scalars."""
+    if not single:
+        return out
+    return tuple(_first(a) for a in out) if isinstance(out, tuple) else _first(out)
+
+
+def _first(a: np.ndarray):
+    """Row 0 of a batch result: a Python scalar, or the array of a vector result."""
+    return a[0].item() if a.ndim == 1 else a[0]
 
 
 def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np.ndarray:

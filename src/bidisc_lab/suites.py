@@ -12,35 +12,37 @@ is one ``rng.uniform_block`` call, so replaying sample i takes
 (cfg, U, idx): the block's uniforms U, shape (len(idx), k), and the
 sample indices idx.
 
-* Array kernels (fourteen: the ten pointwise claims and the four Levi
-  certifications) evaluate the claim on a whole block as numpy arrays.
-  A pair that must lie off the diagonal (|z - w| >= eps_diag), and for
+Every kernel evaluates its claim on the whole block as numpy arrays,
+through the same functions a caller uses on a point (a point is the
+batch of one), passing the block's ``RowErrors`` as ``errors``:
+
+* A pair that must lie off the diagonal (|z - w| >= eps_diag), and for
   the dual-route level checks also have rho >= 0.05, comes from
   ``maps.PairDraw``: PAIR_ROUNDS candidate pairs of 4 uniforms each, of
   which the row takes the first admissible one.  A row with none is a
-  hard failure.  The Levi suites take k = 3: the levi-Fa, levi-eta and
-  levi-sphere rows are drawn by their family's sampler
-  (``orbits.orbit_points``), which also applies its checks, and the
-  control surface's rows are an angle and an inverse-transform disc
-  point.  Each block's rows of one family spec are one batch of
-  ``levi.levi_restricted``.
-* Per-row claims (the other eight) keep scalar bodies behind
-  ``_per_row``, which evaluates them one row of uniforms at a time.  A
-  body records what it draws as it goes, so a row that raises records
-  what it drew before the failing step.  Their budgets: a conjugation
-  fit takes ten PairDraw pairs (FIT_DRAWS) plus 3 uniforms for the
-  automorphism; ``aut-preserves-subdomains`` 8, ``su11-orbit-invariant``
-  7, ``su11-orbit-ellipsoid`` and ``gt-sphere`` 4, ``o21-matrix-B`` 2,
-  and ``o21-totally-real`` TOTALLY_REAL_ROUNDS candidate matrices of 4.
+  hard failure.  A conjugation fit draws its ten points the same way
+  (FIT_DRAWS), after 3 uniforms for the automorphism in
+  ``conjugation-so21``, and solves one normal-equation system per row;
+  ``o21-totally-real`` takes the first of TOTALLY_REAL_ROUNDS candidate
+  matrices (4 uniforms each) with |det| >= 0.1.
+* The Levi suites take k = 3: the levi-Fa, levi-eta and levi-sphere
+  rows are drawn by their family's sampler (``orbits.orbit_points``),
+  which also applies its checks, and the control surface's rows are an
+  angle and an inverse-transform disc point.  Each block's rows of one
+  family spec are one batch of ``levi.levi_restricted``.
+* The other budgets: ``aut-preserves-subdomains`` 8,
+  ``su11-orbit-invariant`` 7, ``su11-orbit-ellipsoid`` and ``gt-sphere``
+  4, ``o21-matrix-B`` 2.
 
 Residual conventions: equality claims report the absolute defect;
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
 not below the tolerance (NaN included) is a failure.  A sample that
-raises is a hard failure and fails the suite regardless of tolerance;
-array kernels apply each check of the scalar code per row and record
-the same ``Type: message`` text, together with the row's inputs.
+fails a check is a hard failure and fails the suite regardless of
+tolerance; it records the check's ``ValueError: message`` text, the one
+the same function raises on that row's point, together with the row's
+inputs.
 """
 
 from __future__ import annotations
@@ -56,26 +58,16 @@ import numpy as np
 
 from .domains import (
     DomainSpec,
+    _quadric_margin,
     a_from_alpha,
-    a_from_alpha_array,
     alpha_from_a,
-    alpha_from_a_array,
     contains,
     eta_level,
-    eta_level_array,
     im_condition,
     minkowski_form,
     quadric_residual,
-    quadric_st_margin_array,
 )
-from .groups import (
-    ball_action,
-    o21_point_matrix,
-    o21_residual,
-    random_su11,
-    su11_embed,
-    su11_orbit_invariant,
-)
+from .groups import ball_action, o21_point_matrix, o21_residual, random_su11, su11_embed, su11_orbit_invariant
 from .levi import levi_restricted, totally_real_check
 from .maps import (
     EPS_DIAG,
@@ -87,28 +79,12 @@ from .maps import (
     PairDraw,
     conjugate_fit,
     map_H,
-    map_H_array,
-    map_H_checked,
     map_H_inv,
-    map_H_inv_array,
     map_J,
-    map_J_array,
-    near_diagonal,
     scale_g_t,
-    swap_pair,
-    sym_array,
+    sym,
 )
-from .mobius import (
-    MOBIUS_DRAWS,
-    MobiusMap,
-    _require_disc,
-    mobius_apply_array,
-    mobius_apply_pair,
-    outside_disc,
-    pseudo_hyperbolic,
-    pseudo_hyperbolic_array,
-    random_mobius,
-)
+from .mobius import MOBIUS_DRAWS, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -116,14 +92,13 @@ from .orbits import (
     RHO_LEVEL,
     SPHERE,
     Family,
-    RowErrors,
     ellipsoid_orbit_point,
-    on_orbit_residual,
     orbit_points,
 )
 from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
+    RowErrors,
     annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
@@ -203,33 +178,20 @@ class _Suite:
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
-def _flat(*vals) -> list[float]:
-    out: list[float] = []
-    for v in vals:
-        if isinstance(v, complex):
-            out.extend((v.real, v.imag))
-        else:
-            out.append(float(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# array kernels: one block of rows at a time
+# kernels: one block of rows at a time
 
 
 class _Rows(RowErrors):
-    """Hard failures of one block; a row keeps the first check it fails, in the scalar code's order.
+    """Hard failures of one block; a row keeps the first check it fails.
 
     Every check raises ValueError, so the report's text for a row is
     ``ValueError: `` and the check's message.
     """
 
-    def take(self, sel: np.ndarray, errors: RowErrors) -> None:
-        """Fail row sel[r] for each row r of a levi batch that failed one of its checks."""
-        for r in np.flatnonzero(~errors.ok):
-            self.flag(np.arange(len(self.ok)) == sel[r], errors.message[r])
-
     def result(self, residual: np.ndarray, inputs: np.ndarray):
+        if self.ok.all():
+            return residual, self.message, inputs
         error = self.message.copy()
         error[~self.ok] = "ValueError: " + error[~self.ok]
         return np.where(self.ok, residual, math.inf), error, inputs
@@ -257,8 +219,6 @@ def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tupl
     z, w, missing = draw(u, cfg.rmax, cfg.eps_diag)
     wanted = draw.wanted(cfg.eps_diag)
     rows.flag(np.isin(np.arange(len(u)), missing), f"none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
-    if draw.rho_floor:  # the admission test took rho, which checks its arguments
-        rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
     return z, w
 
 
@@ -267,60 +227,50 @@ def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
 
 
 def _k_rho_invariance(cfg, u, idx):
+    # uniforms: the pair (4), phi (3)
     rows = _Rows(len(u))
     z, w = _disc_pair(u, cfg.rmax)
-    theta = math.tau * u[:, 4]
-    a = disc_from_uniforms(u[:, 5], u[:, 6], cfg.rmax)
-    rows.check(outside_disc(a), MobiusMap, theta, a)
-    rows.check(outside_disc(z), _require_disc, z, "z")
-    rows.check(outside_disc(w), _require_disc, w, "z")  # mobius_apply names its point z
-    z2, w2 = mobius_apply_array(theta, a, z), mobius_apply_array(theta, a, w)
-    rows.check(outside_disc(z2) | outside_disc(w2), pseudo_hyperbolic, z2, w2)
-    res = np.abs(pseudo_hyperbolic_array(z2, w2) - pseudo_hyperbolic_array(z, w))
-    return rows.result(res, _columns(z, w, theta, a))
+    phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
+    z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
+    res = np.abs(pseudo_hyperbolic(z2, w2, errors=rows) - pseudo_hyperbolic(z, w, errors=rows))
+    return rows.result(res, _columns(z, w, phi.theta, phi.a))
 
 
 def _k_h_quadric(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
-    h = map_H_checked(rows, z, w)
-    return rows.result(np.abs(quadric_residual(*h)), _columns(z, w))
+    return rows.result(np.abs(quadric_residual(*map_H(z, w, errors=rows))), _columns(z, w))
 
 
 def _k_h_im_condition(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = map_H_checked(rows, z, w)
-    return rows.result(np.maximum(0.0, -im_condition(*h)), _columns(z, w))
+    return rows.result(np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w))
 
 
 def _k_h_sigma_negation(cfg, u, idx):
-    # exact claim: map_H_array works on real and imaginary parts, whose products commute
+    # exact claim: map_H works on real and imaginary parts, whose products commute
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = np.stack(map_H_checked(rows, z, w))
-    hs = np.stack(map_H_checked(rows, w, z))
+    h = np.stack(map_H(z, w, errors=rows))
+    hs = np.stack(map_H(w, z, errors=rows))
     return rows.result(np.abs(hs + h).max(axis=0), _columns(z, w))
 
 
 def _k_h_roundtrip(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    h = map_H_checked(rows, z, w)
-    z2, w2, ok = map_H_inv_array(*h)
-    rows.check(~ok, map_H_inv, *h)
+    z2, w2 = map_H_inv(*map_H(z, w, errors=rows), errors=rows)
     return rows.result(np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w))
 
 
 def _k_orbit_levels(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
-    rho = pseudo_hyperbolic_array(z, w)
-    m = minkowski_form(*map_H_checked(rows, z, w))
-    rows.check(~((0.0 < rho) & (rho < 1.0)), alpha_from_a, rho)
-    alpha = alpha_from_a_array(rho)
-    rows.check(alpha < 1.0, eta_level, alpha)
-    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - eta_level_array(alpha)))
+    rho = pseudo_hyperbolic(z, w, errors=rows)
+    m = minkowski_form(*map_H(z, w, errors=rows))
+    level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
+    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level))
     return rows.result(res, _columns(z, w))
 
 
@@ -331,23 +281,23 @@ def _k_preimage_formula(cfg, u, idx):
     rows = _Rows(len(u))
     s, t = _PREIMAGE_BANDS[idx % 3].T
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    rows.check(outside_disc(z) | outside_disc(w), pseudo_hyperbolic, z, w)
-    rho = pseudo_hyperbolic_array(z, w)
+    rho = pseudo_hyperbolic(z, w, errors=rows)
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
-    # boundary-ambiguous samples are excluded: residual 0, and map_H is not evaluated
+    # boundary-ambiguous samples are excluded: residual 0, and map_H's checks do not apply
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
-    rows.check(~ambiguous & near_diagonal(z, w), map_H, z, w)
-    member = quadric_st_margin_array(*map_H_array(z, w), s, t) > 0.0
+    chart = RowErrors(len(u))
+    member = _quadric_margin(*map_H(z, w, errors=chart), s, t) > 0.0
+    rows.flag(~ambiguous & ~chart.ok, chart.message.__getitem__)
     predicted = (lo < rho) & (rho < hi)
     res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
     return rows.result(res, _columns(z, w, s, t))
 
 
 def _k_sym_equivariance(cfg, u, idx):
-    # exact claim: sym_array works on real and imaginary parts, whose products commute
+    # exact claim: sym works on real and imaginary parts, whose products commute
     rows = _Rows(len(u))
     z, w = _disc_pair(u, cfg.rmax)
-    (s1, p1), (s2, p2) = sym_array(z, w), sym_array(w, z)
+    (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
     return rows.result(np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w))
 
 
@@ -357,23 +307,16 @@ _MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 def _k_j_h_compat(cfg, u, idx):
     rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    p = map_J_array(z, w)
-    pmax = np.abs(p).max(axis=0)
-    rows.check(
-        outside_disc(z) | outside_disc(w) | ~np.isfinite(p).all(axis=0) | (pmax == 0.0), map_J, z, w
-    )
-    q = np.stack([np.ones_like(z), *map_H_checked(rows, z, w)])
+    p = map_J(z, w, errors=rows)
+    q = np.stack([np.ones_like(z), *map_H(z, w, errors=rows)])
     worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
-    return rows.result(worst / (pmax * np.abs(q).max(axis=0)), _columns(z, w))
+    return rows.result(worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w))
 
 
 def _k_alpha_roundtrip(cfg, u, idx):
     rows = _Rows(len(u))
     a = 0.05 + 0.9 * u[:, 0]
-    rows.check(~((0.0 < a) & (a < 1.0)), alpha_from_a, a)
-    alpha = alpha_from_a_array(a)
-    rows.check(~(alpha > 1.0), a_from_alpha, alpha)
-    return rows.result(np.abs(a_from_alpha_array(alpha) - a), _columns(a))
+    return rows.result(np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a))
 
 
 # Levi kernels: 3 uniforms per sample; each spec's rows are one levi batch
@@ -400,7 +343,7 @@ def _levi(rows: _Rows, specs, idx: np.ndarray, u: np.ndarray | None = None, p: n
             if u is not None:
                 p[sel] = np.column_stack(orbit_points(f, u[sel], LEVI_PATCH_RMAX, errors))
             val[sel] = levi_restricted(f, p[sel], errors=errors)
-            rows.take(sel, errors)
+            rows.take(errors, sel)
     return p, val
 
 
@@ -418,7 +361,7 @@ def _k_levi_eta(cfg, u, idx):
     return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level))
 
 
-def _k_levi_flat_control(cfg, u, idx):
+def _k_levi_control(cfg, u, idx):
     rows = _Rows(len(u))
     z1 = polar(0.5, math.tau * u[:, 0])
     z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
@@ -433,49 +376,27 @@ def _k_levi_sphere(cfg, u, idx):
 
 
 # ---------------------------------------------------------------------------
-# per-row claims: a scalar body evaluates one row of uniforms at a time
+# the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _per_row(body: Callable) -> Callable:
-    """The kernel of a scalar claim ``body(cfg, u, i, inputs) -> residual`` over one row u.
-
-    The body appends what it draws to ``inputs`` as it goes, so a row
-    that raises (a hard failure) records what it drew before the
-    failing step.
-    """
-
-    def kernel(cfg, U, idx):
-        residual = np.empty(len(U))
-        error = np.full(len(U), None, dtype=object)
-        inputs = []
-        for r, i in enumerate(idx.tolist()):
-            inputs.append([])
-            try:
-                residual[r] = float(body(cfg, U[r], i, inputs[r]))
-            except Exception as exc:  # recorded as a hard failure, never raised
-                residual[r], error[r] = math.inf, f"{type(exc).__name__}: {exc}"
-        return residual, error, inputs
-
-    return kernel
+def _k_conjugation_so21(cfg, u, idx):
+    # uniforms: phi (3), the fit's ten points (FIT_DRAWS)
+    rows = _Rows(len(u))
+    phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
+    fit = conjugate_fit(phi, u[:, MOBIUS_DRAWS:], rmax=cfg.rmax, errors=rows)
+    rows.flag(fit.a33 <= 0.0, lambda r: f"fitted matrix has nonpositive corner {fit.a33[r]}")
+    det = fit.det.tolist()
+    rows.flag(np.abs(fit.det - 1.0) > 1e-9, lambda r: f"fitted matrix determinant {det[r]!r} is not 1 within 1e-9")
+    return rows.result(np.maximum(fit.membership_residual, fit.fit_residual), _columns(phi.theta, phi.a))
 
 
-def _s_conjugation_so21(cfg, u, i, inputs):
-    phi = random_mobius(u[:MOBIUS_DRAWS], cfg.rmax)
-    inputs += _flat(phi.theta, phi.a)
-    fit = conjugate_fit(phi, u[MOBIUS_DRAWS:], rmax=cfg.rmax)
-    if fit.a33 <= 0.0:
-        raise ValueError(f"fitted matrix has nonpositive corner {fit.a33}")
-    if abs(fit.det - 1.0) > 1e-9:
-        raise ValueError(f"fitted matrix determinant {fit.det!r} is not 1 within 1e-9")
-    return max(fit.membership_residual, fit.fit_residual)
-
-
-def _s_swap_minus_identity(cfg, u, i, inputs):
+def _k_swap_minus_identity(cfg, u, idx):
+    rows = _Rows(len(u))
     # the fit's ten pairs, a point without an admissible pair by its last candidate
     z, w, _ = FIT_PAIRS(u.reshape(-1, PAIR_DRAWS), cfg.rmax, FIT_DIAG_MARGIN)
-    inputs += _flat(*(c for pair in zip(z.tolist(), w.tolist()) for c in pair))
-    fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax)
-    return float(np.max(np.abs(fit.matrix + np.eye(3))))
+    fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax, errors=rows)
+    pairs = np.stack([z, w], axis=1).reshape(len(u), -1)  # z0, w0, z1, w1, ...
+    return rows.result(np.abs(fit.matrix + np.eye(3)).max(axis=(1, 2)), _columns(*pairs.T))
 
 
 def _fit_why_empty(cfg: SuiteConfig) -> str | None:
@@ -485,48 +406,48 @@ def _fit_why_empty(cfg: SuiteConfig) -> str | None:
 _AUT_DOMAINS = (DomainSpec.bidisc_r(0.7), DomainSpec.bidisc_st(0.3, 0.8))
 
 
-def _s_aut_preserves_subdomains(cfg, u, i, inputs):
+def _k_aut_preserves_subdomains(cfg, u, idx):
     # uniforms: phi (3), the swap coin, the pair (4)
-    phi = random_mobius(u[:3], cfg.rmax)
-    use_swap = bool(u[3] < 0.5)
-    p = tuple(disc_from_uniforms(u[[4, 6]], u[[5, 7]], cfg.rmax).tolist())
-    inputs += _flat(*p, phi.theta, phi.a, float(use_swap))
-    q = mobius_apply_pair(phi, swap_pair(p) if use_swap else p)
+    rows = _Rows(len(u))
+    phi = random_mobius(u[:, :3], cfg.rmax, errors=rows)
+    swap = u[:, 3] < 0.5
+    p = _disc_pair(u[:, 4:], cfg.rmax)
+    q = mobius_apply_pair(phi, (np.where(swap, p[1], p[0]), np.where(swap, p[0], p[1])), errors=rows)
+    res = np.zeros(len(u))
     for dom in _AUT_DOMAINS:
-        m1, g1 = contains(dom, p)
-        m2, g2 = contains(dom, q)
-        if min(abs(g1), abs(g2)) < MEMBERSHIP_MARGIN:
-            continue  # too close to a boundary to assert
-        if m1 != m2:
-            return 1.0
-    return 0.0
+        (m1, g1), (m2, g2) = contains(dom, p, errors=rows), contains(dom, q, errors=rows)
+        # a verdict only where both points are clear of the boundary
+        res = np.maximum(res, (np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN) & (m1 != m2))
+    return rows.result(res, _columns(*p, phi.theta, phi.a, swap.astype(float)))
 
 
-def _s_su11_orbit_invariant(cfg, u, i, inputs):
+def _k_su11_orbit_invariant(cfg, u, idx):
     # uniforms: the ball point (4), the SU(1,1) element (3)
-    b, v = (complex(c) for c in ball_from_uniforms(u[:4], cfg.rmax))
-    inputs += _flat(b, v)
-    b2, v2 = ball_action(su11_embed(*random_su11(u[4:7])), (b, v))
-    return abs(su11_orbit_invariant(b2, v2) - su11_orbit_invariant(b, v))
+    rows = _Rows(len(u))
+    b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
+    b2, v2 = ball_action(su11_embed(*random_su11(u[:, 4:7]), errors=rows), (b, v), errors=rows)
+    res = np.abs(su11_orbit_invariant(b2, v2, errors=rows) - su11_orbit_invariant(b, v, errors=rows))
+    return rows.result(res, _columns(b, v))
 
 
-def _ellipsoid_draw(u, inputs):
+def _ellipsoid_draw(u: np.ndarray, rows: _Rows):
     # uniforms: t (1), the orbit point (3)
-    t = 0.1 + 0.8 * float(u[0])
-    p = ellipsoid_orbit_point(u[1:4], t)
-    inputs += _flat(*p, t)
-    return t, p
+    t = 0.1 + 0.8 * u[:, 0]
+    return t, ellipsoid_orbit_point(u[:, 1:4], t, errors=rows)
 
 
-def _s_su11_orbit_ellipsoid(cfg, u, i, inputs):
-    t, p = _ellipsoid_draw(u, inputs)
-    return on_orbit_residual(Family(ELLIPSOID, t), p)
+def _k_su11_orbit_ellipsoid(cfg, u, idx):
+    rows = _Rows(len(u))
+    t, p = _ellipsoid_draw(u, rows)
+    return rows.result(ELLIPSOID.residual(p, t, rows), _columns(*p, t))
 
 
-def _s_gt_sphere(cfg, u, i, inputs):
-    t, p = _ellipsoid_draw(u, inputs)
-    a, b = scale_g_t(t, p)
-    return abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
+def _k_gt_sphere(cfg, u, idx):
+    rows = _Rows(len(u))
+    t, p = _ellipsoid_draw(u, rows)
+    a, b = scale_g_t(t, p, errors=rows)
+    res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
+    return rows.result(res, _columns(*p, t))
 
 
 O21_RMIN = 0.05  # inner radius of the o21-matrix-B draws
@@ -538,13 +459,14 @@ def _o21_why_empty(cfg: SuiteConfig) -> str | None:
     return None
 
 
-def _s_o21_matrix_b(cfg, u, i, inputs):
-    c = complex(annulus_from_uniforms(u[0], u[1], O21_RMIN, cfg.rmax))
+def _k_o21_matrix_b(cfg, u, idx):
+    rows = _Rows(len(u))
+    c = annulus_from_uniforms(u[:, 0], u[:, 1], O21_RMIN, cfg.rmax)
     z, w = c.real, c.imag
-    inputs += [z, w]
-    B = o21_point_matrix(z, w)
-    img = ball_action(B, (0j, 0j))
-    return max(o21_residual(B), abs(img[0] - z), abs(img[1] - w))
+    B = o21_point_matrix(z, w, errors=rows)
+    img = ball_action(B, (0j, 0j), errors=rows)
+    res = np.maximum(o21_residual(B), np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
+    return rows.result(res, _columns(z, w))
 
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
@@ -552,21 +474,20 @@ _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
 TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
 
 
-def _s_o21_totally_real(cfg, u, i, inputs):
-    k = i % 3
-    if k == 0:
-        for M in (2.0 * u.reshape(TOTALLY_REAL_ROUNDS, 2, 2) - 1.0):
-            if abs(np.linalg.det(M)) >= 0.1:
-                break
-        else:
-            raise ValueError(f"none of the sample's {TOTALLY_REAL_ROUNDS} candidate matrices has |det| >= 0.1")
-        basis = [M[0].astype(complex), M[1].astype(complex)]
-        expected = (True, 0)
-    else:
-        basis = [np.array(b) for b in (_CURVE_BASIS if k == 1 else _MIXED_BASIS)]
-        expected = (False, 2)
-    inputs += _flat(*basis[0], *basis[1])
-    return 0.0 if totally_real_check(basis) == expected else 1.0
+def _k_o21_totally_real(cfg, u, idx):
+    # sample i % 3 == 0: the rows of the first random real matrix with |det| >= 0.1 (totally real);
+    # 1 and 2: a complex curve's and a mixed basis (not totally real, the meet 2-dimensional)
+    rows = _Rows(len(u))
+    k = idx % 3
+    M = 2.0 * u.reshape(len(u), TOTALLY_REAL_ROUNDS, 2, 2) - 1.0
+    good = np.abs(np.linalg.det(M)) >= 0.1
+    wanted = f"none of the sample's {TOTALLY_REAL_ROUNDS} candidate matrices has |det| >= 0.1"
+    rows.flag((k == 0) & ~good.any(axis=1), wanted)
+    basis = M[np.arange(len(u)), np.argmax(good, axis=1)].astype(complex)
+    basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
+    ok, meet = totally_real_check(basis, errors=rows)
+    res = ((ok != (k == 0)) | (meet != np.where(k == 0, 0, 2))).astype(float)
+    return rows.result(res, _columns(*basis.reshape(len(u), 4).T))
 
 
 _REGISTRY: tuple[_Suite, ...] = (
@@ -639,7 +560,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "matrix with det 1 and positive corner entry",
         0.01,
         1e-7,
-        _per_row(_s_conjugation_so21),
+        _k_conjugation_so21,
         draws=MOBIUS_DRAWS + FIT_DRAWS,
         why_empty=_fit_why_empty,
     ),
@@ -648,7 +569,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "conjugating the coordinate swap by the embedding gives -I",
         0.01,
         1e-9,
-        _per_row(_s_swap_minus_identity),
+        _k_swap_minus_identity,
         draws=FIT_DRAWS,
         why_empty=_fit_why_empty,
     ),
@@ -657,7 +578,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "diagonal automorphisms and the swap preserve the rho sublevel and band domains",
         0.1,
         0.5,
-        _per_row(_s_aut_preserves_subdomains),
+        _k_aut_preserves_subdomains,
         draws=8,
     ),
     _Suite(
@@ -665,7 +586,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "|u| / sqrt(1 - |v|^2) is constant along embedded SU(1,1) ball actions",
         0.1,
         1e-10,
-        _per_row(_s_su11_orbit_invariant),
+        _k_su11_orbit_invariant,
         draws=7,
     ),
     _Suite(
@@ -673,7 +594,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "SU(1,1) orbit points satisfy |u|^2 + t^2 |v|^2 = t^2",
         0.1,
         1e-10,
-        _per_row(_s_su11_orbit_ellipsoid),
+        _k_su11_orbit_ellipsoid,
         draws=4,
     ),
     _Suite(
@@ -681,7 +602,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "(u, v) -> (u/t, v) carries the ellipsoid orbit onto the unit sphere",
         0.1,
         1e-12,
-        _per_row(_s_gt_sphere),
+        _k_gt_sphere,
         draws=4,
     ),
     _Suite(
@@ -689,7 +610,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "the explicit Lorentz matrix B(z, w) preserves the form and maps the origin to (z, w)",
         0.1,
         1e-12,
-        _per_row(_s_o21_matrix_b),
+        _k_o21_matrix_b,
         draws=2,
         why_empty=_o21_why_empty,
     ),
@@ -699,7 +620,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "directions do not",
         0.1,
         0.5,
-        _per_row(_s_o21_totally_real),
+        _k_o21_totally_real,
         draws=4 * TOTALLY_REAL_ROUNDS,
     ),
     _Suite(
@@ -725,7 +646,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "the circle-times-disc control surface has vanishing Levi form",
         0.02,
         1e-4,
-        _k_levi_flat_control,
+        _k_levi_control,
         draws=3,
     ),
     _Suite(
@@ -824,16 +745,7 @@ def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
         return suite.fn(cfg, u, np.arange(lo, hi))
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one registered suite; deterministic given (seed, samples)."""
-    validate_config(cfg)
-    if name not in _BY_NAME:
-        raise ConfigError(f"unknown suite id {name!r}")
-    _check_admissible(cfg, name)
-    return _run_suite_validated(name, cfg)
-
-
-def _run_suite_validated(name: str, cfg: SuiteConfig) -> SuiteReport:
+def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
     suite = _BY_NAME[name]
     tol = cfg.tolerances.get(name, suite.tolerance)
     count = _sample_count(cfg, suite)
@@ -844,7 +756,7 @@ def _run_suite_validated(name: str, cfg: SuiteConfig) -> SuiteReport:
     hard = flagged_total = 0
     for lo in range(0, count, BLOCK):
         residual, error, inputs = _block(suite, cfg, lo, min(lo + BLOCK, count))
-        failed = error.astype(bool)
+        failed = np.not_equal(error, None)  # error[r] is None or the text of a hard failure
         scored = residual[~failed]
         hard += int(failed.sum())
         if scored.size:
@@ -855,11 +767,10 @@ def _run_suite_validated(name: str, cfg: SuiteConfig) -> SuiteReport:
         flagged = np.flatnonzero(failed | ~(residual < tol))
         flagged_total += flagged.size
         for r in flagged[: MAX_FAILURES - len(failures)].tolist():
-            row = inputs[r].tolist() if isinstance(inputs, np.ndarray) else inputs[r]
             if failed[r]:
-                failures.append({"index": lo + r, "error": error[r], "inputs": row})
+                failures.append({"index": lo + r, "error": error[r], "inputs": inputs[r].tolist()})
             else:
-                failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": row})
+                failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": inputs[r].tolist()})
     return SuiteReport(
         suite=name,
         claim=suite.claim,
@@ -871,11 +782,6 @@ def _run_suite_validated(name: str, cfg: SuiteConfig) -> SuiteReport:
         hard_failures=hard,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def run_suites(cfg: SuiteConfig) -> list[SuiteReport]:
-    validate_config(cfg)
-    return [_run_suite_validated(name, cfg) for name in cfg.suites]
 
 
 def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
@@ -912,7 +818,7 @@ def verify_all(cfg: SuiteConfig, report_path: str | None = None) -> tuple[int, d
     validate_config(cfg)
     if not cfg.suites:
         warnings.warn("no suites selected; report is empty and vacuously passing")
-    reports = [_run_suite_validated(name, cfg) for name in cfg.suites]
+    reports = [_run(name, cfg) for name in cfg.suites]
     doc = report_document(cfg, reports)
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -6,19 +6,22 @@ checks where a closed-form value is known.  The verdict lines are
 collected by conftest.py and printed in the terminal summary.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bidisc_lab.domains import a_from_alpha, alpha_from_a, eta_level, minkowski_form
 from bidisc_lab.levi import totally_real_check
 from bidisc_lab.maps import map_H
-from bidisc_lab.suites import SuiteConfig, all_suite_names, run_suites
+from bidisc_lab.suites import SuiteConfig, all_suite_names, verify_all
 
 
 @pytest.fixture(scope="module")
 def reports():
     cfg = SuiteConfig(suites=all_suite_names())
-    return {r.suite: r for r in run_suites(cfg)}
+    _, doc = verify_all(cfg)
+    return {r["suite"]: SimpleNamespace(**r) for r in doc["suites"]}
 
 
 def _criterion(log, number: int, label: str, ok: bool, detail: str) -> None:

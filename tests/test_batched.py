@@ -1,4 +1,4 @@
-"""Suite kernels: array twins, per-row checks, one sampling path, block independence and index replay."""
+"""Suite kernels: batches against points, per-row checks, one sampling path, block independence and index replay."""
 
 import json
 import math
@@ -11,45 +11,46 @@ from bidisc_lab import orbits, rng, suites
 from bidisc_lab.domains import (
     DomainSpec,
     a_from_alpha,
-    a_from_alpha_array,
     alpha_from_a,
-    alpha_from_a_array,
     contains,
     eta_level,
-    eta_level_array,
     im_condition,
     minkowski_form,
     quadric_residual,
-    quadric_st_margin_array,
 )
-from bidisc_lab.levi import levi_restricted
+from bidisc_lab.groups import (
+    ball_action,
+    o21_point_matrix,
+    o21_residual,
+    random_su11,
+    su11_embed,
+    su11_orbit_invariant,
+)
+from bidisc_lab.levi import levi_restricted, totally_real_check
 from bidisc_lab.maps import (
+    conjugate_fit,
     map_H,
-    map_H_array,
     map_H_inv,
-    map_H_inv_array,
     map_J,
-    map_J_array,
+    scale_g_t,
+    swap_pair,
     sym,
-    sym_array,
 )
 from bidisc_lab.mobius import (
     MobiusMap,
     mobius_apply,
-    mobius_apply_array,
     mobius_apply_pair,
     pseudo_hyperbolic,
-    pseudo_hyperbolic_array,
+    random_mobius,
 )
-from bidisc_lab.orbits import FLAT_CONTROL, MINKOWSKI_LEVEL, RHO_LEVEL, SPHERE, Family
-from bidisc_lab.rng import disc_from_uniforms
-from bidisc_lab.suites import SuiteConfig, all_suite_names, run_suite, verify_all
+from bidisc_lab.orbits import ELLIPSOID, FLAT_CONTROL, MINKOWSKI_LEVEL, RHO_LEVEL, SPHERE, Family, on_orbit_residual
+from bidisc_lab.rng import RowErrors, disc_from_uniforms
+from bidisc_lab.suites import SuiteConfig, all_suite_names, verify_all
 
-BATCHED = tuple(s.name for s in suites._REGISTRY if s.fn.__name__.startswith("_k_"))  # array kernels
+BATCHED = tuple(s.name for s in suites._REGISTRY if s.fn.__name__.startswith("_k_"))  # block kernels
 LEVI = ("levi-Fa", "levi-eta", "levi-flat-control", "levi-sphere")
 ROWS = 500
-LEVI_ROWS = 90  # the scalar Levi calls are the batch kernel's batch of one, so these agree exactly
-RTOL = 64 * np.finfo(float).eps
+LEVI_ROWS = 90  # the point Levi calls are the batch kernel's batch of one, so these agree exactly
 
 
 def _points(seed, n, rmax=0.95):
@@ -57,24 +58,15 @@ def _points(seed, n, rmax=0.95):
     return disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
 
 
-def _close(array_value, scalar_value, scale=1.0):
-    return abs(complex(array_value) - complex(scalar_value)) <= RTOL * max(scale, abs(scalar_value))
+def _report(name, cfg):
+    """The report entry of one suite run alone under cfg."""
+    _, doc = verify_all(SuiteConfig(**{**cfg.__dict__, "suites": (name,)}))
+    return doc["suites"][0]
 
 
 def test_the_pointwise_and_levi_suites_are_batched():
-    assert BATCHED == (
-        "rho-invariance",
-        "H-quadric",
-        "H-im-condition",
-        "H-sigma-negation",
-        "H-roundtrip",
-        "orbit-levels",
-        "preimage-formula",
-        *LEVI,
-        "sym-equivariance",
-        "J-H-compat",
-        "alpha-roundtrip",
-    )
+    """Every registered suite, the pointwise, Levi and group claims alike, is a block kernel."""
+    assert BATCHED == all_suite_names()
 
 
 def test_the_report_gives_every_levi_suite_a_draw_budget():
@@ -126,60 +118,75 @@ def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# array twins against the scalar functions
+# a batch against its points
 
 
-def test_array_twins_agree_with_the_scalar_functions():
+def _same(batch_value, point_value):
+    assert type(point_value) in (bool, int, float, complex)
+    assert batch_value == point_value or (batch_value != batch_value and point_value != point_value)
+
+
+def test_batches_agree_with_their_points():
+    """A function on a batch of rows gives, bit for bit, what it gives on each row's point."""
     z, w = _points(1, ROWS)
     theta = np.linspace(0.0, 6.0, ROWS)
     a, _ = _points(2, ROWS, rmax=0.8)
-    rho = pseudo_hyperbolic_array(z, w)
-    moved = mobius_apply_array(theta, a, z)
-    h = map_H_array(z, w)
-    back_z, back_w, ok = map_H_inv_array(*h)
-    jcoords = map_J_array(z, w)
-    s_arr, p_arr = sym_array(z, w)
-    alpha = alpha_from_a_array(rho)
-    band = quadric_st_margin_array(*h, 1.0, 3.0)
-    assert ok.all()
+    rho = pseudo_hyperbolic(z, w)
+    moved = mobius_apply(MobiusMap(theta, a), z)
+    h = map_H(z, w)
+    back = map_H_inv(*h)
+    jcoords = map_J(z, w)
+    s_arr, p_arr = sym(z, w)
+    alpha = alpha_from_a(rho)
+    level = eta_level(alpha)
+    a_back = a_from_alpha(alpha)
+    band = contains(DomainSpec.quadric_st(1.0, 3.0), h)
+    sub = contains(DomainSpec.bidisc_st(0.3, 0.8), (z, w))
     for r in range(ROWS):
         zr, wr = complex(z[r]), complex(w[r])
         hs = map_H(zr, wr)
-        assert _close(rho[r], pseudo_hyperbolic(zr, wr))
-        assert _close(moved[r], mobius_apply(MobiusMap(theta[r], complex(a[r])), zr))
-        assert all(_close(h[k][r], hs[k]) for k in range(3))
-        assert all(_close(m, s) for m, s in zip((back_z[r], back_w[r]), map_H_inv(*hs)))
-        assert all(_close(jcoords[k, r], map_J(zr, wr).coords[k]) for k in range(4))
-        assert all(_close(m, s) for m, s in zip((s_arr[r], p_arr[r]), sym(zr, wr)))
-        assert _close(alpha[r], alpha_from_a(float(rho[r])))
-        assert _close(eta_level_array(alpha[r]), eta_level(float(alpha[r])))
-        assert _close(a_from_alpha_array(alpha[r]), a_from_alpha(float(alpha[r])))
-        scale = 1.0 + sum(abs(c) ** 2 for c in hs)
-        assert _close(minkowski_form(*(c[r] for c in h)), minkowski_form(*hs), scale)
-        assert _close(im_condition(*(c[r] for c in h)), im_condition(*hs), scale)
-        assert _close(quadric_residual(*(c[r] for c in h)), quadric_residual(*hs), scale)
-        assert (band[r] > 0.0) == contains(DomainSpec.quadric_st(1.0, 3.0), hs)[0]
+        _same(rho[r].item(), pseudo_hyperbolic(zr, wr))
+        _same(moved[r].item(), mobius_apply(MobiusMap(theta[r].item(), complex(a[r])), zr))
+        for k in range(3):
+            _same(h[k][r].item(), hs[k])
+        for k in range(2):
+            _same(back[k][r].item(), map_H_inv(*hs)[k])
+        np.testing.assert_array_equal(jcoords[:, r], map_J(zr, wr).coords)
+        _same(s_arr[r].item(), sym(zr, wr)[0])
+        _same(p_arr[r].item(), sym(zr, wr)[1])
+        _same(alpha[r].item(), alpha_from_a(rho[r].item()))
+        _same(level[r].item(), eta_level(alpha[r].item()))
+        _same(a_back[r].item(), a_from_alpha(alpha[r].item()))
+        for k in range(2):
+            _same(band[k][r].item(), contains(DomainSpec.quadric_st(1.0, 3.0), hs)[k])
+            _same(sub[k][r].item(), contains(DomainSpec.bidisc_st(0.3, 0.8), (zr, wr))[k])
 
 
 def test_array_map_h_is_exactly_odd_and_array_sym_exactly_symmetric():
     z, w = _points(3, 20_000)
-    for fwd, rev in zip(map_H_array(z, w), map_H_array(w, z)):
+    for fwd, rev in zip(map_H(z, w), map_H(w, z)):
         np.testing.assert_array_equal(rev, -fwd)
-    for one, other in zip(sym_array(z, w), sym_array(w, z)):
+    for one, other in zip(sym(z, w), sym(w, z)):
         np.testing.assert_array_equal(one, other)
+    np.testing.assert_array_equal(pseudo_hyperbolic(z, w), pseudo_hyperbolic(w, z))
 
 
 def test_array_map_h_inv_flags_what_the_scalar_rejects():
     h1 = np.array([1.25, 1.0, 1.0, 1.25 + 0j])
     h2 = np.array([0.75, 0.0, -1j, 0.75j])
     h3 = np.zeros(4, dtype=complex)
+    rows = RowErrors(4)
     with np.errstate(all="ignore"):
-        _, _, ok = map_H_inv_array(h1, h2, h3)
-    assert ok.tolist() == [False, False, False, True]
+        map_H_inv(h1, h2, h3, errors=rows)
+    assert rows.ok.tolist() == [False, False, False, True]
+    for r in range(3):
+        with pytest.raises(ValueError) as info:
+            map_H_inv(h1[r], h2[r], h3[r])
+        assert rows.message[r] == str(info.value)
 
 
 # ---------------------------------------------------------------------------
-# batched kernels against the scalar suite bodies
+# batched kernels against bodies that call the point API
 
 
 def _pair(row):
@@ -248,19 +255,67 @@ SCALAR_BODIES = {
 }
 
 
+def _conjugation_so21(r, u, i):
+    phi = random_mobius(u[:3])
+    assert [phi.theta, phi.a.real, phi.a.imag] == r.tolist()
+    fit = conjugate_fit(phi, u[3:])
+    return max(fit.membership_residual, fit.fit_residual)
+
+
+def _aut_preserves_subdomains(r, u, i):
+    p = (complex(r[0], r[1]), complex(r[2], r[3]))
+    q = mobius_apply_pair(MobiusMap(r[4], complex(r[5], r[6])), swap_pair(p) if r[7] else p)
+    for dom in suites._AUT_DOMAINS:
+        (m1, g1), (m2, g2) = contains(dom, p), contains(dom, q)
+        if min(abs(g1), abs(g2)) >= suites.MEMBERSHIP_MARGIN and m1 != m2:
+            return 1.0
+    return 0.0
+
+
+def _su11_orbit_invariant(r, u, i):
+    b, v = _complex(r)
+    b2, v2 = ball_action(su11_embed(*random_su11(u[4:7])), (b, v))
+    return abs(su11_orbit_invariant(b2, v2) - su11_orbit_invariant(b, v))
+
+
+def _o21_matrix_b(r, u, i):
+    B = o21_point_matrix(r[0], r[1])
+    img = ball_action(B, (0j, 0j))
+    return max(o21_residual(B), abs(img[0] - r[0]), abs(img[1] - r[1]))
+
+
+# the group suites' bodies also take the row's uniforms and its index
+ROW_BODIES = {
+    "conjugation-so21": _conjugation_so21,
+    "swap-is-minus-identity": lambda r, u, i: np.max(np.abs(conjugate_fit(None, u, swap=True).matrix + np.eye(3))),
+    "aut-preserves-subdomains": _aut_preserves_subdomains,
+    "su11-orbit-invariant": _su11_orbit_invariant,
+    "su11-orbit-ellipsoid": lambda r, u, i: on_orbit_residual(Family(ELLIPSOID, r[4]), _complex(r[:4])),
+    "gt-sphere": lambda r, u, i: abs(sum(abs(c) ** 2 for c in scale_g_t(r[4], _complex(r[:4]))) - 1.0),
+    "o21-matrix-B": _o21_matrix_b,
+    "o21-totally-real": lambda r, u, i: float(
+        totally_real_check([_complex(r[:4]), _complex(r[4:])]) != ((True, 0) if i % 3 == 0 else (False, 2))
+    ),
+}
+
+
 @pytest.mark.parametrize("name", BATCHED)
 def test_kernel_agrees_with_its_scalar_body(name):
-    """Residuals agree to 1% of the tolerance, so no verdict depends on the twin that computed it.
+    """Residuals agree to 1% of the tolerance with a body that calls the point API on each row.
 
-    For the exact claims and the boolean one that means equality.
+    So no verdict depends on the path that computed it; for the exact
+    claims and the boolean ones that means equality.
     """
     suite = suites._BY_NAME[name]
+    cfg = SuiteConfig()
     rows = LEVI_ROWS if name in LEVI else ROWS
-    residual, error, inputs = suites._block(suite, SuiteConfig(), 0, rows)
+    residual, error, inputs = suites._block(suite, cfg, 0, rows)
+    u = rng.uniform_block(cfg.seed, suites._stream_id(name), suite.draws, 0, rows)
     assert not error.astype(bool).any()
     assert inputs.shape[0] == rows
     for r in range(rows):
-        assert abs(residual[r] - SCALAR_BODIES[name](inputs[r])) <= 0.01 * suite.tolerance, r
+        point = SCALAR_BODIES[name](inputs[r]) if name in SCALAR_BODIES else ROW_BODIES[name](inputs[r], u[r], r)
+        assert abs(residual[r] - point) <= 0.01 * suite.tolerance, r
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +344,37 @@ def _pushed_to_the_rim(monkeypatch, column):
 )
 def test_disc_violation_is_a_hard_failure_with_the_scalar_text(monkeypatch, name, column, scalar):
     _pushed_to_the_rim(monkeypatch, column)
-    rep = run_suite(name, SuiteConfig(samples=20, rmax=1.0 - 1e-12))
-    assert not rep.passed
-    assert rep.hard_failures == rep.samples
-    assert rep.max_residual is None
-    for failure in rep.failures:
+    rep = _report(name, SuiteConfig(samples=20, rmax=1.0 - 1e-12))
+    assert not rep["passed"]
+    assert rep["hard_failures"] == rep["samples"]
+    assert rep["max_residual"] is None
+    for failure in rep["failures"]:
         with pytest.raises(ValueError) as info:
             scalar(failure["inputs"])
         assert failure["error"] == f"ValueError: {info.value}"
         assert "strictly inside the unit disc" in failure["error"]
 
 
+def test_ball_violation_is_a_hard_failure_with_the_ball_action_text(monkeypatch):
+    """su11-orbit-invariant: a ball point pushed out of the ball fails its row with ball_action's text."""
+    real = suites.ball_from_uniforms
+    monkeypatch.setattr(suites, "ball_from_uniforms", lambda u, rmax: tuple(1.1 * c for c in real(u, rmax)))
+    rep = _report("su11-orbit-invariant", SuiteConfig(samples=1000))
+    assert 0 < rep["hard_failures"] < rep["samples"]
+    failures = [f for f in rep["failures"] if "error" in f]
+    assert failures
+    for failure in failures:
+        with pytest.raises(ValueError) as info:
+            ball_action(su11_embed(1.0, 0.0), _complex(failure["inputs"]))
+        assert failure["error"] == f"ValueError: {info.value}" == "ValueError: point must lie in the open unit ball"
+
+
 def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
     """|u|^2 = 1 - 1e-15 puts the sphere point's first coordinate on the unit circle."""
     _pushed_to_the_rim(monkeypatch, 0)
-    rep = run_suite("levi-sphere", SuiteConfig(samples=1000))
-    assert rep.hard_failures == rep.samples == 20
-    for failure in rep.failures:
+    rep = _report("levi-sphere", SuiteConfig(samples=1000))
+    assert rep["hard_failures"] == rep["samples"] == 20
+    for failure in rep["failures"]:
         with pytest.raises(ValueError) as info:
             levi_restricted(Family(SPHERE), _complex(failure["inputs"]))
         assert failure["error"] == f"ValueError: {info.value}"
@@ -315,9 +384,9 @@ def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
 def test_a_row_the_eta_sampler_rejects_is_a_hard_failure_with_the_map_h_text(monkeypatch):
     """At a huge level the sampled pairs crowd the diagonal, and map_H's check fails those rows."""
     monkeypatch.setattr(suites, "_ETA", (Family(MINKOWSKI_LEVEL, 1e12),) * 3)
-    rep = run_suite("levi-eta", SuiteConfig(samples=1000))
-    assert 0 < rep.hard_failures < rep.samples
-    errors = [failure["error"] for failure in rep.failures if "error" in failure]
+    rep = _report("levi-eta", SuiteConfig(samples=1000))
+    assert 0 < rep["hard_failures"] < rep["samples"]
+    errors = [failure["error"] for failure in rep["failures"] if "error" in failure]
     assert errors and set(errors) == {"ValueError: point too close to the diagonal for the affine chart"}
 
 
@@ -384,7 +453,7 @@ def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
     for failure in failures:
         residual, error, inputs = _replay(doc, name, failure["index"])
         assert inputs == failure["inputs"]
-        assert inputs  # a hard failure records what its row drew before the failing step
+        assert inputs  # a hard failure records what its row drew
         if "error" in failure:
             assert error == failure["error"]
         else:
@@ -395,7 +464,7 @@ def test_block_helper_replays_any_row_of_a_run():
     cfg = SuiteConfig()
     for name in all_suite_names():
         suite = suites._BY_NAME[name]
-        n = 2 * suites.BLOCK + 5 if name in BATCHED else 40  # scalar rows are evaluated one by one anyway
+        n = 2 * suites.BLOCK + 5
         residual, _, inputs = suites._block(suite, cfg, 0, n)
         for i in (0, 1, n // 2, n - 1):
             one, _, row = suites._block(suite, cfg, i, i + 1)

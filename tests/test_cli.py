@@ -121,9 +121,9 @@ def test_empty_rho_band_is_rejected_not_looped():
 
 def test_unreachable_eps_diag_is_rejected_not_looped():
     code = (
-        "from bidisc_lab.suites import ConfigError, SuiteConfig, run_suite\n"
+        "from bidisc_lab.suites import ConfigError, SuiteConfig, verify_all\n"
         "try:\n"
-        "    run_suite('H-quadric', SuiteConfig(eps_diag=5.0))\n"
+        "    verify_all(SuiteConfig(eps_diag=5.0, suites=('H-quadric',)))\n"
         "except ConfigError as exc:\n"
         "    raise SystemExit(f'error: {exc}')\n"
     )
@@ -271,6 +271,23 @@ def test_dump_orbit_errors_exit_two(argv, capsys):
 def test_dump_orbit_refuses_eta_rows_that_map_h_rejects(tmp_path, spec, message):
     """A large level crowds the pairs onto the diagonal: the dump exits 2 instead of writing such rows."""
     out = tmp_path / "eta.csv"
+    proc = _run(["-W", "error", "-m", "bidisc_lab.cli", "dump-orbit", "--spec", spec, "--n", "2000", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # phi(a) rounds onto phi(0): the pair would be diagonal, with |rho - a| = a
+        ("Fa:1e-300", "row 0 of the Fa dump: its pair rounds onto the diagonal"),
+        # phi(a) leaves the disc that pseudo_hyperbolic checks
+        ("Fa:0.9999999999", "row 0 of the Fa dump: z must lie strictly inside the unit disc"),
+    ],
+)
+def test_dump_orbit_refuses_fa_rows_that_fail_a_check_naming_the_row(tmp_path, spec, message):
+    out = tmp_path / "fa.csv"
     proc = _run(["-W", "error", "-m", "bidisc_lab.cli", "dump-orbit", "--spec", spec, "--n", "2000", "--out", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr

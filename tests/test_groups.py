@@ -7,7 +7,6 @@ from bidisc_lab.domains import DomainSpec, contains
 from bidisc_lab.groups import (
     I21,
     ball_action,
-    is_so_plus,
     o21_point_matrix,
     o21_residual,
     random_su11,
@@ -33,7 +32,6 @@ def test_signature_matrix_is_frozen():
 def test_identity_residuals_vanish():
     assert su21_residual(np.eye(3)) == (0.0, 0.0)
     assert o21_residual(np.eye(3)) == 0.0
-    assert is_so_plus(np.eye(3))
 
 
 def test_residuals_reject_wrong_shape():
@@ -43,13 +41,18 @@ def test_residuals_reject_wrong_shape():
         o21_residual(np.eye(4))
 
 
-def test_is_so_plus_spots():
-    assert is_so_plus(so21_rotation(0.4))
-    assert is_so_plus(so21_boost(1.1))
+def _in_so_plus(A):
+    """The identity component of O(2,1): the form relation, det 1 and a positive corner entry."""
+    return o21_residual(A) < 1e-9 and abs(np.linalg.det(A) - 1.0) < 1e-9 and A[2, 2] > 0.0
+
+
+def test_lorentz_membership_spots():
+    assert _in_so_plus(so21_rotation(0.4))
+    assert _in_so_plus(so21_boost(1.1))
     # det -1 reflection and the wrong-sheet half turn both fail
-    assert not is_so_plus(np.diag([1.0, 1.0, -1.0]))
-    assert not is_so_plus(-np.eye(3))
-    assert not is_so_plus(2.0 * np.eye(3))
+    assert not _in_so_plus(np.diag([1.0, 1.0, -1.0]))
+    assert not _in_so_plus(-np.eye(3))
+    assert not _in_so_plus(2.0 * np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def test_so21_sample_is_reproducible_and_in_group():
     for u in uniform_block(37, 0, 3, 0, 100):
         A = so21_sample(u)
         assert o21_residual(A) < 1e-12
-        assert is_so_plus(A, tol=1e-12)
+        assert abs(np.linalg.det(A) - 1.0) < 1e-12 and A[2, 2] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bidisc_lab.levi import (
     value,
     wirtinger_gradient,
 )
-from bidisc_lab.maps import map_H_array
+from bidisc_lab.maps import map_H
 from bidisc_lab.orbits import ELLIPSOID, FLAT_CONTROL, MINKOWSKI_LEVEL, REAL_SLICE, RHO_LEVEL, SPHERE, Family
 from bidisc_lab.rng import ball_from_uniforms, disc_from_uniforms, uniform_block
 
@@ -190,7 +190,7 @@ def _surface_points(f, n, seed=61):
         z, w = np.exp(1j * t1) * (a - c) / (1.0 - c.conjugate() * a), -np.exp(1j * t1) * c
         if f.record.name == "rho-level":
             return np.column_stack([z, w])
-        return np.column_stack(map_H_array(z, w))
+        return np.column_stack(map_H(z, w))
     s = 0.05 + 0.9 * u[:, 0]
     if f.record.name == "flat-control":
         return np.column_stack([f.param * np.exp(1j * t1), 0.9 * np.sqrt(s) * np.exp(1j * t2)])

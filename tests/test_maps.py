@@ -13,7 +13,7 @@ from bidisc_lab.domains import (
     minkowski_form,
     quadric_residual,
 )
-from bidisc_lab.groups import is_so_plus, so21_rotation
+from bidisc_lab.groups import so21_rotation
 from bidisc_lab.maps import (
     EPS_DIAG,
     FIT_DRAWS,
@@ -26,7 +26,7 @@ from bidisc_lab.maps import (
     sym,
 )
 from bidisc_lab.mobius import IDENTITY, MOBIUS_DRAWS, MobiusMap, random_mobius
-from bidisc_lab.rng import disc_from_uniforms, uniform_block
+from bidisc_lab.rng import RowErrors, disc_from_uniforms, uniform_block
 
 DISC = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 
@@ -167,7 +167,7 @@ def test_identity_fits_identity_matrix():
     np.testing.assert_allclose(fit.matrix, np.eye(3), atol=1e-9)
     assert fit.fit_residual < 1e-9
     assert fit.membership_residual < 1e-9
-    assert is_so_plus(fit.matrix)
+    assert abs(fit.det - 1.0) < 1e-9 and fit.a33 > 0.0
 
 
 def test_rotation_fits_rotation_block():
@@ -187,7 +187,7 @@ def test_swap_fits_minus_identity():
     fit = conjugate_fit(None, _fit_uniforms(9), swap=True)
     np.testing.assert_allclose(fit.matrix, -np.eye(3), atol=1e-9)
     assert fit.det == pytest.approx(-1.0, abs=1e-9)
-    assert not is_so_plus(fit.matrix)
+    assert fit.a33 < 0.0  # det -1 and the wrong sheet: outside SO+(2,1)
 
 
 def test_random_automorphisms_fit_inside_the_group():
@@ -197,7 +197,24 @@ def test_random_automorphisms_fit_inside_the_group():
         assert fit.membership_residual < 1e-7
         assert fit.det == pytest.approx(1.0, abs=1e-9)
         assert fit.a33 > 0.0
-        assert is_so_plus(fit.matrix, tol=1e-7)
+
+
+def test_a_block_of_fits_agrees_with_its_rows_and_fails_only_its_bad_row():
+    U = uniform_block(12, 0, MOBIUS_DRAWS + FIT_DRAWS, 0, 5)
+    U[2, MOBIUS_DRAWS:] = 0.0  # every candidate pair of row 2 is (0, 0): no fit point is admissible
+    rows = RowErrors(5)
+    with np.errstate(all="ignore"):  # the failed row's values are meaningless
+        fit = conjugate_fit(random_mobius(U[:, :MOBIUS_DRAWS], 0.9), U[:, MOBIUS_DRAWS:], errors=rows)
+    assert rows.ok.tolist() == [True, True, False, True, True]
+    with pytest.raises(ValueError, match="none of fit point 0's") as info:
+        conjugate_fit(random_mobius(U[2, :MOBIUS_DRAWS], 0.9), U[2, MOBIUS_DRAWS:])
+    assert rows.message[2] == str(info.value)
+    for r in (0, 1, 3, 4):
+        one = conjugate_fit(random_mobius(U[r, :MOBIUS_DRAWS], 0.9), U[r, MOBIUS_DRAWS:])
+        np.testing.assert_array_equal(fit.matrix[r], one.matrix)
+        assert [fit.fit_residual[r], fit.membership_residual[r], fit.det[r], fit.a33[r]] == [
+            one.fit_residual, one.membership_residual, one.det, one.a33
+        ]
 
 
 def test_conjugate_fit_argument_validation():

@@ -8,8 +8,6 @@ from bidisc_lab.suites import (
     ConfigError,
     SuiteConfig,
     all_suite_names,
-    run_suite,
-    run_suites,
     validate_config,
     verify_all,
 )
@@ -43,13 +41,21 @@ EXPECTED_REGISTRY = (
 SMOKE_SUITES = ("H-quadric", "swap-is-minus-identity", "levi-flat-control")
 
 
+def _reports(cfg):
+    """The report entries of a verify_all run."""
+    return verify_all(cfg)[1]["suites"]
+
+
+def _report(name, cfg):
+    """The report entry of one suite run alone under cfg."""
+    (entry,) = _reports(SuiteConfig(**{**cfg.__dict__, "suites": (name,)}))
+    return entry
+
+
 def _stripped(reports):
-    out = []
     for r in reports:
-        d = r.to_dict()
-        d.pop("wall_time_s")
-        out.append(d)
-    return out
+        r.pop("wall_time_s")
+    return reports
 
 
 def test_registry_is_the_published_contract():
@@ -59,37 +65,37 @@ def test_registry_is_the_published_contract():
 
 def test_runs_are_deterministic_for_a_seed():
     cfg = SuiteConfig(samples=400, suites=SMOKE_SUITES)
-    first = _stripped(run_suites(cfg))
-    second = _stripped(run_suites(cfg))
+    first = _stripped(_reports(cfg))
+    second = _stripped(_reports(cfg))
     assert first == second
 
 
 def test_worker_count_does_not_change_results():
     serial = SuiteConfig(samples=600, suites=SMOKE_SUITES, workers=1)
     threaded = SuiteConfig(samples=600, suites=SMOKE_SUITES, workers=4)
-    assert _stripped(run_suites(serial)) == _stripped(run_suites(threaded))
+    assert _stripped(_reports(serial)) == _stripped(_reports(threaded))
 
 
 def test_different_seeds_give_different_samples():
     # max residuals are ulp-quantized and can collide; the recorded
     # failure inputs expose the underlying draws
     tight = {"H-quadric": 1e-22}
-    a = run_suite("H-quadric", SuiteConfig(seed=1, samples=5, tolerances=tight))
-    b = run_suite("H-quadric", SuiteConfig(seed=2, samples=5, tolerances=tight))
-    assert [f["inputs"] for f in a.failures] != [f["inputs"] for f in b.failures]
+    a = _report("H-quadric", SuiteConfig(seed=1, samples=5, tolerances=tight))
+    b = _report("H-quadric", SuiteConfig(seed=2, samples=5, tolerances=tight))
+    assert [f["inputs"] for f in a["failures"]] != [f["inputs"] for f in b["failures"]]
 
 
 def test_single_suite_run_passes_at_default_tolerance():
-    rep = run_suite("alpha-roundtrip", SuiteConfig(samples=300))
-    assert rep.passed
-    assert rep.samples == 300
-    assert rep.max_residual < rep.tolerance
-    assert rep.hard_failures == 0
+    rep = _report("alpha-roundtrip", SuiteConfig(samples=300))
+    assert rep["passed"]
+    assert rep["samples"] == 300
+    assert rep["max_residual"] < rep["tolerance"]
+    assert rep["hard_failures"] == 0
 
 
 def test_unknown_suite_is_a_config_error():
     with pytest.raises(ConfigError):
-        run_suite("H-cubic", SuiteConfig())
+        verify_all(SuiteConfig(suites=("H-cubic",)))
     with pytest.raises(ConfigError):
         validate_config(SuiteConfig(suites=("H-quadric", "bogus")))
 
@@ -119,24 +125,22 @@ def test_validate_config_rejects_bad_values(cfg):
 
 def test_impossible_tolerance_fails_with_capped_failures():
     cfg = SuiteConfig(samples=3000, suites=("H-quadric",), tolerances={"H-quadric": 1e-22})
-    rep = run_suites(cfg)[0]
-    assert not rep.passed
-    assert rep.tolerance == 1e-22
-    assert len(rep.failures) == 10
-    for failure in rep.failures:
+    (rep,) = _reports(cfg)
+    assert not rep["passed"]
+    assert rep["tolerance"] == 1e-22
+    assert len(rep["failures"]) == 10
+    for failure in rep["failures"]:
         assert set(failure) == {"index", "residual", "inputs"}
         assert failure["residual"] >= 1e-22
 
 
 def test_tolerance_override_feeds_the_verdict():
-    base = run_suite("H-quadric", SuiteConfig(samples=500))
-    assert base.passed
-    tight = run_suite(
-        "H-quadric", SuiteConfig(samples=500, tolerances={"H-quadric": 1e-22})
-    )
-    assert not tight.passed
+    base = _report("H-quadric", SuiteConfig(samples=500))
+    assert base["passed"]
+    tight = _report("H-quadric", SuiteConfig(samples=500, tolerances={"H-quadric": 1e-22}))
+    assert not tight["passed"]
     # residuals themselves are tolerance-independent
-    assert tight.max_residual == base.max_residual
+    assert tight["max_residual"] == base["max_residual"]
 
 
 def test_empty_suite_selection_passes_vacuously():
