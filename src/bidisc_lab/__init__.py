@@ -51,14 +51,13 @@ from .maps import (
     sym,
 )
 from .mobius import (
-    IDENTITY,
     MobiusMap,
     mobius_apply,
     mobius_apply_pair,
     pseudo_hyperbolic,
     random_mobius,
 )
-from .orbits import FAMILIES, Family, dump_orbit, on_orbit_residual, orbit_point, parse_orbit_spec
+from .orbits import FAMILIES, Family, dump_orbit, orbit_point, parse_orbit_spec
 from .rng import RowErrors
 from .suites import (
     ConfigError,
@@ -101,7 +100,6 @@ __all__ = [
     "scale_g_t",
     "swap_pair",
     "sym",
-    "IDENTITY",
     "MobiusMap",
     "mobius_apply",
     "mobius_apply_pair",
@@ -111,7 +109,6 @@ __all__ = [
     "Family",
     "RowErrors",
     "dump_orbit",
-    "on_orbit_residual",
     "orbit_point",
     "parse_orbit_spec",
     "ConfigError",

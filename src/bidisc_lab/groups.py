@@ -15,6 +15,10 @@ ball is t = |u| / sqrt(1 - |v|^2): the orbit through (t, 0) is the
 ellipsoid |u|^2 + t^2 |v|^2 = t^2, carried onto the unit sphere by
 (u, v) -> (u/t, v).
 
+The SU(1,1) and SO+(2,1) samplers draw their hyperbolic parameter from
+an exponential truncated at XI_MAX = 3, so their matrix entries stay
+at most cosh(3) ~ 10.
+
 Every function takes one matrix or point, or a stack of them, one per
 row (see ``rng``): matrices as (n, 3, 3) arrays, numbers as 1-d arrays.
 """
@@ -33,6 +37,7 @@ I21.setflags(write=False)
 
 TOL_GROUP = 1e-9  # form-membership tolerance for action preconditions
 _DEN_TOL = 1e-12
+XI_MAX = 3.0  # cap of the samplers' hyperbolic parameter
 
 
 def _matrices(A, dtype, message: str) -> np.ndarray:
@@ -96,20 +101,20 @@ def su11_orbit_invariant(u, v, *, errors: RowErrors | None = None):
     return _unbatch(np.abs(u) / np.sqrt(1.0 - _abs2(v)), single)
 
 
-def _truncated_exponential(u, cap: float):
-    # inverse CDF of Exp(1) conditioned on [0, cap]
-    return -np.log1p(-u * (1.0 - math.exp(-cap)))
+def _truncated_exponential(u):
+    # inverse CDF of Exp(1) conditioned on [0, XI_MAX]
+    return -np.log1p(-u * (1.0 - math.exp(-XI_MAX)))
 
 
-def random_su11(u, xi_max: float = 3.0):
+def random_su11(u):
     """(alpha, beta) with |alpha|^2 - |beta|^2 = 1, from 3 uniforms, or from each row of an (n, 3) block.
 
-    Hyperbolic part xi from a truncated exponential capped at xi_max
+    Hyperbolic part xi from a truncated exponential capped at XI_MAX
     (u0), phases p1 = tau u1 and p2 = tau u2: alpha = cosh(xi) e^{i p1},
     beta = sinh(xi) e^{i p2}.
     """
     u = np.asarray(u, dtype=float)
-    xi = _truncated_exponential(u[..., 0], xi_max)
+    xi = _truncated_exponential(u[..., 0])
     out = polar(np.cosh(xi), math.tau * u[..., 1]), polar(np.sinh(xi), math.tau * u[..., 2])
     return tuple(c.item() for c in out) if u.ndim == 1 else out
 
@@ -130,15 +135,15 @@ def so21_boost(xi) -> np.ndarray:
     return B
 
 
-def so21_sample(u, xi_max: float = 3.0) -> np.ndarray:
+def so21_sample(u) -> np.ndarray:
     """An SO+(2,1) element from 3 uniforms, or one per row of an (n, 3) block.
 
     Rotation-boost-rotation decomposition: angles tau u0 and tau u1;
-    boost parameter from a truncated exponential capped at xi_max (u2),
+    boost parameter from a truncated exponential capped at XI_MAX (u2),
     so matrix entries stay moderate.
     """
     u = np.asarray(u, dtype=float)
-    xi = _truncated_exponential(u[..., 2], xi_max)
+    xi = _truncated_exponential(u[..., 2])
     return so21_rotation(math.tau * u[..., 0]) @ so21_boost(xi) @ so21_rotation(math.tau * u[..., 1])
 
 

@@ -21,8 +21,8 @@ the finite-difference path is always the one exercised by callers.
 
 Steps scale with max(1, |p|_inf): the second-difference rounding floor
 is then ~eps/h^2 regardless of how large the point's coordinates are.
-The Hessian step default 1e-4 puts that floor near 7e-8; the gradient
-step default 1e-5 puts the first-difference floor near 2e-11.  All
+The steps are constants: HESS_STEP = 1e-4 puts that floor near 7e-8,
+and GRAD_STEP = 1e-5 puts the first-difference floor near 2e-11.  All
 registered functions except the rho-level family are quadratic in the
 real coordinates, so the larger Hessian step costs no truncation error
 there, and on the rho-level family the h^2 truncation (~1e-8) is far
@@ -123,13 +123,11 @@ def _shift(P: np.ndarray, *moves) -> np.ndarray:
     return Q
 
 
-def wirtinger_gradient(
-    f: Family, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
-) -> np.ndarray:
-    """FD Wirtinger gradient (central differences, step scaled by the point size)."""
+def wirtinger_gradient(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
+    """FD Wirtinger gradient (central differences, step GRAD_STEP scaled by the point size)."""
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
-    return _unbatch(_fd_gradient(f, P, _scaled_step(P, h), rows), single)
+    return _unbatch(_fd_gradient(f, P, _scaled_step(P, GRAD_STEP), rows), single)
 
 
 def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
@@ -145,13 +143,11 @@ def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np
     return G
 
 
-def complex_hessian(
-    f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | None = None
-) -> np.ndarray:
-    """FD complex Hessian, Hermitian-symmetrized."""
+def complex_hessian(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
+    """FD complex Hessian (step HESS_STEP scaled by the point size), Hermitian-symmetrized."""
     P, single, rows = _batch(f, p, errors)
     _check_ambient(f, P, rows)
-    H = _fd_complex_hessian(f, P, _scaled_step(P, h), rows)
+    H = _fd_complex_hessian(f, P, _scaled_step(P, HESS_STEP), rows)
     return _unbatch(0.5 * (H + H.conj().swapaxes(1, 2)), single)
 
 
@@ -180,16 +176,14 @@ def _fd_complex_hessian(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors
     return H
 
 
-def _constraint_rows(f: Family, P: np.ndarray, h: float, rows: RowErrors):
-    G = wirtinger_gradient(f, P, h, errors=rows)
+def _constraint_rows(f: Family, P: np.ndarray, rows: RowErrors):
+    G = wirtinger_gradient(f, P, errors=rows)
     if f.record.constraint is None:
         return G[:, None, :]
     return np.stack([G, f.record.constraint(P)], axis=1)
 
 
-def complex_tangent(
-    f: Family, p, h: float = GRAD_STEP, *, errors: RowErrors | None = None
-) -> np.ndarray:
+def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
     """Unit complex tangent vector at a regular point of {r = 0}.
 
     Computed as the kernel of the stacked constraint rows (the Wirtinger
@@ -199,7 +193,7 @@ def complex_tangent(
     """
     P, single, rows = _batch(f, p, errors)
     n = len(P)
-    C = _constraint_rows(f, P, h, rows)
+    C = _constraint_rows(f, P, rows)
     rows.flag(np.linalg.norm(C[:, 0], axis=1) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
     live = rows.ok & np.isfinite(C.real).all(axis=(1, 2)) & np.isfinite(C.imag).all(axis=(1, 2))
     rows.flag(~live, "SVD did not converge")  # what np.linalg.svd raises on a non-finite row
@@ -233,7 +227,7 @@ def _levi_form(v: np.ndarray, H: np.ndarray) -> np.ndarray:
     return out
 
 
-def levi_restricted(f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | None = None):
+def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     """Levi form evaluated on the unit complex tangent at an on-surface point."""
     P, single, rows = _batch(f, p, errors)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
@@ -241,7 +235,7 @@ def levi_restricted(f: Family, p, h: float = HESS_STEP, *, errors: RowErrors | N
         np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface"
     )
     v = complex_tangent(f, P, errors=rows)
-    H = complex_hessian(f, P, h, errors=rows)
+    H = complex_hessian(f, P, errors=rows)
     return _unbatch(_levi_form(v, H), single)
 
 

@@ -22,11 +22,13 @@ reproduction test, which doubles as the domain check.
 Conjugating a diagonal automorphism (or the coordinate swap) through H
 linearizes it: the induced map on C^3 is multiplication by a real
 matrix preserving diag(1,1,-1).  conjugate_fit recovers that matrix
-numerically by least squares from sampled pairs and reports how well
-held-out samples and the group relations are satisfied.
+numerically by least squares from 6 sampled pairs and reports how well
+4 held-out pairs and the group relations are satisfied.
 
 Off-diagonal pairs, for the fit and for the batched suites alike, come
-from ``PairDraw``: masked resampling inside a fixed budget of uniforms.
+from ``PairDraw``: masked resampling inside a fixed budget of uniforms,
+keeping pairs at least ``PairDraw.margin`` apart (EPS_DIAG for the
+suites, 0.05 for the fit).
 
 Every map takes a point or a batch of rows (see ``rng``) and checks each
 row; conjugate_fit fits one automorphism, or one per row.
@@ -164,24 +166,26 @@ class PairDraw:
     """Off-diagonal bidisc pairs by masked resampling inside a budget of PAIR_DRAWS uniforms.
 
     A pair is admissible when |z - w| >= margin and, with rho_floor set,
-    rho(z, w) >= rho_floor.  Round k proposes, for each row of u still
-    open, the pair of area-uniform rmax-disc points drawn from columns
-    4k..4k+3 (radius and angle of z, then of w); a row keeps its first
-    admissible proposal.  A row never loops and never reads past its
+    rho(z, w) >= rho_floor.  The suites' pairs take margin EPS_DIAG,
+    the chart guard of map_H; a conjugation fit's take 0.05.  Round k
+    proposes, for each row of u still open, the pair of area-uniform
+    rmax-disc points drawn from columns 4k..4k+3 (radius and angle of z,
+    then of w); a row keeps its first admissible proposal.  A row never loops and never reads past its
     budget: one with no admissible proposal keeps its last proposal and
     is reported as missing.
     """
 
+    margin: float
     rho_floor: float = 0.0
 
-    def wanted(self, margin: float) -> str:
-        return f"|z - w| >= {margin:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
+    def wanted(self) -> str:
+        return f"|z - w| >= {self.margin:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
 
-    def why_empty(self, rmax: float, margin: float) -> str | None:
+    def why_empty(self, rmax: float) -> str | None:
         """Why no pair of rmax-disc points is admissible, or None."""
-        if margin >= 2.0 * rmax:
+        if self.margin >= 2.0 * rmax:
             return (
-                f"pairs need |z - w| >= {margin:g}, "
+                f"pairs need |z - w| >= {self.margin:g}, "
                 f"but no two points of the rmax = {rmax!r} disc are that far apart"
             )
         sup_rho = 2.0 * rmax / (1.0 + rmax * rmax)
@@ -192,7 +196,7 @@ class PairDraw:
             )
         return None
 
-    def __call__(self, u: np.ndarray, rmax: float, margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(z, w, missing) for the rows of u; missing holds the indices of the rows without an admissible pair."""
         n = len(u)
         z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
@@ -201,7 +205,7 @@ class PairDraw:
             c = u[todo, 4 * k : 4 * k + 4]
             zk, wk = disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)
             z[todo], w[todo] = zk, wk
-            keep = np.abs(zk - wk) >= margin
+            keep = np.abs(zk - wk) >= self.margin
             if self.rho_floor:
                 keep &= _rho(zk, wk) >= self.rho_floor
             todo = todo[~keep]
@@ -217,8 +221,6 @@ class PairDraw:
 class ConjugationFit:
     """Real 3x3 matrix intertwining a bidisc automorphism with the quadric picture; one per row for a batch."""
 
-    phi: MobiusMap | None
-    swap: bool
     matrix: np.ndarray
     fit_residual: float  # worst held-out reproduction error
     membership_residual: float  # Frobenius distance from the O(2,1) relations
@@ -227,9 +229,9 @@ class ConjugationFit:
 
 
 _COND_GUARD = 1e8
-FIT_DIAG_MARGIN = 0.05
-FIT_PAIRS = PairDraw()
-FIT_DRAWS = 10 * PAIR_DRAWS  # uniforms of a fit at the default 6 + 4 points
+FIT_PAIRS = PairDraw(0.05)
+N_FIT, N_HOLDOUT = 6, 4  # fit points and held-out points
+FIT_DRAWS = (N_FIT + N_HOLDOUT) * PAIR_DRAWS
 
 
 def conjugate_fit(
@@ -238,34 +240,30 @@ def conjugate_fit(
     *,
     swap: bool = False,
     rmax: float = DEFAULT_RMAX,
-    n_fit: int = 6,
-    n_holdout: int = 4,
     errors: RowErrors | None = None,
 ) -> ConjugationFit:
     """Fit the real 3x3 matrix M with M H(p) = H(Phi(p)), from one row of uniforms or each row of a block.
 
     Phi applies the swap first (when requested), then the diagonal
-    automorphism phi (one map, or one per row).  The n_fit + n_holdout
-    points are FIT_PAIRS draws with |z - w| >= 0.05, PAIR_DRAWS uniforms
-    of the row each; a row with a point without an admissible candidate
-    fails.  Each fit point gives 3 complex = 6 real equations, so a row's
-    design is (2 n_fit, 3): the rows of M solve its normal equations,
+    automorphism phi (one map, or one per row).  The N_FIT + N_HOLDOUT =
+    6 + 4 points are FIT_PAIRS draws with |z - w| >= 0.05, PAIR_DRAWS
+    uniforms of the row each; a row with a point without an admissible
+    candidate fails.  Each fit point gives 3 complex = 6 real equations,
+    so a row's design is (12, 3): the rows of M solve its normal equations,
     and a design with condition number above 1e8 fails its row.  The
     fit_residual is the worst reproduction error on the held-out points.
     """
     if phi is None and not swap:
         raise ValueError("specify an automorphism: a MobiusMap, swap=True, or both")
-    if n_fit < 4:
-        raise ValueError("need at least 4 fit samples for a determined system")
-    k = n_fit + n_holdout
+    k = N_FIT + N_HOLDOUT
     u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != k * PAIR_DRAWS:
-        raise ValueError(f"a fit of {k} points takes {k * PAIR_DRAWS} uniforms, got shape {u.shape}")
+    if u.ndim not in (1, 2) or u.shape[-1] != FIT_DRAWS:
+        raise ValueError(f"a fit of {k} points takes {FIT_DRAWS} uniforms, got shape {u.shape}")
     n = len(u) if u.ndim == 2 else 1
     rows = _collector(errors, n)
-    z, w, missing = FIT_PAIRS(u.reshape(n * k, PAIR_DRAWS), rmax, FIT_DIAG_MARGIN)
+    z, w, missing = FIT_PAIRS(u.reshape(n * k, PAIR_DRAWS), rmax)
     lost = np.isin(np.arange(n * k), missing).reshape(n, k)
-    wanted = f"{PAIR_ROUNDS} candidate pairs has {FIT_PAIRS.wanted(FIT_DIAG_MARGIN)}"
+    wanted = f"{PAIR_ROUNDS} candidate pairs has {FIT_PAIRS.wanted()}"
     rows.flag(lost.any(axis=1), lambda r: f"none of fit point {np.argmax(lost[r])}'s {wanted}")
     points = RowErrors(n * k)
     src = np.stack(map_H(z, w, errors=points), axis=-1).reshape(n, k, 3)
@@ -277,16 +275,16 @@ def conjugate_fit(
     rows.take(points, np.repeat(np.arange(n), k))
 
     def design(H):  # the failed rows get a well-conditioned stand-in
-        D = np.concatenate([H[:, :n_fit].real, H[:, :n_fit].imag], axis=1)  # (n, 2 n_fit, 3)
-        return np.where(rows.ok[:, None, None], D, np.eye(2 * n_fit, 3))
+        D = np.concatenate([H[:, :N_FIT].real, H[:, :N_FIT].imag], axis=1)  # (n, 2 N_FIT, 3)
+        return np.where(rows.ok[:, None, None], D, np.eye(2 * N_FIT, 3))
 
     cond = np.linalg.cond(design(src))
     rows.flag(cond > _COND_GUARD, lambda r: f"design matrix condition number {cond[r]:.3g} exceeds {_COND_GUARD:g}")
     A = design(src)
     At = A.swapaxes(1, 2)
     M = np.linalg.solve(At @ A, At @ design(dst)).swapaxes(1, 2)  # column j of the right side = target row j
-    worst = np.abs(src[:, n_fit:] @ M.swapaxes(1, 2) - dst[:, n_fit:]).max(axis=(1, 2))
+    worst = np.abs(src[:, N_FIT:] @ M.swapaxes(1, 2) - dst[:, N_FIT:]).max(axis=(1, 2))
     fit = (M, worst, o21_residual(M), np.linalg.det(M), M[:, 2, 2])
     if u.ndim == 1:
         fit = (M[0], *(float(v[0]) for v in fit[1:]))
-    return ConjugationFit(phi, swap, *fit)
+    return ConjugationFit(*fit)

@@ -53,9 +53,6 @@ class MobiusMap:
         object.__setattr__(self, "a", a)
 
 
-IDENTITY = MobiusMap(0.0, 0j)
-
-
 def mobius_apply(m: MobiusMap, z, *, errors: RowErrors | None = None):
     """Evaluate the automorphism at a disc point, or at each row (one map for all, or one per row)."""
     (z, a), rows, single = _batch(errors, z, m.a)  # theta and a share one shape

@@ -51,7 +51,7 @@ import numpy as np
 
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, random_su11, so21_sample, su11_embed
-from .maps import map_H
+from .maps import _times, map_H
 from .mobius import TOL_BOUNDARY, mobius_apply, pseudo_hyperbolic, random_mobius
 from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
 
@@ -132,12 +132,10 @@ def complex_curve_point(u: np.ndarray, rmax: float = DEFAULT_RMAX):
 # defining-function pieces too long for a record
 
 
-def _conj_times(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """conj(z) w from separately rounded float products (see maps._times)."""
-    out = np.empty(np.shape(z), dtype=complex)
-    out.real = z.real * w.real + z.imag * w.imag
-    out.imag = z.real * w.imag - z.imag * w.real
-    return out
+def _rho_value(P, a):
+    """|z1 - z2|^2 - a^2 |1 - conj(z1) z2|^2, the product from separately rounded floats (see maps._times)."""
+    re, im = _times(P[:, 0].conjugate(), P[:, 1])
+    return _abs2(P[:, 0] - P[:, 1]) - a * a * ((1.0 - re) * (1.0 - re) + im * im)
 
 
 def _rho_gradient(z, a):
@@ -163,6 +161,11 @@ def _rho_hessian(P, a):
 def _diagonal_hessian(P, *diagonal):
     """The same diagonal complex Hessian at every row, for the functions quadratic in the |z_k|^2."""
     return np.broadcast_to(np.diag(diagonal).astype(complex), (len(P), len(diagonal), len(diagonal))).copy()
+
+
+def _ellipsoid_value(p, t):
+    """|u|^2 + t^2 |v|^2 - t^2 at p = (u, v): zero on the embedded SU(1,1) orbit of (t, 0) in the ball."""
+    return _abs2(p[0]) + t * t * _abs2(p[1]) - t * t
 
 
 def _quadric_row(P):
@@ -211,16 +214,15 @@ class FamilyRecord:
 
 RHO_LEVEL = FamilyRecord(
     "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: 0.0 < a < 1.0,
-    # r = |z1 - z2|^2 - a^2 |1 - conj(z1) z2|^2 on the bidisc; zero set rho = a
-    value=lambda P, a: _abs2(P[:, 0] - P[:, 1]) - a * a * _abs2(1.0 - _conj_times(P[:, 0], P[:, 1])),
-    gradient=_rho_gradient, hessian=_rho_hessian, ambient=_BIDISC_AMBIENT,
+    # zero set rho = a on the bidisc
+    value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=_BIDISC_AMBIENT,
     residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
     sampler=_resolved_rho_orbit_point, draws=3,
 )
 MINKOWSKI_LEVEL = FamilyRecord(
     "minkowski-level", 3, cli="Eta", need="need level > 1", admits=lambda level: level > 1.0,
     # r = level - (|z1|^2 + |z2|^2 - |z3|^2) on the affine quadric
-    value=lambda P, level: level - (_abs2(P[:, 0]) + _abs2(P[:, 1]) - _abs2(P[:, 2])),
+    value=lambda P, level: level - minkowski_form(*P.T),
     gradient=lambda z, level: (-z[0].conjugate(), -z[1].conjugate(), z[2].conjugate()),
     hessian=lambda P, level: _diagonal_hessian(P, -1.0, -1.0, 1.0), constraint=_quadric_row,
     residual=lambda p, level, errors: np.where(
@@ -230,11 +232,10 @@ MINKOWSKI_LEVEL = FamilyRecord(
 )
 ELLIPSOID = FamilyRecord(
     "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: 0.0 < t < 1.0,
-    # r = |u|^2 + t^2 |v|^2 - t^2: the embedded SU(1,1) orbit of (t, 0) in the ball
-    value=lambda P, t: _abs2(P[:, 0]) + t * t * _abs2(P[:, 1]) - t * t,
+    value=lambda P, t: _ellipsoid_value(P.T, t),
     gradient=lambda z, t: (z[0].conjugate(), t * t * z[1].conjugate()),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
-    residual=lambda p, t, errors: np.abs(_abs2(p[0]) + t * t * _abs2(p[1]) - t * t),
+    residual=lambda p, t, errors: np.abs(_ellipsoid_value(p, t)),
     sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, errors=errors), draws=3,
 )
 SPHERE = FamilyRecord(
@@ -286,14 +287,6 @@ class Family:
             raise ValueError(f"{record.need}, got {x}")
 
 
-def on_orbit_residual(spec: Family, p) -> float:
-    """Distance of a point from an orbit's defining equations (0 when on it)."""
-    p = tuple(complex(c) for c in p)
-    if spec.record.residual is None or len(p) != spec.record.dim:
-        raise ValueError(f"no {spec.record.name} orbit residual for a point of C^{len(p)}")
-    return float(spec.record.residual(p, spec.param, None))
-
-
 def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):
     """The coordinate arrays of the points that the rows of the (n, spec.record.draws) block u give.
 
@@ -305,9 +298,9 @@ def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):
         return spec.record.sampler(u, spec.param, rmax, errors)
 
 
-def orbit_point(spec: Family, u: np.ndarray, rmax: float = DEFAULT_RMAX):
+def orbit_point(spec: Family, u: np.ndarray):
     """The point of the orbit described by spec that one row of spec.record.draws uniforms gives."""
-    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], rmax, _collector(None, 1))
+    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], DEFAULT_RMAX, _collector(None, 1))
     return tuple(c[0].item() for c in coords)
 
 
@@ -331,14 +324,8 @@ def parse_orbit_spec(text: str) -> Family:
     return Family(record, x)
 
 
-def dump_orbit(
-    spec: Family,
-    n: int,
-    path: str,
-    seed: int = DEFAULT_SEED,
-    rmax: float = DEFAULT_RMAX,
-) -> None:
-    """Write n orbit samples as CSV.
+def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> None:
+    """Write n orbit samples as CSV, with automorphism centres on the DEFAULT_RMAX disc.
 
     Columns are the real and imaginary parts of each coordinate followed
     by the orbit-equation residual, all at 17 significant digits.  A row
@@ -354,7 +341,7 @@ def dump_orbit(
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         errors = RowErrors(hi - lo)
-        coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), rmax, errors)
+        coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), DEFAULT_RMAX, errors)
         with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
             residual = record.residual(coords, spec.param, errors)
         failed = np.flatnonzero(~errors.ok)

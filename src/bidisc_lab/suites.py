@@ -9,22 +9,24 @@ single stream (seed, (o + 1) << 32) with a fixed budget of k uniforms
 per sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
 is one ``rng.uniform_block`` call, so replaying sample i takes
 ``advance(i k)`` and k draws.  Every kernel takes the same arguments,
-(cfg, U, idx): the block's uniforms U, shape (len(idx), k), and the
-sample indices idx.
+(cfg, U, idx, rows): the block's uniforms U, shape (len(idx), k), the
+sample indices idx, and the block's ``RowErrors`` rows, which the
+runner creates; it returns the residual and the inputs of each row.
 
 Every kernel evaluates its claim on the whole block as numpy arrays,
 through the same functions a caller uses on a point (a point is the
-batch of one), passing the block's ``RowErrors`` as ``errors``:
+batch of one), passing rows as ``errors``:
 
-* A pair that must lie off the diagonal (|z - w| >= eps_diag), and for
-  the dual-route level checks also have rho >= 0.05, comes from
-  ``maps.PairDraw``: PAIR_ROUNDS candidate pairs of 4 uniforms each, of
-  which the row takes the first admissible one.  A row with none is a
-  hard failure.  A conjugation fit draws its ten points the same way
-  (FIT_DRAWS), after 3 uniforms for the automorphism in
-  ``conjugation-so21``, and solves one normal-equation system per row;
-  ``o21-totally-real`` takes the first of TOTALLY_REAL_ROUNDS candidate
-  matrices (4 uniforms each) with |det| >= 0.1.
+* A pair that must lie off the diagonal (|z - w| >= EPS_DIAG, the chart
+  guard of map_H), and for the dual-route level checks also have
+  rho >= 0.05, comes from ``maps.PairDraw``: PAIR_ROUNDS candidate
+  pairs of 4 uniforms each, of which the row takes the first admissible
+  one.  A row with none is a hard failure.  A conjugation fit draws its
+  ten points the same way (FIT_DRAWS), after 3 uniforms for the
+  automorphism in ``conjugation-so21``, and solves one normal-equation
+  system per row; ``o21-totally-real`` takes the first of
+  TOTALLY_REAL_ROUNDS candidate matrices (4 uniforms each) with
+  |det| >= 0.1.
 * The Levi suites take k = 3: the levi-Fa, levi-eta and levi-sphere
   rows are drawn by their family's sampler (``orbits.orbit_points``),
   which also applies its checks, and the control surface's rows are an
@@ -40,9 +42,9 @@ the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
 not below the tolerance (NaN included) is a failure.  A sample that
 fails a check is a hard failure and fails the suite regardless of
-tolerance; it records the check's ``ValueError: message`` text, the one
-the same function raises on that row's point, together with the row's
-inputs.
+tolerance: the runner scores it inf and records the check's
+``ValueError: message`` text, the one the same function raises on that
+row's point, together with the row's inputs.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .groups import ball_action, o21_point_matrix, o21_residual, random_su11, su
 from .levi import levi_restricted, totally_real_check
 from .maps import (
     EPS_DIAG,
-    FIT_DIAG_MARGIN,
     FIT_DRAWS,
     FIT_PAIRS,
     PAIR_DRAWS,
@@ -127,7 +128,6 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
     rmax: float = DEFAULT_RMAX
-    eps_diag: float = EPS_DIAG
     tolerances: dict[str, float] = field(default_factory=dict)
     suites: tuple[str, ...] = ()
     workers: int = 1  # validated but without effect: suites run serially
@@ -163,8 +163,10 @@ class SuiteReport:
 class _Suite:
     """A registered claim.
 
-    ``fn`` is a kernel ``(cfg, U, idx) -> (residual, error, inputs)``
-    over the rows idx, whose uniforms U have shape (len(idx), draws).
+    ``fn`` is a kernel ``(cfg, U, idx, rows) -> (residual, inputs)``
+    over the rows idx, whose uniforms U have shape (len(idx), draws);
+    it flags the rows that fail a check in the block's ``RowErrors``
+    rows.
     ``why_empty(cfg)`` says why no sample can be drawn under cfg, or
     returns None.
     """
@@ -182,21 +184,6 @@ class _Suite:
 # kernels: one block of rows at a time
 
 
-class _Rows(RowErrors):
-    """Hard failures of one block; a row keeps the first check it fails.
-
-    Every check raises ValueError, so the report's text for a row is
-    ``ValueError: `` and the check's message.
-    """
-
-    def result(self, residual: np.ndarray, inputs: np.ndarray):
-        if self.ok.all():
-            return residual, self.message, inputs
-        error = self.message.copy()
-        error[~self.ok] = "ValueError: " + error[~self.ok]
-        return np.where(self.ok, residual, math.inf), error, inputs
-
-
 def _columns(*vals) -> np.ndarray:
     """Per-row inputs as an (n, m) float array; a complex column splits into (re, im)."""
     cols: list[np.ndarray] = []
@@ -210,75 +197,68 @@ def _disc_pair(u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
     return disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
 
 
-_OFFDIAG = PairDraw()
-_CONDITIONED = PairDraw(RHO_COND_FLOOR)
+_OFFDIAG = PairDraw(EPS_DIAG)
+_CONDITIONED = PairDraw(EPS_DIAG, RHO_COND_FLOOR)
 
 
-def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal pairs (|z - w| >= eps_diag) of a PairDraw; a row without one is a hard failure."""
-    z, w, missing = draw(u, cfg.rmax, cfg.eps_diag)
-    wanted = draw.wanted(cfg.eps_diag)
+def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal pairs (|z - w| >= draw.margin) of a PairDraw; a row without one is a hard failure."""
+    z, w, missing = draw(u, cfg.rmax)
+    wanted = draw.wanted()
     rows.flag(np.isin(np.arange(len(u)), missing), f"none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
     return z, w
 
 
 def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
-    return lambda cfg: draw.why_empty(cfg.rmax, cfg.eps_diag)
+    return lambda cfg: draw.why_empty(cfg.rmax)
 
 
-def _k_rho_invariance(cfg, u, idx):
+def _k_rho_invariance(cfg, u, idx, rows):
     # uniforms: the pair (4), phi (3)
-    rows = _Rows(len(u))
     z, w = _disc_pair(u, cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
     res = np.abs(pseudo_hyperbolic(z2, w2, errors=rows) - pseudo_hyperbolic(z, w, errors=rows))
-    return rows.result(res, _columns(z, w, phi.theta, phi.a))
+    return res, _columns(z, w, phi.theta, phi.a)
 
 
-def _k_h_quadric(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_h_quadric(cfg, u, idx, rows):
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
-    return rows.result(np.abs(quadric_residual(*map_H(z, w, errors=rows))), _columns(z, w))
+    return np.abs(quadric_residual(*map_H(z, w, errors=rows))), _columns(z, w)
 
 
-def _k_h_im_condition(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_h_im_condition(cfg, u, idx, rows):
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
-    return rows.result(np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w))
+    return np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w)
 
 
-def _k_h_sigma_negation(cfg, u, idx):
+def _k_h_sigma_negation(cfg, u, idx, rows):
     # exact claim: map_H works on real and imaginary parts, whose products commute
-    rows = _Rows(len(u))
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
     h = np.stack(map_H(z, w, errors=rows))
     hs = np.stack(map_H(w, z, errors=rows))
-    return rows.result(np.abs(hs + h).max(axis=0), _columns(z, w))
+    return np.abs(hs + h).max(axis=0), _columns(z, w)
 
 
-def _k_h_roundtrip(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_h_roundtrip(cfg, u, idx, rows):
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
     z2, w2 = map_H_inv(*map_H(z, w, errors=rows), errors=rows)
-    return rows.result(np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w))
+    return np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w)
 
 
-def _k_orbit_levels(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_orbit_levels(cfg, u, idx, rows):
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
     rho = pseudo_hyperbolic(z, w, errors=rows)
     m = minkowski_form(*map_H(z, w, errors=rows))
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
     res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level))
-    return rows.result(res, _columns(z, w))
+    return res, _columns(z, w)
 
 
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _k_preimage_formula(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_preimage_formula(cfg, u, idx, rows):
     s, t = _PREIMAGE_BANDS[idx % 3].T
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
     rho = pseudo_hyperbolic(z, w, errors=rows)
@@ -290,33 +270,30 @@ def _k_preimage_formula(cfg, u, idx):
     rows.flag(~ambiguous & ~chart.ok, chart.message.__getitem__)
     predicted = (lo < rho) & (rho < hi)
     res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
-    return rows.result(res, _columns(z, w, s, t))
+    return res, _columns(z, w, s, t)
 
 
-def _k_sym_equivariance(cfg, u, idx):
+def _k_sym_equivariance(cfg, u, idx, rows):
     # exact claim: sym works on real and imaginary parts, whose products commute
-    rows = _Rows(len(u))
     z, w = _disc_pair(u, cfg.rmax)
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
-    return rows.result(np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w))
+    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w)
 
 
 _MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 
 
-def _k_j_h_compat(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_j_h_compat(cfg, u, idx, rows):
     z, w = _pairs(_OFFDIAG, cfg, u, rows)
     p = map_J(z, w, errors=rows)
     q = np.stack([np.ones_like(z), *map_H(z, w, errors=rows)])
     worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
-    return rows.result(worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w))
+    return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w)
 
 
-def _k_alpha_roundtrip(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_alpha_roundtrip(cfg, u, idx, rows):
     a = 0.05 + 0.9 * u[:, 0]
-    return rows.result(np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a))
+    return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
 
 
 # Levi kernels: 3 uniforms per sample; each spec's rows are one levi batch
@@ -327,7 +304,7 @@ _FLAT = (Family(FLAT_CONTROL, 0.5),)
 _SPHERE = (Family(SPHERE),)
 
 
-def _levi(rows: _Rows, specs, idx: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None):
+def _levi(rows: RowErrors, specs, idx: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None):
     """Points and their restricted Levi values; row r lies on specs[idx[r] % len(specs)].
 
     The points are p, or else each spec's sampler draws them from its
@@ -347,68 +324,57 @@ def _levi(rows: _Rows, specs, idx: np.ndarray, u: np.ndarray | None = None, p: n
     return p, val
 
 
-def _k_levi_fa(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_levi_fa(cfg, u, idx, rows):
     p, val = _levi(rows, _FA, idx, u)
     a = np.array([f.param for f in _FA])[idx % 3]
-    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a))
+    return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a)
 
 
-def _k_levi_eta(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_levi_eta(cfg, u, idx, rows):
     p, val = _levi(rows, _ETA, idx, u)
     level = np.array([f.param for f in _ETA])[idx % 3]
-    return rows.result(np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level))
+    return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level)
 
 
-def _k_levi_control(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_levi_control(cfg, u, idx, rows):
     z1 = polar(0.5, math.tau * u[:, 0])
     z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
     _, val = _levi(rows, _FLAT, idx, p=np.column_stack([z1, z2]))
-    return rows.result(np.abs(val), _columns(z1, z2))
+    return np.abs(val), _columns(z1, z2)
 
 
-def _k_levi_sphere(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_levi_sphere(cfg, u, idx, rows):
     p, val = _levi(rows, _SPHERE, idx, u)
-    return rows.result(np.abs(val - 1.0), _columns(*p.T))
+    return np.abs(val - 1.0), _columns(*p.T)
 
 
 # ---------------------------------------------------------------------------
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _k_conjugation_so21(cfg, u, idx):
+def _k_conjugation_so21(cfg, u, idx, rows):
     # uniforms: phi (3), the fit's ten points (FIT_DRAWS)
-    rows = _Rows(len(u))
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     fit = conjugate_fit(phi, u[:, MOBIUS_DRAWS:], rmax=cfg.rmax, errors=rows)
     rows.flag(fit.a33 <= 0.0, lambda r: f"fitted matrix has nonpositive corner {fit.a33[r]}")
     det = fit.det.tolist()
     rows.flag(np.abs(fit.det - 1.0) > 1e-9, lambda r: f"fitted matrix determinant {det[r]!r} is not 1 within 1e-9")
-    return rows.result(np.maximum(fit.membership_residual, fit.fit_residual), _columns(phi.theta, phi.a))
+    return np.maximum(fit.membership_residual, fit.fit_residual), _columns(phi.theta, phi.a)
 
 
-def _k_swap_minus_identity(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_swap_minus_identity(cfg, u, idx, rows):
     # the fit's ten pairs, a point without an admissible pair by its last candidate
-    z, w, _ = FIT_PAIRS(u.reshape(-1, PAIR_DRAWS), cfg.rmax, FIT_DIAG_MARGIN)
+    z, w, _ = FIT_PAIRS(u.reshape(-1, PAIR_DRAWS), cfg.rmax)
     fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax, errors=rows)
     pairs = np.stack([z, w], axis=1).reshape(len(u), -1)  # z0, w0, z1, w1, ...
-    return rows.result(np.abs(fit.matrix + np.eye(3)).max(axis=(1, 2)), _columns(*pairs.T))
-
-
-def _fit_why_empty(cfg: SuiteConfig) -> str | None:
-    return FIT_PAIRS.why_empty(cfg.rmax, FIT_DIAG_MARGIN)
+    return np.abs(fit.matrix + np.eye(3)).max(axis=(1, 2)), _columns(*pairs.T)
 
 
 _AUT_DOMAINS = (DomainSpec.bidisc_r(0.7), DomainSpec.bidisc_st(0.3, 0.8))
 
 
-def _k_aut_preserves_subdomains(cfg, u, idx):
+def _k_aut_preserves_subdomains(cfg, u, idx, rows):
     # uniforms: phi (3), the swap coin, the pair (4)
-    rows = _Rows(len(u))
     phi = random_mobius(u[:, :3], cfg.rmax, errors=rows)
     swap = u[:, 3] < 0.5
     p = _disc_pair(u[:, 4:], cfg.rmax)
@@ -418,36 +384,33 @@ def _k_aut_preserves_subdomains(cfg, u, idx):
         (m1, g1), (m2, g2) = contains(dom, p, errors=rows), contains(dom, q, errors=rows)
         # a verdict only where both points are clear of the boundary
         res = np.maximum(res, (np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN) & (m1 != m2))
-    return rows.result(res, _columns(*p, phi.theta, phi.a, swap.astype(float)))
+    return res, _columns(*p, phi.theta, phi.a, swap.astype(float))
 
 
-def _k_su11_orbit_invariant(cfg, u, idx):
+def _k_su11_orbit_invariant(cfg, u, idx, rows):
     # uniforms: the ball point (4), the SU(1,1) element (3)
-    rows = _Rows(len(u))
     b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
     b2, v2 = ball_action(su11_embed(*random_su11(u[:, 4:7]), errors=rows), (b, v), errors=rows)
     res = np.abs(su11_orbit_invariant(b2, v2, errors=rows) - su11_orbit_invariant(b, v, errors=rows))
-    return rows.result(res, _columns(b, v))
+    return res, _columns(b, v)
 
 
-def _ellipsoid_draw(u: np.ndarray, rows: _Rows):
+def _ellipsoid_draw(u: np.ndarray, rows: RowErrors):
     # uniforms: t (1), the orbit point (3)
     t = 0.1 + 0.8 * u[:, 0]
     return t, ellipsoid_orbit_point(u[:, 1:4], t, errors=rows)
 
 
-def _k_su11_orbit_ellipsoid(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_su11_orbit_ellipsoid(cfg, u, idx, rows):
     t, p = _ellipsoid_draw(u, rows)
-    return rows.result(ELLIPSOID.residual(p, t, rows), _columns(*p, t))
+    return ELLIPSOID.residual(p, t, rows), _columns(*p, t)
 
 
-def _k_gt_sphere(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_gt_sphere(cfg, u, idx, rows):
     t, p = _ellipsoid_draw(u, rows)
     a, b = scale_g_t(t, p, errors=rows)
     res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
-    return rows.result(res, _columns(*p, t))
+    return res, _columns(*p, t)
 
 
 O21_RMIN = 0.05  # inner radius of the o21-matrix-B draws
@@ -459,14 +422,13 @@ def _o21_why_empty(cfg: SuiteConfig) -> str | None:
     return None
 
 
-def _k_o21_matrix_b(cfg, u, idx):
-    rows = _Rows(len(u))
+def _k_o21_matrix_b(cfg, u, idx, rows):
     c = annulus_from_uniforms(u[:, 0], u[:, 1], O21_RMIN, cfg.rmax)
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
     img = ball_action(B, (0j, 0j), errors=rows)
     res = np.maximum(o21_residual(B), np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
-    return rows.result(res, _columns(z, w))
+    return res, _columns(z, w)
 
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
@@ -474,10 +436,9 @@ _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
 TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
 
 
-def _k_o21_totally_real(cfg, u, idx):
+def _k_o21_totally_real(cfg, u, idx, rows):
     # sample i % 3 == 0: the rows of the first random real matrix with |det| >= 0.1 (totally real);
     # 1 and 2: a complex curve's and a mixed basis (not totally real, the meet 2-dimensional)
-    rows = _Rows(len(u))
     k = idx % 3
     M = 2.0 * u.reshape(len(u), TOTALLY_REAL_ROUNDS, 2, 2) - 1.0
     good = np.abs(np.linalg.det(M)) >= 0.1
@@ -487,7 +448,7 @@ def _k_o21_totally_real(cfg, u, idx):
     basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
     ok, meet = totally_real_check(basis, errors=rows)
     res = ((ok != (k == 0)) | (meet != np.where(k == 0, 0, 2))).astype(float)
-    return rows.result(res, _columns(*basis.reshape(len(u), 4).T))
+    return res, _columns(*basis.reshape(len(u), 4).T)
 
 
 _REGISTRY: tuple[_Suite, ...] = (
@@ -562,7 +523,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-7,
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + FIT_DRAWS,
-        why_empty=_fit_why_empty,
+        why_empty=_pairs_why_empty(FIT_PAIRS),
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -571,7 +532,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_swap_minus_identity,
         draws=FIT_DRAWS,
-        why_empty=_fit_why_empty,
+        why_empty=_pairs_why_empty(FIT_PAIRS),
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -710,10 +671,6 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
     if not 0.0 < cfg.rmax < 1.0:
         raise ConfigError(f"rmax must lie in (0, 1), got {cfg.rmax!r}")
-    if not cfg.eps_diag >= EPS_DIAG:
-        raise ConfigError(
-            f"eps_diag must be at least {EPS_DIAG:g}, the affine chart guard of map_H, got {cfg.eps_diag!r}"
-        )
     if not isinstance(cfg.workers, int) or cfg.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {cfg.workers!r}")
     unknown = [s for s in cfg.suites if s not in _BY_NAME]
@@ -741,8 +698,14 @@ def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
     replay of any single index.
     """
     u = uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi)
+    rows = RowErrors(hi - lo)
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        return suite.fn(cfg, u, np.arange(lo, hi))
+        residual, inputs = suite.fn(cfg, u, np.arange(lo, hi), rows)
+    if rows.ok.all():
+        return residual, rows.message, inputs
+    error = rows.message
+    error[~rows.ok] = "ValueError: " + error[~rows.ok]  # every check raises ValueError
+    return np.where(rows.ok, residual, math.inf), error, inputs
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
@@ -792,7 +755,7 @@ def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
             "seed": cfg.seed,
             "samples": cfg.samples,
             "rmax": cfg.rmax,
-            "eps_diag": cfg.eps_diag,
+            "eps_diag": EPS_DIAG,
             "tolerances": dict(sorted(cfg.tolerances.items())),
             "suites": list(cfg.suites),
         },

@@ -43,7 +43,7 @@ from bidisc_lab.mobius import (
     pseudo_hyperbolic,
     random_mobius,
 )
-from bidisc_lab.orbits import ELLIPSOID, FLAT_CONTROL, MINKOWSKI_LEVEL, RHO_LEVEL, SPHERE, Family, on_orbit_residual
+from bidisc_lab.orbits import ELLIPSOID, FLAT_CONTROL, MINKOWSKI_LEVEL, RHO_LEVEL, SPHERE, Family
 from bidisc_lab.rng import RowErrors, disc_from_uniforms
 from bidisc_lab.suites import SuiteConfig, all_suite_names, verify_all
 
@@ -290,7 +290,7 @@ ROW_BODIES = {
     "swap-is-minus-identity": lambda r, u, i: np.max(np.abs(conjugate_fit(None, u, swap=True).matrix + np.eye(3))),
     "aut-preserves-subdomains": _aut_preserves_subdomains,
     "su11-orbit-invariant": _su11_orbit_invariant,
-    "su11-orbit-ellipsoid": lambda r, u, i: on_orbit_residual(Family(ELLIPSOID, r[4]), _complex(r[:4])),
+    "su11-orbit-ellipsoid": lambda r, u, i: ELLIPSOID.residual(_complex(r[:4]), r[4], None),
     "gt-sphere": lambda r, u, i: abs(sum(abs(c) ** 2 for c in scale_g_t(r[4], _complex(r[:4]))) - 1.0),
     "o21-matrix-B": _o21_matrix_b,
     "o21-totally-real": lambda r, u, i: float(
@@ -424,10 +424,12 @@ def _replay(doc, name, index):
     )
     k = stream["draws_per_sample"]
     gen.bit_generator.advance(index * k)
-    cfg = SuiteConfig(seed=doc["config"]["seed"], rmax=doc["config"]["rmax"], eps_diag=doc["config"]["eps_diag"])
+    cfg = SuiteConfig(seed=doc["config"]["seed"], rmax=doc["config"]["rmax"])
+    rows = RowErrors(1)
     with np.errstate(all="ignore"):
-        residual, error, inputs = suites._BY_NAME[name].fn(cfg, gen.random((1, k)), np.array([index]))
-    return float(residual[0]), error[0], np.asarray(inputs[0], dtype=float).tolist()
+        residual, inputs = suites._BY_NAME[name].fn(cfg, gen.random((1, k)), np.array([index]), rows)
+    error = None if rows.ok[0] else f"ValueError: {rows.message[0]}"
+    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist()
 
 
 @pytest.mark.parametrize(

@@ -120,15 +120,9 @@ def test_empty_rho_band_is_rejected_not_looped():
 
 
 def test_unreachable_eps_diag_is_rejected_not_looped():
-    code = (
-        "from bidisc_lab.suites import ConfigError, SuiteConfig, verify_all\n"
-        "try:\n"
-        "    verify_all(SuiteConfig(eps_diag=5.0, suites=('H-quadric',)))\n"
-        "except ConfigError as exc:\n"
-        "    raise SystemExit(f'error: {exc}')\n"
-    )
-    proc = _run(["-c", code])
-    assert proc.returncode == 1
+    # no two points of the 4e-7 disc are EPS_DIAG = 1e-6 apart
+    proc = _run(["-m", "bidisc_lab.cli", "verify", "--rmax", "4e-7", "--suite", "H-im-condition"])
+    assert proc.returncode == 2
     assert "nothing to sample" in proc.stderr
 
 

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bidisc_lab.mobius import (
-    IDENTITY,
     MobiusMap,
     mobius_apply,
     mobius_apply_pair,
@@ -26,7 +25,7 @@ MAPS = st.builds(MobiusMap, ANGLES, st.complex_numbers(max_magnitude=0.85, allow
 
 def test_identity_fixes_points():
     for z in (0j, 0.5 + 0.1j, -0.3j):
-        assert mobius_apply(IDENTITY, z) == pytest.approx(z)
+        assert mobius_apply(MobiusMap(0.0), z) == pytest.approx(z)
 
 
 def test_rho_spot_value():
@@ -62,7 +61,7 @@ def test_rho_vanishes_on_diagonal(z):
 
 def test_boundary_points_rejected():
     with pytest.raises(ValueError):
-        mobius_apply(IDENTITY, 1.0 + 0j)
+        mobius_apply(MobiusMap(0.0), 1.0 + 0j)
     with pytest.raises(ValueError):
         pseudo_hyperbolic(1.0 + 0j, 0j)
     with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ def test_boundary_points_rejected():
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
-        mobius_apply(IDENTITY, complex("nan"))
+        mobius_apply(MobiusMap(0.0), complex("nan"))
     with pytest.raises(ValueError):
         MobiusMap(math.nan, 0j)
 

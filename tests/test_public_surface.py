@@ -1,0 +1,46 @@
+"""Every public function is exercised by the CLI: by a registered suite, an orbit dump or a map evaluation."""
+
+import inspect
+import sys
+
+import bidisc_lab
+from bidisc_lab import cli
+from bidisc_lab.orbits import FAMILIES
+
+DUMP_SPECS = ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve")
+MAP_CALLS = (("J", "0.5,0,0,0"), ("H", "0.5,0,0,0"), ("Hinv", "2,0,0,2,0,-1"))  # H(0.5, 0) = (2, 2i, -i)
+NOT_ON_A_CLI_PATH = {"orbit_point"}  # the documented entry point for replaying one dump row
+
+
+def _run_profiled(argvs):
+    """The exit codes of cli.main on each argv, and the code objects of every Python function called."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    return codes, seen
+
+
+def test_every_public_function_is_called_by_the_cli(tmp_path):
+    assert {s.partition(":")[0] for s in DUMP_SPECS} == {r.cli for r in FAMILIES if r.cli is not None}
+    argvs = [["verify", "--seed", "42", "--samples", "300", "--report", str(tmp_path / "report.json")]]
+    argvs += [
+        ["dump-orbit", "--spec", spec, "--n", "50", "--seed", "42", "--out", str(tmp_path / f"{k}.csv")]
+        for k, spec in enumerate(DUMP_SPECS)
+    ]
+    argvs += [["map", "--which", which, "--point", point] for which, point in MAP_CALLS]
+    codes, seen = _run_profiled(argvs)
+    assert codes == [0] * len(argvs)
+    functions = {
+        name: obj for name in bidisc_lab.__all__ if inspect.isfunction(obj := getattr(bidisc_lab, name))
+    }
+    assert NOT_ON_A_CLI_PATH <= functions.keys()
+    missed = sorted(name for name, fn in functions.items() if fn.__code__ not in seen)
+    assert missed == sorted(NOT_ON_A_CLI_PATH)

@@ -108,14 +108,14 @@ def test_unknown_suite_is_a_config_error():
         SuiteConfig(rmax=0.0),
         SuiteConfig(workers=0),
         SuiteConfig(seed=-1),
-        SuiteConfig(eps_diag=0.0),
-        SuiteConfig(eps_diag=1e-7),  # below map_H's chart guard; no longer clamped silently
-        SuiteConfig(eps_diag=5.0, suites=("H-im-condition",)),  # no pair is 5 apart
+        SuiteConfig(seed=2**64),
+        SuiteConfig(rmax=4e-7, suites=("H-im-condition",)),  # no pair is EPS_DIAG = 1e-6 apart
         SuiteConfig(rmax=0.01, suites=("orbit-levels",)),  # rho < 2 rmax / (1 + rmax^2) < 0.05
         SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # fit pairs need |z - w| >= 0.05
         SuiteConfig(rmax=0.04, suites=("o21-matrix-B",)),  # its real pairs need 0.05 <= |(z, w)| < rmax
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
+        SuiteConfig(tolerances={"H-quadric": float("nan")}),
     ],
 )
 def test_validate_config_rejects_bad_values(cfg):
