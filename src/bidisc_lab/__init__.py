@@ -5,7 +5,7 @@ the bidisc, the explicit rational embeddings of the off-diagonal bidisc
 into an affine quadric in C^3 (and projectively into CP^3), the matrix
 groups acting on the ball and on the quadric, samplers for the group
 orbits, and finite-difference CR analysis (Wirtinger gradients, complex
-Hessians, restricted Levi forms) that certifies which orbits are
+tangents, restricted Levi forms) that certifies which orbits are
 strongly pseudoconvex, Levi flat, or totally real.
 
 Every quantitative claim is covered by a seeded property suite; run
@@ -34,7 +34,6 @@ from .groups import (
     su21_residual,
 )
 from .levi import (
-    complex_hessian,
     complex_tangent,
     levi_restricted,
     totally_real_check,
@@ -87,7 +86,6 @@ __all__ = [
     "su11_embed",
     "su11_orbit_invariant",
     "su21_residual",
-    "complex_hessian",
     "complex_tangent",
     "levi_restricted",
     "totally_real_check",

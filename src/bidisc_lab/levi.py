@@ -3,36 +3,41 @@
 A real hypersurface {r = 0} carries, at each regular point, the complex
 tangent space {v : sum_j dr/dz_j v_j = 0} and on it the Levi form
 
-    L(v) = sum_{j,k} d^2 r / dz_j dconj(z_k)  conj(v_j) v_k .
+    L(v) = sum_{j,k} d^2 r / dz_j dconj(z_k)  v_j conj(v_k) .
 
-Derivatives are taken by central finite differences on the underlying
-real coordinates and assembled into Wirtinger form,
+Derivatives are taken by central finite differences.  The gradient
+comes from the underlying real coordinates in Wirtinger form,
 
-    dr/dz_j           = (d/dx_j - i d/dy_j) r / 2,
-    d^2 r/dz_j dcz_k  = (R_xx + R_yy + i (R_xy - R_yx))_{jk} / 4,
+    dr/dz_j = (d/dx_j - i d/dy_j) r / 2,
 
-with the Hessian Hermitian-symmetrized afterwards.  The defining
-functions are the records of ``orbits.FAMILIES`` that have one, taken
-with their parameter as an ``orbits.Family``: each record supplies the
-value, the ambient check and, on the quadric, the holomorphic
-constraint row the complex tangent must also annihilate.  Its
-closed-form gradient and Hessian serve as an independent cross-check;
-the finite-difference path is always the one exercised by callers.
+and the Levi value from the second derivatives of r along v and along
+i v, since r_vv + r_(iv)(iv) = 4 L(v):
+
+    L(v) ~ [r(p + s v) + r(p - s v) + r(p + i s v) + r(p - i s v) - 4 r(p)] / (4 s^2)
+
+for a unit v.  The defining functions are the records of
+``orbits.FAMILIES`` that have one, taken with their parameter as an
+``orbits.Family``: each record supplies the value, the ambient check
+and, on the quadric, the holomorphic constraint row the complex tangent
+must also annihilate.  Its closed-form gradient and Hessian serve as an
+independent cross-check; the finite-difference path is always the one
+exercised by callers.
 
 Steps scale with max(1, |p|_inf): the second-difference rounding floor
-is then ~eps/h^2 regardless of how large the point's coordinates are.
-The steps are constants: HESS_STEP = 1e-4 puts that floor near 7e-8,
-and GRAD_STEP = 1e-5 puts the first-difference floor near 2e-11.  All
-registered functions except the rho-level family are quadratic in the
-real coordinates, so the larger Hessian step costs no truncation error
-there, and on the rho-level family the h^2 truncation (~1e-8) is far
-below any certification floor in use.
+is then ~eps/s^2 regardless of how large the point's coordinates are.
+The steps are constants: HESS_STEP = 1e-4 puts the floor of the Levi
+value near 2e-8, and GRAD_STEP = 1e-5 puts the first-difference floor
+near 2e-11.  All registered functions except the rho-level family are
+quadratic in the real coordinates, so the second difference has no
+truncation error there, and on the rho-level family the s^2 truncation
+(~1e-8) is far below any certification floor in use.
 
 Batched evaluation: every function of a point also takes an (n, dim)
 batch of points and then returns one result per row; a single point is
-the batch of one.  The stencil loops over its offsets (at most 73, for
-C^3) with (n, dim) arrays, and the tangents come from one batched SVD.
-Each row's arithmetic is elementwise and in the same order whatever the
+the batch of one.  The differences shift whole (n, dim) arrays: 4 dim
+values of r for the gradient, and r(p) with four more for the Levi
+value, 4 dim + 5 in all; the tangents come from one batched SVD.  Each
+row's arithmetic is elementwise and in the same order whatever the
 batch, so a row's result does not depend on the rows beside it.  The
 checks run per row: finiteness, the ambient margin, on-surface, the
 gradient floor, degenerate constraint rows and the orthogonality
@@ -114,12 +119,11 @@ def _scaled_step(P: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(P).max(axis=1))
 
 
-def _shift(P: np.ndarray, *moves) -> np.ndarray:
-    """P moved by (c, d) steps along interleaved real coordinates: c = 2j is Re z_j, 2j+1 is Im z_j."""
+def _shift(P: np.ndarray, c: int, d: np.ndarray) -> np.ndarray:
+    """P moved by d along interleaved real coordinate c: c = 2j is Re z_j, 2j+1 is Im z_j."""
     Q = P.copy()
-    for c, d in moves:
-        part = Q.imag if c % 2 else Q.real
-        part[:, c // 2] += d
+    part = Q.imag if c % 2 else Q.real
+    part[:, c // 2] += d
     return Q
 
 
@@ -135,45 +139,12 @@ def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np
     two_s = 2.0 * s
     for j in range(P.shape[1]):
         dx, dy = (
-            (value(f, _shift(P, (c, s)), errors=rows) - value(f, _shift(P, (c, -s)), errors=rows)) / two_s
+            (value(f, _shift(P, c, s), errors=rows) - value(f, _shift(P, c, -s), errors=rows)) / two_s
             for c in (2 * j, 2 * j + 1)
         )
         G[:, j].real = 0.5 * dx
         G[:, j].imag = -0.5 * dy
     return G
-
-
-def complex_hessian(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
-    """FD complex Hessian (step HESS_STEP scaled by the point size), Hermitian-symmetrized."""
-    P, single, rows = _batch(f, p, errors)
-    _check_ambient(f, P, rows)
-    H = _fd_complex_hessian(f, P, _scaled_step(P, HESS_STEP), rows)
-    return _unbatch(0.5 * (H + H.conj().swapaxes(1, 2)), single)
-
-
-def _fd_complex_hessian(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
-    n, dim = P.shape
-    # real Hessian on interleaved coordinates (x1, y1, x2, y2, ...), one (n,) entry per pair
-    m = 2 * dim
-    R = np.empty((m, m, n))
-    f0 = value(f, P, errors=rows)
-    s2, s4 = s * s, 4.0 * s * s
-    for a in range(m):
-        R[a, a] = (
-            value(f, _shift(P, (a, s)), errors=rows) - 2.0 * f0 + value(f, _shift(P, (a, -s)), errors=rows)
-        ) / s2
-        for b in range(a + 1, m):
-            pp, pm, mp, mm = (
-                value(f, _shift(P, (a, da), (b, db)), errors=rows)
-                for da, db in ((s, s), (s, -s), (-s, s), (-s, -s))
-            )
-            R[a, b] = R[b, a] = (pp - pm - mp + mm) / s4
-    H = np.empty((n, dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            H[:, j, k].real = 0.25 * (R[2 * j, 2 * k] + R[2 * j + 1, 2 * k + 1])
-            H[:, j, k].imag = 0.25 * (R[2 * j, 2 * k + 1] - R[2 * j + 1, 2 * k])
-    return H
 
 
 def _constraint_rows(f: Family, P: np.ndarray, rows: RowErrors):
@@ -217,26 +188,26 @@ def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndar
     return _unbatch(v, single)
 
 
-def _levi_form(v: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Re(v^H H v) of each row, summed in a fixed order on real and imaginary parts."""
-    out = np.zeros(len(v))
-    for j in range(v.shape[1]):
-        for k in range(v.shape[1]):
-            hr, hi, vr, vi = H[:, j, k].real, H[:, j, k].imag, v[:, k].real, v[:, k].imag
-            out += v[:, j].real * (hr * vr - hi * vi) + v[:, j].imag * (hr * vi + hi * vr)
-    return out
+def _levi_along(f: Family, P: np.ndarray, v: np.ndarray, r0: np.ndarray, rows: RowErrors) -> np.ndarray:
+    """Four second differences along the unit rows v of P, whose values are r0: about sum_jk H_jk v_j conj(v_k)."""
+    s = _scaled_step(P, HESS_STEP)
+    w = s[:, None] * v
+    iw = 1j * w
+    total = (
+        value(f, P + w, errors=rows) + value(f, P - w, errors=rows)
+        + value(f, P + iw, errors=rows) + value(f, P - iw, errors=rows)
+    )
+    return (total - 4.0 * r0) / (4.0 * (s * s))
 
 
 def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     """Levi form evaluated on the unit complex tangent at an on-surface point."""
     P, single, rows = _batch(f, p, errors)
+    r0 = value(f, P, errors=rows)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
-    rows.flag(
-        np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface"
-    )
+    rows.flag(np.abs(r0) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
     v = complex_tangent(f, P, errors=rows)
-    H = complex_hessian(f, P, errors=rows)
-    return _unbatch(_levi_form(v, H), single)
+    return _unbatch(_levi_along(f, P, v, r0, rows), single)
 
 
 def totally_real_check(basis, *, errors: RowErrors | None = None):

@@ -53,7 +53,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -146,17 +146,7 @@ class SuiteReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "claim": self.claim,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "failures": list(self.failures),
-            "hard_failures": self.hard_failures,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "failures": list(self.failures)}  # as json reads it back
 
 
 @dataclass(frozen=True)
@@ -337,7 +327,7 @@ def _k_levi_eta(cfg, u, idx, rows):
 
 
 def _k_levi_control(cfg, u, idx, rows):
-    z1 = polar(0.5, math.tau * u[:, 0])
+    z1 = polar(_FLAT[0].param, math.tau * u[:, 0])
     z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
     _, val = _levi(rows, _FLAT, idx, p=np.column_stack([z1, z2]))
     return np.abs(val), _columns(z1, z2)

@@ -7,9 +7,9 @@ import pytest
 
 from bidisc_lab.levi import (
     RowErrors,
+    _levi_along,
     closed_complex_hessian,
     closed_wirtinger_gradient,
-    complex_hessian,
     complex_tangent,
     levi_restricted,
     totally_real_check,
@@ -17,12 +17,21 @@ from bidisc_lab.levi import (
     wirtinger_gradient,
 )
 from bidisc_lab.maps import map_H
-from bidisc_lab.orbits import ELLIPSOID, FLAT_CONTROL, MINKOWSKI_LEVEL, REAL_SLICE, RHO_LEVEL, SPHERE, Family
+from bidisc_lab.orbits import (
+    ELLIPSOID,
+    FLAT_CONTROL,
+    MINKOWSKI_LEVEL,
+    REAL_SLICE,
+    RHO_LEVEL,
+    SPHERE,
+    Family,
+    FamilyRecord,
+)
 from bidisc_lab.rng import ball_from_uniforms, disc_from_uniforms, uniform_block
 
-# frozen at first build from the default stencil; a drift means the FD
+# frozen from the four-point Levi difference; a drift means the FD
 # pipeline changed, not that the mathematics did
-GOLDEN_RHO_LEVEL_LEVI = 0.4079320024581776
+GOLDEN_RHO_LEVEL_LEVI = 0.4079320020666799
 
 ALL_KINDS = [
     Family(RHO_LEVEL, 0.7),
@@ -96,16 +105,17 @@ def test_fd_gradient_matches_closed_form(f):
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_fd_hessian_matches_closed_form(f):
-    for p in _ambient_points(f, 52, 15):
-        np.testing.assert_allclose(
-            complex_hessian(f, p), closed_complex_hessian(f, p), atol=1e-6
-        )
-
-
-def test_fd_hessian_is_exactly_hermitian():
-    f = Family(RHO_LEVEL, 0.6)
-    H = complex_hessian(f, (0.3 + 0.2j, -0.1 + 0.4j))
-    assert np.array_equal(H, H.conj().T)
+    """The four second differences along random unit w give w H conj(w) of the closed Hessian."""
+    P = np.repeat(np.array(_ambient_points(f, 52, 15), dtype=complex), 4, axis=0)
+    x = np.random.default_rng(52).standard_normal((len(P), 2 * f.record.dim))
+    W = x[:, 0::2] + 1j * x[:, 1::2]
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    errors = RowErrors(len(P))
+    fd = _levi_along(f, P, W, value(f, P), errors)
+    assert errors.ok.all()
+    closed = np.einsum("nj,njk,nk->n", W, closed_complex_hessian(f, P), W.conj())
+    np.testing.assert_allclose(closed.imag, 0.0, atol=1e-15)
+    np.testing.assert_allclose(fd, closed.real, atol=1e-6)
 
 
 def test_ellipsoid_hessian_is_the_weighted_identity():
@@ -118,8 +128,8 @@ def test_ellipsoid_hessian_is_the_weighted_identity():
 def test_ambient_guard_blocks_stencils_near_the_boundary():
     with pytest.raises(ValueError):
         wirtinger_gradient(Family(RHO_LEVEL, 0.7), (0.9995, 0.0))
-    with pytest.raises(ValueError):
-        complex_hessian(Family(SPHERE), (1.0, 0.0))
+    with pytest.raises(ValueError, match="touches the unit circle"):
+        levi_restricted(Family(SPHERE), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +162,7 @@ def test_rho_level_golden_value_and_closed_form():
     g = closed_wirtinger_gradient(f, p)
     v = np.array([-g[1], g[0]])
     v = v / np.linalg.norm(v)
-    closed_val = float((v.conj() @ closed_complex_hessian(f, p) @ v).real)
+    closed_val = float((v @ closed_complex_hessian(f, p) @ v.conj()).real)
     assert fd_val == pytest.approx(closed_val, abs=1e-6)
 
 
@@ -163,6 +173,19 @@ def test_flat_control_levi_vanishes():
     )
     np.testing.assert_allclose(complex_tangent(f, (0.5, 0.0)), [0.0, 1.0], atol=1e-8)
     assert abs(levi_restricted(f, (0.5, 0.3))) < 1e-12
+
+
+# r = |z1 + i z2|^2 - 1 depends only on the holomorphic z1 + i z2: its zero set is Levi flat
+_CYLINDER = Family(FamilyRecord("levi-flat-cylinder", 2, value=lambda P, _: np.abs(P[:, 0] + 1j * P[:, 1]) ** 2 - 1.0))
+
+
+def test_levi_flat_cylinder_levi_vanishes():
+    """A Hessian with off-diagonal entries: the form is contracted as v_j H_jk conj(v_k), not transposed."""
+    t = np.linspace(0.0, 2.0 * math.pi, 7)
+    z2 = 0.4 * np.exp(2j * t)
+    P = np.column_stack([np.exp(1j * t) - 1j * z2, z2])
+    np.testing.assert_allclose(value(_CYLINDER, P), 0.0, atol=1e-15)
+    assert np.abs(levi_restricted(_CYLINDER, P)).max() < 1e-6
 
 
 def test_levi_restricted_rejects_off_surface_points():
@@ -203,19 +226,16 @@ def test_batch_matches_the_oracles_and_the_single_point_calls(f):
     P = _surface_points(f, 40)
     np.testing.assert_allclose(value(f, P), 0.0, atol=1e-14)
     G = wirtinger_gradient(f, P)
-    H = complex_hessian(f, P)
     V = complex_tangent(f, P)
     L = levi_restricted(f, P)
-    assert G.shape == V.shape == P.shape and H.shape == (len(P), f.record.dim, f.record.dim) and L.shape == (len(P),)
+    assert G.shape == V.shape == P.shape and L.shape == (len(P),)
     np.testing.assert_allclose(G, closed_wirtinger_gradient(f, P), atol=1e-7)
-    np.testing.assert_allclose(H, closed_complex_hessian(f, P), atol=1e-6)
-    closed = np.einsum("nj,njk,nk->n", V.conj(), closed_complex_hessian(f, P), V).real
+    closed = np.einsum("nj,njk,nk->n", V, closed_complex_hessian(f, P), V.conj()).real
     np.testing.assert_allclose(L, closed, atol=1e-6)
     for r, p in enumerate(P):
         assert value(f, p) == value(f, P)[r]
         np.testing.assert_array_equal(wirtinger_gradient(f, p), G[r])
         np.testing.assert_array_equal(closed_wirtinger_gradient(f, p), closed_wirtinger_gradient(f, P)[r])
-        np.testing.assert_array_equal(complex_hessian(f, p), H[r])
         np.testing.assert_array_equal(complex_tangent(f, p), V[r])
         assert levi_restricted(f, p) == L[r]
 
@@ -237,49 +257,46 @@ def _reference_value(f, p):
     return a2[0] - f.param * f.param
 
 
-def _reference_derivatives(f, p, grad_step=1e-5, hess_step=1e-4):
-    """FD Wirtinger gradient and symmetrized complex Hessian at one point, one value per offset."""
+def _reference_gradient(f, p, step=1e-5):
+    """FD Wirtinger gradient at one point, one value per offset."""
     p = [complex(z) for z in p]
-    n, m = len(p), 2 * len(p)
-    size = max(1.0, float(np.max(np.abs(p))))
-
-    def at(*moves):
-        q = list(p)
-        for c, d in moves:
-            q[c // 2] += d if c % 2 == 0 else 1j * d
-        return _reference_value(f, q)
-
-    s = grad_step * size
+    s = step * max(1.0, float(np.max(np.abs(p))))
     g = []
-    for j in range(n):
-        dx = (at((2 * j, s)) - at((2 * j, -s))) / (2.0 * s)
-        dy = (at((2 * j + 1, s)) - at((2 * j + 1, -s))) / (2.0 * s)
+    for j in range(len(p)):
+        dx, dy = (
+            (_reference_value(f, p[:j] + [p[j] + d] + p[j + 1:]) - _reference_value(f, p[:j] + [p[j] - d] + p[j + 1:]))
+            / (2.0 * s)
+            for d in (s, 1j * s)
+        )
         g.append(0.5 * (dx - 1j * dy))
-    s = hess_step * size
-    R = np.empty((m, m))
-    for a in range(m):
-        R[a, a] = (at((a, s)) - 2.0 * at() + at((a, -s))) / (s * s)
-        for b in range(a + 1, m):
-            pp, pm = at((a, s), (b, s)), at((a, s), (b, -s))
-            mp, mm = at((a, -s), (b, s)), at((a, -s), (b, -s))
-            R[a, b] = R[b, a] = (pp - pm - mp + mm) / (4.0 * s * s)
-    H = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            re = R[2 * j, 2 * k] + R[2 * j + 1, 2 * k + 1]
-            H[j, k] = 0.25 * (re + 1j * (R[2 * j, 2 * k + 1] - R[2 * j + 1, 2 * k]))
-    return np.array(g), 0.5 * (H + H.conj().T)
+    return np.array(g)
+
+
+def _reference_levi(f, p, v, step=1e-4):
+    """The four-point Levi value at one point along its unit tangent v."""
+    p, v = [complex(z) for z in p], [complex(z) for z in v]
+    s = step * max(1.0, float(np.max(np.abs(p))))
+    w = [s * z for z in v]
+    iw = [1j * z for z in w]
+    total = (
+        _reference_value(f, [a + b for a, b in zip(p, w)]) + _reference_value(f, [a - b for a, b in zip(p, w)])
+        + _reference_value(f, [a + b for a, b in zip(p, iw)]) + _reference_value(f, [a - b for a, b in zip(p, iw)])
+    )
+    return (total - 4.0 * _reference_value(f, p)) / (4.0 * (s * s))
 
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_batched_stencil_reproduces_the_point_at_a_time_reference_exactly(f):
+    """Gradient and Levi value against Python-complex arithmetic, point by point (the tangent is the batch's)."""
     P = np.array(_ambient_points(f, 53, 25), dtype=complex)
-    values, G, H = value(f, P), wirtinger_gradient(f, P), complex_hessian(f, P)
+    values, G = value(f, P), wirtinger_gradient(f, P)
     for r, p in enumerate(P):
-        g, h = _reference_derivatives(f, p)
         assert values[r] == _reference_value(f, [complex(z) for z in p])
-        np.testing.assert_array_equal(G[r], g)
-        np.testing.assert_array_equal(H[r], h)
+        np.testing.assert_array_equal(G[r], _reference_gradient(f, p))
+    S = _surface_points(f, 25)
+    V, L = complex_tangent(f, S), levi_restricted(f, S)
+    for r, p in enumerate(S):
+        assert L[r] == _reference_levi(f, p, V[r])
 
 
 _SPHERE = Family(SPHERE)
@@ -294,7 +311,7 @@ _QUADRIC_ON = [(1.25, 0.75j, 0.0), (0.75j, 1.25, 0.0)]
     [
         (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
         (wirtinger_gradient, Family(RHO_LEVEL, 0.7), _SPHERE_OFF, (0.9995, 0.0), "ambient boundary"),
-        (complex_hessian, _SPHERE, _SPHERE_OFF, (1.0, 0.0), "touches the unit circle"),
+        (levi_restricted, _SPHERE, _SPHERE_ON, (1.0, 0.0), "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (0.3, 0.4), "does not lie on the hypersurface"),
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),
         (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.0, 0.5, 0.3), "degenerate"),
