@@ -2,9 +2,11 @@
 
 The package implements the disc automorphism group acting diagonally on
 the bidisc, the explicit rational embeddings of the off-diagonal bidisc
-into an affine quadric in C^3 (and projectively into CP^3), the matrix
-groups acting on the ball and on the quadric, samplers for the group
-orbits, and finite-difference CR analysis (Wirtinger gradients, complex
+into an affine quadric in C^3 (and projectively into CP^3), the
+subdomains made of whole orbits (bands of rho levels, and their images,
+bands of Minkowski levels on the quadric), the matrix groups acting on
+the ball and on the quadric, samplers for the group orbits, and
+finite-difference CR analysis (Wirtinger gradients, complex
 tangents, restricted Levi forms) that certifies which orbits are
 strongly pseudoconvex, Levi flat, or totally real.
 
@@ -13,15 +15,14 @@ them all with ``bidisc-lab verify`` or :func:`bidisc_lab.verify_all`.
 """
 
 from .domains import (
-    DomainSpec,
-    ProjectivePoint,
     a_from_alpha,
     alpha_from_a,
-    contains,
     eta_level,
     im_condition,
     minkowski_form,
+    quadric_band,
     quadric_residual,
+    rho_band,
 )
 from .groups import (
     I21,
@@ -46,7 +47,6 @@ from .maps import (
     map_H_inv,
     map_J,
     scale_g_t,
-    swap_pair,
     sym,
 )
 from .mobius import (
@@ -69,15 +69,14 @@ from .suites import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainSpec",
-    "ProjectivePoint",
     "a_from_alpha",
     "alpha_from_a",
-    "contains",
     "eta_level",
     "im_condition",
     "minkowski_form",
+    "quadric_band",
     "quadric_residual",
+    "rho_band",
     "I21",
     "ball_action",
     "o21_point_matrix",
@@ -96,7 +95,6 @@ __all__ = [
     "map_H_inv",
     "map_J",
     "scale_g_t",
-    "swap_pair",
     "sym",
     "MobiusMap",
     "mobius_apply",

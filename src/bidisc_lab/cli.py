@@ -100,7 +100,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
             raise ConfigError('J and H take --point "re,im,re,im" (one bidisc pair)')
         z, w = complex(vals[0], vals[1]), complex(vals[2], vals[3])
         if args.which == "J":
-            out = [x for c in map_J(z, w).coords for x in (c.real, c.imag)]
+            out = [x for c in map_J(z, w) for x in (c.real, c.imag)]
         else:
             out = [x for c in map_H(z, w) for x in (c.real, c.imag)]
     else:

@@ -11,8 +11,9 @@ and into CP^3, diagonal included, by the homogeneous variant
 
     J(z, w) = ( z - w : 1 - z w : i (1 + z w) : -i (z + w) ),
 
-so J = (z - w) (1 : H) wherever both are defined.  H odd under the
-coordinate swap: H(w, z) = -H(z, w).
+so J = (z - w) (1 : H) wherever both are defined; J sends the diagonal
+to the quadric's curve at infinity, where the first coordinate vanishes.
+H is odd under the coordinate swap: H(w, z) = -H(z, w).
 
 The inverse of H is algebraic: with d = 2 / (h1 - i h2) and
 s = i h3 d one has z - w = d and z + w = s, hence {z, w} are the roots
@@ -40,20 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ProjectivePoint, _check_projective
 from .groups import o21_residual
 from .mobius import MobiusMap, _check_disc, _rho, mobius_apply_pair
 from .rng import DEFAULT_RMAX, RowErrors, _batch, _collector, _unbatch, disc_from_uniforms
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
-
-Pair = tuple[complex, complex]
-
-
-def swap_pair(p: Pair) -> Pair:
-    return p[1], p[0]
-
 
 def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re, Im) of z w from separately rounded float products, so that w z == z w bit for bit.
@@ -82,15 +75,16 @@ def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> None:
 def map_J(z, w, *, errors: RowErrors | None = None):
     """Homogeneous quadric embedding; defined on the whole bidisc.
 
-    A ProjectivePoint for a point; the homogeneous coordinates, shape
-    (4, n), for a batch.
+    The homogeneous coordinates: shape (4,) for a point, (4, n) for a
+    batch.
     """
     (z, w), rows, single = _batch(errors, z, w)
     _check_pair(rows, z, w)
     zw = z * w
     c = np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
-    _check_projective(rows, c.T)
-    return ProjectivePoint(c[:, 0]) if single else c
+    rows.flag(~np.isfinite(c).all(axis=0), "homogeneous coordinates must be finite")
+    rows.flag(np.abs(c).max(axis=0) == 0.0, "homogeneous coordinates must not all vanish")
+    return c[:, 0] if single else c
 
 
 def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -267,7 +261,7 @@ def conjugate_fit(
     rows.flag(lost.any(axis=1), lambda r: f"none of fit point {np.argmax(lost[r])}'s {wanted}")
     points = RowErrors(n * k)
     src = np.stack(map_H(z, w, errors=points), axis=-1).reshape(n, k, 3)
-    image = swap_pair((z, w)) if swap else (z, w)
+    image = (w, z) if swap else (z, w)
     if phi is not None:
         theta, a = (np.repeat(np.broadcast_to(x, n), k) for x in (phi.theta, phi.a))
         image = mobius_apply_pair(MobiusMap(theta, a, errors=points), image, errors=points)

@@ -276,13 +276,14 @@ class Family:
 
     def __post_init__(self):
         record, x = self.record, self.param
+        name = record.cli or record.name
         if record.need is None:
             if x is not None:
-                raise ValueError(f"{record.name} takes no parameter, got {x}")
+                raise ValueError(f"{name} takes no parameter, got {x}")
         elif x is None:
-            raise ValueError(f"{record.name} needs a parameter: {record.need}")
+            raise ValueError(f"{name} needs a parameter: {record.need}")
         elif not math.isfinite(x):
-            raise ValueError(f"the {record.name} parameter must be finite, got {x}")
+            raise ValueError(f"the {name} parameter must be finite, got {x}")
         elif not record.admits(x):
             raise ValueError(f"{record.need}, got {x}")
 
@@ -311,14 +312,8 @@ def parse_orbit_spec(text: str) -> Family:
     record = _BY_CLI.get(head.strip())
     if record is None:
         raise ValueError(f"unknown orbit spec {text!r}")
-    if record.need is None:
-        if sep:
-            raise ValueError(f"{record.cli} takes no parameter")
-        return Family(record)
-    if not sep:
-        raise ValueError(f"{record.cli} needs a parameter: {record.need}")
     try:
-        x = float(tail)
+        x = float(tail) if sep else None
     except ValueError:
         raise ValueError(f"bad orbit parameter {tail!r}") from None
     return Family(record, x)

@@ -59,15 +59,14 @@ from typing import Callable
 import numpy as np
 
 from .domains import (
-    DomainSpec,
-    _quadric_margin,
     a_from_alpha,
     alpha_from_a,
-    contains,
     eta_level,
     im_condition,
     minkowski_form,
+    quadric_band,
     quadric_residual,
+    rho_band,
 )
 from .groups import ball_action, o21_point_matrix, o21_residual, random_su11, su11_embed, su11_orbit_invariant
 from .levi import levi_restricted, totally_real_check
@@ -256,7 +255,7 @@ def _k_preimage_formula(cfg, u, idx, rows):
     # boundary-ambiguous samples are excluded: residual 0, and map_H's checks do not apply
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
     chart = RowErrors(len(u))
-    member = _quadric_margin(*map_H(z, w, errors=chart), s, t) > 0.0
+    member = quadric_band(*map_H(z, w, errors=chart), s, t)[0]
     rows.flag(~ambiguous & ~chart.ok, chart.message.__getitem__)
     predicted = (lo < rho) & (rho < hi)
     res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
@@ -360,7 +359,7 @@ def _k_swap_minus_identity(cfg, u, idx, rows):
     return np.abs(fit.matrix + np.eye(3)).max(axis=(1, 2)), _columns(*pairs.T)
 
 
-_AUT_DOMAINS = (DomainSpec.bidisc_r(0.7), DomainSpec.bidisc_st(0.3, 0.8))
+_AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
 
 
 def _k_aut_preserves_subdomains(cfg, u, idx, rows):
@@ -370,8 +369,8 @@ def _k_aut_preserves_subdomains(cfg, u, idx, rows):
     p = _disc_pair(u[:, 4:], cfg.rmax)
     q = mobius_apply_pair(phi, (np.where(swap, p[1], p[0]), np.where(swap, p[0], p[1])), errors=rows)
     res = np.zeros(len(u))
-    for dom in _AUT_DOMAINS:
-        (m1, g1), (m2, g2) = contains(dom, p, errors=rows), contains(dom, q, errors=rows)
+    for lo, hi in _AUT_BANDS:
+        (m1, g1), (m2, g2) = rho_band(*p, lo, hi, errors=rows), rho_band(*q, lo, hi, errors=rows)
         # a verdict only where both points are clear of the boundary
         res = np.maximum(res, (np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN) & (m1 != m2))
     return res, _columns(*p, phi.theta, phi.a, swap.astype(float))

@@ -9,14 +9,14 @@ import pytest
 
 from bidisc_lab import orbits, rng, suites
 from bidisc_lab.domains import (
-    DomainSpec,
     a_from_alpha,
     alpha_from_a,
-    contains,
     eta_level,
     im_condition,
     minkowski_form,
+    quadric_band,
     quadric_residual,
+    rho_band,
 )
 from bidisc_lab.groups import (
     ball_action,
@@ -33,7 +33,6 @@ from bidisc_lab.maps import (
     map_H_inv,
     map_J,
     scale_g_t,
-    swap_pair,
     sym,
 )
 from bidisc_lab.mobius import (
@@ -140,8 +139,8 @@ def test_batches_agree_with_their_points():
     alpha = alpha_from_a(rho)
     level = eta_level(alpha)
     a_back = a_from_alpha(alpha)
-    band = contains(DomainSpec.quadric_st(1.0, 3.0), h)
-    sub = contains(DomainSpec.bidisc_st(0.3, 0.8), (z, w))
+    band = quadric_band(*h, 1.0, 3.0)
+    sub = rho_band(z, w, 0.3, 0.8)
     for r in range(ROWS):
         zr, wr = complex(z[r]), complex(w[r])
         hs = map_H(zr, wr)
@@ -151,15 +150,15 @@ def test_batches_agree_with_their_points():
             _same(h[k][r].item(), hs[k])
         for k in range(2):
             _same(back[k][r].item(), map_H_inv(*hs)[k])
-        np.testing.assert_array_equal(jcoords[:, r], map_J(zr, wr).coords)
+        np.testing.assert_array_equal(jcoords[:, r], map_J(zr, wr))
         _same(s_arr[r].item(), sym(zr, wr)[0])
         _same(p_arr[r].item(), sym(zr, wr)[1])
         _same(alpha[r].item(), alpha_from_a(rho[r].item()))
         _same(level[r].item(), eta_level(alpha[r].item()))
         _same(a_back[r].item(), a_from_alpha(alpha[r].item()))
         for k in range(2):
-            _same(band[k][r].item(), contains(DomainSpec.quadric_st(1.0, 3.0), hs)[k])
-            _same(sub[k][r].item(), contains(DomainSpec.bidisc_st(0.3, 0.8), (zr, wr))[k])
+            _same(band[k][r].item(), quadric_band(*hs, 1.0, 3.0)[k])
+            _same(sub[k][r].item(), rho_band(zr, wr, 0.3, 0.8)[k])
 
 
 def test_array_map_h_is_exactly_odd_and_array_sym_exactly_symmetric():
@@ -208,13 +207,13 @@ def _preimage(row):
     lo = math.sqrt(2.0 / (t + 1.0)) if math.isfinite(t) else 0.0
     if min(abs(rho - hi), abs(rho - lo)) < suites.PREIMAGE_MARGIN:
         return 0.0
-    member, _ = contains(DomainSpec.quadric_st(s, t), map_H(z, w))
+    member, _ = quadric_band(*map_H(z, w), s, t)
     return 0.0 if member == (lo < rho < hi) else 1.0
 
 
 def _j_h_compat(row):
     z, w = _pair(row)
-    p = map_J(z, w).coords
+    p = map_J(z, w)
     q = np.array([1.0 + 0j, *map_H(z, w)])
     worst = max(abs(p[a] * q[b] - p[b] * q[a]) for a in range(4) for b in range(a + 1, 4))
     return worst / (float(np.max(np.abs(p))) * float(np.max(np.abs(q))))
@@ -264,9 +263,9 @@ def _conjugation_so21(r, u, i):
 
 def _aut_preserves_subdomains(r, u, i):
     p = (complex(r[0], r[1]), complex(r[2], r[3]))
-    q = mobius_apply_pair(MobiusMap(r[4], complex(r[5], r[6])), swap_pair(p) if r[7] else p)
-    for dom in suites._AUT_DOMAINS:
-        (m1, g1), (m2, g2) = contains(dom, p), contains(dom, q)
+    q = mobius_apply_pair(MobiusMap(r[4], complex(r[5], r[6])), p[::-1] if r[7] else p)
+    for lo, hi in suites._AUT_BANDS:
+        (m1, g1), (m2, g2) = rho_band(*p, lo, hi), rho_band(*q, lo, hi)
         if min(abs(g1), abs(g2)) >= suites.MEMBERSHIP_MARGIN and m1 != m2:
             return 1.0
     return 0.0

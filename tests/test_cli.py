@@ -257,6 +257,20 @@ def test_dump_orbit_errors_exit_two(argv, capsys):
 @pytest.mark.parametrize(
     "spec, message",
     [
+        ("Fa", "error: Fa needs a parameter: need 0 < a < 1\n"),
+        ("RealSlice:1", "error: RealSlice takes no parameter, got 1.0\n"),
+        ("Eta:nan", "error: the Eta parameter must be finite, got nan\n"),
+    ],
+)
+def test_dump_orbit_parameter_errors_name_the_cli_family(spec, message, capsys):
+    code = main(["dump-orbit", "--spec", spec, "--n", "3", "--out", "unused.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
         ("Eta:1e12", "of the Eta dump: point too close to the diagonal for the affine chart"),
         ("Eta:1e308", "of the Eta dump: point too close to the diagonal for the affine chart"),
         ("Eta:inf", "parameter must be finite, got inf"),

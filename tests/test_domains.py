@@ -1,21 +1,25 @@
-"""Level conversions, projective points, and membership predicates."""
+"""Level conversions, the orbit bands of the bidisc and the quadric, and orbit residuals."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bidisc_lab.domains import (
-    DomainSpec,
-    ProjectivePoint,
     a_from_alpha,
     alpha_from_a,
-    contains,
     eta_level,
     im_condition,
     minkowski_form,
+    quadric_band,
     quadric_residual,
+    rho_band,
 )
+from bidisc_lab.maps import EPS_DIAG, map_H
+from bidisc_lab.mobius import pseudo_hyperbolic
+from bidisc_lab.rng import disc_from_uniforms, uniform_block
+from bidisc_lab.suites import _PREIMAGE_BANDS
 from bidisc_lab.orbits import COMPLEX_CURVE, ELLIPSOID, MINKOWSKI_LEVEL, REAL_SLICE, RHO_LEVEL, Family
 
 RADII = st.floats(min_value=0.01, max_value=0.99)
@@ -92,119 +96,87 @@ def test_eta_level_matches_closed_form(a):
 
 
 # ---------------------------------------------------------------------------
-# projective points
+# subdomains: bands of rho levels and of Minkowski levels
 
 
-def test_projective_point_validation():
-    with pytest.raises(ValueError):
-        ProjectivePoint([1, 2, 3])
-    with pytest.raises(ValueError):
-        ProjectivePoint([0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        ProjectivePoint([1, math.inf, 0, 0])
-
-
-def test_projective_point_is_frozen():
-    p = ProjectivePoint([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0
-
-
-# ---------------------------------------------------------------------------
-# domain membership
-
-
-def test_contains_returns_plain_types():
-    inside, margin = contains(DomainSpec.bidisc(), (0.5, -0.5))
-    assert type(inside) is bool
-    assert type(margin) is float
+def test_bands_return_plain_types():
+    for inside, margin in (rho_band(0.5, -0.5, -math.inf, 0.9), quadric_band(1.25, 0.75j, 0, 1.0, 3.0)):
+        assert type(inside) is bool
+        assert type(margin) is float
 
 
 def test_bidisc_membership():
-    inside, margin = contains(DomainSpec.bidisc(), (0.5, -0.5))
-    assert inside and margin == pytest.approx(0.5)
-    inside, _ = contains(DomainSpec.bidisc(), (1.2, 0.0))
-    assert not inside
+    # hi = 1 leaves the bidisc itself; rho((0.5, -0.5)) = 0.8
+    inside, margin = rho_band(0.5, -0.5, -math.inf, 1.0)
+    assert inside and margin == pytest.approx(0.2, abs=1e-12)
+    inside, margin = rho_band(1.2, 0.0, -math.inf, 1.0)
+    assert not inside and margin == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_bidisc_r_membership():
-    # rho((0.5, -0.5)) = 1 / 1.25 = 0.8
-    inside, margin = contains(DomainSpec.bidisc_r(0.9), (0.5, -0.5))
+    inside, margin = rho_band(0.5, -0.5, -math.inf, 0.9)
     assert inside and margin == pytest.approx(0.1, abs=1e-12)
-    inside, margin = contains(DomainSpec.bidisc_r(0.7), (0.5, -0.5))
+    inside, margin = rho_band(0.5, -0.5, -math.inf, 0.7)
     assert not inside and margin == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_bidisc_st_membership():
-    inside, _ = contains(DomainSpec.bidisc_st(0.3, 0.9), (0.5, -0.5))
+    inside, _ = rho_band(0.5, -0.5, 0.3, 0.9)
     assert inside
-    inside, margin = contains(DomainSpec.bidisc_st(0.85, 1.0), (0.5, -0.5))
+    inside, margin = rho_band(0.5, -0.5, 0.85, 1.0)
     assert not inside and margin == pytest.approx(-0.05, abs=1e-12)
 
 
-def test_ball_membership():
-    inside, margin = contains(DomainSpec.ball(), (0.6, 0.5))
-    assert inside and margin == pytest.approx(0.39, abs=1e-12)
-    assert not contains(DomainSpec.ball(), (0.6, 0.8))[0]
+def test_diagonal_curve_membership():
+    """The diagonal, rho = 0, belongs to a band exactly when its lower bound is negative."""
+    p = (0.3 + 0.1j, 0.3 + 0.1j)
+    assert rho_band(*p, -0.5, 0.5) == (True, 0.5)
+    assert rho_band(*p, -math.inf, 0.5)[0]
+    assert rho_band(*p, 0.0, 0.5) == (False, 0.0)
 
 
 def test_quadric_band_membership():
-    p = (1.25, 0.75j, 0)
-    assert contains(DomainSpec.quadric_st(1.0, math.inf), p)[0]
-    assert contains(DomainSpec.quadric_st(2.0, 3.0), p)[0]
-    assert not contains(DomainSpec.quadric_st(2.2, 3.0), p)[0]
+    p = (1.25, 0.75j, 0)  # Minkowski level 2.125
+    assert quadric_band(*p, 1.0, math.inf)[0]
+    assert quadric_band(*p, 2.0, 3.0)[0]
+    assert not quadric_band(*p, 2.2, 3.0)[0]
     # conjugate fails the orientation condition
-    assert not contains(DomainSpec.quadric_st(1.0, math.inf), (1.25, -0.75j, 0))[0]
+    assert not quadric_band(1.25, -0.75j, 0, 1.0, math.inf)[0]
     # off the quadric entirely
-    assert not contains(DomainSpec.quadric_st(1.0, math.inf), (2.0, 0.75j, 0))[0]
-
-
-def test_diagonal_curve_membership():
-    assert contains(DomainSpec.diagonal_curve(), (0.3 + 0.1j, 0.3 + 0.1j))[0]
-    assert not contains(DomainSpec.diagonal_curve(), (0.3, 0.31))[0]
-
-
-def test_infinity_curve_membership():
-    assert contains(DomainSpec.infinity_curve(), ProjectivePoint([0, 1, 1j, 0]))[0]
-    # nonzero first coordinate is off the curve
-    assert not contains(DomainSpec.infinity_curve(), ProjectivePoint([1, 1, 1j, 0]))[0]
-    # orientation condition still applies at infinity
-    assert not contains(DomainSpec.infinity_curve(), ProjectivePoint([0, 1, -1j, 0]))[0]
-
-
-def test_projective_quadric_membership():
-    p = ProjectivePoint([1, 1.25, 0.75j, 0])
-    assert contains(DomainSpec.quadric_proj(1.0), p)[0]
-    assert not contains(DomainSpec.quadric_proj(2.2), p)[0]
-    # scaling must not change the verdict
-    q = ProjectivePoint([3j, 3.75j, -2.25, 0])
-    assert contains(DomainSpec.quadric_proj(1.0), q)[0]
-
-
-def test_contains_rejects_wrong_ambient():
-    with pytest.raises(ValueError):
-        contains(DomainSpec.quadric_st(1.0, 2.0), (0.5, -0.5))
-    with pytest.raises(ValueError):
-        contains(DomainSpec.bidisc(), (1, 2, 3))
-    with pytest.raises(ValueError):
-        contains(DomainSpec.quadric_proj(1.0), (1, 2, 3))
-    with pytest.raises(ValueError):
-        contains(DomainSpec.bidisc(), ProjectivePoint([1, 0, 0, 0]))
+    assert not quadric_band(2.0, 0.75j, 0, 1.0, math.inf)[0]
+    # bounds one per row
+    inside, _ = quadric_band(np.full(2, 1.25), np.full(2, 0.75j), np.zeros(2), [2.0, 2.2], [3.0, 3.0])
+    assert inside.tolist() == [True, False]
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: DomainSpec("nonsense"),
-        lambda: DomainSpec.bidisc_r(1.5),
-        lambda: DomainSpec.bidisc_st(0.8, 0.3),
-        lambda: DomainSpec.quadric_st(0.5, 2.0),
-        lambda: DomainSpec.quadric_proj(0.5),
+        lambda: rho_band(0.5, -0.5, 0.3, 1.5),
+        lambda: rho_band(0.5, -0.5, 0.8, 0.3),
+        lambda: rho_band(0.5, -0.5, math.nan, 0.5),
+        lambda: quadric_band(1.25, 0.75j, 0, 0.5, 2.0),
+        lambda: quadric_band(1.25, 0.75j, 0, [1.0, 3.0], 2.0),
     ],
 )
 def test_domain_spec_validation(build):
+    """Bad band bounds: rho_band needs lo < hi <= 1, quadric_band 1 <= s < t on every row."""
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("s, t", [tuple(band) for band in _PREIMAGE_BANDS])
+def test_quadric_bands_pull_back_to_rho_bands(s, t):
+    """Off the diagonal, map_H carries rho_band(sqrt(2/(t+1)), sqrt(2/(s+1))) onto quadric_band(s, t)."""
+    lo, hi = math.sqrt(2.0 / (t + 1.0)), math.sqrt(2.0 / (s + 1.0))
+    u = uniform_block(91, 0, 4, 0, 4000)
+    z, w = disc_from_uniforms(u[:, 0], u[:, 1]), disc_from_uniforms(u[:, 2], u[:, 3])
+    rho = pseudo_hyperbolic(z, w)
+    keep = (np.abs(z - w) >= EPS_DIAG) & (np.minimum(np.abs(rho - lo), np.abs(rho - hi)) >= 1e-8)
+    z, w = z[keep], w[keep]
+    predicted = rho_band(z, w, lo, hi)[0]
+    assert predicted.any() and (t == math.inf or not predicted.all())  # (1, inf) is the whole off-diagonal bidisc
+    np.testing.assert_array_equal(quadric_band(*map_H(z, w), s, t)[0], predicted)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from bidisc_lab.domains import DomainSpec, contains
 from bidisc_lab import orbits
 from bidisc_lab.levi import ON_SURFACE_TOL, value
 from bidisc_lab.orbits import (
@@ -80,17 +79,15 @@ def test_samplers_stay_on_their_orbit(spec):
 
 
 def test_rho_orbit_point_stays_in_the_bidisc():
-    dom = DomainSpec.bidisc()
     z, w = rho_orbit_point(uniform_block(62, 0, 3, 0, 50), 0.9)
-    for p in zip(z.tolist(), w.tolist()):
-        assert contains(dom, p)[0]
+    assert (np.abs(z) < 1.0).all() and (np.abs(w) < 1.0).all()
 
 
 def test_ball_orbit_points_stay_in_the_ball():
-    dom = DomainSpec.ball()
     for spec in (Family(ELLIPSOID, 0.7), Family(REAL_SLICE)):
         for u in uniform_block(63, 0, 3, 0, 50):
-            assert contains(dom, orbit_point(spec, u))[0]
+            p, q = orbit_point(spec, u)
+            assert abs(p) ** 2 + abs(q) ** 2 < 1.0
 
 
 def test_sphere_point_is_normalized():

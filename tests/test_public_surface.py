@@ -1,7 +1,9 @@
-"""Every public function is exercised by the CLI: by a registered suite, an orbit dump or a map evaluation."""
+"""Every public function and class is exercised by the CLI: by a registered suite, an orbit dump or a map evaluation."""
 
 import inspect
 import sys
+
+import pytest
 
 import bidisc_lab
 from bidisc_lab import cli
@@ -28,7 +30,10 @@ def _run_profiled(argvs):
     return codes, seen
 
 
-def test_every_public_function_is_called_by_the_cli(tmp_path):
+@pytest.fixture(scope="module")
+def cli_calls(tmp_path_factory):
+    """The code objects that one verify run, a dump of every CLI family and every map evaluation call."""
+    tmp_path = tmp_path_factory.mktemp("cli")
     assert {s.partition(":")[0] for s in DUMP_SPECS} == {r.cli for r in FAMILIES if r.cli is not None}
     argvs = [["verify", "--seed", "42", "--samples", "300", "--report", str(tmp_path / "report.json")]]
     argvs += [
@@ -38,9 +43,36 @@ def test_every_public_function_is_called_by_the_cli(tmp_path):
     argvs += [["map", "--which", which, "--point", point] for which, point in MAP_CALLS]
     codes, seen = _run_profiled(argvs)
     assert codes == [0] * len(argvs)
-    functions = {
-        name: obj for name in bidisc_lab.__all__ if inspect.isfunction(obj := getattr(bidisc_lab, name))
-    }
+    return seen
+
+
+def _public(predicate):
+    return {name: obj for name in bidisc_lab.__all__ if predicate(obj := getattr(bidisc_lab, name))}
+
+
+def test_every_public_function_is_called_by_the_cli(cli_calls):
+    functions = _public(inspect.isfunction)
     assert NOT_ON_A_CLI_PATH <= functions.keys()
-    missed = sorted(name for name, fn in functions.items() if fn.__code__ not in seen)
+    missed = sorted(name for name, fn in functions.items() if fn.__code__ not in cli_calls)
     assert missed == sorted(NOT_ON_A_CLI_PATH)
+
+
+def _methods(cls):
+    """The public methods of cls, properties, class and static methods included, as functions."""
+    out = {}
+    for name, attr in vars(cls).items():
+        fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+        if not name.startswith("_") and inspect.isfunction(fn):
+            out[name] = fn
+    return out
+
+
+def test_every_public_class_is_built_and_used_by_the_cli(cli_calls):
+    """Every public class but the exceptions has its __init__ or __post_init__ run, and each public method."""
+    missed = []
+    for name, cls in _public(lambda obj: inspect.isclass(obj) and not issubclass(obj, BaseException)).items():
+        constructors = [getattr(cls, "__init__"), getattr(cls, "__post_init__", None)]
+        if not any(inspect.isfunction(f) and f.__code__ in cli_calls for f in constructors):
+            missed.append(f"{name} (never built)")
+        missed += [f"{name}.{m}" for m, fn in _methods(cls).items() if fn.__code__ not in cli_calls]
+    assert missed == []
