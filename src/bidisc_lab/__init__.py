@@ -32,7 +32,7 @@ from .groups import (
     so21_sample,
     su11_embed,
     su11_orbit_invariant,
-    su21_residual,
+    u21_residual,
 )
 from .levi import (
     complex_tangent,
@@ -84,7 +84,7 @@ __all__ = [
     "so21_sample",
     "su11_embed",
     "su11_orbit_invariant",
-    "su21_residual",
+    "u21_residual",
     "complex_tangent",
     "levi_restricted",
     "totally_real_check",

@@ -48,12 +48,12 @@ def _matrices(A, dtype, message: str) -> np.ndarray:
     return A
 
 
-def su21_residual(A):
-    """(Frobenius norm of A* I21 A - I21, |det A - 1|)."""
+def u21_residual(A):
+    """Frobenius norm of A* I21 A - I21 for a complex 3x3 matrix: zero on U(2,1), which preserves the form."""
     A = _matrices(A, complex, "expected a 3x3 matrix")
-    form = np.linalg.norm(A.conj().swapaxes(-1, -2) @ I21 @ A - I21, axis=(-2, -1))
-    det = np.abs(np.linalg.det(A) - 1.0)
-    return (float(form), float(det)) if A.ndim == 2 else (form, det)
+    # I21 A scales the rows of A; the product is bit for bit A* @ I21 @ A
+    out = np.linalg.norm(A.conj().swapaxes(-1, -2) @ (np.diag(I21)[:, None] * A) - I21, axis=(-2, -1))
+    return float(out) if A.ndim == 2 else out
 
 
 def o21_residual(A):
@@ -86,7 +86,7 @@ def ball_action(A, p, *, errors: RowErrors | None = None):
     A = np.broadcast_to(A, (len(u), 3, 3))
     # the form relation alone makes the action well defined on the ball;
     # det -1 elements (the transitivity matrices of the real slice) act too
-    rows.flag(~(su21_residual(A)[0] < TOL_GROUP), "matrix does not preserve the signature (+,+,-) Hermitian form")
+    rows.flag(~(u21_residual(A) < TOL_GROUP), "matrix does not preserve the signature (+,+,-) Hermitian form")
     rows.flag(~(_abs2(u) + _abs2(v) < 1.0), "point must lie in the open unit ball")
     den = A[:, 2, 0] * u + A[:, 2, 1] * v + A[:, 2, 2]
     rows.flag(np.abs(den) < _DEN_TOL, "action denominator vanishes at this point")

@@ -82,8 +82,6 @@ def map_J(z, w, *, errors: RowErrors | None = None):
     _check_pair(rows, z, w)
     zw = z * w
     c = np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
-    rows.flag(~np.isfinite(c).all(axis=0), "homogeneous coordinates must be finite")
-    rows.flag(np.abs(c).max(axis=0) == 0.0, "homogeneous coordinates must not all vanish")
     return c[:, 0] if single else c
 
 

@@ -323,16 +323,19 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
     """Write n orbit samples as CSV, with automorphism centres on the DEFAULT_RMAX disc.
 
     Columns are the real and imaginary parts of each coordinate followed
-    by the orbit-equation residual, all at 17 significant digits.  A row
-    that fails one of the checks of its sampler or its residual is a
-    ValueError that names the row, and nothing is written.
+    by the orbit-equation residual, all at 17 significant digits.  Every
+    row is computed and checked, block by block, before the file is
+    opened: a row that fails one of the checks of its sampler or its
+    residual is a ValueError that names the row, and nothing is written.
+    The rows are then written one block at a time, each block formatted
+    by a single ``%``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     record = spec.record
     if record.residual is None:
         raise ValueError(f"{record.name} has no orbit residual to dump")
-    lines = []
+    tables = []
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         errors = RowErrors(hi - lo)
@@ -343,8 +346,10 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
         if failed.size:
             r = failed[0]
             raise ValueError(f"row {lo + r} of the {record.cli or record.name} dump: {errors.message[r]}")
-        table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
-        lines += [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
-    header = ",".join(f"x{j},y{j}" for j in range(1, len(coords) + 1)) + ",residual"
+        tables.append(np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual]))
+    header = ",".join(f"x{j},y{j}" for j in range(1, len(coords) + 1)) + ",residual\n"
+    row = ",".join(["%.17g"] * (2 * len(coords) + 1)) + "\n"  # the formatter of f"{x:.17g}"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n" + "\n".join(lines) + "\n")
+        fh.write(header)
+        for table in tables:
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))

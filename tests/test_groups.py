@@ -14,7 +14,7 @@ from bidisc_lab.groups import (
     so21_sample,
     su11_embed,
     su11_orbit_invariant,
-    su21_residual,
+    u21_residual,
 )
 from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, uniform_block
 
@@ -29,15 +29,25 @@ def test_signature_matrix_is_frozen():
 
 
 def test_identity_residuals_vanish():
-    assert su21_residual(np.eye(3)) == (0.0, 0.0)
+    assert u21_residual(np.eye(3)) == 0.0
     assert o21_residual(np.eye(3)) == 0.0
 
 
 def test_residuals_reject_wrong_shape():
     with pytest.raises(ValueError):
-        su21_residual(np.eye(2))
+        u21_residual(np.eye(2))
     with pytest.raises(ValueError):
         o21_residual(np.eye(4))
+
+
+def test_u21_residual_is_the_form_product_and_ignores_the_determinant():
+    """Bit for bit the norm of A* I21 A - I21 on a stack; a det -1 form-preserving matrix reads 0."""
+    su11 = su11_embed(*random_su11(uniform_block(36, 0, 3, 0, 20)))
+    A = np.concatenate([su11, so21_sample(uniform_block(37, 0, 3, 0, 20))])
+    A = A * np.exp(1j * uniform_block(38, 0, 1, 0, 40))[:, :, None]  # unit phases keep the form, move the det
+    form = np.linalg.norm(A.conj().swapaxes(-1, -2) @ I21 @ A - I21, axis=(-2, -1))
+    assert np.array_equal(u21_residual(A), form)
+    assert u21_residual(np.diag([1.0, -1.0, 1.0])) == 0.0
 
 
 def _in_so_plus(A):
@@ -61,9 +71,9 @@ def test_lorentz_membership_spots():
 def test_su11_embed_lands_in_the_group():
     for u in uniform_block(31, 0, 3, 0, 50):
         alpha, beta = random_su11(u)
-        form, det = su21_residual(su11_embed(alpha, beta))
-        assert form < 1e-12
-        assert det < 1e-12
+        g = su11_embed(alpha, beta)
+        assert u21_residual(g) < 1e-12
+        assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
 
 def test_su11_embed_rejects_unnormalized_pairs():

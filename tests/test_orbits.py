@@ -1,5 +1,8 @@
 """The family table; orbit samplers land on their orbits; the CSV dump is stable and replayable."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,3 +203,39 @@ def test_dump_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, spec)
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
 
+
+# sha256 of the 2,051-row (2 * BLOCK + 3) dump at seed 5, as the row-by-row f"{x:.17g}" formatter wrote it
+DUMP_SHA256 = {
+    "fa": "445c3a5c1b5db591b26f9a918ece8ce66d2ad171b906f2387d17aed832e15d52",
+    "eta-level": "0f04329387954f5d7b92899f0562a4c300dff5d3759a2141ed7cee94b57ee215",
+    "ball-ellipsoid": "05765bb2d6e1ad181985568a14a4a03ec53d0522a773d234ed69eb69334b216b",
+    "ball-real-slice": "d23354d78f19abb334ff2e2462394baab3f6eb256de2b07d7a6a75238e5691bf",
+    "ball-complex-curve": "c66f324a7dfd98b629d059aec437eb280fb12d13dde6cdd60ab175a0dba5a9e9",
+}
+
+
+@pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
+def test_dump_bytes_match_their_recorded_hash(tmp_path, spec):
+    out = tmp_path / "orbit.csv"
+    dump_orbit(spec, 2051, str(out), seed=5)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[_orbit_ids(spec)]
+
+
+def test_a_failed_row_in_a_later_block_writes_nothing(tmp_path, monkeypatch):
+    """Row 10 fails in the second of blocks of 7: the error names it and the file at path keeps its bytes."""
+    monkeypatch.setattr(orbits, "BLOCK", 7)
+    blocks = []
+
+    def residual(p, a, errors):
+        blocks.append(len(p[0]))
+        if len(blocks) == 2:  # rows 7 to 13
+            errors.flag(np.arange(len(p[0])) == 3, "flagged for the test")
+        return RHO_LEVEL.residual(p, a, errors)
+
+    out = tmp_path / "orbit.csv"
+    out.write_bytes(b"kept\n")
+    spec = Family(dataclasses.replace(RHO_LEVEL, residual=residual), 0.8)
+    with pytest.raises(ValueError, match=r"^row 10 of the Fa dump: flagged for the test$"):
+        dump_orbit(spec, 20, str(out), seed=5)
+    assert blocks == [7, 7]
+    assert out.read_bytes() == b"kept\n"
