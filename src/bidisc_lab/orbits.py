@@ -43,6 +43,7 @@ row i.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -319,6 +320,140 @@ def parse_orbit_spec(text: str) -> Family:
     return Family(record, x)
 
 
+# ---------------------------------------------------------------------------
+# the CSV row formatter
+
+# One value takes six 8-byte words: sign, "0.000", and a dot and a digit
+# for the first significant digit; four words of a dot and a digit for
+# each of the next 16; and "e", exponent sign, three exponent digits,
+# separator and two spare bytes.  A zero byte is one the value leaves out.
+_SLOTS = 48
+_MAGNITUDE = 1e270  # the nonzero magnitudes _format_rows formats lie in (1 / _MAGNITUDE, _MAGNITUDE)
+_POWERS = 290  # 10^s for |s| <= _POWERS covers s = 16 - floor(log10 |x|) there, each hi and lo a normal double
+_TIE = 2.0**-40  # a scaled value this close to a half-integer needs an exact 10^s
+# layouts: zero, fixed notation at exponents -4 to 16, exponent notation with two and with three digits
+_ZERO, _FIXED, _E2, _E3 = 0, 5, 22, 23
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of 26 bits each, a = high + low exactly."""
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _words(strings):
+    """Equal-length byte strings of a multiple of 8 bytes as rows of native uint64 words."""
+    return np.frombuffer(b"".join(strings), np.uint8).reshape(len(strings), -1).view(np.uint64)
+
+
+@functools.cache
+def _format_tables():
+    """The tables of _format_rows, built on its first call.
+
+    10^s as the double-double hi + lo (lo = 0 where hi is exact) and
+    hi's halves; the least double >= 10^k, so that |x| >= it exactly when
+    floor(log10 |x|) >= k; the first word by sign and first digit, the
+    digit words of the 4-digit groups 0000 to 9999 and the last word by
+    exponent; the trailing zeros of each group; and one keep-mask row per
+    (layout, significant-digit count).
+    """
+    hi, lo = np.empty((2, 2 * _POWERS + 1))
+    for i, s in enumerate(range(-_POWERS, _POWERS + 1)):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi[i] = num / den  # int / int rounds correctly
+        h_num, h_den = hi[i].item().as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+    decades = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
+    heads = _words([f"{sign}0.000.{d}".encode() for sign in "\0-" for d in range(10)])[:, 0]
+    tails = _words([f"e{k:+04d},\0\0".encode() for k in range(-_POWERS, _POWERS + 1)])[:, 0]
+    g = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10  # the digits of each 4-digit group
+    groups = np.full((10_000, 8), ord("."), np.uint8)
+    groups[:, 1::2] = ord("0") + g
+    zeros = np.cumprod(g[:, ::-1] == 0, axis=1).sum(axis=1)
+
+    n = np.arange(18)[:, None]  # significant digits
+    j = np.arange(17)  # digit position
+    keep = np.zeros((_E3 + 1, 18, _SLOTS), bool)
+    keep[:, :, [0, 45]] = True  # sign, separator
+    keep[_ZERO, :, 1] = True  # zero is "0" after its sign
+    digits, dots = keep[..., 7:40:2], keep[..., 6:40:2]
+    for x in range(-4, 17):
+        digits[_FIXED + x] = j < np.maximum(n, x + 1)
+        if x < 0:
+            keep[_FIXED + x, :, 1 : 2 - x] = True  # "0." and -x - 1 zeros
+        else:
+            dots[_FIXED + x] = (j == x + 1) & (n > x + 1)
+    digits[_E2:] = j < n
+    dots[_E2:, :, 1] = n[:, 0] > 1
+    keep[_E2:, :, [40, 41, 43, 44]] = True
+    keep[_E3, :, 42] = True
+    masks = _words([row.tobytes() for row in np.where(keep, 255, 0).astype(np.uint8).reshape(-1, _SLOTS)])
+    return (hi, *_split(hi), lo), decades, heads, groups.view(np.uint64)[:, 0], tails, zeros, masks
+
+
+def _scaled_digits(a, s, powers):
+    """round-half-even(a 10^s) as int64, and whether that rounding is certified.
+
+    a hi = p + e exactly by Dekker's product; e + a lo carries the rest
+    to far below 2^-40.  p is an even integer once a 10^s >= 2^53, so
+    rint's ties-to-even on the remainder is ties-to-even on the sum.
+    """
+    hi, hi_hi, hi_lo, lo = (t[s + _POWERS] for t in powers)
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    t = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    r = np.rint(t)
+    return p.astype(np.int64) + r.astype(np.int64), (np.abs(t - r) < 0.5 - _TIE) | (lo == 0.0)
+
+
+def _format_rows(table: np.ndarray) -> str | None:
+    """The CSV text of the rows of a 2-d float table, byte-identical to formatting each value with "%.17g".
+
+    Each value's 17 significant digits D = round-half-even(|x| 10^s),
+    s = 16 - floor(log10 |x|), come from exact double-double products in
+    float64; floor(log10 |x|) itself is settled by an exact comparison
+    with the least double >= 10^k.  A value is certified when the fractional
+    part of |x| 10^s lies more than 2^-40 from 1/2, so the rounding cannot
+    be mistaken, or when 10^s is exact (0 <= s <= 22), so a tie is seen
+    as one.  The result is None, for the caller to use "%" instead, when
+    a value is not finite, a nonzero magnitude lies outside (1e-270,
+    1e270), or a value is not certified.
+    """
+    x = table.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    if not np.all(zero | ((a > 1.0 / _MAGNITUDE) & (a < _MAGNITUDE))):
+        return None
+    powers, decades, heads, groups, tails, zeros, masks = _format_tables()
+    a[zero] = 1.0
+    # a in [2^(e-1), 2^e), an interval shorter than a decade: floor(log10 a) is k or k + 1
+    k = np.floor((np.frexp(a)[1] - 1) * math.log10(2.0)).astype(np.int64)
+    k += a >= decades[k + 1 + _POWERS]
+    D, certified = _scaled_digits(a, 16 - k, powers)
+    if not certified.all():
+        return None
+    top = D == 10**17  # rounded up to the next power of ten
+    D[top] = 10**16
+    k[top] += 1
+
+    lead, rest = np.divmod(D, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    g = np.stack(np.divmod(upper, 10**4) + np.divmod(lower, 10**4), axis=1)
+    z = zeros[g]
+    trailing = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
+    layout = np.where((k >= -4) & (k < 17), _FIXED + k, np.where(np.abs(k) < 100, _E2, _E3))
+    layout[zero] = _ZERO
+    words = np.empty((len(x), _SLOTS // 8), np.uint64)
+    words[:, 0] = heads[10 * np.signbit(x) + lead]
+    words[:, 1:5] = groups[g]
+    words[:, 5] = tails[k + _POWERS]
+    words &= np.take(masks, 18 * layout + 17 - trailing, axis=0)
+    slots = words.view(np.uint8)
+    slots.reshape(*table.shape, _SLOTS)[:, -1, 45] = ord("\n")
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> None:
     """Write n orbit samples as CSV, with automorphism centres on the DEFAULT_RMAX disc.
 
@@ -327,14 +462,18 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
     row is computed and checked, block by block, before the file is
     opened: a row that fails one of the checks of its sampler or its
     residual is a ValueError that names the row, and nothing is written.
-    The rows are then written one block at a time, each block formatted
-    by a single ``%``.
+    A row with a coordinate or residual that is not finite fails too.
+    The rows are then written one block at a time.  A block is formatted
+    by a vectorised kernel whose bytes are those of ``f"{x:.17g}"`` for
+    every value, and by a single ``%`` with that format when the kernel
+    cannot certify one of its values.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     record = spec.record
     if record.residual is None:
         raise ValueError(f"{record.name} has no orbit residual to dump")
+    columns = [f"{c}{j}" for j in range(1, record.dim + 1) for c in "xy"] + ["residual"]
     tables = []
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
@@ -342,14 +481,18 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
         coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), DEFAULT_RMAX, errors)
         with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
             residual = record.residual(coords, spec.param, errors)
+        table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
+        finite = np.isfinite(table)
+        first = np.argmin(finite, axis=1)
+        errors.flag(~finite.all(axis=1), lambda r: f"{columns[first[r]]} = {table[r, first[r]]} is not finite")
         failed = np.flatnonzero(~errors.ok)
         if failed.size:
             r = failed[0]
             raise ValueError(f"row {lo + r} of the {record.cli or record.name} dump: {errors.message[r]}")
-        tables.append(np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual]))
-    header = ",".join(f"x{j},y{j}" for j in range(1, len(coords) + 1)) + ",residual\n"
-    row = ",".join(["%.17g"] * (2 * len(coords) + 1)) + "\n"  # the formatter of f"{x:.17g}"
+        tables.append(table)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"  # the formatter of f"{x:.17g}"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
+        fh.write(",".join(columns) + "\n")
         for table in tables:
-            fh.write(row * len(table) % tuple(table.ravel().tolist()))
+            text = _format_rows(table)
+            fh.write(row * len(table) % tuple(table.ravel().tolist()) if text is None else text)

@@ -300,3 +300,11 @@ def test_dump_orbit_refuses_fa_rows_that_fail_a_check_naming_the_row(tmp_path, s
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_importing_the_cli_builds_no_row_formatter_table():
+    """The dump formatter's tables are built on its first call, so no command pays for them at start-up."""
+    code = "import bidisc_lab.cli, bidisc_lab.orbits as o; print(o._format_tables.cache_info().currsize)"
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

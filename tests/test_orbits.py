@@ -239,3 +239,108 @@ def test_a_failed_row_in_a_later_block_writes_nothing(tmp_path, monkeypatch):
         dump_orbit(spec, 20, str(out), seed=5)
     assert blocks == [7, 7]
     assert out.read_bytes() == b"kept\n"
+
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_residual_in_a_later_block_writes_nothing(tmp_path, monkeypatch, value):
+    """Row 10's residual is not finite, as where im_condition <= 0: the dump refuses it rather than write it."""
+    monkeypatch.setattr(orbits, "BLOCK", 7)
+    blocks = []
+
+    def residual(p, level, errors):
+        blocks.append(len(p[0]))
+        out = MINKOWSKI_LEVEL.residual(p, level, errors)
+        return np.where(np.arange(len(out)) == 3, value, out) if len(blocks) == 2 else out
+
+    out = tmp_path / "orbit.csv"
+    out.write_bytes(b"kept\n")
+    spec = Family(dataclasses.replace(MINKOWSKI_LEVEL, residual=residual), 2.125)
+    with pytest.raises(ValueError, match=rf"^row 10 of the Eta dump: residual = {value} is not finite$"):
+        dump_orbit(spec, 20, str(out), seed=5)
+    assert blocks == [7, 7]
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
+def test_dump_bytes_of_the_percent_fallback_match_their_recorded_hash(tmp_path, monkeypatch, spec):
+    """With every block left to "%", as for a block the row formatter cannot certify, the bytes do not move."""
+    monkeypatch.setattr(orbits, "_format_rows", lambda table: None)
+    out = tmp_path / "orbit.csv"
+    dump_orbit(spec, 2051, str(out), seed=5)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[_orbit_ids(spec)]
+
+
+# ---------------------------------------------------------------------------
+# the row formatter: the bytes of "%.17g" for every value, or None
+
+
+def _percent(table):
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return row * len(table) % tuple(table.ravel().tolist())
+
+
+def _formattable(x):
+    return (x == 0.0) | ((np.abs(x) > 1e-270) & (np.abs(x) < 1e270))
+
+
+def _around(*values, steps=3):
+    """The values and their nearest steps - 1 doubles on either side, each with both signs."""
+    out = []
+    for v in values:
+        for direction in (-np.inf, np.inf):
+            w = v
+            for _ in range(steps):
+                out += [w, -w]
+                w = np.nextafter(w, direction)
+    return np.array(out)
+
+
+# uniformly random bit patterns: every exponent, subnormals and nan; and both infinities
+_BITS = np.random.default_rng(11).integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+_BITS = np.append(_BITS, [np.inf, -np.inf])
+_RNG = np.random.default_rng(12)
+_LARGE_EXPONENTS = _RNG.uniform(100, 269.9, 4000) * _RNG.choice([-1, 1], 4000)
+FORMAT_CASES = {
+    "random-bits": _BITS[_formattable(_BITS)],
+    "signed-zeros": np.array([0.0, -0.0, 0.0, 1.0, -0.0, -1.0]),
+    "notation-switch": _around(1e-5, 1e-4),
+    "1e16-and-1e17": _around(1e16, 1e17),
+    # the double nearest 10^k, for every k formatted, and its neighbours; those of 10^-14, 10^98 and 10^153
+    # lie below the power by less than half a unit of the 17th digit, so "%.17g" rounds them up to it
+    "powers-of-ten": _around(*(float(f"1e{k}") for k in range(-269, 270))),
+    "3-digit-exponents": _RNG.choice([-1.0, 1.0], 4000) * 10.0**_LARGE_EXPONENTS,
+    # exact half-way cases between two 17-digit decimals, with 10^s exact: ties to even
+    "ties": np.concatenate([1e15 + np.arange(512) / 8, 1e14 + np.arange(2048) / 64, -(1e15 + np.arange(512) / 8)]),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (1024, 5)], ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_format_rows_is_byte_identical_to_percent(case, shape):
+    values = FORMAT_CASES[case]
+    size = shape[0] * shape[1]
+    count = min(len(values), 400) if size == 1 else -(-len(values) // size) * size
+    for block in np.resize(values, count).reshape(-1, *shape):
+        assert orbits._format_rows(block) == _percent(block)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-270, -1e270, 1.7976931348623157e308, 3 * 2.0**-24],
+    ids=["nan", "inf", "-inf", "subnormal", "least-normal", "1e-270", "-1e270", "largest", "tie-at-inexact-1e23"],
+)
+def test_format_rows_leaves_a_block_it_cannot_certify_to_percent(value):
+    """Non-finite, out-of-range, and 3 * 2^-24, whose 18 digits end in a 5 where 10^23 is inexact."""
+    block = np.full((3, 7), 0.25)
+    block[1, 4] = value
+    assert orbits._format_rows(block) is None
+    assert orbits._format_rows(block[1:2, 4:5]) is None
+    assert orbits._format_rows(block[:, :4]) == _percent(block[:, :4])
+
+
+def test_format_rows_leaves_every_random_bit_pattern_it_cannot_format_to_percent():
+    rejected = _BITS[~_formattable(_BITS)]
+    assert np.isnan(rejected).any() and np.isinf(rejected).any() and (np.abs(rejected) < 2.2250738585072014e-308).any()
+    for x in rejected:
+        assert orbits._format_rows(np.array([[x]])) is None
