@@ -29,6 +29,7 @@ from .groups import (
     ball_action,
     o21_point_matrix,
     o21_residual,
+    so21_image,
     so21_sample,
     su11_embed,
     su11_orbit_invariant,
@@ -41,8 +42,6 @@ from .levi import (
     wirtinger_gradient,
 )
 from .maps import (
-    ConjugationFit,
-    conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
@@ -81,6 +80,7 @@ __all__ = [
     "ball_action",
     "o21_point_matrix",
     "o21_residual",
+    "so21_image",
     "so21_sample",
     "su11_embed",
     "su11_orbit_invariant",
@@ -89,8 +89,6 @@ __all__ = [
     "levi_restricted",
     "totally_real_check",
     "wirtinger_gradient",
-    "ConjugationFit",
-    "conjugate_fit",
     "map_H",
     "map_H_inv",
     "map_J",

@@ -1,6 +1,6 @@
 """Matrix groups preserving the signature (+, +, -) forms, and their actions.
 
-Three related actions appear:
+Four related actions appear:
 
 * SU(2,1) acts on the unit ball in C^2 by fractional-linear maps,
   reading a 3x3 matrix row-wise as the numerators/denominator,
@@ -8,7 +8,10 @@ Three related actions appear:
   restricts to Mobius maps in the second ball coordinate,
 * real form-preserving matrices, such as the SO+(2,1) samples and the
   O(2,1) transitivity matrices, act through the same fractional-linear
-  action on the real slice of the ball.
+  action on the real slice of the ball,
+* the diagonal disc automorphisms act on the affine quadric, through
+  map_H, by the symmetric square of SU(1,1): ``so21_image`` gives each
+  one's real SO+(2,1) matrix in closed form.
 
 The hyperbolic invariant classifying the embedded SU(1,1) orbits of the
 ball is t = |u| / sqrt(1 - |v|^2): the orbit through (t, 0) is the
@@ -30,6 +33,7 @@ import math
 import numpy as np
 
 from .domains import _abs2
+from .mobius import MobiusMap
 from .rng import RowErrors, _batch, _unbatch, polar
 
 I21 = np.diag([1.0, 1.0, -1.0])
@@ -145,6 +149,30 @@ def so21_sample(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     xi = _truncated_exponential(u[..., 2])
     return so21_rotation(math.tau * u[..., 0]) @ so21_boost(xi) @ so21_rotation(math.tau * u[..., 1])
+
+
+def so21_image(phi: MobiusMap) -> np.ndarray:
+    """The matrix A with map_H(phi(z), phi(w)) = A map_H(z, w); a stack for a batch of maps.
+
+    map_H is the symmetric square of the disc: with
+    B = [[-1, 0, 1], [i, 0, i], [0, -2i, 0]],
+    (z - w) map_H(z, w) = B (zw, (z + w)/2, 1).  So phi = (theta, a),
+    lifted to SU(1,1) as alpha = e^{i theta/2} / sqrt(1 - |a|^2) and
+    beta = -a alpha, acts by A = B Sym^2(g) B^-1; the factor z - w
+    cancels because det g = 1.  With e = e^{i theta}, A is real:
+
+        A = [ Re e(1 - a^2)   -Im e(1 + a^2)   -2 Im(e a) ]
+            [ Im e(1 - a^2)    Re e(1 + a^2)    2 Re(e a) ] / (1 - |a|^2),
+            [ -2 Im a          2 Re a           1 + |a|^2 ]
+
+    in SO+(2,1); its corner entry is at least 1 exactly.
+    """
+    (theta, a), _, single = _batch(None, phi.theta, phi.a)
+    e, t = np.exp(1j * theta.real), _abs2(a)
+    p, q, r = e * (1.0 - a * a), e * (1.0 + a * a), e * a
+    rows = ((p.real, -q.imag, -2.0 * r.imag), (p.imag, q.real, 2.0 * r.real), (-2.0 * a.imag, 2.0 * a.real, 1.0 + t))
+    A = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / (1.0 - t)[:, None, None]
+    return _unbatch(A, single)
 
 
 def o21_point_matrix(z, w, *, errors: RowErrors | None = None) -> np.ndarray:

@@ -13,26 +13,21 @@ and into CP^3, diagonal included, by the homogeneous variant
 
 so J = (z - w) (1 : H) wherever both are defined; J sends the diagonal
 to the quadric's curve at infinity, where the first coordinate vanishes.
-H is odd under the coordinate swap: H(w, z) = -H(z, w).
+H is odd under the coordinate swap: H(w, z) = -H(z, w).  Through H, a
+diagonal automorphism acts linearly, by ``groups.so21_image``, and the
+swap by -I.
 
 The inverse of H is algebraic: with d = 2 / (h1 - i h2) and
 s = i h3 d one has z - w = d and z + w = s, hence {z, w} are the roots
 (s +- d) / 2 of X^2 - s X + (zw).  The ordering is fixed by a
 reproduction test, which doubles as the domain check.
 
-Conjugating a diagonal automorphism (or the coordinate swap) through H
-linearizes it: the induced map on C^3 is multiplication by a real
-matrix preserving diag(1,1,-1).  conjugate_fit recovers that matrix
-numerically by least squares from 6 sampled pairs and reports how well
-4 held-out pairs and the group relations are satisfied.
-
-Off-diagonal pairs, for the fit and for the batched suites alike, come
-from ``PairDraw``: masked resampling inside a fixed budget of uniforms,
-keeping pairs at least ``PairDraw.margin`` apart (EPS_DIAG for the
-suites, 0.05 for the fit).
+Off-diagonal pairs for the batched suites come from ``PairDraw``:
+masked resampling inside a fixed budget of uniforms, keeping pairs at
+least ``PairDraw.margin`` apart.
 
 Every map takes a point or a batch of rows (see ``rng``) and checks each
-row; conjugate_fit fits one automorphism, or one per row.
+row.
 """
 
 from __future__ import annotations
@@ -41,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import o21_residual
-from .mobius import MobiusMap, _check_disc, _rho, mobius_apply_pair
-from .rng import DEFAULT_RMAX, RowErrors, _batch, _collector, _unbatch, disc_from_uniforms
+from .mobius import _check_disc, _rho
+from .rng import RowErrors, _batch, _unbatch, disc_from_uniforms
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
@@ -159,10 +153,10 @@ class PairDraw:
 
     A pair is admissible when |z - w| >= margin and, with rho_floor set,
     rho(z, w) >= rho_floor.  The suites' pairs take margin EPS_DIAG,
-    the chart guard of map_H; a conjugation fit's take 0.05.  Round k
-    proposes, for each row of u still open, the pair of area-uniform
-    rmax-disc points drawn from columns 4k..4k+3 (radius and angle of z,
-    then of w); a row keeps its first admissible proposal.  A row never loops and never reads past its
+    the chart guard of map_H.  Round k proposes, for each row of u still
+    open, the pair of area-uniform rmax-disc points drawn from columns
+    4k..4k+3 (radius and angle of z, then of w); a row keeps its first
+    admissible proposal.  A row never loops and never reads past its
     budget: one with no admissible proposal keeps its last proposal and
     is reported as missing.
     """
@@ -204,79 +198,3 @@ class PairDraw:
             if not todo.size:
                 break
         return z, w, todo
-
-
-# ---------------------------------------------------------------------------
-# conjugation through H
-
-@dataclass(frozen=True)
-class ConjugationFit:
-    """Real 3x3 matrix intertwining a bidisc automorphism with the quadric picture; one per row for a batch."""
-
-    matrix: np.ndarray
-    fit_residual: float  # worst held-out reproduction error
-    membership_residual: float  # Frobenius distance from the O(2,1) relations
-    det: float
-    a33: float
-
-
-_COND_GUARD = 1e8
-FIT_PAIRS = PairDraw(0.05)
-N_FIT, N_HOLDOUT = 6, 4  # fit points and held-out points
-FIT_DRAWS = (N_FIT + N_HOLDOUT) * PAIR_DRAWS
-
-
-def conjugate_fit(
-    phi: MobiusMap | None,
-    u: np.ndarray,
-    *,
-    swap: bool = False,
-    rmax: float = DEFAULT_RMAX,
-    errors: RowErrors | None = None,
-) -> ConjugationFit:
-    """Fit the real 3x3 matrix M with M H(p) = H(Phi(p)), from one row of uniforms or each row of a block.
-
-    Phi applies the swap first (when requested), then the diagonal
-    automorphism phi (one map, or one per row).  The N_FIT + N_HOLDOUT =
-    6 + 4 points are FIT_PAIRS draws with |z - w| >= 0.05, PAIR_DRAWS
-    uniforms of the row each; a row with a point without an admissible
-    candidate fails.  Each fit point gives 3 complex = 6 real equations,
-    so a row's design is (12, 3): the rows of M solve its normal equations,
-    and a design with condition number above 1e8 fails its row.  The
-    fit_residual is the worst reproduction error on the held-out points.
-    """
-    if phi is None and not swap:
-        raise ValueError("specify an automorphism: a MobiusMap, swap=True, or both")
-    k = N_FIT + N_HOLDOUT
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != FIT_DRAWS:
-        raise ValueError(f"a fit of {k} points takes {FIT_DRAWS} uniforms, got shape {u.shape}")
-    n = len(u) if u.ndim == 2 else 1
-    rows = _collector(errors, n)
-    z, w, missing = FIT_PAIRS(u.reshape(n * k, PAIR_DRAWS), rmax)
-    lost = np.isin(np.arange(n * k), missing).reshape(n, k)
-    wanted = f"{PAIR_ROUNDS} candidate pairs has {FIT_PAIRS.wanted()}"
-    rows.flag(lost.any(axis=1), lambda r: f"none of fit point {np.argmax(lost[r])}'s {wanted}")
-    points = RowErrors(n * k)
-    src = np.stack(map_H(z, w, errors=points), axis=-1).reshape(n, k, 3)
-    image = (w, z) if swap else (z, w)
-    if phi is not None:
-        theta, a = (np.repeat(np.broadcast_to(x, n), k) for x in (phi.theta, phi.a))
-        image = mobius_apply_pair(MobiusMap(theta, a, errors=points), image, errors=points)
-    dst = np.stack(map_H(*image, errors=points), axis=-1).reshape(n, k, 3)
-    rows.take(points, np.repeat(np.arange(n), k))
-
-    def design(H):  # the failed rows get a well-conditioned stand-in
-        D = np.concatenate([H[:, :N_FIT].real, H[:, :N_FIT].imag], axis=1)  # (n, 2 N_FIT, 3)
-        return np.where(rows.ok[:, None, None], D, np.eye(2 * N_FIT, 3))
-
-    cond = np.linalg.cond(design(src))
-    rows.flag(cond > _COND_GUARD, lambda r: f"design matrix condition number {cond[r]:.3g} exceeds {_COND_GUARD:g}")
-    A = design(src)
-    At = A.swapaxes(1, 2)
-    M = np.linalg.solve(At @ A, At @ design(dst)).swapaxes(1, 2)  # column j of the right side = target row j
-    worst = np.abs(src[:, N_FIT:] @ M.swapaxes(1, 2) - dst[:, N_FIT:]).max(axis=(1, 2))
-    fit = (M, worst, o21_residual(M), np.linalg.det(M), M[:, 2, 2])
-    if u.ndim == 1:
-        fit = (M[0], *(float(v[0]) for v in fit[1:]))
-    return ConjugationFit(*fit)

@@ -21,10 +21,10 @@ batch of one), passing rows as ``errors``:
   guard of map_H), and for the dual-route level checks also have
   rho >= 0.05, comes from ``maps.PairDraw``: PAIR_ROUNDS candidate
   pairs of 4 uniforms each, of which the row takes the first admissible
-  one.  A row with none is a hard failure.  A conjugation fit draws its
-  ten points the same way (FIT_DRAWS), after 3 uniforms for the
-  automorphism in ``conjugation-so21``, and solves one normal-equation
-  system per row; ``o21-totally-real`` takes the first of
+  one.  A row with none is a hard failure.  ``conjugation-so21`` and
+  ``swap-is-minus-identity`` take 3 + PAIR_DRAWS = 131 uniforms: phi,
+  then one pair with rho >= 0.05, checked against the closed-form
+  ``groups.so21_image``; ``o21-totally-real`` takes the first of
   TOTALLY_REAL_ROUNDS candidate matrices (4 uniforms each) with
   |det| >= 0.1.
 * The Levi suites take k = 3: the levi-Fa, levi-eta and levi-sphere
@@ -68,16 +68,21 @@ from .domains import (
     quadric_residual,
     rho_band,
 )
-from .groups import ball_action, o21_point_matrix, o21_residual, random_su11, su11_embed, su11_orbit_invariant
+from .groups import (
+    ball_action,
+    o21_point_matrix,
+    o21_residual,
+    random_su11,
+    so21_image,
+    su11_embed,
+    su11_orbit_invariant,
+)
 from .levi import levi_restricted, totally_real_check
 from .maps import (
     EPS_DIAG,
-    FIT_DRAWS,
-    FIT_PAIRS,
     PAIR_DRAWS,
     PAIR_ROUNDS,
     PairDraw,
-    conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
@@ -341,22 +346,29 @@ def _k_levi_sphere(cfg, u, idx, rows):
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _k_conjugation_so21(cfg, u, idx, rows):
-    # uniforms: phi (3), the fit's ten points (FIT_DRAWS)
+def _conjugated(cfg, u, rows, swap: bool):
+    """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p)."""
+    # uniforms: phi (3), one conditioned pair (PAIR_DRAWS)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
-    fit = conjugate_fit(phi, u[:, MOBIUS_DRAWS:], rmax=cfg.rmax, errors=rows)
-    rows.flag(fit.a33 <= 0.0, lambda r: f"fitted matrix has nonpositive corner {fit.a33[r]}")
-    det = fit.det.tolist()
-    rows.flag(np.abs(fit.det - 1.0) > 1e-9, lambda r: f"fitted matrix determinant {det[r]!r} is not 1 within 1e-9")
-    return np.maximum(fit.membership_residual, fit.fit_residual), _columns(phi.theta, phi.a)
+    z, w = _pairs(_CONDITIONED, cfg, u[:, MOBIUS_DRAWS:], rows)
+    A = so21_image(phi)
+    h = np.stack(map_H(z, w, errors=rows), axis=-1)
+    q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=rows), axis=-1)
+    Ah = (A * h[:, None, :]).sum(axis=2)
+    return A, np.abs(q + Ah if swap else q - Ah).max(axis=1), _columns(phi.theta, phi.a, z, w)
+
+
+def _k_conjugation_so21(cfg, u, idx, rows):
+    A, res, inputs = _conjugated(cfg, u, rows, swap=False)
+    rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
+    det = np.linalg.det(A)
+    rows.flag(np.abs(det - 1.0) > 1e-9, lambda r: f"image matrix determinant {det[r].item()!r} is not 1 within 1e-9")
+    return np.maximum(res, o21_residual(A)), inputs
 
 
 def _k_swap_minus_identity(cfg, u, idx, rows):
-    # the fit's ten pairs, a point without an admissible pair by its last candidate
-    z, w, _ = FIT_PAIRS(u.reshape(-1, PAIR_DRAWS), cfg.rmax)
-    fit = conjugate_fit(None, u, swap=True, rmax=cfg.rmax, errors=rows)
-    pairs = np.stack([z, w], axis=1).reshape(len(u), -1)  # z0, w0, z1, w1, ...
-    return np.abs(fit.matrix + np.eye(3)).max(axis=(1, 2)), _columns(*pairs.T)
+    _, res, inputs = _conjugated(cfg, u, rows, swap=True)
+    return res, inputs
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
@@ -511,8 +523,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-7,
         _k_conjugation_so21,
-        draws=MOBIUS_DRAWS + FIT_DRAWS,
-        why_empty=_pairs_why_empty(FIT_PAIRS),
+        draws=MOBIUS_DRAWS + PAIR_DRAWS,
+        why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -520,8 +532,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-9,
         _k_swap_minus_identity,
-        draws=FIT_DRAWS,
-        why_empty=_pairs_why_empty(FIT_PAIRS),
+        draws=MOBIUS_DRAWS + PAIR_DRAWS,
+        why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
         "aut-preserves-subdomains",

@@ -23,12 +23,12 @@ from bidisc_lab.groups import (
     o21_point_matrix,
     o21_residual,
     random_su11,
+    so21_image,
     su11_embed,
     su11_orbit_invariant,
 )
 from bidisc_lab.levi import levi_restricted, totally_real_check
 from bidisc_lab.maps import (
-    conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
@@ -78,8 +78,7 @@ def test_the_report_gives_every_suite_an_integer_draw_budget():
     budgets = {name: entry["draws_per_sample"] for name, entry in doc["rng"]["suites"].items()}
     assert list(budgets) == list(all_suite_names())
     assert all(type(k) is int and k > 0 for k in budgets.values())
-    assert budgets["conjugation-so21"] == 3 + 10 * suites.PAIR_DRAWS
-    assert budgets["swap-is-minus-identity"] == 10 * suites.PAIR_DRAWS
+    assert budgets["conjugation-so21"] == budgets["swap-is-minus-identity"] == 3 + suites.PAIR_DRAWS
     assert budgets["aut-preserves-subdomains"] == 8 and budgets["o21-matrix-B"] == 2
 
 
@@ -254,11 +253,19 @@ SCALAR_BODIES = {
 }
 
 
-def _conjugation_so21(r, u, i):
-    phi = random_mobius(u[:3])
-    assert [phi.theta, phi.a.real, phi.a.imag] == r.tolist()
-    fit = conjugate_fit(phi, u[3:])
-    return max(fit.membership_residual, fit.fit_residual)
+def _conjugation(swap):
+    """The defect of H(phi(p)) = A H(p) and of A's O(2,1) relation, or with the swap of H(phi(w, z)) = -A H(z, w)."""
+
+    def body(r, u, i):
+        phi = random_mobius(u[:3])
+        assert [phi.theta, phi.a.real, phi.a.imag] == r[:3].tolist()
+        p = _pair(r[3:])
+        A = so21_image(phi)
+        h = A @ np.array(map_H(*p))
+        q = np.array(map_H(*mobius_apply_pair(phi, p[::-1] if swap else p)))
+        return float(np.max(np.abs(q + h))) if swap else max(float(np.max(np.abs(q - h))), o21_residual(A))
+
+    return body
 
 
 def _aut_preserves_subdomains(r, u, i):
@@ -285,8 +292,8 @@ def _o21_matrix_b(r, u, i):
 
 # the group suites' bodies also take the row's uniforms and its index
 ROW_BODIES = {
-    "conjugation-so21": _conjugation_so21,
-    "swap-is-minus-identity": lambda r, u, i: np.max(np.abs(conjugate_fit(None, u, swap=True).matrix + np.eye(3))),
+    "conjugation-so21": _conjugation(swap=False),
+    "swap-is-minus-identity": _conjugation(swap=True),
     "aut-preserves-subdomains": _aut_preserves_subdomains,
     "su11-orbit-invariant": _su11_orbit_invariant,
     "su11-orbit-ellipsoid": lambda r, u, i: ELLIPSOID.residual(_complex(r[:4]), r[4], None),
@@ -440,8 +447,9 @@ def _replay(doc, name, index):
         ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=100_000, tolerances={"levi-sphere": 1.8e-8})),  # 2,000 rows
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
-        ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no fit finds its pairs
-        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records the fit's ten pairs
+        ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no row finds a pair with rho >= 0.05
+        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records phi and the last candidate pair
+        ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-12})),
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):

@@ -136,8 +136,8 @@ def test_nearly_empty_config_finishes_with_counted_hard_failures():
     assert "candidate pairs" in rep["failures"][0]["error"]
 
 
-def test_fit_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures():
-    # pairs 0.05 apart exist in a 0.0251 disc, but almost no draw finds one
+def test_conjugation_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures():
+    # pairs with rho >= 0.05 exist in a 0.0251 disc (rho < 0.05017), but almost no draw finds one
     proc = _run(
         ["-m", "bidisc_lab.cli", "verify", "--rmax", "0.0251", "--suite", "swap-is-minus-identity",
          "--suite", "conjugation-so21", "--samples", "100"],

@@ -1,4 +1,7 @@
-"""Form-preserving matrix groups and their ball action."""
+"""Form-preserving matrix groups, their ball action, and the quadric image of the diagonal automorphisms."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +13,16 @@ from bidisc_lab.groups import (
     o21_residual,
     random_su11,
     so21_boost,
+    so21_image,
     so21_rotation,
     so21_sample,
     su11_embed,
     su11_orbit_invariant,
     u21_residual,
 )
-from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, uniform_block
+from bidisc_lab.maps import map_H
+from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, mobius_apply_pair, random_mobius
+from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
 
 
 def test_signature_matrix_is_frozen():
@@ -142,6 +148,106 @@ def test_so21_sample_is_reproducible_and_in_group():
         A = so21_sample(u)
         assert o21_residual(A) < 1e-12
         assert abs(np.linalg.det(A) - 1.0) < 1e-12 and A[2, 2] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form image of a diagonal automorphism
+
+
+def test_so21_image_of_the_identity_is_the_identity():
+    np.testing.assert_array_equal(so21_image(MobiusMap(0.0)), np.eye(3))
+
+
+def test_so21_image_of_a_disc_rotation_is_a_plane_rotation():
+    np.testing.assert_allclose(so21_image(MobiusMap(0.7)), so21_rotation(0.7), rtol=0.0, atol=1e-15)
+
+
+def test_so21_image_of_the_negation_is_the_half_turn():
+    """z -> -z becomes the half turn about the x3 axis, inside SO+(2,1), not -I."""
+    np.testing.assert_allclose(so21_image(MobiusMap(math.pi)), np.diag([-1.0, -1.0, 1.0]), rtol=0.0, atol=1e-15)
+
+
+def _maps_and_pairs(seed, n):
+    """n random automorphisms on the 0.9 disc and n pairs at least 1e-3 apart."""
+    u = uniform_block(seed, 0, MOBIUS_DRAWS + 4, 0, 2 * n)
+    z, w = disc_from_uniforms(u[:, 3], u[:, 4], 0.9), disc_from_uniforms(u[:, 5], u[:, 6], 0.9)
+    keep = np.flatnonzero(np.abs(z - w) >= 1e-3)[:n]
+    assert keep.size == n
+    return random_mobius(u[keep, :MOBIUS_DRAWS], 0.9), z[keep], w[keep]
+
+
+def _apply(A, h):
+    """A stack of matrices applied to map_H's coordinate tuple, row by row, as an (n, 3) array."""
+    return np.einsum("nij,jn->ni", A, np.stack(h))
+
+
+def test_so21_image_lies_in_so_plus_and_intertwines_map_h():
+    """The O(2,1) relation, det 1 and a corner entry >= 1, and H(phi(p)) = A H(p) relative to |A H(p)|."""
+    phi, z, w = _maps_and_pairs(51, 2000)
+    A = so21_image(phi)
+    assert A.shape == (2000, 3, 3) and A.dtype == float
+    assert o21_residual(A).max() < 1e-12
+    assert np.abs(np.linalg.det(A) - 1.0).max() < 1e-12
+    assert A[:, 2, 2].min() >= 1.0
+    h = _apply(A, map_H(z, w))
+    moved = np.stack(map_H(*mobius_apply_pair(phi, (z, w))), axis=-1)
+    assert (np.abs(moved - h).max(axis=1) <= 1e-11 * np.abs(h).max(axis=1)).all()
+
+
+def test_the_swap_conjugates_to_minus_the_identity():
+    """H(phi(w), phi(z)) = -A H(z, w): after any diagonal automorphism, the swap acts as -I."""
+    phi, z, w = _maps_and_pairs(55, 2000)
+    h = _apply(so21_image(phi), map_H(z, w))
+    swapped = np.stack(map_H(*mobius_apply_pair(phi, (w, z))), axis=-1)
+    assert (np.abs(swapped + h).max(axis=1) <= 1e-11 * np.abs(h).max(axis=1)).all()
+
+
+def test_so21_image_is_a_homomorphism():
+    """A(phi) A(psi) acts on the quadric as phi o psi does, through map_H."""
+    phi, z, w = _maps_and_pairs(52, 1000)
+    psi, _, _ = _maps_and_pairs(53, 1000)
+    AB = so21_image(phi) @ so21_image(psi)
+    composed = mobius_apply_pair(phi, mobius_apply_pair(psi, (z, w)))
+    h, target = _apply(AB, map_H(z, w)), np.stack(map_H(*composed), axis=-1)
+    assert (np.abs(target - h).max(axis=1) <= 1e-12 * np.abs(h).max(axis=1)).all()
+
+
+def test_so21_image_of_a_batch_is_its_rows_bit_for_bit():
+    phi, _, _ = _maps_and_pairs(54, 300)
+    A = so21_image(phi)
+    for r in range(300):
+        np.testing.assert_array_equal(A[r], so21_image(MobiusMap(phi.theta[r].item(), complex(phi.a[r]))))
+
+
+def test_the_differential_at_the_identity_is_a_basis_of_so21():
+    """The tangent matrices of the image along theta, Re a and Im a are in so(2,1), span it, and close under brackets.
+
+    Central differences with h = 1e-5 carry an O(h^2) = 1e-10
+    truncation error and about 1e-11 of rounding.  The structure
+    constants then give a Killing form of signature (2, 1): the diagonal
+    subgroup's algebra is sl(2, R), not solvable.
+    """
+    h = 1e-5
+    X = [
+        (so21_image(MobiusMap(h * t, h * a)) - so21_image(MobiusMap(-h * t, -h * a))) / (2.0 * h)
+        for t, a in ((1.0, 0j), (0.0, 1.0 + 0j), (0.0, 1j))
+    ]
+    rotation = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    boosts = [[0, 0, 0], [0, 0, 2], [0, 2, 0]], [[0, 0, -2], [0, 0, 0], [-2, 0, 0]]  # in the (x2, x3) and (x1, x3) planes
+    np.testing.assert_allclose(X, [rotation, *boosts], rtol=0.0, atol=1e-9)
+    for x in X:
+        assert np.abs(x.T @ I21 + I21 @ x).max() < 1e-9
+    basis = np.stack([x.ravel() for x in X], axis=1)  # (9, 3)
+    assert np.linalg.matrix_rank(basis, tol=1e-6) == 3
+    ad = np.zeros((3, 3, 3))  # ad[i] is the matrix of [X_i, .] in the basis
+    for i, j in itertools.product(range(3), repeat=2):
+        bracket = (X[i] @ X[j] - X[j] @ X[i]).ravel()
+        coef, *_ = np.linalg.lstsq(basis, bracket, rcond=None)
+        assert np.abs(basis @ coef - bracket).max() < 1e-8
+        ad[i][:, j] = coef
+    killing = np.einsum("iab,jba->ij", ad, ad)
+    eig = np.linalg.eigvalsh(killing)
+    assert (eig < -1.0).sum() == 1 and (eig > 1.0).sum() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The quadric embeddings, their inverse, and conjugated automorphisms."""
+"""The quadric embeddings, their inverse, symmetrization and the ellipsoid scaling."""
 
 import math
 
@@ -12,19 +12,15 @@ from bidisc_lab.domains import (
     quadric_band,
     quadric_residual,
 )
-from bidisc_lab.groups import so21_rotation
 from bidisc_lab.maps import (
     EPS_DIAG,
-    FIT_DRAWS,
-    conjugate_fit,
     map_H,
     map_H_inv,
     map_J,
     scale_g_t,
     sym,
 )
-from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, random_mobius
-from bidisc_lab.rng import RowErrors, disc_from_uniforms, uniform_block
+from bidisc_lab.rng import disc_from_uniforms, uniform_block
 
 DISC = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 
@@ -36,10 +32,6 @@ def _offdiag_pairs(seed, n, rmax=0.9):
     out = [(a, b) for a, b in zip(z.tolist(), w.tolist()) if abs(a - b) >= 1e-3][:n]
     assert len(out) == n
     return out
-
-
-def _fit_uniforms(seed):
-    return uniform_block(seed, 0, FIT_DRAWS, 0, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,69 +148,3 @@ def test_scale_g_t_spot():
 def test_scale_g_t_rejects_bad_parameter(t):
     with pytest.raises(ValueError):
         scale_g_t(t, (0.1, 0.2))
-
-
-# ---------------------------------------------------------------------------
-# conjugation fits
-
-
-def test_identity_fits_identity_matrix():
-    fit = conjugate_fit(MobiusMap(0.0), _fit_uniforms(5))
-    np.testing.assert_allclose(fit.matrix, np.eye(3), atol=1e-9)
-    assert fit.fit_residual < 1e-9
-    assert fit.membership_residual < 1e-9
-    assert abs(fit.det - 1.0) < 1e-9 and fit.a33 > 0.0
-
-
-def test_rotation_fits_rotation_block():
-    """A diagonal rotation automorphism acts as a plane rotation downstairs."""
-    theta = 0.7
-    fit = conjugate_fit(MobiusMap(theta, 0j), _fit_uniforms(6))
-    np.testing.assert_allclose(fit.matrix, so21_rotation(theta), atol=1e-9)
-    assert fit.a33 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_negation_fits_half_turn():
-    fit = conjugate_fit(MobiusMap(math.pi, 0j), _fit_uniforms(8))
-    np.testing.assert_allclose(fit.matrix, np.diag([-1.0, -1.0, 1.0]), atol=1e-9)
-
-
-def test_swap_fits_minus_identity():
-    fit = conjugate_fit(None, _fit_uniforms(9), swap=True)
-    np.testing.assert_allclose(fit.matrix, -np.eye(3), atol=1e-9)
-    assert fit.det == pytest.approx(-1.0, abs=1e-9)
-    assert fit.a33 < 0.0  # det -1 and the wrong sheet: outside SO+(2,1)
-
-
-def test_random_automorphisms_fit_inside_the_group():
-    for u in uniform_block(10, 0, MOBIUS_DRAWS + FIT_DRAWS, 0, 10):
-        fit = conjugate_fit(random_mobius(u[:MOBIUS_DRAWS], 0.9), u[MOBIUS_DRAWS:])
-        assert fit.fit_residual < 1e-8
-        assert fit.membership_residual < 1e-7
-        assert fit.det == pytest.approx(1.0, abs=1e-9)
-        assert fit.a33 > 0.0
-
-
-def test_a_block_of_fits_agrees_with_its_rows_and_fails_only_its_bad_row():
-    U = uniform_block(12, 0, MOBIUS_DRAWS + FIT_DRAWS, 0, 5)
-    U[2, MOBIUS_DRAWS:] = 0.0  # every candidate pair of row 2 is (0, 0): no fit point is admissible
-    rows = RowErrors(5)
-    with np.errstate(all="ignore"):  # the failed row's values are meaningless
-        fit = conjugate_fit(random_mobius(U[:, :MOBIUS_DRAWS], 0.9), U[:, MOBIUS_DRAWS:], errors=rows)
-    assert rows.ok.tolist() == [True, True, False, True, True]
-    with pytest.raises(ValueError, match="none of fit point 0's") as info:
-        conjugate_fit(random_mobius(U[2, :MOBIUS_DRAWS], 0.9), U[2, MOBIUS_DRAWS:])
-    assert rows.message[2] == str(info.value)
-    for r in (0, 1, 3, 4):
-        one = conjugate_fit(random_mobius(U[r, :MOBIUS_DRAWS], 0.9), U[r, MOBIUS_DRAWS:])
-        np.testing.assert_array_equal(fit.matrix[r], one.matrix)
-        assert [fit.fit_residual[r], fit.membership_residual[r], fit.det[r], fit.a33[r]] == [
-            one.fit_residual, one.membership_residual, one.det, one.a33
-        ]
-
-
-def test_conjugate_fit_argument_validation():
-    with pytest.raises(ValueError):
-        conjugate_fit(None, _fit_uniforms(1))
-    with pytest.raises(ValueError, match="uniforms"):
-        conjugate_fit(MobiusMap(0.0), _fit_uniforms(1)[:-1])

@@ -37,7 +37,7 @@ EXPECTED_REGISTRY = (
     "alpha-roundtrip",
 )
 
-# small but representative: one heavy sampler, one fit family, one FD family
+# small but representative: one heavy sampler, one group-image family, one FD family
 SMOKE_SUITES = ("H-quadric", "swap-is-minus-identity", "levi-flat-control")
 
 
@@ -111,7 +111,7 @@ def test_unknown_suite_is_a_config_error():
         SuiteConfig(seed=2**64),
         SuiteConfig(rmax=4e-7, suites=("H-im-condition",)),  # no pair is EPS_DIAG = 1e-6 apart
         SuiteConfig(rmax=0.01, suites=("orbit-levels",)),  # rho < 2 rmax / (1 + rmax^2) < 0.05
-        SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # fit pairs need |z - w| >= 0.05
+        SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # its pairs need rho >= 0.05 > sup rho = 2 rmax / (1 + rmax^2)
         SuiteConfig(rmax=0.04, suites=("o21-matrix-B",)),  # its real pairs need 0.05 <= |(z, w)| < rmax
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
