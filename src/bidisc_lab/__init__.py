@@ -28,9 +28,7 @@ from .groups import (
     I21,
     ball_action,
     o21_point_matrix,
-    o21_residual,
     so21_image,
-    so21_sample,
     su11_embed,
     su11_orbit_invariant,
     u21_residual,
@@ -79,9 +77,7 @@ __all__ = [
     "I21",
     "ball_action",
     "o21_point_matrix",
-    "o21_residual",
     "so21_image",
-    "so21_sample",
     "su11_embed",
     "su11_orbit_invariant",
     "u21_residual",

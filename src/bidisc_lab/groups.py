@@ -1,47 +1,42 @@
 """Matrix groups preserving the signature (+, +, -) forms, and their actions.
 
-Four related actions appear:
+One group is parametrised: the disc automorphisms, each a ``MobiusMap``
+(theta, a), lifted to SU(1,1) as alpha = e^{i theta/2} / sqrt(1 - |a|^2)
+and beta = -a alpha.  It acts in three ways:
 
-* SU(2,1) acts on the unit ball in C^2 by fractional-linear maps,
-  reading a 3x3 matrix row-wise as the numerators/denominator,
-* SU(1,1) embeds into SU(2,1) fixing the first coordinate, which
-  restricts to Mobius maps in the second ball coordinate,
-* real form-preserving matrices, such as the SO+(2,1) samples and the
-  O(2,1) transitivity matrices, act through the same fractional-linear
-  action on the real slice of the ball,
-* the diagonal disc automorphisms act on the affine quadric, through
-  map_H, by the symmetric square of SU(1,1): ``so21_image`` gives each
-  one's real SO+(2,1) matrix in closed form.
+* on the unit ball in C^2, through ``su11_embed``: the lift embeds into
+  SU(2,1) fixing the first coordinate, and SU(2,1) acts by
+  fractional-linear maps, reading a 3x3 matrix row-wise as the
+  numerators/denominator; the second ball coordinate moves by phi;
+* on the real slice of the ball, through ``so21_image``: the real
+  SO+(2,1) matrix acts by the same fractional-linear action (so do the
+  det -1 O(2,1) transitivity matrices of ``o21_point_matrix``);
+* on the affine quadric, through map_H, by the same ``so21_image``
+  matrix: the symmetric square of the lift.
 
 The hyperbolic invariant classifying the embedded SU(1,1) orbits of the
 ball is t = |u| / sqrt(1 - |v|^2): the orbit through (t, 0) is the
 ellipsoid |u|^2 + t^2 |v|^2 = t^2, carried onto the unit sphere by
 (u, v) -> (u/t, v).
 
-The SU(1,1) and SO+(2,1) samplers draw their hyperbolic parameter from
-an exponential truncated at XI_MAX = 3, so their matrix entries stay
-at most cosh(3) ~ 10.
-
-Every function takes one matrix or point, or a stack of them, one per
-row (see ``rng``): matrices as (n, 3, 3) arrays, numbers as 1-d arrays.
+Every function takes one matrix, map or point, or a stack of them, one
+per row (see ``rng``): matrices as (n, 3, 3) arrays, numbers as 1-d
+arrays.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .domains import _abs2
 from .mobius import MobiusMap
-from .rng import RowErrors, _batch, _unbatch, polar
+from .rng import RowErrors, _batch, _unbatch
 
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
 
 TOL_GROUP = 1e-9  # form-membership tolerance for action preconditions
 _DEN_TOL = 1e-12
-XI_MAX = 3.0  # cap of the samplers' hyperbolic parameter
 
 
 def _matrices(A, dtype, message: str) -> np.ndarray:
@@ -53,25 +48,25 @@ def _matrices(A, dtype, message: str) -> np.ndarray:
 
 
 def u21_residual(A):
-    """Frobenius norm of A* I21 A - I21 for a complex 3x3 matrix: zero on U(2,1), which preserves the form."""
+    """Frobenius norm of A* I21 A - I21 for a 3x3 matrix, real or complex: zero on U(2,1), which preserves the form."""
     A = _matrices(A, complex, "expected a 3x3 matrix")
     # I21 A scales the rows of A; the product is bit for bit A* @ I21 @ A
     out = np.linalg.norm(A.conj().swapaxes(-1, -2) @ (np.diag(I21)[:, None] * A) - I21, axis=(-2, -1))
     return float(out) if A.ndim == 2 else out
 
 
-def o21_residual(A):
-    """Frobenius norm of A^T I21 A - I21 for a real 3x3 matrix."""
-    A = _matrices(A, float, "expected a real 3x3 matrix")
-    out = np.linalg.norm(A.swapaxes(-1, -2) @ I21 @ A - I21, axis=(-2, -1))
-    return float(out) if A.ndim == 2 else out
+def su11_embed(phi: MobiusMap) -> np.ndarray:
+    """The SU(2,1) matrix of phi's lift, fixing the first coordinate; a stack for a batch of maps.
 
-
-def su11_embed(alpha, beta, *, errors: RowErrors | None = None) -> np.ndarray:
-    """Embed an SU(1,1) element (|alpha|^2 - |beta|^2 = 1) fixing the first coordinate."""
-    (alpha, beta), rows, single = _batch(errors, alpha, beta)
-    rows.flag(~(np.abs(_abs2(alpha) - _abs2(beta) - 1.0) < TOL_GROUP), "need |alpha|^2 - |beta|^2 = 1")
-    g = np.zeros((len(alpha), 3, 3), dtype=complex)
+    With the lift alpha = e^{i theta/2} / sqrt(1 - |a|^2), beta = -a alpha,
+    the rows (1 0 0 / 0 alpha beta / 0 conj(beta) conj(alpha)) move the
+    second ball coordinate by (alpha v + beta) / (conj(beta) v + conj(alpha))
+    = phi(v).
+    """
+    (theta, a), _, single = _batch(None, phi.theta, phi.a)
+    alpha = np.exp(0.5j * theta.real) / np.sqrt(1.0 - _abs2(a))
+    beta = -a * alpha
+    g = np.zeros((len(a), 3, 3), dtype=complex)
     g[:, 0, 0] = 1.0
     g[:, 1, 1], g[:, 1, 2] = alpha, beta
     g[:, 2, 1], g[:, 2, 2] = beta.conjugate(), alpha.conjugate()
@@ -103,52 +98,6 @@ def su11_orbit_invariant(u, v, *, errors: RowErrors | None = None):
     (u, v), rows, single = _batch(errors, u, v)
     rows.flag(~(_abs2(u) + _abs2(v) < 1.0), "point must lie in the open unit ball")
     return _unbatch(np.abs(u) / np.sqrt(1.0 - _abs2(v)), single)
-
-
-def _truncated_exponential(u):
-    # inverse CDF of Exp(1) conditioned on [0, XI_MAX]
-    return -np.log1p(-u * (1.0 - math.exp(-XI_MAX)))
-
-
-def random_su11(u):
-    """(alpha, beta) with |alpha|^2 - |beta|^2 = 1, from 3 uniforms, or from each row of an (n, 3) block.
-
-    Hyperbolic part xi from a truncated exponential capped at XI_MAX
-    (u0), phases p1 = tau u1 and p2 = tau u2: alpha = cosh(xi) e^{i p1},
-    beta = sinh(xi) e^{i p2}.
-    """
-    u = np.asarray(u, dtype=float)
-    xi = _truncated_exponential(u[..., 0])
-    out = polar(np.cosh(xi), math.tau * u[..., 1]), polar(np.sinh(xi), math.tau * u[..., 2])
-    return tuple(c.item() for c in out) if u.ndim == 1 else out
-
-
-def so21_rotation(theta) -> np.ndarray:
-    """Rotation in the (x1, x2) plane, fixing the negative direction; a stack for an array of angles."""
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.zeros(np.shape(theta) + (3, 3))
-    R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1], R[..., 2, 2] = c, -s, s, c, 1.0
-    return R
-
-
-def so21_boost(xi) -> np.ndarray:
-    """Hyperbolic rotation in the (x2, x3) plane with cosh/sinh entries; a stack for an array."""
-    ch, sh = np.cosh(xi), np.sinh(xi)
-    B = np.zeros(np.shape(xi) + (3, 3))
-    B[..., 0, 0], B[..., 1, 1], B[..., 1, 2], B[..., 2, 1], B[..., 2, 2] = 1.0, ch, sh, sh, ch
-    return B
-
-
-def so21_sample(u) -> np.ndarray:
-    """An SO+(2,1) element from 3 uniforms, or one per row of an (n, 3) block.
-
-    Rotation-boost-rotation decomposition: angles tau u0 and tau u1;
-    boost parameter from a truncated exponential capped at XI_MAX (u2),
-    so matrix entries stay moderate.
-    """
-    u = np.asarray(u, dtype=float)
-    xi = _truncated_exponential(u[..., 2])
-    return so21_rotation(math.tau * u[..., 0]) @ so21_boost(xi) @ so21_rotation(math.tau * u[..., 1])
 
 
 def so21_image(phi: MobiusMap) -> np.ndarray:

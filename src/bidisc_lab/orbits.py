@@ -27,7 +27,7 @@ the Euclidean norm of the point and eps = 2.2e-16:
   |z_k|^2), since rho loses digits near the unit circle; the other
   families need none.  Over the same 40,000 rows of Fa:0.8,
   Ellipsoid:0.5, RealSlice and ComplexCurve the largest multiples were
-  1.4, 1.25, 0 and 0.
+  1.4, 1.0, 0 and 0.
 
 The samplers apply their checks to each row.  The Minkowski level
 sampler applies map_H's: at a large level the pairs crowd the diagonal.
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
-from .groups import ball_action, random_su11, so21_sample, su11_embed
+from .groups import ball_action, so21_image, su11_embed
 from .maps import _times, map_H
 from .mobius import TOL_BOUNDARY, mobius_apply, pseudo_hyperbolic, random_mobius
 from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
@@ -96,13 +96,14 @@ def minkowski_orbit_point(u: np.ndarray, level: float, rmax: float, errors: RowE
     return map_H(*rho_orbit_point(u, math.sqrt(2.0 / (level + 1.0)), rmax, errors=errors), errors=errors)
 
 
-def ellipsoid_orbit_point(u, t, *, errors: RowErrors | None = None):
+def ellipsoid_orbit_point(u, t, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
     """The point of the ellipsoid |u|^2 + t^2 |v|^2 = t^2 that 3 uniforms give, or one per row of a block.
 
-    The SU(1,1) element of random_su11 moves the base point (t, 0); t is
-    a number or one per row.
+    ``su11_embed`` of the automorphism ``random_mobius`` makes of the row
+    (centre on the rmax disc) moves the base point (t, 0); t is a number
+    or one per row.
     """
-    return ball_action(su11_embed(*random_su11(u), errors=errors), (t, 0j), errors=errors)
+    return ball_action(su11_embed(random_mobius(u, rmax, errors=errors)), (t, 0j), errors=errors)
 
 
 def sphere_point(u: np.ndarray):
@@ -115,12 +116,13 @@ def sphere_point(u: np.ndarray):
     return polar(np.sqrt(s), math.tau * u[:, 1]), polar(np.sqrt(1.0 - s), math.tau * u[:, 2])
 
 
-def real_slice_point(u, *, errors: RowErrors | None = None):
+def real_slice_point(u, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
     """The point of the totally real slice that 3 uniforms give, or one per row of a block.
 
-    The Lorentz matrix of so21_sample carries the origin there.
+    ``so21_image`` of the automorphism ``random_mobius`` makes of the row
+    (centre on the rmax disc) carries the origin there.
     """
-    return ball_action(so21_sample(u), (0j, 0j), errors=errors)
+    return ball_action(so21_image(random_mobius(u, rmax, errors=errors)), (0j, 0j), errors=errors)
 
 
 def complex_curve_point(u: np.ndarray, rmax: float = DEFAULT_RMAX):
@@ -237,7 +239,7 @@ ELLIPSOID = FamilyRecord(
     gradient=lambda z, t: (z[0].conjugate(), t * t * z[1].conjugate()),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
     residual=lambda p, t, errors: np.abs(_ellipsoid_value(p, t)),
-    sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, errors=errors), draws=3,
+    sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, rmax, errors=errors), draws=3,
 )
 SPHERE = FamilyRecord(
     "sphere", 2,
@@ -256,7 +258,7 @@ FLAT_CONTROL = FamilyRecord(
 REAL_SLICE = FamilyRecord(
     "real-slice", 2, cli="RealSlice",
     residual=lambda p, _, errors: np.maximum(np.abs(p[0].imag), np.abs(p[1].imag)),
-    sampler=lambda u, _, rmax, errors: real_slice_point(u, errors=errors), draws=3,
+    sampler=lambda u, _, rmax, errors: real_slice_point(u, rmax, errors=errors), draws=3,
 )
 COMPLEX_CURVE = FamilyRecord(
     "complex-curve", 2, cli="ComplexCurve",

@@ -36,7 +36,9 @@ batch of one), passing rows as ``errors``:
   ``su11-orbit-invariant`` 7, ``su11-orbit-ellipsoid`` and ``gt-sphere``
   4, ``o21-matrix-B`` 2.
 
-Residual conventions: equality claims report the absolute defect;
+Residual conventions: equality claims report the absolute defect, or
+for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
+the defect relative to the size of the compared values;
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
@@ -71,11 +73,10 @@ from .domains import (
 from .groups import (
     ball_action,
     o21_point_matrix,
-    o21_residual,
-    random_su11,
     so21_image,
     su11_embed,
     su11_orbit_invariant,
+    u21_residual,
 )
 from .levi import levi_restricted, totally_real_check
 from .maps import (
@@ -347,7 +348,11 @@ def _k_levi_sphere(cfg, u, idx, rows):
 
 
 def _conjugated(cfg, u, rows, swap: bool):
-    """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p)."""
+    """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p).
+
+    The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
+    crowds the pair and H grows, and its rounding with it.
+    """
     # uniforms: phi (3), one conditioned pair (PAIR_DRAWS)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     z, w = _pairs(_CONDITIONED, cfg, u[:, MOBIUS_DRAWS:], rows)
@@ -355,15 +360,20 @@ def _conjugated(cfg, u, rows, swap: bool):
     h = np.stack(map_H(z, w, errors=rows), axis=-1)
     q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=rows), axis=-1)
     Ah = (A * h[:, None, :]).sum(axis=2)
-    return A, np.abs(q + Ah if swap else q - Ah).max(axis=1), _columns(phi.theta, phi.a, z, w)
+    res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
+    return A, res, _columns(phi.theta, phi.a, z, w)
 
 
 def _k_conjugation_so21(cfg, u, idx, rows):
     A, res, inputs = _conjugated(cfg, u, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
-    det = np.linalg.det(A)
-    rows.flag(np.abs(det - 1.0) > 1e-9, lambda r: f"image matrix determinant {det[r].item()!r} is not 1 within 1e-9")
-    return np.maximum(res, o21_residual(A)), inputs
+    # the entries grow like A_33, so the rounding of the determinant like A_33^2
+    det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
+    rows.flag(
+        np.abs(det - 1.0) > 1e-12 * scale,
+        lambda r: f"image matrix determinant {det[r].item()!r} is not 1 within 1e-12 A_33^2 = {1e-12 * scale[r]:.3g}",
+    )
+    return np.maximum(res, u21_residual(A)), inputs
 
 
 def _k_swap_minus_identity(cfg, u, idx, rows):
@@ -389,26 +399,27 @@ def _k_aut_preserves_subdomains(cfg, u, idx, rows):
 
 
 def _k_su11_orbit_invariant(cfg, u, idx, rows):
-    # uniforms: the ball point (4), the SU(1,1) element (3)
+    # uniforms: the ball point (4), phi (3), acting through its SU(1,1) lift
     b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
-    b2, v2 = ball_action(su11_embed(*random_su11(u[:, 4:7]), errors=rows), (b, v), errors=rows)
+    phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
+    b2, v2 = ball_action(su11_embed(phi), (b, v), errors=rows)
     res = np.abs(su11_orbit_invariant(b2, v2, errors=rows) - su11_orbit_invariant(b, v, errors=rows))
     return res, _columns(b, v)
 
 
-def _ellipsoid_draw(u: np.ndarray, rows: RowErrors):
+def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     # uniforms: t (1), the orbit point (3)
     t = 0.1 + 0.8 * u[:, 0]
-    return t, ellipsoid_orbit_point(u[:, 1:4], t, errors=rows)
+    return t, ellipsoid_orbit_point(u[:, 1:4], t, cfg.rmax, errors=rows)
 
 
 def _k_su11_orbit_ellipsoid(cfg, u, idx, rows):
-    t, p = _ellipsoid_draw(u, rows)
+    t, p = _ellipsoid_draw(cfg, u, rows)
     return ELLIPSOID.residual(p, t, rows), _columns(*p, t)
 
 
 def _k_gt_sphere(cfg, u, idx, rows):
-    t, p = _ellipsoid_draw(u, rows)
+    t, p = _ellipsoid_draw(cfg, u, rows)
     a, b = scale_g_t(t, p, errors=rows)
     res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
     return res, _columns(*p, t)
@@ -428,7 +439,7 @@ def _k_o21_matrix_b(cfg, u, idx, rows):
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
     img = ball_action(B, (0j, 0j), errors=rows)
-    res = np.maximum(o21_residual(B), np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
+    res = np.maximum(u21_residual(B), np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
     return res, _columns(z, w)
 
 

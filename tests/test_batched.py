@@ -21,11 +21,10 @@ from bidisc_lab.domains import (
 from bidisc_lab.groups import (
     ball_action,
     o21_point_matrix,
-    o21_residual,
-    random_su11,
     so21_image,
     su11_embed,
     su11_orbit_invariant,
+    u21_residual,
 )
 from bidisc_lab.levi import levi_restricted, totally_real_check
 from bidisc_lab.maps import (
@@ -254,7 +253,10 @@ SCALAR_BODIES = {
 
 
 def _conjugation(swap):
-    """The defect of H(phi(p)) = A H(p) and of A's O(2,1) relation, or with the swap of H(phi(w, z)) = -A H(z, w)."""
+    """The defect of H(phi(p)) = A H(p) and of A's form relation, or with the swap of H(phi(w, z)) = -A H(z, w).
+
+    The defect is relative to max(1, |H(phi(p))|_inf).
+    """
 
     def body(r, u, i):
         phi = random_mobius(u[:3])
@@ -263,7 +265,8 @@ def _conjugation(swap):
         A = so21_image(phi)
         h = A @ np.array(map_H(*p))
         q = np.array(map_H(*mobius_apply_pair(phi, p[::-1] if swap else p)))
-        return float(np.max(np.abs(q + h))) if swap else max(float(np.max(np.abs(q - h))), o21_residual(A))
+        defect = float(np.max(np.abs(q + h) if swap else np.abs(q - h))) / max(1.0, float(np.max(np.abs(q))))
+        return defect if swap else max(defect, u21_residual(A))
 
     return body
 
@@ -280,14 +283,14 @@ def _aut_preserves_subdomains(r, u, i):
 
 def _su11_orbit_invariant(r, u, i):
     b, v = _complex(r)
-    b2, v2 = ball_action(su11_embed(*random_su11(u[4:7])), (b, v))
+    b2, v2 = ball_action(su11_embed(random_mobius(u[4:7])), (b, v))
     return abs(su11_orbit_invariant(b2, v2) - su11_orbit_invariant(b, v))
 
 
 def _o21_matrix_b(r, u, i):
     B = o21_point_matrix(r[0], r[1])
     img = ball_action(B, (0j, 0j))
-    return max(o21_residual(B), abs(img[0] - r[0]), abs(img[1] - r[1]))
+    return max(u21_residual(B), abs(img[0] - r[0]), abs(img[1] - r[1]))
 
 
 # the group suites' bodies also take the row's uniforms and its index
@@ -371,8 +374,25 @@ def test_ball_violation_is_a_hard_failure_with_the_ball_action_text(monkeypatch)
     assert failures
     for failure in failures:
         with pytest.raises(ValueError) as info:
-            ball_action(su11_embed(1.0, 0.0), _complex(failure["inputs"]))
+            ball_action(su11_embed(MobiusMap(0.0)), _complex(failure["inputs"]))
         assert failure["error"] == f"ValueError: {info.value}" == "ValueError: point must lie in the open unit ball"
+
+
+def test_the_ball_suites_draw_their_automorphism_on_the_rmax_disc(monkeypatch):
+    """Like rho-invariance, each ball suite takes phi's centre from the cfg.rmax disc."""
+    centres = []
+
+    def spy(u, rmax=rng.DEFAULT_RMAX, **kw):
+        phi = random_mobius(u, rmax, **kw)
+        centres.append(np.abs(phi.a).max())
+        return phi
+
+    monkeypatch.setattr(suites, "random_mobius", spy)
+    monkeypatch.setattr(orbits, "random_mobius", spy)
+    for name in ("su11-orbit-invariant", "su11-orbit-ellipsoid", "gt-sphere"):
+        centres.clear()
+        suites._block(suites._BY_NAME[name], SuiteConfig(rmax=0.1), 0, 200)
+        assert centres and max(centres) < 0.1, name
 
 
 def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
@@ -449,7 +469,8 @@ def _replay(doc, name, index):
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
         ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no row finds a pair with rho >= 0.05
         ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records phi and the last candidate pair
-        ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-12})),
+        # 3,000 rows; 14 relative defects reach 1e-14
+        ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-14})),
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):

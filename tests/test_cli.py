@@ -149,6 +149,21 @@ def test_conjugation_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures
         assert "candidate pairs" in rep["failures"][0]["error"]
 
 
+@pytest.mark.parametrize("samples", ["100000", "10000000"])
+def test_conjugation_near_the_rim_has_no_determinant_failures(samples, capsys):
+    """At rmax 0.9999 the image matrices' entries reach 2e4, and |det A - 1| in floats about 1e-8.
+
+    The determinant flag is relative to A_33^2, so no correct matrix
+    fails: 1,000 and 100,000 rows pass (an absolute 1e-9 flag fails 42
+    of the 100,000 at seed 42).
+    """
+    code = main(["verify", "--seed", "42", "--rmax", "0.9999", "--suite", "conjugation-so21", "--samples", samples])
+    out, _ = capsys.readouterr()
+    rep = json.loads(out)["suites"][0]
+    assert code == 0
+    assert rep["hard_failures"] == 0 and rep["failures"] == []
+
+
 # ---------------------------------------------------------------------------
 # map
 

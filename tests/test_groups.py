@@ -10,18 +10,13 @@ from bidisc_lab.groups import (
     I21,
     ball_action,
     o21_point_matrix,
-    o21_residual,
-    random_su11,
-    so21_boost,
     so21_image,
-    so21_rotation,
-    so21_sample,
     su11_embed,
     su11_orbit_invariant,
     u21_residual,
 )
 from bidisc_lab.maps import map_H
-from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, mobius_apply_pair, random_mobius
+from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, mobius_apply, mobius_apply_pair, random_mobius
 from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
 
 
@@ -36,20 +31,19 @@ def test_signature_matrix_is_frozen():
 
 def test_identity_residuals_vanish():
     assert u21_residual(np.eye(3)) == 0.0
-    assert o21_residual(np.eye(3)) == 0.0
 
 
 def test_residuals_reject_wrong_shape():
     with pytest.raises(ValueError):
         u21_residual(np.eye(2))
     with pytest.raises(ValueError):
-        o21_residual(np.eye(4))
+        u21_residual(np.eye(4))
 
 
 def test_u21_residual_is_the_form_product_and_ignores_the_determinant():
     """Bit for bit the norm of A* I21 A - I21 on a stack; a det -1 form-preserving matrix reads 0."""
-    su11 = su11_embed(*random_su11(uniform_block(36, 0, 3, 0, 20)))
-    A = np.concatenate([su11, so21_sample(uniform_block(37, 0, 3, 0, 20))])
+    su11 = su11_embed(random_mobius(uniform_block(36, 0, 3, 0, 20)))
+    A = np.concatenate([su11, so21_image(random_mobius(uniform_block(37, 0, 3, 0, 20)))])
     A = A * np.exp(1j * uniform_block(38, 0, 1, 0, 40))[:, :, None]  # unit phases keep the form, move the det
     form = np.linalg.norm(A.conj().swapaxes(-1, -2) @ I21 @ A - I21, axis=(-2, -1))
     assert np.array_equal(u21_residual(A), form)
@@ -58,12 +52,14 @@ def test_u21_residual_is_the_form_product_and_ignores_the_determinant():
 
 def _in_so_plus(A):
     """The identity component of O(2,1): the form relation, det 1 and a positive corner entry."""
-    return o21_residual(A) < 1e-9 and abs(np.linalg.det(A) - 1.0) < 1e-9 and A[2, 2] > 0.0
+    return u21_residual(A) < 1e-9 and abs(np.linalg.det(A) - 1.0) < 1e-9 and A[2, 2] > 0.0
 
 
 def test_lorentz_membership_spots():
-    assert _in_so_plus(so21_rotation(0.4))
-    assert _in_so_plus(so21_boost(1.1))
+    c, s = math.cos(0.4), math.sin(0.4)
+    assert _in_so_plus(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))  # rotation in the (x1, x2) plane
+    ch, sh = math.cosh(1.1), math.sinh(1.1)
+    assert _in_so_plus(np.array([[1.0, 0.0, 0.0], [0.0, ch, sh], [0.0, sh, ch]]))  # boost in the (x2, x3) plane
     # det -1 reflection and the wrong-sheet half turn both fail
     assert not _in_so_plus(np.diag([1.0, 1.0, -1.0]))
     assert not _in_so_plus(-np.eye(3))
@@ -75,26 +71,32 @@ def test_lorentz_membership_spots():
 
 
 def test_su11_embed_lands_in_the_group():
+    np.testing.assert_array_equal(su11_embed(MobiusMap(0.0)), np.eye(3))
     for u in uniform_block(31, 0, 3, 0, 50):
-        alpha, beta = random_su11(u)
-        g = su11_embed(alpha, beta)
+        g = su11_embed(random_mobius(u))
+        assert g.shape == (3, 3)
         assert u21_residual(g) < 1e-12
         assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
 
-def test_su11_embed_rejects_unnormalized_pairs():
-    with pytest.raises(ValueError):
-        su11_embed(1.0, 1.0)
+def test_su11_embed_acts_on_the_second_coordinate_as_phi():
+    """The lift of phi fixes the first basis vector and moves the second ball coordinate by phi itself."""
+    u = uniform_block(32, 0, MOBIUS_DRAWS + 4, 0, 1000)
+    phi = random_mobius(u[:, :MOBIUS_DRAWS])
+    g = su11_embed(phi)
+    assert g.shape == (1000, 3, 3)
+    assert u21_residual(g).max() < 1e-14
+    np.testing.assert_array_equal(g[:, :, 0], [[1.0, 0.0, 0.0]] * 1000)
+    p = ball_from_uniforms(u[:, MOBIUS_DRAWS:], 0.95)
+    _, v = ball_action(g, p)
+    assert np.abs(v - mobius_apply(phi, p[1])).max() < 1e-14
 
 
-def test_random_su11_satisfies_the_relation():
-    for u in uniform_block(32, 0, 3, 0, 100):
-        alpha, beta = random_su11(u)
-        assert abs(alpha) ** 2 - abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_random_su11_is_reproducible():
-    assert random_su11(uniform_block(33, 0, 3, 0, 1)[0]) == random_su11(uniform_block(33, 0, 3, 0, 1)[0])
+def test_su11_embed_of_a_batch_is_its_rows_bit_for_bit():
+    phi = random_mobius(uniform_block(33, 0, 3, 0, 100))
+    g = su11_embed(phi)
+    for r in range(100):
+        np.testing.assert_array_equal(g[r], su11_embed(MobiusMap(phi.theta[r].item(), complex(phi.a[r]))))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def test_random_su11_is_reproducible():
 
 def test_ball_action_returns_plain_complex_and_preserves_ball():
     for u in uniform_block(34, 0, 7, 0, 100):
-        A = su11_embed(*random_su11(u[:3]))
+        A = su11_embed(random_mobius(u[:3]))
         p = tuple(complex(c) for c in ball_from_uniforms(u[3:], 0.95))
         q = ball_action(A, p)
         assert type(q[0]) is complex and type(q[1]) is complex
@@ -111,7 +113,7 @@ def test_ball_action_returns_plain_complex_and_preserves_ball():
 
 
 def test_ball_action_accepts_real_form_matrices():
-    q = ball_action(so21_sample(uniform_block(7, 0, 3, 0, 1)[0]), (0.1, 0.2))
+    q = ball_action(so21_image(random_mobius(uniform_block(7, 0, 3, 0, 1)[0])), (0.1, 0.2))
     assert abs(q[0]) ** 2 + abs(q[1]) ** 2 < 1.0
 
 
@@ -127,27 +129,13 @@ def test_orbit_invariant_spot_and_invariance():
     for u in uniform_block(35, 0, 7, 0, 100):
         p = tuple(complex(c) for c in ball_from_uniforms(u[:4], 0.9))
         t = su11_orbit_invariant(*p)
-        q = ball_action(su11_embed(*random_su11(u[4:])), p)
+        q = ball_action(su11_embed(random_mobius(u[4:])), p)
         assert su11_orbit_invariant(*q) == pytest.approx(t, abs=1e-10)
 
 
 def test_orbit_invariant_rejects_outside_ball():
     with pytest.raises(ValueError):
         su11_orbit_invariant(0.8, 0.8)
-
-
-# ---------------------------------------------------------------------------
-# the real form and its linear actions
-
-
-def test_so21_sample_is_reproducible_and_in_group():
-    np.testing.assert_array_equal(
-        so21_sample(uniform_block(36, 0, 3, 0, 1)[0]), so21_sample(uniform_block(36, 0, 3, 0, 1)[0])
-    )
-    for u in uniform_block(37, 0, 3, 0, 100):
-        A = so21_sample(u)
-        assert o21_residual(A) < 1e-12
-        assert abs(np.linalg.det(A) - 1.0) < 1e-12 and A[2, 2] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +147,9 @@ def test_so21_image_of_the_identity_is_the_identity():
 
 
 def test_so21_image_of_a_disc_rotation_is_a_plane_rotation():
-    np.testing.assert_allclose(so21_image(MobiusMap(0.7)), so21_rotation(0.7), rtol=0.0, atol=1e-15)
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotation = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    np.testing.assert_allclose(so21_image(MobiusMap(0.7)), rotation, rtol=0.0, atol=1e-15)
 
 
 def test_so21_image_of_the_negation_is_the_half_turn():
@@ -186,7 +176,7 @@ def test_so21_image_lies_in_so_plus_and_intertwines_map_h():
     phi, z, w = _maps_and_pairs(51, 2000)
     A = so21_image(phi)
     assert A.shape == (2000, 3, 3) and A.dtype == float
-    assert o21_residual(A).max() < 1e-12
+    assert u21_residual(A).max() < 1e-12
     assert np.abs(np.linalg.det(A) - 1.0).max() < 1e-12
     assert A[:, 2, 2].min() >= 1.0
     h = _apply(A, map_H(z, w))
@@ -266,7 +256,7 @@ def test_point_matrix_membership_and_reproduction():
         c = complex(annulus_from_uniforms(u[0], u[1], 0.05, 0.95))
         z, w = c.real, c.imag
         B = o21_point_matrix(z, w)
-        assert o21_residual(B) < 1e-12
+        assert u21_residual(B) < 1e-12
         assert np.linalg.det(B) == pytest.approx(-1.0, abs=1e-12)
         u, v = ball_action(B, (0.0, 0.0))
         assert abs(u - z) < 1e-12 and abs(v - w) < 1e-12

@@ -104,6 +104,17 @@ def test_real_slice_point_has_no_imaginary_part():
         assert u.imag == 0.0 and v.imag == 0.0
 
 
+def test_ball_samplers_draw_their_automorphism_from_the_rmax_disc():
+    """phi = (theta, a) carries (t, 0) to (t / conj(alpha), -e^{i theta} a) and the origin to a real point of modulus 2|a| / (1 + |a|^2)."""
+    u = uniform_block(67, 0, 3, 0, 200)
+    errors = RowErrors(200)
+    _, v = orbit_points(Family(ELLIPSOID, 0.5), u, 0.1, errors)
+    assert np.abs(v).max() < 0.1
+    x, y = orbit_points(Family(REAL_SLICE), u, 0.1, errors)
+    assert np.hypot(x.real, y.real).max() < 2.0 * 0.1 / (1.0 + 0.1**2)
+    assert errors.ok.all()
+
+
 def test_sampler_parameter_validation():
     """The samplers take their parameters from a Family, which checks them; a row the sampler rejects raises."""
     u = uniform_block(66, 0, 3, 0, 1)[0]
@@ -208,8 +219,8 @@ def test_dump_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, spec)
 DUMP_SHA256 = {
     "fa": "445c3a5c1b5db591b26f9a918ece8ce66d2ad171b906f2387d17aed832e15d52",
     "eta-level": "0f04329387954f5d7b92899f0562a4c300dff5d3759a2141ed7cee94b57ee215",
-    "ball-ellipsoid": "05765bb2d6e1ad181985568a14a4a03ec53d0522a773d234ed69eb69334b216b",
-    "ball-real-slice": "d23354d78f19abb334ff2e2462394baab3f6eb256de2b07d7a6a75238e5691bf",
+    "ball-ellipsoid": "83b57c83165d7f2521d34ed2f3fe2001f347192dd3826b6b35fb0eacd7f9965e",
+    "ball-real-slice": "35f25ea5dc9c1b2f8b56044d28d3400f15842739cc62207d24943dcb634ec301",
     "ball-complex-curve": "c66f324a7dfd98b629d059aec437eb280fb12d13dde6cdd60ab175a0dba5a9e9",
 }
 
