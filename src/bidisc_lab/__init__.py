@@ -5,10 +5,10 @@ the bidisc, the explicit rational embeddings of the off-diagonal bidisc
 into an affine quadric in C^3 (and projectively into CP^3), the
 subdomains made of whole orbits (bands of rho levels, and their images,
 bands of Minkowski levels on the quadric), the matrix groups acting on
-the ball and on the quadric, samplers for the group orbits, and
-finite-difference CR analysis (Wirtinger gradients, complex
-tangents, restricted Levi forms) that certifies which orbits are
-strongly pseudoconvex, Levi flat, or totally real.
+the ball and on the quadric, samplers for the group orbits, and CR
+analysis (exact Wirtinger gradients and complex tangents,
+finite-difference restricted Levi forms) that certifies which orbits
+are strongly pseudoconvex, Levi flat, or totally real.
 
 Every quantitative claim is covered by a seeded property suite; run
 them all with ``bidisc-lab verify`` or :func:`bidisc_lab.verify_all`.

@@ -35,7 +35,7 @@ from .rng import RowErrors, _batch, _unbatch
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
 
-TOL_GROUP = 1e-9  # form-membership tolerance for action preconditions
+TOL_GROUP = 1e-9  # form-membership tolerance of the actions, times max(1, max_ij |A_ij|)^2
 _DEN_TOL = 1e-12
 
 
@@ -84,8 +84,12 @@ def ball_action(A, p, *, errors: RowErrors | None = None):
     (u, v, _), rows, single = _batch(errors, p[0], p[1], A[..., 2, 2])
     A = np.broadcast_to(A, (len(u), 3, 3))
     # the form relation alone makes the action well defined on the ball;
-    # det -1 elements (the transitivity matrices of the real slice) act too
-    rows.flag(~(u21_residual(A) < TOL_GROUP), "matrix does not preserve the signature (+,+,-) Hermitian form")
+    # det -1 elements (the transitivity matrices of the real slice) act too.
+    # The residual's rounding grows with the square of the entries.
+    size = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    rows.flag(
+        ~(u21_residual(A) < TOL_GROUP * size * size), "matrix does not preserve the signature (+,+,-) Hermitian form"
+    )
     rows.flag(~(_abs2(u) + _abs2(v) < 1.0), "point must lie in the open unit ball")
     den = A[:, 2, 0] * u + A[:, 2, 1] * v + A[:, 2, 2]
     rows.flag(np.abs(den) < _DEN_TOL, "action denominator vanishes at this point")

@@ -5,41 +5,36 @@ tangent space {v : sum_j dr/dz_j v_j = 0} and on it the Levi form
 
     L(v) = sum_{j,k} d^2 r / dz_j dconj(z_k)  v_j conj(v_k) .
 
-Derivatives are taken by central finite differences.  The gradient
-comes from the underlying real coordinates in Wirtinger form,
-
-    dr/dz_j = (d/dx_j - i d/dy_j) r / 2,
-
-and the Levi value from the second derivatives of r along v and along
-i v, since r_vv + r_(iv)(iv) = 4 L(v):
+The complex tangent is exact: each record of ``orbits.FAMILIES`` that
+has a defining function, taken with its parameter as an
+``orbits.Family``, supplies its closed-form Wirtinger gradient
+g = (dr/dz_j), and on the quadric also the holomorphic constraint row
+q = 2 (z1, z2, -z3) the tangent must annihilate.  The tangent is the
+generalised cross product of these dim - 1 rows: (g2, -g1) in C^2 and
+g x q in C^3.  Only the Levi value is a finite difference, taken from
+the second derivatives of r along v and along i v, since
+r_vv + r_(iv)(iv) = 4 L(v):
 
     L(v) ~ [r(p + s v) + r(p - s v) + r(p + i s v) + r(p - i s v) - 4 r(p)] / (4 s^2)
 
-for a unit v.  The defining functions are the records of
-``orbits.FAMILIES`` that have one, taken with their parameter as an
-``orbits.Family``: each record supplies the value, the ambient check
-and, on the quadric, the holomorphic constraint row the complex tangent
-must also annihilate.  Its closed-form gradient and Hessian serve as an
-independent cross-check; the finite-difference path is always the one
-exercised by callers.
+for a unit v.  Each record also holds the closed-form Hessian, the
+independent cross-check of that difference.
 
-Steps scale with max(1, |p|_inf): the second-difference rounding floor
-is then ~eps/s^2 regardless of how large the point's coordinates are.
-The steps are constants: HESS_STEP = 1e-4 puts the floor of the Levi
-value near 2e-8, and GRAD_STEP = 1e-5 puts the first-difference floor
-near 2e-11.  All registered functions except the rho-level family are
-quadratic in the real coordinates, so the second difference has no
-truncation error there, and on the rho-level family the s^2 truncation
-(~1e-8) is far below any certification floor in use.
+The step scales with max(1, |p|_inf): the second-difference rounding
+floor is then ~eps/s^2 regardless of how large the point's coordinates
+are.  HESS_STEP = 1e-4 puts that floor near 2e-8.  All registered
+functions except the rho-level family are quadratic in the real
+coordinates, so the second difference has no truncation error there,
+and on the rho-level family the s^2 truncation (~1e-8) is far below
+any certification floor in use.
 
 Batched evaluation: every function of a point also takes an (n, dim)
 batch of points and then returns one result per row; a single point is
-the batch of one.  The differences shift whole (n, dim) arrays: 4 dim
-values of r for the gradient, and r(p) with four more for the Levi
-value, 4 dim + 5 in all; the tangents come from one batched SVD.  Each
-row's arithmetic is elementwise and in the same order whatever the
-batch, so a row's result does not depend on the rows beside it.  The
-checks run per row: finiteness, the ambient margin, on-surface, the
+the batch of one.  The Levi value shifts whole (n, dim) arrays: r(p)
+and four more values of r, 5 in all.  Each row's arithmetic is
+elementwise and in the same order whatever the batch, so a row's
+result does not depend on the rows beside it.  The checks run per row:
+finiteness, on-surface, the ambient margin the stencil needs, the
 gradient floor, degenerate constraint rows and the orthogonality
 tolerance (a batch of the wrong shape is rejected as a whole).  A row
 that fails one is recorded with the check's ValueError message in the
@@ -62,7 +57,6 @@ from .domains import _abs2
 from .orbits import Family
 from .rng import RowErrors, _collector, _unbatch
 
-GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
@@ -97,10 +91,10 @@ def value(f: Family, p, *, errors: RowErrors | None = None):
     return _unbatch(f.record.value(P, f.param), single)
 
 
-def closed_wirtinger_gradient(f: Family, p) -> np.ndarray:
-    """Exact Wirtinger gradient; the oracle the FD path is checked against."""
-    P, single, rows = _batch(f, p, None)
-    return _unbatch(np.stack(f.record.gradient(P.T, f.param), axis=1), single)
+def wirtinger_gradient(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
+    """The exact Wirtinger gradient (dr/dz_j) that the family's record gives in closed form."""
+    P, single, rows = _batch(f, p, errors)
+    return _unbatch(f.record.gradient(P, f.param), single)
 
 
 def closed_complex_hessian(f: Family, p) -> np.ndarray:
@@ -109,79 +103,49 @@ def closed_complex_hessian(f: Family, p) -> np.ndarray:
     return _unbatch(f.record.hessian(P, f.param), single)
 
 
-def _check_ambient(f: Family, P: np.ndarray, rows: RowErrors) -> None:
-    if f.record.ambient is not None:  # None: the ambient is all of C^dim
-        bound, message = f.record.ambient
-        rows.flag(np.abs(P).max(axis=1) >= bound, message)
-
-
-def _scaled_step(P: np.ndarray, h: float) -> np.ndarray:
-    return h * np.maximum(1.0, np.abs(P).max(axis=1))
-
-
-def _shift(P: np.ndarray, c: int, d: np.ndarray) -> np.ndarray:
-    """P moved by d along interleaved real coordinate c: c = 2j is Re z_j, 2j+1 is Im z_j."""
-    Q = P.copy()
-    part = Q.imag if c % 2 else Q.real
-    part[:, c // 2] += d
-    return Q
-
-
-def wirtinger_gradient(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
-    """FD Wirtinger gradient (central differences, step GRAD_STEP scaled by the point size)."""
-    P, single, rows = _batch(f, p, errors)
-    _check_ambient(f, P, rows)
-    return _unbatch(_fd_gradient(f, P, _scaled_step(P, GRAD_STEP), rows), single)
-
-
-def _fd_gradient(f: Family, P: np.ndarray, s: np.ndarray, rows: RowErrors) -> np.ndarray:
-    G = np.empty(P.shape, dtype=complex)
-    two_s = 2.0 * s
-    for j in range(P.shape[1]):
-        dx, dy = (
-            (value(f, _shift(P, c, s), errors=rows) - value(f, _shift(P, c, -s), errors=rows)) / two_s
-            for c in (2 * j, 2 * j + 1)
-        )
-        G[:, j].real = 0.5 * dx
-        G[:, j].imag = -0.5 * dy
-    return G
-
-
-def _constraint_rows(f: Family, P: np.ndarray, rows: RowErrors):
-    G = wirtinger_gradient(f, P, errors=rows)
-    if f.record.constraint is None:
-        return G[:, None, :]
-    return np.stack([G, f.record.constraint(P)], axis=1)
+def _sum_abs2(V: np.ndarray) -> np.ndarray:
+    return sum(_abs2(V[:, k]) for k in range(V.shape[1]))
 
 
 def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
     """Unit complex tangent vector at a regular point of {r = 0}.
 
-    Computed as the kernel of the stacked constraint rows (the Wirtinger
-    gradient, plus the holomorphic quadric gradient for the C^3 family);
-    the phase is fixed by making the first nonzero component real and
-    positive.
+    The tangent v annihilates the constraint rows, sum_j C_j v_j = 0: the
+    Wirtinger gradient g, and on the quadric also its holomorphic
+    gradient q.  It is their generalised cross product, (g2, -g1) in C^2
+    and g x q in C^3, scaled to unit length; the phase is fixed by
+    making the first nonzero component real and positive.
     """
     P, single, rows = _batch(f, p, errors)
     n = len(P)
-    C = _constraint_rows(f, P, rows)
-    rows.flag(np.linalg.norm(C[:, 0], axis=1) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
-    live = rows.ok & np.isfinite(C.real).all(axis=(1, 2)) & np.isfinite(C.imag).all(axis=(1, 2))
-    rows.flag(~live, "SVD did not converge")  # what np.linalg.svd raises on a non-finite row
-    v = np.zeros_like(P)
-    v[:, 0] = 1.0  # stands in on the rows without a tangent
-    if live.any():
-        _, svals, vh = np.linalg.svd(C[live])
-        if C.shape[1] > 1:
-            degenerate = np.zeros(n, dtype=bool)
-            degenerate[live] = svals[:, -1] < 1e-8 * svals[:, 0]
-            rows.flag(degenerate, "constraint rows are degenerate at this point")
-        v[live] = np.conj(vh[:, -1])
+    g = wirtinger_gradient(f, P, errors=rows)
+    rows.flag(np.linalg.norm(g, axis=1) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
+    if f.record.constraint is None:
+        C = g[:, None, :]
+        v = np.column_stack([g[:, 1], -g[:, 0]])
+    else:
+        q = f.record.constraint(P)
+        C = np.stack([g, q], axis=1)
+        v = np.column_stack([
+            g[:, 1] * q[:, 2] - g[:, 2] * q[:, 1],
+            g[:, 2] * q[:, 0] - g[:, 0] * q[:, 2],
+            g[:, 0] * q[:, 1] - g[:, 1] * q[:, 0],
+        ])
+    peak = np.abs(v).max(axis=1)
+    v = v / np.where(peak > 0.0, peak, 1.0)[:, None]  # |g x q| may overflow where g x q does not
+    length = np.sqrt(_sum_abs2(v))
+    if C.shape[1] > 1:
+        # s_min / s_max < 1e-8 for the singular values of C: s_min s_max = |g x q|, s_min^2 + s_max^2 = t
+        c, t = peak * length, _sum_abs2(g) + _sum_abs2(q)
+        s_max2 = t + np.sqrt(np.maximum(t - 2.0 * c, 0.0)) * np.sqrt(t + 2.0 * c)  # 2 s_max^2
+        rows.flag(2.0 * c < 1e-8 * s_max2, "constraint rows are degenerate at this point")
+    # e1 stands in on the rows without a tangent
+    v = np.where(rows.ok[:, None], v / np.where(rows.ok, length, 1.0)[:, None], np.eye(1, P.shape[1]))
+    defect = np.abs(C @ v[:, :, None]).max(axis=(1, 2))
     rows.flag(
-        np.abs(C @ v[:, :, None]).max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(1, 2))),
+        ~(defect <= 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(1, 2)))),  # NaN fails
         "no tangent direction meets the orthogonality tolerance",
     )
-    v = v / np.sqrt(sum(_abs2(v[:, k]) for k in range(P.shape[1])))[:, None]
     big = np.abs(v) > 1e-12
     lead = v[np.arange(n), np.argmax(big, axis=1)]
     v = v * np.where(big.any(axis=1), lead.conjugate() / np.abs(lead), 1.0)[:, None]
@@ -190,7 +154,7 @@ def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndar
 
 def _levi_along(f: Family, P: np.ndarray, v: np.ndarray, r0: np.ndarray, rows: RowErrors) -> np.ndarray:
     """Four second differences along the unit rows v of P, whose values are r0: about sum_jk H_jk v_j conj(v_k)."""
-    s = _scaled_step(P, HESS_STEP)
+    s = HESS_STEP * np.maximum(1.0, np.abs(P).max(axis=1))
     w = s[:, None] * v
     iw = 1j * w
     total = (
@@ -206,6 +170,9 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     r0 = value(f, P, errors=rows)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
     rows.flag(np.abs(r0) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
+    if f.record.ambient is not None:  # None: the ambient is all of C^dim
+        bound, message = f.record.ambient
+        rows.flag(np.abs(P).max(axis=1) >= bound, message)
     v = complex_tangent(f, P, errors=rows)
     return _unbatch(_levi_along(f, P, v, r0, rows), single)
 

@@ -141,12 +141,13 @@ def _rho_value(P, a):
     return _abs2(P[:, 0] - P[:, 1]) - a * a * ((1.0 - re) * (1.0 - re) + im * im)
 
 
-def _rho_gradient(z, a):
+def _rho_gradient(P, a):
+    z1, z2 = P[:, 0], P[:, 1]
     a2 = a * a
-    return (
-        (z[0] - z[1]).conjugate() + a2 * z[1].conjugate() * (1.0 - z[0].conjugate() * z[1]),
-        -(z[0] - z[1]).conjugate() + a2 * z[0].conjugate() * (1.0 - z[0] * z[1].conjugate()),
-    )
+    return np.column_stack([
+        (z1 - z2).conjugate() + a2 * z2.conjugate() * (1.0 - z1.conjugate() * z2),
+        -(z1 - z2).conjugate() + a2 * z1.conjugate() * (1.0 - z1 * z2.conjugate()),
+    ])
 
 
 def _rho_hessian(P, a):
@@ -159,6 +160,11 @@ def _rho_hessian(P, a):
     H[:, 1, 0] = h12.conjugate()
     H[:, 1, 1] = 1.0 - a2 * _abs2(z1)
     return H
+
+
+def _diagonal_gradient(P, *diagonal):
+    """The gradient (d_k conj(z_k)) of sum_k d_k |z_k|^2 at every row."""
+    return P.conjugate() * np.array(diagonal)
 
 
 def _diagonal_hessian(P, *diagonal):
@@ -192,9 +198,12 @@ _BALL_AMBIENT = (1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambi
 class FamilyRecord:
     """What the package knows of one orbit family; None where it has nothing.
 
-    ``value(P, param)``, ``gradient(P.T, param)`` and ``hessian(P, param)``
-    take an (n, dim) batch P.  ``ambient`` is (bound, message): a row with
-    a coordinate of modulus >= bound fails the stencil's ambient check.
+    ``value(P, param)``, ``gradient(P, param)`` and ``hessian(P, param)``
+    take an (n, dim) batch P and give, per row, the defining function r,
+    its exact Wirtinger gradient (dr/dz_j), shape (n, dim), and its
+    complex Hessian (d^2 r / dz_j dconj(z_k)), shape (n, dim, dim).
+    ``ambient`` is (bound, message): a row with a coordinate of modulus
+    >= bound fails the Levi stencil's ambient check.
     ``residual(p, param, errors)`` takes a point's coordinates (numbers,
     or arrays with one entry per row), ``sampler(u, param, rmax, errors)``
     an (n, draws) block of uniforms.
@@ -226,7 +235,7 @@ MINKOWSKI_LEVEL = FamilyRecord(
     "minkowski-level", 3, cli="Eta", need="need level > 1", admits=lambda level: level > 1.0,
     # r = level - (|z1|^2 + |z2|^2 - |z3|^2) on the affine quadric
     value=lambda P, level: level - minkowski_form(*P.T),
-    gradient=lambda z, level: (-z[0].conjugate(), -z[1].conjugate(), z[2].conjugate()),
+    gradient=lambda P, level: _diagonal_gradient(P, -1.0, -1.0, 1.0),
     hessian=lambda P, level: _diagonal_hessian(P, -1.0, -1.0, 1.0), constraint=_quadric_row,
     residual=lambda p, level, errors: np.where(
         im_condition(*p) <= 0.0, math.inf, np.maximum(np.abs(quadric_residual(*p)), np.abs(minkowski_form(*p) - level))
@@ -236,7 +245,7 @@ MINKOWSKI_LEVEL = FamilyRecord(
 ELLIPSOID = FamilyRecord(
     "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: 0.0 < t < 1.0,
     value=lambda P, t: _ellipsoid_value(P.T, t),
-    gradient=lambda z, t: (z[0].conjugate(), t * t * z[1].conjugate()),
+    gradient=lambda P, t: _diagonal_gradient(P, 1.0, t * t),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
     residual=lambda p, t, errors: np.abs(_ellipsoid_value(p, t)),
     sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, rmax, errors=errors), draws=3,
@@ -244,7 +253,7 @@ ELLIPSOID = FamilyRecord(
 SPHERE = FamilyRecord(
     "sphere", 2,
     value=lambda P, _: _abs2(P[:, 0]) + _abs2(P[:, 1]) - 1.0,  # r = |u|^2 + |v|^2 - 1
-    gradient=lambda z, _: (z[0].conjugate(), z[1].conjugate()),
+    gradient=lambda P, _: _diagonal_gradient(P, 1.0, 1.0),
     hessian=lambda P, _: _diagonal_hessian(P, 1.0, 1.0), ambient=_BALL_AMBIENT,
     sampler=lambda u, _, rmax, errors: sphere_point(u), draws=3,
 )
@@ -252,7 +261,7 @@ FLAT_CONTROL = FamilyRecord(
     "flat-control", 2, need="need c > 0", admits=lambda c: c > 0.0,
     # r = |z1|^2 - c^2; a Levi-flat circle bundle used to calibrate FD noise
     value=lambda P, c: _abs2(P[:, 0]) - c * c,
-    gradient=lambda z, c: (z[0].conjugate(), np.zeros_like(z[0])),
+    gradient=lambda P, c: _diagonal_gradient(P, 1.0, 0.0),
     hessian=lambda P, c: _diagonal_hessian(P, 1.0, 0.0), ambient=_BIDISC_AMBIENT,
 )
 REAL_SLICE = FamilyRecord(

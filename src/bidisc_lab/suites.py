@@ -38,7 +38,8 @@ batch of one), passing rows as ``errors``:
 
 Residual conventions: equality claims report the absolute defect, or
 for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
-the defect relative to the size of the compared values;
+the defect relative to the size of the compared values (and the form
+residual of ``conjugation-so21`` relative to A_33^2);
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
@@ -367,13 +368,13 @@ def _conjugated(cfg, u, rows, swap: bool):
 def _k_conjugation_so21(cfg, u, idx, rows):
     A, res, inputs = _conjugated(cfg, u, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
-    # the entries grow like A_33, so the rounding of the determinant like A_33^2
+    # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
     rows.flag(
         np.abs(det - 1.0) > 1e-12 * scale,
         lambda r: f"image matrix determinant {det[r].item()!r} is not 1 within 1e-12 A_33^2 = {1e-12 * scale[r]:.3g}",
     )
-    return np.maximum(res, u21_residual(A)), inputs
+    return np.maximum(res, u21_residual(A) / scale), inputs
 
 
 def _k_swap_minus_identity(cfg, u, idx, rows):

@@ -164,6 +164,20 @@ def test_conjugation_near_the_rim_has_no_determinant_failures(samples, capsys):
     assert rep["hard_failures"] == 0 and rep["failures"] == []
 
 
+def test_conjugation_form_residual_is_scored_relative_to_the_corner_entry(capsys):
+    """At rmax 0.99999 the image matrices' corner entries reach 5e4, and the rounding of A* I21 A - I21 about 6e-7.
+
+    The form residual is scored relative to A_33^2, as the determinant
+    flag is, so the 10,000 correct matrices pass (an absolute score
+    reads 6.28e-7 at seed 42, over the 1e-7 tolerance).
+    """
+    code = main(["verify", "--seed", "42", "--rmax", "0.99999", "--suite", "conjugation-so21", "--samples", "1000000"])
+    out, _ = capsys.readouterr()
+    rep = json.loads(out)["suites"][0]
+    assert code == 0
+    assert rep["samples"] == 10000 and rep["hard_failures"] == 0 and rep["max_residual"] < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # map
 

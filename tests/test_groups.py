@@ -17,7 +17,7 @@ from bidisc_lab.groups import (
 )
 from bidisc_lab.maps import map_H
 from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, mobius_apply, mobius_apply_pair, random_mobius
-from bidisc_lab.rng import annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
+from bidisc_lab.rng import RowErrors, annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
 
 
 def test_signature_matrix_is_frozen():
@@ -122,6 +122,24 @@ def test_ball_action_rejects_garbage():
         ball_action(2.0 * np.eye(3), (0.1, 0.2))
     with pytest.raises(ValueError):
         ball_action(np.eye(3), (0.8, 0.8))
+    x = np.random.default_rng(35).standard_normal((2, 3, 3))
+    with pytest.raises(ValueError, match="does not preserve"):
+        ball_action(x[0] + 1j * x[1], (0.1, 0.2))
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-9])
+def test_ball_action_accepts_every_lift_near_the_rim(gap):
+    """The lifts' entries grow like 1 / sqrt(2 gap), and their form residual like the square: the gate scales with it."""
+    u = uniform_block(36, 0, 2, 0, 2000)
+    theta, a = math.tau * u[:, 0], (1.0 - gap) * np.exp(1j * math.tau * u[:, 1])
+    admitted = RowErrors(len(a))
+    MobiusMap(theta, a, errors=admitted)  # at 1 - 1e-9, |a| rounds onto the disc's margin in some rows
+    assert admitted.ok.sum() >= 400
+    A = su11_embed(MobiusMap(theta[admitted.ok], a[admitted.ok]))
+    errors = RowErrors(len(A))
+    q = ball_action(A, (0.3, 0.2j), errors=errors)
+    assert errors.ok.all()
+    assert (np.abs(q[0]) ** 2 + np.abs(q[1]) ** 2 < 1.0).all()
 
 
 def test_orbit_invariant_spot_and_invariance():

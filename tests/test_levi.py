@@ -1,4 +1,4 @@
-"""Finite-difference Wirtinger calculus against the closed-form oracles."""
+"""Wirtinger calculus: the closed-form gradients and tangents, and the finite-difference Levi value."""
 
 import math
 
@@ -9,7 +9,6 @@ from bidisc_lab.levi import (
     RowErrors,
     _levi_along,
     closed_complex_hessian,
-    closed_wirtinger_gradient,
     complex_tangent,
     levi_restricted,
     totally_real_check,
@@ -29,9 +28,9 @@ from bidisc_lab.orbits import (
 )
 from bidisc_lab.rng import ball_from_uniforms, disc_from_uniforms, uniform_block
 
-# frozen from the four-point Levi difference; a drift means the FD
-# pipeline changed, not that the mathematics did
-GOLDEN_RHO_LEVEL_LEVI = 0.4079320020666799
+# frozen from the four-point Levi difference along the exact tangent; a
+# drift means the FD pipeline changed, not that the mathematics did
+GOLDEN_RHO_LEVEL_LEVI = 0.40793201316891015
 
 ALL_KINDS = [
     Family(RHO_LEVEL, 0.7),
@@ -92,15 +91,13 @@ def test_value_rejects_wrong_dimension_and_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# FD derivatives against the closed forms
+# closed forms against finite differences
 
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_fd_gradient_matches_closed_form(f):
     for p in _ambient_points(f, 51, 30):
-        np.testing.assert_allclose(
-            wirtinger_gradient(f, p), closed_wirtinger_gradient(f, p), atol=1e-7
-        )
+        np.testing.assert_allclose(wirtinger_gradient(f, p), _reference_gradient(f, p), atol=1e-7)
 
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
@@ -125,9 +122,14 @@ def test_ellipsoid_hessian_is_the_weighted_identity():
     )
 
 
+# on F_0.7, with a coordinate inside the stencil's 1e-3 margin of the unit circle
+_RHO_NEAR_RIM = (0.9995, (0.9995 - 0.7) / (1.0 - 0.7 * 0.9995))
+
+
 def test_ambient_guard_blocks_stencils_near_the_boundary():
-    with pytest.raises(ValueError):
-        wirtinger_gradient(Family(RHO_LEVEL, 0.7), (0.9995, 0.0))
+    assert abs(value(Family(RHO_LEVEL, 0.7), _RHO_NEAR_RIM)) < 1e-15
+    with pytest.raises(ValueError, match="ambient boundary"):
+        levi_restricted(Family(RHO_LEVEL, 0.7), _RHO_NEAR_RIM)
     with pytest.raises(ValueError, match="touches the unit circle"):
         levi_restricted(Family(SPHERE), (1.0, 0.0))
 
@@ -159,7 +161,7 @@ def test_rho_level_golden_value_and_closed_form():
     fd_val = levi_restricted(f, p)
     assert fd_val == pytest.approx(GOLDEN_RHO_LEVEL_LEVI, abs=1e-10)
     # independent route: exact gradient kernel and exact Hessian
-    g = closed_wirtinger_gradient(f, p)
+    g = wirtinger_gradient(f, p)
     v = np.array([-g[1], g[0]])
     v = v / np.linalg.norm(v)
     closed_val = float((v @ closed_complex_hessian(f, p) @ v.conj()).real)
@@ -175,8 +177,19 @@ def test_flat_control_levi_vanishes():
     assert abs(levi_restricted(f, (0.5, 0.3))) < 1e-12
 
 
+def _cylinder_gradient(P, _):
+    """(conj s, i conj s), s = z1 + i z2: the gradient of |s|^2 - 1."""
+    s = (P[:, 0] + 1j * P[:, 1]).conjugate()
+    return np.column_stack([s, 1j * s])
+
+
 # r = |z1 + i z2|^2 - 1 depends only on the holomorphic z1 + i z2: its zero set is Levi flat
-_CYLINDER = Family(FamilyRecord("levi-flat-cylinder", 2, value=lambda P, _: np.abs(P[:, 0] + 1j * P[:, 1]) ** 2 - 1.0))
+_CYLINDER = Family(
+    FamilyRecord(
+        "levi-flat-cylinder", 2,
+        value=lambda P, _: np.abs(P[:, 0] + 1j * P[:, 1]) ** 2 - 1.0, gradient=_cylinder_gradient,
+    )
+)
 
 
 def test_levi_flat_cylinder_levi_vanishes():
@@ -229,13 +242,12 @@ def test_batch_matches_the_oracles_and_the_single_point_calls(f):
     V = complex_tangent(f, P)
     L = levi_restricted(f, P)
     assert G.shape == V.shape == P.shape and L.shape == (len(P),)
-    np.testing.assert_allclose(G, closed_wirtinger_gradient(f, P), atol=1e-7)
+    np.testing.assert_allclose(G, [_reference_gradient(f, p) for p in P], atol=1e-7)
     closed = np.einsum("nj,njk,nk->n", V, closed_complex_hessian(f, P), V.conj()).real
     np.testing.assert_allclose(L, closed, atol=1e-6)
     for r, p in enumerate(P):
         assert value(f, p) == value(f, P)[r]
         np.testing.assert_array_equal(wirtinger_gradient(f, p), G[r])
-        np.testing.assert_array_equal(closed_wirtinger_gradient(f, p), closed_wirtinger_gradient(f, P)[r])
         np.testing.assert_array_equal(complex_tangent(f, p), V[r])
         assert levi_restricted(f, p) == L[r]
 
@@ -287,12 +299,15 @@ def _reference_levi(f, p, v, step=1e-4):
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_batched_stencil_reproduces_the_point_at_a_time_reference_exactly(f):
-    """Gradient and Levi value against Python-complex arithmetic, point by point (the tangent is the batch's)."""
+    """Value and Levi value against Python-complex arithmetic, point by point (the tangent is the batch's).
+
+    The gradient is closed-form, not a stencil: it meets the central difference within 1e-7.
+    """
     P = np.array(_ambient_points(f, 53, 25), dtype=complex)
     values, G = value(f, P), wirtinger_gradient(f, P)
     for r, p in enumerate(P):
         assert values[r] == _reference_value(f, [complex(z) for z in p])
-        np.testing.assert_array_equal(G[r], _reference_gradient(f, p))
+        np.testing.assert_allclose(G[r], _reference_gradient(f, p), atol=1e-7)
     S = _surface_points(f, 25)
     V, L = complex_tangent(f, S), levi_restricted(f, S)
     for r, p in enumerate(S):
@@ -310,7 +325,7 @@ _QUADRIC_ON = [(1.25, 0.75j, 0.0), (0.75j, 1.25, 0.0)]
     "fn, f, good, bad, message",
     [
         (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
-        (wirtinger_gradient, Family(RHO_LEVEL, 0.7), _SPHERE_OFF, (0.9995, 0.0), "ambient boundary"),
+        (levi_restricted, Family(RHO_LEVEL, 0.7), [(0.7, 0.0), (0.0, 0.7j)], _RHO_NEAR_RIM, "ambient boundary"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (1.0, 0.0), "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (0.3, 0.4), "does not lie on the hypersurface"),
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),
@@ -330,6 +345,31 @@ def test_a_failed_check_fails_only_its_row_with_the_scalar_message(fn, f, good, 
         np.testing.assert_array_equal(out[r], fn(f, batch[r]))
     with pytest.raises(ValueError, match=message):
         fn(f, batch)  # without a collector, the first failing row raises
+
+
+def test_an_overflowing_row_fails_alone_and_never_as_a_silent_nan():
+    """At 1e200 the cross product of the constraint rows overflows: the row fails its check."""
+    f = Family(MINKOWSKI_LEVEL, 2.0)
+    huge = (1e200, 1e200j, 1e200)
+    batch = np.array([_QUADRIC_ON[0], huge, _QUADRIC_ON[1]], dtype=complex)
+    errors = RowErrors(3)
+    with np.errstate(all="ignore"):  # the overflowing row's arithmetic is meaningless
+        with pytest.raises(ValueError):
+            complex_tangent(f, huge)
+        out = complex_tangent(f, batch, errors=errors)
+    assert errors.ok.tolist() == [True, False, True]
+    assert isinstance(errors.message[1], str)
+    assert np.isfinite(out[[0, 2]]).all()
+    for r in (0, 2):
+        np.testing.assert_array_equal(out[r], complex_tangent(f, batch[r]))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e50, 1e150])
+def test_the_tangent_of_a_scaled_point_is_the_same_line(scale):
+    """Both constraint rows of the quadric family scale with the point: the normalised cross product does not move."""
+    f = Family(MINKOWSKI_LEVEL, 2.125)
+    P = _surface_points(f, 20)
+    np.testing.assert_allclose(complex_tangent(f, scale * P), complex_tangent(f, P), atol=1e-12)
 
 
 def test_a_family_without_a_defining_function_is_rejected():
