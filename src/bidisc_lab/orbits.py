@@ -6,7 +6,8 @@ real slice and complex curve, and the flat control.  A record owns what
 the package knows of its family, None where it has nothing: dimension,
 CLI name, parameter condition, the defining function ``levi`` certifies,
 the orbit residual and the sampler.  A ``Family`` is a record with its
-parameter, checked once, when the Family is built.
+parameter, a number or one per row of a batch, every entry checked
+once, when the Family is built.
 
 Every sampler produces points lying on its orbit by construction: a
 base point with the orbit equation satisfied exactly is pushed around
@@ -76,24 +77,25 @@ def rho_orbit_point(u: np.ndarray, a, rmax: float = DEFAULT_RMAX, *, errors: Row
     return mobius_apply(phi, a, errors=errors), mobius_apply(phi, 0j, errors=errors)
 
 
-def _resolved_rho_orbit_point(u: np.ndarray, a: float, rmax: float, errors: RowErrors):
+def _resolved_rho_orbit_point(u: np.ndarray, a, rmax: float, errors: RowErrors):
     """rho_orbit_point, with each row whose pair does not resolve the level (|rho - a| >= a) flagged."""
     z, w = rho_orbit_point(u, a, rmax, errors=errors)
     gap = np.abs(pseudo_hyperbolic(z, w, errors=errors) - a)
     rounds = "its pair rounds onto the diagonal: |rho - a| = "
-    errors.flag(~(gap < a), lambda r: f"{rounds}{gap[r]:.3g} is not below a = {a:g}")
+    a = np.broadcast_to(a, gap.shape)
+    errors.flag(~(gap < a), lambda r: f"{rounds}{gap[r]:.3g} is not below a = {a[r]:g}")
     return z, w
 
 
-def minkowski_orbit_point(u: np.ndarray, level: float, rmax: float, errors: RowErrors):
+def minkowski_orbit_point(u: np.ndarray, level, rmax: float, errors: RowErrors):
     """Points of the quadric hypersurface at the given Minkowski level, one per row of an (n, 3) block u.
 
     Pushes the rho_orbit_point pairs at distance a through the embedding,
-    where a is chosen so that 2/a^2 - 1 equals the requested level.  A
-    row whose pair map_H rejects is flagged in ``errors`` with map_H's
-    message.
+    where a is chosen so that 2/a^2 - 1 equals the requested level, a
+    number or one per row.  A row whose pair map_H rejects is flagged in
+    ``errors`` with map_H's message.
     """
-    return map_H(*rho_orbit_point(u, math.sqrt(2.0 / (level + 1.0)), rmax, errors=errors), errors=errors)
+    return map_H(*rho_orbit_point(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors=errors), errors=errors)
 
 
 def ellipsoid_orbit_point(u, t, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
@@ -163,13 +165,16 @@ def _rho_hessian(P, a):
 
 
 def _diagonal_gradient(P, *diagonal):
-    """The gradient (d_k conj(z_k)) of sum_k d_k |z_k|^2 at every row."""
-    return P.conjugate() * np.array(diagonal)
+    """The gradient (d_k conj(z_k)) of sum_k d_k |z_k|^2 at every row; a d_k is a number or one per row."""
+    return P.conjugate() * np.stack(np.broadcast_arrays(*diagonal), axis=-1)
 
 
 def _diagonal_hessian(P, *diagonal):
-    """The same diagonal complex Hessian at every row, for the functions quadratic in the |z_k|^2."""
-    return np.broadcast_to(np.diag(diagonal).astype(complex), (len(P), len(diagonal), len(diagonal))).copy()
+    """The diagonal complex Hessian diag(d_k) at every row, for the functions quadratic in the |z_k|^2."""
+    k = range(len(diagonal))
+    H = np.zeros((len(P), len(k), len(k)), dtype=complex)
+    H[:, k, k] = np.stack(np.broadcast_arrays(*diagonal), axis=-1)
+    return H
 
 
 def _ellipsoid_value(p, t):
@@ -206,14 +211,15 @@ class FamilyRecord:
     >= bound fails the Levi stencil's ambient check.
     ``residual(p, param, errors)`` takes a point's coordinates (numbers,
     or arrays with one entry per row), ``sampler(u, param, rmax, errors)``
-    an (n, draws) block of uniforms.
+    an (n, draws) block of uniforms.  All take param as a number or a 1-d
+    array with one entry per row, which ``admits`` tests entry by entry.
     """
 
     name: str
     dim: int
     cli: str | None = None
     need: str | None = None  # the parameter condition; None for a family without parameter
-    admits: Callable[[float], bool] | None = None
+    admits: Callable[[np.ndarray], np.ndarray] | None = None  # elementwise
     value: Callable | None = None
     gradient: Callable | None = None
     hessian: Callable | None = None
@@ -225,7 +231,7 @@ class FamilyRecord:
 
 
 RHO_LEVEL = FamilyRecord(
-    "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: 0.0 < a < 1.0,
+    "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: (0.0 < a) & (a < 1.0),
     # zero set rho = a on the bidisc
     value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=_BIDISC_AMBIENT,
     residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
@@ -243,7 +249,7 @@ MINKOWSKI_LEVEL = FamilyRecord(
     sampler=minkowski_orbit_point, draws=3,
 )
 ELLIPSOID = FamilyRecord(
-    "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: 0.0 < t < 1.0,
+    "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: (0.0 < t) & (t < 1.0),
     value=lambda P, t: _ellipsoid_value(P.T, t),
     gradient=lambda P, t: _diagonal_gradient(P, 1.0, t * t),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
@@ -263,6 +269,9 @@ FLAT_CONTROL = FamilyRecord(
     value=lambda P, c: _abs2(P[:, 0]) - c * c,
     gradient=lambda P, c: _diagonal_gradient(P, 1.0, 0.0),
     hessian=lambda P, c: _diagonal_hessian(P, 1.0, 0.0), ambient=_BIDISC_AMBIENT,
+    # (c e^{i tau u0}, z2) with z2 area-uniform on the 0.9 disc, whatever the rmax
+    sampler=lambda u, c, rmax, errors: (polar(c, math.tau * u[:, 0]), disc_from_uniforms(u[:, 1], u[:, 2], 0.9)),
+    draws=3,
 )
 REAL_SLICE = FamilyRecord(
     "real-slice", 2, cli="RealSlice",
@@ -281,10 +290,10 @@ _BY_CLI = {record.cli: record for record in FAMILIES if record.cli is not None}
 
 @dataclass(frozen=True)
 class Family:
-    """One family of the table with its parameter (None for a family without one)."""
+    """One family of the table with its parameter: None for a family without one, else a number or one per row."""
 
     record: FamilyRecord
-    param: float | None = None
+    param: float | np.ndarray | None = None
 
     def __post_init__(self):
         record, x = self.record, self.param
@@ -292,12 +301,18 @@ class Family:
         if record.need is None:
             if x is not None:
                 raise ValueError(f"{name} takes no parameter, got {x}")
-        elif x is None:
+            return
+        if x is None:
             raise ValueError(f"{name} needs a parameter: {record.need}")
-        elif not math.isfinite(x):
-            raise ValueError(f"the {name} parameter must be finite, got {x}")
-        elif not record.admits(x):
-            raise ValueError(f"{record.need}, got {x}")
+        values = np.asarray(x, dtype=float)
+        if values.ndim > 1:
+            raise ValueError(f"the {name} parameter must be a number or one per row, got shape {values.shape}")
+        if values.ndim:
+            object.__setattr__(self, "param", values)
+        for check, need in ((np.isfinite, f"the {name} parameter must be finite"), (record.admits, record.need)):
+            good = check(values)
+            if not good.all():  # name the number, or the first bad entry
+                raise ValueError(f"{need}, got {values[np.argmax(~good)].item() if values.ndim else x}")
 
 
 def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):

@@ -87,15 +87,6 @@ class RowErrors:
             self.ok[bad] = False
             self.message[bad] = [message(r) for r in np.flatnonzero(bad)] if callable(message) else message
 
-    def take(self, errors: RowErrors, owner: np.ndarray) -> None:
-        """Fail row owner[r] for each failed row r of ``errors``, with the message of its first failed row."""
-        failed = np.flatnonzero(~errors.ok)
-        if not failed.size:
-            return
-        target, first = np.unique(owner[failed], return_index=True)
-        text = dict(zip(target.tolist(), errors.message[failed[first]]))
-        self.flag(np.isin(np.arange(len(self.ok)), target), text.__getitem__)
-
 
 class _FirstRaises(RowErrors):
     """The collector of a call that was passed none: the first row that fails a check raises at once."""

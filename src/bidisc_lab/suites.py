@@ -27,11 +27,11 @@ batch of one), passing rows as ``errors``:
   ``groups.so21_image``; ``o21-totally-real`` takes the first of
   TOTALLY_REAL_ROUNDS candidate matrices (4 uniforms each) with
   |det| >= 0.1.
-* The Levi suites take k = 3: the levi-Fa, levi-eta and levi-sphere
-  rows are drawn by their family's sampler (``orbits.orbit_points``),
-  which also applies its checks, and the control surface's rows are an
-  angle and an inverse-transform disc point.  Each block's rows of one
-  family spec are one batch of ``levi.levi_restricted``.
+* The Levi suites take k = 3: every row is drawn by its family's
+  sampler (``orbits.orbit_points``), which also applies its checks.
+  levi-Fa and levi-eta put sample i on the level i % 3 of three, and a
+  Family's parameter is a number or one per row, so each block is one
+  ``orbit_points`` and one ``levi.levi_restricted`` batch.
 * The other budgets: ``aut-preserves-subdomains`` 8,
   ``su11-orbit-invariant`` 7, ``su11-orbit-ellipsoid`` and ``gt-sphere``
   4, ``o21-matrix-B`` 2.
@@ -39,7 +39,9 @@ batch of one), passing rows as ``errors``:
 Residual conventions: equality claims report the absolute defect, or
 for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
 the defect relative to the size of the compared values (and the form
-residual of ``conjugation-so21`` relative to A_33^2);
+residual of ``conjugation-so21`` relative to A_33^2), and for
+``H-quadric`` and ``orbit-levels``, whose forms are quadratic in
+h = map_H(z, w), relative to max(1, |h|_inf^2);
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
@@ -99,7 +101,6 @@ from .orbits import (
     RHO_LEVEL,
     SPHERE,
     Family,
-    ellipsoid_orbit_point,
     orbit_points,
 )
 from .rng import (
@@ -109,7 +110,6 @@ from .rng import (
     annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
-    polar,
     uniform_block,
 )
 
@@ -218,9 +218,15 @@ def _k_rho_invariance(cfg, u, idx, rows):
     return res, _columns(z, w, phi.theta, phi.a)
 
 
+def _h_scale(h) -> np.ndarray:
+    """max(1, |h|_inf^2) per row: the size of the quadratic forms of h = map_H(z, w), and of their rounding."""
+    return np.maximum(1.0, np.abs(np.stack(h)).max(axis=0) ** 2)
+
+
 def _k_h_quadric(cfg, u, idx, rows):
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
-    return np.abs(quadric_residual(*map_H(z, w, errors=rows))), _columns(z, w)
+    h = map_H(z, w, errors=rows)
+    return np.abs(quadric_residual(*h)) / _h_scale(h), _columns(z, w)
 
 
 def _k_h_im_condition(cfg, u, idx, rows):
@@ -245,9 +251,10 @@ def _k_h_roundtrip(cfg, u, idx, rows):
 def _k_orbit_levels(cfg, u, idx, rows):
     z, w = _pairs(_CONDITIONED, cfg, u, rows)
     rho = pseudo_hyperbolic(z, w, errors=rows)
-    m = minkowski_form(*map_H(z, w, errors=rows))
+    h = map_H(z, w, errors=rows)
+    m = minkowski_form(*h)
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
-    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level))
+    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _h_scale(h)
     return res, _columns(z, w)
 
 
@@ -292,55 +299,37 @@ def _k_alpha_roundtrip(cfg, u, idx, rows):
     return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
 
 
-# Levi kernels: 3 uniforms per sample; each spec's rows are one levi batch
+# Levi kernels: 3 uniforms per sample, sample i at level i % 3; a block is one levi batch
 
-_FA = tuple(Family(RHO_LEVEL, a) for a in (0.2, 0.5, 0.8))
-_ETA = tuple(Family(MINKOWSKI_LEVEL, lvl) for lvl in (1.5, 2.125, 4.0))
-_FLAT = (Family(FLAT_CONTROL, 0.5),)
-_SPHERE = (Family(SPHERE),)
+_FA_LEVELS = np.array((0.2, 0.5, 0.8))
+_ETA_LEVELS = np.array((1.5, 2.125, 4.0))
 
 
-def _levi(rows: RowErrors, specs, idx: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None):
-    """Points and their restricted Levi values; row r lies on specs[idx[r] % len(specs)].
-
-    The points are p, or else each spec's sampler draws them from its
-    rows of u, with automorphism centres on the LEVI_PATCH_RMAX disc.
-    """
-    if p is None:
-        p = np.empty((len(idx), specs[0].record.dim), dtype=complex)
-    val = np.empty(len(idx))
-    for k, f in enumerate(specs):
-        sel = np.flatnonzero(idx % len(specs) == k)
-        if sel.size:
-            errors = RowErrors(sel.size)
-            if u is not None:
-                p[sel] = np.column_stack(orbit_points(f, u[sel], LEVI_PATCH_RMAX, errors))
-            val[sel] = levi_restricted(f, p[sel], errors=errors)
-            rows.take(errors, sel)
-    return p, val
+def _levi(f: Family, u: np.ndarray, rows: RowErrors):
+    """The points f's sampler draws from the rows of u, centres on the LEVI_PATCH_RMAX disc, and their Levi values."""
+    p = np.column_stack(orbit_points(f, u, LEVI_PATCH_RMAX, rows))
+    return p, levi_restricted(f, p, errors=rows)
 
 
 def _k_levi_fa(cfg, u, idx, rows):
-    p, val = _levi(rows, _FA, idx, u)
-    a = np.array([f.param for f in _FA])[idx % 3]
+    a = _FA_LEVELS[idx % 3]
+    p, val = _levi(Family(RHO_LEVEL, a), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a)
 
 
 def _k_levi_eta(cfg, u, idx, rows):
-    p, val = _levi(rows, _ETA, idx, u)
-    level = np.array([f.param for f in _ETA])[idx % 3]
+    level = _ETA_LEVELS[idx % 3]
+    p, val = _levi(Family(MINKOWSKI_LEVEL, level), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level)
 
 
 def _k_levi_control(cfg, u, idx, rows):
-    z1 = polar(_FLAT[0].param, math.tau * u[:, 0])
-    z2 = disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
-    _, val = _levi(rows, _FLAT, idx, p=np.column_stack([z1, z2]))
-    return np.abs(val), _columns(z1, z2)
+    p, val = _levi(Family(FLAT_CONTROL, 0.5), u, rows)
+    return np.abs(val), _columns(*p.T)
 
 
 def _k_levi_sphere(cfg, u, idx, rows):
-    p, val = _levi(rows, _SPHERE, idx, u)
+    p, val = _levi(Family(SPHERE), u, rows)
     return np.abs(val - 1.0), _columns(*p.T)
 
 
@@ -411,7 +400,7 @@ def _k_su11_orbit_invariant(cfg, u, idx, rows):
 def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     # uniforms: t (1), the orbit point (3)
     t = 0.1 + 0.8 * u[:, 0]
-    return t, ellipsoid_orbit_point(u[:, 1:4], t, cfg.rmax, errors=rows)
+    return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, rows)
 
 
 def _k_su11_orbit_ellipsoid(cfg, u, idx, rows):
@@ -678,13 +667,14 @@ def _check_admissible(cfg: SuiteConfig, name: str) -> None:
 
 
 def validate_config(cfg: SuiteConfig) -> None:
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
+    # the counts must be ints proper: bool is an int subclass
+    if type(cfg.seed) is not int or not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
-    if not isinstance(cfg.samples, int) or cfg.samples < 1:
+    if type(cfg.samples) is not int or cfg.samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
     if not 0.0 < cfg.rmax < 1.0:
         raise ConfigError(f"rmax must lie in (0, 1), got {cfg.rmax!r}")
-    if not isinstance(cfg.workers, int) or cfg.workers < 1:
+    if type(cfg.workers) is not int or cfg.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {cfg.workers!r}")
     unknown = [s for s in cfg.suites if s not in _BY_NAME]
     if unknown:
@@ -692,7 +682,7 @@ def validate_config(cfg: SuiteConfig) -> None:
     for name, tol in cfg.tolerances.items():
         if name not in _BY_NAME:
             raise ConfigError(f"tolerance override for unknown suite {name!r}")
-        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and math.isfinite(tol) and tol > 0):
             raise ConfigError(f"tolerance for {name!r} must be finite and positive, got {tol!r}")
     for name in cfg.suites:
         _check_admissible(cfg, name)

@@ -66,6 +66,10 @@ def _ambient_points(f, seed, n):
         lambda: Family(MINKOWSKI_LEVEL, 1.0),
         lambda: Family(ELLIPSOID, 0.0),
         lambda: Family(FLAT_CONTROL, 0.0),
+        # a parameter per row: every entry is checked
+        lambda: Family(RHO_LEVEL, np.array([0.5, 1.5])),
+        lambda: Family(MINKOWSKI_LEVEL, np.array([2.0, math.nan])),
+        lambda: Family(ELLIPSOID, np.array([[0.5]])),
     ],
 )
 def test_defining_function_validation(build):

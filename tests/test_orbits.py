@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from bidisc_lab import orbits
-from bidisc_lab.levi import ON_SURFACE_TOL, value
+from bidisc_lab.levi import ON_SURFACE_TOL, levi_restricted, value
 from bidisc_lab.orbits import (
     COMPLEX_CURVE,
     ELLIPSOID,
@@ -124,6 +125,49 @@ def test_sampler_parameter_validation():
         orbit_point(Family(MINKOWSKI_LEVEL, 1.0), u)
     with pytest.raises(ValueError, match="too close to the diagonal"):
         orbit_point(Family(MINKOWSKI_LEVEL, 1e30), u)
+    # a parameter given per row is checked entry by entry, and its first bad entry gets the number's message
+    for record, good, bad in [(RHO_LEVEL, 0.8, 1.0), (MINKOWSKI_LEVEL, 2.125, math.nan), (ELLIPSOID, 0.5, -math.inf)]:
+        assert Family(record, [good, good]).param.tolist() == [good, good]
+        with pytest.raises(ValueError) as scalar:
+            Family(record, bad)
+        with pytest.raises(ValueError) as per_row:
+            Family(record, np.array([good, bad, 0.25 * bad]))
+        assert str(per_row.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "record, levels",
+    [(RHO_LEVEL, (0.2, 0.5, 0.8)), (MINKOWSKI_LEVEL, (1.5, 2.125, 4.0)), (ELLIPSOID, (0.1, 0.5, 0.9))],
+    ids=["rho-level", "minkowski-level", "ellipsoid"],
+)
+def test_a_per_row_parameter_gives_each_row_what_its_level_gives(record, levels):
+    """orbit_points and levi_restricted on mixed levels equal the calls at each level, bit for bit."""
+    u = uniform_block(68, 0, 3, 0, 300)
+    k = np.floor(3 * uniform_block(69, 0, 1, 0, 300)[:, 0]).astype(int)
+    f = Family(record, np.array(levels)[k])
+    errors = RowErrors(300)
+    p = np.column_stack(orbit_points(f, u, 0.7, errors))
+    val = levi_restricted(f, p, errors=errors)
+    assert errors.ok.all()
+    for j, level in enumerate(levels):
+        one, sel = Family(record, level), k == j
+        q = np.column_stack(orbit_points(one, u[sel], 0.7, RowErrors(int(sel.sum()))))
+        assert q.tobytes() == p[sel].tobytes()
+        assert levi_restricted(one, q).tobytes() == val[sel].tobytes()
+
+
+def test_a_row_one_level_rejects_fails_alone():
+    """At level 1e12 the Eta sampler's pairs crowd the diagonal; the rows at level 2.125 beside them pass."""
+    u = uniform_block(66, 0, 3, 0, 400)
+    huge = np.arange(400) % 2 == 1
+    errors = RowErrors(400)
+    orbit_points(Family(MINKOWSKI_LEVEL, np.where(huge, 1e12, 2.125)), u, 0.95, errors)
+    alone = RowErrors(200)
+    orbit_points(Family(MINKOWSKI_LEVEL, 1e12), u[huge], 0.95, alone)
+    assert errors.ok[~huge].all()
+    assert 0 < (~alone.ok).sum() < 200
+    assert errors.ok[huge].tolist() == alone.ok.tolist()
+    assert errors.message[huge].tolist() == alone.message.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ def test_unknown_suite_is_a_config_error():
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
         SuiteConfig(tolerances={"H-quadric": float("nan")}),
+        # bool is an int subclass, but not a count, a seed or a tolerance
+        SuiteConfig(seed=True),
+        SuiteConfig(samples=True),
+        SuiteConfig(workers=True),
+        SuiteConfig(tolerances={"H-quadric": True}),
     ],
 )
 def test_validate_config_rejects_bad_values(cfg):
