@@ -6,9 +6,9 @@ into an affine quadric in C^3 (and projectively into CP^3), the
 subdomains made of whole orbits (bands of rho levels, and their images,
 bands of Minkowski levels on the quadric), the matrix groups acting on
 the ball and on the quadric, samplers for the group orbits, and CR
-analysis (exact Wirtinger gradients and complex tangents,
-finite-difference restricted Levi forms) that certifies which orbits
-are strongly pseudoconvex, Levi flat, or totally real.
+analysis (exact Wirtinger gradients, complex Hessians, complex
+tangents and restricted Levi forms) that certifies which orbits are
+strongly pseudoconvex, Levi flat, or totally real.
 
 Every quantitative claim is covered by a seeded property suite; run
 them all with ``bidisc-lab verify`` or :func:`bidisc_lab.verify_all`.
@@ -34,6 +34,7 @@ from .groups import (
     u21_residual,
 )
 from .levi import (
+    complex_hessian,
     complex_tangent,
     levi_restricted,
     totally_real_check,
@@ -81,6 +82,7 @@ __all__ = [
     "su11_embed",
     "su11_orbit_invariant",
     "u21_residual",
+    "complex_hessian",
     "complex_tangent",
     "levi_restricted",
     "totally_real_check",

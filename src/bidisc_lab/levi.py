@@ -5,42 +5,27 @@ tangent space {v : sum_j dr/dz_j v_j = 0} and on it the Levi form
 
     L(v) = sum_{j,k} d^2 r / dz_j dconj(z_k)  v_j conj(v_k) .
 
-The complex tangent is exact: each record of ``orbits.FAMILIES`` that
-has a defining function, taken with its parameter as an
-``orbits.Family``, supplies its closed-form Wirtinger gradient
-g = (dr/dz_j), and on the quadric also the holomorphic constraint row
+The complex tangent and the Levi value are exact: each record of
+``orbits.FAMILIES`` that has a defining function, taken with its
+parameter as an ``orbits.Family``, supplies its closed-form Wirtinger
+gradient g = (dr/dz_j) and complex Hessian H = (d^2 r / dz_j dconj(z_k)),
+and on the quadric also the holomorphic constraint row
 q = 2 (z1, z2, -z3) the tangent must annihilate.  The tangent is the
 generalised cross product of these dim - 1 rows: (g2, -g1) in C^2 and
-g x q in C^3.  Only the Levi value is a finite difference, taken from
-the second derivatives of r along v and along i v, since
-r_vv + r_(iv)(iv) = 4 L(v):
-
-    L(v) ~ [r(p + s v) + r(p - s v) + r(p + i s v) + r(p - i s v) - 4 r(p)] / (4 s^2)
-
-for a unit v.  Each record also holds the closed-form Hessian, the
-independent cross-check of that difference.
-
-The step scales with max(1, |p|_inf): the second-difference rounding
-floor is then ~eps/s^2 regardless of how large the point's coordinates
-are.  HESS_STEP = 1e-4 puts that floor near 2e-8.  All registered
-functions except the rho-level family are quadratic in the real
-coordinates, so the second difference has no truncation error there,
-and on the rho-level family the s^2 truncation (~1e-8) is far below
-any certification floor in use.
+g x q in C^3.  The Levi value contracts H with that unit tangent.
 
 Batched evaluation: every function of a point also takes an (n, dim)
 batch of points and then returns one result per row; a single point is
-the batch of one.  The Levi value shifts whole (n, dim) arrays: r(p)
-and four more values of r, 5 in all.  Each row's arithmetic is
-elementwise and in the same order whatever the batch, so a row's
-result does not depend on the rows beside it.  The checks run per row:
-finiteness, on-surface, the ambient margin the stencil needs, the
-gradient floor, degenerate constraint rows and the orthogonality
-tolerance (a batch of the wrong shape is rejected as a whole).  A row
-that fails one is recorded with the check's ValueError message in the
-``errors`` collector (a ``RowErrors``) that the caller passes, and its
-results are then meaningless; without a collector, the first failing
-row raises.
+the batch of one.  Each row's arithmetic is elementwise and in the same
+order whatever the batch (the Levi contraction adds its dim^2 terms one
+by one, never through a matrix product), so a row's result does not
+depend on the rows beside it.  The checks run per row: finiteness,
+on-surface, the ambient's unit circle, the gradient floor, degenerate
+constraint rows and the orthogonality tolerance (a batch of the wrong
+shape is rejected as a whole).  A row that fails one is recorded with
+the check's ValueError message in the ``errors`` collector (a
+``RowErrors``) that the caller passes, and its results are then
+meaningless; without a collector, the first failing row raises.
 
 Sign convention: defining functions are negative on the side the
 hypersurface bounds pseudoconvexly (the side containing the degenerate
@@ -54,10 +39,11 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import _abs2
+from .maps import _times
+from .mobius import TOL_BOUNDARY
 from .orbits import Family
 from .rng import RowErrors, _collector, _unbatch
 
-HESS_STEP = 1e-4
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
 
@@ -97,8 +83,8 @@ def wirtinger_gradient(f: Family, p, *, errors: RowErrors | None = None) -> np.n
     return _unbatch(f.record.gradient(P, f.param), single)
 
 
-def closed_complex_hessian(f: Family, p) -> np.ndarray:
-    """Exact complex Hessian (d^2 r / dz_j dconj(z_k))."""
+def complex_hessian(f: Family, p) -> np.ndarray:
+    """The exact complex Hessian (d^2 r / dz_j dconj(z_k)) that the family's record gives in closed form."""
     P, single, rows = _batch(f, p, None)
     return _unbatch(f.record.hessian(P, f.param), single)
 
@@ -152,29 +138,27 @@ def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndar
     return _unbatch(v, single)
 
 
-def _levi_along(f: Family, P: np.ndarray, v: np.ndarray, r0: np.ndarray, rows: RowErrors) -> np.ndarray:
-    """Four second differences along the unit rows v of P, whose values are r0: about sum_jk H_jk v_j conj(v_k)."""
-    s = HESS_STEP * np.maximum(1.0, np.abs(P).max(axis=1))
-    w = s[:, None] * v
-    iw = 1j * w
-    total = (
-        value(f, P + w, errors=rows) + value(f, P - w, errors=rows)
-        + value(f, P + iw, errors=rows) + value(f, P - iw, errors=rows)
-    )
-    return (total - 4.0 * r0) / (4.0 * (s * s))
-
-
 def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
-    """Levi form evaluated on the unit complex tangent at an on-surface point."""
+    """Levi form evaluated on the unit complex tangent at an on-surface point.
+
+    Re sum_jk H_jk v_j conj(v_k), the terms added in a fixed order, each
+    from separately rounded float products (see maps._times).
+    """
     P, single, rows = _batch(f, p, errors)
-    r0 = value(f, P, errors=rows)
     scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
-    rows.flag(np.abs(r0) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
-    if f.record.ambient is not None:  # None: the ambient is all of C^dim
-        bound, message = f.record.ambient
-        rows.flag(np.abs(P).max(axis=1) >= bound, message)
+    rows.flag(np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
+    if f.record.ambient:  # False: the ambient is all of C^dim
+        rows.flag(
+            np.abs(P).max(axis=1) >= 1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambient check failed"
+        )
     v = complex_tangent(f, P, errors=rows)
-    return _unbatch(_levi_along(f, P, v, r0, rows), single)
+    H = complex_hessian(f, P)
+    levi = np.zeros(len(P))
+    for j in range(P.shape[1]):
+        for k in range(P.shape[1]):
+            re, im = _times(v[:, j], v[:, k].conjugate())
+            levi += H[:, j, k].real * re - H[:, j, k].imag * im
+    return _unbatch(levi, single)
 
 
 def totally_real_check(basis, *, errors: RowErrors | None = None):

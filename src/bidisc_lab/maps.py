@@ -47,8 +47,7 @@ def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     numpy's complex multiply may use fused multiply-adds, and then z * w
     and w * z differ in the last bits, which depend on the build rather
-    than on the formula (a Levi stencil's second differences amplify
-    them by 1/h^2).
+    than on the formula.
     """
     return z.real * w.real - z.imag * w.imag, z.real * w.imag + z.imag * w.real
 

@@ -54,7 +54,7 @@ import numpy as np
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
 from .maps import _times, map_H
-from .mobius import TOL_BOUNDARY, mobius_apply, pseudo_hyperbolic, random_mobius
+from .mobius import mobius_apply, pseudo_hyperbolic, random_mobius
 from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
 
 BLOCK = 1024  # rows per block of a dump; never changes a byte of it
@@ -189,12 +189,6 @@ def _quadric_row(P):
     return Q
 
 
-# bidisc-like ambients must leave the stencil room; coordinate-bounded
-# ambients reject points whose coordinates already touch the unit circle
-_BIDISC_AMBIENT = (1.0 - 1e-3, "point too close to the ambient boundary for the FD stencil")
-_BALL_AMBIENT = (1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambient check failed")
-
-
 # ---------------------------------------------------------------------------
 # the table
 
@@ -207,8 +201,9 @@ class FamilyRecord:
     take an (n, dim) batch P and give, per row, the defining function r,
     its exact Wirtinger gradient (dr/dz_j), shape (n, dim), and its
     complex Hessian (d^2 r / dz_j dconj(z_k)), shape (n, dim, dim).
-    ``ambient`` is (bound, message): a row with a coordinate of modulus
-    >= bound fails the Levi stencil's ambient check.
+    ``ambient`` is True for a family that lives in the bidisc or the
+    ball: ``levi`` fails a row with a coordinate within TOL_BOUNDARY of
+    the unit circle.
     ``residual(p, param, errors)`` takes a point's coordinates (numbers,
     or arrays with one entry per row), ``sampler(u, param, rmax, errors)``
     an (n, draws) block of uniforms.  All take param as a number or a 1-d
@@ -223,7 +218,7 @@ class FamilyRecord:
     value: Callable | None = None
     gradient: Callable | None = None
     hessian: Callable | None = None
-    ambient: tuple[float, str] | None = None
+    ambient: bool = False
     constraint: Callable | None = None  # a holomorphic constraint row the complex tangent also annihilates
     residual: Callable | None = None
     sampler: Callable | None = None
@@ -233,7 +228,7 @@ class FamilyRecord:
 RHO_LEVEL = FamilyRecord(
     "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: (0.0 < a) & (a < 1.0),
     # zero set rho = a on the bidisc
-    value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=_BIDISC_AMBIENT,
+    value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=True,
     residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
     sampler=_resolved_rho_orbit_point, draws=3,
 )
@@ -252,7 +247,7 @@ ELLIPSOID = FamilyRecord(
     "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: (0.0 < t) & (t < 1.0),
     value=lambda P, t: _ellipsoid_value(P.T, t),
     gradient=lambda P, t: _diagonal_gradient(P, 1.0, t * t),
-    hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=_BALL_AMBIENT,
+    hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=True,
     residual=lambda p, t, errors: np.abs(_ellipsoid_value(p, t)),
     sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, rmax, errors=errors), draws=3,
 )
@@ -260,15 +255,15 @@ SPHERE = FamilyRecord(
     "sphere", 2,
     value=lambda P, _: _abs2(P[:, 0]) + _abs2(P[:, 1]) - 1.0,  # r = |u|^2 + |v|^2 - 1
     gradient=lambda P, _: _diagonal_gradient(P, 1.0, 1.0),
-    hessian=lambda P, _: _diagonal_hessian(P, 1.0, 1.0), ambient=_BALL_AMBIENT,
+    hessian=lambda P, _: _diagonal_hessian(P, 1.0, 1.0), ambient=True,
     sampler=lambda u, _, rmax, errors: sphere_point(u), draws=3,
 )
 FLAT_CONTROL = FamilyRecord(
     "flat-control", 2, need="need c > 0", admits=lambda c: c > 0.0,
-    # r = |z1|^2 - c^2; a Levi-flat circle bundle used to calibrate FD noise
+    # r = |z1|^2 - c^2; a Levi-flat circle bundle, the control of the Levi suites
     value=lambda P, c: _abs2(P[:, 0]) - c * c,
     gradient=lambda P, c: _diagonal_gradient(P, 1.0, 0.0),
-    hessian=lambda P, c: _diagonal_hessian(P, 1.0, 0.0), ambient=_BIDISC_AMBIENT,
+    hessian=lambda P, c: _diagonal_hessian(P, 1.0, 0.0), ambient=True,
     # (c e^{i tau u0}, z2) with z2 area-uniform on the 0.9 disc, whatever the rmax
     sampler=lambda u, c, rmax, errors: (polar(c, math.tau * u[:, 0]), disc_from_uniforms(u[:, 1], u[:, 2], 0.9)),
     draws=3,
@@ -288,9 +283,13 @@ FAMILIES = (RHO_LEVEL, MINKOWSKI_LEVEL, ELLIPSOID, SPHERE, FLAT_CONTROL, REAL_SL
 _BY_CLI = {record.cli: record for record in FAMILIES if record.cli is not None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
-    """One family of the table with its parameter: None for a family without one, else a number or one per row."""
+    """One family of the table with its parameter: None for a family without one, else a number or one per row.
+
+    Two Families are equal when they share the record and their
+    parameters have the same shape and values.
+    """
 
     record: FamilyRecord
     param: float | np.ndarray | None = None
@@ -314,21 +313,34 @@ class Family:
             if not good.all():  # name the number, or the first bad entry
                 raise ValueError(f"{need}, got {values[np.argmax(~good)].item() if values.ndim else x}")
 
+    def _key(self):
+        """The record, and the parameter's shape and bytes: no entry is 0 or NaN, so equal bytes are equal values."""
+        x = self.param
+        return self.record, None if x is None else (np.shape(x), np.asarray(x, dtype=float).tobytes())
 
-def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors):
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Family) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors | None):
     """The coordinate arrays of the points that the rows of the (n, spec.record.draws) block u give.
 
-    A row that fails one of the sampler's checks is flagged in ``errors``.
+    A row that fails one of the sampler's checks is flagged in ``errors``;
+    without a collector, the first such row raises.
     """
     if spec.record.sampler is None:
         raise ValueError(f"{spec.record.name} has no sampler")
+    errors = _collector(errors, len(u))
     with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
         return spec.record.sampler(u, spec.param, rmax, errors)
 
 
 def orbit_point(spec: Family, u: np.ndarray):
     """The point of the orbit described by spec that one row of spec.record.draws uniforms gives."""
-    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], DEFAULT_RMAX, _collector(None, 1))
+    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], DEFAULT_RMAX, None)
     return tuple(c[0].item() for c in coords)
 
 

@@ -38,6 +38,7 @@ def test_the_traced_benchmark_job_runs_a_verify_and_a_dump(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     assert result["layers"]["levi.points"] > 0
-    # levi_restricted evaluates r at the point and at the four shifts of the Levi difference
-    assert result["layers"]["levi.value_calls_per_point"] == 5
+    # levi_restricted evaluates r once, for its on-surface check, and contracts the record's Hessian
+    assert result["layers"]["levi.value_calls_per_point"] == 1
+    assert result["layers"]["levi.hessian_s"] > 0
     assert result["layers"]["orbits.csv_s"] > 0

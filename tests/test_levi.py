@@ -1,14 +1,14 @@
-"""Wirtinger calculus: the closed-form gradients and tangents, and the finite-difference Levi value."""
+"""Wirtinger calculus: the closed-form gradients, Hessians, tangents and Levi values, against finite differences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bidisc_lab.levi import (
     RowErrors,
-    _levi_along,
-    closed_complex_hessian,
+    complex_hessian,
     complex_tangent,
     levi_restricted,
     totally_real_check,
@@ -28,9 +28,8 @@ from bidisc_lab.orbits import (
 )
 from bidisc_lab.rng import ball_from_uniforms, disc_from_uniforms, uniform_block
 
-# frozen from the four-point Levi difference along the exact tangent; a
-# drift means the FD pipeline changed, not that the mathematics did
-GOLDEN_RHO_LEVEL_LEVI = 0.40793201316891015
+# the Levi value of F_0.8 at (0.8, 0), where gradient, Hessian and tangent are rational
+GOLDEN_RHO_LEVEL_LEVI = Fraction(294912, 722944)
 
 ALL_KINDS = [
     Family(RHO_LEVEL, 0.7),
@@ -104,6 +103,25 @@ def test_fd_gradient_matches_closed_form(f):
         np.testing.assert_allclose(wirtinger_gradient(f, p), _reference_gradient(f, p), atol=1e-7)
 
 
+HESS_STEP = 1e-4
+
+
+def _levi_along(f, P, v, r0, rows):
+    """Four second differences along the unit rows v of P, whose values are r0: about sum_jk H_jk v_j conj(v_k).
+
+    r_vv + r_(iv)(iv) = 4 L(v); the step scales with max(1, |p|_inf), so the
+    rounding floor is ~eps / HESS_STEP^2, near 2e-8, however large p is.
+    """
+    s = HESS_STEP * np.maximum(1.0, np.abs(P).max(axis=1))
+    w = s[:, None] * v
+    iw = 1j * w
+    total = (
+        value(f, P + w, errors=rows) + value(f, P - w, errors=rows)
+        + value(f, P + iw, errors=rows) + value(f, P - iw, errors=rows)
+    )
+    return (total - 4.0 * r0) / (4.0 * (s * s))
+
+
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_fd_hessian_matches_closed_form(f):
     """The four second differences along random unit w give w H conj(w) of the closed Hessian."""
@@ -114,7 +132,7 @@ def test_fd_hessian_matches_closed_form(f):
     errors = RowErrors(len(P))
     fd = _levi_along(f, P, W, value(f, P), errors)
     assert errors.ok.all()
-    closed = np.einsum("nj,njk,nk->n", W, closed_complex_hessian(f, P), W.conj())
+    closed = np.einsum("nj,njk,nk->n", W, complex_hessian(f, P), W.conj())
     np.testing.assert_allclose(closed.imag, 0.0, atol=1e-15)
     np.testing.assert_allclose(fd, closed.real, atol=1e-6)
 
@@ -122,17 +140,18 @@ def test_fd_hessian_matches_closed_form(f):
 def test_ellipsoid_hessian_is_the_weighted_identity():
     f = Family(ELLIPSOID, 0.3)
     np.testing.assert_allclose(
-        closed_complex_hessian(f, (0.1, 0.2)), np.diag([1.0, 0.09]), atol=1e-15
+        complex_hessian(f, (0.1, 0.2)), np.diag([1.0, 0.09]), atol=1e-15
     )
 
 
-# on F_0.7, with a coordinate inside the stencil's 1e-3 margin of the unit circle
-_RHO_NEAR_RIM = (0.9995, (0.9995 - 0.7) / (1.0 - 0.7 * 0.9995))
+# on F_0.7, with a coordinate within 1e-9 of the unit circle
+_RHO_NEAR_RIM = (1.0 - 5e-10, (0.3 - 5e-10) / (1.0 - 0.7 * (1.0 - 5e-10)))
 
 
 def test_ambient_guard_blocks_stencils_near_the_boundary():
+    """The bidisc and the ball alike: a point on the surface with a coordinate on the unit circle fails."""
     assert abs(value(Family(RHO_LEVEL, 0.7), _RHO_NEAR_RIM)) < 1e-15
-    with pytest.raises(ValueError, match="ambient boundary"):
+    with pytest.raises(ValueError, match="touches the unit circle"):
         levi_restricted(Family(RHO_LEVEL, 0.7), _RHO_NEAR_RIM)
     with pytest.raises(ValueError, match="touches the unit circle"):
         levi_restricted(Family(SPHERE), (1.0, 0.0))
@@ -148,7 +167,7 @@ def test_sphere_tangent_and_levi():
         wirtinger_gradient(f, (0.6, 0.8)), [0.6, 0.8], atol=1e-10
     )
     np.testing.assert_allclose(complex_tangent(f, (0.6, 0.8)), [0.8, -0.6], atol=1e-8)
-    assert levi_restricted(f, (0.6, 0.8)) == pytest.approx(1.0, abs=1e-6)
+    assert levi_restricted(f, (0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_minkowski_level_tangent_respects_the_quadric():
@@ -156,20 +175,25 @@ def test_minkowski_level_tangent_respects_the_quadric():
     f = Family(MINKOWSKI_LEVEL, 2.125)
     p = (1.25, 0.75j, 0.0)
     np.testing.assert_allclose(complex_tangent(f, p), [0, 0, 1], atol=1e-8)
-    assert levi_restricted(f, p) == pytest.approx(1.0, abs=1e-6)
+    assert levi_restricted(f, p) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rho_level_golden_value_and_closed_form():
+    """The gradient and Hessian of rho-level at a real point, in rational arithmetic, give the golden value."""
+    a = z1 = Fraction(4, 5)
+    z2 = Fraction(0)
+    g = (z1 - z2 + a * a * z2 * (1 - z1 * z2), -(z1 - z2) + a * a * z1 * (1 - z1 * z2))
+    h12 = -1 + a * a * (1 - z1 * z2)
+    H = ((1 - a * a * z2 * z2, h12), (h12, 1 - a * a * z1 * z1))
+    v = (g[1], -g[0])
+    exact = sum(H[j][k] * v[j] * v[k] for j in range(2) for k in range(2)) / (v[0] * v[0] + v[1] * v[1])
+    assert exact == GOLDEN_RHO_LEVEL_LEVI
     f = Family(RHO_LEVEL, 0.8)
-    p = (0.8, 0.0)
-    fd_val = levi_restricted(f, p)
-    assert fd_val == pytest.approx(GOLDEN_RHO_LEVEL_LEVI, abs=1e-10)
-    # independent route: exact gradient kernel and exact Hessian
-    g = wirtinger_gradient(f, p)
-    v = np.array([-g[1], g[0]])
-    v = v / np.linalg.norm(v)
-    closed_val = float((v @ closed_complex_hessian(f, p) @ v.conj()).real)
-    assert fd_val == pytest.approx(closed_val, abs=1e-6)
+    assert levi_restricted(f, (0.8, 0.0)) == pytest.approx(float(exact), rel=1e-15)
+    # the stencil along the same tangent agrees to its rounding floor
+    P = np.array([[0.8, 0.0]], dtype=complex)
+    fd = _levi_along(f, P, complex_tangent(f, P), value(f, P), RowErrors(1))
+    assert fd[0] == pytest.approx(float(exact), abs=1e-8)
 
 
 def test_flat_control_levi_vanishes():
@@ -178,7 +202,7 @@ def test_flat_control_levi_vanishes():
         wirtinger_gradient(f, (0.5, 0.3j)), [0.5, 0.0], atol=1e-10
     )
     np.testing.assert_allclose(complex_tangent(f, (0.5, 0.0)), [0.0, 1.0], atol=1e-8)
-    assert abs(levi_restricted(f, (0.5, 0.3))) < 1e-12
+    assert levi_restricted(f, (0.5, 0.3)) == 0.0
 
 
 def _cylinder_gradient(P, _):
@@ -187,22 +211,33 @@ def _cylinder_gradient(P, _):
     return np.column_stack([s, 1j * s])
 
 
+def _cylinder_hessian(P, _):
+    """[[1, -i], [i, 1]] at every row: (ds/dz_j) conj(ds/dz_k) for s = z1 + i z2."""
+    return np.broadcast_to(np.array([[1.0, -1j], [1j, 1.0]]), (len(P), 2, 2))
+
+
 # r = |z1 + i z2|^2 - 1 depends only on the holomorphic z1 + i z2: its zero set is Levi flat
 _CYLINDER = Family(
     FamilyRecord(
         "levi-flat-cylinder", 2,
         value=lambda P, _: np.abs(P[:, 0] + 1j * P[:, 1]) ** 2 - 1.0, gradient=_cylinder_gradient,
+        hessian=_cylinder_hessian,
     )
 )
 
 
 def test_levi_flat_cylinder_levi_vanishes():
-    """A Hessian with off-diagonal entries: the form is contracted as v_j H_jk conj(v_k), not transposed."""
+    """The one off-diagonal Hessian: contracted as v_j H_jk conj(v_k) it gives 0, transposed it would give 2."""
     t = np.linspace(0.0, 2.0 * math.pi, 7)
     z2 = 0.4 * np.exp(2j * t)
     P = np.column_stack([np.exp(1j * t) - 1j * z2, z2])
     np.testing.assert_allclose(value(_CYLINDER, P), 0.0, atol=1e-15)
-    assert np.abs(levi_restricted(_CYLINDER, P)).max() < 1e-6
+    assert np.abs(levi_restricted(_CYLINDER, P)).max() < 1e-15
+    V = complex_tangent(_CYLINDER, P)
+    transposed = np.einsum("nj,nkj,nk->n", V, complex_hessian(_CYLINDER, P), V.conj())
+    np.testing.assert_allclose(transposed, 2.0, atol=1e-15)
+    fd = _levi_along(_CYLINDER, P, V, value(_CYLINDER, P), RowErrors(len(P)))
+    np.testing.assert_allclose(fd, 0.0, atol=1e-6)
 
 
 def test_levi_restricted_rejects_off_surface_points():
@@ -247,8 +282,8 @@ def test_batch_matches_the_oracles_and_the_single_point_calls(f):
     L = levi_restricted(f, P)
     assert G.shape == V.shape == P.shape and L.shape == (len(P),)
     np.testing.assert_allclose(G, [_reference_gradient(f, p) for p in P], atol=1e-7)
-    closed = np.einsum("nj,njk,nk->n", V, closed_complex_hessian(f, P), V.conj()).real
-    np.testing.assert_allclose(L, closed, atol=1e-6)
+    closed = np.einsum("nj,njk,nk->n", V, complex_hessian(f, P), V.conj()).real
+    np.testing.assert_allclose(L, closed, atol=1e-14)
     for r, p in enumerate(P):
         assert value(f, p) == value(f, P)[r]
         np.testing.assert_array_equal(wirtinger_gradient(f, p), G[r])
@@ -257,7 +292,7 @@ def test_batch_matches_the_oracles_and_the_single_point_calls(f):
 
 
 def _reference_value(f, p):
-    """r at one point in Python complex arithmetic: the stencil's point-at-a-time reference."""
+    """r at one point in Python complex arithmetic: the point-at-a-time reference of value and of the stencil."""
     a2 = [z.real * z.real + z.imag * z.imag for z in p]
     if f.record.name == "rho-level":
         z1, z2 = p
@@ -288,8 +323,8 @@ def _reference_gradient(f, p, step=1e-5):
     return np.array(g)
 
 
-def _reference_levi(f, p, v, step=1e-4):
-    """The four-point Levi value at one point along its unit tangent v."""
+def _reference_levi(f, p, v, step=HESS_STEP):
+    """The four-point Levi value at one point along its unit tangent v, in Python complex arithmetic."""
     p, v = [complex(z) for z in p], [complex(z) for z in v]
     s = step * max(1.0, float(np.max(np.abs(p))))
     w = [s * z for z in v]
@@ -303,9 +338,11 @@ def _reference_levi(f, p, v, step=1e-4):
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.record.name)
 def test_batched_stencil_reproduces_the_point_at_a_time_reference_exactly(f):
-    """Value and Levi value against Python-complex arithmetic, point by point (the tangent is the batch's).
+    """Value against Python-complex arithmetic, point by point, and the closed forms against differences.
 
-    The gradient is closed-form, not a stencil: it meets the central difference within 1e-7.
+    The gradient meets the central difference within 1e-7, and the Levi
+    value meets the four-point difference along the batch's tangent
+    within 1e-6.
     """
     P = np.array(_ambient_points(f, 53, 25), dtype=complex)
     values, G = value(f, P), wirtinger_gradient(f, P)
@@ -315,7 +352,7 @@ def test_batched_stencil_reproduces_the_point_at_a_time_reference_exactly(f):
     S = _surface_points(f, 25)
     V, L = complex_tangent(f, S), levi_restricted(f, S)
     for r, p in enumerate(S):
-        assert L[r] == _reference_levi(f, p, V[r])
+        assert L[r] == pytest.approx(_reference_levi(f, p, V[r]), abs=1e-6)
 
 
 _SPHERE = Family(SPHERE)
@@ -329,7 +366,7 @@ _QUADRIC_ON = [(1.25, 0.75j, 0.0), (0.75j, 1.25, 0.0)]
     "fn, f, good, bad, message",
     [
         (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
-        (levi_restricted, Family(RHO_LEVEL, 0.7), [(0.7, 0.0), (0.0, 0.7j)], _RHO_NEAR_RIM, "ambient boundary"),
+        (levi_restricted, Family(RHO_LEVEL, 0.7), [(0.7, 0.0), (0.0, 0.7j)], _RHO_NEAR_RIM, "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (1.0, 0.0), "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (0.3, 0.4), "does not lie on the hypersurface"),
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),

@@ -170,6 +170,40 @@ def test_a_row_one_level_rejects_fails_alone():
     assert errors.message[huge].tolist() == alone.message.tolist()
 
 
+# the samplers that draw an automorphism check its centre; the others check nothing
+CHECKED = ("rho-level", "minkowski-level", "ellipsoid", "real-slice")
+
+
+@pytest.mark.parametrize("spec", [f for f in TABLE if f.record.sampler is not None], ids=lambda f: f.record.name)
+def test_without_a_collector_the_first_bad_row_raises(spec):
+    """errors=None: a clean block gives the bytes a collector's run gives, and the first bad row raises its message."""
+    u = uniform_block(73, 0, spec.record.draws, 0, 6)
+    errors = RowErrors(6)
+    clean = orbit_points(spec, u, 0.95, errors)
+    assert errors.ok.all()
+    assert [c.tobytes() for c in orbit_points(spec, u, 0.95, None)] == [c.tobytes() for c in clean]
+    u[[2, 4], 1] = 4.0  # where the sampler draws an automorphism, its centre has modulus 1.9
+    errors = RowErrors(6)
+    orbit_points(spec, u, 0.95, errors)
+    if spec.record.name not in CHECKED:
+        assert errors.ok.all()
+        return
+    assert errors.ok.tolist() == [True, True, False, True, False, True]
+    with pytest.raises(ValueError) as info:
+        orbit_points(spec, u, 0.95, None)
+    assert str(info.value) == errors.message[2]
+
+
+def test_a_family_with_a_parameter_per_row_compares_and_hashes_by_value():
+    levels = np.array([0.2, 0.5, 0.8])
+    f = Family(RHO_LEVEL, levels)
+    assert f == Family(RHO_LEVEL, levels.tolist())
+    assert f != Family(RHO_LEVEL, np.array([0.2, 0.5, 0.7]))
+    assert f != Family(RHO_LEVEL, levels[:2]) and f != Family(ELLIPSOID, levels) and f != Family(RHO_LEVEL, 0.2)
+    assert hash(f) == hash(Family(RHO_LEVEL, levels.copy()))
+    assert len({f, Family(RHO_LEVEL, levels.copy()), Family(RHO_LEVEL, 0.5), Family(RHO_LEVEL, 0.5)}) == 2
+
+
 # ---------------------------------------------------------------------------
 # spec strings
 

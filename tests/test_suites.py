@@ -37,7 +37,7 @@ EXPECTED_REGISTRY = (
     "alpha-roundtrip",
 )
 
-# small but representative: one heavy sampler, one group-image family, one FD family
+# small but representative: one heavy sampler, one group-image family, one Levi family
 SMOKE_SUITES = ("H-quadric", "swap-is-minus-identity", "levi-flat-control")
 
 
