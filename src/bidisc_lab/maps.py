@@ -22,9 +22,9 @@ s = i h3 d one has z - w = d and z + w = s, hence {z, w} are the roots
 (s +- d) / 2 of X^2 - s X + (zw).  The ordering is fixed by a
 reproduction test, which doubles as the domain check.
 
-Off-diagonal pairs for the batched suites come from ``PairDraw``:
-masked resampling inside a fixed budget of uniforms, keeping pairs at
-least ``PairDraw.margin`` apart.
+Off-diagonal pairs for the batched suites come from ``PairDraw``: the
+first of PAIR_ROUNDS candidate pairs (``rng.first_accepted``) that lies
+at least ``PairDraw.margin`` apart.
 
 Every map takes a point or a batch of rows (see ``rng``) and checks each
 row.
@@ -33,11 +33,12 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .mobius import _check_disc, _rho
-from .rng import RowErrors, _batch, _unbatch, disc_from_uniforms
+from .rng import RowErrors, _batch, _unbatch, disc_from_uniforms, first_accepted
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
@@ -142,22 +143,21 @@ def scale_g_t(t, p, *, errors: RowErrors | None = None):
 # ---------------------------------------------------------------------------
 # off-diagonal pairs
 
-PAIR_ROUNDS = 32  # candidate pairs in an off-diagonal draw's budget
-PAIR_DRAWS = 4 * PAIR_ROUNDS
+PAIR_ROUNDS = 32  # candidate pairs an off-diagonal draw may try
 
 
 @dataclass(frozen=True)
 class PairDraw:
-    """Off-diagonal bidisc pairs by masked resampling inside a budget of PAIR_DRAWS uniforms.
+    """Off-diagonal bidisc pairs: the first admissible of PAIR_ROUNDS candidate pairs.
 
     A pair is admissible when |z - w| >= margin and, with rho_floor set,
     rho(z, w) >= rho_floor.  The suites' pairs take margin EPS_DIAG,
-    the chart guard of map_H.  Round k proposes, for each row of u still
-    open, the pair of area-uniform rmax-disc points drawn from columns
-    4k..4k+3 (radius and angle of z, then of w); a row keeps its first
-    admissible proposal.  A row never loops and never reads past its
-    budget: one with no admissible proposal keeps its last proposal and
-    is reported as missing.
+    the chart guard of map_H.  A candidate is the pair of area-uniform
+    rmax-disc points drawn from 4 uniforms (radius and angle of z, then
+    of w): round 0 from a row's own columns, round k >= 1 from
+    ``later(k)`` (see ``rng.first_accepted``).  A row never loops: one
+    with no admissible candidate keeps its last one and is reported as
+    missing.
     """
 
     margin: float
@@ -181,19 +181,20 @@ class PairDraw:
             )
         return None
 
-    def __call__(self, u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, w, missing) for the rows of u; missing holds the indices of the rows without an admissible pair."""
-        n = len(u)
-        z, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        todo = np.arange(n)
-        for k in range(PAIR_ROUNDS):
-            c = u[todo, 4 * k : 4 * k + 4]
-            zk, wk = disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)
-            z[todo], w[todo] = zk, wk
-            keep = np.abs(zk - wk) >= self.margin
-            if self.rho_floor:
-                keep &= _rho(zk, wk) >= self.rho_floor
-            todo = todo[~keep]
-            if not todo.size:
-                break
-        return z, w, todo
+    def __call__(
+        self, u: np.ndarray, later: Callable[[int], np.ndarray], rmax: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, w, missing) for the rows of u, whose 4 columns are round 0; missing lists the rows left without a pair."""
+
+        def admissible(p):
+            z, w = p[:, 0], p[:, 1]
+            keep = np.abs(z - w) >= self.margin
+            return keep & (_rho(z, w) >= self.rho_floor) if self.rho_floor else keep
+
+        p, missing = first_accepted(u, later, PAIR_ROUNDS, lambda c: np.column_stack(_disc_pair(c, rmax)), admissible)
+        z, w = p.T.copy()  # contiguous, as the maps downstream read them
+        return z, w, missing
+
+
+def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    return disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)

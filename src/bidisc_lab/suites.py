@@ -5,13 +5,21 @@ many seeded samples.  The runner walks a suite's sample indices in
 blocks of BLOCK rows, and every row depends only on (seed, suite,
 index), so results never depend on the block size, the worker count or
 the evaluation order.  The suite with registry ordinal o draws from the
-single stream (seed, (o + 1) << 32) with a fixed budget of k uniforms
-per sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
-is one ``rng.uniform_block`` call, so replaying sample i takes
-``advance(i k)`` and k draws.  Every kernel takes the same arguments,
-(cfg, U, idx, rows): the block's uniforms U, shape (len(idx), k), the
-sample indices idx, and the block's ``RowErrors`` rows, which the
-runner creates; it returns the residual and the inputs of each row.
+stream (seed, (o + 1) << 32) with a fixed budget of k uniforms per
+sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
+draws them in one ``rng.uniform_block`` call, so replaying sample i
+takes ``advance(i k)`` and k draws.  A suite that takes the first admissible
+of several candidates reads the candidates' round 0 from those k
+uniforms, and round r >= 1 from the stream (seed, stream_id | r), 4
+uniforms per sample, drawn for the block only while one of its rows is
+still open (``rng.candidate_rounds``).  Every kernel takes the same
+arguments, (cfg, U, idx, rows, later): the block's uniforms U, shape
+(len(idx), k), the sample indices idx, the block's ``RowErrors`` rows,
+which the runner creates, and ``later(r)``, the block's candidate round
+r; it returns the residual and the inputs of each row.  The report's
+"rng" field gives each suite's stream_id and k, and for the candidate
+draws their number of rounds, so that any sample replays from the
+report alone.
 
 Every kernel evaluates its claim on the whole block as numpy arrays,
 through the same functions a caller uses on a point (a point is the
@@ -19,14 +27,14 @@ batch of one), passing rows as ``errors``:
 
 * A pair that must lie off the diagonal (|z - w| >= EPS_DIAG, the chart
   guard of map_H), and for the dual-route level checks also have
-  rho >= 0.05, comes from ``maps.PairDraw``: PAIR_ROUNDS candidate
-  pairs of 4 uniforms each, of which the row takes the first admissible
-  one.  A row with none is a hard failure.  ``conjugation-so21`` and
-  ``swap-is-minus-identity`` take 3 + PAIR_DRAWS = 131 uniforms: phi,
-  then one pair with rho >= 0.05, checked against the closed-form
-  ``groups.so21_image``; ``o21-totally-real`` takes the first of
-  TOTALLY_REAL_ROUNDS candidate matrices (4 uniforms each) with
-  |det| >= 0.1.
+  rho >= 0.05, comes from ``maps.PairDraw``: the first admissible of
+  PAIR_ROUNDS candidate pairs of 4 uniforms each, round 0 being the
+  sample's k = 4.  A row with none is a hard failure.
+  ``conjugation-so21`` and ``swap-is-minus-identity`` take k = 3 + 4 = 7:
+  phi, then round 0 of one pair with rho >= 0.05, checked against the
+  closed-form ``groups.so21_image``; ``o21-totally-real`` takes k = 4,
+  round 0 of up to TOTALLY_REAL_ROUNDS candidate matrices with
+  |det| >= 0.1.  At the defaults nearly every row keeps its round 0.
 * The Levi suites take k = 3: every row is drawn by its family's
   sampler (``orbits.orbit_points``), which also applies its checks.
   levi-Fa and levi-eta put sample i on the level i % 3 of three, and a
@@ -44,7 +52,10 @@ residual of ``conjugation-so21`` relative to A_33^2), and for
 h = map_H(z, w), relative to max(1, |h|_inf^2);
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
-report 0 or 1 and run with tolerance 0.5.  A sample whose residual is
+report 0 or 1 and run with tolerance 0.5.  ``preimage-formula`` and
+``aut-preserves-subdomains`` give no verdict on a row within
+PREIMAGE_MARGIN or MEMBERSHIP_MARGIN of a band edge: it scores 0, and
+the report counts it as ``excluded``.  A sample whose residual is
 not below the tolerance (NaN included) is a failure.  A sample that
 fails a check is a hard failure and fails the suite regardless of
 tolerance: the runner scores it inf and records the check's
@@ -84,9 +95,9 @@ from .groups import (
 from .levi import levi_restricted, totally_real_check
 from .maps import (
     EPS_DIAG,
-    PAIR_DRAWS,
     PAIR_ROUNDS,
     PairDraw,
+    _disc_pair,
     map_H,
     map_H_inv,
     map_J,
@@ -104,18 +115,20 @@ from .orbits import (
     orbit_points,
 )
 from .rng import (
+    CANDIDATE_DRAWS,
     DEFAULT_RMAX,
     DEFAULT_SEED,
     RowErrors,
     annulus_from_uniforms,
     ball_from_uniforms,
-    disc_from_uniforms,
+    candidate_rounds,
+    first_accepted,
     uniform_block,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SAMPLES = 10_000
-BLOCK = 1024  # rows per block; bounds the memory of a run, never changes a result
+BLOCK = 4096  # rows per block; bounds the memory of a run, never changes a result
 MAX_FAILURES = 10
 
 LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex families
@@ -149,6 +162,7 @@ class SuiteReport:
     samples: int
     failures: tuple[dict, ...]
     hard_failures: int
+    excluded: int
     wall_time_s: float
 
     def to_dict(self) -> dict:
@@ -159,10 +173,13 @@ class SuiteReport:
 class _Suite:
     """A registered claim.
 
-    ``fn`` is a kernel ``(cfg, U, idx, rows) -> (residual, inputs)``
-    over the rows idx, whose uniforms U have shape (len(idx), draws);
-    it flags the rows that fail a check in the block's ``RowErrors``
-    rows.
+    ``fn`` is a kernel ``(cfg, U, idx, rows, later) -> (residual,
+    inputs)`` over the rows idx, whose uniforms U have shape
+    (len(idx), draws); it flags the rows that fail a check in the
+    block's ``RowErrors`` rows, and draws the block's candidate round
+    k >= 1 as ``later(k)``, of which it uses at most ``rounds - 1``.  A
+    kernel that leaves some rows unscored returns
+    ``(residual, inputs, excluded)``, with excluded a mask of those rows.
     ``why_empty(cfg)`` says why no sample can be drawn under cfg, or
     returns None.
     """
@@ -173,6 +190,7 @@ class _Suite:
     tolerance: float
     fn: Callable
     draws: int
+    rounds: int = 0
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
@@ -188,18 +206,13 @@ def _columns(*vals) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _disc_pair(u: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bidisc pairs from 4 uniform columns: (radius, angle) of z, then of w."""
-    return disc_from_uniforms(u[:, 0], u[:, 1], rmax), disc_from_uniforms(u[:, 2], u[:, 3], rmax)
-
-
 _OFFDIAG = PairDraw(EPS_DIAG)
 _CONDITIONED = PairDraw(EPS_DIAG, RHO_COND_FLOOR)
 
 
-def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal pairs (|z - w| >= draw.margin) of a PairDraw; a row without one is a hard failure."""
-    z, w, missing = draw(u, cfg.rmax)
+def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, later, rows: RowErrors) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal pairs (|z - w| >= draw.margin) of a PairDraw, round 0 from u; a row without one fails hard."""
+    z, w, missing = draw(u, later, cfg.rmax)
     wanted = draw.wanted()
     rows.flag(np.isin(np.arange(len(u)), missing), f"none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
     return z, w
@@ -209,7 +222,7 @@ def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
     return lambda cfg: draw.why_empty(cfg.rmax)
 
 
-def _k_rho_invariance(cfg, u, idx, rows):
+def _k_rho_invariance(cfg, u, idx, rows, later):
     # uniforms: the pair (4), phi (3)
     z, w = _disc_pair(u, cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
@@ -223,33 +236,33 @@ def _h_scale(h) -> np.ndarray:
     return np.maximum(1.0, np.abs(np.stack(h)).max(axis=0) ** 2)
 
 
-def _k_h_quadric(cfg, u, idx, rows):
-    z, w = _pairs(_CONDITIONED, cfg, u, rows)
+def _k_h_quadric(cfg, u, idx, rows, later):
+    z, w = _pairs(_CONDITIONED, cfg, u, later, rows)
     h = map_H(z, w, errors=rows)
     return np.abs(quadric_residual(*h)) / _h_scale(h), _columns(z, w)
 
 
-def _k_h_im_condition(cfg, u, idx, rows):
-    z, w = _pairs(_OFFDIAG, cfg, u, rows)
+def _k_h_im_condition(cfg, u, idx, rows, later):
+    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
     return np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w)
 
 
-def _k_h_sigma_negation(cfg, u, idx, rows):
+def _k_h_sigma_negation(cfg, u, idx, rows, later):
     # exact claim: map_H works on real and imaginary parts, whose products commute
-    z, w = _pairs(_OFFDIAG, cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
     h = np.stack(map_H(z, w, errors=rows))
     hs = np.stack(map_H(w, z, errors=rows))
     return np.abs(hs + h).max(axis=0), _columns(z, w)
 
 
-def _k_h_roundtrip(cfg, u, idx, rows):
-    z, w = _pairs(_OFFDIAG, cfg, u, rows)
+def _k_h_roundtrip(cfg, u, idx, rows, later):
+    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
     z2, w2 = map_H_inv(*map_H(z, w, errors=rows), errors=rows)
     return np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w)
 
 
-def _k_orbit_levels(cfg, u, idx, rows):
-    z, w = _pairs(_CONDITIONED, cfg, u, rows)
+def _k_orbit_levels(cfg, u, idx, rows, later):
+    z, w = _pairs(_CONDITIONED, cfg, u, later, rows)
     rho = pseudo_hyperbolic(z, w, errors=rows)
     h = map_H(z, w, errors=rows)
     m = minkowski_form(*h)
@@ -261,9 +274,9 @@ def _k_orbit_levels(cfg, u, idx, rows):
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _k_preimage_formula(cfg, u, idx, rows):
+def _k_preimage_formula(cfg, u, idx, rows, later):
     s, t = _PREIMAGE_BANDS[idx % 3].T
-    z, w = _pairs(_OFFDIAG, cfg, u, rows)
+    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
     rho = pseudo_hyperbolic(z, w, errors=rows)
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
     # boundary-ambiguous samples are excluded: residual 0, and map_H's checks do not apply
@@ -273,10 +286,10 @@ def _k_preimage_formula(cfg, u, idx, rows):
     rows.flag(~ambiguous & ~chart.ok, chart.message.__getitem__)
     predicted = (lo < rho) & (rho < hi)
     res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
-    return res, _columns(z, w, s, t)
+    return res, _columns(z, w, s, t), ambiguous
 
 
-def _k_sym_equivariance(cfg, u, idx, rows):
+def _k_sym_equivariance(cfg, u, idx, rows, later):
     # exact claim: sym works on real and imaginary parts, whose products commute
     z, w = _disc_pair(u, cfg.rmax)
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
@@ -286,15 +299,15 @@ def _k_sym_equivariance(cfg, u, idx, rows):
 _MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 
 
-def _k_j_h_compat(cfg, u, idx, rows):
-    z, w = _pairs(_OFFDIAG, cfg, u, rows)
+def _k_j_h_compat(cfg, u, idx, rows, later):
+    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
     p = map_J(z, w, errors=rows)
     q = np.stack([np.ones_like(z), *map_H(z, w, errors=rows)])
     worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
     return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w)
 
 
-def _k_alpha_roundtrip(cfg, u, idx, rows):
+def _k_alpha_roundtrip(cfg, u, idx, rows, later):
     a = 0.05 + 0.9 * u[:, 0]
     return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
 
@@ -311,24 +324,24 @@ def _levi(f: Family, u: np.ndarray, rows: RowErrors):
     return p, levi_restricted(f, p, errors=rows)
 
 
-def _k_levi_fa(cfg, u, idx, rows):
+def _k_levi_fa(cfg, u, idx, rows, later):
     a = _FA_LEVELS[idx % 3]
     p, val = _levi(Family(RHO_LEVEL, a), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a)
 
 
-def _k_levi_eta(cfg, u, idx, rows):
+def _k_levi_eta(cfg, u, idx, rows, later):
     level = _ETA_LEVELS[idx % 3]
     p, val = _levi(Family(MINKOWSKI_LEVEL, level), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level)
 
 
-def _k_levi_control(cfg, u, idx, rows):
+def _k_levi_control(cfg, u, idx, rows, later):
     p, val = _levi(Family(FLAT_CONTROL, 0.5), u, rows)
     return np.abs(val), _columns(*p.T)
 
 
-def _k_levi_sphere(cfg, u, idx, rows):
+def _k_levi_sphere(cfg, u, idx, rows, later):
     p, val = _levi(Family(SPHERE), u, rows)
     return np.abs(val - 1.0), _columns(*p.T)
 
@@ -337,15 +350,15 @@ def _k_levi_sphere(cfg, u, idx, rows):
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _conjugated(cfg, u, rows, swap: bool):
+def _conjugated(cfg, u, later, rows, swap: bool):
     """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p).
 
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
     crowds the pair and H grows, and its rounding with it.
     """
-    # uniforms: phi (3), one conditioned pair (PAIR_DRAWS)
+    # uniforms: phi (3), round 0 of one conditioned pair (4)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
-    z, w = _pairs(_CONDITIONED, cfg, u[:, MOBIUS_DRAWS:], rows)
+    z, w = _pairs(_CONDITIONED, cfg, u[:, MOBIUS_DRAWS:], later, rows)
     A = so21_image(phi)
     h = np.stack(map_H(z, w, errors=rows), axis=-1)
     q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=rows), axis=-1)
@@ -354,8 +367,8 @@ def _conjugated(cfg, u, rows, swap: bool):
     return A, res, _columns(phi.theta, phi.a, z, w)
 
 
-def _k_conjugation_so21(cfg, u, idx, rows):
-    A, res, inputs = _conjugated(cfg, u, rows, swap=False)
+def _k_conjugation_so21(cfg, u, idx, rows, later):
+    A, res, inputs = _conjugated(cfg, u, later, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
@@ -366,29 +379,32 @@ def _k_conjugation_so21(cfg, u, idx, rows):
     return np.maximum(res, u21_residual(A) / scale), inputs
 
 
-def _k_swap_minus_identity(cfg, u, idx, rows):
-    _, res, inputs = _conjugated(cfg, u, rows, swap=True)
+def _k_swap_minus_identity(cfg, u, idx, rows, later):
+    _, res, inputs = _conjugated(cfg, u, later, rows, swap=True)
     return res, inputs
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
 
 
-def _k_aut_preserves_subdomains(cfg, u, idx, rows):
+def _k_aut_preserves_subdomains(cfg, u, idx, rows, later):
     # uniforms: phi (3), the swap coin, the pair (4)
     phi = random_mobius(u[:, :3], cfg.rmax, errors=rows)
     swap = u[:, 3] < 0.5
     p = _disc_pair(u[:, 4:], cfg.rmax)
     q = mobius_apply_pair(phi, (np.where(swap, p[1], p[0]), np.where(swap, p[0], p[1])), errors=rows)
     res = np.zeros(len(u))
+    excluded = np.zeros(len(u), dtype=bool)  # rows without a verdict in some band
     for lo, hi in _AUT_BANDS:
         (m1, g1), (m2, g2) = rho_band(*p, lo, hi, errors=rows), rho_band(*q, lo, hi, errors=rows)
         # a verdict only where both points are clear of the boundary
-        res = np.maximum(res, (np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN) & (m1 != m2))
-    return res, _columns(*p, phi.theta, phi.a, swap.astype(float))
+        clear = np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN
+        res = np.maximum(res, clear & (m1 != m2))
+        excluded |= ~clear
+    return res, _columns(*p, phi.theta, phi.a, swap.astype(float)), excluded
 
 
-def _k_su11_orbit_invariant(cfg, u, idx, rows):
+def _k_su11_orbit_invariant(cfg, u, idx, rows, later):
     # uniforms: the ball point (4), phi (3), acting through its SU(1,1) lift
     b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
@@ -403,12 +419,12 @@ def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, rows)
 
 
-def _k_su11_orbit_ellipsoid(cfg, u, idx, rows):
+def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, later):
     t, p = _ellipsoid_draw(cfg, u, rows)
     return ELLIPSOID.residual(p, t, rows), _columns(*p, t)
 
 
-def _k_gt_sphere(cfg, u, idx, rows):
+def _k_gt_sphere(cfg, u, idx, rows, later):
     t, p = _ellipsoid_draw(cfg, u, rows)
     a, b = scale_g_t(t, p, errors=rows)
     res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
@@ -424,7 +440,7 @@ def _o21_why_empty(cfg: SuiteConfig) -> str | None:
     return None
 
 
-def _k_o21_matrix_b(cfg, u, idx, rows):
+def _k_o21_matrix_b(cfg, u, idx, rows, later):
     c = annulus_from_uniforms(u[:, 0], u[:, 1], O21_RMIN, cfg.rmax)
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
@@ -438,15 +454,23 @@ _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
 TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
 
 
-def _k_o21_totally_real(cfg, u, idx, rows):
+def _real_matrices(c: np.ndarray) -> np.ndarray:
+    """The 2 x 2 matrices with entries uniform on [-1, 1) from 4 uniform columns."""
+    return 2.0 * c.reshape(len(c), 2, 2) - 1.0
+
+
+def _invertible(M: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.det(M)) >= 0.1
+
+
+def _k_o21_totally_real(cfg, u, idx, rows, later):
     # sample i % 3 == 0: the rows of the first random real matrix with |det| >= 0.1 (totally real);
     # 1 and 2: a complex curve's and a mixed basis (not totally real, the meet 2-dimensional)
     k = idx % 3
-    M = 2.0 * u.reshape(len(u), TOTALLY_REAL_ROUNDS, 2, 2) - 1.0
-    good = np.abs(np.linalg.det(M)) >= 0.1
+    M, missing = first_accepted(u, later, TOTALLY_REAL_ROUNDS, _real_matrices, _invertible, np.flatnonzero(k == 0))
     wanted = f"none of the sample's {TOTALLY_REAL_ROUNDS} candidate matrices has |det| >= 0.1"
-    rows.flag((k == 0) & ~good.any(axis=1), wanted)
-    basis = M[np.arange(len(u)), np.argmax(good, axis=1)].astype(complex)
+    rows.flag(np.isin(np.arange(len(u)), missing), wanted)
+    basis = M.astype(complex)
     basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
     ok, meet = totally_real_check(basis, errors=rows)
     res = ((ok != (k == 0)) | (meet != np.where(k == 0, 0, 2))).astype(float)
@@ -469,7 +493,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-10,
         _k_h_quadric,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
@@ -478,7 +503,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-12,
         _k_h_im_condition,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
@@ -487,7 +513,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-15,
         _k_h_sigma_negation,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
@@ -496,7 +523,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-9,
         _k_h_roundtrip,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
@@ -505,7 +533,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-10,
         _k_orbit_levels,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
@@ -514,7 +543,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         0.5,
         _k_preimage_formula,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
@@ -524,7 +554,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-7,
         _k_conjugation_so21,
-        draws=MOBIUS_DRAWS + PAIR_DRAWS,
+        draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
@@ -533,7 +564,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-9,
         _k_swap_minus_identity,
-        draws=MOBIUS_DRAWS + PAIR_DRAWS,
+        draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_CONDITIONED),
     ),
     _Suite(
@@ -584,7 +616,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.1,
         0.5,
         _k_o21_totally_real,
-        draws=4 * TOTALLY_REAL_ROUNDS,
+        draws=CANDIDATE_DRAWS,
+        rounds=TOTALLY_REAL_ROUNDS,
     ),
     _Suite(
         "levi-Fa",
@@ -634,7 +667,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-12,
         _k_j_h_compat,
-        draws=PAIR_DRAWS,
+        draws=CANDIDATE_DRAWS,
+        rounds=PAIR_ROUNDS,
         why_empty=_pairs_why_empty(_OFFDIAG),
     ),
     _Suite(
@@ -693,22 +727,26 @@ def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
 
 
 def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
-    """Samples lo..hi-1 of a suite as (residual, error, inputs).
+    """Samples lo..hi-1 of a suite as (residual, error, inputs, excluded).
 
     ``error[r]`` is None unless row r failed hard; ``inputs[r]`` is the
-    row's recorded inputs.  The rows are drawn by jumping the suite's
-    stream to row lo, so this one helper serves both a run and the
-    replay of any single index.
+    row's recorded inputs; ``excluded[r]`` is True when the kernel left
+    row r unscored (residual 0).  The rows, and their later candidate
+    rounds, are drawn by jumping the suite's streams to row lo, so this
+    one helper serves both a run and the replay of any single index.
     """
-    u = uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi)
+    stream_id = _stream_id(suite.name)
+    u = uniform_block(cfg.seed, stream_id, suite.draws, lo, hi)
     rows = RowErrors(hi - lo)
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        residual, inputs = suite.fn(cfg, u, np.arange(lo, hi), rows)
+        out = suite.fn(cfg, u, np.arange(lo, hi), rows, candidate_rounds(cfg.seed, stream_id, lo, hi))
+    residual, inputs = out[:2]
+    excluded = out[2] if len(out) > 2 else np.zeros(hi - lo, dtype=bool)
     if rows.ok.all():
-        return residual, rows.message, inputs
+        return residual, rows.message, inputs, excluded
     error = rows.message
     error[~rows.ok] = "ValueError: " + error[~rows.ok]  # every check raises ValueError
-    return np.where(rows.ok, residual, math.inf), error, inputs
+    return np.where(rows.ok, residual, math.inf), error, inputs, excluded
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
@@ -719,12 +757,13 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
     max_res = 0.0
     have_res = False
     failures: list[dict] = []
-    hard = flagged_total = 0
+    hard = excluded_total = flagged_total = 0
     for lo in range(0, count, BLOCK):
-        residual, error, inputs = _block(suite, cfg, lo, min(lo + BLOCK, count))
+        residual, error, inputs, excluded = _block(suite, cfg, lo, min(lo + BLOCK, count))
         failed = np.not_equal(error, None)  # error[r] is None or the text of a hard failure
         scored = residual[~failed]
         hard += int(failed.sum())
+        excluded_total += int((excluded & ~failed).sum())
         if scored.size:
             have_res = True
             block_max = float(np.fmax.reduce(scored))  # NaN rows are flagged below, not maxed
@@ -746,8 +785,17 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
         samples=count,
         failures=tuple(failures),
         hard_failures=hard,
+        excluded=excluded_total,
         wall_time_s=time.perf_counter() - start,
     )
+
+
+def _rng_entry(suite: _Suite) -> dict:
+    """How a suite draws: its stream, round 0's uniforms per sample, and its later candidate rounds if any."""
+    entry = {"stream_id": _stream_id(suite.name), "draws_per_sample": suite.draws}
+    if suite.rounds:
+        entry.update(rounds=suite.rounds, draws_per_round=CANDIDATE_DRAWS)
+    return entry
 
 
 def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
@@ -765,10 +813,11 @@ def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
         "rng": {
             "bit_generator": "PCG64",
             "seeding": "SeedSequence([seed, stream_id])",
-            "suites": {
-                r.suite: {"stream_id": _stream_id(r.suite), "draws_per_sample": _BY_NAME[r.suite].draws}
-                for r in reports
-            },
+            "candidate_rounds": (
+                "round k >= 1 of sample i: outputs [i draws_per_round, (i + 1) draws_per_round) "
+                "of SeedSequence([seed, stream_id | k]), for k < rounds"
+            ),
+            "suites": {r.suite: _rng_entry(_BY_NAME[r.suite]) for r in reports},
         },
         "passed": all(r.passed for r in reports),
         "suites": [r.to_dict() for r in reports],

@@ -46,6 +46,22 @@ from bidisc_lab.rng import RowErrors, disc_from_uniforms
 from bidisc_lab.suites import SuiteConfig, all_suite_names, verify_all
 
 BATCHED = tuple(s.name for s in suites._REGISTRY if s.fn.__name__.startswith("_k_"))  # block kernels
+PAIR_SUITES = (
+    "H-quadric",
+    "H-im-condition",
+    "H-sigma-negation",
+    "H-roundtrip",
+    "orbit-levels",
+    "preimage-formula",
+    "J-H-compat",
+)
+# the suites that take the first admissible of several candidates, with their round-0 uniforms per sample
+CANDIDATE_WIDTHS = {
+    **dict.fromkeys(PAIR_SUITES, 4),
+    "conjugation-so21": 7,
+    "swap-is-minus-identity": 7,
+    "o21-totally-real": 4,
+}
 LEVI = ("levi-Fa", "levi-eta", "levi-flat-control", "levi-sphere")
 ROWS = 500
 LEVI_ROWS = 90  # the point Levi calls are the batch kernel's batch of one, so these agree exactly
@@ -77,8 +93,41 @@ def test_the_report_gives_every_suite_an_integer_draw_budget():
     budgets = {name: entry["draws_per_sample"] for name, entry in doc["rng"]["suites"].items()}
     assert list(budgets) == list(all_suite_names())
     assert all(type(k) is int and k > 0 for k in budgets.values())
-    assert budgets["conjugation-so21"] == budgets["swap-is-minus-identity"] == 3 + suites.PAIR_DRAWS
+    assert budgets["conjugation-so21"] == budgets["swap-is-minus-identity"] == 3 + rng.CANDIDATE_DRAWS == 7
     assert budgets["aut-preserves-subdomains"] == 8 and budgets["o21-matrix-B"] == 2
+
+
+def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch):
+    """Per block, uniform_block generates the round-0 width per row and 4 per row for each later round drawn.
+
+    Later rounds k = 1, 2, ... come in order from the streams stream_id | k,
+    at most rounds - 1 of them (31 for pairs, 15 for matrices).  At the
+    defaults no block of a pair suite draws more than one later round.
+    """
+    calls = []
+    real = rng.uniform_block
+
+    def counting(seed, stream_id, draws, lo, hi):
+        calls.append((stream_id, draws, lo, hi))
+        return real(seed, stream_id, draws, lo, hi)
+
+    monkeypatch.setattr(rng, "uniform_block", counting)
+    monkeypatch.setattr(suites, "uniform_block", counting)
+    for name, width in CANDIDATE_WIDTHS.items():
+        calls.clear()
+        rep = _report(name, SuiteConfig())
+        stream = suites._stream_id(name)
+        blocks = [(lo, min(lo + suites.BLOCK, rep["samples"])) for lo in range(0, rep["samples"], suites.BLOCK)]
+        assert sorted({(lo, hi) for *_, lo, hi in calls}) == blocks, name
+        for lo, hi in blocks:
+            drawn = [(stream_id, draws) for stream_id, draws, *block in calls if block == [lo, hi]]
+            later = len(drawn) - 1
+            assert drawn == [(stream, width)] + [(stream | k, 4) for k in range(1, later + 1)], name
+            assert later <= (15 if name == "o21-totally-real" else 31), name
+            if name in PAIR_SUITES:
+                assert later <= 1, name
+            generated = sum(draws * (hi - lo) for _, draws in drawn)
+            assert generated == (hi - lo) * (width + 4 * later), name
 
 
 def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
@@ -109,7 +158,8 @@ def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
     assert doc["passed"]
     for text in ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve"):
         orbits.dump_orbit(orbits.parse_orbit_spec(text), 50, str(tmp_path / "orbit.csv"))
-    assert len(built) == 22 + 5  # one block per suite and per dump at these sizes
+    # one block per suite and per dump at these sizes, and rounds 1 and 2 of o21-totally-real's candidate matrices
+    assert len(built) == 22 + 2 + 5
     with pytest.raises(AssertionError):
         np.random.default_rng(0)
 
@@ -292,6 +342,21 @@ def _aut_preserves_subdomains(r, u, i):
     return 0.0
 
 
+def _aut_unscored(r):
+    """Whether aut-preserves-subdomains gives the row no verdict in some band: p or q within MEMBERSHIP_MARGIN of an edge."""
+    p = (complex(r[0], r[1]), complex(r[2], r[3]))
+    q = mobius_apply_pair(MobiusMap(r[4], complex(r[5], r[6])), p[::-1] if r[7] else p)
+    gaps = [min(abs(rho_band(*p, lo, hi)[1]), abs(rho_band(*q, lo, hi)[1])) for lo, hi in suites._AUT_BANDS]
+    return min(gaps) < suites.MEMBERSHIP_MARGIN
+
+
+def _preimage_unscored(r):
+    """Whether preimage-formula's row has rho within PREIMAGE_MARGIN of an edge of its band."""
+    rho = pseudo_hyperbolic(*_pair(r))
+    edges = math.sqrt(2.0 / (r[4] + 1.0)), math.sqrt(2.0 / (r[5] + 1.0))
+    return min(abs(rho - edge) for edge in edges) < suites.PREIMAGE_MARGIN
+
+
 def _su11_orbit_invariant(r, u, i):
     b, v = _complex(r)
     b2, v2 = ball_action(su11_embed(random_mobius(u[4:7])), (b, v))
@@ -329,13 +394,32 @@ def test_kernel_agrees_with_its_scalar_body(name):
     suite = suites._BY_NAME[name]
     cfg = SuiteConfig()
     rows = LEVI_ROWS if name in LEVI else ROWS
-    residual, error, inputs = suites._block(suite, cfg, 0, rows)
+    residual, error, inputs, _ = suites._block(suite, cfg, 0, rows)
     u = rng.uniform_block(cfg.seed, suites._stream_id(name), suite.draws, 0, rows)
     assert not error.astype(bool).any()
     assert inputs.shape[0] == rows
     for r in range(rows):
         point = SCALAR_BODIES[name](inputs[r]) if name in SCALAR_BODIES else ROW_BODIES[name](inputs[r], u[r], r)
         assert abs(residual[r] - point) <= 0.01 * suite.tolerance, r
+
+
+@pytest.mark.parametrize(
+    "name, cfg, margin, unscored",
+    [
+        ("aut-preserves-subdomains", SuiteConfig(), None, _aut_unscored),  # 1,000 rows, one within 1e-6 of an edge
+        # at the real margin 1e-8, 1 row of 10^6 is excluded: too few for a test of this size
+        ("preimage-formula", SuiteConfig(samples=2000), 1e-3, _preimage_unscored),
+    ],
+)
+def test_rows_left_unscored_are_counted_as_excluded(monkeypatch, name, cfg, margin, unscored):
+    """The report counts the rows a margin excludes (scored 0), the same rows the point API finds near a band edge."""
+    if margin is not None:
+        monkeypatch.setattr(suites, "PREIMAGE_MARGIN", margin)
+    rep = _report(name, cfg)
+    _, error, inputs, excluded = suites._block(suites._BY_NAME[name], cfg, 0, rep["samples"])
+    assert not error.astype(bool).any()
+    assert excluded.tolist() == [unscored(r) for r in inputs]
+    assert rep["passed"] and rep["excluded"] == int(excluded.sum()) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -437,54 +521,70 @@ def _report_without_timings(path):
 
 
 def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
-    # the levi suites draw 12, 12, 4 and 4 samples: blocks of 7 split their parameter groups
-    cfg = SuiteConfig(
-        samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22, "levi-sphere": 1e-16}
+    configs = (
+        # the levi suites draw 12, 12, 4 and 4 samples: blocks of 7 split their parameter groups
+        SuiteConfig(samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22, "levi-sphere": 1e-16}),
+        # at rmax 0.03 few pairs reach rho >= 0.05: blocks draw every later candidate round, and rows miss
+        SuiteConfig(samples=200, rmax=0.03, suites=tuple(CANDIDATE_WIDTHS)),
     )
-    texts = []
-    for block in (suites.BLOCK, 7):
-        monkeypatch.setattr(suites, "BLOCK", block)
-        path = tmp_path / f"report-{block}.json"
-        verify_all(cfg, report_path=str(path))
-        texts.append(_report_without_timings(path))
-    assert texts[0] == texts[1]
+    for n, cfg in enumerate(configs):
+        texts = []
+        for block in (suites.BLOCK, 7):
+            monkeypatch.setattr(suites, "BLOCK", block)
+            path = tmp_path / f"report-{n}-{block}.json"
+            verify_all(cfg, report_path=str(path))
+            texts.append(_report_without_timings(path))
+        assert texts[0] == texts[1], cfg
 
 
 def _replay(doc, name, index):
-    """Recompute one row from the report alone: its stream key, budget and index.
+    """Recompute one row from the report alone: its stream keys, budgets and index.
 
-    The generator is built from the report's "rng" field, as any reader of the report could.
+    The generators are built from the report's "rng" field, as any reader of the report could:
+    round 0 from the suite's stream, and candidate round k >= 1 from the stream stream_id | k.
+    Returns the row's residual, error and inputs, and the later rounds the kernel drew.
     """
+    seed = doc["config"]["seed"]
     stream = doc["rng"]["suites"][name]
-    gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([doc["config"]["seed"], stream["stream_id"]]))
-    )
-    k = stream["draws_per_sample"]
-    gen.bit_generator.advance(index * k)
-    cfg = SuiteConfig(seed=doc["config"]["seed"], rmax=doc["config"]["rmax"])
+
+    def row(stream_id, k):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
+        gen.bit_generator.advance(index * k)
+        return gen.random((1, k))
+
+    drawn = []
+
+    def later(k):
+        assert 0 < k < stream["rounds"]
+        drawn.append(k)
+        return row(stream["stream_id"] | k, stream["draws_per_round"])
+
+    cfg = SuiteConfig(seed=seed, rmax=doc["config"]["rmax"])
     rows = RowErrors(1)
+    u = row(stream["stream_id"], stream["draws_per_sample"])
     with np.errstate(all="ignore"):
-        residual, inputs = suites._BY_NAME[name].fn(cfg, gen.random((1, k)), np.array([index]), rows)
+        residual, inputs = suites._BY_NAME[name].fn(cfg, u, np.array([index]), rows, later)[:2]
     error = None if rows.ok[0] else f"ValueError: {rows.message[0]}"
-    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist()
+    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist(), drawn
 
 
 @pytest.mark.parametrize(
     "name, cfg",
     [
-        ("H-quadric", SuiteConfig(samples=10_000, tolerances={"H-quadric": 8e-16})),  # 25 relative defects reach it
+        ("H-quadric", SuiteConfig(samples=10_000, tolerances={"H-quadric": 8e-16})),  # 27 relative defects reach it
         ("rho-invariance", SuiteConfig(samples=10_000, tolerances={"rho-invariance": 5e-15})),
-        ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 32 reach it
+        ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 26 reach it
         ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
         ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no row finds a pair with rho >= 0.05
         ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records phi and the last candidate pair
-        # 3,000 rows; 14 relative defects reach 1e-14
+        # 3,000 rows; 27 relative defects reach 1e-14
         ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-14})),
     ],
 )
-def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
+def test_replaying_an_index_reproduces_its_recorded_failure(monkeypatch, name, cfg):
+    monkeypatch.setattr(suites, "BLOCK", 1024)
     _, doc = verify_all(SuiteConfig(**{**cfg.__dict__, "suites": (name,)}))
     doc = json.loads(json.dumps(doc))  # as a reader of the report file sees it
     failures = doc["suites"][0]["failures"]
@@ -492,13 +592,15 @@ def test_replaying_an_index_reproduces_its_recorded_failure(name, cfg):
     if not doc["suites"][0]["hard_failures"]:
         assert max(f["index"] for f in failures) >= suites.BLOCK  # a later block is replayed too
     for failure in failures:
-        residual, error, inputs = _replay(doc, name, failure["index"])
+        residual, error, inputs, drawn = _replay(doc, name, failure["index"])
         assert inputs == failure["inputs"]
         assert inputs  # a hard failure records what its row drew
         if "error" in failure:
             assert error == failure["error"]
         else:
             assert error is None and residual == failure["residual"]
+        if "candidate" in failure.get("error", ""):  # a row without an admissible candidate drew every round
+            assert drawn == list(range(1, doc["rng"]["suites"][name]["rounds"]))
 
 
 def test_block_helper_replays_any_row_of_a_run():
@@ -506,8 +608,8 @@ def test_block_helper_replays_any_row_of_a_run():
     for name in all_suite_names():
         suite = suites._BY_NAME[name]
         n = 2 * suites.BLOCK + 5
-        residual, _, inputs = suites._block(suite, cfg, 0, n)
+        residual, _, inputs, _ = suites._block(suite, cfg, 0, n)
         for i in (0, 1, n // 2, n - 1):
-            one, _, row = suites._block(suite, cfg, i, i + 1)
+            one, _, row, _ = suites._block(suite, cfg, i, i + 1)
             assert one[0] == residual[i]
             np.testing.assert_array_equal(row[0], inputs[i])

@@ -27,7 +27,7 @@ def test_verify_subset_prints_report_and_passes(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["passed"] is True
     assert [s["suite"] for s in doc["suites"]] == ["alpha-roundtrip"]
     assert "[PASS] alpha-roundtrip" in err

@@ -162,7 +162,7 @@ def test_verify_all_writes_the_report(tmp_path):
     code, doc = verify_all(cfg, report_path=str(path))
     assert code == 0
     on_disk = json.loads(path.read_text())
-    assert on_disk["schema"] == 2
+    assert on_disk["schema"] == 3
     assert on_disk["passed"] is True
     assert [s["suite"] for s in on_disk["suites"]] == ["gt-sphere", "alpha-roundtrip"]
     # wall times aside, the in-memory document is what was serialized
