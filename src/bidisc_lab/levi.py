@@ -166,7 +166,10 @@ def totally_real_check(basis, *, errors: RowErrors | None = None):
 
     basis: real-tangent vectors given in complex coordinates, or a batch
     of such bases, shape (n, k, dim).  Returns (totally_real, dim_R of
-    the intersection), one of each per row for a batch.
+    the intersection), one of each per row for a batch.  With W =
+    span_R(basis), W + iW = span_C(basis), so the intersection of W and
+    iW has dimension 2 dim_R W - dim_R(W + iW) = 2 (rank_R - rank_C) of
+    the basis.
     """
     try:
         V = np.asarray(basis, dtype=complex)
@@ -179,16 +182,7 @@ def totally_real_check(basis, *, errors: RowErrors | None = None):
     single = V.ndim == 2
     V = V.reshape((-1,) + V.shape[-2:])
     rows = _collector(errors, len(V))
-    B, JB = _realify(V), _realify(1j * V)
-    k = np.linalg.matrix_rank(B)
+    k = np.linalg.matrix_rank(np.concatenate([V.real, V.imag], axis=2))  # the vectors as rows in R^(2 dim)
     rows.flag(k != V.shape[1], "basis vectors are linearly dependent over R")
-    dim_meet = 2 * k - np.linalg.matrix_rank(np.concatenate([B, JB], axis=2))
+    dim_meet = 2 * (k - np.linalg.matrix_rank(V))
     return _unbatch((dim_meet == 0, dim_meet), single)
-
-
-def _realify(V: np.ndarray) -> np.ndarray:
-    """The (n, k, dim) complex vectors as the columns of (n, 2 dim, k) real matrices, (re, im) interleaved."""
-    out = np.empty((len(V), 2 * V.shape[2], V.shape[1]))
-    out[:, 0::2] = V.real.swapaxes(1, 2)
-    out[:, 1::2] = V.imag.swapaxes(1, 2)
-    return out

@@ -22,26 +22,20 @@ s = i h3 d one has z - w = d and z + w = s, hence {z, w} are the roots
 (s +- d) / 2 of X^2 - s X + (zw).  The ordering is fixed by a
 reproduction test, which doubles as the domain check.
 
-Off-diagonal pairs for the batched suites come from ``PairDraw``: the
-first of PAIR_ROUNDS candidate pairs (``rng.first_accepted``) that lies
-at least ``PairDraw.margin`` apart.
-
 Every map takes a point or a batch of rows (see ``rng``) and checks each
 row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .mobius import _check_disc, _rho
-from .rng import RowErrors, _batch, _unbatch, disc_from_uniforms, first_accepted
+from .mobius import _check_disc
+from .rng import RowErrors, _batch, _unbatch
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
+
 
 def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re, Im) of z w from separately rounded float products, so that w z == z w bit for bit.
@@ -138,63 +132,3 @@ def scale_g_t(t, p, *, errors: RowErrors | None = None):
     t = t.real
     rows.flag(~((0.0 < t) & (t < 1.0)), lambda r: f"need 0 < t < 1, got {t[r]}")
     return _unbatch((u / t, v), single)
-
-
-# ---------------------------------------------------------------------------
-# off-diagonal pairs
-
-PAIR_ROUNDS = 32  # candidate pairs an off-diagonal draw may try
-
-
-@dataclass(frozen=True)
-class PairDraw:
-    """Off-diagonal bidisc pairs: the first admissible of PAIR_ROUNDS candidate pairs.
-
-    A pair is admissible when |z - w| >= margin and, with rho_floor set,
-    rho(z, w) >= rho_floor.  The suites' pairs take margin EPS_DIAG,
-    the chart guard of map_H.  A candidate is the pair of area-uniform
-    rmax-disc points drawn from 4 uniforms (radius and angle of z, then
-    of w): round 0 from a row's own columns, round k >= 1 from
-    ``later(k)`` (see ``rng.first_accepted``).  A row never loops: one
-    with no admissible candidate keeps its last one and is reported as
-    missing.
-    """
-
-    margin: float
-    rho_floor: float = 0.0
-
-    def wanted(self) -> str:
-        return f"|z - w| >= {self.margin:g}" + (f" and rho >= {self.rho_floor:g}" if self.rho_floor else "")
-
-    def why_empty(self, rmax: float) -> str | None:
-        """Why no pair of rmax-disc points is admissible, or None."""
-        if self.margin >= 2.0 * rmax:
-            return (
-                f"pairs need |z - w| >= {self.margin:g}, "
-                f"but no two points of the rmax = {rmax!r} disc are that far apart"
-            )
-        sup_rho = 2.0 * rmax / (1.0 + rmax * rmax)
-        if sup_rho <= self.rho_floor:
-            return (
-                f"rmax = {rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
-                f"so no pair reaches rho >= {self.rho_floor:g}"
-            )
-        return None
-
-    def __call__(
-        self, u: np.ndarray, later: Callable[[int], np.ndarray], rmax: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, w, missing) for the rows of u, whose 4 columns are round 0; missing lists the rows left without a pair."""
-
-        def admissible(p):
-            z, w = p[:, 0], p[:, 1]
-            keep = np.abs(z - w) >= self.margin
-            return keep & (_rho(z, w) >= self.rho_floor) if self.rho_floor else keep
-
-        p, missing = first_accepted(u, later, PAIR_ROUNDS, lambda c: np.column_stack(_disc_pair(c, rmax)), admissible)
-        z, w = p.T.copy()  # contiguous, as the maps downstream read them
-        return z, w, missing
-
-
-def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    return disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)

@@ -331,16 +331,22 @@ def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors | N
     A row that fails one of the sampler's checks is flagged in ``errors``;
     without a collector, the first such row raises.
     """
-    if spec.record.sampler is None:
-        raise ValueError(f"{spec.record.name} has no sampler")
+    record = spec.record
+    if record.sampler is None:
+        raise ValueError(f"{record.name} has no sampler")
+    if np.shape(u)[1:] != (record.draws,):
+        raise ValueError(f"{record.name} takes rows of record.draws = {record.draws} uniforms, got shape {np.shape(u)}")
     errors = _collector(errors, len(u))
     with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
-        return spec.record.sampler(u, spec.param, rmax, errors)
+        return record.sampler(u, spec.param, rmax, errors)
 
 
 def orbit_point(spec: Family, u: np.ndarray):
     """The point of the orbit described by spec that one row of spec.record.draws uniforms gives."""
-    coords = orbit_points(spec, np.asarray(u, dtype=float)[None, :], DEFAULT_RMAX, None)
+    u, k = np.asarray(u, dtype=float), spec.record.draws
+    if u.shape != (k,):
+        raise ValueError(f"{spec.record.name} takes one row of record.draws = {k} uniforms, got shape {u.shape}")
+    coords = orbit_points(spec, u[None, :], DEFAULT_RMAX, None)
     return tuple(c[0].item() for c in coords)
 
 

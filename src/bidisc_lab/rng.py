@@ -26,15 +26,16 @@ budget and no draw is rejected:
 * planar annulus rmin <= r < rmax, area-uniform:
   r = sqrt(rmin^2 + s (rmax^2 - rmin^2)) and a uniform angle.
 
-A draw that must meet a condition (an off-diagonal pair, a real matrix
-with |det| bounded below) takes the first accepted of a fixed number of
-candidate rounds of CANDIDATE_DRAWS = 4 uniforms (``first_accepted``),
-and never loops.  Round 0 of row i is part of row i of its stream's
-budget; round k >= 1 is row i of the stream (seed, stream_id | k), that
-is its outputs [4 i, 4 i + 4).  A block draws round k only while one of
-its rows is still open, as one ``uniform_block`` call for the whole
-block (``candidate_rounds``), so a row keeps the same candidates in any
-block, the block of one included.  The suites' stream ids are multiples
+A draw that must meet a condition takes the first accepted of a fixed
+number of candidate rounds of CANDIDATE_DRAWS = 4 uniforms
+(``first_accepted``), and never loops; each suite that needs one
+declares what it proposes, accepts and how many rounds it tries
+(``suites._Candidates``).  Round 0 of row i is part of row i of its
+stream's budget; round k >= 1 is row i of the stream
+(seed, stream_id | k), that is its outputs [4 i, 4 i + 4).  A block
+draws round k only while one of its rows is still open, as one
+``uniform_block`` call for the whole block (``candidate_rounds``), so a
+row keeps the same candidates in any block, the block of one included.  The suites' stream ids are multiples
 of 2^32, so ``stream_id | k`` for k < 2^32 is no other suite's stream.
 
 Rows are also the unit of checking.  Every function of the package that

@@ -8,41 +8,36 @@ the evaluation order.  The suite with registry ordinal o draws from the
 stream (seed, (o + 1) << 32) with a fixed budget of k uniforms per
 sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
 draws them in one ``rng.uniform_block`` call, so replaying sample i
-takes ``advance(i k)`` and k draws.  A suite that takes the first admissible
-of several candidates reads the candidates' round 0 from those k
-uniforms, and round r >= 1 from the stream (seed, stream_id | r), 4
-uniforms per sample, drawn for the block only while one of its rows is
-still open (``rng.candidate_rounds``).  Every kernel takes the same
-arguments, (cfg, U, idx, rows, later): the block's uniforms U, shape
+takes ``advance(i k)`` and k draws.  Every kernel takes the same
+arguments, (cfg, U, idx, rows, drawn): the block's uniforms U, shape
 (len(idx), k), the sample indices idx, the block's ``RowErrors`` rows,
-which the runner creates, and ``later(r)``, the block's candidate round
-r; it returns the residual and the inputs of each row.  The report's
-"rng" field gives each suite's stream_id and k, and for the candidate
-draws their number of rounds, so that any sample replays from the
-report alone.
+which the runner creates, and the rows' accepted candidates drawn (None
+for a suite without them); it returns the residual and the inputs of
+each row.  The kernels evaluate their claims on the whole block as
+numpy arrays, through the same functions a caller uses on a point (a
+point is the batch of one), passing rows as ``errors``.
 
-Every kernel evaluates its claim on the whole block as numpy arrays,
-through the same functions a caller uses on a point (a point is the
-batch of one), passing rows as ``errors``:
+A suite whose sample must meet a condition declares its ``candidates``:
+the first admissible of a fixed number of rounds of 4 uniforms each
+(``rng.first_accepted``), round 0 read from the sample's k uniforms at
+a stated column, round r >= 1 from the stream (seed, stream_id | r),
+drawn for the block only while one of its rows is still open
+(``rng.candidate_rounds``).  The runner draws them for every such suite
+in one place, ``_evaluate``; a row left without one is a hard failure
+that names the rounds and the condition.  Nine suites take a pair off
+the diagonal (|z - w| >= EPS_DIAG, the chart guard of map_H), the
+dual-route level checks one that also has rho >= 0.05, from PAIR_ROUNDS
+candidates; ``o21-totally-real`` takes, on its rows i % 3 == 0, a real
+matrix with |det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the
+defaults nearly every row keeps its round 0.  The report's "rng" field
+gives each suite's stream_id and k, and the number of its candidate
+rounds, so that any sample replays from the report alone.
 
-* A pair that must lie off the diagonal (|z - w| >= EPS_DIAG, the chart
-  guard of map_H), and for the dual-route level checks also have
-  rho >= 0.05, comes from ``maps.PairDraw``: the first admissible of
-  PAIR_ROUNDS candidate pairs of 4 uniforms each, round 0 being the
-  sample's k = 4.  A row with none is a hard failure.
-  ``conjugation-so21`` and ``swap-is-minus-identity`` take k = 3 + 4 = 7:
-  phi, then round 0 of one pair with rho >= 0.05, checked against the
-  closed-form ``groups.so21_image``; ``o21-totally-real`` takes k = 4,
-  round 0 of up to TOTALLY_REAL_ROUNDS candidate matrices with
-  |det| >= 0.1.  At the defaults nearly every row keeps its round 0.
-* The Levi suites take k = 3: every row is drawn by its family's
-  sampler (``orbits.orbit_points``), which also applies its checks.
-  levi-Fa and levi-eta put sample i on the level i % 3 of three, and a
-  Family's parameter is a number or one per row, so each block is one
-  ``orbit_points`` and one ``levi.levi_restricted`` batch.
-* The other budgets: ``aut-preserves-subdomains`` 8,
-  ``su11-orbit-invariant`` 7, ``su11-orbit-ellipsoid`` and ``gt-sphere``
-  4, ``o21-matrix-B`` 2.
+The Levi suites take k = 3: every row is drawn by its family's sampler
+(``orbits.orbit_points``), which also applies its checks.  levi-Fa and
+levi-eta put sample i on the level i % 3 of three, and a Family's
+parameter is a number or one per row, so each block is one
+``orbit_points`` and one ``levi.levi_restricted`` batch.
 
 Residual conventions: equality claims report the absolute defect, or
 for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
@@ -93,18 +88,8 @@ from .groups import (
     u21_residual,
 )
 from .levi import levi_restricted, totally_real_check
-from .maps import (
-    EPS_DIAG,
-    PAIR_ROUNDS,
-    PairDraw,
-    _disc_pair,
-    map_H,
-    map_H_inv,
-    map_J,
-    scale_g_t,
-    sym,
-)
-from .mobius import MOBIUS_DRAWS, mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .maps import EPS_DIAG, map_H, map_H_inv, map_J, scale_g_t, sym
+from .mobius import MOBIUS_DRAWS, _rho, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -122,6 +107,7 @@ from .rng import (
     annulus_from_uniforms,
     ball_from_uniforms,
     candidate_rounds,
+    disc_from_uniforms,
     first_accepted,
     uniform_block,
 )
@@ -170,18 +156,42 @@ class SuiteReport:
 
 
 @dataclass(frozen=True)
+class _Candidates:
+    """A conditioned draw: each row's first admissible candidate among ``rounds`` rounds.
+
+    Round 0 of a row is its CANDIDATE_DRAWS uniforms from column
+    ``offset``, round k >= 1 its row of the stream (seed, stream_id | k).
+    ``propose(cfg, c)`` turns a round's uniforms c into candidates, one
+    row each, and ``accept(x)`` says which candidate rows are admissible.
+    Only the rows whose indices ``looks(idx)`` marks look for one (all
+    when None).  A row left without one is a hard failure: "none of the
+    sample's {rounds} candidate {noun} has {wanted}".  ``why_empty(cfg)``
+    says why no candidate is admissible under cfg, or returns None.
+    """
+
+    noun: str
+    wanted: str
+    rounds: int
+    propose: Callable[[SuiteConfig, np.ndarray], np.ndarray]
+    accept: Callable[[np.ndarray], np.ndarray]
+    offset: int = 0
+    looks: Callable[[np.ndarray], np.ndarray] | None = None
+    why_empty: Callable[[SuiteConfig], str | None] | None = None
+
+
+@dataclass(frozen=True)
 class _Suite:
     """A registered claim.
 
-    ``fn`` is a kernel ``(cfg, U, idx, rows, later) -> (residual,
+    ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
     inputs)`` over the rows idx, whose uniforms U have shape
-    (len(idx), draws); it flags the rows that fail a check in the
-    block's ``RowErrors`` rows, and draws the block's candidate round
-    k >= 1 as ``later(k)``, of which it uses at most ``rounds - 1``.  A
-    kernel that leaves some rows unscored returns
-    ``(residual, inputs, excluded)``, with excluded a mask of those rows.
-    ``why_empty(cfg)`` says why no sample can be drawn under cfg, or
-    returns None.
+    (len(idx), draws), and whose accepted ``candidates`` are drawn (None
+    for a suite without them); it flags the rows that fail a check in
+    the block's ``RowErrors`` rows.  A kernel that leaves some rows
+    unscored returns ``(residual, inputs, excluded)``, with excluded a
+    mask of those rows.  ``why_empty(cfg)`` says why no sample can be
+    drawn under cfg, or returns None; a candidate suite says it in its
+    ``candidates``.
     """
 
     name: str
@@ -190,7 +200,7 @@ class _Suite:
     tolerance: float
     fn: Callable
     draws: int
-    rounds: int = 0
+    candidates: _Candidates | None = None
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
@@ -206,23 +216,52 @@ def _columns(*vals) -> np.ndarray:
     return np.column_stack(cols)
 
 
-_OFFDIAG = PairDraw(EPS_DIAG)
-_CONDITIONED = PairDraw(EPS_DIAG, RHO_COND_FLOOR)
+def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of area-uniform rmax-disc points from 4 uniform columns: radius and angle of z, then of w."""
+    return disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)
 
 
-def _pairs(draw: PairDraw, cfg: SuiteConfig, u: np.ndarray, later, rows: RowErrors) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal pairs (|z - w| >= draw.margin) of a PairDraw, round 0 from u; a row without one fails hard."""
-    z, w, missing = draw(u, later, cfg.rmax)
-    wanted = draw.wanted()
-    rows.flag(np.isin(np.arange(len(u)), missing), f"none of the sample's {PAIR_ROUNDS} candidate pairs has {wanted}")
-    return z, w
+PAIR_ROUNDS = 32  # candidate pairs a row may try
 
 
-def _pairs_why_empty(draw: PairDraw) -> Callable[[SuiteConfig], str | None]:
-    return lambda cfg: draw.why_empty(cfg.rmax)
+def _pair_candidates(rho_floor: float = 0.0, offset: int = 0) -> _Candidates:
+    """Disc pairs with |z - w| >= EPS_DIAG, the chart guard of map_H, and with rho_floor set rho(z, w) >= rho_floor.
+
+    A candidate is an (n, 2) array [z, w] in column-major order, so that
+    a kernel's ``z, w = pair.T`` are contiguous, as the maps read them.
+    """
+
+    def accept(p):
+        z, w = p[:, 0], p[:, 1]
+        keep = np.abs(z - w) >= EPS_DIAG
+        return keep & (_rho(z, w) >= rho_floor) if rho_floor else keep
+
+    def why_empty(cfg):
+        if EPS_DIAG >= 2.0 * cfg.rmax:
+            return (
+                f"pairs need |z - w| >= {EPS_DIAG:g}, "
+                f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
+            )
+        sup_rho = 2.0 * cfg.rmax / (1.0 + cfg.rmax * cfg.rmax)
+        if sup_rho <= rho_floor:
+            return (
+                f"rmax = {cfg.rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
+                f"so no pair reaches rho >= {rho_floor:g}"
+            )
+        return None
+
+    return _Candidates(
+        "pairs",
+        f"|z - w| >= {EPS_DIAG:g}" + (f" and rho >= {rho_floor:g}" if rho_floor else ""),
+        PAIR_ROUNDS,
+        lambda cfg, c: np.stack(_disc_pair(c, cfg.rmax)).T,
+        accept,
+        offset,
+        why_empty=why_empty,
+    )
 
 
-def _k_rho_invariance(cfg, u, idx, rows, later):
+def _k_rho_invariance(cfg, u, idx, rows, drawn):
     # uniforms: the pair (4), phi (3)
     z, w = _disc_pair(u, cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
@@ -236,33 +275,33 @@ def _h_scale(h) -> np.ndarray:
     return np.maximum(1.0, np.abs(np.stack(h)).max(axis=0) ** 2)
 
 
-def _k_h_quadric(cfg, u, idx, rows, later):
-    z, w = _pairs(_CONDITIONED, cfg, u, later, rows)
+def _k_h_quadric(cfg, u, idx, rows, pair):
+    z, w = pair.T
     h = map_H(z, w, errors=rows)
     return np.abs(quadric_residual(*h)) / _h_scale(h), _columns(z, w)
 
 
-def _k_h_im_condition(cfg, u, idx, rows, later):
-    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
+def _k_h_im_condition(cfg, u, idx, rows, pair):
+    z, w = pair.T
     return np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w)
 
 
-def _k_h_sigma_negation(cfg, u, idx, rows, later):
+def _k_h_sigma_negation(cfg, u, idx, rows, pair):
     # exact claim: map_H works on real and imaginary parts, whose products commute
-    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
+    z, w = pair.T
     h = np.stack(map_H(z, w, errors=rows))
     hs = np.stack(map_H(w, z, errors=rows))
     return np.abs(hs + h).max(axis=0), _columns(z, w)
 
 
-def _k_h_roundtrip(cfg, u, idx, rows, later):
-    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
+def _k_h_roundtrip(cfg, u, idx, rows, pair):
+    z, w = pair.T
     z2, w2 = map_H_inv(*map_H(z, w, errors=rows), errors=rows)
     return np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w)
 
 
-def _k_orbit_levels(cfg, u, idx, rows, later):
-    z, w = _pairs(_CONDITIONED, cfg, u, later, rows)
+def _k_orbit_levels(cfg, u, idx, rows, pair):
+    z, w = pair.T
     rho = pseudo_hyperbolic(z, w, errors=rows)
     h = map_H(z, w, errors=rows)
     m = minkowski_form(*h)
@@ -274,9 +313,9 @@ def _k_orbit_levels(cfg, u, idx, rows, later):
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _k_preimage_formula(cfg, u, idx, rows, later):
+def _k_preimage_formula(cfg, u, idx, rows, pair):
     s, t = _PREIMAGE_BANDS[idx % 3].T
-    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
+    z, w = pair.T
     rho = pseudo_hyperbolic(z, w, errors=rows)
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
     # boundary-ambiguous samples are excluded: residual 0, and map_H's checks do not apply
@@ -289,7 +328,7 @@ def _k_preimage_formula(cfg, u, idx, rows, later):
     return res, _columns(z, w, s, t), ambiguous
 
 
-def _k_sym_equivariance(cfg, u, idx, rows, later):
+def _k_sym_equivariance(cfg, u, idx, rows, drawn):
     # exact claim: sym works on real and imaginary parts, whose products commute
     z, w = _disc_pair(u, cfg.rmax)
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
@@ -299,15 +338,15 @@ def _k_sym_equivariance(cfg, u, idx, rows, later):
 _MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 
 
-def _k_j_h_compat(cfg, u, idx, rows, later):
-    z, w = _pairs(_OFFDIAG, cfg, u, later, rows)
+def _k_j_h_compat(cfg, u, idx, rows, pair):
+    z, w = pair.T
     p = map_J(z, w, errors=rows)
     q = np.stack([np.ones_like(z), *map_H(z, w, errors=rows)])
     worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
     return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w)
 
 
-def _k_alpha_roundtrip(cfg, u, idx, rows, later):
+def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
     a = 0.05 + 0.9 * u[:, 0]
     return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
 
@@ -324,24 +363,24 @@ def _levi(f: Family, u: np.ndarray, rows: RowErrors):
     return p, levi_restricted(f, p, errors=rows)
 
 
-def _k_levi_fa(cfg, u, idx, rows, later):
+def _k_levi_fa(cfg, u, idx, rows, drawn):
     a = _FA_LEVELS[idx % 3]
     p, val = _levi(Family(RHO_LEVEL, a), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a)
 
 
-def _k_levi_eta(cfg, u, idx, rows, later):
+def _k_levi_eta(cfg, u, idx, rows, drawn):
     level = _ETA_LEVELS[idx % 3]
     p, val = _levi(Family(MINKOWSKI_LEVEL, level), u, rows)
     return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level)
 
 
-def _k_levi_control(cfg, u, idx, rows, later):
+def _k_levi_control(cfg, u, idx, rows, drawn):
     p, val = _levi(Family(FLAT_CONTROL, 0.5), u, rows)
     return np.abs(val), _columns(*p.T)
 
 
-def _k_levi_sphere(cfg, u, idx, rows, later):
+def _k_levi_sphere(cfg, u, idx, rows, drawn):
     p, val = _levi(Family(SPHERE), u, rows)
     return np.abs(val - 1.0), _columns(*p.T)
 
@@ -350,15 +389,15 @@ def _k_levi_sphere(cfg, u, idx, rows, later):
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _conjugated(cfg, u, later, rows, swap: bool):
+def _conjugated(cfg, u, pair, rows, swap: bool):
     """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p).
 
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
     crowds the pair and H grows, and its rounding with it.
     """
-    # uniforms: phi (3), round 0 of one conditioned pair (4)
+    # uniforms: phi (3), round 0 of the conditioned pair (4)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
-    z, w = _pairs(_CONDITIONED, cfg, u[:, MOBIUS_DRAWS:], later, rows)
+    z, w = pair.T
     A = so21_image(phi)
     h = np.stack(map_H(z, w, errors=rows), axis=-1)
     q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=rows), axis=-1)
@@ -367,8 +406,8 @@ def _conjugated(cfg, u, later, rows, swap: bool):
     return A, res, _columns(phi.theta, phi.a, z, w)
 
 
-def _k_conjugation_so21(cfg, u, idx, rows, later):
-    A, res, inputs = _conjugated(cfg, u, later, rows, swap=False)
+def _k_conjugation_so21(cfg, u, idx, rows, pair):
+    A, res, inputs = _conjugated(cfg, u, pair, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
@@ -379,15 +418,15 @@ def _k_conjugation_so21(cfg, u, idx, rows, later):
     return np.maximum(res, u21_residual(A) / scale), inputs
 
 
-def _k_swap_minus_identity(cfg, u, idx, rows, later):
-    _, res, inputs = _conjugated(cfg, u, later, rows, swap=True)
+def _k_swap_minus_identity(cfg, u, idx, rows, pair):
+    _, res, inputs = _conjugated(cfg, u, pair, rows, swap=True)
     return res, inputs
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
 
 
-def _k_aut_preserves_subdomains(cfg, u, idx, rows, later):
+def _k_aut_preserves_subdomains(cfg, u, idx, rows, drawn):
     # uniforms: phi (3), the swap coin, the pair (4)
     phi = random_mobius(u[:, :3], cfg.rmax, errors=rows)
     swap = u[:, 3] < 0.5
@@ -404,7 +443,7 @@ def _k_aut_preserves_subdomains(cfg, u, idx, rows, later):
     return res, _columns(*p, phi.theta, phi.a, swap.astype(float)), excluded
 
 
-def _k_su11_orbit_invariant(cfg, u, idx, rows, later):
+def _k_su11_orbit_invariant(cfg, u, idx, rows, drawn):
     # uniforms: the ball point (4), phi (3), acting through its SU(1,1) lift
     b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
@@ -419,12 +458,12 @@ def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, rows)
 
 
-def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, later):
+def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, drawn):
     t, p = _ellipsoid_draw(cfg, u, rows)
     return ELLIPSOID.residual(p, t, rows), _columns(*p, t)
 
 
-def _k_gt_sphere(cfg, u, idx, rows, later):
+def _k_gt_sphere(cfg, u, idx, rows, drawn):
     t, p = _ellipsoid_draw(cfg, u, rows)
     a, b = scale_g_t(t, p, errors=rows)
     res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
@@ -440,7 +479,7 @@ def _o21_why_empty(cfg: SuiteConfig) -> str | None:
     return None
 
 
-def _k_o21_matrix_b(cfg, u, idx, rows, later):
+def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
     c = annulus_from_uniforms(u[:, 0], u[:, 1], O21_RMIN, cfg.rmax)
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
@@ -453,23 +492,21 @@ _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
 _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
 TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
 
+# 2 x 2 matrices with entries uniform on [-1, 1), looked for by the rows i % 3 == 0
+_REAL_MATRICES = _Candidates(
+    "matrices",
+    "|det| >= 0.1",
+    TOTALLY_REAL_ROUNDS,
+    lambda cfg, c: 2.0 * c.reshape(len(c), 2, 2) - 1.0,
+    lambda M: np.abs(np.linalg.det(M)) >= 0.1,
+    looks=lambda idx: idx % 3 == 0,
+)
 
-def _real_matrices(c: np.ndarray) -> np.ndarray:
-    """The 2 x 2 matrices with entries uniform on [-1, 1) from 4 uniform columns."""
-    return 2.0 * c.reshape(len(c), 2, 2) - 1.0
 
-
-def _invertible(M: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.det(M)) >= 0.1
-
-
-def _k_o21_totally_real(cfg, u, idx, rows, later):
+def _k_o21_totally_real(cfg, u, idx, rows, M):
     # sample i % 3 == 0: the rows of the first random real matrix with |det| >= 0.1 (totally real);
     # 1 and 2: a complex curve's and a mixed basis (not totally real, the meet 2-dimensional)
     k = idx % 3
-    M, missing = first_accepted(u, later, TOTALLY_REAL_ROUNDS, _real_matrices, _invertible, np.flatnonzero(k == 0))
-    wanted = f"none of the sample's {TOTALLY_REAL_ROUNDS} candidate matrices has |det| >= 0.1"
-    rows.flag(np.isin(np.arange(len(u)), missing), wanted)
     basis = M.astype(complex)
     basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
     ok, meet = totally_real_check(basis, errors=rows)
@@ -494,8 +531,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_h_quadric,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_CONDITIONED),
+        candidates=_pair_candidates(RHO_COND_FLOOR),
     ),
     _Suite(
         "H-im-condition",
@@ -504,8 +540,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_h_im_condition,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_OFFDIAG),
+        candidates=_pair_candidates(),
     ),
     _Suite(
         "H-sigma-negation",
@@ -514,8 +549,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-15,
         _k_h_sigma_negation,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_OFFDIAG),
+        candidates=_pair_candidates(),
     ),
     _Suite(
         "H-roundtrip",
@@ -524,8 +558,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_h_roundtrip,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_OFFDIAG),
+        candidates=_pair_candidates(),
     ),
     _Suite(
         "orbit-levels",
@@ -534,8 +567,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_orbit_levels,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_CONDITIONED),
+        candidates=_pair_candidates(RHO_COND_FLOOR),
     ),
     _Suite(
         "preimage-formula",
@@ -544,8 +576,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.5,
         _k_preimage_formula,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_OFFDIAG),
+        candidates=_pair_candidates(),
     ),
     _Suite(
         "conjugation-so21",
@@ -555,8 +586,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-7,
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_CONDITIONED),
+        candidates=_pair_candidates(RHO_COND_FLOOR, offset=MOBIUS_DRAWS),
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -565,8 +595,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_swap_minus_identity,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_CONDITIONED),
+        candidates=_pair_candidates(RHO_COND_FLOOR, offset=MOBIUS_DRAWS),
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -617,7 +646,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.5,
         _k_o21_totally_real,
         draws=CANDIDATE_DRAWS,
-        rounds=TOTALLY_REAL_ROUNDS,
+        candidates=_REAL_MATRICES,
     ),
     _Suite(
         "levi-Fa",
@@ -668,8 +697,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_j_h_compat,
         draws=CANDIDATE_DRAWS,
-        rounds=PAIR_ROUNDS,
-        why_empty=_pairs_why_empty(_OFFDIAG),
+        candidates=_pair_candidates(),
     ),
     _Suite(
         "alpha-roundtrip",
@@ -694,7 +722,8 @@ def _stream_id(name: str) -> int:
 
 
 def _check_admissible(cfg: SuiteConfig, name: str) -> None:
-    why = _BY_NAME[name].why_empty
+    suite = _BY_NAME[name]
+    why = suite.candidates.why_empty if suite.candidates is not None else suite.why_empty
     reason = why(cfg) if why is not None else None
     if reason is not None:
         raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
@@ -727,21 +756,34 @@ def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
 
 
 def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
-    """Samples lo..hi-1 of a suite as (residual, error, inputs, excluded).
-
-    ``error[r]`` is None unless row r failed hard; ``inputs[r]`` is the
-    row's recorded inputs; ``excluded[r]`` is True when the kernel left
-    row r unscored (residual 0).  The rows, and their later candidate
-    rounds, are drawn by jumping the suite's streams to row lo, so this
-    one helper serves both a run and the replay of any single index.
-    """
+    """Samples lo..hi-1 of a suite, drawn by jumping the suite's streams to row lo (see ``_evaluate``)."""
     stream_id = _stream_id(suite.name)
     u = uniform_block(cfg.seed, stream_id, suite.draws, lo, hi)
-    rows = RowErrors(hi - lo)
+    return _evaluate(suite, cfg, u, np.arange(lo, hi), candidate_rounds(cfg.seed, stream_id, lo, hi))
+
+
+def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
+    """The samples idx of a suite as (residual, error, inputs, excluded).
+
+    u holds the samples' uniforms and later(k) their candidate round
+    k >= 1.  ``error[r]`` is None unless row r failed hard; ``inputs[r]``
+    is the row's recorded inputs; ``excluded[r]`` is True when the kernel
+    left row r unscored (residual 0).  It serves both a run and the
+    replay of any single index.
+    """
+    rows = RowErrors(len(idx))
+    c = suite.candidates
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        out = suite.fn(cfg, u, np.arange(lo, hi), rows, candidate_rounds(cfg.seed, stream_id, lo, hi))
+        drawn = None
+        if c is not None:
+            todo = None if c.looks is None else np.flatnonzero(c.looks(idx))
+            first = u[:, c.offset : c.offset + CANDIDATE_DRAWS]
+            drawn, missing = first_accepted(first, later, c.rounds, lambda v: c.propose(cfg, v), c.accept, todo)
+            wanted = f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}"
+            rows.flag(np.isin(np.arange(len(idx)), missing), wanted)
+        out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
-    excluded = out[2] if len(out) > 2 else np.zeros(hi - lo, dtype=bool)
+    excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
     if rows.ok.all():
         return residual, rows.message, inputs, excluded
     error = rows.message
@@ -793,8 +835,8 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
 def _rng_entry(suite: _Suite) -> dict:
     """How a suite draws: its stream, round 0's uniforms per sample, and its later candidate rounds if any."""
     entry = {"stream_id": _stream_id(suite.name), "draws_per_sample": suite.draws}
-    if suite.rounds:
-        entry.update(rounds=suite.rounds, draws_per_round=CANDIDATE_DRAWS)
+    if suite.candidates is not None:
+        entry.update(rounds=suite.candidates.rounds, draws_per_round=CANDIDATE_DRAWS)
     return entry
 
 

@@ -1,5 +1,6 @@
 """Suite kernels: batches against points, per-row checks, one sampling path, block independence and index replay."""
 
+import hashlib
 import json
 import math
 import sys
@@ -537,6 +538,32 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
         assert texts[0] == texts[1], cfg
 
 
+# sha256 of the seed-42 report file with every wall_time_s set to 0, recorded when each kernel still drew its own
+# candidates
+REPORT_SHA256 = {
+    "all-2000": "db010e2d549f4c39f2ba9bd1c18103bff7dfda203f248254c4ac9541debec586",
+    "candidates-rmax-0.03": "a0ed8585d2cf48a9f4024b746ea120213da2b56328817ee6f28481b144ff3079",
+}
+
+
+@pytest.mark.parametrize(
+    "key, cfg",
+    [
+        ("all-2000", SuiteConfig(samples=2000, suites=all_suite_names())),
+        # four suites fail rows hard (40 recorded), and blocks draw every later candidate round
+        ("candidates-rmax-0.03", SuiteConfig(rmax=0.03, suites=tuple(CANDIDATE_WIDTHS))),
+    ],
+)
+def test_report_bytes_match_their_recorded_hash(tmp_path, key, cfg):
+    path = tmp_path / "report.json"
+    verify_all(cfg, report_path=str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for entry in doc["suites"]:
+        entry["wall_time_s"] = 0
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[key]
+
+
 def _replay(doc, name, index):
     """Recompute one row from the report alone: its stream keys, budgets and index.
 
@@ -560,12 +587,9 @@ def _replay(doc, name, index):
         return row(stream["stream_id"] | k, stream["draws_per_round"])
 
     cfg = SuiteConfig(seed=seed, rmax=doc["config"]["rmax"])
-    rows = RowErrors(1)
     u = row(stream["stream_id"], stream["draws_per_sample"])
-    with np.errstate(all="ignore"):
-        residual, inputs = suites._BY_NAME[name].fn(cfg, u, np.array([index]), rows, later)[:2]
-    error = None if rows.ok[0] else f"ValueError: {rows.message[0]}"
-    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist(), drawn
+    residual, error, inputs, _ = suites._evaluate(suites._BY_NAME[name], cfg, u, np.array([index]), later)
+    return float(residual[0]), error[0], np.asarray(inputs[0], dtype=float).tolist(), drawn
 
 
 @pytest.mark.parametrize(

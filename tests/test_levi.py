@@ -440,6 +440,47 @@ def test_totally_real_check_cases():
     assert ok and meet == 0
 
 
+def _realified_meet(V):
+    """rank_R of the (n, k, dim) bases, and dim_R of the meet of W and iW from the realified W + iW."""
+
+    def realify(X):
+        out = np.empty((len(X), 2 * X.shape[2], X.shape[1]))
+        out[:, 0::2] = X.real.swapaxes(1, 2)
+        out[:, 1::2] = X.imag.swapaxes(1, 2)
+        return out
+
+    B, JB = realify(V), realify(1j * V)
+    k = np.linalg.matrix_rank(B)
+    return k, 2 * k - np.linalg.matrix_rank(np.concatenate([B, JB], axis=2))
+
+
+@pytest.mark.parametrize("k, dim", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 3)])
+def test_totally_real_check_agrees_with_the_realified_spans(k, dim):
+    """The rank identity, meet dimension 2 (rank_R - rank_C), gives what the realified W + iW gives.
+
+    Rows: random complex bases, real ones (totally real), bases with a
+    vector i times another (complex, the meet 2-dimensional) and bases
+    dependent over R (flagged).
+    """
+    n = 400
+    u = uniform_block(81, 0, 4 * k * dim, 0, n)
+    V = (2.0 * u[:, : 2 * k * dim : 2] - 1.0) + 1j * (2.0 * u[:, 1 : 2 * k * dim : 2] - 1.0)
+    V = V.reshape(n, k, dim)
+    V[1::4] = V[1::4].real
+    if k > 1:
+        V[2::4, -1] = 1j * V[2::4, 0]
+        V[3::4, -1] = u[3::4, -1:] * V[3::4, 0]
+    rows = RowErrors(n)
+    ok, meet = totally_real_check(V, errors=rows)
+    rank_r, reference = _realified_meet(V)
+    np.testing.assert_array_equal(meet, reference)
+    np.testing.assert_array_equal(ok, reference == 0)
+    np.testing.assert_array_equal(rows.ok, rank_r == k)
+    assert rows.ok[:3].all() and (meet[1::4] == 0).all()
+    if k > 1:  # every kind of row occurs
+        assert (meet[2::4] == 2).all() and not rows.ok[3::4].any()
+
+
 def test_totally_real_check_rejects_bad_bases():
     with pytest.raises(ValueError):
         totally_real_check([])

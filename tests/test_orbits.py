@@ -135,6 +135,19 @@ def test_sampler_parameter_validation():
         assert str(per_row.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("spec", [f for f in TABLE if f.record.sampler is not None], ids=lambda f: f.record.name)
+def test_a_uniform_block_of_the_wrong_shape_is_refused(spec):
+    """A replay with the wrong number of uniforms raises, naming record.draws, instead of giving a wrong point."""
+    k = spec.record.draws
+    row = uniform_block(74, 0, k + 1, 0, 1)[0]
+    for bad in (row, row[: k - 1], row[None, :k]):
+        with pytest.raises(ValueError, match=f"record.draws = {k} uniforms"):
+            orbit_point(spec, bad)
+    for bad in (row, uniform_block(74, 0, k + 1, 0, 5), uniform_block(74, 0, k, 0, 5)[None]):
+        with pytest.raises(ValueError, match=f"record.draws = {k} uniforms"):
+            orbit_points(spec, bad, 0.95, RowErrors(5))
+
+
 @pytest.mark.parametrize(
     "record, levels",
     [(RHO_LEVEL, (0.2, 0.5, 0.8)), (MINKOWSKI_LEVEL, (1.5, 2.125, 4.0)), (ELLIPSOID, (0.1, 0.5, 0.9))],
