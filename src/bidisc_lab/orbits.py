@@ -37,9 +37,10 @@ level, |rho - a| not below a: below about eps times the automorphism
 centre's modulus, phi(a) rounds onto phi(0).
 
 A dump draws row i from the uniforms [i k, (i + 1) k) of the stream
-(seed, 0), with k = ``spec.record.draws``, in blocks of BLOCK rows, so
+(seed, 0), with k = ``spec.record.draws``, so
 ``orbit_point(spec, uniform_block(seed, 0, k, i, i + 1)[0])`` replays
-row i.
+row i.  It samples and checks BLOCK rows at a time and formats CHUNK
+rows at a time; neither size changes a byte of the file.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .maps import _times, map_H
 from .mobius import mobius_apply, pseudo_hyperbolic, random_mobius
 from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
 
-BLOCK = 1024  # rows per block of a dump; never changes a byte of it
+BLOCK = 4096  # rows a dump samples and checks at a time, as suites.BLOCK
+CHUNK = 1024  # rows a dump formats at a time: 4096 would raise a dump's peak memory by about 8 MB
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +453,8 @@ def _scaled_digits(a, s, powers):
     return p.astype(np.int64) + r.astype(np.int64), (np.abs(t - r) < 0.5 - _TIE) | (lo == 0.0)
 
 
-def _format_rows(table: np.ndarray) -> str | None:
-    """The CSV text of the rows of a 2-d float table, byte-identical to formatting each value with "%.17g".
+def _format_rows(table: np.ndarray) -> bytes | None:
+    """The ASCII CSV bytes of the rows of a 2-d float table, byte-identical to formatting each value with "%.17g".
 
     Each value's 17 significant digits D = round-half-even(|x| 10^s),
     s = 16 - floor(log10 |x|), come from exact double-double products in
@@ -495,7 +497,29 @@ def _format_rows(table: np.ndarray) -> str | None:
     words &= np.take(masks, 18 * layout + 17 - trailing, axis=0)
     slots = words.view(np.uint8)
     slots.reshape(*table.shape, _SLOTS)[:, -1, 45] = ord("\n")
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _checked_rows(spec: Family, columns: list[str], seed: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo to hi of a dump as a table of its columns; the first row that fails a check raises ValueError.
+
+    A function of its own, so that the block's temporaries are freed
+    before the next block, or the formatting, starts.
+    """
+    record = spec.record
+    errors = RowErrors(hi - lo)
+    coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), DEFAULT_RMAX, errors)
+    with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
+        residual = record.residual(coords, spec.param, errors)
+    table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
+    finite = np.isfinite(table)
+    first = np.argmin(finite, axis=1)
+    errors.flag(~finite.all(axis=1), lambda r: f"{columns[first[r]]} = {table[r, first[r]]} is not finite")
+    failed = np.flatnonzero(~errors.ok)
+    if failed.size:
+        r = failed[0]
+        raise ValueError(f"row {lo + r} of the {record.cli or record.name} dump: {errors.message[r]}")
+    return table
 
 
 def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> None:
@@ -503,14 +527,14 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
 
     Columns are the real and imaginary parts of each coordinate followed
     by the orbit-equation residual, all at 17 significant digits.  Every
-    row is computed and checked, block by block, before the file is
+    row is computed and checked, BLOCK rows at a time, before the file is
     opened: a row that fails one of the checks of its sampler or its
     residual is a ValueError that names the row, and nothing is written.
     A row with a coordinate or residual that is not finite fails too.
-    The rows are then written one block at a time.  A block is formatted
-    by a vectorised kernel whose bytes are those of ``f"{x:.17g}"`` for
-    every value, and by a single ``%`` with that format when the kernel
-    cannot certify one of its values.
+    The rows are then written CHUNK at a time, each chunk formatted by a
+    vectorised kernel whose bytes are those of ``f"{x:.17g}"`` for every
+    value, or by a single ``%`` with that format when the kernel cannot
+    certify one of its values.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -518,25 +542,12 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
     if record.residual is None:
         raise ValueError(f"{record.name} has no orbit residual to dump")
     columns = [f"{c}{j}" for j in range(1, record.dim + 1) for c in "xy"] + ["residual"]
-    tables = []
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        errors = RowErrors(hi - lo)
-        coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), DEFAULT_RMAX, errors)
-        with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
-            residual = record.residual(coords, spec.param, errors)
-        table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
-        finite = np.isfinite(table)
-        first = np.argmin(finite, axis=1)
-        errors.flag(~finite.all(axis=1), lambda r: f"{columns[first[r]]} = {table[r, first[r]]} is not finite")
-        failed = np.flatnonzero(~errors.ok)
-        if failed.size:
-            r = failed[0]
-            raise ValueError(f"row {lo + r} of the {record.cli or record.name} dump: {errors.message[r]}")
-        tables.append(table)
+    tables = [_checked_rows(spec, columns, seed, lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
     row = ",".join(["%.17g"] * len(columns)) + "\n"  # the formatter of f"{x:.17g}"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode("ascii"))
         for table in tables:
-            text = _format_rows(table)
-            fh.write(row * len(table) % tuple(table.ravel().tolist()) if text is None else text)
+            for lo in range(0, len(table), CHUNK):
+                chunk = table[lo : lo + CHUNK]
+                text = _format_rows(chunk)
+                fh.write((row * len(chunk) % tuple(chunk.ravel().tolist())).encode("ascii") if text is None else text)

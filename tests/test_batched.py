@@ -539,9 +539,9 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 
 
 # sha256 of the seed-42 report file with every wall_time_s set to 0, recorded when each kernel still drew its own
-# candidates
+# candidates; "all-2000" re-recorded when u21_residual went entry by entry, which moved o21-matrix-B's max_residual
 REPORT_SHA256 = {
-    "all-2000": "db010e2d549f4c39f2ba9bd1c18103bff7dfda203f248254c4ac9541debec586",
+    "all-2000": "8692c350386f86e012fb7d491a4441da34485fb406999f8114a940c9fe0b172a",
     "candidates-rmax-0.03": "a0ed8585d2cf48a9f4024b746ea120213da2b56328817ee6f28481b144ff3079",
 }
 
@@ -600,7 +600,7 @@ def _replay(doc, name, index):
         ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 26 reach it
         ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
-        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3e-15})),  # 3,000 rows
+        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 3.5e-15})),  # 3,000 rows
         ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no row finds a pair with rho >= 0.05
         ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records phi and the last candidate pair
         # 3,000 rows; 27 relative defects reach 1e-14

@@ -41,12 +41,22 @@ def test_residuals_reject_wrong_shape():
 
 
 def test_u21_residual_is_the_form_product_and_ignores_the_determinant():
-    """Bit for bit the norm of A* I21 A - I21 on a stack; a det -1 form-preserving matrix reads 0."""
+    """Row by row the value of the matrix alone, close to the norm of A* I21 A - I21; form-keeping matrices read 0."""
     su11 = su11_embed(random_mobius(uniform_block(36, 0, 3, 0, 20)))
-    A = np.concatenate([su11, so21_image(random_mobius(uniform_block(37, 0, 3, 0, 20)))])
-    A = A * np.exp(1j * uniform_block(38, 0, 1, 0, 40))[:, :, None]  # unit phases keep the form, move the det
+    near_rim = so21_image(random_mobius(uniform_block(37, 0, 3, 0, 20), 0.999999))  # entries up to about 3,000
+    u = uniform_block(39, 0, 18, 0, 20)
+    generic = (u[:, :9] - 0.5 + 1j * (u[:, 9:] - 0.5)).reshape(-1, 3, 3) * 100.0
+    A = np.concatenate([su11, so21_image(random_mobius(uniform_block(37, 0, 3, 0, 20))), near_rim, generic])
+    A = A * np.exp(1j * uniform_block(38, 0, 1, 0, len(A)))[:, :, None]  # unit phases keep the form, move the det
+    stacked = u21_residual(A)
+    for i, matrix in enumerate(A):
+        assert u21_residual(matrix) == stacked[i]
+        assert np.array_equal(u21_residual(np.broadcast_to(matrix, (5, 3, 3))), np.full(5, stacked[i]))
+    # each of the 9 entries sums three products of at most |A|_inf^2: both sides round it by a few eps |A|_inf^2
     form = np.linalg.norm(A.conj().swapaxes(-1, -2) @ I21 @ A - I21, axis=(-2, -1))
-    assert np.array_equal(u21_residual(A), form)
+    size = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    assert np.all(np.abs(stacked - form) <= 16 * np.finfo(float).eps * size * size)
+    assert u21_residual(np.eye(3)) == 0.0
     assert u21_residual(np.diag([1.0, -1.0, 1.0])) == 0.0
 
 

@@ -281,32 +281,65 @@ def test_dump_orbit_rejects_empty_request(tmp_path):
 
 
 def _csv_line(spec, p):
-    return ",".join(f"{x:.17g}" for x in [*(y for z in p for y in (z.real, z.imag)), _orbit_residual(spec, p)])
+    """The dump's line of the point p; its residual from 1-row arrays, as the dump evaluates it.
+
+    The residual of the Minkowski levels uses numpy's complex multiply, which may fuse its products; Python's
+    complex multiply rounds each one, and would disagree with the dump in the last bits of many rows.
+    """
+    residual = spec.record.residual(tuple(np.array([z]) for z in p), spec.param, None)[0]
+    return ",".join(f"{x:.17g}" for x in [*(y for z in p for y in (z.real, z.imag)), residual])
+
+
+def _edge_rows(n):
+    """The first and last row of each sampling block and of each text chunk of an n-row dump."""
+    rows = set()
+    for lo in range(0, n, orbits.BLOCK):
+        hi = min(lo + orbits.BLOCK, n)
+        rows |= {r for c in range(lo, hi, orbits.CHUNK) for r in (c, min(c + orbits.CHUNK, hi) - 1)}
+    return sorted(rows)
 
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_dump_row_replays_from_its_uniforms(tmp_path, spec):
     """Row i is orbit_point of the uniforms [i k, (i + 1) k) of the stream (seed, 0)."""
     out = tmp_path / "orbit.csv"
-    dump_orbit(spec, 2 * orbits.BLOCK + 3, str(out), seed=5)
+    n = 2 * orbits.BLOCK + 3
+    dump_orbit(spec, n, str(out), seed=5)
     lines = out.read_text().splitlines()
     k = spec.record.draws
-    for i in (0, 1, orbits.BLOCK, 2 * orbits.BLOCK + 2):
+    rows = _edge_rows(n)
+    assert {orbits.BLOCK, 2 * orbits.BLOCK + 2, orbits.CHUNK - 1} <= set(rows)
+    for i in rows:
         assert lines[1 + i] == _csv_line(spec, orbit_point(spec, uniform_block(5, 0, k, i, i + 1)[0]))
 
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_dump_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, spec):
+    """Nor on the text chunk size, nor on which chunks the "%" fallback writes; 1030 rows are a multiple of neither."""
+    sizes = [(block, chunk) for block in (orbits.BLOCK, 7) for chunk in (orbits.CHUNK, 7)]
     texts = []
-    for block in (orbits.BLOCK, 7):
+    for n, (block, chunk) in enumerate(sizes):
         monkeypatch.setattr(orbits, "BLOCK", block)
-        out = tmp_path / f"orbit-{block}.csv"
-        dump_orbit(spec, 40, str(out), seed=9)
+        monkeypatch.setattr(orbits, "CHUNK", chunk)
+        out = tmp_path / f"orbit-{n}.csv"
+        dump_orbit(spec, 1030, str(out), seed=9)
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    format_rows, calls = orbits._format_rows, []
+
+    def every_other_chunk_to_percent(table):
+        calls.append(len(table))
+        return None if len(calls) % 2 else format_rows(table)
+
+    monkeypatch.setattr(orbits, "_format_rows", every_other_chunk_to_percent)
+    out = tmp_path / "orbit-percent.csv"
+    dump_orbit(spec, 1030, str(out), seed=9)
+    texts.append(out.read_bytes())
+    assert calls == [7] * 147 + [1]
+    assert all(text == texts[0] for text in texts)
 
 
-# sha256 of the 2,051-row (2 * BLOCK + 3) dump at seed 5, as the row-by-row f"{x:.17g}" formatter wrote it
+# sha256 of the 2,051-row (2 * CHUNK + 3: three text chunks) dump at seed 5, as the row-by-row f"{x:.17g}" formatter
+# wrote it
 DUMP_SHA256 = {
     "fa": "445c3a5c1b5db591b26f9a918ece8ce66d2ad171b906f2387d17aed832e15d52",
     "eta-level": "0f04329387954f5d7b92899f0562a4c300dff5d3759a2141ed7cee94b57ee215",
@@ -379,7 +412,7 @@ def test_dump_bytes_of_the_percent_fallback_match_their_recorded_hash(tmp_path, 
 
 def _percent(table):
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return row * len(table) % tuple(table.ravel().tolist())
+    return (row * len(table) % tuple(table.ravel().tolist())).encode("ascii")
 
 
 def _formattable(x):
