@@ -141,8 +141,8 @@ def so21_image(phi: MobiusMap) -> np.ndarray:
 
     in SO+(2,1); its corner entry is at least 1 exactly.
     """
-    (theta, a), _, single = _batch(None, phi.theta, phi.a)
-    e, t = np.exp(1j * theta.real), _abs2(a)
+    (a,), _, single = _batch(None, phi.a)  # phi.theta, and so phi.rotation, has a's shape
+    e, t = phi.rotation, _abs2(a)
     p, q, r = e * (1.0 - a * a), e * (1.0 + a * a), e * a
     rows = ((p.real, -q.imag, -2.0 * r.imag), (p.imag, q.real, 2.0 * r.real), (-2.0 * a.imag, 2.0 * a.real, 1.0 + t))
     A = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / (1.0 - t)[:, None, None]

@@ -104,8 +104,11 @@ def map_H_inv(h1, h2, h3, *, errors: RowErrors | None = None):
     """Invert the affine quadric embedding.
 
     A row fails if its input does not reproduce under the forward map
-    (it then lies off the image, e.g. off the quadric or with roots on
-    the unit circle).
+    in either ordering of the recovered pair (it then lies off the
+    image, e.g. off the quadric or with roots on the unit circle).  One
+    forward map serves both orderings: map_H(w, z) is -map_H(z, w) bit
+    for bit and fails the same checks, so the swapped ordering
+    reproduces h where map_H(z, w) + h is small.
     """
     (h1, h2, h3), rows, single = _batch(errors, h1, h2, h3)
     den = h1 - 1j * h2
@@ -114,15 +117,16 @@ def map_H_inv(h1, h2, h3, *, errors: RowErrors | None = None):
     d = 2.0 / den  # z - w
     s = 1j * h3 * d  # z + w
     z, w = 0.5 * (s + d), 0.5 * (s - d)
+    trial = RowErrors(len(z))
+    back = map_H(z, w, errors=trial)
 
-    def reproduces(a, b):
-        trial = RowErrors(len(a))
-        back = map_H(a, b, errors=trial)
-        err = np.maximum(np.maximum(np.abs(back[0] - h1), np.abs(back[1] - h2)), np.abs(back[2] - h3))
+    def reproduces(e1, e2, e3):  # whether the forward map's defect e stays within tolerance
+        err = np.maximum(np.maximum(np.abs(e1), np.abs(e2)), np.abs(e3))
         return trial.ok & (err <= _ROUNDTRIP_TOL * scale)
 
-    first = reproduces(z, w)
-    rows.flag(~(first | reproduces(w, z)), "input does not lie on the embedded bidisc within tolerance")
+    first = reproduces(back[0] - h1, back[1] - h2, back[2] - h3)
+    swapped = reproduces(back[0] + h1, back[1] + h2, back[2] + h3)  # map_H(w, z) - h = -(back + h)
+    rows.flag(~(first | swapped), "input does not lie on the embedded bidisc within tolerance")
     return _unbatch((np.where(first, z, w), np.where(first, w, z)), single)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +53,17 @@ class MobiusMap:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "a", a)
 
+    @cached_property
+    def rotation(self):
+        """e^{i theta}, one number or one per row; computed once, for every evaluation of the map and its matrix."""
+        return np.exp(1j * np.asarray(self.theta))
+
 
 def mobius_apply(m: MobiusMap, z, *, errors: RowErrors | None = None):
     """Evaluate the automorphism at a disc point, or at each row (one map for all, or one per row)."""
     (z, a), rows, single = _batch(errors, z, m.a)  # theta and a share one shape
     _check_disc(rows, z, "z")
-    return _unbatch(np.exp(1j * np.asarray(m.theta)) * (z - a) / (1.0 - a.conjugate() * z), single)
+    return _unbatch(m.rotation * (z - a) / (1.0 - a.conjugate() * z), single)
 
 
 def mobius_apply_pair(m: MobiusMap, p, *, errors: RowErrors | None = None):

@@ -89,12 +89,22 @@ class RowErrors:
 
     ``ok[r]`` turns False when row r fails a check, and ``message[r]``
     then holds that check's ValueError message; later checks never
-    overwrite it.
+    overwrite it.  ``ok`` alone says which rows failed: the message
+    array is allocated when it is first read or a row first fails, so a
+    batch whose rows all pass never builds one.
     """
+
+    _message: np.ndarray | None = None
 
     def __init__(self, n: int):
         self.ok = np.ones(n, dtype=bool)
-        self.message = np.empty(n, dtype=object)  # all None
+
+    @property
+    def message(self) -> np.ndarray:
+        """Each row's first failure message, None for a row that has not failed."""
+        if self._message is None:
+            self._message = np.empty(len(self.ok), dtype=object)  # all None
+        return self._message
 
     def flag(self, bad: np.ndarray, message) -> None:
         """Fail the rows in ``bad`` that have not failed yet, with one message or ``message(r)`` for row r."""
@@ -104,10 +114,10 @@ class RowErrors:
 
 
 class _FirstRaises(RowErrors):
-    """The collector of a call that was passed none: the first row that fails a check raises at once."""
+    """The collector of a call that was passed none: the first row that fails a check raises at once.
 
-    def __init__(self, n: int):
-        self.ok = np.ones(n, dtype=bool)  # stays all True: no row fails without raising
+    Its ``ok`` stays all True: no row fails without raising.
+    """
 
     def flag(self, bad: np.ndarray, message) -> None:
         if bad.any():  # no row has failed before: it would have raised

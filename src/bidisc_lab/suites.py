@@ -322,7 +322,7 @@ def _k_preimage_formula(cfg, u, idx, rows, pair):
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
     chart = RowErrors(len(u))
     member = quadric_band(*map_H(z, w, errors=chart), s, t)[0]
-    rows.flag(~ambiguous & ~chart.ok, chart.message.__getitem__)
+    rows.flag(~ambiguous & ~chart.ok, lambda r: chart.message[r])
     predicted = (lo < rho) & (rho < hi)
     res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
     return res, _columns(z, w, s, t), ambiguous
@@ -742,6 +742,9 @@ def validate_config(cfg: SuiteConfig) -> None:
     unknown = [s for s in cfg.suites if s not in _BY_NAME]
     if unknown:
         raise ConfigError(f"unknown suite ids: {', '.join(sorted(unknown))}")
+    repeated = sorted({s for s in cfg.suites if cfg.suites.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"repeated suite ids: {', '.join(repeated)}")
     for name, tol in cfg.tolerances.items():
         if name not in _BY_NAME:
             raise ConfigError(f"tolerance override for unknown suite {name!r}")
@@ -763,13 +766,16 @@ def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
 
 
 def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
-    """The samples idx of a suite as (residual, error, inputs, excluded).
+    """The samples idx of a suite as (residual, rows, inputs, excluded).
 
     u holds the samples' uniforms and later(k) their candidate round
-    k >= 1.  ``error[r]`` is None unless row r failed hard; ``inputs[r]``
-    is the row's recorded inputs; ``excluded[r]`` is True when the kernel
-    left row r unscored (residual 0).  It serves both a run and the
-    replay of any single index.
+    k >= 1.  ``rows`` is the block's ``RowErrors``: ``rows.ok[r]`` is
+    False when row r failed hard, its residual is then inf, and
+    ``rows.message[r]`` holds the failed check's message, which the
+    report records as ``ValueError: message``.  ``inputs[r]`` is the
+    row's recorded inputs; ``excluded[r]`` is True when the kernel left
+    row r unscored (residual 0).  It serves both a run and the replay of
+    any single index.
     """
     rows = RowErrors(len(idx))
     c = suite.candidates
@@ -779,16 +785,16 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, l
             todo = None if c.looks is None else np.flatnonzero(c.looks(idx))
             first = u[:, c.offset : c.offset + CANDIDATE_DRAWS]
             drawn, missing = first_accepted(first, later, c.rounds, lambda v: c.propose(cfg, v), c.accept, todo)
-            wanted = f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}"
-            rows.flag(np.isin(np.arange(len(idx)), missing), wanted)
+            if missing.size:
+                bad = np.zeros(len(idx), dtype=bool)
+                bad[missing] = True
+                rows.flag(bad, f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}")
         out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
     excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
-    if rows.ok.all():
-        return residual, rows.message, inputs, excluded
-    error = rows.message
-    error[~rows.ok] = "ValueError: " + error[~rows.ok]  # every check raises ValueError
-    return np.where(rows.ok, residual, math.inf), error, inputs, excluded
+    if not rows.ok.all():
+        residual = np.where(rows.ok, residual, math.inf)
+    return residual, rows, inputs, excluded
 
 
 def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
@@ -801,21 +807,26 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
     failures: list[dict] = []
     hard = excluded_total = flagged_total = 0
     for lo in range(0, count, BLOCK):
-        residual, error, inputs, excluded = _block(suite, cfg, lo, min(lo + BLOCK, count))
-        failed = np.not_equal(error, None)  # error[r] is None or the text of a hard failure
-        scored = residual[~failed]
-        hard += int(failed.sum())
-        excluded_total += int((excluded & ~failed).sum())
+        residual, rows, inputs, excluded = _block(suite, cfg, lo, min(lo + BLOCK, count))
+        ok = rows.ok
+        if ok.all():  # no masking copies for a block without hard failures
+            scored = residual
+        else:
+            scored = residual[ok]
+            hard += ok.size - int(np.count_nonzero(ok))
+            excluded = excluded & ok
+        excluded_total += int(np.count_nonzero(excluded))
         if scored.size:
             have_res = True
             block_max = float(np.fmax.reduce(scored))  # NaN rows are flagged below, not maxed
             if block_max > max_res:
                 max_res = block_max
-        flagged = np.flatnonzero(failed | ~(residual < tol))
+        flagged = np.flatnonzero(~(residual < tol))  # a hard failure's residual is inf
         flagged_total += flagged.size
         for r in flagged[: MAX_FAILURES - len(failures)].tolist():
-            if failed[r]:
-                failures.append({"index": lo + r, "error": error[r], "inputs": inputs[r].tolist()})
+            if not ok[r]:
+                error = f"ValueError: {rows.message[r]}"  # every check raises ValueError
+                failures.append({"index": lo + r, "error": error, "inputs": inputs[r].tolist()})
             else:
                 failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": inputs[r].tolist()})
     return SuiteReport(

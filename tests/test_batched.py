@@ -395,9 +395,9 @@ def test_kernel_agrees_with_its_scalar_body(name):
     suite = suites._BY_NAME[name]
     cfg = SuiteConfig()
     rows = LEVI_ROWS if name in LEVI else ROWS
-    residual, error, inputs, _ = suites._block(suite, cfg, 0, rows)
+    residual, errors, inputs, _ = suites._block(suite, cfg, 0, rows)
     u = rng.uniform_block(cfg.seed, suites._stream_id(name), suite.draws, 0, rows)
-    assert not error.astype(bool).any()
+    assert errors.ok.all()
     assert inputs.shape[0] == rows
     for r in range(rows):
         point = SCALAR_BODIES[name](inputs[r]) if name in SCALAR_BODIES else ROW_BODIES[name](inputs[r], u[r], r)
@@ -417,8 +417,8 @@ def test_rows_left_unscored_are_counted_as_excluded(monkeypatch, name, cfg, marg
     if margin is not None:
         monkeypatch.setattr(suites, "PREIMAGE_MARGIN", margin)
     rep = _report(name, cfg)
-    _, error, inputs, excluded = suites._block(suites._BY_NAME[name], cfg, 0, rep["samples"])
-    assert not error.astype(bool).any()
+    _, errors, inputs, excluded = suites._block(suites._BY_NAME[name], cfg, 0, rep["samples"])
+    assert errors.ok.all()
     assert excluded.tolist() == [unscored(r) for r in inputs]
     assert rep["passed"] and rep["excluded"] == int(excluded.sum()) > 0
 
@@ -588,8 +588,9 @@ def _replay(doc, name, index):
 
     cfg = SuiteConfig(seed=seed, rmax=doc["config"]["rmax"])
     u = row(stream["stream_id"], stream["draws_per_sample"])
-    residual, error, inputs, _ = suites._evaluate(suites._BY_NAME[name], cfg, u, np.array([index]), later)
-    return float(residual[0]), error[0], np.asarray(inputs[0], dtype=float).tolist(), drawn
+    residual, rows, inputs, _ = suites._evaluate(suites._BY_NAME[name], cfg, u, np.array([index]), later)
+    error = None if rows.ok[0] else f"ValueError: {rows.message[0]}"  # as the report records a hard failure
+    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist(), drawn
 
 
 @pytest.mark.parametrize(

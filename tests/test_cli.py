@@ -84,6 +84,13 @@ def test_verify_configuration_errors_exit_two(argv, capsys):
     assert err.startswith("error:")
 
 
+def test_verify_rejects_a_repeated_suite(capsys):
+    code = main(["verify", "--suite", "alpha-roundtrip", "--suite", "alpha-roundtrip", "--samples", "50"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "alpha-roundtrip" in err
+
+
 def test_verify_seed_resolution(monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "7")
     main(["verify", "--suite", "alpha-roundtrip", "--samples", "50"])

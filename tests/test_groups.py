@@ -17,7 +17,16 @@ from bidisc_lab.groups import (
 )
 from bidisc_lab.maps import map_H
 from bidisc_lab.mobius import MOBIUS_DRAWS, MobiusMap, mobius_apply, mobius_apply_pair, random_mobius
-from bidisc_lab.rng import RowErrors, annulus_from_uniforms, ball_from_uniforms, disc_from_uniforms, uniform_block
+from bidisc_lab.domains import _abs2
+from bidisc_lab.rng import (
+    RowErrors,
+    _batch,
+    _unbatch,
+    annulus_from_uniforms,
+    ball_from_uniforms,
+    disc_from_uniforms,
+    uniform_block,
+)
 
 
 def test_signature_matrix_is_frozen():
@@ -266,6 +275,41 @@ def test_the_differential_at_the_identity_is_a_basis_of_so21():
     killing = np.einsum("iab,jba->ij", ad, ad)
     eig = np.linalg.eigvalsh(killing)
     assert (eig < -1.0).sum() == 1 and (eig > 1.0).sum() == 2
+
+
+def _apply_own_rotation(m, z):
+    """mobius_apply as it was when each call computed e^{i theta} itself."""
+    (z, a), _, single = _batch(None, z, m.a)
+    return _unbatch(np.exp(1j * np.asarray(m.theta)) * (z - a) / (1.0 - a.conjugate() * z), single)
+
+
+def _so21_image_own_rotation(phi):
+    """so21_image as it was when it computed e^{i theta} itself."""
+    (theta, a), _, single = _batch(None, phi.theta, phi.a)
+    e, t = np.exp(1j * theta.real), _abs2(a)
+    p, q, r = e * (1.0 - a * a), e * (1.0 + a * a), e * a
+    rows = ((p.real, -q.imag, -2.0 * r.imag), (p.imag, q.real, 2.0 * r.real), (-2.0 * a.imag, 2.0 * a.real, 1.0 + t))
+    A = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / (1.0 - t)[:, None, None]
+    return _unbatch(A, single)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_shared_rotation_gives_the_bits_of_a_rotation_per_call():
+    """A map computes e^{i theta} once; its images of points and its matrix keep the bits they had without sharing."""
+    u = uniform_block(43, 0, MOBIUS_DRAWS + 4, 0, 300)
+    batch = random_mobius(u[:, :MOBIUS_DRAWS])
+    z, w = disc_from_uniforms(u[:, 3], u[:, 4]), disc_from_uniforms(u[:, 5], u[:, 6])
+    points = [MobiusMap(theta, a) for theta, a in [(0.0, 0j), (-3.0, 0.4 - 0.5j), (100.0, 0.9j), (2.5, -0.3)]]
+    points += [MobiusMap(float(t), complex(a)) for t, a in zip(batch.theta[:20], batch.a[:20])]
+    for phi, p in [(batch, (z, w)), (points[1], (z, w))] + [(phi, (0.3 + 0.1j, -0.6j)) for phi in points]:
+        expected = tuple(_apply_own_rotation(phi, x) for x in p)
+        assert _bits(mobius_apply(phi, p[0])) == _bits(expected[0])
+        assert [_bits(x) for x in mobius_apply_pair(phi, p)] == [_bits(x) for x in expected]
+        assert _bits(so21_image(phi)) == _bits(_so21_image_own_rotation(phi))
+    assert isinstance(mobius_apply(points[1], 0.2j), complex)
 
 
 # ---------------------------------------------------------------------------

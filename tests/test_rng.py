@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bidisc_lab.rng import (
+    RowErrors,
+    _FirstRaises,
     annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
@@ -114,3 +116,53 @@ def test_bad_radius_rejected(rmax):
 def test_annulus_needs_rmin_below_rmax():
     with pytest.raises(ValueError):
         annulus_from_uniforms(0.5, 0.5, 0.6, 0.5)
+
+
+def test_row_errors_never_flagged_is_all_ok_without_messages():
+    rows = RowErrors(5)
+    rows.flag(np.zeros(5, dtype=bool), "unused")
+    rows.flag(np.zeros(5, dtype=bool), lambda r: pytest.fail("no row failed, so no message is built"))
+    assert rows._message is None  # no row failed: no message array yet
+    assert rows.ok.tolist() == [True] * 5
+    assert [rows.message[r] for r in range(5)] == [None] * 5
+
+
+def test_row_errors_keep_each_rows_first_message():
+    rows = RowErrors(4)
+    rows.flag(np.array([False, True, False, False]), "first")
+    rows.flag(np.array([False, True, True, False]), "second")
+    rows.flag(np.array([True, True, True, False]), lambda r: f"third at {r}")
+    assert rows.ok.tolist() == [False, False, False, True]
+    assert rows.message.tolist() == ["third at 0", "first", "second", None]
+
+
+def test_row_errors_build_a_callable_message_only_for_newly_failed_rows():
+    rows = RowErrors(6)
+    asked = []
+
+    def message(r):
+        asked.append(r)
+        return f"row {r}"
+
+    rows.flag(np.array([False, True, False, True, False, False]), message)
+    rows.flag(np.array([True, True, False, True, False, True]), message)
+    rows.flag(np.array([True, False, False, False, False, True]), message)  # nothing new
+    assert asked == [1, 3, 0, 5]
+    assert rows.message.tolist() == ["row 0", "row 1", None, "row 3", None, "row 5"]
+
+
+def test_first_raises_raises_the_first_bad_rows_text():
+    rows = _FirstRaises(4)
+    rows.flag(np.zeros(4, dtype=bool), lambda r: pytest.fail("no row failed"))
+    asked = []
+
+    def message(r):
+        asked.append(r)
+        return f"row {r} is bad"
+
+    with pytest.raises(ValueError, match="^row 2 is bad$"):
+        rows.flag(np.array([False, False, True, True]), message)
+    assert asked == [2]
+    with pytest.raises(ValueError, match="^plain text$"):
+        rows.flag(np.array([False, True, False, True]), "plain text")
+    assert rows.ok.all()

@@ -100,6 +100,12 @@ def test_unknown_suite_is_a_config_error():
         validate_config(SuiteConfig(suites=("H-quadric", "bogus")))
 
 
+def test_repeated_suite_is_a_config_error_that_names_it():
+    """A suite listed twice would run twice and share one "rng" entry in the report."""
+    with pytest.raises(ConfigError, match="repeated suite ids: alpha-roundtrip$"):
+        verify_all(SuiteConfig(suites=("alpha-roundtrip", "H-quadric", "alpha-roundtrip")))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
