@@ -44,6 +44,8 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
         name, sep, val = item.partition("=")
         if not sep or not name:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
+        if name in out:
+            raise ConfigError(f"repeated --tol for suite {name}")
         try:
             out[name] = float(val)
         except ValueError:
@@ -126,7 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None, metavar="N")
     v.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N")
     v.add_argument("--rmax", type=float, default=DEFAULT_RMAX, metavar="X")
-    v.add_argument("--tol", action="append", default=[], metavar="NAME=X", help="per-suite tolerance override; repeatable")
+    v.add_argument(
+        "--tol", action="append", default=[], metavar="NAME=X",
+        help="per-suite tolerance override; repeatable, once per suite",
+    )
     v.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="accepted for compatibility and validated (N >= 1), but without effect: suites run serially",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domains import _abs2
 from .mobius import MobiusMap
-from .rng import RowErrors, _batch, _unbatch
+from .rng import RowErrors, _batch, _row_max, _unbatch
 
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
@@ -107,7 +107,7 @@ def ball_action(A, p, *, errors: RowErrors | None = None):
     # the form relation alone makes the action well defined on the ball;
     # det -1 elements (the transitivity matrices of the real slice) act too.
     # The residual's rounding grows with the square of the entries.
-    size = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    size = np.maximum(1.0, _row_max(np.abs(A)))
     rows.flag(
         ~(u21_residual(A) < TOL_GROUP * size * size), "matrix does not preserve the signature (+,+,-) Hermitian form"
     )

@@ -19,13 +19,16 @@ batch of points and then returns one result per row; a single point is
 the batch of one.  Each row's arithmetic is elementwise and in the same
 order whatever the batch (the Levi contraction adds its dim^2 terms one
 by one, never through a matrix product), so a row's result does not
-depend on the rows beside it.  The checks run per row: finiteness,
-on-surface, the ambient's unit circle, the gradient floor, degenerate
-constraint rows and the orthogonality tolerance (a batch of the wrong
-shape is rejected as a whole).  A row that fails one is recorded with
-the check's ValueError message in the ``errors`` collector (a
-``RowErrors``) that the caller passes, and its results are then
-meaningless; without a collector, the first failing row raises.
+depend on the rows beside it.  Reductions over a row's few entries are
+folds over the columns (``rng._row_max``), and the ranks of
+``totally_real_check`` come from Gaussian elimination, not an SVD.  The
+checks run per row: finiteness, on-surface, the ambient's unit circle,
+the gradient floor, degenerate constraint rows and the orthogonality
+tolerance (a batch of the wrong shape is rejected as a whole).  A row
+that fails one is recorded with the check's ValueError message in the
+``errors`` collector (a ``RowErrors``) that the caller passes, and its
+results are then meaningless; without a collector, the first failing
+row raises.
 
 Sign convention: defining functions are negative on the side the
 hypersurface bounds pseudoconvexly (the side containing the degenerate
@@ -42,7 +45,7 @@ from .domains import _abs2
 from .maps import _times
 from .mobius import TOL_BOUNDARY
 from .orbits import Family
-from .rng import RowErrors, _collector, _unbatch
+from .rng import RowErrors, _collector, _row_max, _unbatch
 
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
@@ -103,38 +106,40 @@ def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndar
     making the first nonzero component real and positive.
     """
     P, single, rows = _batch(f, p, errors)
-    n = len(P)
+    dim = P.shape[1]
     g = wirtinger_gradient(f, P, errors=rows)
-    rows.flag(np.linalg.norm(g, axis=1) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
+    rows.flag(np.sqrt(_sum_abs2(g)) < GRADIENT_FLOOR, "gradient vanishes; the point is not regular")
     if f.record.constraint is None:
-        C = g[:, None, :]
+        C = (g,)
         v = np.column_stack([g[:, 1], -g[:, 0]])
     else:
         q = f.record.constraint(P)
-        C = np.stack([g, q], axis=1)
+        C = (g, q)
         v = np.column_stack([
             g[:, 1] * q[:, 2] - g[:, 2] * q[:, 1],
             g[:, 2] * q[:, 0] - g[:, 0] * q[:, 2],
             g[:, 0] * q[:, 1] - g[:, 1] * q[:, 0],
         ])
-    peak = np.abs(v).max(axis=1)
+    peak = _row_max(np.abs(v))
     v = v / np.where(peak > 0.0, peak, 1.0)[:, None]  # |g x q| may overflow where g x q does not
     length = np.sqrt(_sum_abs2(v))
-    if C.shape[1] > 1:
+    if len(C) > 1:
         # s_min / s_max < 1e-8 for the singular values of C: s_min s_max = |g x q|, s_min^2 + s_max^2 = t
         c, t = peak * length, _sum_abs2(g) + _sum_abs2(q)
         s_max2 = t + np.sqrt(np.maximum(t - 2.0 * c, 0.0)) * np.sqrt(t + 2.0 * c)  # 2 s_max^2
         rows.flag(2.0 * c < 1e-8 * s_max2, "constraint rows are degenerate at this point")
     # e1 stands in on the rows without a tangent
-    v = np.where(rows.ok[:, None], v / np.where(rows.ok, length, 1.0)[:, None], np.eye(1, P.shape[1]))
-    defect = np.abs(C @ v[:, :, None]).max(axis=(1, 2))
-    rows.flag(
-        ~(defect <= 1e-8 * np.maximum(1.0, np.abs(C).max(axis=(1, 2)))),  # NaN fails
-        "no tangent direction meets the orthogonality tolerance",
-    )
+    v = np.where(rows.ok[:, None], v / np.where(rows.ok, length, 1.0)[:, None], np.eye(1, dim))
+    defect, size = np.zeros(len(P)), np.ones(len(P))
+    for con in C:
+        defect = np.maximum(defect, np.abs(sum(con[:, j] * v[:, j] for j in range(dim))))
+        size = np.maximum(size, _row_max(np.abs(con)))
+    rows.flag(~(defect <= 1e-8 * size), "no tangent direction meets the orthogonality tolerance")  # NaN fails
     big = np.abs(v) > 1e-12
-    lead = v[np.arange(n), np.argmax(big, axis=1)]
-    v = v * np.where(big.any(axis=1), lead.conjugate() / np.abs(lead), 1.0)[:, None]
+    lead = v[:, 0]
+    for j in reversed(range(dim)):  # the first big component, else v[:, 0]
+        lead = np.where(big[:, j], v[:, j], lead)
+    v = v * np.where(_row_max(big), lead.conjugate() / np.abs(lead), 1.0)[:, None]
     return _unbatch(v, single)
 
 
@@ -145,12 +150,11 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     from separately rounded float products (see maps._times).
     """
     P, single, rows = _batch(f, p, errors)
-    scale2 = np.maximum(1.0, np.abs(P).max(axis=1) ** 2)
+    peak = _row_max(np.abs(P))
+    scale2 = np.maximum(1.0, peak ** 2)
     rows.flag(np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
     if f.record.ambient:  # False: the ambient is all of C^dim
-        rows.flag(
-            np.abs(P).max(axis=1) >= 1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambient check failed"
-        )
+        rows.flag(peak >= 1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambient check failed")
     v = complex_tangent(f, P, errors=rows)
     H = complex_hessian(f, P)
     levi = np.zeros(len(P))
@@ -161,6 +165,41 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     return _unbatch(levi, single)
 
 
+def _pivot_rank(A: np.ndarray) -> np.ndarray:
+    """The rank of each (k, m) matrix of a stack, by the pivot rule of ``totally_real_check``.
+
+    Each step takes the entry of largest modulus as its pivot and
+    subtracts the rank-one product of its column and row divided by it,
+    which clears the pivot's row and column; no rows or columns move.
+    """
+    n, k, m = A.shape
+    r = np.arange(n)
+    mod = np.abs(A).reshape(n, k * m)
+    at = np.argmax(mod, axis=1)
+    top = mod[r, at]
+    # no entry of modulus above 1: nothing overflows.  The real and imaginary
+    # parts are divided apart, since a complex division by a subnormal overflows
+    A = np.ascontiguousarray(A)
+    A = (A.view(float) / np.where(top > 0.0, top, 1.0)[:, None, None]).view(A.dtype)
+    floor = max(k, m) * np.finfo(float).eps
+    rank = np.zeros(n, dtype=int)
+    counting = np.ones(n, dtype=bool)
+    for step in range(k):
+        if step:
+            at = np.argmax(np.abs(A).reshape(n, k * m), axis=1)
+        i, j = np.divmod(at, m)
+        pivot = A[r, i, j]
+        counting &= np.abs(pivot) > floor
+        rank += counting
+        if step == k - 1:
+            break
+        row, col = A[r, i], A[r, :, j] / np.where(counting, pivot, 1.0)[:, None]
+        A = A - col[:, :, None] * row[:, None, :]
+        A[r, i] = 0.0
+        A[r, :, j] = 0.0
+    return rank
+
+
 def totally_real_check(basis, *, errors: RowErrors | None = None):
     """Decide whether span_R(basis) meets i * span_R(basis) only at 0.
 
@@ -169,7 +208,17 @@ def totally_real_check(basis, *, errors: RowErrors | None = None):
     the intersection), one of each per row for a batch.  With W =
     span_R(basis), W + iW = span_C(basis), so the intersection of W and
     iW has dimension 2 dim_R W - dim_R(W + iW) = 2 (rank_R - rank_C) of
-    the basis.
+    the basis.  A row whose rank_R is below k fails its check.
+
+    Rank rule: rank_R is the rank of the real k x 2 dim matrix
+    [Re V | Im V] (the vectors as rows) and rank_C that of the complex
+    k x dim matrix V.  Each is the number of pivots of k steps of
+    Gaussian elimination with complete pivoting on the k x m matrix
+    divided by its largest modulus, counted in order while their
+    modulus exceeds max(k, m) eps.  numpy's ``matrix_rank`` puts the
+    same floor, relative to the largest singular value, on the singular
+    values; the two rules can disagree only where the smallest singular
+    value lies within a small factor, set by k and m, of that floor.
     """
     try:
         V = np.asarray(basis, dtype=complex)
@@ -182,7 +231,11 @@ def totally_real_check(basis, *, errors: RowErrors | None = None):
     single = V.ndim == 2
     V = V.reshape((-1,) + V.shape[-2:])
     rows = _collector(errors, len(V))
-    k = np.linalg.matrix_rank(np.concatenate([V.real, V.imag], axis=2))  # the vectors as rows in R^(2 dim)
+    if not np.isfinite(V).all():
+        bad = _row_max(~np.isfinite(V))
+        rows.flag(bad, "basis vectors must have finite components")
+        V = np.where(bad[:, None, None], 0j, V)
+    k = _pivot_rank(np.concatenate([V.real, V.imag], axis=2))  # the vectors as rows in R^(2 dim)
     rows.flag(k != V.shape[1], "basis vectors are linearly dependent over R")
-    dim_meet = 2 * (k - np.linalg.matrix_rank(V))
+    dim_meet = 2 * (k - _pivot_rank(V))
     return _unbatch((dim_meet == 0, dim_meet), single)

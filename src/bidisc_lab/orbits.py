@@ -56,7 +56,16 @@ from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
 from .maps import _times, map_H
 from .mobius import mobius_apply, pseudo_hyperbolic, random_mobius
-from .rng import DEFAULT_RMAX, DEFAULT_SEED, RowErrors, _collector, disc_from_uniforms, polar, uniform_block
+from .rng import (
+    DEFAULT_RMAX,
+    DEFAULT_SEED,
+    RowErrors,
+    _collector,
+    _row_max,
+    disc_from_uniforms,
+    polar,
+    uniform_block,
+)
 
 BLOCK = 4096  # rows a dump samples and checks at a time, as suites.BLOCK
 CHUNK = 1024  # rows a dump formats at a time: 4096 would raise a dump's peak memory by about 8 MB
@@ -512,9 +521,13 @@ def _checked_rows(spec: Family, columns: list[str], seed: int, lo: int, hi: int)
     with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
         residual = record.residual(coords, spec.param, errors)
     table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])
-    finite = np.isfinite(table)
-    first = np.argmin(finite, axis=1)
-    errors.flag(~finite.all(axis=1), lambda r: f"{columns[first[r]]} = {table[r, first[r]]} is not finite")
+    infinite = ~np.isfinite(table)
+
+    def not_finite(r):
+        c = np.argmax(infinite[r])  # the row's first non-finite column
+        return f"{columns[c]} = {table[r, c]} is not finite"
+
+    errors.flag(_row_max(infinite), not_finite)
     failed = np.flatnonzero(~errors.ok)
     if failed.size:
         r = failed[0]

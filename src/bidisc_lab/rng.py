@@ -153,6 +153,21 @@ def _first(a: np.ndarray):
     return a[0].item() if a.ndim == 1 else a[0]
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of an (n, ...) array, NaN if the row holds one; for booleans, whether any is True.
+
+    It equals ``a.max`` over every axis but the first, bit for bit (max
+    is exact), but folds ``np.maximum`` across the row's few columns:
+    numpy's reduction over a short axis pays a per-row cost many times
+    that of the fold's elementwise passes.
+    """
+    cols = a.reshape(len(a), -1)
+    out = cols[:, 0].copy()
+    for j in range(1, cols.shape[1]):
+        np.maximum(out, cols[:, j], out=out)
+    return out
+
+
 def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the stream (seed, stream_id), ``draws`` uniforms in [0, 1) per row.
 

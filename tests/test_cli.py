@@ -91,6 +91,16 @@ def test_verify_rejects_a_repeated_suite(capsys):
     assert err.startswith("error:") and "alpha-roundtrip" in err
 
 
+def test_verify_rejects_a_repeated_tolerance(capsys):
+    code = main([
+        "verify", "--suite", "alpha-roundtrip", "--samples", "50",
+        "--tol", "alpha-roundtrip=1e-30", "--tol", "alpha-roundtrip=1e-3",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "alpha-roundtrip" in err
+
+
 def test_verify_seed_resolution(monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "7")
     main(["verify", "--suite", "alpha-roundtrip", "--samples", "50"])

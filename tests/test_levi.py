@@ -360,19 +360,24 @@ _SPHERE_ON = [(0.6, 0.8), (0.8j, -0.6)]
 _SPHERE_OFF = [(0.3, 0.4), (0.1j, 0.5)]
 _QUADRIC = Family(MINKOWSKI_LEVEL, 2.125)
 _QUADRIC_ON = [(1.25, 0.75j, 0.0), (0.75j, 1.25, 0.0)]
+_NOT_FINITE = "^point must have finite components$"
 
 
 @pytest.mark.parametrize(
     "fn, f, good, bad, message",
     [
         (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
+        (complex_tangent, _SPHERE, _SPHERE_OFF, (0.2, math.nan), _NOT_FINITE),
+        (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.25, -math.inf, 0.0), _NOT_FINITE),
+        (levi_restricted, _SPHERE, _SPHERE_ON, (math.inf, 0.0), _NOT_FINITE),
+        (levi_restricted, _QUADRIC, _QUADRIC_ON, (1.25, 0.75j, complex(0.0, math.nan)), _NOT_FINITE),
         (levi_restricted, Family(RHO_LEVEL, 0.7), [(0.7, 0.0), (0.0, 0.7j)], _RHO_NEAR_RIM, "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (1.0, 0.0), "touches the unit circle"),
         (levi_restricted, _SPHERE, _SPHERE_ON, (0.3, 0.4), "does not lie on the hypersurface"),
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),
         (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.0, 0.5, 0.3), "degenerate"),
     ],
-    ids=["finite", "ambient-margin", "unit-circle", "on-surface", "gradient-floor", "degenerate-rows"],
+    ids=["finite", "tangent-nan", "tangent-inf", "levi-inf", "levi-nan", "ambient-margin", "unit-circle", "on-surface", "gradient-floor", "degenerate-rows"],
 )
 def test_a_failed_check_fails_only_its_row_with_the_scalar_message(fn, f, good, bad, message):
     with pytest.raises(ValueError, match=message) as info:
@@ -479,6 +484,52 @@ def test_totally_real_check_agrees_with_the_realified_spans(k, dim):
     assert rows.ok[:3].all() and (meet[1::4] == 0).all()
     if k > 1:  # every kind of row occurs
         assert (meet[2::4] == 2).all() and not rows.ok[3::4].any()
+
+
+def _pivot_cases(k, dim):
+    """(basis of last pivot delta, floor of that pivot, expected (rows.ok, meet) above and at or below the floor).
+
+    Over R: e_1, ..., e_{k-1}, delta e_k (e_1, i e_1, delta e_2 for three
+    vectors in C^2), with the floor max(k, 2 dim) eps.  Over C:
+    e_1, ..., e_{k-1}, i e_1 + delta e_k, whose real rank is k whatever
+    delta, with the floor max(k, dim) eps; three vectors of C^2 of real
+    rank 3 always have complex rank 2, so that case has no C side.
+    """
+    eye = np.eye(dim, dtype=complex)
+    eps = np.finfo(float).eps
+    if k <= dim:
+        yield lambda d: [*eye[: k - 1], d * eye[k - 1]], max(k, 2 * dim) * eps, (True, 0), (False, None)
+    else:
+        yield lambda d: [eye[0], 1j * eye[0], d * eye[1]], max(k, 2 * dim) * eps, (True, 2), (False, None)
+    if 2 <= k <= dim:
+        yield lambda d: [*eye[: k - 1], 1j * eye[0] + d * eye[k - 1]], max(k, dim) * eps, (True, 0), (True, 2)
+
+
+@pytest.mark.parametrize("k, dim", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_totally_real_check_decides_near_degenerate_bases_by_the_pivot_rule(k, dim):
+    """A pivot counts when it exceeds max(k, m) eps times the largest modulus, and not when it equals it."""
+    for basis, floor, above, below in _pivot_cases(k, dim):
+        if k == 1:  # the lone pivot is the largest modulus: it counts unless the vector vanishes
+            deltas, expect = [0.0, 5e-324, 1e-300], [(False, None), above, above]
+        else:
+            deltas = [floor / 2, floor, np.nextafter(floor, 1.0), 2 * floor]
+            expect = [below, below, above, above]
+        rows = RowErrors(len(deltas))
+        ok, meet = totally_real_check(np.array([basis(d) for d in deltas]), errors=rows)
+        for r, (row_ok, want) in enumerate(expect):
+            assert rows.ok[r] == row_ok, (deltas[r], basis(deltas[r]))
+            if row_ok:
+                assert meet[r] == want and ok[r] == (want == 0)
+
+
+def test_totally_real_check_flags_non_finite_rows_alone():
+    rows = RowErrors(3)
+    ok, meet = totally_real_check([[(1, 0), (0, 1)], [(math.nan, 0), (0, 1)], [(0, 1), (0, 1j)]], errors=rows)
+    assert rows.ok.tolist() == [True, False, True]
+    assert rows.message[1] == "basis vectors must have finite components"
+    assert ok[0] and meet[0] == 0 and not ok[2] and meet[2] == 2
+    with pytest.raises(ValueError, match="finite components"):
+        totally_real_check([(1, 0), (math.inf, 1j)])
 
 
 def test_totally_real_check_rejects_bad_bases():

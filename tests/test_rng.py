@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from bidisc_lab.rng import (
     RowErrors,
     _FirstRaises,
+    _row_max,
     annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
@@ -166,3 +169,21 @@ def test_first_raises_raises_the_first_bad_rows_text():
     with pytest.raises(ValueError, match="^plain text$"):
         rows.flag(np.array([False, True, False, True]), "plain text")
     assert rows.ok.all()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 3)])
+def test_row_max_is_numpys_reduction_bit_for_bit(shape):
+    """Every row of a few entries drawn from signed zeros, NaN, +-inf and finite values, plus random rows."""
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5, 5e-324]
+    m = int(np.prod(shape))
+    rows = np.array(list(itertools.product(special, repeat=min(m, 3))))
+    if m > 3:  # the last columns from a random row's entries
+        fill = np.random.default_rng(7).choice(special, size=(len(rows), m - 3))
+        rows = np.concatenate([fill, rows], axis=1)
+    rows = np.concatenate([rows, uniform_block(5, 0, m, 0, 300) - 0.5])
+    a = rows.reshape((len(rows),) + shape)
+    axes = tuple(range(1, a.ndim))
+    got, want = _row_max(a), a.max(axis=axes)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(a),)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(_row_max(a > 0.0), (a > 0.0).any(axis=axes))
