@@ -59,7 +59,6 @@ from .rng import RowErrors
 from .suites import (
     ConfigError,
     SuiteConfig,
-    SuiteReport,
     all_suite_names,
     verify_all,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "parse_orbit_spec",
     "ConfigError",
     "SuiteConfig",
-    "SuiteReport",
     "all_suite_names",
     "verify_all",
     "__version__",

@@ -26,18 +26,6 @@ budget and no draw is rejected:
 * planar annulus rmin <= r < rmax, area-uniform:
   r = sqrt(rmin^2 + s (rmax^2 - rmin^2)) and a uniform angle.
 
-A draw that must meet a condition takes the first accepted of a fixed
-number of candidate rounds of CANDIDATE_DRAWS = 4 uniforms
-(``first_accepted``), and never loops; each suite that needs one
-declares what it proposes, accepts and how many rounds it tries
-(``suites._Candidates``).  Round 0 of row i is part of row i of its
-stream's budget; round k >= 1 is row i of the stream
-(seed, stream_id | k), that is its outputs [4 i, 4 i + 4).  A block
-draws round k only while one of its rows is still open, as one
-``uniform_block`` call for the whole block (``candidate_rounds``), so a
-row keeps the same candidates in any block, the block of one included.  The suites' stream ids are multiples
-of 2^32, so ``stream_id | k`` for k < 2^32 is no other suite's stream.
-
 Rows are also the unit of checking.  Every function of the package that
 takes a keyword-only ``errors`` takes a point or a batch of rows (for
 numbers, 1-d arrays with one entry per row); a point is the batch of
@@ -52,14 +40,11 @@ fails a check raises its ValueError.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 DEFAULT_SEED = 42
 DEFAULT_RMAX = 0.95
-
-CANDIDATE_DRAWS = 4  # uniforms per candidate round
 
 _U64 = 1 << 64
 
@@ -177,40 +162,6 @@ def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np
     rng = RngStream(seed, stream_id)
     rng.gen.bit_generator.advance(lo * draws)
     return rng.gen.random((hi - lo, draws))
-
-
-def candidate_rounds(seed: int, stream_id: int, lo: int, hi: int) -> Callable[[int], np.ndarray]:
-    """The later candidate rounds of rows lo..hi-1: k -> round k (1 <= k < 2^32), shape (hi - lo, CANDIDATE_DRAWS)."""
-    return lambda k: uniform_block(seed, stream_id | k, CANDIDATE_DRAWS, lo, hi)
-
-
-def first_accepted(
-    u: np.ndarray,
-    later: Callable[[int], np.ndarray],
-    rounds: int,
-    propose: Callable[[np.ndarray], np.ndarray],
-    accept: Callable[[np.ndarray], np.ndarray],
-    todo: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, missing): each row's first accepted candidate among ``rounds`` rounds.
-
-    ``propose(c)`` turns the uniforms c of a round, one row each, into
-    candidates x, one row each, and ``accept(x)`` says which candidate
-    rows are admissible.  Round 0 of row r comes from u[r], round k >= 1
-    from later(k)[r], and later(k) is called only while a row is still
-    open.  Only the rows in ``todo`` (all by default) look for an
-    admissible candidate.  A row without one keeps its last candidate,
-    and ``missing`` holds the indices of those rows.
-    """
-    x = propose(u)
-    todo = np.arange(len(x)) if todo is None else todo
-    for k in range(rounds):
-        if k:
-            x[todo] = propose(later(k)[todo])
-        todo = todo[~accept(x[todo])]
-        if not todo.size:
-            break
-    return x, todo
 
 
 def polar(r, angle: np.ndarray) -> np.ndarray:

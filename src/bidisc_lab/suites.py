@@ -18,18 +18,22 @@ numpy arrays, through the same functions a caller uses on a point (a
 point is the batch of one), passing rows as ``errors``.
 
 A suite whose sample must meet a condition declares its ``candidates``:
-the first admissible of a fixed number of rounds of 4 uniforms each
-(``rng.first_accepted``), round 0 read from the sample's k uniforms at
-a stated column, round r >= 1 from the stream (seed, stream_id | r),
-drawn for the block only while one of its rows is still open
-(``rng.candidate_rounds``).  The runner draws them for every such suite
-in one place, ``_evaluate``; a row left without one is a hard failure
-that names the rounds and the condition.  Nine suites take a pair off
-the diagonal (|z - w| >= EPS_DIAG, the chart guard of map_H), the
-dual-route level checks one that also has rho >= 0.05, from PAIR_ROUNDS
-candidates; ``o21-totally-real`` takes, on its rows i % 3 == 0, a real
-matrix with |det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the
-defaults nearly every row keeps its round 0.  The report's "rng" field
+the first admissible of a fixed number of rounds of CANDIDATE_DRAWS = 4
+uniforms each, and never loops.  Round 0 is the last 4 of the sample's
+k uniforms; round r >= 1 is the sample's row of the stream
+(seed, stream_id | r), drawn for the whole block in one
+``rng.uniform_block`` call, and only while one of its rows is still
+open, so a row keeps the same candidates in any block, the block of one
+included.  The stream ids are multiples of 2^32, so stream_id | r for
+r < 2^32 is no other suite's stream, nor the dumps' stream 0.  The
+runner draws the candidates of every such suite in one place,
+``_evaluate``; a row left without one is a hard failure that names the
+rounds and the condition.  Nine suites take a pair off the diagonal
+(|z - w| >= EPS_DIAG, the chart guard of map_H), the dual-route level
+checks one that also has rho >= 0.05, from PAIR_ROUNDS candidates;
+``o21-totally-real`` takes, on its rows i % 3 == 0, a real matrix with
+|det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the defaults
+nearly every row keeps its round 0.  The report's "rng" field
 gives each suite's stream_id and k, and the number of its candidate
 rounds, so that any sample replays from the report alone.
 
@@ -42,9 +46,11 @@ parameter is a number or one per row, so each block is one
 Residual conventions: equality claims report the absolute defect, or
 for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
 the defect relative to the size of the compared values (and the form
-residual of ``conjugation-so21`` relative to A_33^2), and for
-``H-quadric`` and ``orbit-levels``, whose forms are quadratic in
-h = map_H(z, w), relative to max(1, |h|_inf^2);
+residual of ``conjugation-so21`` relative to A_33^2), for
+``o21-matrix-B`` the form residual relative to B_33^2, the square of
+B's largest entry 1/sqrt(1 - z^2 - w^2), and for ``H-quadric`` and
+``orbit-levels``, whose forms are quadratic in h = map_H(z, w),
+relative to max(1, |h|_inf^2);
 threshold claims (the Levi certifications) report the shortfall below
 the certified floor, so 0 means comfortably certified; boolean claims
 report 0 or 1 and run with tolerance 0.5.  ``preimage-formula`` and
@@ -64,7 +70,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -100,15 +106,12 @@ from .orbits import (
     orbit_points,
 )
 from .rng import (
-    CANDIDATE_DRAWS,
     DEFAULT_RMAX,
     DEFAULT_SEED,
     RowErrors,
     annulus_from_uniforms,
     ball_from_uniforms,
-    candidate_rounds,
     disc_from_uniforms,
-    first_accepted,
     uniform_block,
 )
 
@@ -116,6 +119,7 @@ SCHEMA_VERSION = 3
 DEFAULT_SAMPLES = 10_000
 BLOCK = 4096  # rows per block; bounds the memory of a run, never changes a result
 MAX_FAILURES = 10
+CANDIDATE_DRAWS = 4  # uniforms per candidate round
 
 LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex families
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
@@ -139,28 +143,11 @@ class SuiteConfig:
 
 
 @dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    claim: str
-    passed: bool
-    max_residual: float | None
-    tolerance: float
-    samples: int
-    failures: tuple[dict, ...]
-    hard_failures: int
-    excluded: int
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "failures": list(self.failures)}  # as json reads it back
-
-
-@dataclass(frozen=True)
 class _Candidates:
     """A conditioned draw: each row's first admissible candidate among ``rounds`` rounds.
 
-    Round 0 of a row is its CANDIDATE_DRAWS uniforms from column
-    ``offset``, round k >= 1 its row of the stream (seed, stream_id | k).
+    Round 0 of a row is the last CANDIDATE_DRAWS of its uniforms, round
+    k >= 1 its row of the stream (seed, stream_id | k).
     ``propose(cfg, c)`` turns a round's uniforms c into candidates, one
     row each, and ``accept(x)`` says which candidate rows are admissible.
     Only the rows whose indices ``looks(idx)`` marks look for one (all
@@ -174,7 +161,6 @@ class _Candidates:
     rounds: int
     propose: Callable[[SuiteConfig, np.ndarray], np.ndarray]
     accept: Callable[[np.ndarray], np.ndarray]
-    offset: int = 0
     looks: Callable[[np.ndarray], np.ndarray] | None = None
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
@@ -224,7 +210,7 @@ def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
 PAIR_ROUNDS = 32  # candidate pairs a row may try
 
 
-def _pair_candidates(rho_floor: float = 0.0, offset: int = 0) -> _Candidates:
+def _pair_candidates(rho_floor: float = 0.0) -> _Candidates:
     """Disc pairs with |z - w| >= EPS_DIAG, the chart guard of map_H, and with rho_floor set rho(z, w) >= rho_floor.
 
     A candidate is an (n, 2) array [z, w] in column-major order, so that
@@ -256,7 +242,6 @@ def _pair_candidates(rho_floor: float = 0.0, offset: int = 0) -> _Candidates:
         PAIR_ROUNDS,
         lambda cfg, c: np.stack(_disc_pair(c, cfg.rmax)).T,
         accept,
-        offset,
         why_empty=why_empty,
     )
 
@@ -484,7 +469,9 @@ def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
     img = ball_action(B, (0j, 0j), errors=rows)
-    res = np.maximum(u21_residual(B), np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
+    # the entries grow like the corner gamma = 1/sqrt(1 - z^2 - w^2), so the rounding of the form like gamma^2
+    form = u21_residual(B) / (B[:, 2, 2] * B[:, 2, 2])
+    res = np.maximum(form, np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
     return res, _columns(z, w)
 
 
@@ -586,7 +573,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-7,
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR, offset=MOBIUS_DRAWS),
+        candidates=_pair_candidates(RHO_COND_FLOOR),
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -595,7 +582,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_swap_minus_identity,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR, offset=MOBIUS_DRAWS),
+        candidates=_pair_candidates(RHO_COND_FLOOR),
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -750,6 +737,9 @@ def validate_config(cfg: SuiteConfig) -> None:
             raise ConfigError(f"tolerance override for unknown suite {name!r}")
         if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and math.isfinite(tol) and tol > 0):
             raise ConfigError(f"tolerance for {name!r} must be finite and positive, got {tol!r}")
+    unused = sorted(set(cfg.tolerances) - set(cfg.suites))
+    if unused:
+        raise ConfigError(f"tolerance override for a suite that is not selected: {', '.join(unused)}")
     for name in cfg.suites:
         _check_admissible(cfg, name)
 
@@ -762,17 +752,20 @@ def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
     """Samples lo..hi-1 of a suite, drawn by jumping the suite's streams to row lo (see ``_evaluate``)."""
     stream_id = _stream_id(suite.name)
     u = uniform_block(cfg.seed, stream_id, suite.draws, lo, hi)
-    return _evaluate(suite, cfg, u, np.arange(lo, hi), candidate_rounds(cfg.seed, stream_id, lo, hi))
+    return _evaluate(
+        suite, cfg, u, np.arange(lo, hi), lambda k: uniform_block(cfg.seed, stream_id | k, CANDIDATE_DRAWS, lo, hi)
+    )
 
 
 def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
     """The samples idx of a suite as (residual, rows, inputs, excluded).
 
     u holds the samples' uniforms and later(k) their candidate round
-    k >= 1.  ``rows`` is the block's ``RowErrors``: ``rows.ok[r]`` is
-    False when row r failed hard, its residual is then inf, and
-    ``rows.message[r]`` holds the failed check's message, which the
-    report records as ``ValueError: message``.  ``inputs[r]`` is the
+    k >= 1, called only while one of the rows is still open.  ``rows``
+    is the block's ``RowErrors``: ``rows.ok[r]`` is False when row r
+    failed hard, its residual is then inf, and ``rows.message[r]``
+    holds the failed check's message, which the report records as
+    ``ValueError: message``.  ``inputs[r]`` is the
     row's recorded inputs; ``excluded[r]`` is True when the kernel left
     row r unscored (residual 0).  It serves both a run and the replay of
     any single index.
@@ -782,12 +775,18 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, l
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
         drawn = None
         if c is not None:
-            todo = None if c.looks is None else np.flatnonzero(c.looks(idx))
-            first = u[:, c.offset : c.offset + CANDIDATE_DRAWS]
-            drawn, missing = first_accepted(first, later, c.rounds, lambda v: c.propose(cfg, v), c.accept, todo)
-            if missing.size:
+            # each open row takes its first admissible round; a row without one keeps its last candidate
+            todo = np.arange(len(idx)) if c.looks is None else np.flatnonzero(c.looks(idx))
+            drawn = c.propose(cfg, u[:, -CANDIDATE_DRAWS:])
+            for k in range(c.rounds):
+                if k:
+                    drawn[todo] = c.propose(cfg, later(k)[todo])
+                todo = todo[~c.accept(drawn[todo])]
+                if not todo.size:
+                    break
+            if todo.size:
                 bad = np.zeros(len(idx), dtype=bool)
-                bad[missing] = True
+                bad[todo] = True
                 rows.flag(bad, f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}")
         out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
@@ -797,7 +796,8 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, l
     return residual, rows, inputs, excluded
 
 
-def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
+def _run(name: str, cfg: SuiteConfig) -> dict:
+    """The suite's entry of the report."""
     suite = _BY_NAME[name]
     tol = cfg.tolerances.get(name, suite.tolerance)
     count = _sample_count(cfg, suite)
@@ -829,18 +829,18 @@ def _run(name: str, cfg: SuiteConfig) -> SuiteReport:
                 failures.append({"index": lo + r, "error": error, "inputs": inputs[r].tolist()})
             else:
                 failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": inputs[r].tolist()})
-    return SuiteReport(
-        suite=name,
-        claim=suite.claim,
-        passed=flagged_total == 0,
-        max_residual=max_res if have_res else None,
-        tolerance=tol,
-        samples=count,
-        failures=tuple(failures),
-        hard_failures=hard,
-        excluded=excluded_total,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return {
+        "suite": name,
+        "claim": suite.claim,
+        "passed": flagged_total == 0,
+        "max_residual": max_res if have_res else None,
+        "tolerance": tol,
+        "samples": count,
+        "failures": failures,
+        "hard_failures": hard,
+        "excluded": excluded_total,
+        "wall_time_s": time.perf_counter() - start,
+    }
 
 
 def _rng_entry(suite: _Suite) -> dict:
@@ -851,7 +851,7 @@ def _rng_entry(suite: _Suite) -> dict:
     return entry
 
 
-def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
+def report_document(cfg: SuiteConfig, reports: list[dict]) -> dict:
     # workers deliberately left out: it must not affect any reported byte
     return {
         "schema": SCHEMA_VERSION,
@@ -870,10 +870,10 @@ def report_document(cfg: SuiteConfig, reports: list[SuiteReport]) -> dict:
                 "round k >= 1 of sample i: outputs [i draws_per_round, (i + 1) draws_per_round) "
                 "of SeedSequence([seed, stream_id | k]), for k < rounds"
             ),
-            "suites": {r.suite: _rng_entry(_BY_NAME[r.suite]) for r in reports},
+            "suites": {r["suite"]: _rng_entry(_BY_NAME[r["suite"]]) for r in reports},
         },
-        "passed": all(r.passed for r in reports),
-        "suites": [r.to_dict() for r in reports],
+        "passed": all(r["passed"] for r in reports),
+        "suites": reports,
     }
 
 

@@ -101,6 +101,13 @@ def test_verify_rejects_a_repeated_tolerance(capsys):
     assert err.startswith("error:") and "alpha-roundtrip" in err
 
 
+def test_verify_rejects_a_tolerance_for_an_unselected_suite(capsys):
+    code = main(["verify", "--suite", "alpha-roundtrip", "--samples", "50", "--tol", "H-quadric=1e-30"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "H-quadric" in err
+
+
 def test_verify_seed_resolution(monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "7")
     main(["verify", "--suite", "alpha-roundtrip", "--samples", "50"])

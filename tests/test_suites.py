@@ -106,6 +106,12 @@ def test_repeated_suite_is_a_config_error_that_names_it():
         verify_all(SuiteConfig(suites=("alpha-roundtrip", "H-quadric", "alpha-roundtrip")))
 
 
+def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
+    """An override that no selected suite reads would only be echoed in the report's config."""
+    with pytest.raises(ConfigError, match="not selected: H-quadric$"):
+        validate_config(SuiteConfig(suites=("alpha-roundtrip",), tolerances={"H-quadric": 1e-30}))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
