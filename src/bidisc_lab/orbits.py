@@ -72,25 +72,24 @@ CHUNK = 1024  # rows a dump formats at a time: 4096 would raise a dump's peak me
 
 
 # ---------------------------------------------------------------------------
-# samplers; the parameter checks live in the records below
+# samplers, one per record, each (u, param, rmax, errors) with u an (n, draws) block of
+# uniforms and the centres of phi = random_mobius(u, rmax) on the rmax disc; the parameter
+# checks live in the records below
 
 
-def rho_orbit_point(u: np.ndarray, a, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
+def _rho_pair(u, a, rmax, errors):
     """Bidisc pairs (phi(a), phi(0)) at pseudo-hyperbolic distance a, one per row of u.
 
-    phi is the automorphism ``random_mobius`` makes of the row: angle
-    tau u0, centre the area-uniform rmax-disc point of (u1, u2).  The
-    diagonal automorphism group acts transitively on the level set, so
-    these images of the base pair (a, 0) cover it.  u is an (n, 3) block;
-    a is a number or one per row.
+    The diagonal automorphism group acts transitively on the level set,
+    so these images of the base pair (a, 0) cover it.
     """
     phi = random_mobius(u, rmax, errors=errors)
     return mobius_apply(phi, a, errors=errors), mobius_apply(phi, 0j, errors=errors)
 
 
-def _resolved_rho_orbit_point(u: np.ndarray, a, rmax: float, errors: RowErrors):
-    """rho_orbit_point, with each row whose pair does not resolve the level (|rho - a| >= a) flagged."""
-    z, w = rho_orbit_point(u, a, rmax, errors=errors)
+def _rho_level_sampler(u, a, rmax, errors):
+    """_rho_pair, with each row whose pair does not resolve the level (|rho - a| >= a) flagged."""
+    z, w = _rho_pair(u, a, rmax, errors)
     gap = np.abs(pseudo_hyperbolic(z, w, errors=errors) - a)
     rounds = "its pair rounds onto the diagonal: |rho - a| = "
     a = np.broadcast_to(a, gap.shape)
@@ -98,48 +97,38 @@ def _resolved_rho_orbit_point(u: np.ndarray, a, rmax: float, errors: RowErrors):
     return z, w
 
 
-def minkowski_orbit_point(u: np.ndarray, level, rmax: float, errors: RowErrors):
-    """Points of the quadric hypersurface at the given Minkowski level, one per row of an (n, 3) block u.
-
-    Pushes the rho_orbit_point pairs at distance a through the embedding,
-    where a is chosen so that 2/a^2 - 1 equals the requested level, a
-    number or one per row.  A row whose pair map_H rejects is flagged in
-    ``errors`` with map_H's message.
-    """
-    return map_H(*rho_orbit_point(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors=errors), errors=errors)
+def _minkowski_level_sampler(u, level, rmax, errors):
+    """map_H of the _rho_pair pairs at the distance a with 2/a^2 - 1 = level; map_H flags the rows it rejects."""
+    return map_H(*_rho_pair(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors), errors=errors)
 
 
-def ellipsoid_orbit_point(u, t, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
-    """The point of the ellipsoid |u|^2 + t^2 |v|^2 = t^2 that 3 uniforms give, or one per row of a block.
-
-    ``su11_embed`` of the automorphism ``random_mobius`` makes of the row
-    (centre on the rmax disc) moves the base point (t, 0); t is a number
-    or one per row.
-    """
+def _ellipsoid_sampler(u, t, rmax, errors):
+    """Points of the ellipsoid |u|^2 + t^2 |v|^2 = t^2: su11_embed(phi) moves the base point (t, 0)."""
     return ball_action(su11_embed(random_mobius(u, rmax, errors=errors)), (t, 0j), errors=errors)
 
 
-def sphere_point(u: np.ndarray):
-    """Uniform points (sqrt(s) e^{i t1}, sqrt(1 - s) e^{i t2}) of the unit sphere in C^2.
+def _sphere_sampler(u, _, rmax, errors):
+    """Uniform points (sqrt(s) e^{i t1}, sqrt(1 - s) e^{i t2}) of the unit sphere in C^2, whatever the rmax.
 
-    One per row of the (n, 3) block u, whose columns are s, t1 / tau and
-    t2 / tau; |u|^2 of a uniform point of the sphere is uniform on [0, 1].
+    The columns of u are s, t1 / tau and t2 / tau; |u|^2 of a uniform
+    point of the sphere is uniform on [0, 1].
     """
     s = u[:, 0]
     return polar(np.sqrt(s), math.tau * u[:, 1]), polar(np.sqrt(1.0 - s), math.tau * u[:, 2])
 
 
-def real_slice_point(u, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
-    """The point of the totally real slice that 3 uniforms give, or one per row of a block.
+def _flat_control_sampler(u, c, rmax, errors):
+    """(c e^{i tau u0}, z2) with z2 area-uniform on the 0.9 disc, whatever the rmax."""
+    return polar(c, math.tau * u[:, 0]), disc_from_uniforms(u[:, 1], u[:, 2], 0.9)
 
-    ``so21_image`` of the automorphism ``random_mobius`` makes of the row
-    (centre on the rmax disc) carries the origin there.
-    """
+
+def _real_slice_sampler(u, _, rmax, errors):
+    """Points of the totally real slice: so21_image(phi) carries the origin there."""
     return ball_action(so21_image(random_mobius(u, rmax, errors=errors)), (0j, 0j), errors=errors)
 
 
-def complex_curve_point(u: np.ndarray, rmax: float = DEFAULT_RMAX):
-    """Points (0, v) of the complex curve {u = 0}, v area-uniform on the rmax disc, one per row of u (n, 2)."""
+def _complex_curve_sampler(u, _, rmax, errors):
+    """Points (0, v) of the complex curve {u = 0}, v area-uniform on the rmax disc."""
     v = disc_from_uniforms(u[:, 0], u[:, 1], rmax)
     return np.zeros_like(v), v
 
@@ -241,7 +230,7 @@ RHO_LEVEL = FamilyRecord(
     # zero set rho = a on the bidisc
     value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=True,
     residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
-    sampler=_resolved_rho_orbit_point, draws=3,
+    sampler=_rho_level_sampler, draws=3,
 )
 MINKOWSKI_LEVEL = FamilyRecord(
     "minkowski-level", 3, cli="Eta", need="need level > 1", admits=lambda level: level > 1.0,
@@ -252,7 +241,7 @@ MINKOWSKI_LEVEL = FamilyRecord(
     residual=lambda p, level, errors: np.where(
         im_condition(*p) <= 0.0, math.inf, np.maximum(np.abs(quadric_residual(*p)), np.abs(minkowski_form(*p) - level))
     ),
-    sampler=minkowski_orbit_point, draws=3,
+    sampler=_minkowski_level_sampler, draws=3,
 )
 ELLIPSOID = FamilyRecord(
     "ellipsoid", 2, cli="Ellipsoid", need="need 0 < t < 1", admits=lambda t: (0.0 < t) & (t < 1.0),
@@ -260,14 +249,14 @@ ELLIPSOID = FamilyRecord(
     gradient=lambda P, t: _diagonal_gradient(P, 1.0, t * t),
     hessian=lambda P, t: _diagonal_hessian(P, 1.0, t * t), ambient=True,
     residual=lambda p, t, errors: np.abs(_ellipsoid_value(p, t)),
-    sampler=lambda u, t, rmax, errors: ellipsoid_orbit_point(u, t, rmax, errors=errors), draws=3,
+    sampler=_ellipsoid_sampler, draws=3,
 )
 SPHERE = FamilyRecord(
     "sphere", 2,
     value=lambda P, _: _abs2(P[:, 0]) + _abs2(P[:, 1]) - 1.0,  # r = |u|^2 + |v|^2 - 1
     gradient=lambda P, _: _diagonal_gradient(P, 1.0, 1.0),
     hessian=lambda P, _: _diagonal_hessian(P, 1.0, 1.0), ambient=True,
-    sampler=lambda u, _, rmax, errors: sphere_point(u), draws=3,
+    sampler=_sphere_sampler, draws=3,
 )
 FLAT_CONTROL = FamilyRecord(
     "flat-control", 2, need="need c > 0", admits=lambda c: c > 0.0,
@@ -275,19 +264,17 @@ FLAT_CONTROL = FamilyRecord(
     value=lambda P, c: _abs2(P[:, 0]) - c * c,
     gradient=lambda P, c: _diagonal_gradient(P, 1.0, 0.0),
     hessian=lambda P, c: _diagonal_hessian(P, 1.0, 0.0), ambient=True,
-    # (c e^{i tau u0}, z2) with z2 area-uniform on the 0.9 disc, whatever the rmax
-    sampler=lambda u, c, rmax, errors: (polar(c, math.tau * u[:, 0]), disc_from_uniforms(u[:, 1], u[:, 2], 0.9)),
-    draws=3,
+    sampler=_flat_control_sampler, draws=3,
 )
 REAL_SLICE = FamilyRecord(
     "real-slice", 2, cli="RealSlice",
     residual=lambda p, _, errors: np.maximum(np.abs(p[0].imag), np.abs(p[1].imag)),
-    sampler=lambda u, _, rmax, errors: real_slice_point(u, rmax, errors=errors), draws=3,
+    sampler=_real_slice_sampler, draws=3,
 )
 COMPLEX_CURVE = FamilyRecord(
     "complex-curve", 2, cli="ComplexCurve",
     residual=lambda p, _, errors: np.abs(p[0]),
-    sampler=lambda u, _, rmax, errors: complex_curve_point(u, rmax), draws=2,
+    sampler=_complex_curve_sampler, draws=2,
 )
 
 FAMILIES = (RHO_LEVEL, MINKOWSKI_LEVEL, ELLIPSOID, SPHERE, FLAT_CONTROL, REAL_SLICE, COMPLEX_CURVE)

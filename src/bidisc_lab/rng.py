@@ -113,6 +113,9 @@ class _FirstRaises(RowErrors):
 def _batch(errors: RowErrors | None, *values, dtype=complex):
     """The values as 1-d arrays of one length, the collector of their checks, and whether they were one point."""
     arrays = [np.asarray(v, dtype=dtype) for v in values]
+    if any(a.ndim > 1 for a in arrays):  # a batch holds one entry per row: a grid is refused, not flattened
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ValueError(f"a batch takes numbers or 1-d arrays with one entry per row, got shapes {shapes}")
     shape = arrays[0].shape
     if any(a.shape != shape for a in arrays):
         shape = np.broadcast_shapes(*(a.shape for a in arrays))

@@ -38,34 +38,41 @@ gives each suite's stream_id and k, and the number of its candidate
 rounds, so that any sample replays from the report alone.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
-(``orbits.orbit_points``), which also applies its checks.  levi-Fa and
+(``orbits.orbit_points``), which also applies its checks.  One kernel
+factory, ``_levi(record, param, score)``, makes all four.  levi-Fa and
 levi-eta put sample i on the level i % 3 of three, and a Family's
 parameter is a number or one per row, so each block is one
 ``orbit_points`` and one ``levi.levi_restricted`` batch.
 
 Residual conventions: equality claims report the absolute defect, or
-for ``J-H-compat``, ``conjugation-so21`` and ``swap-is-minus-identity``
-the defect relative to the size of the compared values (and the form
-residual of ``conjugation-so21`` relative to A_33^2), for
-``o21-matrix-B`` the form residual relative to B_33^2, the square of
-B's largest entry 1/sqrt(1 - z^2 - w^2), and for ``H-quadric`` and
-``orbit-levels``, whose forms are quadratic in h = map_H(z, w),
-relative to max(1, |h|_inf^2);
-threshold claims (the Levi certifications) report the shortfall below
-the certified floor, so 0 means comfortably certified; boolean claims
-report 0 or 1 and run with tolerance 0.5.  ``preimage-formula`` and
-``aut-preserves-subdomains`` give no verdict on a row within
-PREIMAGE_MARGIN or MEMBERSHIP_MARGIN of a band edge: it scores 0, and
-the report counts it as ``excluded``.  A sample whose residual is
-not below the tolerance (NaN included) is a failure.  A sample that
-fails a check is a hard failure and fails the suite regardless of
-tolerance: the runner scores it inf and records the check's
-``ValueError: message`` text, the one the same function raises on that
-row's point, together with the row's inputs.
+for ``rho-invariance`` and ``su11-orbit-invariant`` the defect times
+1 - m^2, m the largest modulus among the compared points (z, w and
+their images; v and its image), as rho and |u| / sqrt(1 - |v|^2) round
+like 1 / (1 - m^2) near the unit circle, or for ``J-H-compat``,
+``conjugation-so21`` and ``swap-is-minus-identity`` the defect relative
+to the size of the compared values (and the form residual of
+``conjugation-so21`` relative to A_33^2), for ``o21-matrix-B`` the form
+residual relative to B_33^2, the square of B's largest entry
+1/sqrt(1 - z^2 - w^2), and for ``H-quadric`` and ``orbit-levels``,
+whose forms are quadratic in h = map_H(z, w), relative to
+max(1, |h|_inf^2); threshold claims (the Levi certifications) report
+the shortfall below the certified floor, so 0 means comfortably
+certified; boolean claims report 0 or 1 and run with tolerance 0.5.
+``preimage-formula`` and ``aut-preserves-subdomains`` give no verdict
+on a row within PREIMAGE_MARGIN or MEMBERSHIP_MARGIN of a band edge,
+nor the two conjugation suites on the H relation of a row whose image
+phi crowds into map_H's chart guard: it scores 0 (``conjugation-so21``
+still judges its matrix), and the report counts it as ``excluded``.  A
+sample whose residual is not below the tolerance (NaN included) is a
+failure.  A sample that fails a check is a hard failure and fails the
+suite regardless of tolerance: the runner scores it inf and records the
+check's ``ValueError: message`` text, the one the same function raises
+on that row's point, together with the row's inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -76,6 +83,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import (
+    _abs2,
     a_from_alpha,
     alpha_from_a,
     eta_level,
@@ -103,6 +111,7 @@ from .orbits import (
     RHO_LEVEL,
     SPHERE,
     Family,
+    FamilyRecord,
     orbit_points,
 )
 from .rng import (
@@ -246,13 +255,18 @@ def _pair_candidates(rho_floor: float = 0.0) -> _Candidates:
     )
 
 
+def _rim_scale(*points) -> np.ndarray:
+    """1 - m^2 per row, m the largest modulus among the points: rho and |u| / sqrt(1 - |v|^2) round like 1 / (1 - m^2)."""
+    return 1.0 - functools.reduce(np.maximum, map(_abs2, points))
+
+
 def _k_rho_invariance(cfg, u, idx, rows, drawn):
     # uniforms: the pair (4), phi (3)
     z, w = _disc_pair(u, cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
     res = np.abs(pseudo_hyperbolic(z2, w2, errors=rows) - pseudo_hyperbolic(z, w, errors=rows))
-    return res, _columns(z, w, phi.theta, phi.a)
+    return res * _rim_scale(z, w, z2, w2), _columns(z, w, phi.theta, phi.a)
 
 
 def _h_scale(h) -> np.ndarray:
@@ -336,38 +350,29 @@ def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
     return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
 
 
-# Levi kernels: 3 uniforms per sample, sample i at level i % 3; a block is one levi batch
-
-_FA_LEVELS = np.array((0.2, 0.5, 0.8))
-_ETA_LEVELS = np.array((1.5, 2.125, 4.0))
+# Levi kernels: 3 uniforms per sample; a block is one orbit_points and one levi batch
 
 
-def _levi(f: Family, u: np.ndarray, rows: RowErrors):
-    """The points f's sampler draws from the rows of u, centres on the LEVI_PATCH_RMAX disc, and their Levi values."""
-    p = np.column_stack(orbit_points(f, u, LEVI_PATCH_RMAX, rows))
-    return p, levi_restricted(f, p, errors=rows)
+def _shortfall(val):
+    """The shortfall of Levi values below the certified floor: 0 where comfortably certified."""
+    return np.maximum(0.0, LEVI_FLOOR - val)
 
 
-def _k_levi_fa(cfg, u, idx, rows, drawn):
-    a = _FA_LEVELS[idx % 3]
-    p, val = _levi(Family(RHO_LEVEL, a), u, rows)
-    return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, a)
+def _levi(record: FamilyRecord, param, score: Callable) -> Callable:
+    """The kernel of a Levi suite: record's points, centres on the LEVI_PATCH_RMAX disc, scored by score(levi value).
 
+    A param of three levels puts sample i on level i % 3 and records the
+    level among the inputs; a fixed param, or None, is not recorded.
+    """
+    levels = np.ndim(param) == 1
 
-def _k_levi_eta(cfg, u, idx, rows, drawn):
-    level = _ETA_LEVELS[idx % 3]
-    p, val = _levi(Family(MINKOWSKI_LEVEL, level), u, rows)
-    return np.maximum(0.0, LEVI_FLOOR - val), _columns(*p.T, level)
+    def _k_levi(cfg, u, idx, rows, drawn):
+        x = param[idx % 3] if levels else param
+        f = Family(record, x)
+        p = np.column_stack(orbit_points(f, u, LEVI_PATCH_RMAX, rows))
+        return score(levi_restricted(f, p, errors=rows)), _columns(*p.T, *((x,) if levels else ()))
 
-
-def _k_levi_control(cfg, u, idx, rows, drawn):
-    p, val = _levi(Family(FLAT_CONTROL, 0.5), u, rows)
-    return np.abs(val), _columns(*p.T)
-
-
-def _k_levi_sphere(cfg, u, idx, rows, drawn):
-    p, val = _levi(Family(SPHERE), u, rows)
-    return np.abs(val - 1.0), _columns(*p.T)
+    return _k_levi
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +380,28 @@ def _k_levi_sphere(cfg, u, idx, rows, drawn):
 
 
 def _conjugated(cfg, u, pair, rows, swap: bool):
-    """A = so21_image(phi) per row, and the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p).
+    """A = so21_image(phi) per row, the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p),
+    the inputs, and the rows whose image map_H's chart rejects.
 
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
-    crowds the pair and H grows, and its rounding with it.
+    crowds the pair and H grows, and its rounding with it.  It can crowd
+    the pair below EPS_DIAG: such a row gets no verdict on the relation
+    and scores 0 for it.
     """
     # uniforms: phi (3), round 0 of the conditioned pair (4)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     z, w = pair.T
     A = so21_image(phi)
     h = np.stack(map_H(z, w, errors=rows), axis=-1)
-    q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=rows), axis=-1)
+    chart = RowErrors(len(u))
+    q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=chart), axis=-1)
     Ah = (A * h[:, None, :]).sum(axis=2)
     res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
-    return A, res, _columns(phi.theta, phi.a, z, w)
+    return A, np.where(chart.ok, res, 0.0), _columns(phi.theta, phi.a, z, w), ~chart.ok
 
 
 def _k_conjugation_so21(cfg, u, idx, rows, pair):
-    A, res, inputs = _conjugated(cfg, u, pair, rows, swap=False)
+    A, res, inputs, unscored = _conjugated(cfg, u, pair, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
@@ -400,12 +409,11 @@ def _k_conjugation_so21(cfg, u, idx, rows, pair):
         np.abs(det - 1.0) > 1e-12 * scale,
         lambda r: f"image matrix determinant {det[r].item()!r} is not 1 within 1e-12 A_33^2 = {1e-12 * scale[r]:.3g}",
     )
-    return np.maximum(res, u21_residual(A) / scale), inputs
+    return np.maximum(res, u21_residual(A) / scale), inputs, unscored
 
 
 def _k_swap_minus_identity(cfg, u, idx, rows, pair):
-    _, res, inputs = _conjugated(cfg, u, pair, rows, swap=True)
-    return res, inputs
+    return _conjugated(cfg, u, pair, rows, swap=True)[1:]
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
@@ -434,7 +442,7 @@ def _k_su11_orbit_invariant(cfg, u, idx, rows, drawn):
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     b2, v2 = ball_action(su11_embed(phi), (b, v), errors=rows)
     res = np.abs(su11_orbit_invariant(b2, v2, errors=rows) - su11_orbit_invariant(b, v, errors=rows))
-    return res, _columns(b, v)
+    return res * _rim_scale(v, v2), _columns(b, v)
 
 
 def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
@@ -641,7 +649,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "value above 1e-3",
         0.06,
         1e-12,
-        _k_levi_fa,
+        _levi(RHO_LEVEL, np.array((0.2, 0.5, 0.8)), _shortfall),
         draws=3,
     ),
     _Suite(
@@ -650,7 +658,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "pseudoconvex: restricted Levi value above 1e-3",
         0.06,
         1e-12,
-        _k_levi_eta,
+        _levi(MINKOWSKI_LEVEL, np.array((1.5, 2.125, 4.0)), _shortfall),
         draws=3,
     ),
     _Suite(
@@ -658,7 +666,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "the circle-times-disc control surface has vanishing Levi form",
         0.02,
         1e-4,
-        _k_levi_control,
+        _levi(FLAT_CONTROL, 0.5, np.abs),
         draws=3,
     ),
     _Suite(
@@ -666,7 +674,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "the unit sphere has restricted Levi value 1",
         0.02,
         1e-6,
-        _k_levi_sphere,
+        _levi(SPHERE, None, lambda val: np.abs(val - 1.0)),
         draws=3,
     ),
     _Suite(

@@ -16,15 +16,13 @@ from bidisc_lab.orbits import (
     MINKOWSKI_LEVEL,
     REAL_SLICE,
     RHO_LEVEL,
+    SPHERE,
     Family,
     RowErrors,
     dump_orbit,
     orbit_point,
     orbit_points,
     parse_orbit_spec,
-    real_slice_point,
-    rho_orbit_point,
-    sphere_point,
 )
 from bidisc_lab.rng import uniform_block
 
@@ -83,7 +81,7 @@ def test_samplers_stay_on_their_orbit(spec):
 
 
 def test_rho_orbit_point_stays_in_the_bidisc():
-    z, w = rho_orbit_point(uniform_block(62, 0, 3, 0, 50), 0.9)
+    z, w = orbit_points(Family(RHO_LEVEL, 0.9), uniform_block(62, 0, 3, 0, 50), 0.95, None)
     assert (np.abs(z) < 1.0).all() and (np.abs(w) < 1.0).all()
 
 
@@ -95,13 +93,13 @@ def test_ball_orbit_points_stay_in_the_ball():
 
 
 def test_sphere_point_is_normalized():
-    u, v = sphere_point(uniform_block(64, 0, 3, 0, 50))
+    u, v = orbit_points(Family(SPHERE), uniform_block(64, 0, 3, 0, 50), 0.95, None)
     np.testing.assert_allclose(np.abs(u) ** 2 + np.abs(v) ** 2, 1.0, rtol=0, atol=1e-12)
 
 
 def test_real_slice_point_has_no_imaginary_part():
     for row in uniform_block(65, 0, 3, 0, 50):
-        u, v = real_slice_point(row)
+        u, v = orbit_point(Family(REAL_SLICE), row)
         assert u.imag == 0.0 and v.imag == 0.0
 
 

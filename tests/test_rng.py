@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bidisc_lab.domains import alpha_from_a
+from bidisc_lab.groups import su11_orbit_invariant
+from bidisc_lab.maps import map_H
+from bidisc_lab.mobius import pseudo_hyperbolic
 from bidisc_lab.rng import (
     RowErrors,
     _FirstRaises,
@@ -187,3 +191,24 @@ def test_row_max_is_numpys_reduction_bit_for_bit(shape):
     assert got.dtype == want.dtype and got.shape == want.shape == (len(a),)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     np.testing.assert_array_equal(_row_max(a > 0.0), (a > 0.0).any(axis=axes))
+
+
+_GRID = np.full((2, 3), 0.3 + 0.1j)  # 2-d: would be flattened to 6 rows
+_COLUMN = np.full(2, -0.2j)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (pseudo_hyperbolic, (_GRID, _GRID.conj())),
+        (pseudo_hyperbolic, (_COLUMN, _GRID)),  # broadcasting does not rescue a 2-d value
+        (map_H, (_GRID, _GRID.conj())),
+        (alpha_from_a, (_GRID.real,)),
+        (su11_orbit_invariant, (_GRID, _GRID.conj())),
+    ],
+    ids=["pseudo_hyperbolic", "pseudo_hyperbolic-broadcast", "map_H", "alpha_from_a", "su11_orbit_invariant"],
+)
+def test_a_batch_value_with_more_than_one_axis_is_rejected(fn, args):
+    """A batch is 1-d arrays, one entry per row: a 2-d value names the shapes instead of being silently flattened."""
+    with pytest.raises(ValueError, match=r"1-d arrays with one entry per row, got shapes .*\(2, 3\)"):
+        fn(*args)
