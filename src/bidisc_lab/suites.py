@@ -102,7 +102,7 @@ from .groups import (
     u21_residual,
 )
 from .levi import levi_restricted, totally_real_check
-from .maps import EPS_DIAG, map_H, map_H_inv, map_J, scale_g_t, sym
+from .maps import EPS_DIAG, _check_pair, map_H, map_H_inv, map_J, scale_g_t, sym
 from .mobius import MOBIUS_DRAWS, _rho, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
@@ -386,15 +386,16 @@ def _conjugated(cfg, u, pair, rows, swap: bool):
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
     crowds the pair and H grows, and its rounding with it.  It can crowd
     the pair below EPS_DIAG: such a row gets no verdict on the relation
-    and scores 0 for it.
+    and scores 0 for it; an image off the disc, or not finite, fails it.
     """
     # uniforms: phi (3), round 0 of the conditioned pair (4)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     z, w = pair.T
     A = so21_image(phi)
     h = np.stack(map_H(z, w, errors=rows), axis=-1)
-    chart = RowErrors(len(u))
-    q = np.stack(map_H(*mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), errors=chart), axis=-1)
+    image = mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows)
+    _check_pair(rows, *image)  # first, so that only the chart guard's rows are left to the chart's collector
+    q = np.stack(map_H(*image, errors=(chart := RowErrors(len(u)))), axis=-1)
     Ah = (A * h[:, None, :]).sum(axis=2)
     res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
     return A, np.where(chart.ok, res, 0.0), _columns(phi.theta, phi.a, z, w), ~chart.ok

@@ -544,6 +544,24 @@ def test_a_conjugated_pair_the_chart_rejects_is_excluded_not_failed():
     assert rows.ok[0] and excluded[0] and residual[0] == 0.0
 
 
+@pytest.mark.parametrize("name", ["conjugation-so21", "swap-is-minus-identity"])
+def test_a_conjugated_image_off_the_disc_is_a_hard_failure(monkeypatch, name):
+    """Only the chart guard excuses a row: an image that is NaN, or crowded but outside the disc, fails hard."""
+    real_apply = suites.mobius_apply_pair
+
+    def broken(*args, **kwargs):
+        z, w = real_apply(*args, **kwargs)
+        z[:2], w[:2] = (complex(math.nan, 0.0), 1.5), (0.5, 1.5 + 1e-9)
+        return z, w
+
+    monkeypatch.setattr(suites, "mobius_apply_pair", broken)
+    residual, rows, _, excluded = suites._block(suites._BY_NAME[name], SuiteConfig(samples=100), 0, 3)
+    assert list(rows.ok) == [False, False, True] and math.isinf(residual[0]) and math.isinf(residual[1])
+    assert "finite components" in rows.message[0] and "strictly inside the unit disc" in rows.message[1]
+    rep = _report(name, SuiteConfig(samples=1000))  # 10 rows in one block
+    assert not rep["passed"] and rep["hard_failures"] == 2 and rep["excluded"] == 0
+
+
 def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
     """|u|^2 = 1 - 1e-15 puts the sphere point's first coordinate on the unit circle."""
     _pushed_to_the_rim(monkeypatch, 0)
