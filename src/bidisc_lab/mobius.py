@@ -82,17 +82,12 @@ def pseudo_hyperbolic(z, w, *, errors: RowErrors | None = None):
     (z, w), rows, single = _batch(errors, z, w)
     _check_disc(rows, z, "z")
     _check_disc(rows, w, "w")
-    return _unbatch(_rho(z, w), single)
-
-
-def _rho(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """pseudo_hyperbolic without its checks."""
     flip = z.real > w.real
     tie = z.real == w.real
     if tie.any():
         flip |= tie & (z.imag > w.imag)
     z, w = np.where(flip, w, z), np.where(flip, z, w)
-    return np.abs(z - w) / np.abs(1.0 - z.conjugate() * w)
+    return _unbatch(np.abs(z - w) / np.abs(1.0 - z.conjugate() * w), single)
 
 
 MOBIUS_DRAWS = 3

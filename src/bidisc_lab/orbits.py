@@ -283,11 +283,7 @@ _BY_CLI = {record.cli: record for record in FAMILIES if record.cli is not None}
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One family of the table with its parameter: None for a family without one, else a number or one per row.
-
-    Two Families are equal when they share the record and their
-    parameters have the same shape and values.
-    """
+    """One family of the table with its parameter: None for a family without one, else a number or one per row."""
 
     record: FamilyRecord
     param: float | np.ndarray | None = None
@@ -310,17 +306,6 @@ class Family:
             good = check(values)
             if not good.all():  # name the number, or the first bad entry
                 raise ValueError(f"{need}, got {values[np.argmax(~good)].item() if values.ndim else x}")
-
-    def _key(self):
-        """The record, and the parameter's shape and bytes: no entry is 0 or NaN, so equal bytes are equal values."""
-        x = self.param
-        return self.record, None if x is None else (np.shape(x), np.asarray(x, dtype=float).tobytes())
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Family) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors | None):

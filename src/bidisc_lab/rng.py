@@ -22,9 +22,7 @@ budget and no draw is rejected:
 * disc, area-uniform: r = rmax sqrt(s) and a uniform angle;
 * ball in C^2, volume-uniform: radius rmax s^(1/4), a share q of the
   squared radius in the first coordinate (uniform on the sphere), and
-  one uniform angle per coordinate;
-* planar annulus rmin <= r < rmax, area-uniform:
-  r = sqrt(rmin^2 + s (rmax^2 - rmin^2)) and a uniform angle.
+  one uniform angle per coordinate.
 
 Rows are also the unit of checking.  Every function of the package that
 takes a keyword-only ``errors`` takes a point or a batch of rows (for
@@ -191,16 +189,6 @@ def ball_from_uniforms(u: np.ndarray, rmax: float = DEFAULT_RMAX) -> tuple[np.nd
     r = rmax * np.sqrt(np.sqrt(u[..., 0]))
     q = u[..., 1]
     return polar(r * np.sqrt(q), math.tau * u[..., 2]), polar(r * np.sqrt(1.0 - q), math.tau * u[..., 3])
-
-
-def annulus_from_uniforms(
-    u_radius: np.ndarray, u_angle: np.ndarray, rmin: float, rmax: float = DEFAULT_RMAX
-) -> np.ndarray:
-    """Area-uniform points x + iy of the planar annulus rmin <= |x + iy| < rmax."""
-    _check_rmax(rmax)
-    if not 0.0 <= rmin < rmax:
-        raise ValueError("need 0 <= rmin < rmax")
-    return polar(np.sqrt(rmin * rmin + u_radius * (rmax * rmax - rmin * rmin)), math.tau * u_angle)
 
 
 def _check_rmax(rmax: float) -> None:

@@ -29,11 +29,10 @@ r < 2^32 is no other suite's stream, nor the dumps' stream 0.  The
 runner draws the candidates of every such suite in one place,
 ``_evaluate``; a row left without one is a hard failure that names the
 rounds and the condition.  Nine suites take a pair off the diagonal
-(|z - w| >= EPS_DIAG, the chart guard of map_H), the dual-route level
-checks one that also has rho >= 0.05, from PAIR_ROUNDS candidates;
-``o21-totally-real`` takes, on its rows i % 3 == 0, a real matrix with
-|det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the defaults
-nearly every row keeps its round 0.  The report's "rng" field
+(|z - w| >= EPS_DIAG, the chart guard of map_H) from PAIR_ROUNDS
+candidates; ``o21-totally-real`` takes, on its rows i % 3 == 0, a real
+matrix with |det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the
+defaults nearly every row keeps its round 0.  The report's "rng" field
 gives each suite's stream_id and k, and the number of its candidate
 rounds, so that any sample replays from the report alone.
 
@@ -103,7 +102,7 @@ from .groups import (
 )
 from .levi import levi_restricted, totally_real_check
 from .maps import EPS_DIAG, _check_pair, map_H, map_H_inv, map_J, scale_g_t, sym
-from .mobius import MOBIUS_DRAWS, _rho, mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .mobius import MOBIUS_DRAWS, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -118,7 +117,6 @@ from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
     RowErrors,
-    annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
     uniform_block,
@@ -134,7 +132,6 @@ LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex familie
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
 PREIMAGE_MARGIN = 1e-8  # skip samples this close to a band boundary
 MEMBERSHIP_MARGIN = 1e-6
-RHO_COND_FLOOR = 0.05  # dual-route level checks need 2/rho^2 to stay O(1e3)
 
 
 class ConfigError(ValueError):
@@ -184,9 +181,7 @@ class _Suite:
     for a suite without them); it flags the rows that fail a check in
     the block's ``RowErrors`` rows.  A kernel that leaves some rows
     unscored returns ``(residual, inputs, excluded)``, with excluded a
-    mask of those rows.  ``why_empty(cfg)`` says why no sample can be
-    drawn under cfg, or returns None; a candidate suite says it in its
-    ``candidates``.
+    mask of those rows.
     """
 
     name: str
@@ -196,7 +191,6 @@ class _Suite:
     fn: Callable
     draws: int
     candidates: _Candidates | None = None
-    why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +213,21 @@ def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
 PAIR_ROUNDS = 32  # candidate pairs a row may try
 
 
-def _pair_candidates(rho_floor: float = 0.0) -> _Candidates:
-    """Disc pairs with |z - w| >= EPS_DIAG, the chart guard of map_H, and with rho_floor set rho(z, w) >= rho_floor.
-
-    A candidate is an (n, 2) array [z, w] in column-major order, so that
-    a kernel's ``z, w = pair.T`` are contiguous, as the maps read them.
-    """
-
-    def accept(p):
-        z, w = p[:, 0], p[:, 1]
-        keep = np.abs(z - w) >= EPS_DIAG
-        return keep & (_rho(z, w) >= rho_floor) if rho_floor else keep
-
-    def why_empty(cfg):
-        if EPS_DIAG >= 2.0 * cfg.rmax:
-            return (
-                f"pairs need |z - w| >= {EPS_DIAG:g}, "
-                f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
-            )
-        sup_rho = 2.0 * cfg.rmax / (1.0 + cfg.rmax * cfg.rmax)
-        if sup_rho <= rho_floor:
-            return (
-                f"rmax = {cfg.rmax!r} keeps rho below 2 rmax / (1 + rmax^2) = {sup_rho:.6g}, "
-                f"so no pair reaches rho >= {rho_floor:g}"
-            )
-        return None
-
-    return _Candidates(
-        "pairs",
-        f"|z - w| >= {EPS_DIAG:g}" + (f" and rho >= {rho_floor:g}" if rho_floor else ""),
-        PAIR_ROUNDS,
-        lambda cfg, c: np.stack(_disc_pair(c, cfg.rmax)).T,
-        accept,
-        why_empty=why_empty,
-    )
+# disc pairs with |z - w| >= EPS_DIAG, the chart guard of map_H; a candidate is an (n, 2) array
+# [z, w] in column-major order, so that a kernel's ``z, w = pair.T`` are contiguous, as the maps read them
+_PAIRS = _Candidates(
+    "pairs",
+    f"|z - w| >= {EPS_DIAG:g}",
+    PAIR_ROUNDS,
+    lambda cfg, c: np.stack(_disc_pair(c, cfg.rmax)).T,
+    lambda p: np.abs(p[:, 0] - p[:, 1]) >= EPS_DIAG,
+    why_empty=lambda cfg: (
+        f"pairs need |z - w| >= {EPS_DIAG:g}, "
+        f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
+        if EPS_DIAG >= 2.0 * cfg.rmax
+        else None
+    ),
+)
 
 
 def _rim_scale(*points) -> np.ndarray:
@@ -464,17 +439,9 @@ def _k_gt_sphere(cfg, u, idx, rows, drawn):
     return res, _columns(*p, t)
 
 
-O21_RMIN = 0.05  # inner radius of the o21-matrix-B draws
-
-
-def _o21_why_empty(cfg: SuiteConfig) -> str | None:
-    if cfg.rmax <= O21_RMIN:
-        return f"its real pairs need rmin = {O21_RMIN:g} < rmax, got rmax = {cfg.rmax!r}"
-    return None
-
-
 def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
-    c = annulus_from_uniforms(u[:, 0], u[:, 1], O21_RMIN, cfg.rmax)
+    # the real pair (z, w) of the rmax disc, off the origin, where B is undefined: radius rmax sqrt(1 - s) > 0
+    c = disc_from_uniforms(1.0 - u[:, 0], u[:, 1], cfg.rmax)
     z, w = c.real, c.imag
     B = o21_point_matrix(z, w, errors=rows)
     img = ball_action(B, (0j, 0j), errors=rows)
@@ -516,7 +483,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "|phi(z)-phi(w)| / |1-conj(phi(z))phi(w)| equals |z-w| / |1-conj(z)w| "
         "for every disc automorphism phi",
         1.0,
-        1e-10,
+        1e-13,
         _k_rho_invariance,
         draws=7,
     ),
@@ -527,7 +494,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_h_quadric,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR),
+        candidates=_PAIRS,
     ),
     _Suite(
         "H-im-condition",
@@ -536,7 +503,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_h_im_condition,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(),
+        candidates=_PAIRS,
     ),
     _Suite(
         "H-sigma-negation",
@@ -545,7 +512,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-15,
         _k_h_sigma_negation,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(),
+        candidates=_PAIRS,
     ),
     _Suite(
         "H-roundtrip",
@@ -554,7 +521,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_h_roundtrip,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(),
+        candidates=_PAIRS,
     ),
     _Suite(
         "orbit-levels",
@@ -563,7 +530,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _k_orbit_levels,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR),
+        candidates=_PAIRS,
     ),
     _Suite(
         "preimage-formula",
@@ -572,7 +539,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.5,
         _k_preimage_formula,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(),
+        candidates=_PAIRS,
     ),
     _Suite(
         "conjugation-so21",
@@ -582,7 +549,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-7,
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR),
+        candidates=_PAIRS,
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -591,7 +558,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_swap_minus_identity,
         draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_pair_candidates(RHO_COND_FLOOR),
+        candidates=_PAIRS,
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -605,7 +572,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "su11-orbit-invariant",
         "|u| / sqrt(1 - |v|^2) is constant along embedded SU(1,1) ball actions",
         0.1,
-        1e-10,
+        1e-13,
         _k_su11_orbit_invariant,
         draws=7,
     ),
@@ -632,7 +599,6 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_o21_matrix_b,
         draws=2,
-        why_empty=_o21_why_empty,
     ),
     _Suite(
         "o21-totally-real",
@@ -693,7 +659,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-12,
         _k_j_h_compat,
         draws=CANDIDATE_DRAWS,
-        candidates=_pair_candidates(),
+        candidates=_PAIRS,
     ),
     _Suite(
         "alpha-roundtrip",
@@ -718,9 +684,8 @@ def _stream_id(name: str) -> int:
 
 
 def _check_admissible(cfg: SuiteConfig, name: str) -> None:
-    suite = _BY_NAME[name]
-    why = suite.candidates.why_empty if suite.candidates is not None else suite.why_empty
-    reason = why(cfg) if why is not None else None
+    c = _BY_NAME[name].candidates
+    reason = c.why_empty(cfg) if c is not None and c.why_empty is not None else None
     if reason is not None:
         raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
 

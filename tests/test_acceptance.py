@@ -67,7 +67,7 @@ def test_automorphisms_conjugate_into_the_lorentz_group(reports, acceptance_log)
 
 
 def test_pseudo_hyperbolic_distance_is_invariant(reports, acceptance_log):
-    ok, detail = _suites_ok(reports, ["rho-invariance"], {"rho-invariance": 1e-10})
+    ok, detail = _suites_ok(reports, ["rho-invariance"], {"rho-invariance": 1e-13})
     ok = ok and reports["rho-invariance"].samples == 10_000
     _criterion(
         acceptance_log,
@@ -91,7 +91,7 @@ def test_embedded_su11_orbits_and_their_spheres(reports, acceptance_log):
     ok, detail = _suites_ok(
         reports,
         names,
-        {"su11-orbit-invariant": 1e-10, "su11-orbit-ellipsoid": 1e-10, "gt-sphere": 1e-12},
+        {"su11-orbit-invariant": 1e-13, "su11-orbit-ellipsoid": 1e-10, "gt-sphere": 1e-12},
     )
     _criterion(
         acceptance_log,

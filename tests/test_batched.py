@@ -599,8 +599,8 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
     configs = (
         # the levi suites draw 12, 12, 4 and 4 samples: blocks of 7 split their parameter groups
         SuiteConfig(samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22, "levi-sphere": 1e-16}),
-        # at rmax 0.03 few pairs reach rho >= 0.05: blocks draw every later candidate round, and rows miss
-        SuiteConfig(samples=200, rmax=0.03, suites=tuple(CANDIDATE_WIDTHS)),
+        # at rmax 6e-7 few pairs are EPS_DIAG = 1e-6 apart: blocks draw every later candidate round, and rows miss
+        SuiteConfig(samples=200, rmax=6e-7, suites=tuple(CANDIDATE_WIDTHS)),
     )
     for n, cfg in enumerate(configs):
         texts = []
@@ -614,11 +614,13 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 
 # sha256 of the seed-42 report file with every wall_time_s set to 0, recorded when each kernel still drew its own
 # candidates; "all-2000" re-recorded when u21_residual went entry by entry, and again when o21-matrix-B's form
-# residual became relative to B_33^2, each of which moved only o21-matrix-B's max_residual, and once more when
-# rho-invariance and su11-orbit-invariant scaled their defects by 1 - m^2, which moved only their max_residual
+# residual became relative to B_33^2, each of which moved only o21-matrix-B's max_residual, once more when
+# rho-invariance and su11-orbit-invariant scaled their defects by 1 - m^2, which moved only their max_residual,
+# and once more when o21-matrix-B drew its real pair from the whole disc and those two suites' tolerances went
+# from 1e-10 to 1e-13; "candidates-rmax-6e-7" recorded when pairs stopped needing rho >= 0.05
 REPORT_SHA256 = {
-    "all-2000": "689555c689ac2b5f1de16f542cee4d5889f9194fb7d35b530eef4d55f14b5da2",
-    "candidates-rmax-0.03": "a0ed8585d2cf48a9f4024b746ea120213da2b56328817ee6f28481b144ff3079",
+    "all-2000": "d531fceec981725e453660792e907a442ab8c2c700faf3c3a9ff6e8d1938df4c",
+    "candidates-rmax-6e-7": "acae4b6dbf00dc0da65011bfac894e76abb920e031242f038440ced386db45f5",
 }
 
 
@@ -626,8 +628,8 @@ REPORT_SHA256 = {
     "key, cfg",
     [
         ("all-2000", SuiteConfig(samples=2000, suites=all_suite_names())),
-        # four suites fail rows hard (40 recorded), and blocks draw every later candidate round
-        ("candidates-rmax-0.03", SuiteConfig(rmax=0.03, suites=tuple(CANDIDATE_WIDTHS))),
+        # the nine pair suites fail rows hard, and blocks draw every later candidate round
+        ("candidates-rmax-6e-7", SuiteConfig(rmax=6e-7, suites=tuple(CANDIDATE_WIDTHS))),
     ],
 )
 def test_report_bytes_match_their_recorded_hash(tmp_path, key, cfg):
@@ -675,12 +677,12 @@ def _replay(doc, name, index):
         ("H-quadric", SuiteConfig(samples=10_000, tolerances={"H-quadric": 8e-16})),  # 27 relative defects reach it
         ("rho-invariance", SuiteConfig(samples=10_000, tolerances={"rho-invariance": 2.5e-16})),  # 14 reach it
         ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 26 reach it
-        ("orbit-levels", SuiteConfig(samples=2000, rmax=0.026)),  # hard failures, near index 0
+        ("orbit-levels", SuiteConfig(samples=2000, rmax=6e-7)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
-        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 5.2e-16})),  # 3,000 rows; 39 reach it
-        ("conjugation-so21", SuiteConfig(samples=1000, rmax=0.0251)),  # no row finds a pair with rho >= 0.05
-        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=0.0251)),  # records phi and the last candidate pair
-        # 3,000 rows; 27 relative defects reach 1e-14
+        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 5.2e-16})),  # 3,000 rows; 27 reach it
+        ("conjugation-so21", SuiteConfig(samples=1000, rmax=5.05e-7)),  # no row finds a pair EPS_DIAG apart
+        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=5.05e-7)),  # records phi and the last candidate pair
+        # 3,000 rows; 30 relative defects reach 1e-14
         ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-14})),
     ],
 )

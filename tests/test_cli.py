@@ -74,7 +74,7 @@ def test_verify_impossible_tolerance_fails(capsys):
         ["verify", "--tol", "nope=1e-9"],
         ["verify", "--samples", "0"],
         ["verify", "--rmax", "1.5"],
-        ["verify", "--rmax", "0.04", "--suite", "o21-matrix-B"],  # no real pair reaches rmin = 0.05
+        ["verify", "--rmax", "4e-7", "--suite", "H-quadric"],  # no pair of the disc is EPS_DIAG = 1e-6 apart
     ],
 )
 def test_verify_configuration_errors_exit_two(argv, capsys):
@@ -137,10 +137,11 @@ def _run(args, timeout=30):
     )
 
 
-def test_empty_rho_band_is_rejected_not_looped():
+def test_a_small_disc_is_sampled_at_every_rho():
+    # every pair of the 0.01 disc has rho < 0.02, and each is judged
     proc = _run(["-m", "bidisc_lab.cli", "verify", "--rmax", "0.01", "--suite", "H-quadric"])
-    assert proc.returncode == 2
-    assert "nothing to sample" in proc.stderr
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["suites"][0]["hard_failures"] == 0
 
 
 def test_unreachable_eps_diag_is_rejected_not_looped():
@@ -152,7 +153,7 @@ def test_unreachable_eps_diag_is_rejected_not_looped():
 
 def test_nearly_empty_config_finishes_with_counted_hard_failures():
     proc = _run(
-        ["-m", "bidisc_lab.cli", "verify", "--rmax", "0.026", "--suite", "H-quadric", "--samples", "300"]
+        ["-m", "bidisc_lab.cli", "verify", "--rmax", "6e-7", "--suite", "H-quadric", "--samples", "300"]
     )
     assert proc.returncode == 1
     rep = json.loads(proc.stdout)["suites"][0]
@@ -161,9 +162,9 @@ def test_nearly_empty_config_finishes_with_counted_hard_failures():
 
 
 def test_conjugation_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures():
-    # pairs with rho >= 0.05 exist in a 0.0251 disc (rho < 0.05017), but almost no draw finds one
+    # pairs EPS_DIAG = 1e-6 apart exist in a 5.05e-7 disc (|z - w| < 1.01e-6), but almost no draw finds one
     proc = _run(
-        ["-m", "bidisc_lab.cli", "verify", "--rmax", "0.0251", "--suite", "swap-is-minus-identity",
+        ["-m", "bidisc_lab.cli", "verify", "--rmax", "5.05e-7", "--suite", "swap-is-minus-identity",
          "--suite", "conjugation-so21", "--samples", "100"],
         timeout=10,
     )

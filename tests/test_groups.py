@@ -22,7 +22,6 @@ from bidisc_lab.rng import (
     RowErrors,
     _batch,
     _unbatch,
-    annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
     uniform_block,
@@ -325,7 +324,7 @@ def test_point_matrix_spot():
 
 def test_point_matrix_membership_and_reproduction():
     for u in uniform_block(41, 0, 2, 0, 100):
-        c = complex(annulus_from_uniforms(u[0], u[1], 0.05, 0.95))
+        c = complex(disc_from_uniforms(1.0 - u[0], u[1], 0.95))  # as o21-matrix-B draws: never the origin
         z, w = c.real, c.imag
         B = o21_point_matrix(z, w)
         assert u21_residual(B) < 1e-12

@@ -41,8 +41,8 @@ def cli_calls(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
     assert {s.partition(":")[0] for s in DUMP_SPECS} == {r.cli for r in FAMILIES if r.cli is not None}
     argvs = [["verify", "--seed", "42", "--samples", "300", "--report", str(tmp_path / "report.json")]]
-    # a run whose report records hard failures: at rmax 0.03 most pairs never reach rho >= 0.05
-    failing = ["verify", "--suite", "H-quadric", "--rmax", "0.03", "--samples", "50"]
+    # a run whose report records hard failures: at rmax 6e-7 many rows find no pair EPS_DIAG = 1e-6 apart
+    failing = ["verify", "--suite", "H-quadric", "--rmax", "6e-7", "--samples", "50"]
     argvs.append(failing + ["--report", str(tmp_path / "failing.json")])
     argvs += [
         ["dump-orbit", "--spec", spec, "--n", "50", "--seed", "42", "--out", str(tmp_path / f"{k}.csv")]

@@ -17,7 +17,6 @@ from bidisc_lab.rng import (
     RowErrors,
     _FirstRaises,
     _row_max,
-    annulus_from_uniforms,
     ball_from_uniforms,
     disc_from_uniforms,
     uniform_block,
@@ -78,12 +77,6 @@ def test_bidisc_and_ball_samplers():
     assert (np.abs(a) ** 2 + np.abs(b) ** 2).max() < 0.95**2
 
 
-def test_real_pair_annulus():
-    u = uniform_block(42, 3, 2, 0, 300)
-    r = np.abs(annulus_from_uniforms(u[:, 0], u[:, 1], 0.2, 0.9))
-    assert r.min() >= 0.2 and r.max() < 0.9
-
-
 def test_inverse_transform_disc_is_area_uniform():
     u = np.random.default_rng(0).random((2, 100_000))
     z = disc_from_uniforms(u[0], u[1], 0.3)
@@ -102,27 +95,12 @@ def test_inverse_transform_ball_is_volume_uniform():
     assert abs(np.mean(a)) < 0.003 and abs(np.mean(b)) < 0.003
 
 
-def test_inverse_transform_annulus_is_area_uniform():
-    c = annulus_from_uniforms(*np.random.default_rng(2).random((2, 100_000)), 0.2, 0.6)
-    share = (np.abs(c) ** 2 - 0.04) / (0.36 - 0.04)  # the area inside |c|, as a share of the annulus
-    assert share.min() >= 0.0 and share.max() < 1.0
-    assert np.mean(share) == pytest.approx(0.5, abs=0.005)
-    assert abs(np.mean(c)) < 0.003
-
-
 @pytest.mark.parametrize("rmax", [0.0, 1.0, 1.5, -0.2])
 def test_bad_radius_rejected(rmax):
     with pytest.raises(ValueError):
         disc_from_uniforms(0.5, 0.5, rmax)
     with pytest.raises(ValueError):
         ball_from_uniforms(np.full(4, 0.5), rmax)
-    with pytest.raises(ValueError):
-        annulus_from_uniforms(0.5, 0.5, 0.0, rmax)
-
-
-def test_annulus_needs_rmin_below_rmax():
-    with pytest.raises(ValueError):
-        annulus_from_uniforms(0.5, 0.5, 0.6, 0.5)
 
 
 def test_row_errors_never_flagged_is_all_ok_without_messages():

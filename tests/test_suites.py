@@ -1,6 +1,7 @@
 """Registry contract, determinism, and configuration handling of the verifier."""
 
 import json
+import math
 
 import pytest
 
@@ -122,9 +123,9 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
         SuiteConfig(seed=-1),
         SuiteConfig(seed=2**64),
         SuiteConfig(rmax=4e-7, suites=("H-im-condition",)),  # no pair is EPS_DIAG = 1e-6 apart
-        SuiteConfig(rmax=0.01, suites=("orbit-levels",)),  # rho < 2 rmax / (1 + rmax^2) < 0.05
-        SuiteConfig(rmax=0.02, suites=("swap-is-minus-identity",)),  # its pairs need rho >= 0.05 > sup rho = 2 rmax / (1 + rmax^2)
-        SuiteConfig(rmax=0.04, suites=("o21-matrix-B",)),  # its real pairs need 0.05 <= |(z, w)| < rmax
+        SuiteConfig(rmax=math.nan),
+        SuiteConfig(rmax=1.0),  # the disc is open
+        SuiteConfig(samples=2000.0),
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
         SuiteConfig(tolerances={"H-quadric": float("nan")}),
@@ -138,6 +139,43 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
 def test_validate_config_rejects_bad_values(cfg):
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+# the suites whose samples are pairs off map_H's chart guard, |z - w| >= EPS_DIAG
+PAIR_SUITES = (
+    "H-quadric",
+    "H-im-condition",
+    "H-sigma-negation",
+    "H-roundtrip",
+    "orbit-levels",
+    "preimage-formula",
+    "conjugation-so21",
+    "swap-is-minus-identity",
+    "J-H-compat",
+)
+
+
+@pytest.mark.parametrize("name", PAIR_SUITES)
+def test_a_pair_suite_rejects_a_disc_without_a_pair_off_the_chart_guard(name):
+    # no two points of the 4e-7 disc are EPS_DIAG = 1e-6 apart
+    with pytest.raises(ConfigError, match="nothing to sample: pairs need"):
+        validate_config(SuiteConfig(rmax=4e-7, suites=(name,)))
+
+
+@pytest.mark.parametrize("rmax", [0.03, 0.01])
+def test_pairs_of_a_small_disc_are_judged_at_every_rho(rmax):
+    """A pair of a small disc has a small rho, and the relative residual scales judge it: no row fails hard."""
+    names = ("H-quadric", "orbit-levels", "conjugation-so21", "swap-is-minus-identity")
+    code, doc = verify_all(SuiteConfig(samples=5000, rmax=rmax, suites=names))
+    assert code == 0
+    assert [r["hard_failures"] for r in doc["suites"]] == [0] * len(names)
+
+
+@pytest.mark.parametrize("rmax", [0.03, 1e-6])
+def test_o21_matrix_b_draws_its_real_pair_from_the_whole_disc(rmax):
+    code, doc = verify_all(SuiteConfig(samples=5000, rmax=rmax, suites=("o21-matrix-B",)))
+    assert code == 0 and doc["suites"][0]["hard_failures"] == 0
+    assert doc["suites"][0]["max_residual"] < 1e-14
 
 
 def test_impossible_tolerance_fails_with_capped_failures():
