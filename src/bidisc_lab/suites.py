@@ -2,39 +2,48 @@
 
 Each suite certifies one computable claim by evaluating a residual on
 many seeded samples.  The runner walks a suite's sample indices in
-blocks of BLOCK rows, and every row depends only on (seed, suite,
-index), so results never depend on the block size, the worker count or
-the evaluation order.  The suite with registry ordinal o draws from the
-stream (seed, (o + 1) << 32) with a fixed budget of k uniforms per
-sample: sample i owns the stream's draws [i k, (i + 1) k).  A block
-draws them in one ``rng.uniform_block`` call, so replaying sample i
-takes ``advance(i k)`` and k draws.  Every kernel takes the same
-arguments, (cfg, U, idx, rows, drawn): the block's uniforms U, shape
-(len(idx), k), the sample indices idx, the block's ``RowErrors`` rows,
-which the runner creates, and the rows' accepted candidates drawn (None
-for a suite without them); it returns the residual and the inputs of
-each row.  The kernels evaluate their claims on the whole block as
-numpy arrays, through the same functions a caller uses on a point (a
-point is the batch of one), passing rows as ``errors``.
+blocks of BLOCK rows, and every row depends only on (seed, stream,
+index), so results never depend on the block size, the worker count,
+the evaluation order or the other suites selected.  A suite draws from
+the stream (seed, (o + 1) << 32), o the registry ordinal of the suite,
+or of its ``_Family``'s ``stream``, with a fixed budget of k uniforms
+per sample: sample i owns the stream's draws [i k, (i + 1) k), drawn
+for a block in one ``rng.uniform_block`` call.  Every kernel takes the
+same arguments, (cfg, U, idx, rows, drawn): the block's uniforms U,
+shape (len(idx), k), the sample indices idx, the block's ``RowErrors``
+rows, and the rows' accepted candidates drawn (None for a suite without
+them), or what their family shares; it returns each row's residual and
+inputs.  The kernels evaluate their claims on the whole block, through
+the functions a caller uses on a point, passing rows as ``errors``.
 
 A suite whose sample must meet a condition declares its ``candidates``:
 the first admissible of a fixed number of rounds of CANDIDATE_DRAWS = 4
 uniforms each, and never loops.  Round 0 is the last 4 of the sample's
 k uniforms; round r >= 1 is the sample's row of the stream
-(seed, stream_id | r), drawn for the whole block in one
-``rng.uniform_block`` call, and only while one of its rows is still
-open, so a row keeps the same candidates in any block, the block of one
-included.  The stream ids are multiples of 2^32, so stream_id | r for
-r < 2^32 is no other suite's stream, nor the dumps' stream 0.  The
-runner draws the candidates of every such suite in one place,
-``_evaluate``; a row left without one is a hard failure that names the
-rounds and the condition.  Nine suites take a pair off the diagonal
-(|z - w| >= EPS_DIAG, the chart guard of map_H) from PAIR_ROUNDS
-candidates; ``o21-totally-real`` takes, on its rows i % 3 == 0, a real
-matrix with |det| >= 0.1 from TOTALLY_REAL_ROUNDS candidates.  At the
-defaults nearly every row keeps its round 0.  The report's "rng" field
-gives each suite's stream_id and k, and the number of its candidate
-rounds, so that any sample replays from the report alone.
+(seed, stream_id | r), drawn for the whole block, and only while one of
+its rows is still open, so a row keeps the same candidates in any
+block, the block of one included.  The stream ids are multiples of
+2^32, so stream_id | r for r < 2^32 is no other stream, nor the dumps'
+stream 0.  ``_draw`` draws every block's candidates; a row left without
+one is a hard failure that names the rounds and the condition.  Nine
+suites take a pair off the diagonal (|z - w| >= EPS_DIAG, the chart
+guard of map_H) from PAIR_ROUNDS candidates; ``o21-totally-real``
+takes, on its rows i % 3 == 0, a real matrix with |det| >= 0.1 from
+TOTALLY_REAL_ROUNDS candidates.  At the defaults nearly every row keeps
+its round 0.  The report's "rng" field gives each suite's stream_id and
+k, and the number of its candidate rounds: any sample replays from the
+report alone (``_evaluate``).
+
+Seven pair suites judge one object, h = map_H(z, w): ``H-quadric``,
+``H-im-condition``, ``H-sigma-negation``, ``H-roundtrip``,
+``orbit-levels``, ``preimage-formula`` and ``J-H-compat`` form the
+family ``_H_PAIRS``, each a residual of (z, w, h) (``_on_h``).  All
+draw from H-quadric's stream, 2 << 32, and per block the runner draws
+the selected members' pairs once and computes map_H once; each member
+flags its checks in its own copy of the draw's row flags, so every
+check fires on every member and none fails another's row.  The seven
+claims are thus judged on the same pairs, each on as many as before,
+and a member run alone draws the rows of the full run.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
 (``orbits.orbit_points``), which also applies its checks.  One kernel
@@ -71,7 +80,9 @@ on that row's point, together with the row's inputs.
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
 import json
 import math
 import time
@@ -171,17 +182,26 @@ class _Candidates:
     why_empty: Callable[[SuiteConfig], str | None] | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """Suites judged on one draw, from the stream of the suite ``stream``: per block the runner draws it once,
+    and ``share(rows, drawn)`` turns its accepted candidates into what each member's kernel takes as drawn."""
+
+    stream: str
+    share: Callable[[RowErrors, np.ndarray], tuple]
+
+
 @dataclass(frozen=True)
 class _Suite:
     """A registered claim.
 
     ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
     inputs)`` over the rows idx, whose uniforms U have shape
-    (len(idx), draws), and whose accepted ``candidates`` are drawn (None
-    for a suite without them); it flags the rows that fail a check in
-    the block's ``RowErrors`` rows.  A kernel that leaves some rows
-    unscored returns ``(residual, inputs, excluded)``, with excluded a
-    mask of those rows.
+    (len(idx), draws), and drawn their accepted ``candidates`` (None for
+    a suite without them) or their ``family``'s share of them; it flags
+    the rows that fail a check in the block's ``RowErrors`` rows.  A
+    kernel that leaves rows unscored returns ``(residual, inputs,
+    excluded)``, with excluded a mask of those rows.
     """
 
     name: str
@@ -191,6 +211,7 @@ class _Suite:
     fn: Callable
     draws: int
     candidates: _Candidates | None = None
+    family: _Family | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -244,62 +265,61 @@ def _k_rho_invariance(cfg, u, idx, rows, drawn):
     return res * _rim_scale(z, w, z2, w2), _columns(z, w, phi.theta, phi.a)
 
 
+# the pair family: seven claims on one pair off the diagonal and its h = map_H(z, w)
+_H_PAIRS = _Family("H-quadric", lambda rows, pair: (*pair.T, map_H(*pair.T, errors=rows)))  # (z, w, h)
+
+
+def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite:
+    """A member of the pair family, scored by residual(idx, rows, z, w, h): each row's residual, or
+    (residual, excluded, *columns) for a claim that leaves rows unscored and records columns after the pair."""
+
+    def _k_on_h(cfg, u, idx, rows, zwh):
+        z, w, h = zwh
+        out = residual(idx, rows, z, w, h)
+        if isinstance(out, np.ndarray):
+            return out, _columns(z, w)
+        res, excluded, *columns = out
+        return res, _columns(z, w, *columns), excluded
+
+    return _Suite(name, claim, 1.0, tolerance, _k_on_h, CANDIDATE_DRAWS, _PAIRS, _H_PAIRS)
+
+
 def _h_scale(h) -> np.ndarray:
     """max(1, |h|_inf^2) per row: the size of the quadratic forms of h = map_H(z, w), and of their rounding."""
     return np.maximum(1.0, np.abs(np.stack(h)).max(axis=0) ** 2)
 
 
-def _k_h_quadric(cfg, u, idx, rows, pair):
-    z, w = pair.T
-    h = map_H(z, w, errors=rows)
-    return np.abs(quadric_residual(*h)) / _h_scale(h), _columns(z, w)
+def _h_roundtrip(idx, rows, z, w, h):
+    z2, w2 = map_H_inv(*h, errors=rows)
+    return np.maximum(np.abs(z2 - z), np.abs(w2 - w))
 
 
-def _k_h_im_condition(cfg, u, idx, rows, pair):
-    z, w = pair.T
-    return np.maximum(0.0, -im_condition(*map_H(z, w, errors=rows))), _columns(z, w)
-
-
-def _k_h_sigma_negation(cfg, u, idx, rows, pair):
-    # exact claim: map_H works on real and imaginary parts, whose products commute
-    z, w = pair.T
-    h = np.stack(map_H(z, w, errors=rows))
-    hs = np.stack(map_H(w, z, errors=rows))
-    return np.abs(hs + h).max(axis=0), _columns(z, w)
-
-
-def _k_h_roundtrip(cfg, u, idx, rows, pair):
-    z, w = pair.T
-    z2, w2 = map_H_inv(*map_H(z, w, errors=rows), errors=rows)
-    return np.maximum(np.abs(z2 - z), np.abs(w2 - w)), _columns(z, w)
-
-
-def _k_orbit_levels(cfg, u, idx, rows, pair):
-    z, w = pair.T
+def _orbit_levels(idx, rows, z, w, h):
     rho = pseudo_hyperbolic(z, w, errors=rows)
-    h = map_H(z, w, errors=rows)
     m = minkowski_form(*h)
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
-    res = np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _h_scale(h)
-    return res, _columns(z, w)
+    return np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _h_scale(h)
 
 
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _k_preimage_formula(cfg, u, idx, rows, pair):
+def _preimage_formula(idx, rows, z, w, h):
+    # boundary-ambiguous samples are excluded: residual 0; the band (s, t) is recorded after the pair
     s, t = _PREIMAGE_BANDS[idx % 3].T
-    z, w = pair.T
     rho = pseudo_hyperbolic(z, w, errors=rows)
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
-    # boundary-ambiguous samples are excluded: residual 0, and map_H's checks do not apply
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
-    chart = RowErrors(len(u))
-    member = quadric_band(*map_H(z, w, errors=chart), s, t)[0]
-    rows.flag(~ambiguous & ~chart.ok, lambda r: chart.message[r])
+    member = quadric_band(*h, s, t)[0]
     predicted = (lo < rho) & (rho < hi)
-    res = np.where(ambiguous | (member == predicted), 0.0, 1.0)
-    return res, _columns(z, w, s, t), ambiguous
+    return np.where(ambiguous | (member == predicted), 0.0, 1.0), ambiguous, s, t
+
+
+def _j_h_compat(idx, rows, z, w, h):
+    p = map_J(z, w, errors=rows)
+    q = np.stack([np.ones_like(z), *h])
+    worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)], axis=0)
+    return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0))
 
 
 def _k_sym_equivariance(cfg, u, idx, rows, drawn):
@@ -307,17 +327,6 @@ def _k_sym_equivariance(cfg, u, idx, rows, drawn):
     z, w = _disc_pair(u, cfg.rmax)
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
     return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w)
-
-
-_MINORS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-
-
-def _k_j_h_compat(cfg, u, idx, rows, pair):
-    z, w = pair.T
-    p = map_J(z, w, errors=rows)
-    q = np.stack([np.ones_like(z), *map_H(z, w, errors=rows)])
-    worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in _MINORS], axis=0)
-    return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0)), _columns(z, w)
 
 
 def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
@@ -453,7 +462,7 @@ def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
 _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
-TOTALLY_REAL_ROUNDS = 16  # candidate real matrices; each misses |det| >= 0.1 with probability 0.187
+TOTALLY_REAL_ROUNDS = 16  # candidate matrices; each misses |det| >= 0.1 with probability 0.1878, all 16 with 2.4e-12
 
 # 2 x 2 matrices with entries uniform on [-1, 1), looked for by the rows i % 3 == 0
 _REAL_MATRICES = _Candidates(
@@ -487,59 +496,37 @@ _REGISTRY: tuple[_Suite, ...] = (
         _k_rho_invariance,
         draws=7,
     ),
-    _Suite(
+    _on_h(
         "H-quadric",
         "the embedded image satisfies h1^2 + h2^2 - h3^2 = 1",
-        1.0,
         1e-10,
-        _k_h_quadric,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        lambda idx, rows, z, w, h: np.abs(quadric_residual(*h)) / _h_scale(h),
     ),
-    _Suite(
+    _on_h(
         "H-im-condition",
         "Im(h2 (conj(h1) + conj(h3))) > 0 on the embedded image",
-        1.0,
         1e-12,
-        _k_h_im_condition,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        lambda idx, rows, z, w, h: np.maximum(0.0, -im_condition(*h)),
     ),
-    _Suite(
+    _on_h(
         "H-sigma-negation",
         "swapping the arguments negates the embedding exactly: map_H(w, z) = -map_H(z, w)",
-        1.0,
         1e-15,
-        _k_h_sigma_negation,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        # exact claim: map_H works on real and imaginary parts, whose products commute
+        lambda idx, rows, z, w, h: np.abs(np.stack(map_H(w, z, errors=rows)) + np.stack(h)).max(axis=0),
     ),
-    _Suite(
-        "H-roundtrip",
-        "map_H_inv recovers the argument pair of map_H",
-        1.0,
-        1e-9,
-        _k_h_roundtrip,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
-    ),
-    _Suite(
+    _on_h("H-roundtrip", "map_H_inv recovers the argument pair of map_H", 1e-9, _h_roundtrip),
+    _on_h(
         "orbit-levels",
         "minkowski_form(map_H(z, w)) = 2/rho^2 - 1 = eta_level(alpha_from_a(rho))",
-        1.0,
         1e-10,
-        _k_orbit_levels,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        _orbit_levels,
     ),
-    _Suite(
+    _on_h(
         "preimage-formula",
         "map_H lands in the (s, t) level band iff sqrt(2/(t+1)) < rho < sqrt(2/(s+1))",
-        1.0,
         0.5,
-        _k_preimage_formula,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        _preimage_formula,
     ),
     _Suite(
         "conjugation-so21",
@@ -652,15 +639,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         _k_sym_equivariance,
         draws=4,
     ),
-    _Suite(
-        "J-H-compat",
-        "map_J agrees projectively with (1 : map_H), both scaled by z - w",
-        1.0,
-        1e-12,
-        _k_j_h_compat,
-        draws=CANDIDATE_DRAWS,
-        candidates=_PAIRS,
-    ),
+    _on_h("J-H-compat", "map_J agrees projectively with (1 : map_H), both scaled by z - w", 1e-12, _j_h_compat),
     _Suite(
         "alpha-roundtrip",
         "a_from_alpha inverts alpha_from_a",
@@ -680,14 +659,8 @@ def all_suite_names() -> tuple[str, ...]:
 
 
 def _stream_id(name: str) -> int:
-    return (_ORDINAL[name] + 1) << 32
-
-
-def _check_admissible(cfg: SuiteConfig, name: str) -> None:
-    c = _BY_NAME[name].candidates
-    reason = c.why_empty(cfg) if c is not None and c.why_empty is not None else None
-    if reason is not None:
-        raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
+    family = _BY_NAME[name].family
+    return (_ORDINAL[name if family is None else family.stream] + 1) << 32
 
 
 def validate_config(cfg: SuiteConfig) -> None:
@@ -715,54 +688,70 @@ def validate_config(cfg: SuiteConfig) -> None:
     if unused:
         raise ConfigError(f"tolerance override for a suite that is not selected: {', '.join(unused)}")
     for name in cfg.suites:
-        _check_admissible(cfg, name)
+        c = _BY_NAME[name].candidates
+        reason = c.why_empty(cfg) if c is not None and c.why_empty is not None else None
+        if reason is not None:
+            raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
 
 
 def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
     return max(1, int(round(cfg.samples * suite.weight)))
 
 
-def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
-    """Samples lo..hi-1 of a suite, drawn by jumping the suite's streams to row lo (see ``_evaluate``)."""
+def _rows(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
+    """Round 0 of a suite's samples lo..hi-1, their indices, and later(k), their candidate round k >= 1."""
     stream_id = _stream_id(suite.name)
     u = uniform_block(cfg.seed, stream_id, suite.draws, lo, hi)
-    return _evaluate(
-        suite, cfg, u, np.arange(lo, hi), lambda k: uniform_block(cfg.seed, stream_id | k, CANDIDATE_DRAWS, lo, hi)
-    )
+    return u, np.arange(lo, hi), lambda k: uniform_block(cfg.seed, stream_id | k, CANDIDATE_DRAWS, lo, hi)
+
+
+def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
+    """Samples lo..hi-1 of a suite (see ``_evaluate``)."""
+    return _evaluate(suite, cfg, *_rows(suite, cfg, lo, hi))
 
 
 def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
-    """The samples idx of a suite as (residual, rows, inputs, excluded).
+    """The samples idx of a suite as (residual, rows, inputs, excluded); it replays any index of a run.
 
     u holds the samples' uniforms and later(k) their candidate round
     k >= 1, called only while one of the rows is still open.  ``rows``
     is the block's ``RowErrors``: ``rows.ok[r]`` is False when row r
     failed hard, its residual is then inf, and ``rows.message[r]``
     holds the failed check's message, which the report records as
-    ``ValueError: message``.  ``inputs[r]`` is the
-    row's recorded inputs; ``excluded[r]`` is True when the kernel left
-    row r unscored (residual 0).  It serves both a run and the replay of
-    any single index.
+    ``ValueError: message``.  ``inputs[r]`` is the row's recorded inputs;
+    ``excluded[r]`` is True when the kernel left row r unscored (residual 0).
     """
+    with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
+        return _judge(suite, cfg, u, idx, *_draw(suite, cfg, u, idx, later))
+
+
+def _draw(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
+    """The block's row flags and what its kernels take as drawn: the accepted candidates, or their family's share."""
     rows = RowErrors(len(idx))
     c = suite.candidates
-    with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        drawn = None
-        if c is not None:
-            # each open row takes its first admissible round; a row without one keeps its last candidate
-            todo = np.arange(len(idx)) if c.looks is None else np.flatnonzero(c.looks(idx))
-            drawn = c.propose(cfg, u[:, -CANDIDATE_DRAWS:])
-            for k in range(c.rounds):
-                if k:
-                    drawn[todo] = c.propose(cfg, later(k)[todo])
-                todo = todo[~c.accept(drawn[todo])]
-                if not todo.size:
-                    break
-            if todo.size:
-                bad = np.zeros(len(idx), dtype=bool)
-                bad[todo] = True
-                rows.flag(bad, f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}")
-        out = suite.fn(cfg, u, idx, rows, drawn)
+    drawn = None
+    if c is not None:
+        # each open row takes its first admissible round; a row without one keeps its last candidate
+        todo = np.arange(len(idx)) if c.looks is None else np.flatnonzero(c.looks(idx))
+        drawn = c.propose(cfg, u[:, -CANDIDATE_DRAWS:])
+        for k in range(c.rounds):
+            if k:
+                drawn[todo] = c.propose(cfg, later(k)[todo])
+            todo = todo[~c.accept(drawn[todo])]
+            if not todo.size:
+                break
+        bad = np.zeros(len(idx), dtype=bool)
+        bad[todo] = True
+        rows.flag(bad, f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}")
+    if suite.family is not None:
+        drawn = suite.family.share(rows, drawn)
+    return rows, drawn
+
+
+def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
+    """The suite's (residual, rows, inputs, excluded) on a drawn block, its checks flagged in a copy of rows."""
+    rows = copy.deepcopy(rows)  # so that no member of a family fails another's row
+    out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
     excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
     if not rows.ok.all():
@@ -770,51 +759,58 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, l
     return residual, rows, inputs, excluded
 
 
-def _run(name: str, cfg: SuiteConfig) -> dict:
-    """The suite's entry of the report."""
-    suite = _BY_NAME[name]
-    tol = cfg.tolerances.get(name, suite.tolerance)
-    count = _sample_count(cfg, suite)
-    start = time.perf_counter()
-    max_res = 0.0
-    have_res = False
-    failures: list[dict] = []
-    hard = excluded_total = flagged_total = 0
-    for lo in range(0, count, BLOCK):
-        residual, rows, inputs, excluded = _block(suite, cfg, lo, min(lo + BLOCK, count))
-        ok = rows.ok
-        if ok.all():  # no masking copies for a block without hard failures
-            scored = residual
-        else:
-            scored = residual[ok]
-            hard += ok.size - int(np.count_nonzero(ok))
-            excluded = excluded & ok
-        excluded_total += int(np.count_nonzero(excluded))
-        if scored.size:
-            have_res = True
-            block_max = float(np.fmax.reduce(scored))  # NaN rows are flagged below, not maxed
-            if block_max > max_res:
-                max_res = block_max
-        flagged = np.flatnonzero(~(residual < tol))  # a hard failure's residual is inf
-        flagged_total += flagged.size
-        for r in flagged[: MAX_FAILURES - len(failures)].tolist():
-            if not ok[r]:
-                error = f"ValueError: {rows.message[r]}"  # every check raises ValueError
-                failures.append({"index": lo + r, "error": error, "inputs": inputs[r].tolist()})
-            else:
-                failures.append({"index": lo + r, "residual": float(residual[r]), "inputs": inputs[r].tolist()})
-    return {
-        "suite": name,
-        "claim": suite.claim,
-        "passed": flagged_total == 0,
-        "max_residual": max_res if have_res else None,
-        "tolerance": tol,
-        "samples": count,
-        "failures": failures,
-        "hard_failures": hard,
-        "excluded": excluded_total,
-        "wall_time_s": time.perf_counter() - start,
-    }
+def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
+    """Reduce a suite's judged block, rows lo, lo + 1, ..., into its report entry (every check raises ValueError)."""
+    ok = rows.ok
+    if ok.all():  # no masking copies for a block without hard failures
+        scored = residual
+    else:
+        scored = residual[ok]
+        entry["hard_failures"] += ok.size - int(np.count_nonzero(ok))
+        excluded = excluded & ok
+    entry["excluded"] += int(np.count_nonzero(excluded))
+    if scored.size:  # NaN rows are flagged below, not maxed
+        entry["max_residual"] = max(entry["max_residual"] or 0.0, float(np.fmax.reduce(scored)))
+    flagged = np.flatnonzero(~(residual < entry["tolerance"]))  # a hard failure's residual is inf
+    entry["passed"] = entry["passed"] and not flagged.size
+    failures = entry["failures"]
+    for r in flagged[: MAX_FAILURES - len(failures)].tolist():
+        outcome = {"residual": float(residual[r])} if ok[r] else {"error": f"ValueError: {rows.message[r]}"}
+        failures.append({"index": lo + r, **outcome, "inputs": inputs[r].tolist()})
+
+
+def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
+    """The report entries of the suites that share one draw (a family's selected members, or one suite).
+
+    A suite's wall time is its judging and reduction plus an even share of each block's one draw.
+    """
+    count = _sample_count(cfg, group[0])  # a family's members share one weight
+    entries = [
+        {
+            "suite": suite.name,
+            "claim": suite.claim,
+            "passed": True,
+            "max_residual": None,
+            "tolerance": cfg.tolerances.get(suite.name, suite.tolerance),
+            "samples": count,
+            "failures": [],
+            "hard_failures": 0,
+            "excluded": 0,
+            "wall_time_s": 0.0,
+        }
+        for suite in group
+    ]
+    with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
+        for lo in range(0, count, BLOCK):
+            start = time.perf_counter()
+            u, idx, later = _rows(group[0], cfg, lo, min(lo + BLOCK, count))
+            rows, drawn = _draw(group[0], cfg, u, idx, later)
+            share = (time.perf_counter() - start) / len(group)
+            for suite, entry in zip(group, entries):
+                start = time.perf_counter()
+                _tally(entry, lo, *_judge(suite, cfg, u, idx, rows, drawn))
+                entry["wall_time_s"] += share + time.perf_counter() - start
+    return entries
 
 
 def _rng_entry(suite: _Suite) -> dict:
@@ -860,7 +856,11 @@ def verify_all(cfg: SuiteConfig, report_path: str | None = None) -> tuple[int, d
     validate_config(cfg)
     if not cfg.suites:
         warnings.warn("no suites selected; report is empty and vacuously passing")
-    reports = [_run(name, cfg) for name in cfg.suites]
+    groups: dict = {}  # the selected suites by the draw they share: a family's members, or one suite
+    for suite in map(_BY_NAME.get, cfg.suites):
+        groups.setdefault(suite.family or suite.name, []).append(suite)
+    entries = {entry["suite"]: entry for group in groups.values() for entry in _run(group, cfg)}
+    reports = [entries[name] for name in cfg.suites]
     doc = report_document(cfg, reports)
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,14 +101,22 @@ def test_the_report_gives_every_suite_an_integer_draw_budget():
 
 
 def test_no_two_streams_share_an_id():
-    """Every suite's stream, each of its candidate round streams stream_id | k (1 <= k < rounds) and the dumps' 0."""
-    ids = [0]
+    """Every draw's stream, each of its candidate round streams stream_id | k (1 <= k < rounds) and the dumps' 0.
+
+    A draw is a suite's own or, for the seven pair-family members, their family's, on H-quadric's stream 2 << 32.
+    """
+    draws = {}  # one suite per draw
     for suite in suites._REGISTRY:
+        draws.setdefault(suite.family or suite.name, suite)
+    assert len(draws) == len(all_suite_names()) - len(PAIR_SUITES) + 1 == 16
+    assert {suites._stream_id(name) for name in PAIR_SUITES} == {suites._stream_id("H-quadric")} == {2 << 32}
+    ids = [0]
+    for suite in draws.values():
         stream_id = suites._stream_id(suite.name)
         rounds = suite.candidates.rounds if suite.candidates is not None else 1
         ids += [stream_id | k for k in range(rounds)]
-    later = sum(15 if name == "o21-totally-real" else 31 for name in CANDIDATE_WIDTHS)
-    assert len(ids) == 1 + len(all_suite_names()) + later
+    later = 31 + 31 + 31 + 15  # the pair family, the two conjugation suites and o21-totally-real
+    assert len(ids) == 1 + len(draws) + later
     assert len(set(ids)) == len(ids)
 
 
@@ -116,7 +125,9 @@ def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch)
 
     Later rounds k = 1, 2, ... come in order from the streams stream_id | k,
     at most rounds - 1 of them (31 for pairs, 15 for matrices).  At the
-    defaults no block of a pair suite draws more than one later round.
+    defaults no block of a pair suite draws more than one later round.  A
+    run of the seven pair-family suites draws the family's stream once per
+    block, plus its later rounds, as a run of one of them does.
     """
     calls = []
     real = rng.uniform_block
@@ -127,9 +138,12 @@ def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch)
 
     monkeypatch.setattr(rng, "uniform_block", counting)
     monkeypatch.setattr(suites, "uniform_block", counting)
-    for name, width in CANDIDATE_WIDTHS.items():
+    runs = [(PAIR_SUITES, 4)] + [((name,), width) for name, width in CANDIDATE_WIDTHS.items()]
+    for names, width in runs:
         calls.clear()
-        rep = _report(name, SuiteConfig())
+        _, doc = verify_all(SuiteConfig(suites=names))
+        rep, name = doc["suites"][0], names[0]
+        assert [r["samples"] for r in doc["suites"]] == [rep["samples"]] * len(names)
         stream = suites._stream_id(name)
         blocks = [(lo, min(lo + suites.BLOCK, rep["samples"])) for lo in range(0, rep["samples"], suites.BLOCK)]
         assert sorted({(lo, hi) for *_, lo, hi in calls}) == blocks, name
@@ -142,6 +156,33 @@ def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch)
                 assert later <= 1, name
             generated = sum(draws * (hi - lo) for _, draws in drawn)
             assert generated == (hi - lo) * (width + 4 * later), name
+
+
+def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
+    """A run of the pair family calls map_H(z, w) once per block for all its members.
+
+    H-sigma-negation's swapped call map_H(w, z) is its own claim; map_H_inv
+    calls maps.map_H, which this count does not see.
+    """
+    calls = []
+    real = suites.map_H
+
+    def counting(z, w, **kwargs):
+        calls.append((z.copy(), w.copy()))
+        return real(z, w, **kwargs)
+
+    monkeypatch.setattr(suites, "map_H", counting)
+    cfg = SuiteConfig(samples=2 * suites.BLOCK + 5)  # three blocks
+    for names in (tuple(n for n in PAIR_SUITES if n != "H-sigma-negation"), ("J-H-compat",)):
+        calls.clear()
+        verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names}))
+        assert len(calls) == 3, names
+    calls.clear()
+    verify_all(SuiteConfig(**{**cfg.__dict__, "suites": PAIR_SUITES}))
+    assert len(calls) == 6
+    for (z, w), (w2, z2) in zip(calls[0::2], calls[1::2]):  # each block: the family's h, then the swap's
+        np.testing.assert_array_equal(z2, z)
+        np.testing.assert_array_equal(w2, w)
 
 
 def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
@@ -172,8 +213,9 @@ def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
     assert doc["passed"]
     for text in ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve"):
         orbits.dump_orbit(orbits.parse_orbit_spec(text), 50, str(tmp_path / "orbit.csv"))
-    # one block per suite and per dump at these sizes, and rounds 1 and 2 of o21-totally-real's candidate matrices
-    assert len(built) == 22 + 2 + 5
+    # one block per draw at these sizes (16: the seven pair-family suites share one) and per dump, and rounds 1 and 2
+    # of o21-totally-real's candidate matrices
+    assert len(built) == 16 + 2 + 5
     with pytest.raises(AssertionError):
         np.random.default_rng(0)
 
@@ -617,10 +659,12 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 # residual became relative to B_33^2, each of which moved only o21-matrix-B's max_residual, once more when
 # rho-invariance and su11-orbit-invariant scaled their defects by 1 - m^2, which moved only their max_residual,
 # and once more when o21-matrix-B drew its real pair from the whole disc and those two suites' tolerances went
-# from 1e-10 to 1e-13; "candidates-rmax-6e-7" recorded when pairs stopped needing rho >= 0.05
+# from 1e-10 to 1e-13; "candidates-rmax-6e-7" recorded when pairs stopped needing rho >= 0.05; both re-recorded when
+# the seven pair-family suites came to share H-quadric's stream, which moved the "rng" entries of the six others
+# and their rows (H-quadric's entry and the 15 other suites' kept their bytes)
 REPORT_SHA256 = {
-    "all-2000": "d531fceec981725e453660792e907a442ab8c2c700faf3c3a9ff6e8d1938df4c",
-    "candidates-rmax-6e-7": "acae4b6dbf00dc0da65011bfac894e76abb920e031242f038440ced386db45f5",
+    "all-2000": "871207013ec4ba7b54dda56a4ac76691af5228a8d729082061890ef0cd904f9e",
+    "candidates-rmax-6e-7": "1e3e40eb4b82afce78b50d1dfc518536aebcb5d7dedd11235e5e0d2f426604cc",
 }
 
 
@@ -676,7 +720,7 @@ def _replay(doc, name, index):
     [
         ("H-quadric", SuiteConfig(samples=10_000, tolerances={"H-quadric": 8e-16})),  # 27 relative defects reach it
         ("rho-invariance", SuiteConfig(samples=10_000, tolerances={"rho-invariance": 2.5e-16})),  # 14 reach it
-        ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 26 reach it
+        ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 27 reach it
         ("orbit-levels", SuiteConfig(samples=2000, rmax=6e-7)),  # hard failures, near index 0
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 5.2e-16})),  # 3,000 rows; 27 reach it
@@ -684,6 +728,7 @@ def _replay(doc, name, index):
         ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=5.05e-7)),  # records phi and the last candidate pair
         # 3,000 rows; 30 relative defects reach 1e-14
         ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-14})),
+        ("J-H-compat", SuiteConfig(samples=10_000, tolerances={"J-H-compat": 3.8e-16})),  # 23 reach it
     ],
 )
 def test_replaying_an_index_reproduces_its_recorded_failure(monkeypatch, name, cfg):
@@ -704,6 +749,59 @@ def test_replaying_an_index_reproduces_its_recorded_failure(monkeypatch, name, c
             assert error is None and residual == failure["residual"]
         if "candidate" in failure.get("error", ""):  # a row without an admissible candidate drew every round
             assert drawn == list(range(1, doc["rng"]["suites"][name]["rounds"]))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SuiteConfig(samples=3000),
+        SuiteConfig(samples=2000, rmax=6e-7),  # rows exhaust their candidate rounds and fail hard
+    ],
+)
+def test_a_pair_family_member_alone_reports_what_it_reports_among_others(cfg):
+    """Each of the seven gives the same entry, wall time aside, alone, with the other six, and among all 22.
+
+    Each run holds the member to the tolerance 1e-22, so that a member
+    whose residuals are not all 0 records the inputs of its failing rows.
+    """
+    for name in PAIR_SUITES:
+        entries = []
+        for names in ((name,), PAIR_SUITES, all_suite_names()):
+            _, doc = verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names, "tolerances": {name: 1e-22}}))
+            (entry,) = [e for e in doc["suites"] if e["suite"] == name]
+            entry.pop("wall_time_s")
+            entries.append(entry)
+        assert entries[0] == entries[1] == entries[2], name
+        assert entries[0]["failures"] or name in ("H-im-condition", "H-sigma-negation", "preimage-formula"), name
+
+
+def test_a_member_check_fails_only_that_member(monkeypatch):
+    """Each pair-family member flags its checks in its own copy of the draw's row flags: none fails another's row."""
+    real = suites.map_H_inv
+
+    def failing(*h, errors):
+        out = real(*h, errors=errors)
+        errors.flag(np.arange(len(errors.ok)) % 3 == 0, "a check of H-roundtrip's own")
+        return out
+
+    monkeypatch.setattr(suites, "map_H_inv", failing)
+    _, doc = verify_all(SuiteConfig(samples=300, suites=PAIR_SUITES))
+    assert {e["suite"]: e["hard_failures"] for e in doc["suites"]} == {
+        name: 100 if name == "H-roundtrip" else 0 for name in PAIR_SUITES
+    }
+
+
+def test_a_pair_family_run_holds_one_block_in_memory():
+    """The live peak of the seven at 32 blocks stays within 1.25 times the peak at 8: no run is held whole."""
+    peaks = []
+    for blocks in (8, 32):
+        tracemalloc.start()
+        try:
+            verify_all(SuiteConfig(samples=blocks * suites.BLOCK, suites=PAIR_SUITES))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_block_helper_replays_any_row_of_a_run():

@@ -230,6 +230,13 @@ def test_report_config_echo_omits_worker_count():
     assert doc["config"]["suites"] == ["alpha-roundtrip"]
 
 
+def test_every_report_entry_has_a_positive_finite_wall_time():
+    """A pair-family member's wall time includes an even share of the family's draw; a reader divides by it."""
+    _, doc = verify_all(SuiteConfig(samples=50, suites=all_suite_names()))
+    times = [entry["wall_time_s"] for entry in doc["suites"]]
+    assert all(math.isfinite(t) and t > 0 for t in times), times
+
+
 def test_failing_suite_drives_the_exit_code():
     cfg = SuiteConfig(samples=200, suites=("gt-sphere",), tolerances={"gt-sphere": 1e-22})
     code, doc = verify_all(cfg)
