@@ -68,7 +68,7 @@ from .rng import (
 )
 
 BLOCK = 4096  # rows a dump samples and checks at a time, as suites.BLOCK
-CHUNK = 1024  # rows a dump formats at a time: 4096 would raise a dump's peak memory by about 8 MB
+CHUNK = 1024  # rows a dump formats at a time: 4096 would raise the traced peak of a 40,000-row Eta dump by 3.7 MB
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +350,18 @@ def parse_orbit_spec(text: str) -> Family:
 # ---------------------------------------------------------------------------
 # the CSV row formatter
 
-# One value takes six 8-byte words: sign, "0.000", and a dot and a digit
-# for the first significant digit; four words of a dot and a digit for
-# each of the next 16; and "e", exponent sign, three exponent digits,
-# separator and two spare bytes.  A zero byte is one the value leaves out.
-_SLOTS = 48
-_MAGNITUDE = 1e270  # the nonzero magnitudes _format_rows formats lie in (1 / _MAGNITUDE, _MAGNITUDE)
-_POWERS = 290  # 10^s for |s| <= _POWERS covers s = 16 - floor(log10 |x|) there, each hi and lo a normal double
+# A value takes a 32-byte slot of four 8-byte words: sign, "0.000", lead
+# digit and "."; the next 16 digits, four groups of 4; the exponent, and the
+# separator as the slot's last byte.  A zero byte is one the value leaves
+# out.  In fixed notation with 1 <= k <= 16, k = floor(log10 |x|), digits 1
+# to k move down one byte, over the ".", and the point follows them.
+_SLOT = 32
+_MAGNITUDE = 1e270  # the nonzero magnitudes the kernel of _format_rows formats lie in (1 / _MAGNITUDE, _MAGNITUDE)
+_POWERS = 290  # 10^s for |s| <= _POWERS covers s = 16 - k there, each hi and lo a normal double
 _TIE = 2.0**-40  # a scaled value this close to a half-integer needs an exact 10^s
-# layouts: zero, fixed notation at exponents -4 to 16, exponent notation with two and with three digits
-_ZERO, _FIXED, _E2, _E3 = 0, 5, 22, 23
+# what comes before the lead digit, by kind of head word: exponent notation and k = 0 (kind 0, the only one that
+# keeps its "."), k = -1 to -4 (kinds 1 to 4), 1 <= k <= 16 (kind 5)
+_PREFIXES = ("", "0.", "0.0", "0.00", "0.000", "")
 
 
 def _split(a):
@@ -369,115 +371,139 @@ def _split(a):
     return high, a - high
 
 
-def _words(strings):
-    """Equal-length byte strings of a multiple of 8 bytes as rows of native uint64 words."""
-    return np.frombuffer(b"".join(strings), np.uint8).reshape(len(strings), -1).view(np.uint64)
+def _power(s):
+    """10^s as the double-double hi + lo, hi correctly rounded."""
+    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+    hi = num / den  # int / int rounds correctly
+    h_num, h_den = hi.as_integer_ratio()
+    return hi, (num * h_den - h_num * den) / (den * h_den)
+
+
+def _words(strings, dtype):
+    """Equal-length byte strings as the rows of an array of native words of the dtype."""
+    return np.frombuffer(b"".join(strings), np.uint8).reshape(len(strings), -1).view(dtype)
 
 
 @functools.cache
 def _format_tables():
-    """The tables of _format_rows, built on its first call.
+    """The tables of _format_rows, built on its first call; s + _POWERS indexes a table by s = 16 - k.
 
-    10^s as the double-double hi + lo (lo = 0 where hi is exact) and
-    hi's halves; the least double >= 10^k, so that |x| >= it exactly when
-    floor(log10 |x|) >= k; the first word by sign and first digit, the
-    digit words of the 4-digit groups 0000 to 9999 and the last word by
-    exponent; the trailing zeros of each group; and one keep-mask row per
-    (layout, significant-digit count).
+    By the biased binary exponent of |x|: the index of s for k0, the floor
+    of log10 of the exponent's least power of two, and the least double
+    >= 10^(k0 + 1), so that k = k0 + (|x| >= it) exactly; zero, and an
+    exponent beyond the tables, read k = 0.  By s: 10^s as the double-double
+    hi + lo (lo = 0 where hi is exact), 20 times the kind of head word, and
+    the tail word, the exponent if any and the separator.  The head words by
+    sign, kind, point and lead digit.  The 4-digit groups 0000 to 9999 as 4
+    bytes, first without their trailing zeros, then whole.  For
+    1 <= k <= 16, the order of bytes 7 to 23 that moves digits 1 to k down
+    one byte, and by point the bytes put over them: "0" for a digit left
+    out, then "." or nothing.
     """
-    hi, lo = np.empty((2, 2 * _POWERS + 1))
-    for i, s in enumerate(range(-_POWERS, _POWERS + 1)):
-        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
-        hi[i] = num / den  # int / int rounds correctly
-        h_num, h_den = hi[i].item().as_integer_ratio()
-        lo[i] = (num * h_den - h_num * den) / (den * h_den)
-    decades = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
-    heads = _words([f"{sign}0.000.{d}".encode() for sign in "\0-" for d in range(10)])[:, 0]
-    tails = _words([f"e{k:+04d},\0\0".encode() for k in range(-_POWERS, _POWERS + 1)])[:, 0]
-    g = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10  # the digits of each 4-digit group
-    groups = np.full((10_000, 8), ord("."), np.uint8)
-    groups[:, 1::2] = ord("0") + g
-    zeros = np.cumprod(g[:, ::-1] == 0, axis=1).sum(axis=1)
+    s = np.arange(-_POWERS, _POWERS + 1)
+    hi, lo = np.array([_power(j) for j in s.tolist()]).T
+    binary = np.floor((np.arange(2048) - 1023) * math.log10(2.0)).astype(np.int64)
+    inside = (binary >= 16 - _POWERS) & (binary < _POWERS)  # 10^(k0 + 1) and 10^s for s = 14 - k0 to 16 - k0 have rows
+    k0 = np.where(inside, binary, 0)
+    ceilings = np.where(lo > 0.0, np.nextafter(hi, math.inf), hi)  # the least double >= 10^s
+    decades = np.where(inside, ceilings[k0 + 1 + _POWERS], math.inf)
 
-    n = np.arange(18)[:, None]  # significant digits
-    j = np.arange(17)  # digit position
-    keep = np.zeros((_E3 + 1, 18, _SLOTS), bool)
-    keep[:, :, [0, 45]] = True  # sign, separator
-    keep[_ZERO, :, 1] = True  # zero is "0" after its sign
-    digits, dots = keep[..., 7:40:2], keep[..., 6:40:2]
-    for x in range(-4, 17):
-        digits[_FIXED + x] = j < np.maximum(n, x + 1)
-        if x < 0:
-            keep[_FIXED + x, :, 1 : 2 - x] = True  # "0." and -x - 1 zeros
-        else:
-            dots[_FIXED + x] = (j == x + 1) & (n > x + 1)
-    digits[_E2:] = j < n
-    dots[_E2:, :, 1] = n[:, 0] > 1
-    keep[_E2:, :, [40, 41, 43, 44]] = True
-    keep[_E3, :, 42] = True
-    masks = _words([row.tobytes() for row in np.where(keep, 255, 0).astype(np.uint8).reshape(-1, _SLOTS)])
-    return (hi, *_split(hi), lo), decades, heads, groups.view(np.uint64)[:, 0], tails, zeros, masks
+    k = 16 - s
+    kinds = 20 * np.select([(k >= -4) & (k < 0), (k > 0) & (k <= 16)], [-k, len(_PREFIXES) - 1], 0)
+    tails = [(f"e{j:+03d}" if j < -4 or j > 16 else "").ljust(7, "\0") + "," for j in k.tolist()]
+    heads = [
+        sign + prefix.ljust(5, "\0") + str(d) + ("." if point and kind == 0 else "\0")
+        for sign in "\0-" for kind, prefix in enumerate(_PREFIXES) for point in (0, 1) for d in range(10)
+    ]
+    g = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+    whole = (ord("0") + g).astype(np.uint8)
+    trailing = np.cumprod(g[:, ::-1] == 0, axis=1)[:, ::-1] == 1  # the zeros after the group's last nonzero digit
+    digits = np.concatenate([whole * ~trailing, whole]).view(np.uint32)[:, 0]
+
+    p, j = np.arange(17), np.arange(17)[:, None]  # byte 7 + p, at k = j
+    order = np.where(p < j, p + 1, np.where(p == j, 0, p))
+    fill = np.repeat(np.where(p < j, ord("0"), 0).astype(np.uint8), 2, axis=0)  # row 2 k + point
+    fill[2 * p + 1, p] = ord(".")
+    heads, tails = (_words([w.encode() for w in words], np.uint64)[:, 0] for words in (heads, tails))
+    return (_POWERS + 16 - k0, decades), (hi, lo), kinds, heads, tails, digits, order, fill
 
 
-def _scaled_digits(a, s, powers):
-    """round-half-even(a 10^s) as int64, and whether that rounding is certified.
+def _scaled_digits(x):
+    """Per value: the index of 10^s, D = round-half-even(|x| 10^s) as lead 10^16 + rest, and whether "%" formats it.
 
-    a hi = p + e exactly by Dekker's product; e + a lo carries the rest
-    to far below 2^-40.  p is an even integer once a 10^s >= 2^53, so
-    rint's ties-to-even on the remainder is ties-to-even on the sum.
+    s = 16 - k, k = floor(log10 |x|) of the rounded value, so that D has
+    17 digits.  With 10^s = h + l, a h = p + e exactly by Dekker's product;
+    e + a l carries the rest to far below 2^-40.  p is an even integer once
+    a 10^s >= 2^53, so rint's ties-to-even on the remainder is ties-to-even
+    on the sum.
     """
-    hi, hi_hi, hi_lo, lo = (t[s + _POWERS] for t in powers)
-    p = a * hi
+    (scales, decades), (hi, lo) = _format_tables()[:2]
+    a = np.abs(x)
+    left = ~((a < _MAGNITUDE) & ((a > 1.0 / _MAGNITUDE) | (a == 0.0)))
+    a[left] = 1.0
+    exponent = a.view(np.int64) >> 52  # biased, binary
+    i = scales.take(exponent) - (a >= decades.take(exponent))
+    h, l = hi.take(i), lo.take(i)
+    p = a * h
     a_hi, a_lo = _split(a)
-    t = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    h_hi, h_lo = _split(h)
+    t = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * l
     r = np.rint(t)
-    return p.astype(np.int64) + r.astype(np.int64), (np.abs(t - r) < 0.5 - _TIE) | (lo == 0.0)
+    near = np.abs(t - r) >= 0.5 - _TIE
+    if near.any():
+        left |= near & (l != 0.0)  # a tie is seen as one where 10^s is exact
+    D = p.astype(np.int64) + r.astype(np.int64)
+    lead = D // 10**16
+    D -= lead * 10**16
+    top = lead == 10  # rounded up to the next power of ten
+    if top.any():
+        lead[top] = 1
+        i[top] -= 1
+    return i, lead, D, left
 
 
-def _format_rows(table: np.ndarray) -> bytes | None:
+def _format_rows(table: np.ndarray) -> bytes:
     """The ASCII CSV bytes of the rows of a 2-d float table, byte-identical to formatting each value with "%.17g".
 
     Each value's 17 significant digits D = round-half-even(|x| 10^s),
     s = 16 - floor(log10 |x|), come from exact double-double products in
-    float64; floor(log10 |x|) itself is settled by an exact comparison
-    with the least double >= 10^k.  A value is certified when the fractional
-    part of |x| 10^s lies more than 2^-40 from 1/2, so the rounding cannot
-    be mistaken, or when 10^s is exact (0 <= s <= 22), so a tie is seen
-    as one.  The result is None, for the caller to use "%" instead, when
-    a value is not finite, a nonzero magnitude lies outside (1e-270,
-    1e270), or a value is not certified.
+    float64; floor(log10 |x|) itself is settled by an exact comparison with
+    the least double >= 10^k.  The kernel's digits stand when the fractional
+    part of |x| 10^s lies more than 2^-40 from 1/2, so the rounding cannot be
+    mistaken, or when 10^s is exact (0 <= s <= 22), so a tie is seen as one.
+    "%" formats, in its own slot, each value whose digits do not stand, that
+    is not finite, or whose nonzero magnitude lies outside (1e-270, 1e270).
     """
     x = table.ravel()
-    a = np.abs(x)
-    zero = a == 0.0
-    if not np.all(zero | ((a > 1.0 / _MAGNITUDE) & (a < _MAGNITUDE))):
-        return None
-    powers, decades, heads, groups, tails, zeros, masks = _format_tables()
-    a[zero] = 1.0
-    # a in [2^(e-1), 2^e), an interval shorter than a decade: floor(log10 a) is k or k + 1
-    k = np.floor((np.frexp(a)[1] - 1) * math.log10(2.0)).astype(np.int64)
-    k += a >= decades[k + 1 + _POWERS]
-    D, certified = _scaled_digits(a, 16 - k, powers)
-    if not certified.all():
-        return None
-    top = D == 10**17  # rounded up to the next power of ten
-    D[top] = 10**16
-    k[top] += 1
-
-    lead, rest = np.divmod(D, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    g = np.stack(np.divmod(upper, 10**4) + np.divmod(lower, 10**4), axis=1)
-    z = zeros[g]
-    trailing = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
-    layout = np.where((k >= -4) & (k < 17), _FIXED + k, np.where(np.abs(k) < 100, _E2, _E3))
-    layout[zero] = _ZERO
-    words = np.empty((len(x), _SLOTS // 8), np.uint64)
-    words[:, 0] = heads[10 * np.signbit(x) + lead]
-    words[:, 1:5] = groups[g]
-    words[:, 5] = tails[k + _POWERS]
-    words &= np.take(masks, 18 * layout + 17 - trailing, axis=0)
-    slots = words.view(np.uint8)
-    slots.reshape(*table.shape, _SLOTS)[:, -1, 45] = ord("\n")
+    i, lead, rest, left = _scaled_digits(x)
+    kinds, heads, tails, digits, order, fill = _format_tables()[2:]
+    slots = np.empty((len(x), _SLOT), np.uint8)
+    words, quads = slots.view(np.uint64), slots.view(np.uint32)
+    # the head word by sign, kind, point and lead digit
+    words[:, 0] = heads.take(20 * len(_PREFIXES) * np.signbit(x) + kinds.take(i) + 10 * (rest != 0) + lead)
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    g0 = upper // 10**4
+    g1 = upper - g0 * 10**4
+    g2 = lower // 10**4
+    g3 = lower - g2 * 10**4
+    # a group is whole when a later one is not zero
+    quads[:, 2] = digits.take(g0 + 10_000 * ((g1 | lower) != 0))
+    quads[:, 3] = digits.take(g1 + 10_000 * (lower != 0))
+    quads[:, 4] = digits.take(g2 + 10_000 * (g3 != 0))
+    quads[:, 5] = digits.take(g3)
+    words[:, 3] = tails.take(i)
+    s = i - _POWERS
+    shifted = np.flatnonzero(s.view(np.uint64) < 16)  # 0 <= s <= 15: 1 <= k <= 16
+    if shifted.size:
+        s = s[shifted]
+        k = 16 - s
+        point = rest[shifted] % 10**s != 0  # a digit after digit k is not zero
+        slots[shifted, 7:24] = np.take_along_axis(slots[shifted, 7:24], order[k], axis=1) | fill[2 * k + point]
+    percent = np.flatnonzero(left)
+    if percent.size:
+        slots[percent, :-1] = _words([(b"%.17g" % v).ljust(_SLOT - 1, b"\0") for v in x[percent].tolist()], np.uint8)
+    slots.reshape(*table.shape, _SLOT)[:, -1, -1] = ord("\n")
     return slots.tobytes().translate(None, b"\0")
 
 
@@ -518,8 +544,8 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
     A row with a coordinate or residual that is not finite fails too.
     The rows are then written CHUNK at a time, each chunk formatted by a
     vectorised kernel whose bytes are those of ``f"{x:.17g}"`` for every
-    value, or by a single ``%`` with that format when the kernel cannot
-    certify one of its values.
+    value; a value the kernel cannot certify is formatted with ``%`` in its
+    own slot.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -528,11 +554,8 @@ def dump_orbit(spec: Family, n: int, path: str, seed: int = DEFAULT_SEED) -> Non
         raise ValueError(f"{record.name} has no orbit residual to dump")
     columns = [f"{c}{j}" for j in range(1, record.dim + 1) for c in "xy"] + ["residual"]
     tables = [_checked_rows(spec, columns, seed, lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"  # the formatter of f"{x:.17g}"
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode("ascii"))
         for table in tables:
             for lo in range(0, len(table), CHUNK):
-                chunk = table[lo : lo + CHUNK]
-                text = _format_rows(chunk)
-                fh.write((row * len(chunk) % tuple(chunk.ravel().tolist())).encode("ascii") if text is None else text)
+                fh.write(_format_rows(table[lo : lo + CHUNK]))

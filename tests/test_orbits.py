@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,7 +308,7 @@ def test_dump_row_replays_from_its_uniforms(tmp_path, spec):
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_dump_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, spec):
-    """Nor on the text chunk size, nor on which chunks the "%" fallback writes; 1030 rows are a multiple of neither."""
+    """Nor on the text chunk size, nor on which values "%" formats in their slots; 1030 rows are a multiple of neither."""
     sizes = [(block, chunk) for block in (orbits.BLOCK, 7) for chunk in (orbits.CHUNK, 7)]
     texts = []
     for n, (block, chunk) in enumerate(sizes):
@@ -317,11 +319,12 @@ def test_dump_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, spec)
         texts.append(out.read_bytes())
     format_rows, calls = orbits._format_rows, []
 
-    def every_other_chunk_to_percent(table):
+    def counted(table):
         calls.append(len(table))
-        return None if len(calls) % 2 else format_rows(table)
+        return format_rows(table)
 
-    monkeypatch.setattr(orbits, "_format_rows", every_other_chunk_to_percent)
+    monkeypatch.setattr(orbits, "_format_rows", counted)
+    monkeypatch.setattr(orbits, "_MAGNITUDE", 1.0)  # every nonzero value is left to "%"
     out = tmp_path / "orbit-percent.csv"
     dump_orbit(spec, 1030, str(out), seed=9)
     texts.append(out.read_bytes())
@@ -390,15 +393,26 @@ def test_a_non_finite_residual_in_a_later_block_writes_nothing(tmp_path, monkeyp
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_dump_bytes_of_the_percent_fallback_match_their_recorded_hash(tmp_path, monkeypatch, spec):
-    """With every block left to "%", as for a block the row formatter cannot certify, the bytes do not move."""
-    monkeypatch.setattr(orbits, "_format_rows", lambda table: None)
+    """With every nonzero value formatted by "%" in its slot, as a value the kernel cannot certify is, the bytes do not move."""
+    monkeypatch.setattr(orbits, "_MAGNITUDE", 1.0)
     out = tmp_path / "orbit.csv"
     dump_orbit(spec, 2051, str(out), seed=5)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_SHA256[_orbit_ids(spec)]
 
 
+def test_a_dump_of_large_levels_is_the_percent_rendering_of_its_rows(tmp_path):
+    """At Eta:1e4 most values are 10 or more, written in fixed notation with the point after digit k >= 1."""
+    spec = Family(MINKOWSKI_LEVEL, 1e4)
+    out = tmp_path / "eta.csv"
+    dump_orbit(spec, 2051, str(out), seed=5)
+    columns = out.read_text().splitlines()[0].split(",")
+    table = orbits._checked_rows(spec, columns, 5, 0, 2051)  # one sampling block
+    assert (np.abs(table) >= 10.0).mean() > 0.5
+    assert out.read_bytes() == (",".join(columns) + "\n").encode() + _percent(table)
+
+
 # ---------------------------------------------------------------------------
-# the row formatter: the bytes of "%.17g" for every value, or None
+# the row formatter: the bytes of "%.17g" for every value
 
 
 def _percent(table):
@@ -422,13 +436,25 @@ def _around(*values, steps=3):
     return np.array(out)
 
 
+def _with_digits(k, n):
+    """Doubles, with both signs, whose "%.17g" has n significant digits, the first at 10^k; none if no short decimal has one."""
+    rng = random.Random(f"{k},{n}")
+    for _ in range(200):
+        m = rng.randrange(10 ** (n - 1), 10**n)
+        x = float(f"{m}e{k - n + 1}")
+        mantissa, _, exponent = ("%.16e" % x).partition("e")
+        if (len(mantissa.replace(".", "").rstrip("0")) or 1, int(exponent)) == (n, k):
+            return [x, -x]
+    return []
+
+
 # uniformly random bit patterns: every exponent, subnormals and nan; and both infinities
 _BITS = np.random.default_rng(11).integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
 _BITS = np.append(_BITS, [np.inf, -np.inf])
 _RNG = np.random.default_rng(12)
 _LARGE_EXPONENTS = _RNG.uniform(100, 269.9, 4000) * _RNG.choice([-1, 1], 4000)
 FORMAT_CASES = {
-    "random-bits": _BITS[_formattable(_BITS)],
+    "random-bits": _BITS,
     "signed-zeros": np.array([0.0, -0.0, 0.0, 1.0, -0.0, -1.0]),
     "notation-switch": _around(1e-5, 1e-4),
     "1e16-and-1e17": _around(1e16, 1e17),
@@ -438,7 +464,23 @@ FORMAT_CASES = {
     "3-digit-exponents": _RNG.choice([-1.0, 1.0], 4000) * 10.0**_LARGE_EXPONENTS,
     # exact half-way cases between two 17-digit decimals, with 10^s exact: ties to even
     "ties": np.concatenate([1e15 + np.arange(512) / 8, 1e14 + np.arange(2048) / 64, -(1e15 + np.arange(512) / 8)]),
+    # every slot layout at every significant-digit count: fixed notation at each k from -4 to 16, where the
+    # point after digit k = 8 lies between the two digit words, and exponent notation with 2- and 3-digit exponents
+    "layouts": np.array([
+        x for k in [*range(-4, 17), -5, 17, -99, 99, -100, 100, -269, 269] for n in range(1, 18) for x in _with_digits(k, n)
+    ]),
 }
+
+
+def test_the_layout_case_reaches_every_digit_count_of_every_layout():
+    """Each fixed-notation k, and 2- and 3-digit exponents, with 1 to 17 significant digits and both signs."""
+    counts = {}
+    for x in FORMAT_CASES["layouts"]:
+        mantissa, _, exponent = ("%.16e" % abs(x)).partition("e")
+        k = int(exponent)
+        layout = k if -4 <= k <= 16 else "e+dd" if abs(k) < 100 else "e+ddd"
+        counts.setdefault((layout, math.copysign(1.0, x)), set()).add(len(mantissa.replace(".", "").rstrip("0")) or 1)
+    assert counts == {(layout, sign): set(range(1, 18)) for layout in [*range(-4, 17), "e+dd", "e+ddd"] for sign in (1.0, -1.0)}
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (1024, 5)], ids=lambda shape: "x".join(map(str, shape)))
@@ -457,16 +499,41 @@ def test_format_rows_is_byte_identical_to_percent(case, shape):
     ids=["nan", "inf", "-inf", "subnormal", "least-normal", "1e-270", "-1e270", "largest", "tie-at-inexact-1e23"],
 )
 def test_format_rows_leaves_a_block_it_cannot_certify_to_percent(value):
-    """Non-finite, out-of-range, and 3 * 2^-24, whose 18 digits end in a 5 where 10^23 is inexact."""
+    """Non-finite, out-of-range, and 3 * 2^-24, whose 18 digits end in a 5 where 10^23 is inexact: "%" formats it in its slot."""
     block = np.full((3, 7), 0.25)
     block[1, 4] = value
-    assert orbits._format_rows(block) is None
-    assert orbits._format_rows(block[1:2, 4:5]) is None
+    block[2] = np.linspace(-3.0, 30.0, 7)
+    assert orbits._scaled_digits(np.array([value]))[-1].all()
+    assert orbits._format_rows(block) == _percent(block)
+    assert orbits._format_rows(block[1:2, 4:5]) == _percent(block[1:2, 4:5])
     assert orbits._format_rows(block[:, :4]) == _percent(block[:, :4])
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_format_rows_certifies_every_value_in_its_range(case):
+    """Exact ties and every near-tie of the cases are certified; only the non-finite and out-of-range values are left."""
+    values = FORMAT_CASES[case]
+    assert orbits._scaled_digits(values)[-1].tolist() == (~_formattable(values)).tolist()
 
 
 def test_format_rows_leaves_every_random_bit_pattern_it_cannot_format_to_percent():
     rejected = _BITS[~_formattable(_BITS)]
     assert np.isnan(rejected).any() and np.isinf(rejected).any() and (np.abs(rejected) < 2.2250738585072014e-308).any()
     for x in rejected:
-        assert orbits._format_rows(np.array([[x]])) is None
+        assert orbits._format_rows(np.array([[x]])) == _percent(np.array([[x]]))
+    block = np.column_stack([rejected, _BITS[: len(rejected)]])
+    assert orbits._format_rows(block) == _percent(block)
+
+
+def test_format_rows_of_a_chunk_stays_small():
+    """The traced peak of formatting one CHUNK of 7-column rows stays below 2.03 MB, what 48-byte slots took; it reads 1.2 MB."""
+    spec = Family(MINKOWSKI_LEVEL, 2.125)
+    table = orbits._checked_rows(spec, [f"c{j}" for j in range(7)], 5, 0, orbits.CHUNK)
+    orbits._format_rows(table)  # builds the tables
+    tracemalloc.start()
+    try:
+        orbits._format_rows(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.03e6
