@@ -448,6 +448,17 @@ def _with_digits(k, n):
     return []
 
 
+def _near_tie(distance, sign):
+    """The double x = m 2^-64 in [1e-7, 2.2e-7] whose x 10^23 = m 5^23 / 2^41 lies sign 2^-distance off a half-integer.
+
+    10^23 is inexact, so the rounding of such a value is certified only when the distance is more than 2^-40.
+    """
+    m = (2**40 + sign * 2 ** (41 - distance)) * pow(5**23, -1, 2**41) % 2**41
+    while m < 1e-7 * 2**64:
+        m += 2**41
+    return m * 2.0**-64
+
+
 # uniformly random bit patterns: every exponent, subnormals and nan; and both infinities
 _BITS = np.random.default_rng(11).integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
 _BITS = np.append(_BITS, [np.inf, -np.inf])
@@ -462,6 +473,8 @@ FORMAT_CASES = {
     # lie below the power by less than half a unit of the 17th digit, so "%.17g" rounds them up to it
     "powers-of-ten": _around(*(float(f"1e{k}") for k in range(-269, 270))),
     "3-digit-exponents": _RNG.choice([-1.0, 1.0], 4000) * 10.0**_LARGE_EXPONENTS,
+    # 2^-39 off a tie against the inexact 10^23, which the kernel certifies
+    "near-ties": np.array([v for sign in (1, -1) for v in (_near_tie(39, sign), -_near_tie(39, sign))]),
     # exact half-way cases between two 17-digit decimals, with 10^s exact: ties to even
     "ties": np.concatenate([1e15 + np.arange(512) / 8, 1e14 + np.arange(2048) / 64, -(1e15 + np.arange(512) / 8)]),
     # every slot layout at every significant-digit count: fixed notation at each k from -4 to 16, where the
@@ -495,11 +508,17 @@ def test_format_rows_is_byte_identical_to_percent(case, shape):
 
 @pytest.mark.parametrize(
     "value",
-    [np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-270, -1e270, 1.7976931348623157e308, 3 * 2.0**-24],
-    ids=["nan", "inf", "-inf", "subnormal", "least-normal", "1e-270", "-1e270", "largest", "tie-at-inexact-1e23"],
+    [
+        *(np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-270, -1e270, 1.7976931348623157e308),
+        *(3 * 2.0**-24, _near_tie(40, 1), -_near_tie(41, -1)),
+    ],
+    ids=[
+        *("nan", "inf", "-inf", "subnormal", "least-normal", "1e-270", "-1e270", "largest"),
+        *("tie-at-inexact-1e23", "2^-40-off-a-tie", "2^-41-off-a-tie"),
+    ],
 )
 def test_format_rows_leaves_a_block_it_cannot_certify_to_percent(value):
-    """Non-finite, out-of-range, and 3 * 2^-24, whose 18 digits end in a 5 where 10^23 is inexact: "%" formats it in its slot."""
+    """Non-finite, out-of-range, or within 2^-40 of a tie where 10^s is inexact (3 * 2^-24's 18 digits end in a 5): "%" formats it."""
     block = np.full((3, 7), 0.25)
     block[1, 4] = value
     block[2] = np.linspace(-3.0, 30.0, 7)
