@@ -11,28 +11,26 @@ per sample: sample i owns the stream's draws [i k, (i + 1) k), drawn
 for a block in one ``rng.uniform_block`` call.  Every kernel takes the
 same arguments, (cfg, U, idx, rows, drawn): the block's uniforms U,
 shape (len(idx), k), the sample indices idx, the block's ``RowErrors``
-rows, and the rows' accepted candidates drawn (None for a suite without
-them), or what their family shares; it returns each row's residual and
-inputs.  The kernels evaluate their claims on the whole block, through
-the functions a caller uses on a point, passing rows as ``errors``.
+rows, and what the suite's family shares of the block's draw (None for
+a suite without one); it returns each row's residual and inputs.  The
+kernels evaluate their claims on the whole block, through the functions
+a caller uses on a point, passing rows as ``errors``.  The report's
+"rng" field gives each suite's stream_id and k: any sample replays from
+the report alone (``_evaluate``).
 
-A suite whose sample must meet a condition declares its ``candidates``:
-the first admissible of a fixed number of rounds of CANDIDATE_DRAWS = 4
-uniforms each, and never loops.  Round 0 is the last 4 of the sample's
-k uniforms; round r >= 1 is the sample's row of the stream
-(seed, stream_id | r), drawn for the whole block, and only while one of
-its rows is still open, so a row keeps the same candidates in any
-block, the block of one included.  The stream ids are multiples of
-2^32, so stream_id | r for r < 2^32 is no other stream, nor the dumps'
-stream 0.  ``_draw`` draws every block's candidates; a row left without
-one is a hard failure that names the rounds and the condition.  Nine
-suites take a pair off the diagonal (|z - w| >= EPS_DIAG, the chart
-guard of map_H) from PAIR_ROUNDS candidates; ``o21-totally-real``
-takes, on its rows i % 3 == 0, a real matrix with |det| >= 0.1 from
-TOTALLY_REAL_ROUNDS candidates.  At the defaults nearly every row keeps
-its round 0.  The report's "rng" field gives each suite's stream_id and
-k, and the number of its candidate rounds: any sample replays from the
-report alone (``_evaluate``).
+Nine suites take a pair (z, w) of the rmax disc from 4 of their
+uniforms and judge it through h = map_H(z, w), whose chart stops at
+|z - w| >= EPS_DIAG.  Each belongs to a ``_Family``, which draws the
+pair and h once per block (``_Family.share``): a row whose pair lies
+within EPS_DIAG of the diagonal is excluded, not redrawn.  It scores 0
+and the report counts it, and map_H and the member's checks take the
+pair (1/2, -1/2) in its place, so that none fires on it; its recorded
+inputs stay the pair it drew.  At the default rmax no row is excluded;
+at small rmax the count shows how much of the sample was not checked.
+A disc whose pairs all lie within EPS_DIAG (rmax <= EPS_DIAG / 2) is
+refused by ``validate_config``.  ``o21-totally-real`` takes, on its
+rows i % 3 == 0, the real matrix 2 U - 1 of its 4 uniforms, singular
+under the rank rule with a chance below 2e-15.
 
 Seven pair suites judge one object, h = map_H(z, w): ``H-quadric``,
 ``H-im-condition``, ``H-sigma-negation``, ``H-roundtrip``,
@@ -43,7 +41,9 @@ the selected members' pairs once and computes map_H once; each member
 flags its checks in its own copy of the draw's row flags, so every
 check fires on every member and none fails another's row.  The seven
 claims are thus judged on the same pairs, each on as many as before,
-and a member run alone draws the rows of the full run.
+and a member run alone draws the rows of the full run.  The two
+conjugation suites are families of one, each on its own stream, with
+its pair after phi's 3 uniforms.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
 (``orbits.orbit_points``), which also applies its checks.  One kernel
@@ -68,14 +68,16 @@ the shortfall below the certified floor, so 0 means comfortably
 certified; boolean claims report 0 or 1 and run with tolerance 0.5.
 ``preimage-formula`` and ``aut-preserves-subdomains`` give no verdict
 on a row within PREIMAGE_MARGIN or MEMBERSHIP_MARGIN of a band edge,
-nor the two conjugation suites on the H relation of a row whose image
-phi crowds into map_H's chart guard: it scores 0 (``conjugation-so21``
-still judges its matrix), and the report counts it as ``excluded``.  A
-sample whose residual is not below the tolerance (NaN included) is a
-failure.  A sample that fails a check is a hard failure and fails the
-suite regardless of tolerance: the runner scores it inf and records the
-check's ``ValueError: message`` text, the one the same function raises
-on that row's point, together with the row's inputs.
+nor a pair suite on a row whose pair lies within EPS_DIAG of the
+diagonal, nor the two conjugation suites on the H relation of a row
+whose image phi crowds into map_H's chart guard: such a row scores 0
+(``conjugation-so21`` still judges its matrix), and the report counts
+it as ``excluded``.  A sample whose residual is not below the tolerance
+is a failure.  A sample that fails a check, or whose residual is not
+finite, is a hard failure and fails the suite regardless of tolerance:
+the runner scores it inf and records the check's ``ValueError:
+message`` text, the one the same function raises on that row's point,
+together with the row's inputs.
 """
 
 from __future__ import annotations
@@ -133,11 +135,10 @@ from .rng import (
     uniform_block,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DEFAULT_SAMPLES = 10_000
 BLOCK = 4096  # rows per block; bounds the memory of a run, never changes a result
 MAX_FAILURES = 10
-CANDIDATE_DRAWS = 4  # uniforms per candidate round
 
 LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex families
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
@@ -159,36 +160,28 @@ class SuiteConfig:
     workers: int = 1  # validated but without effect: suites run serially
 
 
-@dataclass(frozen=True)
-class _Candidates:
-    """A conditioned draw: each row's first admissible candidate among ``rounds`` rounds.
-
-    Round 0 of a row is the last CANDIDATE_DRAWS of its uniforms, round
-    k >= 1 its row of the stream (seed, stream_id | k).
-    ``propose(cfg, c)`` turns a round's uniforms c into candidates, one
-    row each, and ``accept(x)`` says which candidate rows are admissible.
-    Only the rows whose indices ``looks(idx)`` marks look for one (all
-    when None).  A row left without one is a hard failure: "none of the
-    sample's {rounds} candidate {noun} has {wanted}".  ``why_empty(cfg)``
-    says why no candidate is admissible under cfg, or returns None.
-    """
-
-    noun: str
-    wanted: str
-    rounds: int
-    propose: Callable[[SuiteConfig, np.ndarray], np.ndarray]
-    accept: Callable[[np.ndarray], np.ndarray]
-    looks: Callable[[np.ndarray], np.ndarray] | None = None
-    why_empty: Callable[[SuiteConfig], str | None] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class _Family:
-    """Suites judged on one draw, from the stream of the suite ``stream``: per block the runner draws it once,
-    and ``share(rows, drawn)`` turns its accepted candidates into what each member's kernel takes as drawn."""
+    """Pair suites judged on one draw from the stream of the suite ``stream``: a pair of the rmax disc from the 4
+    uniforms at ``column`` and its h = map_H(z, w), which the runner draws once per block (``share``)."""
 
     stream: str
-    share: Callable[[RowErrors, np.ndarray], tuple]
+    column: int
+
+    def share(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors) -> tuple:
+        """(z, w, h, excluded, inputs) of a block: the pair the checks take, h, the excluded rows, the drawn pairs.
+
+        A row whose drawn pair lies within EPS_DIAG of the diagonal, where
+        map_H's chart stops, is excluded: the pair (1/2, -1/2) stands in for
+        it, so that no check fires on it, and its inputs record the pair it
+        drew, as (n, 4) columns.
+        """
+        z, w = _disc_pair(u[:, self.column : self.column + 4], cfg.rmax)
+        inputs = _columns(z, w)
+        excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
+        if excluded.any():
+            z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
+        return z, w, map_H(z, w, errors=rows), excluded, inputs
 
 
 @dataclass(frozen=True)
@@ -197,11 +190,11 @@ class _Suite:
 
     ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
     inputs)`` over the rows idx, whose uniforms U have shape
-    (len(idx), draws), and drawn their accepted ``candidates`` (None for
-    a suite without them) or their ``family``'s share of them; it flags
-    the rows that fail a check in the block's ``RowErrors`` rows.  A
-    kernel that leaves rows unscored returns ``(residual, inputs,
-    excluded)``, with excluded a mask of those rows.
+    (len(idx), draws), and drawn their ``family``'s share of the draw
+    (None for a suite without one); it flags the rows that fail a check
+    in the block's ``RowErrors`` rows.  A kernel that leaves rows
+    unscored returns ``(residual, inputs, excluded)``, with excluded a
+    mask of those rows.  The suites with a family are the pair suites.
     """
 
     name: str
@@ -210,7 +203,6 @@ class _Suite:
     tolerance: float
     fn: Callable
     draws: int
-    candidates: _Candidates | None = None
     family: _Family | None = None
 
 
@@ -231,26 +223,6 @@ def _disc_pair(c: np.ndarray, rmax: float) -> tuple[np.ndarray, np.ndarray]:
     return disc_from_uniforms(c[:, 0], c[:, 1], rmax), disc_from_uniforms(c[:, 2], c[:, 3], rmax)
 
 
-PAIR_ROUNDS = 32  # candidate pairs a row may try
-
-
-# disc pairs with |z - w| >= EPS_DIAG, the chart guard of map_H; a candidate is an (n, 2) array
-# [z, w] in column-major order, so that a kernel's ``z, w = pair.T`` are contiguous, as the maps read them
-_PAIRS = _Candidates(
-    "pairs",
-    f"|z - w| >= {EPS_DIAG:g}",
-    PAIR_ROUNDS,
-    lambda cfg, c: np.stack(_disc_pair(c, cfg.rmax)).T,
-    lambda p: np.abs(p[:, 0] - p[:, 1]) >= EPS_DIAG,
-    why_empty=lambda cfg: (
-        f"pairs need |z - w| >= {EPS_DIAG:g}, "
-        f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
-        if EPS_DIAG >= 2.0 * cfg.rmax
-        else None
-    ),
-)
-
-
 def _rim_scale(*points) -> np.ndarray:
     """1 - m^2 per row, m the largest modulus among the points: rho and |u| / sqrt(1 - |v|^2) round like 1 / (1 - m^2)."""
     return 1.0 - functools.reduce(np.maximum, map(_abs2, points))
@@ -266,22 +238,22 @@ def _k_rho_invariance(cfg, u, idx, rows, drawn):
 
 
 # the pair family: seven claims on one pair off the diagonal and its h = map_H(z, w)
-_H_PAIRS = _Family("H-quadric", lambda rows, pair: (*pair.T, map_H(*pair.T, errors=rows)))  # (z, w, h)
+_H_PAIRS = _Family("H-quadric", 0)
 
 
 def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite:
     """A member of the pair family, scored by residual(idx, rows, z, w, h): each row's residual, or
     (residual, excluded, *columns) for a claim that leaves rows unscored and records columns after the pair."""
 
-    def _k_on_h(cfg, u, idx, rows, zwh):
-        z, w, h = zwh
+    def _k_on_h(cfg, u, idx, rows, share):
+        z, w, h, excluded, inputs = share
         out = residual(idx, rows, z, w, h)
-        if isinstance(out, np.ndarray):
-            return out, _columns(z, w)
-        res, excluded, *columns = out
-        return res, _columns(z, w, *columns), excluded
+        if not isinstance(out, np.ndarray):
+            out, unscored, *columns = out
+            excluded, inputs = excluded | unscored, np.column_stack((inputs, *columns))
+        return np.where(excluded, 0.0, out), inputs, excluded
 
-    return _Suite(name, claim, 1.0, tolerance, _k_on_h, CANDIDATE_DRAWS, _PAIRS, _H_PAIRS)
+    return _Suite(name, claim, 1.0, tolerance, _k_on_h, 4, _H_PAIRS)
 
 
 def _h_scale(h) -> np.ndarray:
@@ -363,30 +335,30 @@ def _levi(record: FamilyRecord, param, score: Callable) -> Callable:
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _conjugated(cfg, u, pair, rows, swap: bool):
+def _conjugated(cfg, u, share, rows, swap: bool):
     """A = so21_image(phi) per row, the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p),
-    the inputs, and the rows whose image map_H's chart rejects.
+    the inputs, and the rows left without a verdict on it: the family's, and those whose image map_H's chart rejects.
 
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
     crowds the pair and H grows, and its rounding with it.  It can crowd
     the pair below EPS_DIAG: such a row gets no verdict on the relation
     and scores 0 for it; an image off the disc, or not finite, fails it.
     """
-    # uniforms: phi (3), round 0 of the conditioned pair (4)
+    # uniforms: phi (3), the pair (4)
+    z, w, h, excluded, inputs = share
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
-    z, w = pair.T
     A = so21_image(phi)
-    h = np.stack(map_H(z, w, errors=rows), axis=-1)
     image = mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows)
     _check_pair(rows, *image)  # first, so that only the chart guard's rows are left to the chart's collector
     q = np.stack(map_H(*image, errors=(chart := RowErrors(len(u)))), axis=-1)
-    Ah = (A * h[:, None, :]).sum(axis=2)
+    Ah = (A * np.stack(h, axis=-1)[:, None, :]).sum(axis=2)
     res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
-    return A, np.where(chart.ok, res, 0.0), _columns(phi.theta, phi.a, z, w), ~chart.ok
+    excluded = excluded | ~chart.ok
+    return A, np.where(excluded, 0.0, res), np.column_stack((_columns(phi.theta, phi.a), inputs)), excluded
 
 
-def _k_conjugation_so21(cfg, u, idx, rows, pair):
-    A, res, inputs, unscored = _conjugated(cfg, u, pair, rows, swap=False)
+def _k_conjugation_so21(cfg, u, idx, rows, share):
+    A, res, inputs, unscored = _conjugated(cfg, u, share, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
@@ -397,8 +369,8 @@ def _k_conjugation_so21(cfg, u, idx, rows, pair):
     return np.maximum(res, u21_residual(A) / scale), inputs, unscored
 
 
-def _k_swap_minus_identity(cfg, u, idx, rows, pair):
-    return _conjugated(cfg, u, pair, rows, swap=True)[1:]
+def _k_swap_minus_identity(cfg, u, idx, rows, share):
+    return _conjugated(cfg, u, share, rows, swap=True)[1:]
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
@@ -462,24 +434,14 @@ def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
 _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
-TOTALLY_REAL_ROUNDS = 16  # candidate matrices; each misses |det| >= 0.1 with probability 0.1878, all 16 with 2.4e-12
-
-# 2 x 2 matrices with entries uniform on [-1, 1), looked for by the rows i % 3 == 0
-_REAL_MATRICES = _Candidates(
-    "matrices",
-    "|det| >= 0.1",
-    TOTALLY_REAL_ROUNDS,
-    lambda cfg, c: 2.0 * c.reshape(len(c), 2, 2) - 1.0,
-    lambda M: np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]) >= 0.1,
-    looks=lambda idx: idx % 3 == 0,
-)
 
 
-def _k_o21_totally_real(cfg, u, idx, rows, M):
-    # sample i % 3 == 0: the rows of the first random real matrix with |det| >= 0.1 (totally real);
-    # 1 and 2: a complex curve's and a mixed basis (not totally real, the meet 2-dimensional)
+def _k_o21_totally_real(cfg, u, idx, rows, drawn):
+    # sample i % 3 == 0: the rows of a random real matrix, entries uniform on [-1, 1), totally real unless singular
+    # under the rank rule (a chance below 2e-15); 1 and 2: a complex curve's and a mixed basis (not totally real, the
+    # meet 2-dimensional)
     k = idx % 3
-    basis = M.astype(complex)
+    basis = (2.0 * u.reshape(len(u), 2, 2) - 1.0).astype(complex)
     basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
     ok, meet = totally_real_check(basis, errors=rows)
     res = ((ok != (k == 0)) | (meet != np.where(k == 0, 0, 2))).astype(float)
@@ -535,8 +497,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-7,
         _k_conjugation_so21,
-        draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        draws=MOBIUS_DRAWS + 4,
+        family=_Family("conjugation-so21", MOBIUS_DRAWS),
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -544,8 +506,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.01,
         1e-9,
         _k_swap_minus_identity,
-        draws=MOBIUS_DRAWS + CANDIDATE_DRAWS,
-        candidates=_PAIRS,
+        draws=MOBIUS_DRAWS + 4,
+        family=_Family("swap-is-minus-identity", MOBIUS_DRAWS),
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -594,8 +556,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         0.1,
         0.5,
         _k_o21_totally_real,
-        draws=CANDIDATE_DRAWS,
-        candidates=_REAL_MATRICES,
+        draws=4,
     ),
     _Suite(
         "levi-Fa",
@@ -687,11 +648,13 @@ def validate_config(cfg: SuiteConfig) -> None:
     unused = sorted(set(cfg.tolerances) - set(cfg.suites))
     if unused:
         raise ConfigError(f"tolerance override for a suite that is not selected: {', '.join(unused)}")
-    for name in cfg.suites:
-        c = _BY_NAME[name].candidates
-        reason = c.why_empty(cfg) if c is not None and c.why_empty is not None else None
-        if reason is not None:
-            raise ConfigError(f"suite {name!r} has nothing to sample: {reason}")
+    if EPS_DIAG >= 2.0 * cfg.rmax:
+        for name in cfg.suites:
+            if _BY_NAME[name].family is not None:
+                raise ConfigError(
+                    f"suite {name!r} has nothing to sample: pairs need |z - w| >= {EPS_DIAG:g}, "
+                    f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
+                )
 
 
 def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
@@ -699,10 +662,8 @@ def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
 
 
 def _rows(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
-    """Round 0 of a suite's samples lo..hi-1, their indices, and later(k), their candidate round k >= 1."""
-    stream_id = _stream_id(suite.name)
-    u = uniform_block(cfg.seed, stream_id, suite.draws, lo, hi)
-    return u, np.arange(lo, hi), lambda k: uniform_block(cfg.seed, stream_id | k, CANDIDATE_DRAWS, lo, hi)
+    """The uniforms of a suite's samples lo..hi-1, and their indices."""
+    return uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi), np.arange(lo, hi)
 
 
 def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
@@ -710,42 +671,24 @@ def _block(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
     return _evaluate(suite, cfg, *_rows(suite, cfg, lo, hi))
 
 
-def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
+def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray):
     """The samples idx of a suite as (residual, rows, inputs, excluded); it replays any index of a run.
 
-    u holds the samples' uniforms and later(k) their candidate round
-    k >= 1, called only while one of the rows is still open.  ``rows``
-    is the block's ``RowErrors``: ``rows.ok[r]`` is False when row r
-    failed hard, its residual is then inf, and ``rows.message[r]``
-    holds the failed check's message, which the report records as
-    ``ValueError: message``.  ``inputs[r]`` is the row's recorded inputs;
+    u holds the samples' uniforms.  ``rows`` is the block's
+    ``RowErrors``: ``rows.ok[r]`` is False when row r failed hard, its
+    residual is then inf, and ``rows.message[r]`` holds the failed
+    check's message, which the report records as ``ValueError:
+    message``.  ``inputs[r]`` is the row's recorded inputs;
     ``excluded[r]`` is True when the kernel left row r unscored (residual 0).
     """
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        return _judge(suite, cfg, u, idx, *_draw(suite, cfg, u, idx, later))
+        return _judge(suite, cfg, u, idx, *_draw(suite, cfg, u))
 
 
-def _draw(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, later):
-    """The block's row flags and what its kernels take as drawn: the accepted candidates, or their family's share."""
-    rows = RowErrors(len(idx))
-    c = suite.candidates
-    drawn = None
-    if c is not None:
-        # each open row takes its first admissible round; a row without one keeps its last candidate
-        todo = np.arange(len(idx)) if c.looks is None else np.flatnonzero(c.looks(idx))
-        drawn = c.propose(cfg, u[:, -CANDIDATE_DRAWS:])
-        for k in range(c.rounds):
-            if k:
-                drawn[todo] = c.propose(cfg, later(k)[todo])
-            todo = todo[~c.accept(drawn[todo])]
-            if not todo.size:
-                break
-        bad = np.zeros(len(idx), dtype=bool)
-        bad[todo] = True
-        rows.flag(bad, f"none of the sample's {c.rounds} candidate {c.noun} has {c.wanted}")
-    if suite.family is not None:
-        drawn = suite.family.share(rows, drawn)
-    return rows, drawn
+def _draw(suite: _Suite, cfg: SuiteConfig, u: np.ndarray):
+    """The block's row flags, and what the suite's family shares of its draw (None for a suite without one)."""
+    rows = RowErrors(len(u))
+    return rows, None if suite.family is None else suite.family.share(cfg, u, rows)
 
 
 def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
@@ -754,6 +697,7 @@ def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows
     out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
     excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
+    rows.flag(~np.isfinite(residual), lambda r: f"residual {residual[r]} is not finite")
     if not rows.ok.all():
         residual = np.where(rows.ok, residual, math.inf)
     return residual, rows, inputs, excluded
@@ -769,7 +713,7 @@ def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
         entry["hard_failures"] += ok.size - int(np.count_nonzero(ok))
         excluded = excluded & ok
     entry["excluded"] += int(np.count_nonzero(excluded))
-    if scored.size:  # NaN rows are flagged below, not maxed
+    if scored.size:  # a residual that is not finite failed its row hard
         entry["max_residual"] = max(entry["max_residual"] or 0.0, float(np.fmax.reduce(scored)))
     flagged = np.flatnonzero(~(residual < entry["tolerance"]))  # a hard failure's residual is inf
     entry["passed"] = entry["passed"] and not flagged.size
@@ -803,22 +747,14 @@ def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
         for lo in range(0, count, BLOCK):
             start = time.perf_counter()
-            u, idx, later = _rows(group[0], cfg, lo, min(lo + BLOCK, count))
-            rows, drawn = _draw(group[0], cfg, u, idx, later)
+            u, idx = _rows(group[0], cfg, lo, min(lo + BLOCK, count))
+            rows, drawn = _draw(group[0], cfg, u)
             share = (time.perf_counter() - start) / len(group)
             for suite, entry in zip(group, entries):
                 start = time.perf_counter()
                 _tally(entry, lo, *_judge(suite, cfg, u, idx, rows, drawn))
                 entry["wall_time_s"] += share + time.perf_counter() - start
     return entries
-
-
-def _rng_entry(suite: _Suite) -> dict:
-    """How a suite draws: its stream, round 0's uniforms per sample, and its later candidate rounds if any."""
-    entry = {"stream_id": _stream_id(suite.name), "draws_per_sample": suite.draws}
-    if suite.candidates is not None:
-        entry.update(rounds=suite.candidates.rounds, draws_per_round=CANDIDATE_DRAWS)
-    return entry
 
 
 def report_document(cfg: SuiteConfig, reports: list[dict]) -> dict:
@@ -836,11 +772,10 @@ def report_document(cfg: SuiteConfig, reports: list[dict]) -> dict:
         "rng": {
             "bit_generator": "PCG64",
             "seeding": "SeedSequence([seed, stream_id])",
-            "candidate_rounds": (
-                "round k >= 1 of sample i: outputs [i draws_per_round, (i + 1) draws_per_round) "
-                "of SeedSequence([seed, stream_id | k]), for k < rounds"
-            ),
-            "suites": {r["suite"]: _rng_entry(_BY_NAME[r["suite"]]) for r in reports},
+            "suites": {
+                r["suite"]: {"stream_id": _stream_id(r["suite"]), "draws_per_sample": _BY_NAME[r["suite"]].draws}
+                for r in reports
+            },
         },
         "passed": all(r["passed"] for r in reports),
         "suites": reports,

@@ -31,6 +31,7 @@ from bidisc_lab.groups import (
 )
 from bidisc_lab.levi import levi_restricted, totally_real_check
 from bidisc_lab.maps import (
+    EPS_DIAG,
     map_H,
     map_H_inv,
     map_J,
@@ -58,13 +59,9 @@ PAIR_SUITES = (
     "preimage-formula",
     "J-H-compat",
 )
-# the suites that take the first admissible of several candidates, with their round-0 uniforms per sample
-CANDIDATE_WIDTHS = {
-    **dict.fromkeys(PAIR_SUITES, 4),
-    "conjugation-so21": 7,
-    "swap-is-minus-identity": 7,
-    "o21-totally-real": 4,
-}
+CONJUGATION = ("conjugation-so21", "swap-is-minus-identity")
+# the suites that draw a pair off the diagonal, with the column of their pair among their uniforms
+PAIR_COLUMNS = {**dict.fromkeys(PAIR_SUITES, 0), **dict.fromkeys(CONJUGATION, 3)}
 LEVI = ("levi-Fa", "levi-eta", "levi-flat-control", "levi-sphere")
 ROWS = 500
 LEVI_ROWS = 90  # the point Levi calls are the batch kernel's batch of one, so these agree exactly
@@ -96,12 +93,12 @@ def test_the_report_gives_every_suite_an_integer_draw_budget():
     budgets = {name: entry["draws_per_sample"] for name, entry in doc["rng"]["suites"].items()}
     assert list(budgets) == list(all_suite_names())
     assert all(type(k) is int and k > 0 for k in budgets.values())
-    assert budgets["conjugation-so21"] == budgets["swap-is-minus-identity"] == 3 + suites.CANDIDATE_DRAWS == 7
+    assert budgets["conjugation-so21"] == budgets["swap-is-minus-identity"] == 3 + 4 == 7
     assert budgets["aut-preserves-subdomains"] == 8 and budgets["o21-matrix-B"] == 2
 
 
 def test_no_two_streams_share_an_id():
-    """Every draw's stream, each of its candidate round streams stream_id | k (1 <= k < rounds) and the dumps' 0.
+    """Every draw's stream and the dumps' 0.
 
     A draw is a suite's own or, for the seven pair-family members, their family's, on H-quadric's stream 2 << 32.
     """
@@ -110,24 +107,17 @@ def test_no_two_streams_share_an_id():
         draws.setdefault(suite.family or suite.name, suite)
     assert len(draws) == len(all_suite_names()) - len(PAIR_SUITES) + 1 == 16
     assert {suites._stream_id(name) for name in PAIR_SUITES} == {suites._stream_id("H-quadric")} == {2 << 32}
-    ids = [0]
-    for suite in draws.values():
-        stream_id = suites._stream_id(suite.name)
-        rounds = suite.candidates.rounds if suite.candidates is not None else 1
-        ids += [stream_id | k for k in range(rounds)]
-    later = 31 + 31 + 31 + 15  # the pair family, the two conjugation suites and o21-totally-real
-    assert len(ids) == 1 + len(draws) + later
-    assert len(set(ids)) == len(ids)
+    ids = [0] + [suites._stream_id(suite.name) for suite in draws.values()]
+    assert len(set(ids)) == len(ids) == 17
 
 
-def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch):
-    """Per block, uniform_block generates the round-0 width per row and 4 per row for each later round drawn.
+@pytest.mark.parametrize("rmax", [rng.DEFAULT_RMAX, 6e-7])
+def test_each_block_draws_its_suites_stream_once(monkeypatch, rmax):
+    """Per block, uniform_block is called once, on the suite's own stream with its own width, and on no other.
 
-    Later rounds k = 1, 2, ... come in order from the streams stream_id | k,
-    at most rounds - 1 of them (31 for pairs, 15 for matrices).  At the
-    defaults no block of a pair suite draws more than one later round.  A
-    run of the seven pair-family suites draws the family's stream once per
-    block, plus its later rounds, as a run of one of them does.
+    So a row whose pair is excluded is not redrawn, in a small disc as at
+    the defaults.  A run of the seven pair-family suites draws the
+    family's stream once per block, as a run of one of them does.
     """
     calls = []
     real = rng.uniform_block
@@ -138,24 +128,16 @@ def test_a_candidate_draw_generates_only_the_rounds_its_block_needs(monkeypatch)
 
     monkeypatch.setattr(rng, "uniform_block", counting)
     monkeypatch.setattr(suites, "uniform_block", counting)
-    runs = [(PAIR_SUITES, 4)] + [((name,), width) for name, width in CANDIDATE_WIDTHS.items()]
-    for names, width in runs:
+    runs = [PAIR_SUITES] + [(name,) for name in (*PAIR_COLUMNS, "o21-totally-real")]
+    for names in runs:
         calls.clear()
-        _, doc = verify_all(SuiteConfig(suites=names))
+        _, doc = verify_all(SuiteConfig(rmax=rmax, suites=names))
         rep, name = doc["suites"][0], names[0]
         assert [r["samples"] for r in doc["suites"]] == [rep["samples"]] * len(names)
-        stream = suites._stream_id(name)
+        assert rep["hard_failures"] == 0 and (rep["excluded"] > 0) == (rmax < 1e-6 and name in PAIR_COLUMNS), name
+        stream, width = suites._stream_id(name), suites._BY_NAME[name].draws
         blocks = [(lo, min(lo + suites.BLOCK, rep["samples"])) for lo in range(0, rep["samples"], suites.BLOCK)]
-        assert sorted({(lo, hi) for *_, lo, hi in calls}) == blocks, name
-        for lo, hi in blocks:
-            drawn = [(stream_id, draws) for stream_id, draws, *block in calls if block == [lo, hi]]
-            later = len(drawn) - 1
-            assert drawn == [(stream, width)] + [(stream | k, 4) for k in range(1, later + 1)], name
-            assert later <= (15 if name == "o21-totally-real" else 31), name
-            if name in PAIR_SUITES:
-                assert later <= 1, name
-            generated = sum(draws * (hi - lo) for _, draws in drawn)
-            assert generated == (hi - lo) * (width + 4 * later), name
+        assert calls == [(stream, width, lo, hi) for lo, hi in blocks], name
 
 
 def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
@@ -213,9 +195,8 @@ def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
     assert doc["passed"]
     for text in ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve"):
         orbits.dump_orbit(orbits.parse_orbit_spec(text), 50, str(tmp_path / "orbit.csv"))
-    # one block per draw at these sizes (16: the seven pair-family suites share one) and per dump, and rounds 1 and 2
-    # of o21-totally-real's candidate matrices
-    assert len(built) == 16 + 2 + 5
+    # one block per draw at these sizes (16: the seven pair-family suites share one) and per dump
+    assert len(built) == 16 + 5
     with pytest.raises(AssertionError):
         np.random.default_rng(0)
 
@@ -586,6 +567,30 @@ def test_a_conjugated_pair_the_chart_rejects_is_excluded_not_failed():
     assert rows.ok[0] and excluded[0] and residual[0] == 0.0
 
 
+@pytest.mark.parametrize("rmax", [1e-6, 6e-7])
+@pytest.mark.parametrize("name", ["H-quadric", "J-H-compat", "conjugation-so21", "swap-is-minus-identity"])
+def test_a_pair_within_eps_diag_is_excluded_not_redrawn(name, rmax):
+    """A row whose drawn pair lies within EPS_DIAG of the diagonal is excluded, scores 0 and records that pair.
+
+    The crowded rows are found here from the suite's own uniforms, and
+    no check fires on them: map_H and the member's checks take a stand-in.
+    """
+    suite = suites._BY_NAME[name]
+    cfg = SuiteConfig(samples=round(3000 / suite.weight), rmax=rmax)  # 3,000 rows
+    rep = _report(name, cfg)
+    u = rng.uniform_block(cfg.seed, suites._stream_id(name), suite.draws, 0, rep["samples"])
+    c = PAIR_COLUMNS[name]
+    z, w = disc_from_uniforms(u[:, c], u[:, c + 1], rmax), disc_from_uniforms(u[:, c + 2], u[:, c + 3], rmax)
+    crowded = np.abs(z - w) < EPS_DIAG
+    assert rep["passed"] and rep["hard_failures"] == 0
+    assert rep["excluded"] == np.count_nonzero(crowded) > 1000
+    residual, rows, inputs, excluded = suites._evaluate(suite, cfg, u, np.arange(len(u)))
+    assert rows.ok.all() and excluded.tolist() == crowded.tolist()
+    np.testing.assert_array_equal(inputs[:, c : c + 4], np.column_stack((z.real, z.imag, w.real, w.imag)))
+    if name != "conjugation-so21":  # which still judges its matrix on such a row
+        assert not residual[crowded].any()
+
+
 @pytest.mark.parametrize("name", ["conjugation-so21", "swap-is-minus-identity"])
 def test_a_conjugated_image_off_the_disc_is_a_hard_failure(monkeypatch, name):
     """Only the chart guard excuses a row: an image that is NaN, or crowded but outside the disc, fails hard."""
@@ -604,6 +609,31 @@ def test_a_conjugated_image_off_the_disc_is_a_hard_failure(monkeypatch, name):
     assert not rep["passed"] and rep["hard_failures"] == 2 and rep["excluded"] == 0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_residual_that_is_not_finite_is_a_hard_failure(monkeypatch, tmp_path, value):
+    """A kernel whose residual is NaN on every row fails each row hard, and the report file stays strict JSON.
+
+    Scored as a plain failure, a NaN row left max_residual at 0.0 and wrote a bare NaN token into the report.
+    """
+
+    def kernel(cfg, u, idx, rows, drawn):
+        return np.full(len(idx), value), u
+
+    suite = dataclasses.replace(suites._BY_NAME["alpha-roundtrip"], fn=kernel)
+    monkeypatch.setitem(suites._BY_NAME, "alpha-roundtrip", suite)
+    path = tmp_path / "report.json"
+    code, doc = verify_all(SuiteConfig(samples=100, suites=("alpha-roundtrip",)), report_path=str(path))
+    rep = doc["suites"][0]
+    assert code == 1 and not rep["passed"]
+    assert rep["hard_failures"] == rep["samples"] == 100 and rep["max_residual"] is None
+    assert {f["error"] for f in rep["failures"]} == {f"ValueError: residual {value} is not finite"}
+
+    def refuse(token):
+        raise AssertionError(f"the report holds the non-JSON token {token}")
+
+    assert json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)["suites"][0]["max_residual"] is None
+
+
 def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
     """|u|^2 = 1 - 1e-15 puts the sphere point's first coordinate on the unit circle."""
     _pushed_to_the_rim(monkeypatch, 0)
@@ -616,12 +646,17 @@ def test_levi_row_failure_is_a_hard_failure_with_the_scalar_text(monkeypatch):
         assert "touches the unit circle" in failure["error"]
 
 
-def test_a_row_the_eta_sampler_rejects_is_a_hard_failure_with_the_map_h_text(monkeypatch):
-    """At a huge level the sampled pairs crowd the diagonal, and map_H's check fails those rows."""
+def _levi_eta_at_a_huge_level(monkeypatch):
+    """Register levi-eta at the level 1e12, where the sampled pairs crowd the diagonal and map_H's check fails rows."""
     huge = dataclasses.replace(
         suites._BY_NAME["levi-eta"], fn=suites._levi(MINKOWSKI_LEVEL, np.full(3, 1e12), suites._shortfall)
     )
     monkeypatch.setitem(suites._BY_NAME, "levi-eta", huge)
+
+
+def test_a_row_the_eta_sampler_rejects_is_a_hard_failure_with_the_map_h_text(monkeypatch):
+    """At a huge level the sampled pairs crowd the diagonal, and map_H's check fails those rows."""
+    _levi_eta_at_a_huge_level(monkeypatch)
     rep = _report("levi-eta", SuiteConfig(samples=1000))
     assert 0 < rep["hard_failures"] < rep["samples"]
     errors = [failure["error"] for failure in rep["failures"] if "error" in failure]
@@ -641,8 +676,8 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
     configs = (
         # the levi suites draw 12, 12, 4 and 4 samples: blocks of 7 split their parameter groups
         SuiteConfig(samples=200, suites=all_suite_names(), tolerances={"H-quadric": 1e-22, "levi-sphere": 1e-16}),
-        # at rmax 6e-7 few pairs are EPS_DIAG = 1e-6 apart: blocks draw every later candidate round, and rows miss
-        SuiteConfig(samples=200, rmax=6e-7, suites=tuple(CANDIDATE_WIDTHS)),
+        # at rmax 6e-7 few pairs are EPS_DIAG = 1e-6 apart: most pair rows are excluded
+        SuiteConfig(samples=200, rmax=6e-7, suites=(*PAIR_COLUMNS, "o21-totally-real")),
     )
     for n, cfg in enumerate(configs):
         texts = []
@@ -659,12 +694,14 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 # residual became relative to B_33^2, each of which moved only o21-matrix-B's max_residual, once more when
 # rho-invariance and su11-orbit-invariant scaled their defects by 1 - m^2, which moved only their max_residual,
 # and once more when o21-matrix-B drew its real pair from the whole disc and those two suites' tolerances went
-# from 1e-10 to 1e-13; "candidates-rmax-6e-7" recorded when pairs stopped needing rho >= 0.05; both re-recorded when
+# from 1e-10 to 1e-13; the rmax-6e-7 key recorded when pairs stopped needing rho >= 0.05; both re-recorded when
 # the seven pair-family suites came to share H-quadric's stream, which moved the "rng" entries of the six others
-# and their rows (H-quadric's entry and the 15 other suites' kept their bytes)
+# and their rows (H-quadric's entry and the 15 other suites' kept their bytes); both re-recorded when a pair within
+# EPS_DIAG came to be excluded instead of redrawn, which left "all-2000"'s suite entries as they were and took the
+# candidate rounds out of its "rng" field (schema 4), and turned "pairs-rmax-6e-7"'s hard failures into exclusions
 REPORT_SHA256 = {
-    "all-2000": "871207013ec4ba7b54dda56a4ac76691af5228a8d729082061890ef0cd904f9e",
-    "candidates-rmax-6e-7": "1e3e40eb4b82afce78b50d1dfc518536aebcb5d7dedd11235e5e0d2f426604cc",
+    "all-2000": "4d26946983e44b0042b94fa8783e3f5045c672f5487f202290879367ec3153fa",
+    "pairs-rmax-6e-7": "88908bcd8688d0ff17e8ce8c04e1e8373732e65163df39d5fbadc21ae8d08aef",
 }
 
 
@@ -672,8 +709,8 @@ REPORT_SHA256 = {
     "key, cfg",
     [
         ("all-2000", SuiteConfig(samples=2000, suites=all_suite_names())),
-        # the nine pair suites fail rows hard, and blocks draw every later candidate round
-        ("candidates-rmax-6e-7", SuiteConfig(rmax=6e-7, suites=tuple(CANDIDATE_WIDTHS))),
+        # most rows of the nine pair suites are excluded
+        ("pairs-rmax-6e-7", SuiteConfig(rmax=6e-7, suites=(*PAIR_COLUMNS, "o21-totally-real"))),
     ],
 )
 def test_report_bytes_match_their_recorded_hash(tmp_path, key, cfg):
@@ -687,32 +724,20 @@ def test_report_bytes_match_their_recorded_hash(tmp_path, key, cfg):
 
 
 def _replay(doc, name, index):
-    """Recompute one row from the report alone: its stream keys, budgets and index.
+    """Recompute one row from the report alone: its stream key, budget and index.
 
-    The generators are built from the report's "rng" field, as any reader of the report could:
-    round 0 from the suite's stream, and candidate round k >= 1 from the stream stream_id | k.
-    Returns the row's residual, error and inputs, and the later rounds the kernel drew.
+    The generator is built from the report's "rng" field, as any reader of the report could.
+    Returns the row's residual, error and inputs, and whether it was excluded.
     """
     seed = doc["config"]["seed"]
     stream = doc["rng"]["suites"][name]
-
-    def row(stream_id, k):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
-        gen.bit_generator.advance(index * k)
-        return gen.random((1, k))
-
-    drawn = []
-
-    def later(k):
-        assert 0 < k < stream["rounds"]
-        drawn.append(k)
-        return row(stream["stream_id"] | k, stream["draws_per_round"])
-
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream["stream_id"]])))
+    gen.bit_generator.advance(index * stream["draws_per_sample"])
+    u = gen.random((1, stream["draws_per_sample"]))
     cfg = SuiteConfig(seed=seed, rmax=doc["config"]["rmax"])
-    u = row(stream["stream_id"], stream["draws_per_sample"])
-    residual, rows, inputs, _ = suites._evaluate(suites._BY_NAME[name], cfg, u, np.array([index]), later)
+    residual, rows, inputs, excluded = suites._evaluate(suites._BY_NAME[name], cfg, u, np.array([index]))
     error = None if rows.ok[0] else f"ValueError: {rows.message[0]}"  # as the report records a hard failure
-    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist(), drawn
+    return float(residual[0]), error, np.asarray(inputs[0], dtype=float).tolist(), bool(excluded[0])
 
 
 @pytest.mark.parametrize(
@@ -721,11 +746,17 @@ def _replay(doc, name, index):
         ("H-quadric", SuiteConfig(samples=10_000, tolerances={"H-quadric": 8e-16})),  # 27 relative defects reach it
         ("rho-invariance", SuiteConfig(samples=10_000, tolerances={"rho-invariance": 2.5e-16})),  # 14 reach it
         ("orbit-levels", SuiteConfig(samples=10_000, tolerances={"orbit-levels": 1.8e-15})),  # 27 reach it
-        ("orbit-levels", SuiteConfig(samples=2000, rmax=6e-7)),  # hard failures, near index 0
+        # 96% of the rows excluded; 30 of the scored ones reach it
+        ("orbit-levels", SuiteConfig(samples=100_000, rmax=6e-7, tolerances={"orbit-levels": 1.64e-15})),
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
         ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 5.2e-16})),  # 3,000 rows; 27 reach it
-        ("conjugation-so21", SuiteConfig(samples=1000, rmax=5.05e-7)),  # no row finds a pair EPS_DIAG apart
-        ("swap-is-minus-identity", SuiteConfig(samples=1000, rmax=5.05e-7)),  # records phi and the last candidate pair
+        # 3,000 rows, every pair within EPS_DIAG, but the matrix still judged: the failures record the crowded pairs
+        ("conjugation-so21", SuiteConfig(samples=300_000, rmax=5.05e-7, tolerances={"conjugation-so21": 6.4e-16})),
+        # 3,000 rows, 1,774 excluded; 30 reach it
+        (
+            "swap-is-minus-identity",
+            SuiteConfig(samples=300_000, rmax=1e-6, tolerances={"swap-is-minus-identity": 6.1e-16}),
+        ),
         # 3,000 rows; 30 relative defects reach 1e-14
         ("swap-is-minus-identity", SuiteConfig(samples=300_000, tolerances={"swap-is-minus-identity": 1e-14})),
         ("J-H-compat", SuiteConfig(samples=10_000, tolerances={"J-H-compat": 3.8e-16})),  # 23 reach it
@@ -736,26 +767,35 @@ def test_replaying_an_index_reproduces_its_recorded_failure(monkeypatch, name, c
     _, doc = verify_all(SuiteConfig(**{**cfg.__dict__, "suites": (name,)}))
     doc = json.loads(json.dumps(doc))  # as a reader of the report file sees it
     failures = doc["suites"][0]["failures"]
-    assert len(failures) == suites.MAX_FAILURES
-    if not doc["suites"][0]["hard_failures"]:
-        assert max(f["index"] for f in failures) >= suites.BLOCK  # a later block is replayed too
+    assert len(failures) == suites.MAX_FAILURES and doc["suites"][0]["hard_failures"] == 0
+    assert max(f["index"] for f in failures) >= suites.BLOCK  # a later block is replayed too
     for failure in failures:
-        residual, error, inputs, drawn = _replay(doc, name, failure["index"])
+        residual, error, inputs, excluded = _replay(doc, name, failure["index"])
         assert inputs == failure["inputs"]
-        assert inputs  # a hard failure records what its row drew
-        if "error" in failure:
-            assert error == failure["error"]
-        else:
-            assert error is None and residual == failure["residual"]
-        if "candidate" in failure.get("error", ""):  # a row without an admissible candidate drew every round
-            assert drawn == list(range(1, doc["rng"]["suites"][name]["rounds"]))
+        assert error is None and residual == failure["residual"]
+        assert excluded == (name == "conjugation-so21")  # its matrix is judged on a row excluded from the H relation
+
+
+def test_replaying_an_index_reproduces_its_recorded_hard_failure(monkeypatch):
+    """A hard failure replays to its error text and records what its row drew: levi-eta at the level 1e12."""
+    _levi_eta_at_a_huge_level(monkeypatch)
+    monkeypatch.setattr(suites, "BLOCK", 8)  # the ten failures lie among the first 22 of the 60 rows
+    _, doc = verify_all(SuiteConfig(samples=1000, suites=("levi-eta",)))
+    doc = json.loads(json.dumps(doc))
+    failures = doc["suites"][0]["failures"]
+    assert len(failures) == suites.MAX_FAILURES and max(f["index"] for f in failures) >= suites.BLOCK
+    for failure in failures:
+        residual, error, inputs, excluded = _replay(doc, "levi-eta", failure["index"])
+        assert inputs == failure["inputs"] and inputs  # a hard failure records what its row drew
+        assert error == failure["error"] == "ValueError: point too close to the diagonal for the affine chart"
+        assert math.isinf(residual) and not excluded
 
 
 @pytest.mark.parametrize(
     "cfg",
     [
         SuiteConfig(samples=3000),
-        SuiteConfig(samples=2000, rmax=6e-7),  # rows exhaust their candidate rounds and fail hard
+        SuiteConfig(samples=2000, rmax=6e-7),  # 96% of the rows excluded
     ],
 )
 def test_a_pair_family_member_alone_reports_what_it_reports_among_others(cfg):

@@ -27,7 +27,7 @@ def test_verify_subset_prints_report_and_passes(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["passed"] is True
     assert [s["suite"] for s in doc["suites"]] == ["alpha-roundtrip"]
     assert "[PASS] alpha-roundtrip" in err
@@ -151,27 +151,26 @@ def test_unreachable_eps_diag_is_rejected_not_looped():
     assert "nothing to sample" in proc.stderr
 
 
-def test_nearly_empty_config_finishes_with_counted_hard_failures():
+def test_nearly_empty_config_finishes_with_counted_exclusions():
+    # in the 6e-7 disc most pairs lie within EPS_DIAG = 1e-6 of the diagonal: those rows are excluded, not failed
     proc = _run(
         ["-m", "bidisc_lab.cli", "verify", "--rmax", "6e-7", "--suite", "H-quadric", "--samples", "300"]
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 0
     rep = json.loads(proc.stdout)["suites"][0]
-    assert 0 < rep["hard_failures"] < rep["samples"]
-    assert "candidate pairs" in rep["failures"][0]["error"]
+    assert rep["hard_failures"] == 0 and 0 < rep["excluded"] < rep["samples"]
 
 
-def test_conjugation_draws_in_a_nearly_empty_disc_end_with_counted_hard_failures():
-    # pairs EPS_DIAG = 1e-6 apart exist in a 5.05e-7 disc (|z - w| < 1.01e-6), but almost no draw finds one
+def test_conjugation_draws_in_a_nearly_empty_disc_end_with_counted_exclusions():
+    # pairs EPS_DIAG = 1e-6 apart exist in a 5.05e-7 disc (|z - w| < 1.01e-6), but almost no draw is one
     proc = _run(
         ["-m", "bidisc_lab.cli", "verify", "--rmax", "5.05e-7", "--suite", "swap-is-minus-identity",
          "--suite", "conjugation-so21", "--samples", "100"],
         timeout=10,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 0
     for rep in json.loads(proc.stdout)["suites"]:
-        assert rep["hard_failures"] == rep["samples"] == 1
-        assert "candidate pairs" in rep["failures"][0]["error"]
+        assert rep["excluded"] == rep["samples"] == 1 and rep["hard_failures"] == 0
 
 
 @pytest.mark.parametrize("samples", ["100000", "10000000"])

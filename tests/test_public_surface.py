@@ -41,16 +41,15 @@ def cli_calls(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
     assert {s.partition(":")[0] for s in DUMP_SPECS} == {r.cli for r in FAMILIES if r.cli is not None}
     argvs = [["verify", "--seed", "42", "--samples", "300", "--report", str(tmp_path / "report.json")]]
-    # a run whose report records hard failures: at rmax 6e-7 many rows find no pair EPS_DIAG = 1e-6 apart
-    failing = ["verify", "--suite", "H-quadric", "--rmax", "6e-7", "--samples", "50"]
-    argvs.append(failing + ["--report", str(tmp_path / "failing.json")])
+    # a refused dump, which reads the failed row's message: phi(a) rounds onto phi(0), so the pair is diagonal
+    argvs.append(["dump-orbit", "--spec", "Fa:1e-300", "--n", "50", "--out", str(tmp_path / "refused.csv")])
     argvs += [
         ["dump-orbit", "--spec", spec, "--n", "50", "--seed", "42", "--out", str(tmp_path / f"{k}.csv")]
         for k, spec in enumerate(DUMP_SPECS)
     ]
     argvs += [["map", "--which", which, "--point", point] for which, point in MAP_CALLS]
     codes, seen = _run_profiled(argvs)
-    assert codes == [0, 1] + [0] * (len(argvs) - 2)
+    assert codes == [0, 2] + [0] * (len(argvs) - 2)
     return seen
 
 

@@ -162,6 +162,13 @@ def test_a_pair_suite_rejects_a_disc_without_a_pair_off_the_chart_guard(name):
         validate_config(SuiteConfig(rmax=4e-7, suites=(name,)))
 
 
+def test_only_the_pair_suites_refuse_a_disc_without_a_pair_off_the_chart_guard():
+    """The other thirteen draw no pair: a 4e-7 disc is a valid configuration for them."""
+    others = tuple(name for name in all_suite_names() if name not in PAIR_SUITES)
+    assert len(others) == 13
+    validate_config(SuiteConfig(rmax=4e-7, suites=others))
+
+
 @pytest.mark.parametrize("rmax", [0.03, 0.01])
 def test_pairs_of_a_small_disc_are_judged_at_every_rho(rmax):
     """A pair of a small disc has a small rho, and the relative residual scales judge it: no row fails hard."""
@@ -212,7 +219,7 @@ def test_verify_all_writes_the_report(tmp_path):
     code, doc = verify_all(cfg, report_path=str(path))
     assert code == 0
     on_disk = json.loads(path.read_text())
-    assert on_disk["schema"] == 3
+    assert on_disk["schema"] == 4
     assert on_disk["passed"] is True
     assert [s["suite"] for s in on_disk["suites"]] == ["gt-sphere", "alpha-roundtrip"]
     # wall times aside, the in-memory document is what was serialized
