@@ -18,32 +18,38 @@ a caller uses on a point, passing rows as ``errors``.  The report's
 "rng" field gives each suite's stream_id and k: any sample replays from
 the report alone (``_evaluate``).
 
-Nine suites take a pair (z, w) of the rmax disc from 4 of their
-uniforms and judge it through h = map_H(z, w), whose chart stops at
-|z - w| >= EPS_DIAG.  Each belongs to a ``_Family``, which draws the
-pair and h once per block (``_Family.share``): a row whose pair lies
-within EPS_DIAG of the diagonal is excluded, not redrawn.  It scores 0
-and the report counts it, and map_H and the member's checks take the
-pair (1/2, -1/2) in its place, so that none fires on it; its recorded
-inputs stay the pair it drew.  At the default rmax no row is excluded;
-at small rmax the count shows how much of the sample was not checked.
-A disc whose pairs all lie within EPS_DIAG (rmax <= EPS_DIAG / 2) is
-refused by ``validate_config``.  ``o21-totally-real`` takes, on its
-rows i % 3 == 0, the real matrix 2 U - 1 of its 4 uniforms, singular
-under the rank rule with a chance below 2e-15.
+Eleven suites belong to a ``_Family``, which draws a pair (z, w) of
+the rmax disc from 4 of their uniforms once per block
+(``_Family.share``); ``aut-preserves-subdomains`` draws its pair
+itself and needs no chart.  Nine of the eleven judge the pair through
+h = map_H(z, w), whose chart stops at |z - w| >= EPS_DIAG: for those a
+row whose pair lies within EPS_DIAG of the diagonal is excluded, not
+redrawn.  It scores 0 and the report counts it, and map_H and the
+member's checks take the pair (1/2, -1/2) in its place, so that none
+fires on it; its recorded inputs stay the pair it drew.  At the
+default rmax no row is excluded; at small rmax the count shows how
+much of the sample was not checked.  A disc whose pairs all lie within
+EPS_DIAG (rmax <= EPS_DIAG / 2) is refused by ``validate_config`` for
+these nine (``_Suite.reads_h``) only.  ``o21-totally-real`` takes, on
+its rows i % 3 == 0, the real matrix 2 U - 1 of its 4 uniforms,
+singular under the rank rule with a chance below 2e-15.
 
-Seven pair suites judge one object, h = map_H(z, w): ``H-quadric``,
-``H-im-condition``, ``H-sigma-negation``, ``H-roundtrip``,
-``orbit-levels``, ``preimage-formula`` and ``J-H-compat`` form the
-family ``_H_PAIRS``, each a residual of (z, w, h) (``_on_h``).  All
-draw from H-quadric's stream, 2 << 32, and per block the runner draws
-the selected members' pairs once and computes map_H once; each member
-flags its checks in its own copy of the draw's row flags, so every
-check fires on every member and none fails another's row.  The seven
-claims are thus judged on the same pairs, each on as many as before,
-and a member run alone draws the rows of the full run.  The two
-conjugation suites are families of one, each on its own stream, with
-its pair after phi's 3 uniforms.
+Nine pair suites judge one pair per row: ``rho-invariance``,
+``H-quadric``, ``H-im-condition``, ``H-sigma-negation``,
+``H-roundtrip``, ``orbit-levels``, ``preimage-formula``,
+``sym-equivariance`` and ``J-H-compat`` form the family ``_H_PAIRS``.
+All draw k = 7 uniforms per row from H-quadric's stream, 2 << 32: the
+pair, then phi's 3, which only rho-invariance reads.  Per block the
+runner draws the pair once for the selected members and, when one of
+them reads h, computes map_H once; the seven that read h are residuals
+of (z, w, h) (``_on_h``), each flagging its checks in its own copy of
+map_H's row flags, so every check fires on every member and none fails
+another's row.  ``rho-invariance`` and ``sym-equivariance`` judge the
+pair as drawn, exclude no row, and no check of map_H fails them.  The
+nine claims are thus judged on the same pairs, each on as many as
+before, and a member run alone draws the rows of the full run.  The two
+conjugation suites, which also read h, are families of one, each on its
+own stream, with its pair after phi's 3 uniforms.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
 (``orbits.orbit_points``), which also applies its checks.  One kernel
@@ -163,25 +169,25 @@ class SuiteConfig:
 @dataclass(frozen=True, eq=False)
 class _Family:
     """Pair suites judged on one draw from the stream of the suite ``stream``: a pair of the rmax disc from the 4
-    uniforms at ``column`` and its h = map_H(z, w), which the runner draws once per block (``share``)."""
+    uniforms at ``column`` and, when a member reads it, its h = map_H(z, w), drawn once per block (``share``)."""
 
     stream: str
     column: int
 
-    def share(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors) -> tuple:
-        """(z, w, h, excluded, inputs) of a block: the pair the checks take, h, the excluded rows, the drawn pairs.
+    def share(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool) -> tuple:
+        """(z, w, h, excluded, inputs, drawn) of a block: the pair h takes, h, the excluded rows, the drawn pairs.
 
         A row whose drawn pair lies within EPS_DIAG of the diagonal, where
         map_H's chart stops, is excluded: the pair (1/2, -1/2) stands in for
-        it, so that no check fires on it, and its inputs record the pair it
-        drew, as (n, 4) columns.
+        it, so that no check of h fires on it.  h is computed, its checks
+        flagged in rows, only when asked (else None).  inputs record the
+        drawn pairs as (n, 4) columns, and drawn is that pair (z, w).
         """
-        z, w = _disc_pair(u[:, self.column : self.column + 4], cfg.rmax)
-        inputs = _columns(z, w)
+        drawn = z, w = _disc_pair(u[:, self.column : self.column + 4], cfg.rmax)
         excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
         if excluded.any():
             z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
-        return z, w, map_H(z, w, errors=rows), excluded, inputs
+        return z, w, map_H(z, w, errors=rows) if h else None, excluded, _columns(*drawn), drawn
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,8 @@ class _Suite:
     (None for a suite without one); it flags the rows that fail a check
     in the block's ``RowErrors`` rows.  A kernel that leaves rows
     unscored returns ``(residual, inputs, excluded)``, with excluded a
-    mask of those rows.  The suites with a family are the pair suites.
+    mask of those rows.  The suites with a family draw a pair; those
+    that read h = map_H(z, w) (``reads_h``) judge it off the diagonal.
     """
 
     name: str
@@ -204,6 +211,7 @@ class _Suite:
     fn: Callable
     draws: int
     family: _Family | None = None
+    reads_h: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +236,33 @@ def _rim_scale(*points) -> np.ndarray:
     return 1.0 - functools.reduce(np.maximum, map(_abs2, points))
 
 
-def _k_rho_invariance(cfg, u, idx, rows, drawn):
-    # uniforms: the pair (4), phi (3)
-    z, w = _disc_pair(u, cfg.rmax)
+# the pair family: nine claims on one pair of the rmax disc, seven of them on its h = map_H(z, w)
+_H_PAIRS = _Family("H-quadric", 0)
+_H_PAIRS_DRAWS = 7  # the pair (4), then phi (3), which only rho-invariance reads
+
+
+def _k_rho_invariance(cfg, u, idx, rows, share):
+    # the pair as drawn, with no row excluded, and phi
+    *_, inputs, (z, w) = share
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
     res = np.abs(pseudo_hyperbolic(z2, w2, errors=rows) - pseudo_hyperbolic(z, w, errors=rows))
-    return res * _rim_scale(z, w, z2, w2), _columns(z, w, phi.theta, phi.a)
-
-
-# the pair family: seven claims on one pair off the diagonal and its h = map_H(z, w)
-_H_PAIRS = _Family("H-quadric", 0)
+    return res * _rim_scale(z, w, z2, w2), np.column_stack((inputs, _columns(phi.theta, phi.a)))
 
 
 def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite:
-    """A member of the pair family, scored by residual(idx, rows, z, w, h): each row's residual, or
+    """A member of the pair family that reads h, scored by residual(idx, rows, z, w, h): each row's residual, or
     (residual, excluded, *columns) for a claim that leaves rows unscored and records columns after the pair."""
 
     def _k_on_h(cfg, u, idx, rows, share):
-        z, w, h, excluded, inputs = share
+        z, w, h, excluded, inputs, _ = share
         out = residual(idx, rows, z, w, h)
         if not isinstance(out, np.ndarray):
             out, unscored, *columns = out
             excluded, inputs = excluded | unscored, np.column_stack((inputs, *columns))
         return np.where(excluded, 0.0, out), inputs, excluded
 
-    return _Suite(name, claim, 1.0, tolerance, _k_on_h, 4, _H_PAIRS)
+    return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, _H_PAIRS, reads_h=True)
 
 
 def _h_scale(h) -> np.ndarray:
@@ -294,11 +303,11 @@ def _j_h_compat(idx, rows, z, w, h):
     return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0))
 
 
-def _k_sym_equivariance(cfg, u, idx, rows, drawn):
-    # exact claim: sym works on real and imaginary parts, whose products commute
-    z, w = _disc_pair(u, cfg.rmax)
+def _k_sym_equivariance(cfg, u, idx, rows, share):
+    # exact claim: sym works on real and imaginary parts, whose products commute; the pair as drawn
+    *_, inputs, (z, w) = share
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
-    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), _columns(z, w)
+    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), inputs
 
 
 def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
@@ -345,7 +354,7 @@ def _conjugated(cfg, u, share, rows, swap: bool):
     and scores 0 for it; an image off the disc, or not finite, fails it.
     """
     # uniforms: phi (3), the pair (4)
-    z, w, h, excluded, inputs = share
+    z, w, h, excluded, inputs, _ = share
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     A = so21_image(phi)
     image = mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows)
@@ -456,7 +465,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-13,
         _k_rho_invariance,
-        draws=7,
+        draws=_H_PAIRS_DRAWS,
+        family=_H_PAIRS,
     ),
     _on_h(
         "H-quadric",
@@ -499,6 +509,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + 4,
         family=_Family("conjugation-so21", MOBIUS_DRAWS),
+        reads_h=True,
     ),
     _Suite(
         "swap-is-minus-identity",
@@ -508,6 +519,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         _k_swap_minus_identity,
         draws=MOBIUS_DRAWS + 4,
         family=_Family("swap-is-minus-identity", MOBIUS_DRAWS),
+        reads_h=True,
     ),
     _Suite(
         "aut-preserves-subdomains",
@@ -598,7 +610,8 @@ _REGISTRY: tuple[_Suite, ...] = (
         1.0,
         1e-15,
         _k_sym_equivariance,
-        draws=4,
+        draws=_H_PAIRS_DRAWS,
+        family=_H_PAIRS,
     ),
     _on_h("J-H-compat", "map_J agrees projectively with (1 : map_H), both scaled by z - w", 1e-12, _j_h_compat),
     _Suite(
@@ -650,7 +663,7 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"tolerance override for a suite that is not selected: {', '.join(unused)}")
     if EPS_DIAG >= 2.0 * cfg.rmax:
         for name in cfg.suites:
-            if _BY_NAME[name].family is not None:
+            if _BY_NAME[name].reads_h:
                 raise ConfigError(
                     f"suite {name!r} has nothing to sample: pairs need |z - w| >= {EPS_DIAG:g}, "
                     f"but no two points of the rmax = {cfg.rmax!r} disc are that far apart"
@@ -682,18 +695,24 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray):
     ``excluded[r]`` is True when the kernel left row r unscored (residual 0).
     """
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        return _judge(suite, cfg, u, idx, *_draw(suite, cfg, u))
+        return _judge(suite, cfg, u, idx, *_draw([suite], cfg, u))
 
 
-def _draw(suite: _Suite, cfg: SuiteConfig, u: np.ndarray):
-    """The block's row flags, and what the suite's family shares of its draw (None for a suite without one)."""
+def _draw(group: list[_Suite], cfg: SuiteConfig, u: np.ndarray):
+    """The flags of h's checks on the block's rows, and what the group's family shares of the draw (None for a
+    suite without one); the family computes h only when a suite of the group reads it."""
     rows = RowErrors(len(u))
-    return rows, None if suite.family is None else suite.family.share(cfg, u, rows)
+    family = group[0].family
+    return rows, None if family is None else family.share(cfg, u, rows, any(s.reads_h for s in group))
 
 
 def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
-    """The suite's (residual, rows, inputs, excluded) on a drawn block, its checks flagged in a copy of rows."""
-    rows = copy.deepcopy(rows)  # so that no member of a family fails another's row
+    """The suite's (residual, rows, inputs, excluded) on a drawn block, its checks flagged in its own row flags.
+
+    A suite that reads h starts from a copy of h's flags, so that no member
+    of a family fails another's row, and one that does not from none.
+    """
+    rows = copy.deepcopy(rows) if suite.reads_h else RowErrors(len(u))
     out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
     excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
@@ -713,6 +732,8 @@ def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
         entry["hard_failures"] += ok.size - int(np.count_nonzero(ok))
         excluded = excluded & ok
     entry["excluded"] += int(np.count_nonzero(excluded))
+    if excluded.any():  # an excluded row's forced 0 is no score; conjugation-so21 still scores its matrix there
+        scored = residual[ok & ~(excluded & (residual == 0.0))]
     if scored.size:  # a residual that is not finite failed its row hard
         entry["max_residual"] = max(entry["max_residual"] or 0.0, float(np.fmax.reduce(scored)))
     flagged = np.flatnonzero(~(residual < entry["tolerance"]))  # a hard failure's residual is inf
@@ -748,7 +769,7 @@ def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
         for lo in range(0, count, BLOCK):
             start = time.perf_counter()
             u, idx = _rows(group[0], cfg, lo, min(lo + BLOCK, count))
-            rows, drawn = _draw(group[0], cfg, u)
+            rows, drawn = _draw(group, cfg, u)
             share = (time.perf_counter() - start) / len(group)
             for suite, entry in zip(group, entries):
                 start = time.perf_counter()

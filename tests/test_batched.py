@@ -59,6 +59,9 @@ PAIR_SUITES = (
     "preimage-formula",
     "J-H-compat",
 )
+# the pair-family members that read no h: they judge the pair as drawn and exclude no row
+PAIR_ONLY = ("rho-invariance", "sym-equivariance")
+FAMILY = (*PAIR_SUITES, *PAIR_ONLY)  # the nine that share H-quadric's pair draw
 CONJUGATION = ("conjugation-so21", "swap-is-minus-identity")
 # the suites that draw a pair off the diagonal, with the column of their pair among their uniforms
 PAIR_COLUMNS = {**dict.fromkeys(PAIR_SUITES, 0), **dict.fromkeys(CONJUGATION, 3)}
@@ -100,15 +103,15 @@ def test_the_report_gives_every_suite_an_integer_draw_budget():
 def test_no_two_streams_share_an_id():
     """Every draw's stream and the dumps' 0.
 
-    A draw is a suite's own or, for the seven pair-family members, their family's, on H-quadric's stream 2 << 32.
+    A draw is a suite's own or, for the nine pair-family members, their family's, on H-quadric's stream 2 << 32.
     """
     draws = {}  # one suite per draw
     for suite in suites._REGISTRY:
         draws.setdefault(suite.family or suite.name, suite)
-    assert len(draws) == len(all_suite_names()) - len(PAIR_SUITES) + 1 == 16
-    assert {suites._stream_id(name) for name in PAIR_SUITES} == {suites._stream_id("H-quadric")} == {2 << 32}
+    assert len(draws) == len(all_suite_names()) - len(FAMILY) + 1 == 14
+    assert {suites._stream_id(name) for name in FAMILY} == {suites._stream_id("H-quadric")} == {2 << 32}
     ids = [0] + [suites._stream_id(suite.name) for suite in draws.values()]
-    assert len(set(ids)) == len(ids) == 17
+    assert len(set(ids)) == len(ids) == 15
 
 
 @pytest.mark.parametrize("rmax", [rng.DEFAULT_RMAX, 6e-7])
@@ -116,8 +119,9 @@ def test_each_block_draws_its_suites_stream_once(monkeypatch, rmax):
     """Per block, uniform_block is called once, on the suite's own stream with its own width, and on no other.
 
     So a row whose pair is excluded is not redrawn, in a small disc as at
-    the defaults.  A run of the seven pair-family suites draws the
-    family's stream once per block, as a run of one of them does.
+    the defaults.  A run of the pair family's members draws the
+    family's stream once per block, as a run of one of them does, and the
+    two that read no h exclude no row.
     """
     calls = []
     real = rng.uniform_block
@@ -128,7 +132,7 @@ def test_each_block_draws_its_suites_stream_once(monkeypatch, rmax):
 
     monkeypatch.setattr(rng, "uniform_block", counting)
     monkeypatch.setattr(suites, "uniform_block", counting)
-    runs = [PAIR_SUITES] + [(name,) for name in (*PAIR_COLUMNS, "o21-totally-real")]
+    runs = [PAIR_SUITES, FAMILY] + [(name,) for name in (*PAIR_COLUMNS, *PAIR_ONLY, "o21-totally-real")]
     for names in runs:
         calls.clear()
         _, doc = verify_all(SuiteConfig(rmax=rmax, suites=names))
@@ -141,7 +145,8 @@ def test_each_block_draws_its_suites_stream_once(monkeypatch, rmax):
 
 
 def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
-    """A run of the pair family calls map_H(z, w) once per block for all its members.
+    """A run of the pair family calls map_H(z, w) once per block for all its members, and not at all for a run
+    of the two that read no h.
 
     H-sigma-negation's swapped call map_H(w, z) is its own claim; map_H_inv
     calls maps.map_H, which this count does not see.
@@ -155,12 +160,20 @@ def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
 
     monkeypatch.setattr(suites, "map_H", counting)
     cfg = SuiteConfig(samples=2 * suites.BLOCK + 5)  # three blocks
-    for names in (tuple(n for n in PAIR_SUITES if n != "H-sigma-negation"), ("J-H-compat",)):
+    runs = {
+        PAIR_ONLY: 0,
+        ("rho-invariance",): 0,
+        ("sym-equivariance",): 0,
+        ("J-H-compat",): 3,
+        ("sym-equivariance", "J-H-compat"): 3,
+        tuple(n for n in FAMILY if n != "H-sigma-negation"): 3,
+    }
+    for names, count in runs.items():
         calls.clear()
         verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names}))
-        assert len(calls) == 3, names
+        assert len(calls) == count, names
     calls.clear()
-    verify_all(SuiteConfig(**{**cfg.__dict__, "suites": PAIR_SUITES}))
+    verify_all(SuiteConfig(**{**cfg.__dict__, "suites": FAMILY}))
     assert len(calls) == 6
     for (z, w), (w2, z2) in zip(calls[0::2], calls[1::2]):  # each block: the family's h, then the swap's
         np.testing.assert_array_equal(z2, z)
@@ -195,8 +208,8 @@ def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
     assert doc["passed"]
     for text in ("Fa:0.8", "Eta:2.125", "Ellipsoid:0.5", "RealSlice", "ComplexCurve"):
         orbits.dump_orbit(orbits.parse_orbit_spec(text), 50, str(tmp_path / "orbit.csv"))
-    # one block per draw at these sizes (16: the seven pair-family suites share one) and per dump
-    assert len(built) == 16 + 5
+    # one block per draw at these sizes (14: the nine pair-family suites share one) and per dump
+    assert len(built) == 14 + 5
     with pytest.raises(AssertionError):
         np.random.default_rng(0)
 
@@ -591,6 +604,29 @@ def test_a_pair_within_eps_diag_is_excluded_not_redrawn(name, rmax):
         assert not residual[crowded].any()
 
 
+def test_a_suite_that_scored_no_row_reports_no_max_residual():
+    """At rmax 5.05e-7 both conjugation suites exclude every one of their 1,000 rows.
+
+    swap-is-minus-identity scores none of them, so it reports no
+    max_residual (it read 0.0, the kernel's forced zeros, as if checked);
+    conjugation-so21 still judges its matrix on each, so those count.
+    """
+    _, doc = verify_all(SuiteConfig(samples=100_000, rmax=5.05e-7, suites=CONJUGATION))
+    conjugation, swap = doc["suites"]
+    assert conjugation["excluded"] == swap["excluded"] == 1000
+    assert conjugation["hard_failures"] == swap["hard_failures"] == 0
+    assert swap["max_residual"] is None
+    assert 0.0 < conjugation["max_residual"] < 1e-15
+
+
+def test_the_pair_family_members_that_read_no_h_run_where_no_pair_clears_the_chart_guard():
+    """No two points of the 4e-7 disc are EPS_DIAG apart, but rho-invariance and sym-equivariance judge the pairs
+    as drawn: both run, pass and exclude nothing."""
+    code, doc = verify_all(SuiteConfig(samples=5000, rmax=4e-7, suites=PAIR_ONLY))
+    assert code == 0
+    assert [(e["samples"], e["excluded"], e["hard_failures"]) for e in doc["suites"]] == [(5000, 0, 0)] * 2
+
+
 @pytest.mark.parametrize("name", ["conjugation-so21", "swap-is-minus-identity"])
 def test_a_conjugated_image_off_the_disc_is_a_hard_failure(monkeypatch, name):
     """Only the chart guard excuses a row: an image that is NaN, or crowded but outside the disc, fails hard."""
@@ -698,10 +734,12 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 # the seven pair-family suites came to share H-quadric's stream, which moved the "rng" entries of the six others
 # and their rows (H-quadric's entry and the 15 other suites' kept their bytes); both re-recorded when a pair within
 # EPS_DIAG came to be excluded instead of redrawn, which left "all-2000"'s suite entries as they were and took the
-# candidate rounds out of its "rng" field (schema 4), and turned "pairs-rmax-6e-7"'s hard failures into exclusions
+# candidate rounds out of its "rng" field (schema 4), and turned "pairs-rmax-6e-7"'s hard failures into exclusions;
+# both re-recorded when rho-invariance and sym-equivariance joined the pair family, which moved its members'
+# "rng" entries and rows (the family draws k = 7 uniforms per row, was 4; the 13 other suites kept their bytes)
 REPORT_SHA256 = {
-    "all-2000": "4d26946983e44b0042b94fa8783e3f5045c672f5487f202290879367ec3153fa",
-    "pairs-rmax-6e-7": "88908bcd8688d0ff17e8ce8c04e1e8373732e65163df39d5fbadc21ae8d08aef",
+    "all-2000": "21d54941cbcfb1ab6c7b1e87cc1cc7511e7a4550ab9431e51dfe8ace8499c801",
+    "pairs-rmax-6e-7": "34a5ea0686009a7b0fec85790cf242aca4877763c5c48f16b54880e629a82172",
 }
 
 
@@ -709,7 +747,7 @@ REPORT_SHA256 = {
     "key, cfg",
     [
         ("all-2000", SuiteConfig(samples=2000, suites=all_suite_names())),
-        # most rows of the nine pair suites are excluded
+        # most rows of the nine suites that read h = map_H(z, w) are excluded
         ("pairs-rmax-6e-7", SuiteConfig(rmax=6e-7, suites=(*PAIR_COLUMNS, "o21-totally-real"))),
     ],
 )
@@ -799,35 +837,50 @@ def test_replaying_an_index_reproduces_its_recorded_hard_failure(monkeypatch):
     ],
 )
 def test_a_pair_family_member_alone_reports_what_it_reports_among_others(cfg):
-    """Each of the seven gives the same entry, wall time aside, alone, with the other six, and among all 22.
+    """Each of the nine gives the same entry, wall time aside, alone, with the other eight, and among all 22.
 
     Each run holds the member to the tolerance 1e-22, so that a member
     whose residuals are not all 0 records the inputs of its failing rows.
     """
-    for name in PAIR_SUITES:
+    for name in FAMILY:
         entries = []
-        for names in ((name,), PAIR_SUITES, all_suite_names()):
+        for names in ((name,), FAMILY, all_suite_names()):
             _, doc = verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names, "tolerances": {name: 1e-22}}))
             (entry,) = [e for e in doc["suites"] if e["suite"] == name]
             entry.pop("wall_time_s")
             entries.append(entry)
         assert entries[0] == entries[1] == entries[2], name
-        assert entries[0]["failures"] or name in ("H-im-condition", "H-sigma-negation", "preimage-formula"), name
+        exact = ("H-im-condition", "H-sigma-negation", "preimage-formula", "sym-equivariance")
+        assert entries[0]["failures"] or name in exact, name
+
+
+def _failing_every_third_row(real, text):
+    def failing(*args, errors):
+        out = real(*args, errors=errors)
+        errors.flag(np.arange(len(errors.ok)) % 3 == 0, text)
+        return out
+
+    return failing
 
 
 def test_a_member_check_fails_only_that_member(monkeypatch):
-    """Each pair-family member flags its checks in its own copy of the draw's row flags: none fails another's row."""
-    real = suites.map_H_inv
+    """Each pair-family member flags its checks in its own row flags: none fails another's row.
 
-    def failing(*h, errors):
-        out = real(*h, errors=errors)
-        errors.flag(np.arange(len(errors.ok)) % 3 == 0, "a check of H-roundtrip's own")
-        return out
-
-    monkeypatch.setattr(suites, "map_H_inv", failing)
-    _, doc = verify_all(SuiteConfig(samples=300, suites=PAIR_SUITES))
+    A check of one member's own fails only that member; a check of the
+    shared map_H(z, w) fails the seven members that read h, and neither
+    rho-invariance nor sym-equivariance, which judge the pair as drawn.
+    """
+    cfg = SuiteConfig(samples=300, suites=FAMILY)
+    monkeypatch.setattr(suites, "map_H_inv", _failing_every_third_row(suites.map_H_inv, "a check of H-roundtrip's"))
+    _, doc = verify_all(cfg)
     assert {e["suite"]: e["hard_failures"] for e in doc["suites"]} == {
-        name: 100 if name == "H-roundtrip" else 0 for name in PAIR_SUITES
+        name: 100 if name == "H-roundtrip" else 0 for name in FAMILY
+    }
+    monkeypatch.undo()
+    monkeypatch.setattr(suites, "map_H", _failing_every_third_row(suites.map_H, "a check of map_H's"))
+    _, doc = verify_all(cfg)
+    assert {e["suite"]: e["hard_failures"] for e in doc["suites"]} == {
+        name: 0 if name in PAIR_ONLY else 100 for name in FAMILY
     }
 
 
