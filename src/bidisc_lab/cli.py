@@ -88,8 +88,12 @@ def _cmd_dump_orbit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt(vals) -> str:
-    return ",".join(f"{x:.17g}" for x in vals)
+# --which: the map, the number of reals in --point, and what the point is
+_MAPS = {
+    "J": (map_J, 4, '"re,im,re,im" (one bidisc pair)'),
+    "H": (map_H, 4, '"re,im,re,im" (one bidisc pair)'),
+    "Hinv": (map_H_inv, 6, '"re,im,re,im,re,im" (one affine triple)'),
+}
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -97,22 +101,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
         vals = [float(tok) for tok in args.point.replace(" ", "").split(",")]
     except ValueError:
         raise ConfigError(f"--point must be comma-separated reals, got {args.point!r}") from None
-    if args.which in ("J", "H"):
-        if len(vals) != 4:
-            raise ConfigError('J and H take --point "re,im,re,im" (one bidisc pair)')
-        z, w = complex(vals[0], vals[1]), complex(vals[2], vals[3])
-        if args.which == "J":
-            out = [x for c in map_J(z, w) for x in (c.real, c.imag)]
-        else:
-            out = [x for c in map_H(z, w) for x in (c.real, c.imag)]
-    else:
-        if len(vals) != 6:
-            raise ConfigError('Hinv takes --point "re,im,re,im,re,im" (one affine triple)')
-        z, w = map_H_inv(
-            complex(vals[0], vals[1]), complex(vals[2], vals[3]), complex(vals[4], vals[5])
-        )
-        out = [z.real, z.imag, w.real, w.imag]
-    print(_fmt(out))
+    fn, n, what = _MAPS[args.which]
+    if len(vals) != n:
+        raise ConfigError(f"{args.which} takes --point {what}")
+    out = fn(*(complex(re, im) for re, im in zip(vals[::2], vals[1::2])))
+    print(",".join(f"{x:.17g}" for c in out for x in (c.real, c.imag)))
     return 0
 
 
@@ -147,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_dump_orbit)
 
     m = sub.add_parser("map", help="evaluate one of the explicit maps at a point")
-    m.add_argument("--which", required=True, choices=("J", "H", "Hinv"))
+    m.add_argument("--which", required=True, choices=_MAPS)
     m.add_argument("--point", required=True, metavar='"re,im,..."')
     m.set_defaults(func=_cmd_map)
     return parser

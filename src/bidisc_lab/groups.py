@@ -152,26 +152,31 @@ def so21_image(phi: MobiusMap) -> np.ndarray:
 def o21_point_matrix(z, w, *, errors: RowErrors | None = None) -> np.ndarray:
     """O(2,1) matrix carrying the origin of the real ball slice to (z, w); a stack for arrays.
 
-    For a real pair with 0 < z^2 + w^2 < 1, with
-    alpha = 1/sqrt(z^2+w^2), gamma = 1/sqrt(1-z^2-w^2) and
-    k = alpha*gamma, the matrix
+    For a real pair with 0 < r = hypot(z, w) < 1, with the unit vector
+    (x, y) = (z, w) / r and gamma = 1/sqrt((1 - r)(1 + r)), the matrix
 
-        [ -alpha w   k z   gamma z ]
-        [  alpha z   k w   gamma w ]
-        [  0        k(z^2+w^2)  gamma ]
+        [ -y   gamma x   gamma z ]
+        [  x   gamma y   gamma w ]
+        [  0   gamma r   gamma   ]
 
     satisfies B^T I21 B = I21 and B.(0,0) = (z, w) under the
-    fractional-linear ball action.
+    fractional-linear ball action.  Built from the unit vector, its
+    entries keep their digits on a tiny disc, where z^2 + w^2 would go
+    subnormal.
     """
     if np.iscomplexobj(z) or np.iscomplexobj(w):
         raise ValueError("z, w must be real")
     (z, w), rows, single = _batch(errors, z, w, dtype=float)
-    s = z * z + w * w
-    rows.flag(s == 0.0, "(z, w) must differ from the origin")
-    rows.flag(s >= 1.0, "(z, w) must lie in the open unit ball")
-    alpha, gamma, k = 1.0 / np.sqrt(s), 1.0 / np.sqrt(1.0 - s), 1.0 / np.sqrt(s * (1.0 - s))
     B = np.zeros((len(z), 3, 3))
-    B[:, 0] = np.column_stack([-alpha * w, k * z, gamma * z])
-    B[:, 1] = np.column_stack([alpha * z, k * w, gamma * w])
-    B[:, 2, 1], B[:, 2, 2] = k * s, gamma
+    with np.errstate(all="ignore"):  # the rows that the checks flag may carry any value
+        # scaled by 2^600, exactly: (x, y) keep their digits where r is subnormal
+        zs, ws = z * 2.0**600, w * 2.0**600
+        rs = np.hypot(zs, ws)
+        r = rs * 2.0**-600
+        rows.flag(r == 0.0, "(z, w) must differ from the origin")
+        rows.flag(r >= 1.0, "(z, w) must lie in the open unit ball")
+        x, y, gamma = zs / rs, ws / rs, 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
+        B[:, 0] = np.column_stack([-y, gamma * x, gamma * z])
+        B[:, 1] = np.column_stack([x, gamma * y, gamma * w])
+        B[:, 2, 1], B[:, 2, 2] = gamma * r, gamma
     return _unbatch(B, single)

@@ -17,10 +17,10 @@ H is odd under the coordinate swap: H(w, z) = -H(z, w).  Through H, a
 diagonal automorphism acts linearly, by ``groups.so21_image``, and the
 swap by -I.
 
-The inverse of H is algebraic: with d = 2 / (h1 - i h2) and
-s = i h3 d one has z - w = d and z + w = s, hence {z, w} are the roots
-(s +- d) / 2 of X^2 - s X + (zw).  The ordering is fixed by a
-reproduction test, which doubles as the domain check.
+The inverse of H is algebraic: z - w = 2 / (h1 - i h2) fixes the
+ordering, and z + w = i h3 (z - w), so (z, w) is the half sum and half
+difference of the two.  The reproduction test, that H(z, w) gives h
+back, is the domain check.
 
 Every map takes a point or a batch of rows (see ``rng``) and checks each
 row.
@@ -103,31 +103,26 @@ def map_H(z, w, *, errors: RowErrors | None = None):
 def map_H_inv(h1, h2, h3, *, errors: RowErrors | None = None):
     """Invert the affine quadric embedding.
 
-    A row fails if its input does not reproduce under the forward map
-    in either ordering of the recovered pair (it then lies off the
-    image, e.g. off the quadric or with roots on the unit circle).  One
-    forward map serves both orderings: map_H(w, z) is -map_H(z, w) bit
-    for bit and fails the same checks, so the swapped ordering
-    reproduces h where map_H(z, w) + h is small.
+    z - w = 2 / (h1 - i h2) fixes the ordering; the reproduction test is
+    the domain check: a row fails if map_H(z, w) does not give h back (h
+    then lies off the image, e.g. off the quadric or with roots on the
+    unit circle).
     """
     (h1, h2, h3), rows, single = _batch(errors, h1, h2, h3)
-    den = h1 - 1j * h2
-    scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
-    rows.flag(np.abs(den) < 1e-12 * scale, "h1 - i h2 vanishes; the pair difference is not recoverable")
-    d = 2.0 / den  # z - w
-    s = 1j * h3 * d  # z + w
-    z, w = 0.5 * (s + d), 0.5 * (s - d)
-    trial = RowErrors(len(z))
-    back = map_H(z, w, errors=trial)
-
-    def reproduces(e1, e2, e3):  # whether the forward map's defect e stays within tolerance
-        err = np.maximum(np.maximum(np.abs(e1), np.abs(e2)), np.abs(e3))
-        return trial.ok & (err <= _ROUNDTRIP_TOL * scale)
-
-    first = reproduces(back[0] - h1, back[1] - h2, back[2] - h3)
-    swapped = reproduces(back[0] + h1, back[1] + h2, back[2] + h3)  # map_H(w, z) - h = -(back + h)
-    rows.flag(~(first | swapped), "input does not lie on the embedded bidisc within tolerance")
-    return _unbatch((np.where(first, z, w), np.where(first, w, z)), single)
+    rows.flag(~(np.isfinite(h1) & np.isfinite(h2) & np.isfinite(h3)), "h must have finite components")
+    trial = RowErrors(len(h1))
+    with np.errstate(all="ignore"):  # the rows that the checks flag may carry any value
+        den = h1 - 1j * h2
+        scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
+        rows.flag(np.abs(den) < 1e-12 * scale, "h1 - i h2 vanishes; the pair difference is not recoverable")
+        d = 2.0 / den  # z - w
+        s = 1j * h3 * d  # z + w
+        z, w = 0.5 * (s + d), 0.5 * (s - d)
+        back = map_H(z, w, errors=trial)
+        err = np.maximum(np.maximum(np.abs(back[0] - h1), np.abs(back[1] - h2)), np.abs(back[2] - h3))
+    off_image = ~(trial.ok & (err <= _ROUNDTRIP_TOL * scale))
+    rows.flag(off_image, "input does not lie on the embedded bidisc within tolerance")
+    return _unbatch((z, w), single)
 
 
 def scale_g_t(t, p, *, errors: RowErrors | None = None):

@@ -93,6 +93,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -643,8 +644,9 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
     if type(cfg.samples) is not int or cfg.samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
-    if not 0.0 < cfg.rmax < 1.0:
-        raise ConfigError(f"rmax must lie in (0, 1), got {cfg.rmax!r}")
+    # on a subnormal disc the drawn points keep too few digits, and some round onto the origin
+    if not sys.float_info.min <= cfg.rmax < 1.0:
+        raise ConfigError(f"rmax must lie in [{sys.float_info.min!r}, 1), got {cfg.rmax!r}")
     if type(cfg.workers) is not int or cfg.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {cfg.workers!r}")
     unknown = [s for s in cfg.suites if s not in _BY_NAME]

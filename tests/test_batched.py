@@ -269,14 +269,14 @@ def test_array_map_h_is_exactly_odd_and_array_sym_exactly_symmetric():
 
 
 def test_array_map_h_inv_flags_what_the_scalar_rejects():
-    h1 = np.array([1.25, 1.0, 1.0, 1.25 + 0j])
-    h2 = np.array([0.75, 0.0, -1j, 0.75j])
-    h3 = np.zeros(4, dtype=complex)
-    rows = RowErrors(4)
-    with np.errstate(all="ignore"):
-        map_H_inv(h1, h2, h3, errors=rows)
-    assert rows.ok.tolist() == [False, False, False, True]
-    for r in range(3):
+    """No numpy warning (an error under the test settings) escapes from the flagged rows."""
+    h1 = np.array([1.25, 1.0, 1.0, math.nan, 1e308, 1.25 + 0j])
+    h2 = np.array([0.75, 0.0, -1j, 0.0, 1e308, 0.75j])
+    h3 = np.array([0.0, 0.0, 0.0, 0.0, 1e308, 0.0], dtype=complex)
+    rows = RowErrors(6)
+    map_H_inv(h1, h2, h3, errors=rows)
+    assert rows.ok.tolist() == [False, False, False, False, False, True]
+    for r in range(5):
         with pytest.raises(ValueError) as info:
             map_H_inv(h1[r], h2[r], h3[r])
         assert rows.message[r] == str(info.value)
@@ -558,6 +558,18 @@ def test_o21_matrix_b_passes_near_the_rim():
     assert rep["max_residual"] < 1e-14
 
 
+@pytest.mark.parametrize("rmax", [1e-300, sys.float_info.min])
+def test_o21_matrix_b_passes_on_a_tiny_disc(rmax):
+    """B is built from the unit vector (z, w) / hypot(z, w), so its entries keep their digits near the origin.
+
+    Built from z^2 + w^2, which goes subnormal, rmax 1e-155 read 1.2e-10 and every row of rmax 1e-160 failed
+    the form check; at the smallest normal rmax the radius itself is subnormal.
+    """
+    rep = _report("o21-matrix-B", SuiteConfig(samples=100_000, rmax=rmax))  # 10,000 rows
+    assert rep["passed"] and rep["hard_failures"] == 0
+    assert rep["max_residual"] < 1e-14
+
+
 @pytest.mark.parametrize("name", ["rho-invariance", "su11-orbit-invariant"])
 def test_rim_invariants_are_judged_on_their_rounding_scale(name):
     """rho and |u| / sqrt(1 - |v|^2) round like 1 / (1 - m^2), m the largest modulus of the compared points.
@@ -736,9 +748,11 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 # EPS_DIAG came to be excluded instead of redrawn, which left "all-2000"'s suite entries as they were and took the
 # candidate rounds out of its "rng" field (schema 4), and turned "pairs-rmax-6e-7"'s hard failures into exclusions;
 # both re-recorded when rho-invariance and sym-equivariance joined the pair family, which moved its members'
-# "rng" entries and rows (the family draws k = 7 uniforms per row, was 4; the 13 other suites kept their bytes)
+# "rng" entries and rows (the family draws k = 7 uniforms per row, was 4; the 13 other suites kept their bytes);
+# "all-2000" re-recorded when o21_point_matrix came to be built from the unit vector (z, w) / hypot(z, w), which
+# moved only o21-matrix-B's max_residual
 REPORT_SHA256 = {
-    "all-2000": "21d54941cbcfb1ab6c7b1e87cc1cc7511e7a4550ab9431e51dfe8ace8499c801",
+    "all-2000": "d1dba5fbb20d4fa82b162df9e5cb868bd1f359db629e1ffaad0b7d1db3475f6f",
     "pairs-rmax-6e-7": "34a5ea0686009a7b0fec85790cf242aca4877763c5c48f16b54880e629a82172",
 }
 
@@ -787,7 +801,7 @@ def _replay(doc, name, index):
         # 96% of the rows excluded; 30 of the scored ones reach it
         ("orbit-levels", SuiteConfig(samples=100_000, rmax=6e-7, tolerances={"orbit-levels": 1.64e-15})),
         ("levi-sphere", SuiteConfig(samples=200_000, tolerances={"levi-sphere": 6.7e-16})),  # 4,000 rows; 8 reach 1024
-        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 5.2e-16})),  # 3,000 rows; 27 reach it
+        ("o21-matrix-B", SuiteConfig(samples=30_000, tolerances={"o21-matrix-B": 6.5e-16})),  # 3,000 rows; 12 reach it
         # 3,000 rows, every pair within EPS_DIAG, but the matrix still judged: the failures record the crowded pairs
         ("conjugation-so21", SuiteConfig(samples=300_000, rmax=5.05e-7, tolerances={"conjugation-so21": 6.4e-16})),
         # 3,000 rows, 1,774 excluded; 30 reach it

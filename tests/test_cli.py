@@ -237,6 +237,8 @@ def test_map_roundtrips_through_the_cli(capsys):
         ["map", "--which", "H", "--point", "0.5,zero,0.1,0"],
         ["map", "--which", "H", "--point", "0.3,0,0.3,0"],
         ["map", "--which", "H", "--point", "1.0,0,0.3,0"],
+        # a non-finite h, refused before any numpy warning (an error under the test settings) can escape
+        ["map", "--which", "Hinv", "--point", "nan,0,0,0,0,0"],
     ],
 )
 def test_map_input_errors_exit_two(argv, capsys):

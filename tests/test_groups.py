@@ -342,6 +342,19 @@ def test_point_matrix_rejects_degenerate_targets(z, w):
         o21_point_matrix(z, w)
 
 
+def test_point_matrix_flags_in_a_stack_what_the_point_rejects():
+    """No numpy warning (an error under the test settings) escapes from the flagged rows."""
+    z, w = np.array([0.0, 1.0, 0.8, 1e300, 0.6]), np.array([0.0, 0.0, 0.8, 0.0, 0.0])
+    rows = RowErrors(5)
+    B = o21_point_matrix(z, w, errors=rows)
+    assert rows.ok.tolist() == [False, False, False, False, True]
+    np.testing.assert_array_equal(B[4], o21_point_matrix(0.6, 0.0))
+    for r in range(4):
+        with pytest.raises(ValueError) as info:
+            o21_point_matrix(z[r], w[r])
+        assert rows.message[r] == str(info.value)
+
+
 def test_point_matrix_rejects_complex_input():
     with pytest.raises(ValueError):
         o21_point_matrix(0.3 + 0.1j, 0.2)

@@ -103,20 +103,39 @@ def test_map_h_is_odd_under_swap(z, w):
 # inversion
 
 
+# pairs just off map_H's chart guard, and pairs near the rim
+_EDGE_PAIRS = [
+    (c + 0.5 * d * e, c - 0.5 * d * e)
+    for c in (0.0, 0.3 - 0.4j, -0.9j)
+    for d in (1.0000001 * EPS_DIAG, 1e-5, 1e-3)
+    for e in (1.0, np.exp(2.1j))
+] + [
+    (r * np.exp(1j * a), r * np.exp(1j * (a + b)))
+    for r in (1.0 - 1e-8, 1.0 - 1e-3)  # the maps accept |z| < 1 - 1e-9
+    for a in (0.0, 2.5)
+    for b in (1e-3, 1.0, math.pi)
+]
+
+
 def test_map_h_inv_roundtrip_preserves_order():
-    for z, w in _offdiag_pairs(23, 200):
-        back = map_H_inv(*map_H(z, w))
-        assert back[0] == pytest.approx(z, abs=1e-12)
-        assert back[1] == pytest.approx(w, abs=1e-12)
+    """z - w = 2 / (h1 - i h2) fixes the ordering: H(z, w) inverts to (z, w), and -H(z, w) = H(w, z) to (w, z)."""
+    for z, w in _offdiag_pairs(23, 200) + _EDGE_PAIRS:
+        h = map_H(z, w)
+        for back, pair in ((map_H_inv(*h), (z, w)), (map_H_inv(*(-c for c in h)), (w, z))):
+            assert back[0] == pytest.approx(pair[0], abs=1e-12)
+            assert back[1] == pytest.approx(pair[1], abs=1e-12)
 
 
 def test_map_h_inv_rejects_off_image_input():
-    # not on the quadric
-    with pytest.raises(ValueError):
-        map_H_inv(1.25, 0.75, 0.0)
-    # on the quadric, but the recovered roots sit on the unit circle
-    with pytest.raises(ValueError):
-        map_H_inv(1.0, 0.0, 0.0)
+    for h in (
+        (1.25, 0.75, 0.0),  # not on the quadric
+        (1.0, 0.0, 0.0),  # on the quadric, but the recovered roots sit on the unit circle
+        # off the image, and no numpy warning (an error under the test settings) escapes on the way
+        (math.nan, 0.0, 0.0),
+        (1e308, 1e308, 1e308),
+    ):
+        with pytest.raises(ValueError):
+            map_H_inv(*h)
 
 
 def test_map_h_inv_rejects_vanishing_denominator():

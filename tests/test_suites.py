@@ -134,6 +134,9 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
         SuiteConfig(samples=True),
         SuiteConfig(workers=True),
         SuiteConfig(tolerances={"H-quadric": True}),
+        # a subnormal disc: its points keep too few digits, and some round onto the origin
+        SuiteConfig(rmax=1e-310),
+        SuiteConfig(rmax=5e-324),
     ],
 )
 def test_validate_config_rejects_bad_values(cfg):
