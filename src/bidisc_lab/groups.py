@@ -52,7 +52,7 @@ def u21_residual(A):
     """Frobenius norm of M = A* I21 A - I21 for a 3x3 matrix, real or complex: zero on U(2,1), which keeps the form.
 
     Entry by entry, from separately rounded float products added in a
-    fixed order (see maps._times), so a matrix reads the same alone as
+    fixed order (see rng._times), so a matrix reads the same alone as
     in any stack: the diagonal M_jj = |A_0j|^2 + |A_1j|^2 - |A_2j|^2 -
     I21_jj, and the Hermitian off-diagonal pairs through M_01, M_12 and
     M_20, each counted twice.

@@ -42,10 +42,9 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import _abs2
-from .maps import _times
 from .mobius import TOL_BOUNDARY
 from .orbits import Family
-from .rng import RowErrors, _collector, _row_max, _unbatch
+from .rng import RowErrors, _collector, _row_max, _times, _unbatch
 
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
@@ -147,7 +146,7 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     """Levi form evaluated on the unit complex tangent at an on-surface point.
 
     Re sum_jk H_jk v_j conj(v_k), the terms added in a fixed order, each
-    from separately rounded float products (see maps._times).
+    from separately rounded float products (see rng._times).
     """
     P, single, rows = _batch(f, p, errors)
     peak = _row_max(np.abs(P))

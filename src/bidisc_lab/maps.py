@@ -31,20 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from .mobius import _check_disc
-from .rng import RowErrors, _batch, _unbatch
+from .rng import RowErrors, _batch, _times, _unbatch
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
-
-
-def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of z w from separately rounded float products, so that w z == z w bit for bit.
-
-    numpy's complex multiply may use fused multiply-adds, and then z * w
-    and w * z differ in the last bits, which depend on the build rather
-    than on the formula.
-    """
-    return z.real * w.real - z.imag * w.imag, z.real * w.imag + z.imag * w.real
 
 
 def sym(z1, z2):
@@ -86,7 +76,7 @@ def map_H(z, w, *, errors: RowErrors | None = None):
     """Affine quadric embedding; needs |z - w| >= 1e-6 to stay well conditioned.
 
     Computed on real and imaginary parts: float products commute
-    exactly, so map_H(w, z) == -map_H(z, w) bit for bit (see _times).
+    exactly, so map_H(w, z) == -map_H(z, w) bit for bit (see rng._times).
     """
     (z, w), rows, single = _batch(errors, z, w)
     _check_pair(rows, z, w)

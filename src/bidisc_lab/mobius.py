@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import DEFAULT_RMAX, RowErrors, _batch, _unbatch, disc_from_uniforms
+from .rng import DEFAULT_RMAX, RowErrors, _batch, _times, _unbatch, disc_from_uniforms
 
 TOL_BOUNDARY = 1e-9
 
@@ -74,20 +74,16 @@ def mobius_apply_pair(m: MobiusMap, p, *, errors: RowErrors | None = None):
 def pseudo_hyperbolic(z, w, *, errors: RowErrors | None = None):
     """rho(z, w) = |z - w| / |1 - conj(z) w|, in [0, 1) on the bidisc.
 
-    numpy's complex multiply may use fused multiply-adds, and then
-    conj(z) w and conj(w) z are not exact conjugates; each row forms the
-    product in one order of the pair (lexicographic), so that
-    rho(w, z) == rho(z, w) bit for bit.
+    conj(z) w comes from separately rounded float products (see
+    rng._times): conj(w) z adds the same two products to its real part
+    and has the exact negative imaginary part, so rho(w, z) == rho(z, w)
+    bit for bit.
     """
     (z, w), rows, single = _batch(errors, z, w)
     _check_disc(rows, z, "z")
     _check_disc(rows, w, "w")
-    flip = z.real > w.real
-    tie = z.real == w.real
-    if tie.any():
-        flip |= tie & (z.imag > w.imag)
-    z, w = np.where(flip, w, z), np.where(flip, z, w)
-    return _unbatch(np.abs(z - w) / np.abs(1.0 - z.conjugate() * w), single)
+    re, im = _times(z.conjugate(), w)
+    return _unbatch(np.abs(z - w) / np.abs((1.0 - re) + 1j * im), single)
 
 
 MOBIUS_DRAWS = 3

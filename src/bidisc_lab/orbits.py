@@ -54,7 +54,7 @@ import numpy as np
 
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
-from .maps import _times, map_H
+from .maps import map_H
 from .mobius import mobius_apply, pseudo_hyperbolic, random_mobius
 from .rng import (
     DEFAULT_RMAX,
@@ -62,13 +62,14 @@ from .rng import (
     RowErrors,
     _collector,
     _row_max,
+    _times,
     disc_from_uniforms,
     polar,
     uniform_block,
 )
 
 BLOCK = 4096  # rows a dump samples and checks at a time, as suites.BLOCK
-CHUNK = 1024  # rows a dump formats at a time: 4096 would raise the traced peak of a 40,000-row Eta dump by 3.7 MB
+CHUNK = 1024  # rows a dump formats at a time: 4096 would raise the traced peak of a 40,000-row Eta dump by 3.0 MB
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def _complex_curve_sampler(u, _, rmax, errors):
 
 
 def _rho_value(P, a):
-    """|z1 - z2|^2 - a^2 |1 - conj(z1) z2|^2, the product from separately rounded floats (see maps._times)."""
+    """|z1 - z2|^2 - a^2 |1 - conj(z1) z2|^2, the product from separately rounded floats (see rng._times)."""
     re, im = _times(P[:, 0].conjugate(), P[:, 1])
     return _abs2(P[:, 0] - P[:, 1]) - a * a * ((1.0 - re) * (1.0 - re) + im * im)
 
@@ -462,7 +463,7 @@ def _scaled_digits(x):
     return i, lead, D, left
 
 
-def _format_rows(table: np.ndarray) -> bytes:
+def _format_rows(table: np.ndarray) -> bytearray:
     """The ASCII CSV bytes of the rows of a 2-d float table, byte-identical to formatting each value with "%.17g".
 
     Each value's 17 significant digits D = round-half-even(|x| 10^s),
@@ -477,7 +478,8 @@ def _format_rows(table: np.ndarray) -> bytes:
     x = table.ravel()
     i, lead, rest, left = _scaled_digits(x)
     kinds, heads, tails, digits, order, fill = _format_tables()[2:]
-    slots = np.empty((len(x), _SLOT), np.uint8)
+    buf = bytearray(len(x) * _SLOT)  # the slots view it, so its zero bytes are dropped without a copy of the slots
+    slots = np.frombuffer(buf, np.uint8).reshape(len(x), _SLOT)
     words, quads = slots.view(np.uint64), slots.view(np.uint32)
     # the head word by sign, kind, point and lead digit
     words[:, 0] = heads.take(20 * len(_PREFIXES) * np.signbit(x) + kinds.take(i) + 10 * (rest != 0) + lead)
@@ -504,7 +506,7 @@ def _format_rows(table: np.ndarray) -> bytes:
     if percent.size:
         slots[percent, :-1] = _words([(b"%.17g" % v).ljust(_SLOT - 1, b"\0") for v in x[percent].tolist()], np.uint8)
     slots.reshape(*table.shape, _SLOT)[:, -1, -1] = ord("\n")
-    return slots.tobytes().translate(None, b"\0")
+    return buf.translate(None, b"\0")
 
 
 def _checked_rows(spec: Family, columns: list[str], seed: int, lo: int, hi: int) -> np.ndarray:

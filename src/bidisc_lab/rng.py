@@ -165,6 +165,16 @@ def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np
     return rng.gen.random((hi - lo, draws))
 
 
+def _times(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of z w from separately rounded float products, so that w z == z w bit for bit.
+
+    numpy's complex multiply may use fused multiply-adds, and then z * w
+    and w * z differ in the last bits, which depend on the build rather
+    than on the formula.
+    """
+    return z.real * w.real - z.imag * w.imag, z.real * w.imag + z.imag * w.real
+
+
 def polar(r, angle: np.ndarray) -> np.ndarray:
     """r e^{i angle} elementwise, as r cos(angle) + i r sin(angle)."""
     z = np.empty(np.broadcast_shapes(np.shape(r), np.shape(angle)), dtype=complex)

@@ -260,7 +260,12 @@ def test_batches_agree_with_their_points():
 
 
 def test_array_map_h_is_exactly_odd_and_array_sym_exactly_symmetric():
+    """Random pairs, pairs with equal real parts and conjugate pairs (z, conj z), all off map_H's chart guard."""
     z, w = _points(3, 20_000)
+    z, w = np.concatenate([z, z, z]), np.concatenate([w, z.real + 1j * w.imag, z.conjugate()])
+    keep = (np.abs(z - w) >= EPS_DIAG) & (np.abs(w) < 0.95)
+    z, w = z[keep], w[keep]
+    assert (z.real == w.real).sum() > 30_000
     for fwd, rev in zip(map_H(z, w), map_H(w, z)):
         np.testing.assert_array_equal(rev, -fwd)
     for one, other in zip(sym(z, w), sym(w, z)):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bidisc_lab.maps import map_H
 from bidisc_lab.mobius import (
+    TOL_BOUNDARY,
     MobiusMap,
     mobius_apply,
     mobius_apply_pair,
@@ -66,6 +68,19 @@ def test_boundary_points_rejected():
         pseudo_hyperbolic(1.0 + 0j, 0j)
     with pytest.raises(ValueError):
         MobiusMap(0.0, 1.0 + 0j)
+    # inside the circle but within TOL_BOUNDARY of it: a point a caller supplies there is refused too
+    near = cmath.rect(1.0 - 1e-10, 0.7)
+    assert 1.0 - TOL_BOUNDARY < abs(near) < 1.0
+    for call in (
+        lambda: mobius_apply(MobiusMap(0.0), near),
+        lambda: pseudo_hyperbolic(near, 0j),
+        lambda: pseudo_hyperbolic(0j, near),
+        lambda: MobiusMap(0.0, near),
+        lambda: map_H(near, 0j),
+        lambda: map_H(0j, near),
+    ):
+        with pytest.raises(ValueError, match="strictly inside the unit disc"):
+            call()
 
 
 def test_non_finite_rejected():
