@@ -81,10 +81,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_orbit(args: argparse.Namespace) -> int:
-    spec = parse_orbit_spec(args.spec)
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
-    dump_orbit(spec, args.n, args.out, seed=_resolve_seed(args.seed))
+    dump_orbit(parse_orbit_spec(args.spec), args.n, args.out, seed=_resolve_seed(args.seed))
     return 0
 
 

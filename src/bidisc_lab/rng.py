@@ -142,10 +142,13 @@ def _first(a: np.ndarray):
 def _row_max(a: np.ndarray) -> np.ndarray:
     """The largest entry of each row of an (n, ...) array, NaN if the row holds one; for booleans, whether any is True.
 
-    It equals ``a.max`` over every axis but the first, bit for bit (max
-    is exact), but folds ``np.maximum`` across the row's few columns:
-    numpy's reduction over a short axis pays a per-row cost many times
-    that of the fold's elementwise passes.
+    It equals ``a.max`` over every axis but the first (max is exact), but
+    folds ``np.maximum`` across the row's few columns: numpy's reduction
+    over a short axis pays a per-row cost many times that of the fold's
+    elementwise passes.  The two can differ only in the sign of a zero
+    maximum, on a row mixing 0.0 and -0.0, where numpy's own reduction
+    differs between its dispatched loops; every caller passes moduli or
+    booleans, where no -0.0 occurs.
     """
     cols = a.reshape(len(a), -1)
     out = cols[:, 0].copy()

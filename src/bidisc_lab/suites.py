@@ -6,27 +6,28 @@ blocks of BLOCK rows, and every row depends only on (seed, stream,
 index), so results never depend on the block size, the worker count,
 the evaluation order or the other suites selected.  A suite draws from
 the stream (seed, (o + 1) << 32), o the registry ordinal of the suite,
-or of its ``_Family``'s ``stream``, with a fixed budget of k uniforms
-per sample: sample i owns the stream's draws [i k, (i + 1) k), drawn
-for a block in one ``rng.uniform_block`` call.  Every kernel takes the
+or of ``H-quadric`` for the pair family, with a fixed budget of k
+uniforms per sample: sample i owns the stream's draws [i k, (i + 1) k),
+drawn for a block in one ``rng.uniform_block`` call.  Every kernel takes the
 same arguments, (cfg, U, idx, rows, drawn): the block's uniforms U,
 shape (len(idx), k), the sample indices idx, the block's ``RowErrors``
-rows, and what the suite's family shares of the block's draw (None for
-a suite without one); it returns each row's residual and inputs.  The
+rows, and what the pair family shares of the block's draw (None for a
+suite outside it); it returns each row's residual and inputs.  The
 kernels evaluate their claims on the whole block, through the functions
 a caller uses on a point, passing rows as ``errors``.  The report's
 "rng" field gives each suite's stream_id and k: any sample replays from
 the report alone (``_evaluate``).
 
-Eleven suites belong to a ``_Family``, which draws a pair (z, w) of
-the rmax disc from 4 of their uniforms once per block
-(``_Family.share``); ``aut-preserves-subdomains`` draws its pair
-itself and needs no chart.  Nine of the eleven judge the pair through
-h = map_H(z, w), whose chart stops at |z - w| >= EPS_DIAG: for those a
-row whose pair lies within EPS_DIAG of the diagonal is excluded, not
-redrawn.  It scores 0 and the report counts it, and map_H and the
-member's checks take the pair (1/2, -1/2) in its place, so that none
-fires on it; its recorded inputs stay the pair it drew.  At the
+Twelve suites draw a pair (z, w) of the rmax disc from 4 of their
+uniforms: the nine of the pair family once per block (``_pairs``), the
+two conjugation suites and ``aut-preserves-subdomains`` each its own;
+the last needs no chart.  The other nine that draw a pair judge it
+through h = map_H(z, w), whose chart stops at |z - w| >= EPS_DIAG, and
+one rule, ``_chart``, charts every pair they draw: a pair off the disc
+fails hard, and a row whose pair lies within EPS_DIAG of the diagonal is
+excluded, not redrawn.  It scores 0 and the report counts it, and map_H
+and the suite's checks take the pair (1/2, -1/2) in its place, so that
+none fires on it; its recorded inputs stay the pair it drew.  At the
 default rmax no row is excluded; at small rmax the count shows how
 much of the sample was not checked.  A disc whose pairs all lie within
 EPS_DIAG (rmax <= EPS_DIAG / 2) is refused by ``validate_config`` for
@@ -37,9 +38,9 @@ singular under the rank rule with a chance below 2e-15.
 Nine pair suites judge one pair per row: ``rho-invariance``,
 ``H-quadric``, ``H-im-condition``, ``H-sigma-negation``,
 ``H-roundtrip``, ``orbit-levels``, ``preimage-formula``,
-``sym-equivariance`` and ``J-H-compat`` form the family ``_H_PAIRS``.
-All draw k = 7 uniforms per row from H-quadric's stream, 2 << 32: the
-pair, then phi's 3, which only rho-invariance reads.  Per block the
+``sym-equivariance`` and ``J-H-compat`` form the pair family
+(``_Suite.family``).  All draw k = 7 uniforms per row from H-quadric's
+stream, 2 << 32: the pair, then phi's 3, which only rho-invariance reads.  Per block the
 runner draws the pair once for the selected members and, when one of
 them reads h, computes map_H once; the seven that read h are residuals
 of (z, w, h) (``_on_h``), each flagging its checks in its own copy of
@@ -48,8 +49,9 @@ another's row.  ``rho-invariance`` and ``sym-equivariance`` judge the
 pair as drawn, exclude no row, and no check of map_H fails them.  The
 nine claims are thus judged on the same pairs, each on as many as
 before, and a member run alone draws the rows of the full run.  The two
-conjugation suites, which also read h, are families of one, each on its
-own stream, with its pair after phi's 3 uniforms.
+conjugation suites, which also read h, each draw on their own stream,
+their pair after phi's 3 uniforms, and chart both the pair and its
+image phi(p) by ``_chart``.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
 (``orbits.orbit_points``), which also applies its checks.  One kernel
@@ -167,42 +169,20 @@ class SuiteConfig:
     workers: int = 1  # validated but without effect: suites run serially
 
 
-@dataclass(frozen=True, eq=False)
-class _Family:
-    """Pair suites judged on one draw from the stream of the suite ``stream``: a pair of the rmax disc from the 4
-    uniforms at ``column`` and, when a member reads it, its h = map_H(z, w), drawn once per block (``share``)."""
-
-    stream: str
-    column: int
-
-    def share(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool) -> tuple:
-        """(z, w, h, excluded, inputs, drawn) of a block: the pair h takes, h, the excluded rows, the drawn pairs.
-
-        A row whose drawn pair lies within EPS_DIAG of the diagonal, where
-        map_H's chart stops, is excluded: the pair (1/2, -1/2) stands in for
-        it, so that no check of h fires on it.  h is computed, its checks
-        flagged in rows, only when asked (else None).  inputs record the
-        drawn pairs as (n, 4) columns, and drawn is that pair (z, w).
-        """
-        drawn = z, w = _disc_pair(u[:, self.column : self.column + 4], cfg.rmax)
-        excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
-        if excluded.any():
-            z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
-        return z, w, map_H(z, w, errors=rows) if h else None, excluded, _columns(*drawn), drawn
-
-
 @dataclass(frozen=True)
 class _Suite:
     """A registered claim.
 
     ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
     inputs)`` over the rows idx, whose uniforms U have shape
-    (len(idx), draws), and drawn their ``family``'s share of the draw
-    (None for a suite without one); it flags the rows that fail a check
-    in the block's ``RowErrors`` rows.  A kernel that leaves rows
-    unscored returns ``(residual, inputs, excluded)``, with excluded a
-    mask of those rows.  The suites with a family draw a pair; those
-    that read h = map_H(z, w) (``reads_h``) judge it off the diagonal.
+    (len(idx), draws), and drawn the pair family's share of the draw
+    (``_pairs``; None for a suite outside it); it flags the rows that
+    fail a check in the block's ``RowErrors`` rows.  A kernel that leaves
+    rows unscored returns ``(residual, inputs, excluded)``, with excluded
+    a mask of those rows.  ``family`` marks the pair family's members,
+    drawn on ``H-quadric``'s stream; those that read h = map_H(z, w)
+    (``reads_h``), and the conjugation suites, judge their pair off the
+    diagonal.
     """
 
     name: str
@@ -211,7 +191,7 @@ class _Suite:
     tolerance: float
     fn: Callable
     draws: int
-    family: _Family | None = None
+    family: bool = False
     reads_h: bool = False
 
 
@@ -237,9 +217,30 @@ def _rim_scale(*points) -> np.ndarray:
     return 1.0 - functools.reduce(np.maximum, map(_abs2, points))
 
 
+def _chart(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> tuple:
+    """(z, w, h, excluded) of pairs: the pairs h takes, h = map_H(z, w), its checks flagged in rows, the excluded rows.
+
+    A pair off the disc fails hard, crowded or not.  A pair within
+    EPS_DIAG of the diagonal, where map_H's chart stops, is excluded: the
+    pair (1/2, -1/2) stands in for it, so that no check of h fires on it.
+    """
+    _check_pair(rows, z, w)
+    excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
+    if excluded.any():
+        z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
+    return z, w, map_H(z, w, errors=rows), excluded
+
+
 # the pair family: nine claims on one pair of the rmax disc, seven of them on its h = map_H(z, w)
-_H_PAIRS = _Family("H-quadric", 0)
+_H_PAIRS_STREAM = "H-quadric"
 _H_PAIRS_DRAWS = 7  # the pair (4), then phi (3), which only rho-invariance reads
+
+
+def _pairs(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool) -> tuple:
+    """(z, w, h, excluded, inputs, drawn) of a block of the pair family: ``_chart`` of the drawn pairs when a member
+    reads h (else None for all four), their (n, 4) input columns, and the drawn pairs (z, w)."""
+    drawn = _disc_pair(u[:, :4], cfg.rmax)
+    return *(_chart(rows, *drawn) if h else (None,) * 4), _columns(*drawn), drawn
 
 
 def _k_rho_invariance(cfg, u, idx, rows, share):
@@ -263,7 +264,7 @@ def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite
             excluded, inputs = excluded | unscored, np.column_stack((inputs, *columns))
         return np.where(excluded, 0.0, out), inputs, excluded
 
-    return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, _H_PAIRS, reads_h=True)
+    return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, family=True, reads_h=True)
 
 
 def _h_scale(h) -> np.ndarray:
@@ -345,9 +346,9 @@ def _levi(record: FamilyRecord, param, score: Callable) -> Callable:
 # the diagonal subgroup, SU(1,1) and O(2,1)
 
 
-def _conjugated(cfg, u, share, rows, swap: bool):
+def _conjugated(cfg, u, rows, swap: bool):
     """A = so21_image(phi) per row, the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p),
-    the inputs, and the rows left without a verdict on it: the family's, and those whose image map_H's chart rejects.
+    the inputs, and the rows left without a verdict on it: those whose pair or image ``_chart`` excludes.
 
     The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
     crowds the pair and H grows, and its rounding with it.  It can crowd
@@ -355,20 +356,20 @@ def _conjugated(cfg, u, share, rows, swap: bool):
     and scores 0 for it; an image off the disc, or not finite, fails it.
     """
     # uniforms: phi (3), the pair (4)
-    z, w, h, excluded, inputs, _ = share
+    drawn = _disc_pair(u[:, MOBIUS_DRAWS:], cfg.rmax)
+    z, w, h, excluded = _chart(rows, *drawn)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     A = so21_image(phi)
-    image = mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows)
-    _check_pair(rows, *image)  # first, so that only the chart guard's rows are left to the chart's collector
-    q = np.stack(map_H(*image, errors=(chart := RowErrors(len(u)))), axis=-1)
+    *_, q, crowded = _chart(rows, *mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows))
+    q = np.stack(q, axis=-1)
     Ah = (A * np.stack(h, axis=-1)[:, None, :]).sum(axis=2)
     res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
-    excluded = excluded | ~chart.ok
-    return A, np.where(excluded, 0.0, res), np.column_stack((_columns(phi.theta, phi.a), inputs)), excluded
+    excluded = excluded | crowded
+    return A, np.where(excluded, 0.0, res), _columns(phi.theta, phi.a, *drawn), excluded
 
 
-def _k_conjugation_so21(cfg, u, idx, rows, share):
-    A, res, inputs, unscored = _conjugated(cfg, u, share, rows, swap=False)
+def _k_conjugation_so21(cfg, u, idx, rows, drawn):
+    A, res, inputs, unscored = _conjugated(cfg, u, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
     det, scale = np.linalg.det(A), A[:, 2, 2] * A[:, 2, 2]
@@ -379,8 +380,8 @@ def _k_conjugation_so21(cfg, u, idx, rows, share):
     return np.maximum(res, u21_residual(A) / scale), inputs, unscored
 
 
-def _k_swap_minus_identity(cfg, u, idx, rows, share):
-    return _conjugated(cfg, u, share, rows, swap=True)[1:]
+def _k_swap_minus_identity(cfg, u, idx, rows, drawn):
+    return _conjugated(cfg, u, rows, swap=True)[1:]
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
@@ -467,7 +468,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-13,
         _k_rho_invariance,
         draws=_H_PAIRS_DRAWS,
-        family=_H_PAIRS,
+        family=True,
     ),
     _on_h(
         "H-quadric",
@@ -509,7 +510,6 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-7,
         _k_conjugation_so21,
         draws=MOBIUS_DRAWS + 4,
-        family=_Family("conjugation-so21", MOBIUS_DRAWS),
         reads_h=True,
     ),
     _Suite(
@@ -519,7 +519,6 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-9,
         _k_swap_minus_identity,
         draws=MOBIUS_DRAWS + 4,
-        family=_Family("swap-is-minus-identity", MOBIUS_DRAWS),
         reads_h=True,
     ),
     _Suite(
@@ -612,7 +611,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-15,
         _k_sym_equivariance,
         draws=_H_PAIRS_DRAWS,
-        family=_H_PAIRS,
+        family=True,
     ),
     _on_h("J-H-compat", "map_J agrees projectively with (1 : map_H), both scaled by z - w", 1e-12, _j_h_compat),
     _Suite(
@@ -634,8 +633,7 @@ def all_suite_names() -> tuple[str, ...]:
 
 
 def _stream_id(name: str) -> int:
-    family = _BY_NAME[name].family
-    return (_ORDINAL[name if family is None else family.stream] + 1) << 32
+    return (_ORDINAL[_H_PAIRS_STREAM if _BY_NAME[name].family else name] + 1) << 32
 
 
 def validate_config(cfg: SuiteConfig) -> None:
@@ -701,18 +699,17 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray):
 
 
 def _draw(group: list[_Suite], cfg: SuiteConfig, u: np.ndarray):
-    """The flags of h's checks on the block's rows, and what the group's family shares of the draw (None for a
-    suite without one); the family computes h only when a suite of the group reads it."""
+    """The flags of h's checks on the block's rows, and what the pair family shares of the draw (``_pairs``; None for
+    a suite outside it); the family computes h only when a suite of the group reads it."""
     rows = RowErrors(len(u))
-    family = group[0].family
-    return rows, None if family is None else family.share(cfg, u, rows, any(s.reads_h for s in group))
+    return rows, _pairs(cfg, u, rows, any(s.reads_h for s in group)) if group[0].family else None
 
 
 def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
     """The suite's (residual, rows, inputs, excluded) on a drawn block, its checks flagged in its own row flags.
 
     A suite that reads h starts from a copy of h's flags, so that no member
-    of a family fails another's row, and one that does not from none.
+    of the pair family fails another's row, and one that does not from none.
     """
     rows = copy.deepcopy(rows) if suite.reads_h else RowErrors(len(u))
     out = suite.fn(cfg, u, idx, rows, drawn)
@@ -747,11 +744,11 @@ def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
 
 
 def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
-    """The report entries of the suites that share one draw (a family's selected members, or one suite).
+    """The report entries of the suites that share one draw (the pair family's selected members, or one suite).
 
     A suite's wall time is its judging and reduction plus an even share of each block's one draw.
     """
-    count = _sample_count(cfg, group[0])  # a family's members share one weight
+    count = _sample_count(cfg, group[0])  # the pair family's members share one weight
     entries = [
         {
             "suite": suite.name,
@@ -814,9 +811,9 @@ def verify_all(cfg: SuiteConfig, report_path: str | None = None) -> tuple[int, d
     validate_config(cfg)
     if not cfg.suites:
         warnings.warn("no suites selected; report is empty and vacuously passing")
-    groups: dict = {}  # the selected suites by the draw they share: a family's members, or one suite
+    groups: dict = {}  # the selected suites by the draw they share: the pair family's members, or one suite
     for suite in map(_BY_NAME.get, cfg.suites):
-        groups.setdefault(suite.family or suite.name, []).append(suite)
+        groups.setdefault(_H_PAIRS_STREAM if suite.family else suite.name, []).append(suite)
     entries = {entry["suite"]: entry for group in groups.values() for entry in _run(group, cfg)}
     reports = [entries[name] for name in cfg.suites]
     doc = report_document(cfg, reports)

@@ -662,6 +662,27 @@ def test_a_conjugated_image_off_the_disc_is_a_hard_failure(monkeypatch, name):
     assert not rep["passed"] and rep["hard_failures"] == 2 and rep["excluded"] == 0
 
 
+@pytest.mark.parametrize("name", [*PAIR_COLUMNS, *PAIR_ONLY])
+def test_a_drawn_pair_off_the_disc_fails_hard_even_within_eps_diag(name):
+    """One chart rule for every drawn pair: a pair off the disc fails hard, crowded or not.
+
+    At rmax 1 - 1e-10 these uniforms draw |z| ~ 0.9999999999, beyond the
+    disc check's margin, and |z - w| ~ 6e-9 < EPS_DIAG.  Every suite that
+    reads h fails the row on z, as rho-invariance fails it;
+    sym-equivariance, which checks no disc, passes it.
+    """
+    suite = suites._BY_NAME[name]
+    pair, phi = [1 - 1e-12, 0.25, 1 - 1e-12, 0.25 + 1e-9], [0.1, 0.2, 0.3]
+    u = np.array([phi + pair if PAIR_COLUMNS.get(name) == 3 else pair + phi])
+    residual, rows, _, excluded = suites._evaluate(suite, SuiteConfig(rmax=1 - 1e-10), u, np.arange(1))
+    if name == "sym-equivariance":
+        assert rows.ok[0] and residual[0] < suite.tolerance
+    else:
+        assert not rows.ok[0] and math.isinf(residual[0])
+    if name in PAIR_COLUMNS:
+        assert "z must lie strictly inside the unit disc" in rows.message[0]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_residual_that_is_not_finite_is_a_hard_failure(monkeypatch, tmp_path, value):
     """A kernel whose residual is NaN on every row fails each row hard, and the report file stays strict JSON.
