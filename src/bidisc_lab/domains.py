@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mobius import pseudo_hyperbolic
-from .rng import RowErrors, _batch, _unbatch
+from .rng import RowErrors, _batch, _size, _unbatch
 
 # equality-constraint slack, scaled by max(1, |z|_inf^2)
 QUADRIC_EQ_TOL = 1e-9
@@ -115,7 +115,6 @@ def quadric_band(z1, z2, z3, s, t):
         raise ValueError(f"need 1 <= s < t (t = inf allowed), got ({s}, {t})")
     (z1, z2, z3), _, single = _batch(None, z1, z2, z3)
     m = minkowski_form(z1, z2, z3)
-    scale = np.maximum(1.0, np.maximum(np.maximum(np.abs(z1), np.abs(z2)), np.abs(z3)) ** 2)
-    worst = np.minimum(m - s, QUADRIC_EQ_TOL * scale - np.abs(quadric_residual(z1, z2, z3)))
+    worst = np.minimum(m - s, QUADRIC_EQ_TOL * _size(z1, z2, z3) ** 2 - np.abs(quadric_residual(z1, z2, z3)))
     worst = np.minimum(np.minimum(worst, im_condition(z1, z2, z3)), t - m)
     return _unbatch((worst > 0.0, worst), single)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domains import _abs2
 from .mobius import MobiusMap
-from .rng import RowErrors, _batch, _row_max, _unbatch
+from .rng import RowErrors, _batch, _size, _unbatch
 
 I21 = np.diag([1.0, 1.0, -1.0])
 I21.setflags(write=False)
@@ -40,11 +40,11 @@ TOL_GROUP = 1e-9  # form-membership tolerance of the actions, times max(1, max_i
 _DEN_TOL = 1e-12
 
 
-def _matrices(A, dtype, message: str) -> np.ndarray:
-    """A as one 3x3 matrix or an (n, 3, 3) stack of them."""
-    A = np.asarray(A, dtype=dtype)
+def _matrices(A) -> np.ndarray:
+    """A as one complex 3x3 matrix or an (n, 3, 3) stack of them."""
+    A = np.asarray(A, dtype=complex)
     if A.ndim not in (2, 3) or A.shape[-2:] != (3, 3):
-        raise ValueError(message)
+        raise ValueError("expected a 3x3 matrix")
     return A
 
 
@@ -57,7 +57,7 @@ def u21_residual(A):
     I21_jj, and the Hermitian off-diagonal pairs through M_01, M_12 and
     M_20, each counted twice.
     """
-    A = _matrices(A, complex, "expected a 3x3 matrix")
+    A = _matrices(A)
     # row i of every matrix is x[i] + i y[i], a (3, n) array: each operation runs along the stack, and
     # working one row at a time keeps the temporaries to a third of the stack's size
     P = np.moveaxis(A.reshape(-1, 3, 3), 0, -1)
@@ -100,16 +100,14 @@ def ball_action(A, p, *, errors: RowErrors | None = None):
     Rows (a1 a2 a3 / b1 b2 b3 / c1 c2 c3) act by
     (u, v) -> ((a1 u + a2 v + a3), (b1 u + b2 v + b3)) / (c1 u + c2 v + c3).
     """
-    A = _matrices(A, complex, "expected a 3x3 matrix")
+    A = _matrices(A)
     # the corner entry broadcasts a stack of matrices against the point
     (u, v, _), rows, single = _batch(errors, p[0], p[1], A[..., 2, 2])
     A = np.broadcast_to(A, (len(u), 3, 3))
     # the form relation alone makes the action well defined on the ball;
-    # det -1 elements (the transitivity matrices of the real slice) act too.
-    # The residual's rounding grows with the square of the entries.
-    size = np.maximum(1.0, _row_max(np.abs(A)))
+    # det -1 elements (the transitivity matrices of the real slice) act too
     rows.flag(
-        ~(u21_residual(A) < TOL_GROUP * size * size), "matrix does not preserve the signature (+,+,-) Hermitian form"
+        ~(u21_residual(A) < TOL_GROUP * _size(A) ** 2), "matrix does not preserve the signature (+,+,-) Hermitian form"
     )
     rows.flag(~(_abs2(u) + _abs2(v) < 1.0), "point must lie in the open unit ball")
     den = A[:, 2, 0] * u + A[:, 2, 1] * v + A[:, 2, 2]

@@ -44,7 +44,7 @@ import numpy as np
 from .domains import _abs2
 from .mobius import TOL_BOUNDARY
 from .orbits import Family
-from .rng import RowErrors, _collector, _row_max, _times, _unbatch
+from .rng import RowErrors, _collector, _row_max, _size, _times, _unbatch
 
 ON_SURFACE_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
@@ -129,11 +129,10 @@ def complex_tangent(f: Family, p, *, errors: RowErrors | None = None) -> np.ndar
         rows.flag(2.0 * c < 1e-8 * s_max2, "constraint rows are degenerate at this point")
     # e1 stands in on the rows without a tangent
     v = np.where(rows.ok[:, None], v / np.where(rows.ok, length, 1.0)[:, None], np.eye(1, dim))
-    defect, size = np.zeros(len(P)), np.ones(len(P))
+    defect = np.zeros(len(P))
     for con in C:
         defect = np.maximum(defect, np.abs(sum(con[:, j] * v[:, j] for j in range(dim))))
-        size = np.maximum(size, _row_max(np.abs(con)))
-    rows.flag(~(defect <= 1e-8 * size), "no tangent direction meets the orthogonality tolerance")  # NaN fails
+    rows.flag(~(defect <= 1e-8 * _size(*C)), "no tangent direction meets the orthogonality tolerance")  # NaN fails
     big = np.abs(v) > 1e-12
     lead = v[:, 0]
     for j in reversed(range(dim)):  # the first big component, else v[:, 0]
@@ -149,11 +148,11 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     from separately rounded float products (see rng._times).
     """
     P, single, rows = _batch(f, p, errors)
-    peak = _row_max(np.abs(P))
-    scale2 = np.maximum(1.0, peak ** 2)
-    rows.flag(np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * scale2, "point does not lie on the hypersurface")
+    off = np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * _size(P) ** 2
+    rows.flag(off, "point does not lie on the hypersurface")
     if f.record.ambient:  # False: the ambient is all of C^dim
-        rows.flag(peak >= 1.0 - TOL_BOUNDARY, "a coordinate touches the unit circle; ambient check failed")
+        touches = _row_max(np.abs(P)) >= 1.0 - TOL_BOUNDARY
+        rows.flag(touches, "a coordinate touches the unit circle; ambient check failed")
     v = complex_tangent(f, P, errors=rows)
     H = complex_hessian(f, P)
     levi = np.zeros(len(P))

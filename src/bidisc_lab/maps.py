@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobius import _check_disc
-from .rng import RowErrors, _batch, _times, _unbatch
+from .mobius import _check_pair
+from .rng import RowErrors, _batch, _size, _times, _unbatch
 
 EPS_DIAG = 1e-6
 _ROUNDTRIP_TOL = 1e-9
@@ -43,11 +43,6 @@ def sym(z1, z2):
     zw = np.empty(z1.shape, dtype=complex)
     zw.real, zw.imag = _times(z1, z2)
     return _unbatch((z1 + z2, zw), single)
-
-
-def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> None:
-    _check_disc(rows, z, "z")
-    _check_disc(rows, w, "w")
 
 
 def map_J(z, w, *, errors: RowErrors | None = None):
@@ -103,7 +98,7 @@ def map_H_inv(h1, h2, h3, *, errors: RowErrors | None = None):
     trial = RowErrors(len(h1))
     with np.errstate(all="ignore"):  # the rows that the checks flag may carry any value
         den = h1 - 1j * h2
-        scale = np.maximum(np.maximum(1.0, np.abs(h1)), np.maximum(np.abs(h2), np.abs(h3)))
+        scale = _size(h1, h2, h3)
         rows.flag(np.abs(den) < 1e-12 * scale, "h1 - i h2 vanishes; the pair difference is not recoverable")
         d = 2.0 / den  # z - w
         s = 1j * h3 * d  # z + w

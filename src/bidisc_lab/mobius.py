@@ -36,6 +36,11 @@ def _check_disc(rows: RowErrors, z: np.ndarray, name: str) -> None:
         rows.flag(bad, lambda r: f"{name} must lie strictly inside the unit disc, got |{name}| = {size[r]}")
 
 
+def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> None:
+    _check_disc(rows, z, "z")
+    _check_disc(rows, w, "w")
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """Disc automorphism z -> e^{i theta} (z - a) / (1 - conj(a) z); theta and a are numbers, or one per row."""
@@ -80,8 +85,7 @@ def pseudo_hyperbolic(z, w, *, errors: RowErrors | None = None):
     bit for bit.
     """
     (z, w), rows, single = _batch(errors, z, w)
-    _check_disc(rows, z, "z")
-    _check_disc(rows, w, "w")
+    _check_pair(rows, z, w)
     re, im = _times(z.conjugate(), w)
     return _unbatch(np.abs(z - w) / np.abs((1.0 - re) + 1j * im), single)
 

@@ -37,6 +37,7 @@ fails a check raises its ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -150,11 +151,16 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     differs between its dispatched loops; every caller passes moduli or
     booleans, where no -0.0 occurs.
     """
-    cols = a.reshape(len(a), -1)
+    cols = a.reshape(len(a), math.prod(a.shape[1:]))  # -1 would find no width for an empty batch
     out = cols[:, 0].copy()
     for j in range(1, cols.shape[1]):
         np.maximum(out, cols[:, j], out=out)
     return out
+
+
+def _size(*parts: np.ndarray) -> np.ndarray:
+    """max(1, the largest modulus in each row), the row's entries spread over the (n, ...) arrays parts."""
+    return functools.reduce(np.maximum, (_row_max(np.abs(p)) for p in parts), 1.0)
 
 
 def uniform_block(seed: int, stream_id: int, draws: int, lo: int, hi: int) -> np.ndarray:

@@ -64,16 +64,16 @@ Residual conventions: equality claims report the absolute defect, or
 for ``rho-invariance`` and ``su11-orbit-invariant`` the defect times
 1 - m^2, m the largest modulus among the compared points (z, w and
 their images; v and its image), as rho and |u| / sqrt(1 - |v|^2) round
-like 1 / (1 - m^2) near the unit circle, or for ``J-H-compat``,
-``conjugation-so21`` and ``swap-is-minus-identity`` the defect relative
-to the size of the compared values (and the form residual of
-``conjugation-so21`` relative to A_33^2), for ``o21-matrix-B`` the form
-residual relative to B_33^2, the square of B's largest entry
-1/sqrt(1 - z^2 - w^2), and for ``H-quadric`` and ``orbit-levels``,
-whose forms are quadratic in h = map_H(z, w), relative to
-max(1, |h|_inf^2); threshold claims (the Levi certifications) report
-the shortfall below the certified floor, so 0 means comfortably
-certified; boolean claims report 0 or 1 and run with tolerance 0.5.
+like 1 / (1 - m^2) near the unit circle, or else relative to the size
+of the compared values, ``rng._size`` (max(1, a row's largest modulus)):
+_size(q) of q = H(phi(s p)) for the two conjugation suites, |p|_inf
+_size(h) for ``J-H-compat``'s p = J(z, w) and q = (1, h), and _size(h)^2
+for ``H-quadric`` and ``orbit-levels``, quadratic in h = map_H(z, w).
+The form residuals of ``conjugation-so21`` and ``o21-matrix-B`` are
+relative to A_33^2 and B_33^2, B's largest entry 1/sqrt(1 - z^2 - w^2)
+squared.  Threshold claims (the Levi certifications) report the
+shortfall below the certified floor, so 0 means comfortably certified;
+boolean claims report 0 or 1 and run with tolerance 0.5.
 ``preimage-formula`` and ``aut-preserves-subdomains`` give no verdict
 on a row within PREIMAGE_MARGIN or MEMBERSHIP_MARGIN of a band edge,
 nor a pair suite on a row whose pair lies within EPS_DIAG of the
@@ -123,8 +123,8 @@ from .groups import (
     u21_residual,
 )
 from .levi import levi_restricted, totally_real_check
-from .maps import EPS_DIAG, _check_pair, map_H, map_H_inv, map_J, scale_g_t, sym
-from .mobius import MOBIUS_DRAWS, mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .maps import EPS_DIAG, map_H, map_H_inv, map_J, scale_g_t, sym
+from .mobius import MOBIUS_DRAWS, _check_pair, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -139,6 +139,8 @@ from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
     RowErrors,
+    _row_max,
+    _size,
     ball_from_uniforms,
     disc_from_uniforms,
     uniform_block,
@@ -220,13 +222,14 @@ def _rim_scale(*points) -> np.ndarray:
 def _chart(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> tuple:
     """(z, w, h, excluded) of pairs: the pairs h takes, h = map_H(z, w), its checks flagged in rows, the excluded rows.
 
-    A pair off the disc fails hard, crowded or not.  A pair within
-    EPS_DIAG of the diagonal, where map_H's chart stops, is excluded: the
-    pair (1/2, -1/2) stands in for it, so that no check of h fires on it.
+    A pair within EPS_DIAG of the diagonal, where map_H's chart stops, is
+    excluded: (1/2, -1/2) stands in for it, so that no check of h fires.
+    A pair off the disc fails hard, crowded or not: map_H checks a pair it
+    charts, so a block is checked here only before a stand-in hides one.
     """
-    _check_pair(rows, z, w)
     excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
     if excluded.any():
+        _check_pair(rows, z, w)
         z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
     return z, w, map_H(z, w, errors=rows), excluded
 
@@ -267,11 +270,6 @@ def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite
     return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, family=True, reads_h=True)
 
 
-def _h_scale(h) -> np.ndarray:
-    """max(1, |h|_inf^2) per row: the size of the quadratic forms of h = map_H(z, w), and of their rounding."""
-    return np.maximum(1.0, np.abs(np.stack(h)).max(axis=0) ** 2)
-
-
 def _h_roundtrip(idx, rows, z, w, h):
     z2, w2 = map_H_inv(*h, errors=rows)
     return np.maximum(np.abs(z2 - z), np.abs(w2 - w))
@@ -281,7 +279,7 @@ def _orbit_levels(idx, rows, z, w, h):
     rho = pseudo_hyperbolic(z, w, errors=rows)
     m = minkowski_form(*h)
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
-    return np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _h_scale(h)
+    return np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _size(*h) ** 2
 
 
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
@@ -300,9 +298,9 @@ def _preimage_formula(idx, rows, z, w, h):
 
 def _j_h_compat(idx, rows, z, w, h):
     p = map_J(z, w, errors=rows)
-    q = np.stack([np.ones_like(z), *h])
-    worst = np.max([np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)], axis=0)
-    return worst / (np.abs(p).max(axis=0) * np.abs(q).max(axis=0))
+    q = (np.ones_like(z), *h)  # so |q|_inf = _size(*h)
+    cross = [np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)]
+    return functools.reduce(np.maximum, cross) / (functools.reduce(np.maximum, np.abs(p)) * _size(*h))
 
 
 def _k_sym_equivariance(cfg, u, idx, rows, share):
@@ -350,7 +348,7 @@ def _conjugated(cfg, u, rows, swap: bool):
     """A = so21_image(phi) per row, the defect of H(phi(p)) = A H(p), or with the swap s of H(phi(s p)) = -A H(p),
     the inputs, and the rows left without a verdict on it: those whose pair or image ``_chart`` excludes.
 
-    The defect is relative to max(1, |H(phi(s p))|_inf): near the rim phi
+    The defect is relative to ``_size`` of H(phi(s p)): near the rim phi
     crowds the pair and H grows, and its rounding with it.  It can crowd
     the pair below EPS_DIAG: such a row gets no verdict on the relation
     and scores 0 for it; an image off the disc, or not finite, fails it.
@@ -363,7 +361,7 @@ def _conjugated(cfg, u, rows, swap: bool):
     *_, q, crowded = _chart(rows, *mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows))
     q = np.stack(q, axis=-1)
     Ah = (A * np.stack(h, axis=-1)[:, None, :]).sum(axis=2)
-    res = np.abs(q + Ah if swap else q - Ah).max(axis=1) / np.maximum(1.0, np.abs(q).max(axis=1))
+    res = _row_max(np.abs(q + Ah if swap else q - Ah)) / _size(q)
     excluded = excluded | crowded
     return A, np.where(excluded, 0.0, res), _columns(phi.theta, phi.a, *drawn), excluded
 
@@ -474,7 +472,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "H-quadric",
         "the embedded image satisfies h1^2 + h2^2 - h3^2 = 1",
         1e-10,
-        lambda idx, rows, z, w, h: np.abs(quadric_residual(*h)) / _h_scale(h),
+        lambda idx, rows, z, w, h: np.abs(quadric_residual(*h)) / _size(*h) ** 2,
     ),
     _on_h(
         "H-im-condition",
@@ -487,7 +485,7 @@ _REGISTRY: tuple[_Suite, ...] = (
         "swapping the arguments negates the embedding exactly: map_H(w, z) = -map_H(z, w)",
         1e-15,
         # exact claim: map_H works on real and imaginary parts, whose products commute
-        lambda idx, rows, z, w, h: np.abs(np.stack(map_H(w, z, errors=rows)) + np.stack(h)).max(axis=0),
+        lambda idx, rows, z, w, h: functools.reduce(np.maximum, map(np.abs, map(np.add, map_H(w, z, errors=rows), h))),
     ),
     _on_h("H-roundtrip", "map_H_inv recovers the argument pair of map_H", 1e-9, _h_roundtrip),
     _on_h(

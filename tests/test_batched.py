@@ -180,6 +180,35 @@ def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
         np.testing.assert_array_equal(w2, w)
 
 
+def test_the_chart_checks_its_pairs_only_in_a_block_with_a_crowded_pair(monkeypatch):
+    """map_H checks every pair it charts; ``_chart`` checks them itself only where a stand-in replaces a pair.
+
+    At the default rmax no pair lies within EPS_DIAG, so no chart call
+    checks a pair twice.  At rmax 6e-7 the three H-quadric blocks and the
+    drawn pairs of conjugation-so21's block are crowded, but its images
+    phi(p) are not: the stand-in (1/2, -1/2) takes a crowded pair's place.
+    """
+    checks, crowded = [], []
+    real_check, real_chart = suites._check_pair, suites._chart
+
+    def counting_check(rows, z, w):
+        checks.append(len(z))
+        real_check(rows, z, w)
+
+    def recording_chart(rows, z, w):
+        crowded.append(bool((np.abs(z - w) < EPS_DIAG).any()))
+        return real_chart(rows, z, w)
+
+    monkeypatch.setattr(suites, "_check_pair", counting_check)
+    monkeypatch.setattr(suites, "_chart", recording_chart)
+    verify_all(SuiteConfig(suites=("H-quadric", "J-H-compat", *CONJUGATION)))
+    assert crowded == [False] * 7 and checks == []
+    crowded.clear()
+    verify_all(SuiteConfig(samples=10_000, rmax=6e-7, suites=("H-quadric", "conjugation-so21")))
+    assert crowded == [True, True, True, True, False]
+    assert checks == [4096, 4096, 1808, 100]
+
+
 def test_every_draw_is_a_row_of_uniform_block(monkeypatch, tmp_path):
     """No generator is built anywhere but in rng.uniform_block: all 22 suites and one dump per orbit."""
     real_generator, real_default_rng = np.random.Generator, np.random.default_rng
