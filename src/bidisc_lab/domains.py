@@ -23,16 +23,15 @@ coordinates.  Points within ~1e-9 of a boundary are inherently
 ambiguous and are reported, never asserted on.
 
 Every function of a point here also takes a batch of rows (see
-``rng``): minkowski_form, quadric_residual, im_condition and
-quadric_band work elementwise; the level conversions and rho_band check
-each row.
+``rng``): the level conversions check each row, and the others work
+elementwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mobius import pseudo_hyperbolic
+from .mobius import _inside, pseudo_hyperbolic
 from .rng import RowErrors, _batch, _size, _unbatch
 
 # equality-constraint slack, scaled by max(1, |z|_inf^2)
@@ -85,21 +84,22 @@ def eta_level(alpha, *, errors: RowErrors | None = None):
     return _unbatch(np.sqrt(0.5 * (alpha + 1.0)), single)
 
 
-def rho_band(z, w, lo: float, hi: float, *, errors: RowErrors | None = None):
+def rho_band(z, w, lo: float, hi: float):
     """The bidisc pairs with lo < rho(z, w) < hi: a union of the levels F_a, the diagonal when lo < 0.
 
-    Returns (inside, margin).  The margin is min(1 - |z|, 1 - |w|) and,
-    on the rows inside the bidisc, also min(rho - lo, hi - rho); lo may
-    be -inf.
+    Returns (inside, margin); lo may be -inf.  The margin is
+    min(1 - |z|, 1 - |w|, rho - lo, hi - rho) on the rows whose points
+    both keep the disc rule (``mobius._inside``), and min(1 - |z|,
+    1 - |w|, 0) on the others: a pair within TOL_BOUNDARY of the circle
+    reads (False, 0.0), as one on it does.
     """
     if not lo < hi <= 1.0:
         raise ValueError(f"need lo < hi <= 1, got ({lo}, {hi})")
-    (z, w), rows, single = _batch(errors, z, w)
+    (z, w), _, single = _batch(None, z, w)
+    inside = _inside(z) & _inside(w)
+    rho = pseudo_hyperbolic(np.where(inside, z, 0.0), np.where(inside, w, 0.0))
     worst = np.minimum(1.0 - np.abs(z), 1.0 - np.abs(w))
-    # rho is taken on the rows inside the bidisc only: pseudo_hyperbolic rejects the others
-    inside = worst > 0.0
-    rho = pseudo_hyperbolic(np.where(inside, z, 0.0), np.where(inside, w, 0.0), errors=rows)
-    worst = np.where(inside, np.minimum(worst, np.minimum(rho - lo, hi - rho)), worst)
+    worst = np.minimum(worst, np.where(inside, np.minimum(rho - lo, hi - rho), 0.0))
     return _unbatch((worst > 0.0, worst), single)
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import _abs2
-from .mobius import TOL_BOUNDARY
+from .mobius import _inside
 from .orbits import Family
 from .rng import RowErrors, _collector, _row_max, _size, _times, _unbatch
 
@@ -151,8 +151,7 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     off = np.abs(value(f, P, errors=rows)) > ON_SURFACE_TOL * _size(P) ** 2
     rows.flag(off, "point does not lie on the hypersurface")
     if f.record.ambient:  # False: the ambient is all of C^dim
-        touches = _row_max(np.abs(P)) >= 1.0 - TOL_BOUNDARY
-        rows.flag(touches, "a coordinate touches the unit circle; ambient check failed")
+        rows.flag(_row_max(~_inside(P)), "a coordinate touches the unit circle; ambient check failed")
     v = complex_tangent(f, P, errors=rows)
     H = complex_hessian(f, P)
     levi = np.zeros(len(P))

@@ -27,11 +27,16 @@ from .rng import DEFAULT_RMAX, RowErrors, _batch, _times, _unbatch, disc_from_un
 TOL_BOUNDARY = 1e-9
 
 
+def _inside(z) -> np.ndarray:
+    """The disc rule: z is finite and |z| < 1 - TOL_BOUNDARY, elementwise."""
+    return np.abs(z) < 1.0 - TOL_BOUNDARY  # False on NaN
+
+
 def _check_disc(rows: RowErrors, z: np.ndarray, name: str) -> None:
-    """Flag the rows whose z is not finite or not strictly inside the unit disc."""
-    size = np.abs(z)
-    bad = ~(size < 1.0 - TOL_BOUNDARY)  # non-finite entries included
+    """Flag the rows whose z breaks the disc rule (``_inside``)."""
+    bad = ~_inside(z)
     if bad.any():
+        size = np.abs(z)
         rows.flag(bad & ~np.isfinite(z), lambda r: f"{name} must have finite components, got {z[r].item()!r}")
         rows.flag(bad, lambda r: f"{name} must lie strictly inside the unit disc, got |{name}| = {size[r]}")
 

@@ -203,8 +203,8 @@ class FamilyRecord:
     its exact Wirtinger gradient (dr/dz_j), shape (n, dim), and its
     complex Hessian (d^2 r / dz_j dconj(z_k)), shape (n, dim, dim).
     ``ambient`` is True for a family that lives in the bidisc or the
-    ball: ``levi`` fails a row with a coordinate within TOL_BOUNDARY of
-    the unit circle.
+    ball: ``levi`` fails a row with a coordinate that breaks the disc
+    rule (``mobius._inside``).
     ``residual(p, param, errors)`` takes a point's coordinates (numbers,
     or arrays with one entry per row), ``sampler(u, param, rmax, errors)``
     an (n, draws) block of uniforms.  All take param as a number or a 1-d

@@ -54,18 +54,14 @@ class RngStream:
     ``bench/spans.py`` counts the streams a run opens through this class.
     """
 
-    __slots__ = ("seed", "stream_id", "gen")
+    __slots__ = ("gen",)
 
     def __init__(self, seed: int, stream_id: int = 0):
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _U64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not isinstance(stream_id, (int, np.integer)) or not 0 <= stream_id < _U64:
             raise ValueError("stream_id must be a 64-bit unsigned integer")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
-        )
+        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(stream_id)])))
 
 
 class RowErrors:

@@ -394,7 +394,7 @@ def _k_aut_preserves_subdomains(cfg, u, idx, rows, drawn):
     res = np.zeros(len(u))
     excluded = np.zeros(len(u), dtype=bool)  # rows without a verdict in some band
     for lo, hi in _AUT_BANDS:
-        (m1, g1), (m2, g2) = rho_band(*p, lo, hi, errors=rows), rho_band(*q, lo, hi, errors=rows)
+        (m1, g1), (m2, g2) = rho_band(*p, lo, hi), rho_band(*q, lo, hi)
         # a verdict only where both points are clear of the boundary
         clear = np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN
         res = np.maximum(res, clear & (m1 != m2))
@@ -668,10 +668,6 @@ def validate_config(cfg: SuiteConfig) -> None:
                 )
 
 
-def _sample_count(cfg: SuiteConfig, suite: _Suite) -> int:
-    return max(1, int(round(cfg.samples * suite.weight)))
-
-
 def _rows(suite: _Suite, cfg: SuiteConfig, lo: int, hi: int):
     """The uniforms of a suite's samples lo..hi-1, and their indices."""
     return uniform_block(cfg.seed, _stream_id(suite.name), suite.draws, lo, hi), np.arange(lo, hi)
@@ -746,7 +742,7 @@ def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
 
     A suite's wall time is its judging and reduction plus an even share of each block's one draw.
     """
-    count = _sample_count(cfg, group[0])  # the pair family's members share one weight
+    count = max(1, int(round(cfg.samples * group[0].weight)))  # the pair family's members share one weight
     entries = [
         {
             "suite": suite.name,

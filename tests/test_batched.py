@@ -712,6 +712,23 @@ def test_a_drawn_pair_off_the_disc_fails_hard_even_within_eps_diag(name):
         assert "z must lie strictly inside the unit disc" in rows.message[0]
 
 
+def test_aut_preserves_subdomains_excludes_an_image_at_the_rim_and_fails_a_drawn_point_there():
+    """An image phi(p) that breaks the disc rule gets no band verdict and is excluded; a drawn point there fails hard.
+
+    At rmax 0.9999999, phi's centre and z lie near the rim at opposite
+    angles, so phi(z) lands within TOL_BOUNDARY of the circle.  At rmax
+    1 - 1e-10 the drawn z itself lies there, and mobius_apply refuses it.
+    """
+    suite = suites._BY_NAME["aut-preserves-subdomains"]
+    u = np.array([[0.0, 1 - 1e-12, 0.0, 0.9, 1 - 1e-12, 0.5, 0.3, 0.25]])
+    residual, rows, _, excluded = suites._evaluate(suite, SuiteConfig(rmax=0.9999999), u, np.arange(1))
+    assert rows.ok[0] and excluded[0] and residual[0] == 0.0
+    u = np.array([[0.1, 0.2, 0.3, 0.9, 1 - 1e-12, 0.5, 0.3, 0.25]])
+    residual, rows, _, _ = suites._evaluate(suite, SuiteConfig(rmax=1 - 1e-10), u, np.arange(1))
+    assert not rows.ok[0] and math.isinf(residual[0])
+    assert rows.message[0] == "z must lie strictly inside the unit disc, got |z| = 0.9999999998995"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_residual_that_is_not_finite_is_a_hard_failure(monkeypatch, tmp_path, value):
     """A kernel whose residual is NaN on every row fails each row hard, and the report file stays strict JSON.

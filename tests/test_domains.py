@@ -113,6 +113,16 @@ def test_bidisc_membership():
     assert not inside and margin == pytest.approx(-0.2, abs=1e-12)
 
 
+def test_a_pair_within_the_disc_margin_reads_outside_with_margin_zero():
+    """rho_band reports a pair that breaks the disc rule, inside the circle but within TOL_BOUNDARY of it, as one on
+    the circle: (False, 0.0), whatever the band; the rows beside it keep their own reading."""
+    for hi in (0.7, 1.0):
+        assert rho_band(1 - 5e-10, 0.0, -math.inf, hi) == (False, 0.0)
+    inside, margin = rho_band(np.array([1 - 5e-10, 0.5]), np.array([0.0, -0.5]), -math.inf, 1.0)
+    assert inside.tolist() == [False, True]
+    assert margin[0] == 0.0 and margin[1] == pytest.approx(0.2, abs=1e-12)
+
+
 def test_bidisc_r_membership():
     inside, margin = rho_band(0.5, -0.5, -math.inf, 0.9)
     assert inside and margin == pytest.approx(0.1, abs=1e-12)
