@@ -1,16 +1,30 @@
 """Command line front end: verification runs, orbit dumps, single map evaluations.
 
+One table, ``_COMMANDS``, holds the three commands and their options,
+and drives parsing, usage errors and ``--help``.  An option is spelled in
+full, with no abbreviation, and takes its value as the next argument
+(``--seed 7``) or after ``=`` (``--seed=7``); a value may start with a
+single ``-`` (``--seed -1``), and one that starts with ``--`` must
+follow ``=``.  A repeated ``--suite`` or ``--tol`` accumulates; any
+other repeated option keeps its last value.  ``-h`` or ``--help``, alone
+or after a command, prints the usage line and the options to stdout.
+
 Exit codes: 0 everything passed, 1 at least one suite failed, 2 bad
-configuration or bad input.  The seed is taken from --seed when given,
-else from the BIDISC_LAB_SEED environment variable, else 42.
+usage, configuration or input.  A usage error (no or an unknown command,
+an unknown option, a missing value or required option, a bad number or
+choice) prints the usage line and ``bidisc-lab: error: ...`` to stderr;
+any other error prints ``error: ...``.  The seed is taken from --seed
+when given, else from the BIDISC_LAB_SEED environment variable, else 42.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NoReturn
 
 from .maps import map_H, map_H_inv, map_J
 from .orbits import dump_orbit, parse_orbit_spec
@@ -53,7 +67,7 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     cfg = SuiteConfig(
         seed=_resolve_seed(args.seed),
         samples=args.samples,
@@ -80,7 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_dump_orbit(args: argparse.Namespace) -> int:
+def _cmd_dump_orbit(args: SimpleNamespace) -> int:
     dump_orbit(parse_orbit_spec(args.spec), args.n, args.out, seed=_resolve_seed(args.seed))
     return 0
 
@@ -93,7 +107,7 @@ _MAPS = {
 }
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: SimpleNamespace) -> int:
     try:
         vals = [float(tok) for tok in args.point.replace(" ", "").split(",")]
     except ValueError:
@@ -106,47 +120,122 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bidisc-lab",
-        description="numerical checks for the bidisc orbit geometry",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class _Option:
+    """One option of a command: a repeated option accumulates its values, any other keeps its last."""
 
-    v = sub.add_parser("verify", help="run property suites and report pass/fail")
-    v.add_argument("--suite", action="append", metavar="ID", help="suite id; repeatable (default: all)")
-    v.add_argument("--seed", type=int, default=None, metavar="N")
-    v.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N")
-    v.add_argument("--rmax", type=float, default=DEFAULT_RMAX, metavar="X")
-    v.add_argument(
-        "--tol", action="append", default=[], metavar="NAME=X",
-        help="per-suite tolerance override; repeatable, once per suite",
-    )
-    v.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="accepted for compatibility and validated (N >= 1), but without effect: suites run serially",
-    )
-    v.add_argument("--report", default=None, metavar="PATH", help="write the JSON report here instead of stdout")
-    v.set_defaults(func=_cmd_verify)
+    metavar: str
+    help: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    repeat: bool = False  # the values given, in order; [] when none is
+    choices: tuple[str, ...] = ()
 
-    d = sub.add_parser("dump-orbit", help="write orbit samples as CSV")
-    d.add_argument("--spec", required=True, metavar="SPEC", help="Fa:A | Eta:L | Ellipsoid:T | RealSlice | ComplexCurve")
-    d.add_argument("--n", type=int, required=True, metavar="N")
-    d.add_argument("--out", required=True, metavar="PATH")
-    d.add_argument("--seed", type=int, default=None, metavar="N")
-    d.set_defaults(func=_cmd_dump_orbit)
 
-    m = sub.add_parser("map", help="evaluate one of the explicit maps at a point")
-    m.add_argument("--which", required=True, choices=_MAPS)
-    m.add_argument("--point", required=True, metavar='"re,im,..."')
-    m.set_defaults(func=_cmd_map)
-    return parser
+_PROG = "bidisc-lab"
+_HELP = ("-h", "--help")
+_SEED = _Option("N", f"seed (default: ${ENV_SEED}, else {DEFAULT_SEED})", int)
+
+# command -> (what it runs, what it does, its options)
+_COMMANDS = {
+    "verify": (_cmd_verify, "run property suites and report pass/fail", {
+        "--suite": _Option("ID", "suite id; repeatable (default: all)", repeat=True),
+        "--seed": _SEED,
+        "--samples": _Option("N", f"base sample count, times each suite's weight (default: {DEFAULT_SAMPLES})",
+                             int, DEFAULT_SAMPLES),
+        "--rmax": _Option("X", f"radius of the disc the points are drawn on (default: {DEFAULT_RMAX})",
+                          float, DEFAULT_RMAX),
+        "--tol": _Option("NAME=X", "per-suite tolerance override; repeatable, once per suite", repeat=True),
+        "--workers": _Option("N", "accepted for compatibility and validated (N >= 1), but without effect: "
+                             "suites run serially", int, 1),
+        "--report": _Option("PATH", "write the JSON report here instead of stdout"),
+    }),
+    "dump-orbit": (_cmd_dump_orbit, "write orbit samples as CSV", {
+        "--spec": _Option("SPEC", "Fa:A | Eta:L | Ellipsoid:T | RealSlice | ComplexCurve", required=True),
+        "--n": _Option("N", "number of rows", int, required=True),
+        "--out": _Option("PATH", "the CSV file to write", required=True),
+        "--seed": _SEED,
+    }),
+    "map": (_cmd_map, "evaluate one of the explicit maps at a point", {
+        "--which": _Option("{" + ",".join(_MAPS) + "}", "the map", required=True, choices=tuple(_MAPS)),
+        "--point": _Option('"re,im,..."', "the point, as interleaved real and imaginary parts", required=True),
+    }),
+}
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} {{{','.join(_COMMANDS)}}} [OPTION ...]"
+    options = _COMMANDS[command][2]
+    need = [f"{flag} {opt.metavar}" for flag, opt in options.items() if opt.required]
+    rest = ["[OPTION ...]"] if len(need) < len(options) else []
+    return " ".join([f"usage: {_PROG} {command}", *need, *rest])
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage line and the options of command, or of every command, to stdout; exit 0."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["numerical checks for the bidisc orbit geometry", ""]
+    for name in _COMMANDS if command is None else (command,):
+        _, what, options = _COMMANDS[name]
+        lines.append(f"{_PROG} {name}: {what}")
+        for flag, opt in options.items():
+            note = " (required)" if opt.required else ""
+            lines.append(f"  {flag + ' ' + opt.metavar:<22} {opt.help}{note}")
+        lines.append("")
+    sys.stdout.write("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    print(_usage(command), file=sys.stderr)
+    print(f"{_PROG}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """(what the command argv names runs, its options): one attribute per option of the table, given or default."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            _help(None)
+        _usage_error(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command, tokens = argv[0], iter(argv[1:])
+    run, _, options = _COMMANDS[command]
+    given: dict[str, object] = {}
+    for token in tokens:
+        if token in _HELP:
+            _help(command)
+        flag, sep, value = token.partition("=")
+        opt = options.get(flag)
+        if opt is None:
+            _usage_error(command, f"unrecognized argument {token!r}")
+        if not sep:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _usage_error(command, f"argument {flag}: expected a value")
+        try:
+            value = opt.type(value)
+        except ValueError:
+            _usage_error(command, f"argument {flag}: invalid {opt.type.__name__} value: {value!r}")
+        if opt.choices and value not in opt.choices:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(opt.choices)})")
+        if opt.repeat:
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    missing = [flag for flag, opt in options.items() if opt.required and flag not in given]
+    if missing:
+        _usage_error(command, f"the following options are required: {', '.join(missing)}")
+    values = {flag: given.get(flag, [] if opt.repeat else opt.default) for flag, opt in options.items()}
+    return run, SimpleNamespace(**{flag[2:]: value for flag, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    run, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return run(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

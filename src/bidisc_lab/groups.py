@@ -41,8 +41,9 @@ _DEN_TOL = 1e-12
 
 
 def _matrices(A) -> np.ndarray:
-    """A as one complex 3x3 matrix or an (n, 3, 3) stack of them."""
-    A = np.asarray(A, dtype=complex)
+    """A as one 3x3 matrix or an (n, 3, 3) stack of them: float64 when real, else complex."""
+    A = np.asarray(A)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim not in (2, 3) or A.shape[-2:] != (3, 3):
         raise ValueError("expected a 3x3 matrix")
     return A
@@ -56,22 +57,34 @@ def u21_residual(A):
     in any stack: the diagonal M_jj = |A_0j|^2 + |A_1j|^2 - |A_2j|^2 -
     I21_jj, and the Hermitian off-diagonal pairs through M_01, M_12 and
     M_20, each counted twice.
+
+    A real matrix takes the same products with no imaginary part: the
+    complex cast would only add +0.0 terms, change the sign of a zero
+    that is then squared, and square a zero imaginary part, so on finite
+    entries the real and the complex cast read the same bits.
     """
     A = _matrices(A)
     # row i of every matrix is x[i] + i y[i], a (3, n) array: each operation runs along the stack, and
     # working one row at a time keeps the temporaries to a third of the stack's size
     P = np.moveaxis(A.reshape(-1, 3, 3), 0, -1)
-    x, y = P.real.copy(), P.imag.copy()
     k = [1, 2, 0]  # column j + 1 mod 3 beside column j
 
     def signed(term):  # the sum over the rows of I21_ii term(i), in a fixed order
         return term(0) + term(1) - term(2)
 
-    diag = signed(lambda i: x[i] * x[i] + y[i] * y[i]) - _FORM
-    # the real and imaginary parts of M_jk = sum_i I21_ii conj(A_ij) A_ik
-    re = signed(lambda i: x[i] * x[i, k] + y[i] * y[i, k])
-    im = signed(lambda i: x[i] * y[i, k] - y[i] * x[i, k])
-    d2, off = diag * diag, re * re + im * im
+    if np.iscomplexobj(P):
+        x, y = P.real.copy(), P.imag.copy()
+        diag = signed(lambda i: x[i] * x[i] + y[i] * y[i]) - _FORM
+        # the real and imaginary parts of M_jk = sum_i I21_ii conj(A_ij) A_ik
+        re = signed(lambda i: x[i] * x[i, k] + y[i] * y[i, k])
+        im = signed(lambda i: x[i] * y[i, k] - y[i] * x[i, k])
+        off = re * re + im * im
+    else:
+        x = P.copy()
+        diag = signed(lambda i: x[i] * x[i]) - _FORM
+        re = signed(lambda i: x[i] * x[i, k])
+        off = re * re
+    d2 = diag * diag
     out = np.sqrt(d2[0] + d2[1] + d2[2] + 2.0 * (off[0] + off[1] + off[2]))
     return out[0].item() if A.ndim == 2 else out
 
@@ -142,8 +155,11 @@ def so21_image(phi: MobiusMap) -> np.ndarray:
     (a,), _, single = _batch(None, phi.a)  # phi.theta, and so phi.rotation, has a's shape
     e, t = phi.rotation, _abs2(a)
     p, q, r = e * (1.0 - a * a), e * (1.0 + a * a), e * a
-    rows = ((p.real, -q.imag, -2.0 * r.imag), (p.imag, q.real, 2.0 * r.real), (-2.0 * a.imag, 2.0 * a.real, 1.0 + t))
-    A = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / (1.0 - t)[:, None, None]
+    A = np.empty((len(a), 3, 3))
+    A[:, 0, 0], A[:, 0, 1], A[:, 0, 2] = p.real, -q.imag, -2.0 * r.imag
+    A[:, 1, 0], A[:, 1, 1], A[:, 1, 2] = p.imag, q.real, 2.0 * r.real
+    A[:, 2, 0], A[:, 2, 1], A[:, 2, 2] = -2.0 * a.imag, 2.0 * a.real, 1.0 + t
+    A /= (1.0 - t)[:, None, None]
     return _unbatch(A, single)
 
 

@@ -28,22 +28,31 @@ TOL_BOUNDARY = 1e-9
 
 
 def _inside(z) -> np.ndarray:
-    """The disc rule: z is finite and |z| < 1 - TOL_BOUNDARY, elementwise."""
+    """The disc rule for a point a caller supplies: z is finite and |z| < 1 - TOL_BOUNDARY, elementwise."""
     return np.abs(z) < 1.0 - TOL_BOUNDARY  # False on NaN
 
 
-def _check_disc(rows: RowErrors, z: np.ndarray, name: str) -> None:
-    """Flag the rows whose z breaks the disc rule (``_inside``)."""
-    bad = ~_inside(z)
+def _on_disc(z) -> np.ndarray:
+    """The disc rule for a value computed from checked points, such as an image phi(z): finite and |z| < 1.
+
+    An image keeps no margin: 1 - |phi(z)|^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2
+    falls below 2 TOL_BOUNDARY when a and z lie near the rim at angles apart.
+    """
+    return np.abs(z) < 1.0  # False on NaN
+
+
+def _check_disc(rows: RowErrors, z: np.ndarray, name: str, inside=_inside) -> None:
+    """Flag the rows whose z breaks the disc rule ``inside``: ``_inside``, or ``_on_disc`` for a computed value."""
+    bad = ~inside(z)
     if bad.any():
         size = np.abs(z)
         rows.flag(bad & ~np.isfinite(z), lambda r: f"{name} must have finite components, got {z[r].item()!r}")
         rows.flag(bad, lambda r: f"{name} must lie strictly inside the unit disc, got |{name}| = {size[r]}")
 
 
-def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> None:
-    _check_disc(rows, z, "z")
-    _check_disc(rows, w, "w")
+def _check_pair(rows: RowErrors, z: np.ndarray, w: np.ndarray, inside=_inside) -> None:
+    _check_disc(rows, z, "z", inside)
+    _check_disc(rows, w, "w", inside)
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,13 @@ def pseudo_hyperbolic(z, w, *, errors: RowErrors | None = None):
     and has the exact negative imaginary part, so rho(w, z) == rho(z, w)
     bit for bit.
     """
+    return _rho(z, w, errors, _inside)
+
+
+def _rho(z, w, errors: RowErrors | None, inside):
+    """pseudo_hyperbolic, the pair held to the disc rule ``inside``: ``_on_disc`` for images the package computed."""
     (z, w), rows, single = _batch(errors, z, w)
-    _check_pair(rows, z, w)
+    _check_pair(rows, z, w, inside)
     re, im = _times(z.conjugate(), w)
     return _unbatch(np.abs(z - w) / np.abs((1.0 - re) + 1j * im), single)
 

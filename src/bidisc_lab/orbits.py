@@ -34,7 +34,10 @@ The samplers apply their checks to each row.  The Minkowski level
 sampler applies map_H's: at a large level the pairs crowd the diagonal.
 The rho level sampler fails a row whose pair does not resolve the
 level, |rho - a| not below a: below about eps times the automorphism
-centre's modulus, phi(a) rounds onto phi(0).
+centre's modulus, phi(a) rounds onto phi(0).  It and the rho level
+residual hold that pair, computed from the checked level, only to being
+finite and inside the disc (``mobius._on_disc``), not to the margin a
+caller's point keeps.
 
 A dump draws row i from the uniforms [i k, (i + 1) k) of the stream
 (seed, 0), with k = ``spec.record.draws``, so
@@ -55,7 +58,7 @@ import numpy as np
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
 from .maps import map_H
-from .mobius import mobius_apply, pseudo_hyperbolic, random_mobius
+from .mobius import _on_disc, _rho, mobius_apply, random_mobius
 from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
@@ -91,7 +94,7 @@ def _rho_pair(u, a, rmax, errors):
 def _rho_level_sampler(u, a, rmax, errors):
     """_rho_pair, with each row whose pair does not resolve the level (|rho - a| >= a) flagged."""
     z, w = _rho_pair(u, a, rmax, errors)
-    gap = np.abs(pseudo_hyperbolic(z, w, errors=errors) - a)
+    gap = np.abs(_rho(z, w, errors, _on_disc) - a)
     rounds = "its pair rounds onto the diagonal: |rho - a| = "
     a = np.broadcast_to(a, gap.shape)
     errors.flag(~(gap < a), lambda r: f"{rounds}{gap[r]:.3g} is not below a = {a[r]:g}")
@@ -230,7 +233,7 @@ RHO_LEVEL = FamilyRecord(
     "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: (0.0 < a) & (a < 1.0),
     # zero set rho = a on the bidisc
     value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=True,
-    residual=lambda p, a, errors: np.abs(pseudo_hyperbolic(*p, errors=errors) - a),
+    residual=lambda p, a, errors: np.abs(_rho(*p, errors, _on_disc) - a),
     sampler=_rho_level_sampler, draws=3,
 )
 MINKOWSKI_LEVEL = FamilyRecord(

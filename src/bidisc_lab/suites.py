@@ -124,7 +124,7 @@ from .groups import (
 )
 from .levi import levi_restricted, totally_real_check
 from .maps import EPS_DIAG, map_H, map_H_inv, map_J, scale_g_t, sym
-from .mobius import MOBIUS_DRAWS, _check_pair, mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .mobius import MOBIUS_DRAWS, _check_pair, _on_disc, _rho, mobius_apply_pair, pseudo_hyperbolic, random_mobius
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -247,11 +247,11 @@ def _pairs(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool) -> tuple:
 
 
 def _k_rho_invariance(cfg, u, idx, rows, share):
-    # the pair as drawn, with no row excluded, and phi
+    # the pair as drawn, with no row excluded, and phi; its image keeps only the rule for computed values
     *_, inputs, (z, w) = share
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
-    res = np.abs(pseudo_hyperbolic(z2, w2, errors=rows) - pseudo_hyperbolic(z, w, errors=rows))
+    res = np.abs(_rho(z2, w2, rows, _on_disc) - pseudo_hyperbolic(z, w, errors=rows))
     return res * _rim_scale(z, w, z2, w2), np.column_stack((inputs, _columns(phi.theta, phi.a)))
 
 

@@ -729,6 +729,26 @@ def test_aut_preserves_subdomains_excludes_an_image_at_the_rim_and_fails_a_drawn
     assert rows.message[0] == "z must lie strictly inside the unit disc, got |z| = 0.9999999998995"
 
 
+def test_rho_invariance_holds_an_image_at_the_rim_to_the_disc_alone():
+    """rho of an image (phi(z), phi(w)) within TOL_BOUNDARY of the circle is scored; a drawn point there fails hard.
+
+    Row 165,358 of `verify --suite rho-invariance --rmax 0.9999999 --seed 2`
+    draws phi(z) at |phi(z)| = 0.9999999997695559.  The crafted row puts z
+    and phi's centre near the rim at opposite angles, so that 1 - |phi(z)|
+    is about 5e-15.
+    """
+    suite = suites._BY_NAME["rho-invariance"]
+    residual, rows, _, excluded = suites._block(suite, SuiteConfig(seed=2, rmax=0.9999999), 165358, 165359)
+    assert rows.ok[0] and not excluded[0] and residual[0] < 1e-20
+    u = np.array([[1 - 1e-12, 0.0, 0.9, 0.5, 0.0, 1 - 1e-12, 0.5]])
+    residual, rows, _, _ = suites._evaluate(suite, SuiteConfig(rmax=0.9999999), u, np.arange(1))
+    assert rows.ok[0] and residual[0] < 1e-20
+    u = np.array([[1 - 1e-12, 0.0, 0.9, 0.5, 0.1, 0.2, 0.3]])
+    residual, rows, _, _ = suites._evaluate(suite, SuiteConfig(rmax=1 - 1e-10), u, np.arange(1))
+    assert not rows.ok[0] and math.isinf(residual[0])
+    assert rows.message[0] == "z must lie strictly inside the unit disc, got |z| = 0.9999999998995"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_residual_that_is_not_finite_is_a_hard_failure(monkeypatch, tmp_path, value):
     """A kernel whose residual is NaN on every row fails each row hard, and the report file stays strict JSON.

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bidisc_lab
+from bidisc_lab import cli
 from bidisc_lab.cli import ENV_SEED, main
 
 
@@ -16,6 +18,97 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# parsing, from the option table
+
+VERIFY_DEFAULTS = {
+    "suite": [], "seed": None, "samples": 10_000, "rmax": 0.95, "tol": [], "workers": 1, "report": None,
+}
+VERIFY_EVERY_OPTION = {
+    "suite": ["H-quadric", "gt-sphere"], "seed": -1, "samples": 5, "rmax": 0.5,
+    "tol": ["H-quadric=1e-9", "gt-sphere=1e-3"], "workers": 2, "report": "r.json",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, command, expected",
+    [
+        (["verify"], "verify", VERIFY_DEFAULTS),
+        (
+            ["verify", "--suite", "H-quadric", "--seed", "-1", "--samples", "5", "--rmax", "0.5",
+             "--tol", "H-quadric=1e-9", "--workers", "2", "--report", "r.json",
+             "--suite", "gt-sphere", "--tol", "gt-sphere=1e-3"],
+            "verify", VERIFY_EVERY_OPTION,
+        ),
+        (
+            ["verify", "--suite=H-quadric", "--seed=-1", "--samples=5", "--rmax=0.5", "--tol=H-quadric=1e-9",
+             "--workers=2", "--report=r.json", "--suite=gt-sphere", "--tol=gt-sphere=1e-3"],
+            "verify", VERIFY_EVERY_OPTION,
+        ),
+        # a repeated scalar keeps its last value
+        (["verify", "--samples", "5", "--samples=7", "--seed=3", "--seed", "4"], "verify",
+         {**VERIFY_DEFAULTS, "samples": 7, "seed": 4}),
+        (["dump-orbit", "--spec", "Fa:0.8", "--n", "3", "--out", "o.csv"], "dump-orbit",
+         {"spec": "Fa:0.8", "n": 3, "out": "o.csv", "seed": None}),
+        (["dump-orbit", "--seed=-5", "--out=o.csv", "--n=3", "--spec=Eta:2.125"], "dump-orbit",
+         {"spec": "Eta:2.125", "n": 3, "out": "o.csv", "seed": -5}),
+        (["map", "--which", "Hinv", "--point", "-1.25,0,0,0.75,0,0"], "map",
+         {"which": "Hinv", "point": "-1.25,0,0,0.75,0,0"}),
+        (["map", "--point=0.5,0,-0.5,0", "--which=H"], "map", {"which": "H", "point": "0.5,0,-0.5,0"}),
+    ],
+)
+def test_the_option_table_parses_argv(argv, command, expected):
+    run, args = cli._parse(argv)
+    assert run is cli._COMMANDS[command][0]
+    assert vars(args) == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["verify", "--help"], ["verify", "--samples", "5", "-h"], ["dump-orbit", "--help"],
+             ["map", "-h"]],
+)
+def test_help_lists_every_option_of_the_table(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: bidisc-lab")
+    commands = cli._COMMANDS if argv[0] in ("-h", "--help") else [argv[0]]
+    for command in commands:
+        assert f"bidisc-lab {command}:" in out
+        for flag, option in cli._COMMANDS[command][2].items():
+            assert f"  {flag} {option.metavar} " in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "a command is required"),
+        (["bogus"], "invalid command 'bogus'"),
+        (["--samples", "5"], "invalid command '--samples'"),
+        (["verify", "--bogus"], "unrecognized argument '--bogus'"),
+        (["verify", "--sam", "5"], "unrecognized argument '--sam'"),  # no abbreviation
+        (["verify", "stray"], "unrecognized argument 'stray'"),
+        (["verify", "--seed"], "argument --seed: expected a value"),
+        (["verify", "--report", "--samples", "5"], "argument --report: expected a value"),
+        (["verify", "--samples", "5.5"], "argument --samples: invalid int value: '5.5'"),
+        (["verify", "--samples="], "argument --samples: invalid int value: ''"),
+        (["verify", "--rmax", "x"], "argument --rmax: invalid float value: 'x'"),
+        (["map", "--which", "K", "--point", "0,0,0,0"], "argument --which: invalid choice: 'K'"),
+        (["map", "--point", "0,0,0,0"], "the following options are required: --which"),
+        (["dump-orbit", "--spec", "Fa:0.8"], "the following options are required: --n, --out"),
+    ],
+)
+def test_usage_errors_exit_two_with_the_usage_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: bidisc-lab")
+    assert error.startswith("bidisc-lab: error: ") and message in error
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +448,32 @@ def test_dump_orbit_refuses_fa_rows_that_fail_a_check_naming_the_row(tmp_path, s
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_dump_orbit_writes_fa_rows_whose_pair_reaches_within_the_caller_margin(tmp_path, capsys):
+    """The pair (phi(a), phi(0)) is computed from the checked level a = 1 - 2e-9: it need only lie in the disc.
+
+    Row 4 at the default seed has |phi(a)| = 0.9999999998466682, within TOL_BOUNDARY = 1e-9 of the circle.
+    """
+    out = tmp_path / "fa.csv"
+    code = main(["dump-orbit", "--spec", "Fa:0.999999998", "--n", "5000", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5000
+    assert math.hypot(*rows[4][:2]) > 1 - 1e-9
+    assert all(row[4] < 1e-12 for row in rows)
+
+
+def test_a_command_loads_neither_argparse_nor_locale():
+    """The option table parses argv without argparse, whose help strings go through gettext and import locale."""
+    code = (
+        "import sys; from bidisc_lab.cli import main; "
+        "code = main(['verify', '--suite', 'alpha-roundtrip', '--samples', '50']); "
+        "print(code, [m for m in ('argparse', 'locale') if m in sys.modules], file=sys.stderr)"
+    )
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 []"
 
 
 def test_importing_the_cli_builds_no_row_formatter_table():

@@ -8,6 +8,7 @@ import pytest
 
 from bidisc_lab.groups import (
     I21,
+    _matrices,
     ball_action,
     o21_point_matrix,
     so21_image,
@@ -133,6 +134,46 @@ def test_ball_action_returns_plain_complex_and_preserves_ball():
 def test_ball_action_accepts_real_form_matrices():
     q = ball_action(so21_image(random_mobius(uniform_block(7, 0, 3, 0, 1)[0])), (0.1, 0.2))
     assert abs(q[0]) ** 2 + abs(q[1]) ** 2 < 1.0
+
+
+def test_a_real_stack_reads_the_bits_of_its_complex_cast():
+    """u21_residual and ball_action take a real stack as real, and read the bits of its complex cast, row by row.
+
+    The stack mixes SO+(2,1) images (near the rim too), O(2,1) point
+    matrices, matrices with 0.0 and -0.0 entries, and garbage that the
+    form check flags.
+    """
+    c, s = math.cos(0.4), math.sin(0.4)
+    signed_zeros = np.array([
+        [[c, -s, -0.0], [s, c, 0.0], [-0.0, 0.0, 1.0]],
+        -np.eye(3),  # -0.0 off the diagonal
+        [[-0.0, 1.0, -0.0], [1.0, -0.0, 0.0], [0.0, -0.0, -1.0]],
+    ])
+    u = uniform_block(40, 0, 9, 0, 30)
+    zero = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
+    garbage = np.concatenate([(u - 0.5).reshape(-1, 3, 3) * 4.0, [zero]])
+    garbage[::3, 0, 1], garbage[1::3, 2, 0] = -0.0, 0.0
+    x, y = disc_from_uniforms(u[:, 0], u[:, 1], 0.7).real, disc_from_uniforms(u[:, 2], u[:, 3], 0.7).real
+    A = np.concatenate([
+        so21_image(random_mobius(uniform_block(41, 0, 3, 0, 30))),
+        so21_image(random_mobius(uniform_block(42, 0, 3, 0, 30), 0.999999)),
+        o21_point_matrix(x / 2.0, y / 2.0),
+        signed_zeros,
+        garbage,
+    ])
+    assert _matrices(A).dtype == float
+    np.testing.assert_equal(u21_residual(A).tobytes(), u21_residual(A.astype(complex)).tobytes())
+    for matrix in A:
+        assert u21_residual(matrix).hex() == u21_residual(matrix.astype(complex)).hex()
+    p = ball_from_uniforms(uniform_block(43, 0, 4, 0, len(A)), 0.9)
+    real_rows, complex_rows = RowErrors(len(A)), RowErrors(len(A))
+    with np.errstate(all="ignore"):  # the zero matrix's denominator vanishes; its row is flagged
+        real = ball_action(A, p, errors=real_rows)
+        cast = ball_action(A.astype(complex), p, errors=complex_rows)
+    assert not real_rows.ok.all() and real_rows.ok[: 90 + len(signed_zeros)].all()
+    np.testing.assert_array_equal(real_rows.ok, complex_rows.ok)
+    for q, q_cast in zip(real, cast):
+        assert q.tobytes() == q_cast.tobytes()
 
 
 def test_ball_action_rejects_garbage():
