@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobius import _check_pair
+from .mobius import _check_pair, _inside
 from .rng import RowErrors, _batch, _size, _times, _unbatch
 
 EPS_DIAG = 1e-6
@@ -73,8 +73,13 @@ def map_H(z, w, *, errors: RowErrors | None = None):
     Computed on real and imaginary parts: float products commute
     exactly, so map_H(w, z) == -map_H(z, w) bit for bit (see rng._times).
     """
+    return _map_H(z, w, errors, _inside)
+
+
+def _map_H(z, w, errors: RowErrors | None, inside):
+    """map_H, the pair held to the disc rule ``inside``: ``_on_disc`` for images the package computed."""
     (z, w), rows, single = _batch(errors, z, w)
-    _check_pair(rows, z, w)
+    _check_pair(rows, z, w, inside)
     rows.flag(np.abs(z - w) < EPS_DIAG, "point too close to the diagonal for the affine chart")
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
     dr, di = zr - wr, zi - wi

@@ -79,6 +79,14 @@ class RowErrors:
     def __init__(self, n: int):
         self.ok = np.ones(n, dtype=bool)
 
+    def copy(self) -> RowErrors:
+        """A collector with this one's flags and messages, whose rows then fail apart from this one's."""
+        out = RowErrors.__new__(RowErrors)
+        out.ok = self.ok.copy()
+        if self._message is not None:
+            out._message = self._message.copy()
+        return out
+
     @property
     def message(self) -> np.ndarray:
         """Each row's first failure message, None for a row that has not failed."""
@@ -96,8 +104,16 @@ class RowErrors:
 class _FirstRaises(RowErrors):
     """The collector of a call that was passed none: the first row that fails a check raises at once.
 
-    Its ``ok`` stays all True: no row fails without raising.
+    No row fails without raising, so it keeps no row flags: its ``ok`` is a
+    read-only all-True view, built only when read.
     """
+
+    def __init__(self, n: int):
+        self._n = n
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.broadcast_to(True, (self._n,))
 
     def flag(self, bad: np.ndarray, message) -> None:
         if bad.any():  # no row has failed before: it would have raised
@@ -106,7 +122,16 @@ class _FirstRaises(RowErrors):
 
 
 def _batch(errors: RowErrors | None, *values, dtype=complex):
-    """The values as 1-d arrays of one length, the collector of their checks, and whether they were one point."""
+    """The values as 1-d arrays of one length, the collector of their checks, and whether they were one point.
+
+    Values that already are 1-d arrays of dtype and of one shape are returned as they are.
+    """
+    shape = getattr(values[0], "shape", None)
+    for v in values:
+        if type(v) is not np.ndarray or v.dtype != dtype or v.shape != shape or len(shape) != 1:
+            break
+    else:
+        return values, _collector(errors, shape[0]), False
     arrays = [np.asarray(v, dtype=dtype) for v in values]
     if any(a.ndim > 1 for a in arrays):  # a batch holds one entry per row: a grid is refused, not flattened
         shapes = ", ".join(str(a.shape) for a in arrays)

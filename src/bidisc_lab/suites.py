@@ -19,7 +19,7 @@ a caller uses on a point, passing rows as ``errors``.  The report's
 the report alone (``_evaluate``).
 
 Twelve suites draw a pair (z, w) of the rmax disc from 4 of their
-uniforms: the nine of the pair family once per block (``_pairs``), the
+uniforms: the nine of the pair family once per block (``_Pairs``), the
 two conjugation suites and ``aut-preserves-subdomains`` each its own;
 the last needs no chart.  The other nine that draw a pair judge it
 through h = map_H(z, w), whose chart stops at |z - w| >= EPS_DIAG, and
@@ -42,7 +42,8 @@ Nine pair suites judge one pair per row: ``rho-invariance``,
 (``_Suite.family``).  All draw k = 7 uniforms per row from H-quadric's
 stream, 2 << 32: the pair, then phi's 3, which only rho-invariance reads.  Per block the
 runner draws the pair once for the selected members and, when one of
-them reads h, computes map_H once; the seven that read h are residuals
+them reads h, computes map_H once, and rho and ``_size(*h)`` of the
+charted pair at most once each; the seven that read h are residuals
 of (z, w, h) (``_on_h``), each flagging its checks in its own copy of
 map_H's row flags, so every check fires on every member and none fails
 another's row.  ``rho-invariance`` and ``sym-equivariance`` judge the
@@ -51,7 +52,7 @@ nine claims are thus judged on the same pairs, each on as many as
 before, and a member run alone draws the rows of the full run.  The two
 conjugation suites, which also read h, each draw on their own stream,
 their pair after phi's 3 uniforms, and chart both the pair and its
-image phi(p) by ``_chart``.
+image phi(p) by ``_chart``, the image by the rule for computed values.
 
 The Levi suites take k = 3: every row is drawn by its family's sampler
 (``orbits.orbit_points``), which also applies its checks.  One kernel
@@ -90,7 +91,6 @@ together with the row's inputs.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import json
@@ -123,8 +123,18 @@ from .groups import (
     u21_residual,
 )
 from .levi import levi_restricted, totally_real_check
-from .maps import EPS_DIAG, map_H, map_H_inv, map_J, scale_g_t, sym
-from .mobius import MOBIUS_DRAWS, _check_pair, _on_disc, _rho, mobius_apply_pair, pseudo_hyperbolic, random_mobius
+from .maps import EPS_DIAG, _map_H, map_H, map_H_inv, map_J, scale_g_t, sym
+from .mobius import (
+    MOBIUS_DRAWS,
+    TOL_BOUNDARY,
+    _check_pair,
+    _inside,
+    _on_disc,
+    _rho,
+    mobius_apply_pair,
+    pseudo_hyperbolic,
+    random_mobius,
+)
 from .orbits import (
     ELLIPSOID,
     FLAT_CONTROL,
@@ -155,6 +165,7 @@ LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex familie
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
 PREIMAGE_MARGIN = 1e-8  # skip samples this close to a band boundary
 MEMBERSHIP_MARGIN = 1e-6
+_RMAX_LIMIT = 1.0 - TOL_BOUNDARY  # the largest accepted rmax: the edge of the disc rule for a point a caller supplies
 
 
 class ConfigError(ValueError):
@@ -178,7 +189,7 @@ class _Suite:
     ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
     inputs)`` over the rows idx, whose uniforms U have shape
     (len(idx), draws), and drawn the pair family's share of the draw
-    (``_pairs``; None for a suite outside it); it flags the rows that
+    (``_Pairs``; None for a suite outside it); it flags the rows that
     fail a check in the block's ``RowErrors`` rows.  A kernel that leaves
     rows unscored returns ``(residual, inputs, excluded)``, with excluded
     a mask of those rows.  ``family`` marks the pair family's members,
@@ -219,19 +230,23 @@ def _rim_scale(*points) -> np.ndarray:
     return 1.0 - functools.reduce(np.maximum, map(_abs2, points))
 
 
-def _chart(rows: RowErrors, z: np.ndarray, w: np.ndarray) -> tuple:
+def _chart(rows: RowErrors, z: np.ndarray, w: np.ndarray, inside=_inside) -> tuple:
     """(z, w, h, excluded) of pairs: the pairs h takes, h = map_H(z, w), its checks flagged in rows, the excluded rows.
 
     A pair within EPS_DIAG of the diagonal, where map_H's chart stops, is
     excluded: (1/2, -1/2) stands in for it, so that no check of h fires.
-    A pair off the disc fails hard, crowded or not: map_H checks a pair it
-    charts, so a block is checked here only before a stand-in hides one.
+    A pair that breaks the disc rule ``inside`` fails hard, crowded or not:
+    ``_inside`` for a drawn pair, ``_on_disc`` for an image phi(p), which
+    keeps no margin.  map_H checks a pair it charts, so a block is checked
+    here only before a stand-in hides one.
     """
     excluded = np.abs(z - w) < EPS_DIAG  # map_H's chart guard
     if excluded.any():
-        _check_pair(rows, z, w)
+        _check_pair(rows, z, w, inside)
         z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
-    return z, w, map_H(z, w, errors=rows), excluded
+    # a drawn pair is charted by map_H itself, the function a caller applies to a point
+    h = map_H(z, w, errors=rows) if inside is _inside else _map_H(z, w, rows, inside)
+    return z, w, h, excluded
 
 
 # the pair family: nine claims on one pair of the rmax disc, seven of them on its h = map_H(z, w)
@@ -239,29 +254,51 @@ _H_PAIRS_STREAM = "H-quadric"
 _H_PAIRS_DRAWS = 7  # the pair (4), then phi (3), which only rho-invariance reads
 
 
-def _pairs(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool) -> tuple:
-    """(z, w, h, excluded, inputs, drawn) of a block of the pair family: ``_chart`` of the drawn pairs when a member
-    reads h (else None for all four), their (n, 4) input columns, and the drawn pairs (z, w)."""
-    drawn = _disc_pair(u[:, :4], cfg.rmax)
-    return *(_chart(rows, *drawn) if h else (None,) * 4), _columns(*drawn), drawn
+class _Pairs:
+    """The pair family's share of a block's draw.
+
+    ``drawn`` holds the drawn pairs (z, w) and ``inputs`` their (n, 4)
+    input columns.  When a member reads h, ``z``, ``w``, ``h`` and
+    ``excluded`` are ``_chart`` of the drawn pairs, its checks flagged in
+    the block's rows; ``rho`` and ``size`` are then computed once, on first
+    use, for every member that reads them.
+    """
+
+    def __init__(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool):
+        self.drawn = _disc_pair(u[:, :4], cfg.rmax)
+        self.inputs = _columns(*self.drawn)
+        self._rows = rows
+        if h:
+            self.z, self.w, self.h, self.excluded = _chart(rows, *self.drawn)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """rho(z, w) of the charted pairs: map_H checked them by the same disc rule, so it flags no row."""
+        return pseudo_hyperbolic(self.z, self.w, errors=self._rows)
+
+    @functools.cached_property
+    def size(self) -> np.ndarray:
+        """``_size(*h)``: max(1, |h|_inf) per row."""
+        return _size(*self.h)
 
 
-def _k_rho_invariance(cfg, u, idx, rows, share):
+def _k_rho_invariance(cfg, u, idx, rows, pairs):
     # the pair as drawn, with no row excluded, and phi; its image keeps only the rule for computed values
-    *_, inputs, (z, w) = share
+    z, w = pairs.drawn
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
     res = np.abs(_rho(z2, w2, rows, _on_disc) - pseudo_hyperbolic(z, w, errors=rows))
-    return res * _rim_scale(z, w, z2, w2), np.column_stack((inputs, _columns(phi.theta, phi.a)))
+    return res * _rim_scale(z, w, z2, w2), np.column_stack((pairs.inputs, _columns(phi.theta, phi.a)))
 
 
 def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite:
-    """A member of the pair family that reads h, scored by residual(idx, rows, z, w, h): each row's residual, or
-    (residual, excluded, *columns) for a claim that leaves rows unscored and records columns after the pair."""
+    """A member of the pair family that reads h, scored by residual(idx, rows, pairs), pairs the block's ``_Pairs``:
+    each row's residual, or (residual, excluded, *columns) for a claim that leaves rows unscored and records columns
+    after the pair."""
 
-    def _k_on_h(cfg, u, idx, rows, share):
-        z, w, h, excluded, inputs, _ = share
-        out = residual(idx, rows, z, w, h)
+    def _k_on_h(cfg, u, idx, rows, pairs):
+        out = residual(idx, rows, pairs)
+        excluded, inputs = pairs.excluded, pairs.inputs
         if not isinstance(out, np.ndarray):
             out, unscored, *columns = out
             excluded, inputs = excluded | unscored, np.column_stack((inputs, *columns))
@@ -270,44 +307,44 @@ def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite
     return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, family=True, reads_h=True)
 
 
-def _h_roundtrip(idx, rows, z, w, h):
-    z2, w2 = map_H_inv(*h, errors=rows)
-    return np.maximum(np.abs(z2 - z), np.abs(w2 - w))
+def _h_roundtrip(idx, rows, pairs):
+    z2, w2 = map_H_inv(*pairs.h, errors=rows)
+    return np.maximum(np.abs(z2 - pairs.z), np.abs(w2 - pairs.w))
 
 
-def _orbit_levels(idx, rows, z, w, h):
-    rho = pseudo_hyperbolic(z, w, errors=rows)
-    m = minkowski_form(*h)
+def _orbit_levels(idx, rows, pairs):
+    rho = pairs.rho
+    m = minkowski_form(*pairs.h)
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
-    return np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / _size(*h) ** 2
+    return np.maximum(np.abs(m - (2.0 / (rho * rho) - 1.0)), np.abs(m - level)) / pairs.size**2
 
 
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _preimage_formula(idx, rows, z, w, h):
+def _preimage_formula(idx, rows, pairs):
     # boundary-ambiguous samples are excluded: residual 0; the band (s, t) is recorded after the pair
     s, t = _PREIMAGE_BANDS[idx % 3].T
-    rho = pseudo_hyperbolic(z, w, errors=rows)
+    rho = pairs.rho
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
-    member = quadric_band(*h, s, t)[0]
+    member = quadric_band(*pairs.h, s, t)[0]
     predicted = (lo < rho) & (rho < hi)
     return np.where(ambiguous | (member == predicted), 0.0, 1.0), ambiguous, s, t
 
 
-def _j_h_compat(idx, rows, z, w, h):
-    p = map_J(z, w, errors=rows)
-    q = (np.ones_like(z), *h)  # so |q|_inf = _size(*h)
+def _j_h_compat(idx, rows, pairs):
+    p = map_J(pairs.z, pairs.w, errors=rows)
+    q = (np.ones_like(pairs.z), *pairs.h)  # so |q|_inf = _size(*h)
     cross = [np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)]
-    return functools.reduce(np.maximum, cross) / (functools.reduce(np.maximum, np.abs(p)) * _size(*h))
+    return functools.reduce(np.maximum, cross) / (functools.reduce(np.maximum, np.abs(p)) * pairs.size)
 
 
-def _k_sym_equivariance(cfg, u, idx, rows, share):
+def _k_sym_equivariance(cfg, u, idx, rows, pairs):
     # exact claim: sym works on real and imaginary parts, whose products commute; the pair as drawn
-    *_, inputs, (z, w) = share
+    z, w = pairs.drawn
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
-    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), inputs
+    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), pairs.inputs
 
 
 def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
@@ -358,7 +395,7 @@ def _conjugated(cfg, u, rows, swap: bool):
     z, w, h, excluded = _chart(rows, *drawn)
     phi = random_mobius(u[:, :MOBIUS_DRAWS], cfg.rmax, errors=rows)
     A = so21_image(phi)
-    *_, q, crowded = _chart(rows, *mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows))
+    *_, q, crowded = _chart(rows, *mobius_apply_pair(phi, (w, z) if swap else (z, w), errors=rows), _on_disc)
     q = np.stack(q, axis=-1)
     Ah = (A * np.stack(h, axis=-1)[:, None, :]).sum(axis=2)
     res = _row_max(np.abs(q + Ah if swap else q - Ah)) / _size(q)
@@ -472,20 +509,22 @@ _REGISTRY: tuple[_Suite, ...] = (
         "H-quadric",
         "the embedded image satisfies h1^2 + h2^2 - h3^2 = 1",
         1e-10,
-        lambda idx, rows, z, w, h: np.abs(quadric_residual(*h)) / _size(*h) ** 2,
+        lambda idx, rows, pairs: np.abs(quadric_residual(*pairs.h)) / pairs.size**2,
     ),
     _on_h(
         "H-im-condition",
         "Im(h2 (conj(h1) + conj(h3))) > 0 on the embedded image",
         1e-12,
-        lambda idx, rows, z, w, h: np.maximum(0.0, -im_condition(*h)),
+        lambda idx, rows, pairs: np.maximum(0.0, -im_condition(*pairs.h)),
     ),
     _on_h(
         "H-sigma-negation",
         "swapping the arguments negates the embedding exactly: map_H(w, z) = -map_H(z, w)",
         1e-15,
         # exact claim: map_H works on real and imaginary parts, whose products commute
-        lambda idx, rows, z, w, h: functools.reduce(np.maximum, map(np.abs, map(np.add, map_H(w, z, errors=rows), h))),
+        lambda idx, rows, pairs: functools.reduce(
+            np.maximum, map(np.abs, map(np.add, map_H(pairs.w, pairs.z, errors=rows), pairs.h))
+        ),
     ),
     _on_h("H-roundtrip", "map_H_inv recovers the argument pair of map_H", 1e-9, _h_roundtrip),
     _on_h(
@@ -640,9 +679,10 @@ def validate_config(cfg: SuiteConfig) -> None:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
     if type(cfg.samples) is not int or cfg.samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
-    # on a subnormal disc the drawn points keep too few digits, and some round onto the origin
-    if not sys.float_info.min <= cfg.rmax < 1.0:
-        raise ConfigError(f"rmax must lie in [{sys.float_info.min!r}, 1), got {cfg.rmax!r}")
+    # on a subnormal disc the drawn points keep too few digits, and some round onto the origin; beyond
+    # 1 - TOL_BOUNDARY a drawn point could break the disc rule of a point a caller supplies
+    if not sys.float_info.min <= cfg.rmax <= _RMAX_LIMIT:
+        raise ConfigError(f"rmax must lie in [{sys.float_info.min!r}, {_RMAX_LIMIT!r}], got {cfg.rmax!r}")
     if type(cfg.workers) is not int or cfg.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {cfg.workers!r}")
     unknown = [s for s in cfg.suites if s not in _BY_NAME]
@@ -693,10 +733,10 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray):
 
 
 def _draw(group: list[_Suite], cfg: SuiteConfig, u: np.ndarray):
-    """The flags of h's checks on the block's rows, and what the pair family shares of the draw (``_pairs``; None for
+    """The flags of h's checks on the block's rows, and what the pair family shares of the draw (``_Pairs``; None for
     a suite outside it); the family computes h only when a suite of the group reads it."""
     rows = RowErrors(len(u))
-    return rows, _pairs(cfg, u, rows, any(s.reads_h for s in group)) if group[0].family else None
+    return rows, _Pairs(cfg, u, rows, any(s.reads_h for s in group)) if group[0].family else None
 
 
 def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
@@ -705,7 +745,7 @@ def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows
     A suite that reads h starts from a copy of h's flags, so that no member
     of the pair family fails another's row, and one that does not from none.
     """
-    rows = copy.deepcopy(rows) if suite.reads_h else RowErrors(len(u))
+    rows = rows.copy() if suite.reads_h else RowErrors(len(u))
     out = suite.fn(cfg, u, idx, rows, drawn)
     residual, inputs = out[:2]
     excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bidisc_lab import orbits, rng, suites
+from bidisc_lab import mobius, orbits, rng, suites
 from bidisc_lab.domains import (
     a_from_alpha,
     alpha_from_a,
@@ -180,6 +180,41 @@ def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
         np.testing.assert_array_equal(w2, w)
 
 
+def test_the_pair_family_computes_rho_and_the_size_of_h_once_per_block(monkeypatch):
+    """rho of the charted pair (read by orbit-levels and preimage-formula) and _size(*h) (read by H-quadric,
+    orbit-levels and J-H-compat) are computed once per block for all their readers, and not at all in a run of
+    none of them.
+
+    rho-invariance's rho of the pair as drawn is its own claim: one more call per block.
+    """
+    counts = {}
+
+    def counting(name):
+        real = getattr(suites, name)
+
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(suites, name, count)
+
+    counting("pseudo_hyperbolic")
+    counting("_size")
+    cfg = SuiteConfig(samples=2 * suites.BLOCK + 5)  # three blocks
+    runs = {
+        FAMILY: (6, 3),
+        ("orbit-levels", "preimage-formula", "H-quadric", "J-H-compat"): (3, 3),
+        ("preimage-formula",): (3, 0),
+        ("J-H-compat",): (0, 3),
+        ("H-im-condition", "H-sigma-negation", "H-roundtrip", "sym-equivariance"): (0, 0),
+        ("rho-invariance",): (3, 0),
+    }
+    for names, want in runs.items():
+        counts.update(pseudo_hyperbolic=0, _size=0)
+        verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names}))
+        assert (counts["pseudo_hyperbolic"], counts["_size"]) == want, names
+
+
 def test_the_chart_checks_its_pairs_only_in_a_block_with_a_crowded_pair(monkeypatch):
     """map_H checks every pair it charts; ``_chart`` checks them itself only where a stand-in replaces a pair.
 
@@ -191,13 +226,13 @@ def test_the_chart_checks_its_pairs_only_in_a_block_with_a_crowded_pair(monkeypa
     checks, crowded = [], []
     real_check, real_chart = suites._check_pair, suites._chart
 
-    def counting_check(rows, z, w):
+    def counting_check(rows, z, w, *rule):
         checks.append(len(z))
-        real_check(rows, z, w)
+        real_check(rows, z, w, *rule)
 
-    def recording_chart(rows, z, w):
+    def recording_chart(rows, z, w, *rule):
         crowded.append(bool((np.abs(z - w) < EPS_DIAG).any()))
-        return real_chart(rows, z, w)
+        return real_chart(rows, z, w, *rule)
 
     monkeypatch.setattr(suites, "_check_pair", counting_check)
     monkeypatch.setattr(suites, "_chart", recording_chart)
@@ -539,8 +574,15 @@ def _pushed_to_the_rim(monkeypatch, column):
     ],
 )
 def test_disc_violation_is_a_hard_failure_with_the_scalar_text(monkeypatch, name, column, scalar):
+    """A drawn point that breaks the disc rule fails its row with the text the point API raises.
+
+    No disc that validate_config accepts reaches within TOL_BOUNDARY of the
+    circle, so the margin is widened to 1e-8 here, for the suite and the
+    point API alike, and the point is pushed to |z| ~ 1 - 1e-9.
+    """
+    monkeypatch.setattr(mobius, "TOL_BOUNDARY", 1e-8)
     _pushed_to_the_rim(monkeypatch, column)
-    rep = _report(name, SuiteConfig(samples=20, rmax=1.0 - 1e-12))
+    rep = _report(name, SuiteConfig(samples=20, rmax=1.0 - 1e-9))
     assert not rep["passed"]
     assert rep["hard_failures"] == rep["samples"]
     assert rep["max_residual"] is None
@@ -609,9 +651,10 @@ def test_rim_invariants_are_judged_on_their_rounding_scale(name):
     """rho and |u| / sqrt(1 - |v|^2) round like 1 / (1 - m^2), m the largest modulus of the compared points.
 
     Judged on the absolute defect, 10^6 rows at rmax 0.9999999 failed on rounding alone (1.13e-10 and
-    2.26e-10 against 1e-10); the absolute defect of this run reads 2.6e-12 and 1.9e-13.
+    2.26e-10 against 1e-10); the absolute defect of this run reads 5.7e-12 and 2.4e-13, the scaled one
+    3.0e-16 and 4.0e-16.
     """
-    rep = _report(name, SuiteConfig(samples=20_000, rmax=0.99999999999))
+    rep = _report(name, SuiteConfig(samples=20_000, rmax=1 - 1e-9))  # the largest accepted rmax
     assert rep["passed"] and rep["hard_failures"] == 0
     assert rep["max_residual"] < 4e-15
 
@@ -747,6 +790,47 @@ def test_rho_invariance_holds_an_image_at_the_rim_to_the_disc_alone():
     residual, rows, _, _ = suites._evaluate(suite, SuiteConfig(rmax=1 - 1e-10), u, np.arange(1))
     assert not rows.ok[0] and math.isinf(residual[0])
     assert rows.message[0] == "z must lie strictly inside the unit disc, got |z| = 0.9999999998995"
+
+
+def test_conjugation_so21_charts_an_image_at_the_rim_by_the_disc_alone():
+    """Row 3,338,800 of `verify --suite conjugation-so21 --rmax 0.9999999 --seed 6` maps w to |phi(w)| =
+    0.9999999991742552, within TOL_BOUNDARY of the circle.
+
+    Charted by the caller margin, that image failed the row hard, a true
+    claim: "w must lie strictly inside the unit disc".  An image keeps
+    only the rule for computed values, so the row is judged.
+    """
+    suite = suites._BY_NAME["conjugation-so21"]
+    residual, rows, inputs, excluded = suites._block(suite, SuiteConfig(seed=6, rmax=0.9999999), 3338800, 3338801)
+    assert rows.ok[0] and not excluded[0] and residual[0] < suite.tolerance
+    theta, a_re, a_im, *pair = inputs[0]
+    image = mobius_apply(MobiusMap(theta, complex(a_re, a_im)), complex(pair[2], pair[3]))
+    assert 1.0 - mobius.TOL_BOUNDARY < abs(image) < 1.0  # the message read |w| = 0.9999999991742552
+
+
+@pytest.mark.parametrize("name", CONJUGATION)
+def test_a_conjugation_suite_judges_an_image_at_the_rim(name):
+    """z and phi's centre near the rim at opposite angles put phi(z) about 5e-15 inside the circle: the row is judged."""
+    suite = suites._BY_NAME[name]
+    u = np.array([[0.0, 1 - 1e-12, 0.5, 1 - 1e-12, 0.0, 0.9, 0.5]])  # phi (3), then the pair (4)
+    residual, rows, inputs, excluded = suites._evaluate(suite, SuiteConfig(rmax=0.9999999), u, np.arange(1))
+    assert rows.ok[0] and not excluded[0] and residual[0] < suite.tolerance
+    theta, a_re, a_im, z_re, z_im, *_ = inputs[0]
+    assert 1.0 - abs(mobius_apply(MobiusMap(theta, complex(a_re, a_im)), complex(z_re, z_im))) < 1e-14
+
+
+def test_the_rows_an_rmax_beyond_the_disc_rules_margin_failed_are_judged_at_the_largest_accepted_rmax():
+    """rmax 1 - 2^-52 failed rows 55,843,068 and 65,039,066 of rho-invariance at seed 1 on drawn points; it is now
+    refused, and the same uniforms at rmax 1 - TOL_BOUNDARY draw points that keep the margin."""
+    suite = suites._BY_NAME["rho-invariance"]
+    for index, message in [
+        (55843068, "z must lie strictly inside the unit disc, got |z| = 0.9999999998384007"),
+        (65039066, "a must lie strictly inside the unit disc, got |a| = 0.9999999997643146"),
+    ]:
+        _, rows, _, _ = suites._block(suite, SuiteConfig(seed=1, rmax=0.9999999999999998), index, index + 1)
+        assert rows.message[0] == message
+        residual, rows, _, _ = suites._block(suite, SuiteConfig(seed=1, rmax=1.0 - 1e-9), index, index + 1)
+        assert rows.ok[0] and residual[0] < suite.tolerance
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

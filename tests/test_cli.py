@@ -167,6 +167,7 @@ def test_verify_impossible_tolerance_fails(capsys):
         ["verify", "--tol", "nope=1e-9"],
         ["verify", "--samples", "0"],
         ["verify", "--rmax", "1.5"],
+        ["verify", "--rmax", "0.9999999999999998"],  # beyond 1 - TOL_BOUNDARY a drawn point can break the disc rule
         ["verify", "--rmax", "4e-7", "--suite", "H-quadric"],  # no pair of the disc is EPS_DIAG = 1e-6 apart
     ],
 )

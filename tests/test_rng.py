@@ -15,6 +15,7 @@ from bidisc_lab.maps import map_H
 from bidisc_lab.mobius import pseudo_hyperbolic
 from bidisc_lab.rng import (
     RowErrors,
+    _batch,
     _FirstRaises,
     _row_max,
     ball_from_uniforms,
@@ -153,9 +154,66 @@ def test_first_raises_raises_the_first_bad_rows_text():
     assert rows.ok.all()
 
 
+def test_first_raises_keeps_no_row_flags():
+    """Its ok is a read-only all-True view: no row fails without raising."""
+    ok = _FirstRaises(5).ok
+    assert ok.shape == (5,) and ok.dtype == bool and ok.all() and not ok.flags.writeable
+
+
+def test_a_copy_of_row_errors_carries_the_messages_and_fails_apart():
+    rows = RowErrors(4)
+    rows.flag(np.array([False, True, False, False]), "first")
+    copied = rows.copy()
+    assert type(copied) is RowErrors
+    assert copied.ok.tolist() == [True, False, True, True]
+    assert copied.message.tolist() == [None, "first", None, None]
+    copied.flag(np.array([True, True, False, False]), "second")
+    assert copied.ok.tolist() == [False, False, True, True]
+    assert copied.message.tolist() == ["second", "first", None, None]
+    assert rows.ok.tolist() == [True, False, True, True]
+    assert rows.message.tolist() == [None, "first", None, None]
+    fresh = RowErrors(3).copy()  # no message array yet: the copy builds its own on first failure
+    fresh.flag(np.array([False, False, True]), "third")
+    assert fresh.message.tolist() == [None, None, "third"]
+
+
+def test_batch_returns_ready_rows_as_they_are():
+    """1-d arrays of the requested dtype and of one shape are the batch itself: no conversion, no view."""
+    z, w = np.array([0.1 + 0.2j, 0.3j]), np.array([0.5 + 0j, -0.25 + 0.5j])
+    (z2, w2), rows, single = _batch(None, z, w)
+    assert z2 is z and w2 is w and not single and len(rows.ok) == 2
+    x = np.array([0.25, 0.5, 0.75])
+    (x2,), rows, single = _batch(RowErrors(3), x, dtype=float)
+    assert x2 is x and not single
+
+
+@pytest.mark.parametrize(
+    "values, dtype, want, single",
+    [
+        ((0.5,), complex, [[0.5 + 0j]], True),  # a point is the batch of one
+        ((np.float64(0.5), 0.25j), complex, [[0.5 + 0j], [0.25j]], True),
+        ((np.array([0.5, 0.25]), np.array([0.25j, 0j])), complex, [[0.5 + 0j, 0.25 + 0j], [0.25j, 0j]], False),
+        ((np.array([0.5j, 0.25j]), 0.1), complex, [[0.5j, 0.25j], [0.1 + 0j, 0.1 + 0j]], False),  # a broadcast
+        ((np.array([0.5j]), np.array([1j, 2j])), complex, [[0.5j, 0.5j], [1j, 2j]], False),
+        (([0.5, 0.25],), complex, [[0.5 + 0j, 0.25 + 0j]], False),  # a list
+        ((np.array([1, 2]),), float, [[1.0, 2.0]], False),  # integers, asked for floats
+    ],
+)
+def test_batch_converts_any_other_values_into_rows(values, dtype, want, single):
+    arrays, rows, got_single = _batch(None, *values, dtype=dtype)
+    assert got_single == single
+    assert [a.tolist() for a in arrays] == want
+    assert all(a.dtype == dtype and a.shape == (len(want[0]),) for a in arrays) and len(rows.ok) == len(want[0])
+    assert not any(a is v for a, v in zip(arrays, values))
+
+
 @pytest.mark.parametrize("shape", [(2,), (3,), (2, 3)])
 def test_row_max_is_numpys_reduction_bit_for_bit(shape):
-    """Every row of a few entries drawn from signed zeros, NaN, +-inf and finite values, plus random rows."""
+    """Every row of a few entries drawn from signed zeros, NaN, +-inf and finite values, plus random rows.
+
+    A zero maximum is compared by value: on a row mixing 0.0 and -0.0,
+    numpy's reduction returns either zero, by the loop it dispatches.
+    """
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5, 5e-324]
     m = int(np.prod(shape))
     rows = np.array(list(itertools.product(special, repeat=min(m, 3))))
@@ -167,7 +225,9 @@ def test_row_max_is_numpys_reduction_bit_for_bit(shape):
     axes = tuple(range(1, a.ndim))
     got, want = _row_max(a), a.max(axis=axes)
     assert got.dtype == want.dtype and got.shape == want.shape == (len(a),)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    zero = want == 0.0
+    assert zero.any() and (got[zero] == 0.0).all()
+    np.testing.assert_array_equal(got[~zero].view(np.uint64), want[~zero].view(np.uint64))
     np.testing.assert_array_equal(_row_max(a > 0.0), (a > 0.0).any(axis=axes))
 
 

@@ -2,9 +2,12 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+from bidisc_lab.mobius import TOL_BOUNDARY
+from bidisc_lab.rng import DEFAULT_RMAX
 from bidisc_lab.suites import (
     ConfigError,
     SuiteConfig,
@@ -125,6 +128,9 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
         SuiteConfig(rmax=4e-7, suites=("H-im-condition",)),  # no pair is EPS_DIAG = 1e-6 apart
         SuiteConfig(rmax=math.nan),
         SuiteConfig(rmax=1.0),  # the disc is open
+        # beyond 1 - TOL_BOUNDARY a drawn point can break the disc rule for a point a caller supplies
+        SuiteConfig(rmax=1.0 - 1e-10),
+        SuiteConfig(rmax=0.9999999999999998),
         SuiteConfig(samples=2000.0),
         SuiteConfig(tolerances={"nope": 1e-9}),
         SuiteConfig(tolerances={"H-quadric": -1.0}),
@@ -142,6 +148,14 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
 def test_validate_config_rejects_bad_values(cfg):
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_the_accepted_rmax_range_ends_at_the_disc_rules_margin():
+    """rmax = 1 - TOL_BOUNDARY is accepted, the next double up is not, and the message states the one range."""
+    validate_config(SuiteConfig(rmax=1.0 - TOL_BOUNDARY))
+    with pytest.raises(ConfigError) as info:
+        validate_config(SuiteConfig(rmax=math.nextafter(1.0 - TOL_BOUNDARY, 1.0)))
+    assert str(info.value).startswith("rmax must lie in [2.2250738585072014e-308, 0.999999999], got 0.99999999900")
 
 
 # the suites whose samples are pairs off map_H's chart guard, |z - w| >= EPS_DIAG
@@ -252,3 +266,31 @@ def test_failing_suite_drives_the_exit_code():
     code, doc = verify_all(cfg)
     assert code == 1
     assert doc["passed"] is False
+
+
+def _selectable(rmax: float) -> tuple[str, ...]:
+    """The suites that validate_config accepts alone on the rmax disc."""
+    names = []
+    for name in all_suite_names():
+        try:
+            validate_config(SuiteConfig(rmax=rmax, suites=(name,)))
+        except ConfigError:
+            continue
+        names.append(name)
+    return tuple(names)
+
+
+# the edges of the accepted rmax: the smallest normal double, just above EPS_DIAG / 2 (the smallest disc with a pair
+# off map_H's chart guard), EPS_DIAG, the default and the largest accepted rmax
+_EDGE_RMAX = (sys.float_info.min, 5.000001e-7, 1e-6, DEFAULT_RMAX, 1.0 - TOL_BOUNDARY)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rmax", _EDGE_RMAX)
+def test_every_selectable_suite_passes_at_the_edges_of_the_accepted_rmax(rmax, seed):
+    """Every suite a config at an edge of the accepted rmax can select passes there, with no row failed hard."""
+    names = _selectable(rmax)
+    assert len(names) == (13 if rmax < 5e-7 else 22)  # the nine that read h have no pair on the smallest disc
+    code, doc = verify_all(SuiteConfig(seed=seed, samples=10_000, rmax=rmax, suites=names))
+    assert [(e["suite"], e["hard_failures"]) for e in doc["suites"] if not e["passed"] or e["hard_failures"]] == []
+    assert code == 0
