@@ -34,10 +34,10 @@ The samplers apply their checks to each row.  The Minkowski level
 sampler applies map_H's: at a large level the pairs crowd the diagonal.
 The rho level sampler fails a row whose pair does not resolve the
 level, |rho - a| not below a: below about eps times the automorphism
-centre's modulus, phi(a) rounds onto phi(0).  It and the rho level
-residual hold that pair, computed from the checked level, only to being
-finite and inside the disc (``mobius._on_disc``), not to the margin a
-caller's point keeps.
+centre's modulus, phi(a) rounds onto phi(0).  Both level samplers and
+the rho level residual hold the pair (phi(a), phi(0)), computed from the
+checked level, only to being finite and inside the disc
+(``mobius._on_disc``), not to the margin a caller's point keeps.
 
 A dump draws row i from the uniforms [i k, (i + 1) k) of the stream
 (seed, 0), with k = ``spec.record.draws``, so
@@ -57,7 +57,7 @@ import numpy as np
 
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
-from .maps import map_H
+from .maps import _map_H
 from .mobius import _on_disc, _rho, mobius_apply, random_mobius
 from .rng import (
     DEFAULT_RMAX,
@@ -102,8 +102,8 @@ def _rho_level_sampler(u, a, rmax, errors):
 
 
 def _minkowski_level_sampler(u, level, rmax, errors):
-    """map_H of the _rho_pair pairs at the distance a with 2/a^2 - 1 = level; map_H flags the rows it rejects."""
-    return map_H(*_rho_pair(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors), errors=errors)
+    """map_H, by the rule for images, of _rho_pair pairs at distance a, 2/a^2 - 1 = level; it flags rejected rows."""
+    return _map_H(*_rho_pair(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors), errors, _on_disc)
 
 
 def _ellipsoid_sampler(u, t, rmax, errors):

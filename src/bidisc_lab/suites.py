@@ -9,14 +9,15 @@ the stream (seed, (o + 1) << 32), o the registry ordinal of the suite,
 or of ``H-quadric`` for the pair family, with a fixed budget of k
 uniforms per sample: sample i owns the stream's draws [i k, (i + 1) k),
 drawn for a block in one ``rng.uniform_block`` call.  Every kernel takes the
-same arguments, (cfg, U, idx, rows, drawn): the block's uniforms U,
+same arguments, (cfg, U, idx, rows, pairs): the block's uniforms U,
 shape (len(idx), k), the sample indices idx, the block's ``RowErrors``
-rows, and what the pair family shares of the block's draw (None for a
-suite outside it); it returns each row's residual and inputs.  The
-kernels evaluate their claims on the whole block, through the functions
-a caller uses on a point, passing rows as ``errors``.  The report's
-"rng" field gives each suite's stream_id and k: any sample replays from
-the report alone (``_evaluate``).
+rows and the pair family's ``_Pairs`` (None outside it), and returns
+(residual, inputs, excluded): the residuals, a tuple of per-row input
+arrays, and a mask of the rows left unscored, or None.  The kernels
+evaluate their claims on the whole block, through the functions a
+caller uses on a point, passing rows as ``errors``.  The report's "rng"
+field gives each suite's stream_id and k: any sample replays from the
+report alone (``_evaluate``).
 
 Twelve suites draw a pair (z, w) of the rmax disc from 4 of their
 uniforms: the nine of the pair family once per block (``_Pairs``), the
@@ -41,10 +42,10 @@ Nine pair suites judge one pair per row: ``rho-invariance``,
 ``sym-equivariance`` and ``J-H-compat`` form the pair family
 (``_Suite.family``).  All draw k = 7 uniforms per row from H-quadric's
 stream, 2 << 32: the pair, then phi's 3, which only rho-invariance reads.  Per block the
-runner draws the pair once for the selected members and, when one of
-them reads h, computes map_H once, and rho and ``_size(*h)`` of the
-charted pair at most once each; the seven that read h are residuals
-of (z, w, h) (``_on_h``), each flagging its checks in its own copy of
+selected members share one ``_Pairs``: the drawn pair, its chart (h =
+map_H(z, w) and the flags of its checks), and rho and ``_size(*h)`` of
+the charted pair, each computed once, by the first member that reads
+it.  The seven that read h each flag their checks in their own copy of
 map_H's row flags, so every check fires on every member and none fails
 another's row.  ``rho-invariance`` and ``sym-equivariance`` judge the
 pair as drawn, exclude no row, and no check of map_H fails them.  The
@@ -165,7 +166,8 @@ LEVI_FLOOR = 1e-3  # certified lower bound for the strongly pseudoconvex familie
 LEVI_PATCH_RMAX = 0.7  # orbit patch size; larger pushes tangency values toward 0
 PREIMAGE_MARGIN = 1e-8  # skip samples this close to a band boundary
 MEMBERSHIP_MARGIN = 1e-6
-_RMAX_LIMIT = 1.0 - TOL_BOUNDARY  # the largest accepted rmax: the edge of the disc rule for a point a caller supplies
+# the largest accepted rmax: 8 ulps inside the caller margin, as polar can round a drawn |z| an ulp or two above r
+_RMAX_LIMIT = 1.0 - TOL_BOUNDARY - 2.0**-50
 
 
 class ConfigError(ValueError):
@@ -186,14 +188,14 @@ class SuiteConfig:
 class _Suite:
     """A registered claim.
 
-    ``fn`` is a kernel ``(cfg, U, idx, rows, drawn) -> (residual,
-    inputs)`` over the rows idx, whose uniforms U have shape
-    (len(idx), draws), and drawn the pair family's share of the draw
-    (``_Pairs``; None for a suite outside it); it flags the rows that
-    fail a check in the block's ``RowErrors`` rows.  A kernel that leaves
-    rows unscored returns ``(residual, inputs, excluded)``, with excluded
-    a mask of those rows.  ``family`` marks the pair family's members,
-    drawn on ``H-quadric``'s stream; those that read h = map_H(z, w)
+    ``fn`` is a kernel ``(cfg, U, idx, rows, pairs) -> (residual,
+    inputs, excluded)`` over the rows idx, whose uniforms U have shape
+    (len(idx), draws), and pairs the block's ``_Pairs`` (None outside the
+    pair family); it flags the rows that fail a check in the block's
+    ``RowErrors`` rows.  inputs is a tuple of per-row arrays, which
+    ``_columns`` formats, and excluded a mask of the rows left unscored,
+    or None.  ``family`` marks the pair family's members, drawn on
+    ``H-quadric``'s stream; those that read h = map_H(z, w)
     (``reads_h``), and the conjugation suites, judge their pair off the
     diagonal.
     """
@@ -244,9 +246,7 @@ def _chart(rows: RowErrors, z: np.ndarray, w: np.ndarray, inside=_inside) -> tup
     if excluded.any():
         _check_pair(rows, z, w, inside)
         z, w = np.where(excluded, 0.5, z), np.where(excluded, -0.5, w)
-    # a drawn pair is charted by map_H itself, the function a caller applies to a point
-    h = map_H(z, w, errors=rows) if inside is _inside else _map_H(z, w, rows, inside)
-    return z, w, h, excluded
+    return z, w, _map_H(z, w, rows, inside), excluded
 
 
 # the pair family: nine claims on one pair of the rmax disc, seven of them on its h = map_H(z, w)
@@ -255,26 +255,32 @@ _H_PAIRS_DRAWS = 7  # the pair (4), then phi (3), which only rho-invariance read
 
 
 class _Pairs:
-    """The pair family's share of a block's draw.
+    """The pair family's share of a block: each value is computed once, by the first member that reads it.
 
-    ``drawn`` holds the drawn pairs (z, w) and ``inputs`` their (n, 4)
-    input columns.  When a member reads h, ``z``, ``w``, ``h`` and
-    ``excluded`` are ``_chart`` of the drawn pairs, its checks flagged in
-    the block's rows; ``rho`` and ``size`` are then computed once, on first
-    use, for every member that reads them.
+    ``drawn`` holds the drawn pairs (z, w), and ``chart`` is ``_chart`` of
+    them with the flags of its checks on the block's rows: (z, w, h,
+    excluded, flags), each part also an attribute.  ``rho`` and ``size``
+    are rho and ``_size(*h)`` of the charted pairs.
     """
 
-    def __init__(self, cfg: SuiteConfig, u: np.ndarray, rows: RowErrors, h: bool):
-        self.drawn = _disc_pair(u[:, :4], cfg.rmax)
-        self.inputs = _columns(*self.drawn)
-        self._rows = rows
-        if h:
-            self.z, self.w, self.h, self.excluded = _chart(rows, *self.drawn)
+    def __init__(self, cfg: SuiteConfig, u: np.ndarray):
+        self._u, self._rmax = u, cfg.rmax
+
+    @functools.cached_property
+    def drawn(self) -> tuple:
+        return _disc_pair(self._u[:, :4], self._rmax)
+
+    @functools.cached_property
+    def chart(self) -> tuple:
+        flags = RowErrors(len(self._u))
+        return (*_chart(flags, *self.drawn), flags)
+
+    z, w, h, excluded, flags = (property(lambda self, k=k: self.chart[k]) for k in range(5))
 
     @functools.cached_property
     def rho(self) -> np.ndarray:
         """rho(z, w) of the charted pairs: map_H checked them by the same disc rule, so it flags no row."""
-        return pseudo_hyperbolic(self.z, self.w, errors=self._rows)
+        return pseudo_hyperbolic(self.z, self.w, errors=self.flags)
 
     @functools.cached_property
     def size(self) -> np.ndarray:
@@ -288,31 +294,25 @@ def _k_rho_invariance(cfg, u, idx, rows, pairs):
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     z2, w2 = mobius_apply_pair(phi, (z, w), errors=rows)
     res = np.abs(_rho(z2, w2, rows, _on_disc) - pseudo_hyperbolic(z, w, errors=rows))
-    return res * _rim_scale(z, w, z2, w2), np.column_stack((pairs.inputs, _columns(phi.theta, phi.a)))
+    return res * _rim_scale(z, w, z2, w2), (z, w, phi.theta, phi.a), None
 
 
 def _on_h(name: str, claim: str, tolerance: float, residual: Callable) -> _Suite:
-    """A member of the pair family that reads h, scored by residual(idx, rows, pairs), pairs the block's ``_Pairs``:
-    each row's residual, or (residual, excluded, *columns) for a claim that leaves rows unscored and records columns
-    after the pair."""
+    """A member of the pair family scored by residual(rows, pairs) on the charted pairs, pairs the block's ``_Pairs``;
+    a row the chart excludes scores 0."""
 
     def _k_on_h(cfg, u, idx, rows, pairs):
-        out = residual(idx, rows, pairs)
-        excluded, inputs = pairs.excluded, pairs.inputs
-        if not isinstance(out, np.ndarray):
-            out, unscored, *columns = out
-            excluded, inputs = excluded | unscored, np.column_stack((inputs, *columns))
-        return np.where(excluded, 0.0, out), inputs, excluded
+        return np.where(pairs.excluded, 0.0, residual(rows, pairs)), pairs.drawn, pairs.excluded
 
     return _Suite(name, claim, 1.0, tolerance, _k_on_h, _H_PAIRS_DRAWS, family=True, reads_h=True)
 
 
-def _h_roundtrip(idx, rows, pairs):
+def _h_roundtrip(rows, pairs):
     z2, w2 = map_H_inv(*pairs.h, errors=rows)
     return np.maximum(np.abs(z2 - pairs.z), np.abs(w2 - pairs.w))
 
 
-def _orbit_levels(idx, rows, pairs):
+def _orbit_levels(rows, pairs):
     rho = pairs.rho
     m = minkowski_form(*pairs.h)
     level = eta_level(alpha_from_a(rho, errors=rows), errors=rows)
@@ -322,18 +322,19 @@ def _orbit_levels(idx, rows, pairs):
 _PREIMAGE_BANDS = np.array(((1.0, 3.0), (2.0, 5.0), (1.0, math.inf)))
 
 
-def _preimage_formula(idx, rows, pairs):
-    # boundary-ambiguous samples are excluded: residual 0; the band (s, t) is recorded after the pair
+def _k_preimage_formula(cfg, u, idx, rows, pairs):
+    # the chart's excluded rows and boundary-ambiguous ones score 0; the band (s, t) is recorded after the pair
     s, t = _PREIMAGE_BANDS[idx % 3].T
     rho = pairs.rho
     hi, lo = np.sqrt(2.0 / (s + 1.0)), np.sqrt(2.0 / (t + 1.0))  # lo = 0 when t = inf
     ambiguous = np.minimum(np.abs(rho - hi), np.abs(rho - lo)) < PREIMAGE_MARGIN
     member = quadric_band(*pairs.h, s, t)[0]
     predicted = (lo < rho) & (rho < hi)
-    return np.where(ambiguous | (member == predicted), 0.0, 1.0), ambiguous, s, t
+    excluded = pairs.excluded | ambiguous
+    return np.where(excluded | (member == predicted), 0.0, 1.0), (*pairs.drawn, s, t), excluded
 
 
-def _j_h_compat(idx, rows, pairs):
+def _j_h_compat(rows, pairs):
     p = map_J(pairs.z, pairs.w, errors=rows)
     q = (np.ones_like(pairs.z), *pairs.h)  # so |q|_inf = _size(*h)
     cross = [np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)]
@@ -344,12 +345,12 @@ def _k_sym_equivariance(cfg, u, idx, rows, pairs):
     # exact claim: sym works on real and imaginary parts, whose products commute; the pair as drawn
     z, w = pairs.drawn
     (s1, p1), (s2, p2) = sym(z, w), sym(w, z)
-    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), pairs.inputs
+    return np.maximum(np.abs(s1 - s2), np.abs(p1 - p2)), (z, w), None
 
 
-def _k_alpha_roundtrip(cfg, u, idx, rows, drawn):
+def _k_alpha_roundtrip(cfg, u, idx, rows, pairs):
     a = 0.05 + 0.9 * u[:, 0]
-    return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), _columns(a)
+    return np.abs(a_from_alpha(alpha_from_a(a, errors=rows), errors=rows) - a), (a,), None
 
 
 # Levi kernels: 3 uniforms per sample; a block is one orbit_points and one levi batch
@@ -368,11 +369,11 @@ def _levi(record: FamilyRecord, param, score: Callable) -> Callable:
     """
     levels = np.ndim(param) == 1
 
-    def _k_levi(cfg, u, idx, rows, drawn):
+    def _k_levi(cfg, u, idx, rows, pairs):
         x = param[idx % 3] if levels else param
         f = Family(record, x)
-        p = np.column_stack(orbit_points(f, u, LEVI_PATCH_RMAX, rows))
-        return score(levi_restricted(f, p, errors=rows)), _columns(*p.T, *((x,) if levels else ()))
+        p = orbit_points(f, u, LEVI_PATCH_RMAX, rows)
+        return score(levi_restricted(f, np.column_stack(p), errors=rows)), (*p, *((x,) if levels else ())), None
 
     return _k_levi
 
@@ -400,10 +401,10 @@ def _conjugated(cfg, u, rows, swap: bool):
     Ah = (A * np.stack(h, axis=-1)[:, None, :]).sum(axis=2)
     res = _row_max(np.abs(q + Ah if swap else q - Ah)) / _size(q)
     excluded = excluded | crowded
-    return A, np.where(excluded, 0.0, res), _columns(phi.theta, phi.a, *drawn), excluded
+    return A, np.where(excluded, 0.0, res), (phi.theta, phi.a, *drawn), excluded
 
 
-def _k_conjugation_so21(cfg, u, idx, rows, drawn):
+def _k_conjugation_so21(cfg, u, idx, rows, pairs):
     A, res, inputs, unscored = _conjugated(cfg, u, rows, swap=False)
     rows.flag(A[:, 2, 2] <= 0.0, lambda r: f"image matrix has nonpositive corner {A[r, 2, 2]}")
     # the entries grow like A_33, so the rounding of the determinant and of the form like A_33^2
@@ -415,14 +416,14 @@ def _k_conjugation_so21(cfg, u, idx, rows, drawn):
     return np.maximum(res, u21_residual(A) / scale), inputs, unscored
 
 
-def _k_swap_minus_identity(cfg, u, idx, rows, drawn):
+def _k_swap_minus_identity(cfg, u, idx, rows, pairs):
     return _conjugated(cfg, u, rows, swap=True)[1:]
 
 
 _AUT_BANDS = ((-math.inf, 0.7), (0.3, 0.8))  # rho < 0.7 with the diagonal, and 0.3 < rho < 0.8
 
 
-def _k_aut_preserves_subdomains(cfg, u, idx, rows, drawn):
+def _k_aut_preserves_subdomains(cfg, u, idx, rows, pairs):
     # uniforms: phi (3), the swap coin, the pair (4)
     phi = random_mobius(u[:, :3], cfg.rmax, errors=rows)
     swap = u[:, 3] < 0.5
@@ -436,16 +437,16 @@ def _k_aut_preserves_subdomains(cfg, u, idx, rows, drawn):
         clear = np.minimum(np.abs(g1), np.abs(g2)) >= MEMBERSHIP_MARGIN
         res = np.maximum(res, clear & (m1 != m2))
         excluded |= ~clear
-    return res, _columns(*p, phi.theta, phi.a, swap.astype(float)), excluded
+    return res, (*p, phi.theta, phi.a, swap.astype(float)), excluded
 
 
-def _k_su11_orbit_invariant(cfg, u, idx, rows, drawn):
+def _k_su11_orbit_invariant(cfg, u, idx, rows, pairs):
     # uniforms: the ball point (4), phi (3), acting through its SU(1,1) lift
     b, v = ball_from_uniforms(u[:, :4], cfg.rmax)
     phi = random_mobius(u[:, 4:7], cfg.rmax, errors=rows)
     b2, v2 = ball_action(su11_embed(phi), (b, v), errors=rows)
     res = np.abs(su11_orbit_invariant(b2, v2, errors=rows) - su11_orbit_invariant(b, v, errors=rows))
-    return res * _rim_scale(v, v2), _columns(b, v)
+    return res * _rim_scale(v, v2), (b, v), None
 
 
 def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
@@ -454,19 +455,19 @@ def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, rows)
 
 
-def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, drawn):
+def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, pairs):
     t, p = _ellipsoid_draw(cfg, u, rows)
-    return ELLIPSOID.residual(p, t, rows), _columns(*p, t)
+    return ELLIPSOID.residual(p, t, rows), (*p, t), None
 
 
-def _k_gt_sphere(cfg, u, idx, rows, drawn):
+def _k_gt_sphere(cfg, u, idx, rows, pairs):
     t, p = _ellipsoid_draw(cfg, u, rows)
     a, b = scale_g_t(t, p, errors=rows)
     res = np.abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
-    return res, _columns(*p, t)
+    return res, (*p, t), None
 
 
-def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
+def _k_o21_matrix_b(cfg, u, idx, rows, pairs):
     # the real pair (z, w) of the rmax disc, off the origin, where B is undefined: radius rmax sqrt(1 - s) > 0
     c = disc_from_uniforms(1.0 - u[:, 0], u[:, 1], cfg.rmax)
     z, w = c.real, c.imag
@@ -475,14 +476,14 @@ def _k_o21_matrix_b(cfg, u, idx, rows, drawn):
     # the entries grow like the corner gamma = 1/sqrt(1 - z^2 - w^2), so the rounding of the form like gamma^2
     form = u21_residual(B) / (B[:, 2, 2] * B[:, 2, 2])
     res = np.maximum(form, np.maximum(np.abs(img[0] - z), np.abs(img[1] - w)))
-    return res, _columns(z, w)
+    return res, (z, w), None
 
 
 _CURVE_BASIS = ([0j, 1 + 0j], [0j, 1j])
 _MIXED_BASIS = ([1 + 0j, 0j], [1j, 0j])
 
 
-def _k_o21_totally_real(cfg, u, idx, rows, drawn):
+def _k_o21_totally_real(cfg, u, idx, rows, pairs):
     # sample i % 3 == 0: the rows of a random real matrix, entries uniform on [-1, 1), totally real unless singular
     # under the rank rule (a chance below 2e-15); 1 and 2: a complex curve's and a mixed basis (not totally real, the
     # meet 2-dimensional)
@@ -491,7 +492,7 @@ def _k_o21_totally_real(cfg, u, idx, rows, drawn):
     basis[k == 1], basis[k == 2] = _CURVE_BASIS, _MIXED_BASIS
     ok, meet = totally_real_check(basis, errors=rows)
     res = ((ok != (k == 0)) | (meet != np.where(k == 0, 0, 2))).astype(float)
-    return res, _columns(*basis.reshape(len(u), 4).T)
+    return res, tuple(basis.reshape(len(u), 4).T), None
 
 
 _REGISTRY: tuple[_Suite, ...] = (
@@ -509,20 +510,20 @@ _REGISTRY: tuple[_Suite, ...] = (
         "H-quadric",
         "the embedded image satisfies h1^2 + h2^2 - h3^2 = 1",
         1e-10,
-        lambda idx, rows, pairs: np.abs(quadric_residual(*pairs.h)) / pairs.size**2,
+        lambda rows, pairs: np.abs(quadric_residual(*pairs.h)) / pairs.size**2,
     ),
     _on_h(
         "H-im-condition",
         "Im(h2 (conj(h1) + conj(h3))) > 0 on the embedded image",
         1e-12,
-        lambda idx, rows, pairs: np.maximum(0.0, -im_condition(*pairs.h)),
+        lambda rows, pairs: np.maximum(0.0, -im_condition(*pairs.h)),
     ),
     _on_h(
         "H-sigma-negation",
         "swapping the arguments negates the embedding exactly: map_H(w, z) = -map_H(z, w)",
         1e-15,
         # exact claim: map_H works on real and imaginary parts, whose products commute
-        lambda idx, rows, pairs: functools.reduce(
+        lambda rows, pairs: functools.reduce(
             np.maximum, map(np.abs, map(np.add, map_H(pairs.w, pairs.z, errors=rows), pairs.h))
         ),
     ),
@@ -533,11 +534,15 @@ _REGISTRY: tuple[_Suite, ...] = (
         1e-10,
         _orbit_levels,
     ),
-    _on_h(
+    _Suite(
         "preimage-formula",
         "map_H lands in the (s, t) level band iff sqrt(2/(t+1)) < rho < sqrt(2/(s+1))",
+        1.0,
         0.5,
-        _preimage_formula,
+        _k_preimage_formula,
+        draws=_H_PAIRS_DRAWS,
+        family=True,
+        reads_h=True,
     ),
     _Suite(
         "conjugation-so21",
@@ -680,7 +685,7 @@ def validate_config(cfg: SuiteConfig) -> None:
     if type(cfg.samples) is not int or cfg.samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {cfg.samples!r}")
     # on a subnormal disc the drawn points keep too few digits, and some round onto the origin; beyond
-    # 1 - TOL_BOUNDARY a drawn point could break the disc rule of a point a caller supplies
+    # _RMAX_LIMIT a drawn point could break the disc rule of a point a caller supplies
     if not sys.float_info.min <= cfg.rmax <= _RMAX_LIMIT:
         raise ConfigError(f"rmax must lie in [{sys.float_info.min!r}, {_RMAX_LIMIT!r}], got {cfg.rmax!r}")
     if type(cfg.workers) is not int or cfg.workers < 1:
@@ -729,26 +734,18 @@ def _evaluate(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray):
     ``excluded[r]`` is True when the kernel left row r unscored (residual 0).
     """
     with np.errstate(all="ignore"):  # rows that failed a check carry meaningless values
-        return _judge(suite, cfg, u, idx, *_draw([suite], cfg, u))
+        residual, rows, inputs, excluded = _judge(suite, cfg, u, idx, _Pairs(cfg, u) if suite.family else None)
+    return residual, rows, _columns(*inputs), np.zeros(len(idx), dtype=bool) if excluded is None else excluded
 
 
-def _draw(group: list[_Suite], cfg: SuiteConfig, u: np.ndarray):
-    """The flags of h's checks on the block's rows, and what the pair family shares of the draw (``_Pairs``; None for
-    a suite outside it); the family computes h only when a suite of the group reads it."""
-    rows = RowErrors(len(u))
-    return rows, _Pairs(cfg, u, rows, any(s.reads_h for s in group)) if group[0].family else None
+def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, pairs: _Pairs | None):
+    """The suite's (residual, rows, inputs, excluded) on a block, its checks flagged in its own row flags.
 
-
-def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows: RowErrors, drawn):
-    """The suite's (residual, rows, inputs, excluded) on a drawn block, its checks flagged in its own row flags.
-
-    A suite that reads h starts from a copy of h's flags, so that no member
-    of the pair family fails another's row, and one that does not from none.
+    A pair-family member that reads h starts from a copy of h's flags, so
+    that none fails another's row, and any other suite from none.
     """
-    rows = rows.copy() if suite.reads_h else RowErrors(len(u))
-    out = suite.fn(cfg, u, idx, rows, drawn)
-    residual, inputs = out[:2]
-    excluded = out[2] if len(out) > 2 else np.zeros(len(idx), dtype=bool)
+    rows = pairs.flags.copy() if suite.family and suite.reads_h else RowErrors(len(u))
+    residual, inputs, excluded = suite.fn(cfg, u, idx, rows, pairs)
     rows.flag(~np.isfinite(residual), lambda r: f"residual {residual[r]} is not finite")
     if not rows.ok.all():
         residual = np.where(rows.ok, residual, math.inf)
@@ -757,15 +754,14 @@ def _judge(suite: _Suite, cfg: SuiteConfig, u: np.ndarray, idx: np.ndarray, rows
 
 def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
     """Reduce a suite's judged block, rows lo, lo + 1, ..., into its report entry (every check raises ValueError)."""
-    ok = rows.ok
-    if ok.all():  # no masking copies for a block without hard failures
-        scored = residual
-    else:
+    ok, scored = rows.ok, residual
+    if not ok.all():  # no masking copies for a block without hard failures
         scored = residual[ok]
         entry["hard_failures"] += ok.size - int(np.count_nonzero(ok))
-        excluded = excluded & ok
-    entry["excluded"] += int(np.count_nonzero(excluded))
-    if excluded.any():  # an excluded row's forced 0 is no score; conjugation-so21 still scores its matrix there
+        excluded = None if excluded is None else excluded & ok
+    if excluded is not None and excluded.any():
+        entry["excluded"] += int(np.count_nonzero(excluded))
+        # an excluded row's forced 0 is no score; conjugation-so21 still scores its matrix there
         scored = residual[ok & ~(excluded & (residual == 0.0))]
     if scored.size:  # a residual that is not finite failed its row hard
         entry["max_residual"] = max(entry["max_residual"] or 0.0, float(np.fmax.reduce(scored)))
@@ -774,13 +770,14 @@ def _tally(entry: dict, lo: int, residual, rows, inputs, excluded) -> None:
     failures = entry["failures"]
     for r in flagged[: MAX_FAILURES - len(failures)].tolist():
         outcome = {"residual": float(residual[r])} if ok[r] else {"error": f"ValueError: {rows.message[r]}"}
-        failures.append({"index": lo + r, **outcome, "inputs": inputs[r].tolist()})
+        failures.append({"index": lo + r, **outcome, "inputs": _columns(*(v[r : r + 1] for v in inputs))[0].tolist()})
 
 
 def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
     """The report entries of the suites that share one draw (the pair family's selected members, or one suite).
 
-    A suite's wall time is its judging and reduction plus an even share of each block's one draw.
+    A suite's wall time is its judging and reduction plus an even share of each block's uniforms; a shared value of
+    the pair family (``_Pairs``) counts towards the first member that reads it.
     """
     count = max(1, int(round(cfg.samples * group[0].weight)))  # the pair family's members share one weight
     entries = [
@@ -802,11 +799,11 @@ def _run(group: list[_Suite], cfg: SuiteConfig) -> list[dict]:
         for lo in range(0, count, BLOCK):
             start = time.perf_counter()
             u, idx = _rows(group[0], cfg, lo, min(lo + BLOCK, count))
-            rows, drawn = _draw(group, cfg, u)
+            pairs = _Pairs(cfg, u) if group[0].family else None
             share = (time.perf_counter() - start) / len(group)
             for suite, entry in zip(group, entries):
                 start = time.perf_counter()
-                _tally(entry, lo, *_judge(suite, cfg, u, idx, rows, drawn))
+                _tally(entry, lo, *_judge(suite, cfg, u, idx, pairs))
                 entry["wall_time_s"] += share + time.perf_counter() - start
     return entries
 

@@ -145,20 +145,26 @@ def test_each_block_draws_its_suites_stream_once(monkeypatch, rmax):
 
 
 def test_the_pair_family_computes_map_h_once_per_block(monkeypatch):
-    """A run of the pair family calls map_H(z, w) once per block for all its members, and not at all for a run
-    of the two that read no h.
+    """A run of the pair family charts its pairs through map_H(z, w) once per block for all its members, and not at
+    all for a run of the two that read no h.
 
-    H-sigma-negation's swapped call map_H(w, z) is its own claim; map_H_inv
-    calls maps.map_H, which this count does not see.
+    The chart calls map_H with its disc rule, as ``_map_H``; H-sigma-negation's
+    swapped call map_H(w, z) is its own claim.  map_H_inv calls maps.map_H,
+    which this count does not see.
     """
     calls = []
-    real = suites.map_H
 
-    def counting(z, w, **kwargs):
-        calls.append((z.copy(), w.copy()))
-        return real(z, w, **kwargs)
+    def counting(name):
+        real = getattr(suites, name)
 
-    monkeypatch.setattr(suites, "map_H", counting)
+        def count(z, w, *args, **kwargs):
+            calls.append((z.copy(), w.copy()))
+            return real(z, w, *args, **kwargs)
+
+        monkeypatch.setattr(suites, name, count)
+
+    counting("map_H")
+    counting("_map_H")
     cfg = SuiteConfig(samples=2 * suites.BLOCK + 5)  # three blocks
     runs = {
         PAIR_ONLY: 0,
@@ -213,6 +219,28 @@ def test_the_pair_family_computes_rho_and_the_size_of_h_once_per_block(monkeypat
         counts.update(pseudo_hyperbolic=0, _size=0)
         verify_all(SuiteConfig(**{**cfg.__dict__, "suites": names}))
         assert (counts["pseudo_hyperbolic"], counts["_size"]) == want, names
+
+
+def test_inputs_are_formatted_only_for_the_rows_a_report_records(monkeypatch):
+    """A passing run formats no row's inputs; a failing one formats each recorded failure's row, once.
+
+    ``_columns`` turns a row's per-row input arrays into the report's list.
+    """
+    calls = []
+    real = suites._columns
+
+    def counting(*vals):
+        calls.append(len(vals[0]))
+        return real(*vals)
+
+    monkeypatch.setattr(suites, "_columns", counting)
+    names = all_suite_names()
+    code, _ = verify_all(SuiteConfig(suites=names))
+    assert code == 0 and calls == []
+    code, doc = verify_all(SuiteConfig(samples=2000, suites=names, tolerances=dict.fromkeys(names, 1e-300)))
+    recorded = sum(len(entry["failures"]) for entry in doc["suites"])
+    assert code == 1 and recorded == 13 * suites.MAX_FAILURES
+    assert calls == [1] * recorded
 
 
 def test_the_chart_checks_its_pairs_only_in_a_block_with_a_crowded_pair(monkeypatch):
@@ -582,7 +610,7 @@ def test_disc_violation_is_a_hard_failure_with_the_scalar_text(monkeypatch, name
     """
     monkeypatch.setattr(mobius, "TOL_BOUNDARY", 1e-8)
     _pushed_to_the_rim(monkeypatch, column)
-    rep = _report(name, SuiteConfig(samples=20, rmax=1.0 - 1e-9))
+    rep = _report(name, SuiteConfig(samples=20, rmax=suites._RMAX_LIMIT))
     assert not rep["passed"]
     assert rep["hard_failures"] == rep["samples"]
     assert rep["max_residual"] is None
@@ -654,7 +682,7 @@ def test_rim_invariants_are_judged_on_their_rounding_scale(name):
     2.26e-10 against 1e-10); the absolute defect of this run reads 5.7e-12 and 2.4e-13, the scaled one
     3.0e-16 and 4.0e-16.
     """
-    rep = _report(name, SuiteConfig(samples=20_000, rmax=1 - 1e-9))  # the largest accepted rmax
+    rep = _report(name, SuiteConfig(samples=20_000, rmax=suites._RMAX_LIMIT))  # the largest accepted rmax
     assert rep["passed"] and rep["hard_failures"] == 0
     assert rep["max_residual"] < 4e-15
 
@@ -821,7 +849,8 @@ def test_a_conjugation_suite_judges_an_image_at_the_rim(name):
 
 def test_the_rows_an_rmax_beyond_the_disc_rules_margin_failed_are_judged_at_the_largest_accepted_rmax():
     """rmax 1 - 2^-52 failed rows 55,843,068 and 65,039,066 of rho-invariance at seed 1 on drawn points; it is now
-    refused, and the same uniforms at rmax 1 - TOL_BOUNDARY draw points that keep the margin."""
+    refused, and the same uniforms at the largest accepted rmax, ``suites._RMAX_LIMIT``, draw points that keep the
+    margin."""
     suite = suites._BY_NAME["rho-invariance"]
     for index, message in [
         (55843068, "z must lie strictly inside the unit disc, got |z| = 0.9999999998384007"),
@@ -829,7 +858,7 @@ def test_the_rows_an_rmax_beyond_the_disc_rules_margin_failed_are_judged_at_the_
     ]:
         _, rows, _, _ = suites._block(suite, SuiteConfig(seed=1, rmax=0.9999999999999998), index, index + 1)
         assert rows.message[0] == message
-        residual, rows, _, _ = suites._block(suite, SuiteConfig(seed=1, rmax=1.0 - 1e-9), index, index + 1)
+        residual, rows, _, _ = suites._block(suite, SuiteConfig(seed=1, rmax=suites._RMAX_LIMIT), index, index + 1)
         assert rows.ok[0] and residual[0] < suite.tolerance
 
 
@@ -840,8 +869,8 @@ def test_a_residual_that_is_not_finite_is_a_hard_failure(monkeypatch, tmp_path, 
     Scored as a plain failure, a NaN row left max_residual at 0.0 and wrote a bare NaN token into the report.
     """
 
-    def kernel(cfg, u, idx, rows, drawn):
-        return np.full(len(idx), value), u
+    def kernel(cfg, u, idx, rows, pairs):
+        return np.full(len(idx), value), tuple(u.T), None
 
     suite = dataclasses.replace(suites._BY_NAME["alpha-roundtrip"], fn=kernel)
     monkeypatch.setitem(suites._BY_NAME, "alpha-roundtrip", suite)
@@ -926,10 +955,14 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 # both re-recorded when rho-invariance and sym-equivariance joined the pair family, which moved its members'
 # "rng" entries and rows (the family draws k = 7 uniforms per row, was 4; the 13 other suites kept their bytes);
 # "all-2000" re-recorded when o21_point_matrix came to be built from the unit vector (z, w) / hypot(z, w), which
-# moved only o21-matrix-B's max_residual
+# moved only o21-matrix-B's max_residual; "all-2000-tol-1e-300" recorded just before kernels came to return their
+# inputs as per-row arrays, formatted only for the rows a report records, which kept it: it pins the bytes of failure
+# records, 10 in each of the 13 suites whose residuals are not exactly 0 (the other nine score 0 on every row here,
+# which no tolerance fails)
 REPORT_SHA256 = {
     "all-2000": "d1dba5fbb20d4fa82b162df9e5cb868bd1f359db629e1ffaad0b7d1db3475f6f",
     "pairs-rmax-6e-7": "34a5ea0686009a7b0fec85790cf242aca4877763c5c48f16b54880e629a82172",
+    "all-2000-tol-1e-300": "8851b2cbe3e979884fc08c20aaa7cc79800f52a5821e4378742299326d73cc53",
 }
 
 
@@ -939,6 +972,11 @@ REPORT_SHA256 = {
         ("all-2000", SuiteConfig(samples=2000, suites=all_suite_names())),
         # most rows of the nine suites that read h = map_H(z, w) are excluded
         ("pairs-rmax-6e-7", SuiteConfig(rmax=6e-7, suites=(*PAIR_COLUMNS, "o21-totally-real"))),
+        # every suite whose residual is not exactly 0 records MAX_FAILURES rows, inputs included
+        (
+            "all-2000-tol-1e-300",
+            SuiteConfig(samples=2000, suites=all_suite_names(), tolerances=dict.fromkeys(all_suite_names(), 1e-300)),
+        ),
     ],
 )
 def test_report_bytes_match_their_recorded_hash(tmp_path, key, cfg):
@@ -1045,8 +1083,9 @@ def test_a_pair_family_member_alone_reports_what_it_reports_among_others(cfg):
 
 
 def _failing_every_third_row(real, text):
-    def failing(*args, errors):
-        out = real(*args, errors=errors)
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        errors = next(a for a in (*args, *kwargs.values()) if isinstance(a, RowErrors))
         errors.flag(np.arange(len(errors.ok)) % 3 == 0, text)
         return out
 
@@ -1067,7 +1106,7 @@ def test_a_member_check_fails_only_that_member(monkeypatch):
         name: 100 if name == "H-roundtrip" else 0 for name in FAMILY
     }
     monkeypatch.undo()
-    monkeypatch.setattr(suites, "map_H", _failing_every_third_row(suites.map_H, "a check of map_H's"))
+    monkeypatch.setattr(suites, "_map_H", _failing_every_third_row(suites._map_H, "a check of map_H's"))
     _, doc = verify_all(cfg)
     assert {e["suite"]: e["hard_failures"] for e in doc["suites"]} == {
         name: 0 if name in PAIR_ONLY else 100 for name in FAMILY

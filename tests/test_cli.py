@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import bidisc_lab
-from bidisc_lab import cli
+from bidisc_lab import cli, orbits
 from bidisc_lab.cli import ENV_SEED, main
+from bidisc_lab.rng import DEFAULT_RMAX, DEFAULT_SEED, uniform_block
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -463,6 +464,22 @@ def test_dump_orbit_writes_fa_rows_whose_pair_reaches_within_the_caller_margin(t
     assert len(rows) == 5000
     assert math.hypot(*rows[4][:2]) > 1 - 1e-9
     assert all(row[4] < 1e-12 for row in rows)
+
+
+def test_dump_orbit_writes_eta_rows_whose_pair_reaches_within_the_caller_margin(tmp_path, capsys):
+    """The Eta sampler's pair (phi(a), phi(0)) is computed from the checked level: map_H holds it to the disc alone.
+
+    At level 1.00000003, a = sqrt(2 / (level + 1)) = 1 - 7.5e-9, and row 4 at the default seed has
+    |phi(a)| = 0.9999999994250055, within TOL_BOUNDARY = 1e-9 of the circle; held to that margin, it was refused.
+    """
+    out = tmp_path / "eta.csv"
+    code = main(["dump-orbit", "--spec", "Eta:1.00000003", "--n", "5", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5 and all(math.isfinite(x) for row in rows for x in row)
+    u = uniform_block(DEFAULT_SEED, 0, 3, 4, 5)
+    z, _ = orbits._rho_pair(u, math.sqrt(2.0 / 2.00000003), DEFAULT_RMAX, None)
+    assert 1 - 1e-9 < abs(z[0]) < 1
 
 
 def test_a_command_loads_neither_argparse_nor_locale():

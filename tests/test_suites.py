@@ -4,10 +4,12 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from bidisc_lab.mobius import TOL_BOUNDARY
-from bidisc_lab.rng import DEFAULT_RMAX
+from bidisc_lab import suites
+from bidisc_lab.mobius import TOL_BOUNDARY, _inside
+from bidisc_lab.rng import DEFAULT_RMAX, disc_from_uniforms
 from bidisc_lab.suites import (
     ConfigError,
     SuiteConfig,
@@ -143,6 +145,8 @@ def test_tolerance_for_an_unselected_suite_is_a_config_error_that_names_it():
         # a subnormal disc: its points keep too few digits, and some round onto the origin
         SuiteConfig(rmax=1e-310),
         SuiteConfig(rmax=5e-324),
+        # polar's rounding can put a drawn point of this disc an ulp beyond its radius, within the caller margin
+        SuiteConfig(rmax=1.0 - TOL_BOUNDARY),
     ],
 )
 def test_validate_config_rejects_bad_values(cfg):
@@ -151,11 +155,36 @@ def test_validate_config_rejects_bad_values(cfg):
 
 
 def test_the_accepted_rmax_range_ends_at_the_disc_rules_margin():
-    """rmax = 1 - TOL_BOUNDARY is accepted, the next double up is not, and the message states the one range."""
-    validate_config(SuiteConfig(rmax=1.0 - TOL_BOUNDARY))
+    """rmax = _RMAX_LIMIT, 8 ulps inside 1 - TOL_BOUNDARY, is accepted, the next double up is not, and the message
+    states the one range."""
+    assert suites._RMAX_LIMIT == 0.9999999989999991 == 1.0 - TOL_BOUNDARY - 2.0**-50
+    validate_config(SuiteConfig(rmax=suites._RMAX_LIMIT))
     with pytest.raises(ConfigError) as info:
-        validate_config(SuiteConfig(rmax=math.nextafter(1.0 - TOL_BOUNDARY, 1.0)))
-    assert str(info.value).startswith("rmax must lie in [2.2250738585072014e-308, 0.999999999], got 0.99999999900")
+        validate_config(SuiteConfig(rmax=math.nextafter(suites._RMAX_LIMIT, 1.0)))
+    assert str(info.value) == (
+        "rmax must lie in [2.2250738585072014e-308, 0.9999999989999991], got 0.9999999989999993"
+    )
+
+
+def _points_off_the_caller_margin(rmax: float, angles: int) -> int:
+    """The drawn points that break the disc rule for a point a caller supplies, over the 8 largest radius uniforms.
+
+    PCG64 doubles are multiples of 2^-53, so those uniforms are 1 - j 2^-53,
+    j = 1, ..., 8; polar's products can round |z| an ulp above rmax sqrt(u).
+    """
+    u_angle = np.arange(angles) / angles
+    return sum(
+        int(np.count_nonzero(~_inside(disc_from_uniforms(np.full(angles, 1.0 - j * 2.0**-53), u_angle, rmax))))
+        for j in range(1, 9)
+    )
+
+
+def test_no_point_drawn_at_the_largest_accepted_rmax_breaks_the_caller_margin():
+    """At _RMAX_LIMIT none of 8 x 10^6 points does; at 1 - TOL_BOUNDARY, once the largest, 526,240 do, and at one
+    ulp below it 26,284."""
+    assert _points_off_the_caller_margin(suites._RMAX_LIMIT, 10**6) == 0
+    assert _points_off_the_caller_margin(1.0 - TOL_BOUNDARY, 10**5) > 0
+    assert _points_off_the_caller_margin(math.nextafter(1.0 - TOL_BOUNDARY, 0.0), 10**5) > 0
 
 
 # the suites whose samples are pairs off map_H's chart guard, |z - w| >= EPS_DIAG
@@ -282,7 +311,7 @@ def _selectable(rmax: float) -> tuple[str, ...]:
 
 # the edges of the accepted rmax: the smallest normal double, just above EPS_DIAG / 2 (the smallest disc with a pair
 # off map_H's chart guard), EPS_DIAG, the default and the largest accepted rmax
-_EDGE_RMAX = (sys.float_info.min, 5.000001e-7, 1e-6, DEFAULT_RMAX, 1.0 - TOL_BOUNDARY)
+_EDGE_RMAX = (sys.float_info.min, 5.000001e-7, 1e-6, DEFAULT_RMAX, suites._RMAX_LIMIT)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
