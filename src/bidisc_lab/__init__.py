@@ -54,7 +54,7 @@ from .mobius import (
     pseudo_hyperbolic,
     random_mobius,
 )
-from .orbits import FAMILIES, Family, dump_orbit, orbit_point, parse_orbit_spec
+from .orbits import FAMILIES, Family, dump_orbit, orbit_points, parse_orbit_spec
 from .rng import RowErrors
 from .suites import (
     ConfigError,
@@ -100,7 +100,7 @@ __all__ = [
     "Family",
     "RowErrors",
     "dump_orbit",
-    "orbit_point",
+    "orbit_points",
     "parse_orbit_spec",
     "ConfigError",
     "SuiteConfig",

@@ -86,7 +86,7 @@ def u21_residual(A):
         off = re * re
     d2 = diag * diag
     out = np.sqrt(d2[0] + d2[1] + d2[2] + 2.0 * (off[0] + off[1] + off[2]))
-    return out[0].item() if A.ndim == 2 else out
+    return _unbatch(out, A.ndim == 2)
 
 
 def su11_embed(phi: MobiusMap) -> np.ndarray:

@@ -60,11 +60,9 @@ def _batch(f: Family, p, errors: RowErrors | None):
     if record.value is None:
         raise ValueError(f"{record.name} has no defining function")
     P = np.asarray(p, dtype=complex)
-    single = P.ndim == 1
-    if single:
-        P = P[None, :]
-    if P.ndim != 2 or P.shape[1] != record.dim:
+    if P.ndim > 2 or P.shape[-1:] != (record.dim,):
         raise ValueError(f"{record.name} expects a point of C^{record.dim}")
+    single, P = P.ndim == 1, P.reshape(-1, record.dim)
     rows = _collector(errors, len(P))
     if not np.isfinite(P).all():
         finite = np.isfinite(P).all(axis=1)
@@ -85,9 +83,9 @@ def wirtinger_gradient(f: Family, p, *, errors: RowErrors | None = None) -> np.n
     return _unbatch(f.record.gradient(P, f.param), single)
 
 
-def complex_hessian(f: Family, p) -> np.ndarray:
+def complex_hessian(f: Family, p, *, errors: RowErrors | None = None) -> np.ndarray:
     """The exact complex Hessian (d^2 r / dz_j dconj(z_k)) that the family's record gives in closed form."""
-    P, single, rows = _batch(f, p, None)
+    P, single, rows = _batch(f, p, errors)
     return _unbatch(f.record.hessian(P, f.param), single)
 
 
@@ -153,7 +151,7 @@ def levi_restricted(f: Family, p, *, errors: RowErrors | None = None):
     if f.record.ambient:  # False: the ambient is all of C^dim
         rows.flag(_row_max(~_inside(P)), "a coordinate touches the unit circle; ambient check failed")
     v = complex_tangent(f, P, errors=rows)
-    H = complex_hessian(f, P)
+    H = complex_hessian(f, P, errors=rows)
     levi = np.zeros(len(P))
     for j in range(P.shape[1]):
         for k in range(P.shape[1]):

@@ -46,16 +46,11 @@ def sym(z1, z2):
 
 
 def map_J(z, w, *, errors: RowErrors | None = None):
-    """Homogeneous quadric embedding; defined on the whole bidisc.
-
-    The homogeneous coordinates: shape (4,) for a point, (4, n) for a
-    batch.
-    """
+    """Homogeneous quadric embedding; defined on the whole bidisc: its four coordinates, as map_H gives its three."""
     (z, w), rows, single = _batch(errors, z, w)
     _check_pair(rows, z, w)
     zw = z * w
-    c = np.stack([z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)])
-    return c[:, 0] if single else c
+    return _unbatch((z - w, 1.0 - zw, 1j * (1.0 + zw), -1j * (z + w)), single)
 
 
 def _cdiv(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -37,11 +37,13 @@ level, |rho - a| not below a: below about eps times the automorphism
 centre's modulus, phi(a) rounds onto phi(0).  Both level samplers and
 the rho level residual hold the pair (phi(a), phi(0)), computed from the
 checked level, only to being finite and inside the disc
-(``mobius._on_disc``), not to the margin a caller's point keeps.
+(``mobius._on_disc``), not to the margin a caller's point keeps; the
+base point (a, 0) that ``mobius_apply`` moves keeps it, and the records
+admit only the parameters whose a passes that test (``mobius._inside``).
 
 A dump draws row i from the uniforms [i k, (i + 1) k) of the stream
 (seed, 0), with k = ``spec.record.draws``, so
-``orbit_point(spec, uniform_block(seed, 0, k, i, i + 1)[0])`` replays
+``orbit_points(spec, uniform_block(seed, 0, k, i, i + 1)[0])`` replays
 row i.  It samples and checks BLOCK rows at a time and formats CHUNK
 rows at a time; neither size changes a byte of the file.
 """
@@ -58,7 +60,7 @@ import numpy as np
 from .domains import _abs2, im_condition, minkowski_form, quadric_residual
 from .groups import ball_action, so21_image, su11_embed
 from .maps import _map_H
-from .mobius import _on_disc, _rho, mobius_apply, random_mobius
+from .mobius import _inside, _on_disc, _rho, mobius_apply, random_mobius
 from .rng import (
     DEFAULT_RMAX,
     DEFAULT_SEED,
@@ -66,6 +68,7 @@ from .rng import (
     _collector,
     _row_max,
     _times,
+    _unbatch,
     disc_from_uniforms,
     polar,
     uniform_block,
@@ -101,9 +104,13 @@ def _rho_level_sampler(u, a, rmax, errors):
     return z, w
 
 
+def _level_distance(level):  # the a whose rho level set map_H carries onto the Minkowski level
+    return np.sqrt(2.0 / (level + 1.0))
+
+
 def _minkowski_level_sampler(u, level, rmax, errors):
     """map_H, by the rule for images, of _rho_pair pairs at distance a, 2/a^2 - 1 = level; it flags rejected rows."""
-    return _map_H(*_rho_pair(u, np.sqrt(2.0 / (level + 1.0)), rmax, errors), errors, _on_disc)
+    return _map_H(*_rho_pair(u, _level_distance(level), rmax, errors), errors, _on_disc)
 
 
 def _ellipsoid_sampler(u, t, rmax, errors):
@@ -230,14 +237,16 @@ class FamilyRecord:
 
 
 RHO_LEVEL = FamilyRecord(
-    "rho-level", 2, cli="Fa", need="need 0 < a < 1", admits=lambda a: (0.0 < a) & (a < 1.0),
+    "rho-level", 2, cli="Fa", need="need 0 < a < 1 - 1e-9", admits=lambda a: (0.0 < a) & _inside(a),
     # zero set rho = a on the bidisc
     value=_rho_value, gradient=_rho_gradient, hessian=_rho_hessian, ambient=True,
     residual=lambda p, a, errors: np.abs(_rho(*p, errors, _on_disc) - a),
     sampler=_rho_level_sampler, draws=3,
 )
 MINKOWSKI_LEVEL = FamilyRecord(
-    "minkowski-level", 3, cli="Eta", need="need level > 1", admits=lambda level: level > 1.0,
+    "minkowski-level", 3, cli="Eta",
+    need="need level > 1 with a = sqrt(2 / (level + 1)) < 1 - 1e-9: level >= 1.000000004",
+    admits=lambda level: (level > 1.0) & _inside(_level_distance(np.maximum(level, 1.0))),  # quiet where level <= 1
     # r = level - (|z1|^2 + |z2|^2 - |z3|^2) on the affine quadric
     value=lambda P, level: level - minkowski_form(*P.T),
     gradient=lambda P, level: _diagonal_gradient(P, -1.0, -1.0, 1.0),
@@ -312,29 +321,23 @@ class Family:
                 raise ValueError(f"{need}, got {values[np.argmax(~good)].item() if values.ndim else x}")
 
 
-def orbit_points(spec: Family, u: np.ndarray, rmax: float, errors: RowErrors | None):
-    """The coordinate arrays of the points that the rows of the (n, spec.record.draws) block u give.
+def orbit_points(spec: Family, u, rmax: float = DEFAULT_RMAX, *, errors: RowErrors | None = None):
+    """The point of spec's orbit that a row of spec.record.draws uniforms gives, or one per row of a block.
 
-    A row that fails one of the sampler's checks is flagged in ``errors``;
-    without a collector, the first such row raises.
+    A 1-d row gives the point's coordinates as Python scalars, an
+    (n, spec.record.draws) block their arrays (see ``rng``).  A row that
+    fails one of the sampler's checks is flagged in ``errors``; without a
+    collector, the first such row raises.
     """
     record = spec.record
     if record.sampler is None:
         raise ValueError(f"{record.name} has no sampler")
-    if np.shape(u)[1:] != (record.draws,):
-        raise ValueError(f"{record.name} takes rows of record.draws = {record.draws} uniforms, got shape {np.shape(u)}")
-    errors = _collector(errors, len(u))
+    u = np.asarray(u, dtype=float)
+    if u.ndim > 2 or u.shape[-1:] != (record.draws,):
+        raise ValueError(f"{record.name} takes rows of record.draws = {record.draws} uniforms, got shape {u.shape}")
+    single, u = u.ndim == 1, u.reshape(-1, record.draws)
     with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
-        return record.sampler(u, spec.param, rmax, errors)
-
-
-def orbit_point(spec: Family, u: np.ndarray):
-    """The point of the orbit described by spec that one row of spec.record.draws uniforms gives."""
-    u, k = np.asarray(u, dtype=float), spec.record.draws
-    if u.shape != (k,):
-        raise ValueError(f"{spec.record.name} takes one row of record.draws = {k} uniforms, got shape {u.shape}")
-    coords = orbit_points(spec, u[None, :], DEFAULT_RMAX, None)
-    return tuple(c[0].item() for c in coords)
+        return _unbatch(record.sampler(u, spec.param, rmax, _collector(errors, len(u))), single)
 
 
 def parse_orbit_spec(text: str) -> Family:
@@ -520,7 +523,7 @@ def _checked_rows(spec: Family, columns: list[str], seed: int, lo: int, hi: int)
     """
     record = spec.record
     errors = RowErrors(hi - lo)
-    coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), DEFAULT_RMAX, errors)
+    coords = orbit_points(spec, uniform_block(seed, 0, record.draws, lo, hi), errors=errors)
     with np.errstate(all="ignore"):  # the flagged rows' values are meaningless
         residual = record.residual(coords, spec.param, errors)
     table = np.column_stack([x for c in coords for x in (c.real, c.imag)] + [residual])

@@ -338,7 +338,7 @@ def _j_h_compat(rows, pairs):
     p = map_J(pairs.z, pairs.w, errors=rows)
     q = (np.ones_like(pairs.z), *pairs.h)  # so |q|_inf = _size(*h)
     cross = [np.abs(p[a] * q[b] - p[b] * q[a]) for a, b in itertools.combinations(range(4), 2)]
-    return functools.reduce(np.maximum, cross) / (functools.reduce(np.maximum, np.abs(p)) * pairs.size)
+    return functools.reduce(np.maximum, cross) / (functools.reduce(np.maximum, map(np.abs, p)) * pairs.size)
 
 
 def _k_sym_equivariance(cfg, u, idx, rows, pairs):
@@ -372,7 +372,7 @@ def _levi(record: FamilyRecord, param, score: Callable) -> Callable:
     def _k_levi(cfg, u, idx, rows, pairs):
         x = param[idx % 3] if levels else param
         f = Family(record, x)
-        p = orbit_points(f, u, LEVI_PATCH_RMAX, rows)
+        p = orbit_points(f, u, LEVI_PATCH_RMAX, errors=rows)
         return score(levi_restricted(f, np.column_stack(p), errors=rows)), (*p, *((x,) if levels else ())), None
 
     return _k_levi
@@ -452,7 +452,7 @@ def _k_su11_orbit_invariant(cfg, u, idx, rows, pairs):
 def _ellipsoid_draw(cfg: SuiteConfig, u: np.ndarray, rows: RowErrors):
     # uniforms: t (1), the orbit point (3)
     t = 0.1 + 0.8 * u[:, 0]
-    return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, rows)
+    return t, orbit_points(Family(ELLIPSOID, t), u[:, 1:4], cfg.rmax, errors=rows)
 
 
 def _k_su11_orbit_ellipsoid(cfg, u, idx, rows, pairs):

@@ -407,7 +407,7 @@ def test_dump_orbit_errors_exit_two(argv, capsys):
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("Fa", "error: Fa needs a parameter: need 0 < a < 1\n"),
+        ("Fa", "error: Fa needs a parameter: need 0 < a < 1 - 1e-9\n"),
         ("RealSlice:1", "error: RealSlice takes no parameter, got 1.0\n"),
         ("Eta:nan", "error: the Eta parameter must be finite, got nan\n"),
     ],
@@ -440,8 +440,6 @@ def test_dump_orbit_refuses_eta_rows_that_map_h_rejects(tmp_path, spec, message)
     [
         # phi(a) rounds onto phi(0): the pair would be diagonal, with |rho - a| = a
         ("Fa:1e-300", "row 0 of the Fa dump: its pair rounds onto the diagonal"),
-        # phi(a) leaves the disc that pseudo_hyperbolic checks
-        ("Fa:0.9999999999", "row 0 of the Fa dump: z must lie strictly inside the unit disc"),
     ],
 )
 def test_dump_orbit_refuses_fa_rows_that_fail_a_check_naming_the_row(tmp_path, spec, message):
@@ -450,6 +448,45 @@ def test_dump_orbit_refuses_fa_rows_that_fail_a_check_naming_the_row(tmp_path, s
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+# the largest admitted Fa parameter and the smallest admitted Eta level
+FA_EDGE, ETA_EDGE = 0.9999999989999999, 1.000000004
+# what a dump prints for a parameter beyond the edge, followed by the parameter
+_NEED = {
+    "Fa": "error: need 0 < a < 1 - 1e-9, got ",
+    "Eta": "error: need level > 1 with a = sqrt(2 / (level + 1)) < 1 - 1e-9: level >= 1.000000004, got ",
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # mobius_apply moves the base point (a, 0), and holds a to the caller margin |a| < 1 - 1e-9
+        "Fa:0.9999999999",
+        "Fa:0.9999999995",
+        f"Fa:{math.nextafter(FA_EDGE, 1.0)!r}",
+        # the Eta sampler's base point is (a, 0) with a = sqrt(2 / (level + 1)): 1 - 7.5e-10 at level 1.000000003
+        "Eta:1.000000003",
+        f"Eta:{math.nextafter(ETA_EDGE, 0.0)!r}",
+    ],
+)
+def test_dump_orbit_refuses_an_fa_or_eta_parameter_beyond_the_margin(tmp_path, spec, capsys):
+    """Every row of such a dump would fail the sampler's disc check: the parameter is refused, naming it, not a row."""
+    family, _, param = spec.partition(":")
+    out = tmp_path / "orbit.csv"
+    code = main(["dump-orbit", "--spec", spec, "--n", "5", "--out", str(out)])
+    assert code == 2 and capsys.readouterr().err == f"{_NEED[family]}{param}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [f"Fa:{FA_EDGE!r}", f"Eta:{ETA_EDGE!r}"])
+def test_dump_orbit_writes_every_row_at_the_parameter_edge(tmp_path, spec, capsys):
+    """The records admit what the samplers pass, to the ulp: one ulp inside a refused parameter, each row is written."""
+    out = tmp_path / "orbit.csv"
+    code = main(["dump-orbit", "--spec", spec, "--n", "5000", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 1 + 5000
 
 
 def test_dump_orbit_writes_fa_rows_whose_pair_reaches_within_the_caller_margin(tmp_path, capsys):

@@ -367,6 +367,7 @@ _NOT_FINITE = "^point must have finite components$"
     "fn, f, good, bad, message",
     [
         (value, _SPHERE, _SPHERE_OFF, (math.nan, 0.2), "finite components"),
+        (complex_hessian, Family(RHO_LEVEL, 0.7), _SPHERE_OFF, (0.3, math.inf), _NOT_FINITE),
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.2, math.nan), _NOT_FINITE),
         (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.25, -math.inf, 0.0), _NOT_FINITE),
         (levi_restricted, _SPHERE, _SPHERE_ON, (math.inf, 0.0), _NOT_FINITE),
@@ -377,7 +378,7 @@ _NOT_FINITE = "^point must have finite components$"
         (complex_tangent, _SPHERE, _SPHERE_OFF, (0.0, 0.0), "gradient vanishes"),
         (complex_tangent, _QUADRIC, _QUADRIC_ON, (1.0, 0.5, 0.3), "degenerate"),
     ],
-    ids=["finite", "tangent-nan", "tangent-inf", "levi-inf", "levi-nan", "ambient-margin", "unit-circle", "on-surface", "gradient-floor", "degenerate-rows"],
+    ids=["finite", "hessian-finite", "tangent-nan", "tangent-inf", "levi-inf", "levi-nan", "ambient-margin", "unit-circle", "on-surface", "gradient-floor", "degenerate-rows"],
 )
 def test_a_failed_check_fails_only_its_row_with_the_scalar_message(fn, f, good, bad, message):
     with pytest.raises(ValueError, match=message) as info:

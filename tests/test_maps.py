@@ -62,6 +62,20 @@ def test_map_h_image_lies_on_quadric_band():
         assert inside, (z, w, margin)
 
 
+def test_map_j_returns_one_array_per_coordinate_as_map_h_does():
+    """On a batch, map_J gives a tuple of four 1-d arrays, and each row the point call's Python scalars, bit for bit."""
+    u = uniform_block(8, 0, 4, 0, 40)
+    z, w = disc_from_uniforms(u[:, 0], u[:, 1], 0.9), disc_from_uniforms(u[:, 2], u[:, 3], 0.9)
+    w[:5] = z[:5]  # the diagonal too
+    coords, h = map_J(z, w), map_H(z[5:], w[5:])
+    assert type(coords) is type(h) is tuple and len(coords) == 4 and len(h) == 3
+    assert all(type(c) is np.ndarray and c.shape == z.shape for c in coords)
+    for r in range(len(z)):
+        point = map_J(complex(z[r]), complex(w[r]))
+        assert type(point) is tuple and all(type(c) is complex for c in point)
+        assert [(c[r].real.hex(), c[r].imag.hex()) for c in coords] == [(c.real.hex(), c.imag.hex()) for c in point]
+
+
 def test_map_j_sends_diagonal_to_infinity_curve():
     """J(z, z) lies at infinity (first coordinate 0), on the closed quadric, on the oriented component."""
     for x, y in 2.0 * uniform_block(3, 0, 2, 0, 50) - 1.0:

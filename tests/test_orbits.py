@@ -22,7 +22,6 @@ from bidisc_lab.orbits import (
     Family,
     RowErrors,
     dump_orbit,
-    orbit_point,
     orbit_points,
     parse_orbit_spec,
 )
@@ -60,7 +59,7 @@ def test_each_record_describes_one_surface(spec):
     record = spec.record
     if record.sampler is not None:
         errors = RowErrors(200)
-        coords = orbit_points(spec, uniform_block(71, 0, record.draws, 0, 200), 0.95, errors)
+        coords = orbit_points(spec, uniform_block(71, 0, record.draws, 0, 200), 0.95, errors=errors)
         assert errors.ok.all() and len(coords) == record.dim
         P = np.column_stack(coords)
         if record.value is not None:
@@ -78,31 +77,31 @@ def test_each_record_describes_one_surface(spec):
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_samplers_stay_on_their_orbit(spec):
     for u in uniform_block(61, 0, spec.record.draws, 0, 30):
-        p = orbit_point(spec, u)
+        p = orbit_points(spec, u)
         assert all(type(c) is complex for c in p)
         assert _orbit_residual(spec, p) < 1e-10
 
 
 def test_rho_orbit_point_stays_in_the_bidisc():
-    z, w = orbit_points(Family(RHO_LEVEL, 0.9), uniform_block(62, 0, 3, 0, 50), 0.95, None)
+    z, w = orbit_points(Family(RHO_LEVEL, 0.9), uniform_block(62, 0, 3, 0, 50), 0.95)
     assert (np.abs(z) < 1.0).all() and (np.abs(w) < 1.0).all()
 
 
 def test_ball_orbit_points_stay_in_the_ball():
     for spec in (Family(ELLIPSOID, 0.7), Family(REAL_SLICE)):
         for u in uniform_block(63, 0, 3, 0, 50):
-            p, q = orbit_point(spec, u)
+            p, q = orbit_points(spec, u)
             assert abs(p) ** 2 + abs(q) ** 2 < 1.0
 
 
 def test_sphere_point_is_normalized():
-    u, v = orbit_points(Family(SPHERE), uniform_block(64, 0, 3, 0, 50), 0.95, None)
+    u, v = orbit_points(Family(SPHERE), uniform_block(64, 0, 3, 0, 50), 0.95)
     np.testing.assert_allclose(np.abs(u) ** 2 + np.abs(v) ** 2, 1.0, rtol=0, atol=1e-12)
 
 
 def test_real_slice_point_has_no_imaginary_part():
     for row in uniform_block(65, 0, 3, 0, 50):
-        u, v = orbit_point(Family(REAL_SLICE), row)
+        u, v = orbit_points(Family(REAL_SLICE), row)
         assert u.imag == 0.0 and v.imag == 0.0
 
 
@@ -110,9 +109,9 @@ def test_ball_samplers_draw_their_automorphism_from_the_rmax_disc():
     """phi = (theta, a) carries (t, 0) to (t / conj(alpha), -e^{i theta} a) and the origin to a real point of modulus 2|a| / (1 + |a|^2)."""
     u = uniform_block(67, 0, 3, 0, 200)
     errors = RowErrors(200)
-    _, v = orbit_points(Family(ELLIPSOID, 0.5), u, 0.1, errors)
+    _, v = orbit_points(Family(ELLIPSOID, 0.5), u, 0.1, errors=errors)
     assert np.abs(v).max() < 0.1
-    x, y = orbit_points(Family(REAL_SLICE), u, 0.1, errors)
+    x, y = orbit_points(Family(REAL_SLICE), u, 0.1, errors=errors)
     assert np.hypot(x.real, y.real).max() < 2.0 * 0.1 / (1.0 + 0.1**2)
     assert errors.ok.all()
 
@@ -121,11 +120,11 @@ def test_sampler_parameter_validation():
     """The samplers take their parameters from a Family, which checks them; a row the sampler rejects raises."""
     u = uniform_block(66, 0, 3, 0, 1)[0]
     with pytest.raises(ValueError, match="need 0 < a < 1"):
-        orbit_point(Family(RHO_LEVEL, 1.0), u)
+        orbit_points(Family(RHO_LEVEL, 1.0), u)
     with pytest.raises(ValueError, match="need level > 1"):
-        orbit_point(Family(MINKOWSKI_LEVEL, 1.0), u)
+        orbit_points(Family(MINKOWSKI_LEVEL, 1.0), u)
     with pytest.raises(ValueError, match="too close to the diagonal"):
-        orbit_point(Family(MINKOWSKI_LEVEL, 1e30), u)
+        orbit_points(Family(MINKOWSKI_LEVEL, 1e30), u)
     # a parameter given per row is checked entry by entry, and its first bad entry gets the number's message
     for record, good, bad in [(RHO_LEVEL, 0.8, 1.0), (MINKOWSKI_LEVEL, 2.125, math.nan), (ELLIPSOID, 0.5, -math.inf)]:
         assert Family(record, [good, good]).param.tolist() == [good, good]
@@ -138,15 +137,36 @@ def test_sampler_parameter_validation():
 
 @pytest.mark.parametrize("spec", [f for f in TABLE if f.record.sampler is not None], ids=lambda f: f.record.name)
 def test_a_uniform_block_of_the_wrong_shape_is_refused(spec):
-    """A replay with the wrong number of uniforms raises, naming record.draws, instead of giving a wrong point."""
+    """A replay with the wrong number of uniforms raises, naming record.draws, instead of giving a wrong point.
+
+    A (1, k) block is a block of one row: row 0 of its arrays is the point of its row, bit for bit.
+    """
     k = spec.record.draws
     row = uniform_block(74, 0, k + 1, 0, 1)[0]
-    for bad in (row, row[: k - 1], row[None, :k]):
+    for bad in (row, row[: k - 1], row[None, None, :k], np.float64(0.5)):
         with pytest.raises(ValueError, match=f"record.draws = {k} uniforms"):
-            orbit_point(spec, bad)
+            orbit_points(spec, bad)
     for bad in (row, uniform_block(74, 0, k + 1, 0, 5), uniform_block(74, 0, k, 0, 5)[None]):
         with pytest.raises(ValueError, match=f"record.draws = {k} uniforms"):
-            orbit_points(spec, bad, 0.95, RowErrors(5))
+            orbit_points(spec, bad, 0.95, errors=RowErrors(5))
+    block = orbit_points(spec, row[None, :k])
+    point = orbit_points(spec, row[:k])
+    assert all(type(x) is complex for x in point)
+    assert [(c[0].real.hex(), c[0].imag.hex()) for c in block] == [(x.real.hex(), x.imag.hex()) for x in point]
+
+
+@pytest.mark.parametrize("spec", [f for f in TABLE if f.record.sampler is not None], ids=lambda f: f.record.name)
+def test_a_row_of_uniforms_gives_row_0_of_its_block_as_python_scalars(spec):
+    """orbit_points(spec, row) is row 0 of orbit_points(spec, row[None]), bit for bit, as Python complex scalars."""
+    for rmax in (0.95, 0.3):
+        for row in uniform_block(75, 0, spec.record.draws, 0, 20):
+            point = orbit_points(spec, row, rmax)
+            block = orbit_points(spec, row[None], rmax, errors=RowErrors(1))
+            assert len(point) == len(block) == spec.record.dim
+            assert all(type(x) is complex for x in point)
+            assert [(x.real.hex(), x.imag.hex()) for x in point] == [
+                (c[0].real.hex(), c[0].imag.hex()) for c in block
+            ]
 
 
 @pytest.mark.parametrize(
@@ -160,12 +180,12 @@ def test_a_per_row_parameter_gives_each_row_what_its_level_gives(record, levels)
     k = np.floor(3 * uniform_block(69, 0, 1, 0, 300)[:, 0]).astype(int)
     f = Family(record, np.array(levels)[k])
     errors = RowErrors(300)
-    p = np.column_stack(orbit_points(f, u, 0.7, errors))
+    p = np.column_stack(orbit_points(f, u, 0.7, errors=errors))
     val = levi_restricted(f, p, errors=errors)
     assert errors.ok.all()
     for j, level in enumerate(levels):
         one, sel = Family(record, level), k == j
-        q = np.column_stack(orbit_points(one, u[sel], 0.7, RowErrors(int(sel.sum()))))
+        q = np.column_stack(orbit_points(one, u[sel], 0.7, errors=RowErrors(int(sel.sum()))))
         assert q.tobytes() == p[sel].tobytes()
         assert levi_restricted(one, q).tobytes() == val[sel].tobytes()
 
@@ -175,9 +195,9 @@ def test_a_row_one_level_rejects_fails_alone():
     u = uniform_block(66, 0, 3, 0, 400)
     huge = np.arange(400) % 2 == 1
     errors = RowErrors(400)
-    orbit_points(Family(MINKOWSKI_LEVEL, np.where(huge, 1e12, 2.125)), u, 0.95, errors)
+    orbit_points(Family(MINKOWSKI_LEVEL, np.where(huge, 1e12, 2.125)), u, 0.95, errors=errors)
     alone = RowErrors(200)
-    orbit_points(Family(MINKOWSKI_LEVEL, 1e12), u[huge], 0.95, alone)
+    orbit_points(Family(MINKOWSKI_LEVEL, 1e12), u[huge], 0.95, errors=alone)
     assert errors.ok[~huge].all()
     assert 0 < (~alone.ok).sum() < 200
     assert errors.ok[huge].tolist() == alone.ok.tolist()
@@ -193,18 +213,18 @@ def test_without_a_collector_the_first_bad_row_raises(spec):
     """errors=None: a clean block gives the bytes a collector's run gives, and the first bad row raises its message."""
     u = uniform_block(73, 0, spec.record.draws, 0, 6)
     errors = RowErrors(6)
-    clean = orbit_points(spec, u, 0.95, errors)
+    clean = orbit_points(spec, u, 0.95, errors=errors)
     assert errors.ok.all()
-    assert [c.tobytes() for c in orbit_points(spec, u, 0.95, None)] == [c.tobytes() for c in clean]
+    assert [c.tobytes() for c in orbit_points(spec, u, 0.95)] == [c.tobytes() for c in clean]
     u[[2, 4], 1] = 4.0  # where the sampler draws an automorphism, its centre has modulus 1.9
     errors = RowErrors(6)
-    orbit_points(spec, u, 0.95, errors)
+    orbit_points(spec, u, 0.95, errors=errors)
     if spec.record.name not in CHECKED:
         assert errors.ok.all()
         return
     assert errors.ok.tolist() == [True, True, False, True, False, True]
     with pytest.raises(ValueError) as info:
-        orbit_points(spec, u, 0.95, None)
+        orbit_points(spec, u, 0.95)
     assert str(info.value) == errors.message[2]
 
 
@@ -294,7 +314,7 @@ def _edge_rows(n):
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
 def test_dump_row_replays_from_its_uniforms(tmp_path, spec):
-    """Row i is orbit_point of the uniforms [i k, (i + 1) k) of the stream (seed, 0)."""
+    """Row i is orbit_points of the uniforms [i k, (i + 1) k) of the stream (seed, 0)."""
     out = tmp_path / "orbit.csv"
     n = 2 * orbits.BLOCK + 3
     dump_orbit(spec, n, str(out), seed=5)
@@ -303,7 +323,7 @@ def test_dump_row_replays_from_its_uniforms(tmp_path, spec):
     rows = _edge_rows(n)
     assert {orbits.BLOCK, 2 * orbits.BLOCK + 2, orbits.CHUNK - 1} <= set(rows)
     for i in rows:
-        assert lines[1 + i] == _csv_line(spec, orbit_point(spec, uniform_block(5, 0, k, i, i + 1)[0]))
+        assert lines[1 + i] == _csv_line(spec, orbit_points(spec, uniform_block(5, 0, k, i, i + 1)[0]))
 
 
 @pytest.mark.parametrize("spec", ALL_ORBITS, ids=_orbit_ids)
